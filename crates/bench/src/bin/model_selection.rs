@@ -77,6 +77,7 @@ fn main() {
         "phase/family", "fits", "total_ms", "mean_ms"
     );
     let mut timer_rows = String::from("phase,count,total_ms,mean_ms\n");
+    let mut sweeps_line = String::new();
     for m in obs.metrics() {
         let Some(short) = m.name.strip_prefix("acm.ml.toolchain.") else {
             continue;
@@ -84,6 +85,16 @@ fn main() {
         let MetricValue::Histogram(h) = &m.value else {
             continue;
         };
+        if short == "lasso_sweeps" {
+            // Not a timer: reported on its own line below the table.
+            sweeps_line = format!(
+                "selection Lasso sweeps: mean {:.0}, max {} over {} fits",
+                h.mean(),
+                h.max,
+                h.count
+            );
+            continue;
+        }
         // `fit_ns.lasso` is the Lasso *family* fit; the bare `lasso_ns`
         // phase timer is feature selection — keep the labels distinct.
         let label = match short {
@@ -108,6 +119,10 @@ fn main() {
             h.mean() / 1e6
         ));
     }
+    println!(
+        "{sweeps_line}; stopped at the sweep cap: {}",
+        obs.counter("acm.ml.toolchain.lasso_unconverged").value()
+    );
     println!();
 
     if fs::create_dir_all("results").is_ok() {

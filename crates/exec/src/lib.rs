@@ -44,17 +44,19 @@
 //! Every pool keeps relaxed-atomic activity counters — parallel/sequential
 //! maps, items, chunk pops, steals, submitted and caller-inlined helper
 //! jobs, peak queue depth, and per-participant busy time around
-//! `map_collect` participation. [`ThreadPool::stats`] returns a
+//! `map_collect` participation, scope / `for_each_mut` tasks and
+//! `spawn_job` bodies. [`ThreadPool::stats`] returns a
 //! [`PoolStatsSnapshot`]; [`PoolStatsSnapshot::delta_since`] subtracts a
 //! baseline so callers can attribute activity to one phase of a run. The
-//! counters live off the CAS hot path (one flush per participant per map)
-//! and never influence scheduling, so determinism is unaffected.
+//! counters live off the CAS hot path (one flush per participant per map,
+//! two clock reads per task) and never influence scheduling, so
+//! determinism is unaffected.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 use std::any::Any;
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::mem::{self, ManuallyDrop, MaybeUninit};
 use std::panic::{self, AssertUnwindSafe};
@@ -210,7 +212,46 @@ struct PoolStats {
     workers: Box<[WorkerStat]>,
 }
 
+thread_local! {
+    /// This thread's participant index: set once by `worker_loop`; every
+    /// other thread is a caller, index 0.
+    static PARTICIPANT: Cell<usize> = const { Cell::new(0) };
+    /// True while this thread is inside a [`BusySection`], so that a map
+    /// nested in a scope task (or the reverse) is counted once.
+    static IN_BUSY_SECTION: Cell<bool> = const { Cell::new(false) };
+}
+
+/// One stretch of pool work on the current thread — a `map_collect`
+/// participation, a scope task or a `spawn_job` body. Dropping it adds the
+/// elapsed wall time and one span to the thread's participant slot, unless
+/// the section is nested inside another one on the same thread.
+struct BusySection<'a> {
+    /// `None` for a nested section.
+    outermost: Option<(&'a PoolStats, Instant)>,
+}
+
+impl Drop for BusySection<'_> {
+    fn drop(&mut self) {
+        let Some((stats, started)) = self.outermost else {
+            return;
+        };
+        IN_BUSY_SECTION.set(false);
+        if let Some(w) = stats.workers.get(PARTICIPANT.get()) {
+            w.busy_ns
+                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            w.spans.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 impl PoolStats {
+    fn busy_section(&self) -> BusySection<'_> {
+        let nested = IN_BUSY_SECTION.replace(true);
+        BusySection {
+            outermost: (!nested).then(|| (self, Instant::now())),
+        }
+    }
+
     fn new(threads: usize) -> Arc<Self> {
         Arc::new(PoolStats {
             par_maps: AtomicU64::new(0),
@@ -277,10 +318,12 @@ pub struct PoolStatsSnapshot {
     pub helpers_inlined: u64,
     /// Deepest the shared job queue has ever been at submit time.
     pub queue_depth_peak: u64,
-    /// Per-participant wall-clock nanoseconds spent inside `map_collect`
-    /// participation (index 0 is the calling thread).
+    /// Per-participant wall-clock nanoseconds spent on pool work:
+    /// `map_collect` participation, scope / `for_each_mut` tasks and
+    /// `spawn_job` bodies, nested work counted once (index 0 is the
+    /// calling thread, index `i` worker `acm-exec-i`).
     pub worker_busy_ns: Vec<u64>,
-    /// Per-participant count of `map_collect` participations.
+    /// Per-participant count of those stretches of work.
     pub worker_spans: Vec<u64>,
 }
 
@@ -362,7 +405,7 @@ where
 
     /// One participant's work loop: drain own range, then steal.
     fn participate(&self, me: usize) {
-        let started = Instant::now();
+        let _busy = self.stats.busy_section();
         let workers = self.ranges.len();
         let body = || {
             // Local tallies, flushed once per participation so the stats
@@ -410,11 +453,6 @@ where
             }
             Err(payload) => self.record_panic(payload),
         }
-        if let Some(w) = self.stats.workers.get(me) {
-            w.busy_ns
-                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            w.spans.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -428,7 +466,8 @@ struct PoolShared {
     shutdown: AtomicBool,
 }
 
-fn worker_loop(shared: Arc<PoolShared>) {
+fn worker_loop(shared: Arc<PoolShared>, participant: usize) {
+    PARTICIPANT.set(participant);
     loop {
         let job = {
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -482,7 +521,7 @@ impl ThreadPool {
                 let s = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("acm-exec-{i}"))
-                    .spawn(move || worker_loop(s))
+                    .spawn(move || worker_loop(s, i))
                     .expect("spawn acm-exec worker")
             })
             .collect();
@@ -829,7 +868,7 @@ impl ThreadPool {
             let out = f();
             *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
         });
-        let task = ClaimableTask::new(body);
+        let task = ClaimableTask::new(body, &self.stats);
         if self.threads <= 1 {
             task.try_run();
         } else {
@@ -884,7 +923,13 @@ impl<T: Send + 'static> JobHandle<T> {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Raise the flag under the queue lock: a worker holds that lock from
+        // its shutdown check until it is parked on the condvar, so it either
+        // sees the flag or is already waiting when the wake-up goes out.
+        {
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
         let mut workers = self
             .workers
@@ -909,6 +954,7 @@ struct ClaimableTask {
     latch: Latch,
     body: UnsafeCell<Option<Job>>,
     panic: UnsafeCell<Option<PanicPayload>>,
+    stats: Arc<PoolStats>,
 }
 
 // SAFETY: the claim flag serialises access to both cells; the latch
@@ -917,12 +963,13 @@ unsafe impl Sync for ClaimableTask {}
 unsafe impl Send for ClaimableTask {}
 
 impl ClaimableTask {
-    fn new(body: Job) -> Arc<Self> {
+    fn new(body: Job, stats: &Arc<PoolStats>) -> Arc<Self> {
         Arc::new(ClaimableTask {
             claimed: AtomicBool::new(false),
             latch: Latch::new(1),
             body: UnsafeCell::new(Some(body)),
             panic: UnsafeCell::new(None),
+            stats: Arc::clone(stats),
         })
     }
 
@@ -932,10 +979,13 @@ impl ClaimableTask {
         }
         // SAFETY: claim won ⇒ exclusive access.
         let body = unsafe { (*self.body.get()).take() }.expect("scope body taken once");
+        let busy = self.stats.busy_section();
         if let Err(p) = panic::catch_unwind(AssertUnwindSafe(body)) {
             // SAFETY: still claim-guarded; published by the latch below.
             unsafe { *self.panic.get() = Some(p) };
         }
+        // Before the latch, so a reader woken by it sees the time counted.
+        drop(busy);
         self.latch.count_down();
     }
 }
@@ -968,7 +1018,7 @@ impl<'scope, 'pool> Scope<'scope, 'pool> {
         // every task has run; a post-scope queue entry loses its claim and
         // never touches the body.
         let body: Job = unsafe { mem::transmute(body) };
-        let task = ClaimableTask::new(body);
+        let task = ClaimableTask::new(body, &self.pool.stats);
         let queued = Arc::clone(&task);
         self.pool.submit(Box::new(move || queued.try_run()));
         self.tasks
@@ -1125,6 +1175,10 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// Held by every test that resizes the global pool: tests run on
+    /// parallel threads and would otherwise see each other's widths.
+    static GLOBAL_POOL: Mutex<()> = Mutex::new(());
 
     #[test]
     fn map_collect_matches_sequential_across_shapes() {
@@ -1298,6 +1352,58 @@ mod tests {
             "the caller always participates"
         );
         assert!(d.total_busy_ns() >= d.worker_busy_ns[0]);
+
+        // Scope tasks: one span per slot, whichever thread ran it.
+        let before = pool.stats();
+        let mut slots = vec![0u64; 64];
+        pool.for_each_mut(&mut slots, |i, v| *v = (0..=i as u64).sum());
+        let d = pool.stats().delta_since(&before);
+        assert_eq!(d.worker_spans.iter().sum::<u64>(), 64);
+        assert!(d.total_busy_ns() > 0);
+        assert_eq!(
+            (d.par_maps, d.steals),
+            (0, 0),
+            "no ranges, nothing to steal"
+        );
+
+        // A background job is one span, wherever it ran.
+        let before = pool.stats();
+        let sum = pool.spawn_job(|| (0..10_000u64).map(std::hint::black_box).sum::<u64>());
+        assert_eq!(sum.join(), 10_000 * 9_999 / 2);
+        let d = pool.stats().delta_since(&before);
+        assert_eq!(d.worker_spans.iter().sum::<u64>(), 1);
+        assert!(d.total_busy_ns() > 0);
+    }
+
+    #[test]
+    fn nested_pool_work_is_counted_once_per_thread() {
+        // Scope tasks that do nothing but run a nested map: were both the
+        // task and the map participation inside it counted, a thread's
+        // busy time would come to about twice the wall time.
+        let pool = ThreadPool::new(2);
+        let before = pool.stats();
+        let started = Instant::now();
+        let mut sums = vec![0u64; 4];
+        pool.for_each_mut(&mut sums, |_, v| {
+            *v = pool
+                .map_collect((0..64u64).collect(), |i| {
+                    (0..20_000u64)
+                        .map(|j| std::hint::black_box(i ^ j))
+                        .sum::<u64>()
+                })
+                .iter()
+                .sum();
+        });
+        let wall_ns = started.elapsed().as_nanos() as u64;
+        let d = pool.stats().delta_since(&before);
+        assert!(sums.iter().all(|s| *s == sums[0]));
+        assert!(d.total_busy_ns() > 0);
+        for (w, busy) in d.worker_busy_ns.iter().enumerate() {
+            assert!(
+                *busy <= wall_ns,
+                "participant {w}: busy {busy} ns of {wall_ns} ns"
+            );
+        }
     }
 
     #[test]
@@ -1401,6 +1507,7 @@ mod tests {
         // background job draining on one of those workers that touched
         // `global()` — as every nested map/scope through the facade does —
         // blocked on the read lock, and the join never returned.
+        let _resizing = GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner());
         configure_threads(2);
         let started = Arc::new(Latch::new(1));
         let seen = Arc::clone(&started);
@@ -1422,6 +1529,7 @@ mod tests {
 
     #[test]
     fn configure_threads_swaps_the_global_pool() {
+        let _resizing = GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner());
         let n = configure_threads(3);
         assert_eq!(n, 3);
         assert_eq!(current_threads(), 3);

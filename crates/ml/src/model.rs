@@ -80,9 +80,7 @@ impl ModelKind {
         match self {
             ModelKind::Linear => AnyModel::Linear(LinearRegression::fit(ds)),
             ModelKind::Ridge => AnyModel::Ridge(RidgeRegression::fit(ds, 0.01)),
-            ModelKind::LassoPredictor => {
-                AnyModel::Lasso(LassoRegression::fit(ds, LassoRegression::default_alpha(ds)))
-            }
+            ModelKind::LassoPredictor => AnyModel::Lasso(LassoRegression::fit_default(ds)),
             ModelKind::RepTree => AnyModel::RepTree(RepTree::fit(ds, &Default::default(), rng)),
             ModelKind::M5P => AnyModel::M5P(M5Prime::fit(ds, &Default::default())),
             ModelKind::Svr => AnyModel::Svr(LinearSvr::fit(ds, &Default::default(), rng)),

@@ -81,38 +81,39 @@ impl RepTree {
     /// Fits a tree. `rng` draws the grow/prune split, so training is
     /// deterministic per seed.
     pub fn fit(ds: &Dataset, cfg: &RepTreeConfig, rng: &mut SimRng) -> Self {
+        let (grow, prune) = Self::grow_prune_sets(ds, cfg, rng);
+        let (nodes, root) = Builder::grow(&grow, cfg);
+        Self::finish(nodes, root, &prune)
+    }
+
+    /// Splits off the reduced-error-pruning holdout (empty when pruning is
+    /// off or the dataset too small to spare one).
+    fn grow_prune_sets(ds: &Dataset, cfg: &RepTreeConfig, rng: &mut SimRng) -> (Dataset, Dataset) {
         assert!(!ds.is_empty(), "cannot fit on empty dataset");
         assert!(
             (0.0..1.0).contains(&cfg.prune_fraction),
             "prune fraction must be in [0,1)"
         );
-        let (grow, prune) = if cfg.prune_fraction > 0.0 && ds.len() >= 8 {
+        if cfg.prune_fraction > 0.0 && ds.len() >= 8 {
             let (g, p) = ds.split(1.0 - cfg.prune_fraction, rng);
-            if g.is_empty() {
-                (ds.clone(), Dataset::new(ds.feature_names().to_vec()))
-            } else {
-                (g, p)
+            if !g.is_empty() {
+                return (g, p);
             }
-        } else {
-            (ds.clone(), Dataset::new(ds.feature_names().to_vec()))
-        };
+        }
+        (ds.clone(), Dataset::new(ds.feature_names().to_vec()))
+    }
 
-        let mut builder = Builder {
-            nodes: Vec::new(),
-            cfg,
-            ds: &grow,
-        };
-        let indices: Vec<usize> = (0..grow.len()).collect();
-        let root = builder.build(&indices, 0);
+    /// Prunes a grown arena against the holdout and compacts it.
+    fn finish(nodes: Vec<Node>, root: usize, prune: &Dataset) -> Self {
         let mut tree = RepTree {
-            nodes: builder.nodes,
+            nodes,
             root,
             flat_feature: Vec::new(),
             flat_threshold: Vec::new(),
             flat_right: Vec::new(),
         };
         if !prune.is_empty() {
-            tree.reduced_error_prune(&prune);
+            tree.reduced_error_prune(prune);
         }
         tree.compact();
         tree
@@ -452,32 +453,92 @@ impl crate::model::Regressor for RepTree {
     }
 }
 
+/// Grows the tree over per-feature row orders sorted **once**, at the
+/// root. A node is a range `lo..hi` shared by all the order arrays; applying
+/// a split stable-partitions that range of every array, so each child again
+/// sees its rows by ascending feature value with ties by ascending row id —
+/// exactly what a stable per-node sort of the ascending row ids yields. The
+/// scan therefore adds up the same targets in the same order as a per-node
+/// sort would, and the grown tree is the same down to the last bit.
 struct Builder<'a> {
     nodes: Vec<Node>,
     cfg: &'a RepTreeConfig,
-    ds: &'a Dataset,
+    n: usize,
+    width: usize,
+    /// Column-major copy of the grow set: `cols[f * n + i]`.
+    cols: Vec<f64>,
+    y: &'a [f64],
+    /// `width + 1` arrays of `n` row ids: array `f < width` by ascending
+    /// value of feature `f`, array `width` by ascending row id.
+    orders: Vec<u32>,
+    /// Side of the split being applied, by row id.
+    goes_left: Vec<bool>,
+    /// Right-hand rows of the range being partitioned.
+    scratch: Vec<u32>,
 }
 
-impl Builder<'_> {
-    fn build(&mut self, indices: &[usize], depth: usize) -> usize {
-        let mean = self.mean(indices);
+impl<'a> Builder<'a> {
+    /// Grows the unpruned arena for `ds`; returns it with its root index.
+    fn grow(ds: &'a Dataset, cfg: &'a RepTreeConfig) -> (Vec<Node>, usize) {
+        let mut builder = Builder::new(ds, cfg);
+        let root = builder.build(0, ds.len(), 0);
+        (builder.nodes, root)
+    }
+
+    fn new(ds: &'a Dataset, cfg: &'a RepTreeConfig) -> Self {
+        let (n, width) = (ds.len(), ds.width());
+        let ids = 0..u32::try_from(n).expect("grow set has fewer than 2^32 rows");
+        let mut cols = Vec::with_capacity(width * n);
+        let mut orders = Vec::with_capacity((width + 1) * n);
+        for f in 0..width {
+            // `+ 0.0` turns -0.0 into 0.0, so the total order below ranks
+            // the values exactly as `<` and `==` do.
+            cols.extend(ds.rows().iter().map(|row| row[f] + 0.0));
+            let col = &cols[f * n..];
+            orders.extend(ids.clone());
+            orders[f * n..].sort_unstable_by(|&a, &b| {
+                col[a as usize].total_cmp(&col[b as usize]).then(a.cmp(&b))
+            });
+        }
+        orders.extend(ids);
+        Builder {
+            nodes: Vec::new(),
+            cfg,
+            n,
+            width,
+            cols,
+            y: ds.targets(),
+            orders,
+            goes_left: vec![false; n],
+            scratch: Vec::with_capacity(n),
+        }
+    }
+
+    /// The node's rows by ascending value of feature `f` (`f == width`: by
+    /// ascending row id).
+    fn order(&self, f: usize, lo: usize, hi: usize) -> &[u32] {
+        &self.orders[f * self.n + lo..f * self.n + hi]
+    }
+
+    fn build(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
+        let ids = self.order(self.width, lo, hi);
+        let total_sum: f64 = ids.iter().map(|&i| self.y[i as usize]).sum();
+        let mean = total_sum / ids.len() as f64;
         if depth >= self.cfg.max_depth
-            || indices.len() < self.cfg.min_samples_split
-            || self.is_pure(indices)
+            || ids.len() < self.cfg.min_samples_split
+            || self.is_pure(ids)
         {
             return self.push(Node::Leaf { value: mean });
         }
-        match self.best_split(indices) {
+        match self.best_split(lo, hi, total_sum) {
             None => self.push(Node::Leaf { value: mean }),
             Some((feature, threshold, gain)) => {
-                let (li, ri): (Vec<usize>, Vec<usize>) = indices
-                    .iter()
-                    .partition(|&&i| self.ds.row(i)[feature] <= threshold);
+                let mid = self.partition(lo, hi, feature, threshold);
                 debug_assert!(
-                    li.len() >= self.cfg.min_samples_leaf && ri.len() >= self.cfg.min_samples_leaf
+                    mid - lo >= self.cfg.min_samples_leaf && hi - mid >= self.cfg.min_samples_leaf
                 );
-                let left = self.build(&li, depth + 1);
-                let right = self.build(&ri, depth + 1);
+                let left = self.build(lo, mid, depth + 1);
+                let right = self.build(mid, hi, depth + 1);
                 self.push(Node::Split {
                     feature,
                     threshold,
@@ -495,60 +556,74 @@ impl Builder<'_> {
         self.nodes.len() - 1
     }
 
-    fn mean(&self, indices: &[usize]) -> f64 {
-        if indices.is_empty() {
-            return 0.0;
-        }
-        indices.iter().map(|&i| self.ds.target(i)).sum::<f64>() / indices.len() as f64
+    fn is_pure(&self, ids: &[u32]) -> bool {
+        let first = self.y[ids[0] as usize];
+        ids.iter()
+            .all(|&i| (self.y[i as usize] - first).abs() < 1e-12)
     }
 
-    fn is_pure(&self, indices: &[usize]) -> bool {
-        let first = self.ds.target(indices[0]);
-        indices
-            .iter()
-            .all(|&i| (self.ds.target(i) - first).abs() < 1e-12)
+    /// Stable-partitions `lo..hi` of every order array into the rows with
+    /// `feature <= threshold` followed by the rest; returns the boundary.
+    fn partition(&mut self, lo: usize, hi: usize, feature: usize, threshold: f64) -> usize {
+        let col = &self.cols[feature * self.n..(feature + 1) * self.n];
+        let mut mid = lo;
+        for &i in &self.orders[self.width * self.n + lo..self.width * self.n + hi] {
+            let left = col[i as usize] <= threshold;
+            self.goes_left[i as usize] = left;
+            mid += left as usize;
+        }
+        for order in self.orders.chunks_exact_mut(self.n) {
+            let order = &mut order[lo..hi];
+            self.scratch.clear();
+            let mut kept = 0;
+            for k in 0..order.len() {
+                let i = order[k];
+                if self.goes_left[i as usize] {
+                    order[kept] = i;
+                    kept += 1;
+                } else {
+                    self.scratch.push(i);
+                }
+            }
+            order[kept..].copy_from_slice(&self.scratch);
+        }
+        mid
     }
 
     /// Best `(feature, threshold, sse_reduction)`, scanning sorted values
-    /// with prefix sums. Returns `None` when no admissible split reduces the
-    /// error.
-    fn best_split(&self, indices: &[usize]) -> Option<(usize, f64, f64)> {
-        let n = indices.len() as f64;
-        let total_sum: f64 = indices.iter().map(|&i| self.ds.target(i)).sum();
-        let total_sq: f64 = indices
+    /// with prefix sums; `total_sum` is the node's target sum in row-id
+    /// order. Returns `None` when no admissible split reduces the error.
+    fn best_split(&self, lo: usize, hi: usize, total_sum: f64) -> Option<(usize, f64, f64)> {
+        let len = hi - lo;
+        let n = len as f64;
+        let total_sq: f64 = self
+            .order(self.width, lo, hi)
             .iter()
             .map(|&i| {
-                let y = self.ds.target(i);
+                let y = self.y[i as usize];
                 y * y
             })
             .sum();
         let parent_sse = total_sq - total_sum * total_sum / n;
 
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
-        let mut order: Vec<usize> = Vec::with_capacity(indices.len());
-        for feature in 0..self.ds.width() {
-            order.clear();
-            order.extend_from_slice(indices);
-            order.sort_by(|&a, &b| {
-                self.ds.row(a)[feature]
-                    .partial_cmp(&self.ds.row(b)[feature])
-                    .unwrap()
-            });
+        for feature in 0..self.width {
+            let order = self.order(feature, lo, hi);
+            let col = &self.cols[feature * self.n..(feature + 1) * self.n];
             let mut left_sum = 0.0;
             let mut left_sq = 0.0;
-            for (k, &i) in order.iter().enumerate().take(order.len() - 1) {
-                let y = self.ds.target(i);
+            for (k, pair) in order.windows(2).enumerate() {
+                let y = self.y[pair[0] as usize];
                 left_sum += y;
                 left_sq += y * y;
                 let nl = (k + 1) as f64;
                 let nr = n - nl;
-                if (k + 1) < self.cfg.min_samples_leaf
-                    || (order.len() - k - 1) < self.cfg.min_samples_leaf
+                if (k + 1) < self.cfg.min_samples_leaf || (len - k - 1) < self.cfg.min_samples_leaf
                 {
                     continue;
                 }
-                let x_here = self.ds.row(i)[feature];
-                let x_next = self.ds.row(order[k + 1])[feature];
+                let x_here = col[pair[0] as usize];
+                let x_next = col[pair[1] as usize];
                 if x_here == x_next {
                     continue; // cannot split between equal values
                 }
@@ -571,6 +646,179 @@ impl Builder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The builder this module used before the root presort — every node
+    /// re-sorts its rows per feature through the row-major dataset — kept
+    /// as the model the presorted builder is checked against.
+    struct SortingBuilder<'a> {
+        nodes: Vec<Node>,
+        cfg: &'a RepTreeConfig,
+        ds: &'a Dataset,
+    }
+
+    impl SortingBuilder<'_> {
+        fn build(&mut self, indices: &[usize], depth: usize) -> usize {
+            let ys = || indices.iter().map(|&i| self.ds.target(i));
+            let mean = ys().sum::<f64>() / indices.len() as f64;
+            let first = self.ds.target(indices[0]);
+            let leaf = depth >= self.cfg.max_depth
+                || indices.len() < self.cfg.min_samples_split
+                || ys().all(|y| (y - first).abs() < 1e-12);
+            let split = if leaf { None } else { self.best_split(indices) };
+            let node = match split {
+                None => Node::Leaf { value: mean },
+                Some((feature, threshold, gain)) => {
+                    let (li, ri): (Vec<usize>, Vec<usize>) = indices
+                        .iter()
+                        .partition(|&&i| self.ds.row(i)[feature] <= threshold);
+                    let left = self.build(&li, depth + 1);
+                    let right = self.build(&ri, depth + 1);
+                    Node::Split {
+                        feature,
+                        threshold,
+                        mean,
+                        gain,
+                        left,
+                        right,
+                    }
+                }
+            };
+            self.nodes.push(node);
+            self.nodes.len() - 1
+        }
+
+        fn best_split(&self, indices: &[usize]) -> Option<(usize, f64, f64)> {
+            let n = indices.len() as f64;
+            let total_sum: f64 = indices.iter().map(|&i| self.ds.target(i)).sum();
+            let total_sq: f64 = indices
+                .iter()
+                .map(|&i| self.ds.target(i) * self.ds.target(i))
+                .sum();
+            let parent_sse = total_sq - total_sum * total_sum / n;
+            let mut best: Option<(usize, f64, f64)> = None;
+            for feature in 0..self.ds.width() {
+                let mut order = indices.to_vec();
+                order.sort_by(|&a, &b| {
+                    self.ds.row(a)[feature]
+                        .partial_cmp(&self.ds.row(b)[feature])
+                        .unwrap()
+                });
+                let mut left_sum = 0.0;
+                let mut left_sq = 0.0;
+                for (k, &i) in order.iter().enumerate().take(order.len() - 1) {
+                    let y = self.ds.target(i);
+                    left_sum += y;
+                    left_sq += y * y;
+                    let nl = (k + 1) as f64;
+                    let nr = n - nl;
+                    if (k + 1) < self.cfg.min_samples_leaf
+                        || (order.len() - k - 1) < self.cfg.min_samples_leaf
+                    {
+                        continue;
+                    }
+                    let x_here = self.ds.row(i)[feature];
+                    let x_next = self.ds.row(order[k + 1])[feature];
+                    if x_here == x_next {
+                        continue;
+                    }
+                    let right_sum = total_sum - left_sum;
+                    let right_sq = total_sq - left_sq;
+                    let sse = (left_sq - left_sum * left_sum / nl)
+                        + (right_sq - right_sum * right_sum / nr);
+                    if best.as_ref().is_none_or(|(_, _, b)| sse < *b) {
+                        best = Some((feature, 0.5 * (x_here + x_next), sse));
+                    }
+                }
+            }
+            match best {
+                Some((f, t, sse)) if sse < parent_sse - 1e-12 => Some((f, t, parent_sse - sse)),
+                _ => None,
+            }
+        }
+    }
+
+    /// [`RepTree::fit`] with the growth step swapped for the model.
+    fn fit_by_sorting(ds: &Dataset, cfg: &RepTreeConfig, rng: &mut SimRng) -> RepTree {
+        let (grow, prune) = RepTree::grow_prune_sets(ds, cfg, rng);
+        let mut builder = SortingBuilder {
+            nodes: Vec::new(),
+            cfg,
+            ds: &grow,
+        };
+        let root = builder.build(&(0..grow.len()).collect::<Vec<_>>(), 0);
+        RepTree::finish(builder.nodes, root, &prune)
+    }
+
+    /// A dataset built to stress tie handling: features drawn from a few
+    /// levels (both zeros among them), whole rows repeated with fresh or
+    /// repeated targets, targets that collide.
+    fn tied_ds(rng: &mut SimRng, n: usize, width: usize, levels: usize) -> Dataset {
+        let mut ds = Dataset::new((0..width).map(|f| format!("f{f}")));
+        while ds.len() < n {
+            if !ds.is_empty() && rng.bernoulli(0.3) {
+                let i = rng.index(ds.len());
+                let y = if rng.bernoulli(0.5) {
+                    ds.target(i)
+                } else {
+                    rng.normal(0.0, 3.0)
+                };
+                ds.push(ds.row(i).to_vec(), y);
+                continue;
+            }
+            let row: Vec<f64> = (0..width)
+                .map(|f| match rng.index(levels + 2) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    // The first feature stays coarse, later ones get finer.
+                    l => (l as f64 - 3.0) * 0.5 + rng.index(f + 1) as f64 * 0.125,
+                })
+                .collect();
+            let y = (row[0] * 2.0).round() + row.iter().sum::<f64>() * rng.index(2) as f64;
+            ds.push(row, y + rng.index(3) as f64);
+        }
+        ds
+    }
+
+    proptest! {
+        #[test]
+        fn presorted_growth_matches_per_node_sorting(
+            seed in 0u64..1_000_000,
+            n in 2usize..120,
+            width in 1usize..5,
+            levels in 1usize..6,
+        ) {
+            let mut rng = SimRng::new(seed);
+            let ds = tied_ds(&mut rng, n, width, levels);
+            // Leaf sizes around the edges: 1, exactly half, one past half
+            // (no admissible split), and the defaults.
+            let cases: Vec<(RepTreeConfig, u64)> = [1, n / 2, n / 2 + 1, 4]
+                .into_iter()
+                .flat_map(|leaf| {
+                    [0.0, 0.25].map(|prune_fraction| {
+                        let cfg = RepTreeConfig {
+                            min_samples_leaf: leaf.max(1),
+                            min_samples_split: rng.index(9),
+                            max_depth: 1 + rng.index(14),
+                            prune_fraction,
+                        };
+                        (cfg, rng.next_u64())
+                    })
+                })
+                .collect();
+            let expect: Vec<RepTree> = cases
+                .iter()
+                .map(|(cfg, s)| fit_by_sorting(&ds, cfg, &mut SimRng::new(*s)))
+                .collect();
+            for threads in [1, 4] {
+                let pool = acm_exec::ThreadPool::new(threads);
+                let got = pool.map_collect(cases.clone(), |(cfg, s)| {
+                    RepTree::fit(&ds, &cfg, &mut SimRng::new(s))
+                });
+                prop_assert_eq!(&got, &expect, "threads={}", threads);
+            }
+        }
+    }
 
     /// A step function: y = 10 for x < 0.5, y = 20 otherwise.
     fn step_ds(n: usize, seed: u64) -> Dataset {

@@ -190,8 +190,11 @@ impl F2pmToolchain {
     /// `obs`: `acm.ml.toolchain.lasso_ns` (feature selection),
     /// `acm.ml.toolchain.fit_ns.<family>` (one histogram per family) and
     /// `acm.ml.toolchain.score_ns` (holdout scoring, all families) — so
-    /// `model_selection` can report where training time goes. Timers read
-    /// wall-clock only; results are identical to [`F2pmToolchain::run`].
+    /// `model_selection` can report where training time goes — plus the
+    /// selection Lasso's `acm.ml.toolchain.lasso_sweeps` (histogram) and
+    /// `acm.ml.toolchain.lasso_unconverged` (counter of fits that stopped
+    /// at the sweep cap). Timers read wall-clock only; results are
+    /// identical to [`F2pmToolchain::run`].
     pub fn run_with_obs(
         &self,
         db: &Dataset,
@@ -207,10 +210,10 @@ impl F2pmToolchain {
 
         // 1. Lasso feature selection on the full database.
         let lasso_span = obs.timer("acm.ml.toolchain.lasso_ns").start();
-        let alpha = self
-            .lasso_alpha
-            .unwrap_or_else(|| LassoRegression::default_alpha(db));
-        let lasso = LassoRegression::fit(db, alpha);
+        let lasso = match self.lasso_alpha {
+            Some(alpha) => LassoRegression::fit(db, alpha),
+            None => LassoRegression::fit_default(db),
+        };
         let max_w = lasso
             .std_weights()
             .iter()
@@ -222,6 +225,10 @@ impl F2pmToolchain {
             selected = (0..db.width()).collect();
         }
         drop(lasso_span);
+        obs.histogram("acm.ml.toolchain.lasso_sweeps")
+            .record(lasso.sweeps() as u64);
+        obs.counter("acm.ml.toolchain.lasso_unconverged")
+            .add(u64::from(!lasso.converged()));
         let projected = db.project(&selected);
 
         // 2. Split once; every family sees the same split.
@@ -425,6 +432,8 @@ mod tests {
             }
         };
         assert_eq!(hist_count("acm.ml.toolchain.lasso_ns"), 1);
+        assert_eq!(hist_count("acm.ml.toolchain.lasso_sweeps"), 1);
+        assert_eq!(obs.counter("acm.ml.toolchain.lasso_unconverged").value(), 0);
         for kind in ModelKind::ALL {
             assert_eq!(
                 hist_count(&format!("acm.ml.toolchain.fit_ns.{}", kind.name())),
