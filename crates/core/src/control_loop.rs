@@ -42,11 +42,18 @@ use acm_sim::time::{Duration, SimTime};
 use acm_workload::RegionWorkload;
 
 /// Upper bound on MONITOR shards. The shard count is
-/// `min(regions, MONITOR_SHARDS_MAX)` — a pure function of the
-/// configuration, never of the thread width, so the shard partition (and
-/// with it every RNG stream and merge order) is identical at any
-/// `ACM_THREADS`.
+/// `min(regions, MONITOR_SHARDS_MAX, pool VMs / MONITOR_MIN_VMS_PER_SHARD)`,
+/// at least 1 — a pure function of the work the configuration puts on
+/// offer, never of the thread width, so the shard partition (and with it
+/// every merge order) is identical at any `ACM_THREADS`.
 const MONITOR_SHARDS_MAX: usize = 32;
+
+/// VMs a MONITOR shard must carry before fanning out pays. One VM-era is
+/// ~4 µs (`vm.process_era_ns`) and one fan-out through the pool ~45 µs
+/// (task boxes, latch, a parked worker to wake), so 64 VMs ≈ 250 µs of
+/// work per shard: the paper's worlds (10 and 22 VMs) run on one shard,
+/// the 200-region mega world (≈ 14 700 VMs) keeps all 32.
+const MONITOR_MIN_VMS_PER_SHARD: usize = 64;
 
 /// What happened to one control-plane message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,8 +109,11 @@ pub struct ControlLoop {
     rng: SimRng,
     telemetry: ExperimentTelemetry,
     obs: ObsHandle,
-    /// Blueprint for the per-shard child hubs of the sharded MONITOR.
+    /// Blueprint for the per-shard child hubs of a sharded MONITOR.
     obs_cfg: ObsConfig,
+    /// Forces the MONITOR shard count (shard-count identity tests).
+    #[cfg(test)]
+    monitor_shards_override: Option<usize>,
     era_timer: Timer,
     monitor_timer: Timer,
     analyze_timer: Timer,
@@ -111,6 +121,8 @@ pub struct ControlLoop {
     execute_timer: Timer,
     ctr_report_retries: Counter,
     gauge_quarantined: Gauge,
+    /// MONITOR shards the latest era ran on.
+    gauge_monitor_shards: Gauge,
     /// Per-era exec-pool sampling (continuous `acm.exec.era.*` series).
     exec_prev: PoolStatsSnapshot,
     hist_exec_items: Hist,
@@ -287,6 +299,8 @@ impl ControlLoop {
             rng: loop_rng,
             telemetry: ExperimentTelemetry::new(names),
             obs_cfg: cfg.obs,
+            #[cfg(test)]
+            monitor_shards_override: None,
             vmcs,
             era_timer: obs.timer("acm.core.control_loop.era_ns"),
             monitor_timer: obs.timer("acm.core.control_loop.monitor_ns"),
@@ -295,6 +309,7 @@ impl ControlLoop {
             execute_timer: obs.timer("acm.core.control_loop.execute_ns"),
             ctr_report_retries: obs.counter("acm.core.report.retries"),
             gauge_quarantined: obs.gauge("acm.core.quarantined_regions"),
+            gauge_monitor_shards: obs.gauge("acm.core.control_loop.monitor_shards"),
             exec_prev: acm_exec::global_stats(),
             hist_exec_items: obs.histogram("acm.exec.era.items"),
             hist_exec_queue: obs.histogram("acm.exec.era.queue_depth_peak"),
@@ -725,28 +740,42 @@ impl ControlLoop {
         target
     }
 
-    /// Advances every region through one era, sharded over the exec pool.
-    ///
-    /// Regions are partitioned into contiguous shards (a pure function of
-    /// the region count — see [`MONITOR_SHARDS_MAX`]). Within the era each
-    /// shard runs its regions' [`Vmc::process_era`] independently: every
-    /// VMC owns its RNG, and when observability is on each shard records
-    /// into a fresh child hub so no instrument is shared across threads.
-    /// At the barrier the child hubs are folded into the parent in
-    /// shard-index order (= region order for contiguous shards), which
-    /// makes event sequence numbers, region-qualified gauges and histogram
-    /// counts identical to the sequential sweep at any thread width. A
-    /// disabled parent skips the child hubs entirely, so un-observed runs
-    /// stay allocation-free (observability never perturbs the run).
-    fn process_regions_sharded(
-        &mut self,
-        lambdas: &[f64],
-        t_start: SimTime,
-    ) -> Vec<RegionEraReport> {
+    /// The era's MONITOR partition: one shard per
+    /// [`MONITOR_MIN_VMS_PER_SHARD`] VMs in the region pools, at most
+    /// [`MONITOR_SHARDS_MAX`] (or one per region), at least one.
+    fn monitor_layout(&self) -> ShardLayout {
         let n = self.vmcs.len();
-        let layout = ShardLayout::balanced(n, n.min(MONITOR_SHARDS_MAX));
+        #[cfg(test)]
+        if let Some(shards) = self.monitor_shards_override {
+            return ShardLayout::balanced(n, shards);
+        }
+        let vms = self.vmcs.iter().map(|v| v.pool().vms().len()).sum();
+        ShardLayout::sized(n, vms, MONITOR_MIN_VMS_PER_SHARD, MONITOR_SHARDS_MAX)
+    }
+
+    /// Advances every region through one era, on as many shards as the
+    /// work pays for (see [`ControlLoop::monitor_layout`]).
+    ///
+    /// Each shard owns a contiguous slice of the regions and runs their
+    /// [`Vmc::process_era`] in place; every VMC owns its RNG, so shards
+    /// never share mutable state. A lone shard runs inline on the leader
+    /// (`for_each_mut` never dispatches a single slot) and its VMCs keep
+    /// recording into the parent hub they are homed on between eras.
+    /// Several shards run on the exec pool, so each gets a fresh child hub
+    /// (no instrument is shared across threads); at the barrier the
+    /// children are folded into the parent in shard-index order (= region
+    /// order for contiguous shards) and the VMCs re-homed. Either way the
+    /// parent sees the regions' records in region order, which makes event
+    /// sequence numbers, region-qualified gauges and histogram counts
+    /// identical at any shard count and any thread width. A disabled
+    /// parent skips the child hubs entirely, so un-observed runs stay
+    /// allocation-free (observability never perturbs the run).
+    fn process_regions(&mut self, lambdas: &[f64], t_start: SimTime) -> Vec<RegionEraReport> {
+        let n = self.vmcs.len();
+        let layout = self.monitor_layout();
+        self.gauge_monitor_shards.set(layout.shards() as f64);
         let era = self.era;
-        let obs_on = self.obs.enabled();
+        let child_hubs = self.obs.enabled() && layout.shards() > 1;
         let child_cfg = ObsConfig {
             enabled: true,
             // Ample per-era headroom: a child must never evict within one
@@ -766,53 +795,49 @@ impl ControlLoop {
         let timeline = self.obs.timeline_recorder().cloned();
         let era_no = self.era_index as u64;
 
-        struct MonitorShard {
-            vmcs: Vec<Vmc>,
-            lambdas: Vec<f64>,
+        struct MonitorShard<'a> {
+            vmcs: &'a mut [Vmc],
+            lambdas: &'a [f64],
+            /// The hub this shard's VMCs record into for the era; `None`
+            /// when they stay on the parent.
             child: Option<ObsHandle>,
             reports: Vec<RegionEraReport>,
-            timeline: Option<std::sync::Arc<TimelineRecorder>>,
-            track: u32,
         }
+        // Timeline track of shard `s` (track 0 is the leader's).
+        let track = |s: usize| 1 + s as u32;
 
-        let mut shards: Vec<MonitorShard> = Vec::with_capacity(layout.shards());
-        let mut vmc_iter = std::mem::take(&mut self.vmcs).into_iter();
-        for s in 0..layout.shards() {
-            let range = layout.range(s);
-            let mut bucket: Vec<Vmc> = vmc_iter.by_ref().take(range.len()).collect();
-            let child = if obs_on {
+        let mut shards: Vec<MonitorShard<'_>> = Vec::with_capacity(layout.shards());
+        let mut vmcs_left = self.vmcs.as_mut_slice();
+        for (s, range) in layout.iter() {
+            let (vmcs, rest) = vmcs_left.split_at_mut(range.len());
+            vmcs_left = rest;
+            let child = child_hubs.then(|| {
                 let child = Obs::new(child_cfg);
                 child.set_trace_ambient(era_ambient);
-                for vmc in &mut bucket {
+                for vmc in vmcs.iter_mut() {
                     vmc.set_obs(child.clone());
                 }
-                Some(child)
-            } else {
-                None
-            };
-            let track = 1 + s as u32;
+                child
+            });
             if let Some(tl) = &timeline {
-                tl.set_track_name(track, &format!("shard {s}"));
+                tl.set_track_name(track(s), &format!("shard {s}"));
             }
             shards.push(MonitorShard {
-                vmcs: bucket,
-                lambdas: lambdas[range].to_vec(),
+                vmcs,
+                reports: Vec::with_capacity(range.len()),
+                lambdas: &lambdas[range],
                 child,
-                reports: Vec::new(),
-                timeline: timeline.clone(),
-                track,
             });
         }
 
-        acm_exec::for_each_mut(&mut shards, |_, shard| {
-            let t0 = shard.timeline.as_ref().map(|tl| tl.now_us());
-            shard.reports.reserve(shard.vmcs.len());
-            for (vmc, &lambda) in shard.vmcs.iter_mut().zip(&shard.lambdas) {
+        acm_exec::for_each_mut(&mut shards, |s, shard| {
+            let t0 = timeline.as_ref().map(|tl| tl.now_us());
+            for (vmc, &lambda) in shard.vmcs.iter_mut().zip(shard.lambdas) {
                 shard.reports.push(vmc.process_era(t_start, era, lambda));
             }
-            if let (Some(tl), Some(t0)) = (&shard.timeline, t0) {
+            if let (Some(tl), Some(t0)) = (&timeline, t0) {
                 tl.record(
-                    shard.track,
+                    track(s),
                     "monitor.shard",
                     t0,
                     tl.now_us().saturating_sub(t0),
@@ -821,20 +846,18 @@ impl ControlLoop {
             }
         });
 
-        // Era barrier: stitch VMCs and reports back together and fold the
-        // child hubs into the parent, all in shard-index order.
+        // Era barrier: gather the reports and fold the child hubs into
+        // the parent, all in shard-index order.
         let mut reports = Vec::with_capacity(n);
         for mut shard in shards {
             if let Some(child) = shard.child {
                 self.obs.merge_from(&child);
-            }
-            for mut vmc in shard.vmcs {
-                if obs_on {
-                    // Re-home the VMC so post-barrier phases (autoscaling,
-                    // scenario actions) record straight into the parent.
+                // Re-home the VMCs so post-barrier phases (autoscaling,
+                // scenario actions) and an unsharded later era record
+                // straight into the parent.
+                for vmc in shard.vmcs.iter_mut() {
                     vmc.set_obs(self.obs.clone());
                 }
-                self.vmcs.push(vmc);
             }
             reports.append(&mut shard.reports);
         }
@@ -1033,14 +1056,13 @@ impl ControlLoop {
         let remote = plan.remote_fraction();
 
         // ----- region era processing (the "application data" plane) -------
-        // Sharded: contiguous region buckets advance concurrently on the
-        // exec pool, each into a private child obs hub; the era barrier
-        // merges everything back in shard-index order, so the event log
-        // and metrics are byte-identical at any thread width.
+        // Contiguous region slices advance in place, on as many shards as
+        // the pools' VM count pays for; the event log and metrics are
+        // byte-identical at any shard count and any thread width.
         let lambdas: Vec<f64> = (0..n)
             .map(|j| plan.realised_share(j) * lambda_total)
             .collect();
-        let reports = self.process_regions_sharded(&lambdas, t_start);
+        let reports = self.process_regions(&lambdas, t_start);
         drop(monitor_span);
         slice(&timeline, "monitor", monitor_t0);
 
@@ -2049,5 +2071,119 @@ mod tests {
         );
         // Proactive maintenance happened.
         assert!(tel.total_proactive() > 0);
+    }
+
+    /// A five-region world with every pool and population scaled × 8
+    /// (320 VMs, so the work-based layout gives it 5 shards), a partition
+    /// window, message chaos and degradation — enough to make VMCs emit
+    /// from inside the shards and the leader quarantine around them.
+    fn scaled_chaos_cfg() -> ExperimentConfig {
+        use crate::config::RegionSpec;
+        use acm_workload::ClientSchedule;
+        let mut cfg = fig3_cfg(PolicyKind::AvailableResources);
+        cfg.regions = (0..5)
+            .map(|i| {
+                let mut region = match i % 3 {
+                    0 => ExperimentConfig::region1_ireland(),
+                    1 => ExperimentConfig::region2_frankfurt(),
+                    _ => ExperimentConfig::region3_munich(),
+                };
+                region.name = format!("r{i}-{}", region.name);
+                region.total_vms *= 8;
+                region.target_active *= 8;
+                RegionSpec {
+                    region,
+                    clients: ClientSchedule::Constant(8 * (160 + 64 * i as u32)),
+                }
+            })
+            .collect();
+        cfg.latencies = (1..5)
+            .map(|j| (0, j, Duration::from_millis(10 + 5 * j as u64)))
+            .collect();
+        cfg.degradation = crate::degrade::DegradationConfig::enabled();
+        cfg.fault_plan = Some(
+            acm_overlay::FaultPlan::scripted(5, Vec::new())
+                .partition_window(
+                    vec![NodeId(3)],
+                    SimTime::from_secs(150),
+                    SimTime::from_secs(450),
+                )
+                .with_message_chaos(0.05, Duration::from_millis(20)),
+        );
+        cfg.obs = ObsConfig::traced(77);
+        cfg
+    }
+
+    #[test]
+    fn monitor_layout_follows_the_pools_vm_count() {
+        // Paper-sized worlds (10 VMs here) never fan out ...
+        let mut small = oracle_loop(&fig3_cfg(PolicyKind::AvailableResources));
+        assert_eq!(small.monitor_layout().shards(), 1);
+        small.run(2);
+        assert_eq!(small.gauge_monitor_shards.value(), 1.0);
+        // ... a world past the grain gets one shard per 64 VMs, capped by
+        // its region count.
+        let mut scaled = oracle_loop(&scaled_chaos_cfg());
+        assert_eq!(scaled.monitor_layout().shards(), 5);
+        scaled.run(2);
+        assert_eq!(scaled.gauge_monitor_shards.value(), 5.0);
+    }
+
+    #[test]
+    fn shard_count_never_shows_in_the_results() {
+        // "Parent hub when alone" and "children merged in shard order"
+        // must be the same function: force the same scaled world onto one
+        // shard and onto one shard per region and compare everything a
+        // run leaves behind.
+        let cfg = scaled_chaos_cfg();
+        let run = |shards: usize| {
+            let mut cl = oracle_loop(&cfg);
+            cl.monitor_shards_override = Some(shards);
+            cl.run(25);
+            assert_eq!(cl.gauge_monitor_shards.value(), shards as f64);
+            cl
+        };
+        let alone = run(1);
+        let sharded = run(cfg.regions.len().min(MONITOR_SHARDS_MAX));
+        assert_eq!(alone.telemetry().to_csv(), sharded.telemetry().to_csv());
+        let log = alone.obs().events_jsonl();
+        assert_eq!(log, sharded.obs().events_jsonl());
+        for kind in [
+            "rejuvenation.proactive",
+            "standby.activate",
+            "region.quarantine",
+        ] {
+            assert!(log.contains(kind), "the world never produced {kind}");
+        }
+        assert_eq!(alone.obs().spans_jsonl(), sharded.obs().spans_jsonl());
+        // The Perfetto export keeps its MONITOR row when nothing fans out.
+        let timeline = alone.obs().timeline_recorder().expect("traced run");
+        let timeline = timeline.to_chrome_json();
+        assert!(timeline.contains(r#""name":"monitor.shard""#));
+        assert!(timeline.contains("shard 0") && !timeline.contains("shard 1"));
+
+        let (a, b) = (alone.obs().metrics(), sharded.obs().metrics());
+        assert_eq!(
+            a.iter().map(|m| &m.name).collect::<Vec<_>>(),
+            b.iter().map(|m| &m.name).collect::<Vec<_>>(),
+            "the two layouts registered different metrics"
+        );
+        for (ma, mb) in a.iter().zip(&b) {
+            let name = ma.name.as_str();
+            // The layout itself, and the pool's own per-era sampling
+            // (one run dispatches MONITOR tasks, the other none).
+            if name == "acm.core.control_loop.monitor_shards" || name.starts_with("acm.exec.") {
+                continue;
+            }
+            match (&ma.value, &mb.value) {
+                // Wall-clock timers: the same number of samples.
+                (acm_obs::MetricValue::Histogram(ha), acm_obs::MetricValue::Histogram(hb))
+                    if name.ends_with("_ns") =>
+                {
+                    assert_eq!(ha.count, hb.count, "{name} samples");
+                }
+                (va, vb) => assert_eq!(format!("{va:?}"), format!("{vb:?}"), "{name}"),
+            }
+        }
     }
 }

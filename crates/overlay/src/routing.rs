@@ -2,9 +2,16 @@
 //!
 //! Dijkstra over the *usable* subgraph (failed nodes and links excluded).
 //! [`Router`] caches computed routes and is invalidated wholesale whenever
-//! the failure state changes — topologies here are a handful of controllers,
-//! so recomputation is trivially cheap but the cache keeps the hot control
-//! loop allocation-free.
+//! the failure state changes. On the paper's topologies (a handful of
+//! controllers) recomputation is trivially cheap and the cache only keeps
+//! the hot control loop allocation-free. It does not stay cheap: every
+//! uncached `(src, dst)` pair runs one full Dijkstra, so on a 200-node
+//! star a pair costs ~16 µs and the era after an invalidation ~630 ms
+//! (the control loop's client-observed-response pass asks for all n²
+//! pairs), and every hit clones its `Route`. One shortest-path tree per
+//! source fixes it (measured 4.4× on the benchmark's `mega-control`); it
+//! is parked until that workload's `peak_rss_mb` is taken at a pinned era
+//! count — see CHANGES.md, PR 13.
 
 use crate::graph::{NodeId, OverlayGraph};
 use acm_sim::time::Duration;

@@ -61,6 +61,17 @@ impl ShardLayout {
         ShardLayout::balanced(items, items.div_ceil(max_chunk).max(1))
     }
 
+    /// Splits `items` into as many near-equal contiguous ranges as the
+    /// work on offer pays for: one shard per `grain` units of `work`,
+    /// never more than `max_shards` (or than `items`), never fewer than
+    /// one. A fork/join whose parts are shorter than the join costs more
+    /// than it saves, so callers pass the work total that drives the
+    /// per-shard cost (VMs, browsers, rows) and the amount of it that
+    /// outweighs one fan-out. `grain` is clamped to at least 1.
+    pub fn sized(items: usize, work: usize, grain: usize, max_shards: usize) -> Self {
+        ShardLayout::balanced(items, max_shards.min(work / grain.max(1)))
+    }
+
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.bounds.len() - 1
@@ -232,6 +243,42 @@ mod tests {
         }
         // Degenerate max_chunk clamps instead of dividing by zero.
         assert_eq!(ShardLayout::chunks(10, 0).items(), 10);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sized_layout_follows_the_work_on_offer(
+            items in 0usize..300,
+            work in 0usize..20_000,
+            grain in 1usize..200,
+            cap in 1usize..64,
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let l = ShardLayout::sized(items, work, grain, cap);
+            prop_assert!(l.shards() >= 1);
+            prop_assert!(l.shards() <= cap, "more shards than the cap");
+            prop_assert!(l.shards() <= items.max(1), "more shards than items");
+            prop_assert!(l.shards() <= (work / grain).max(1), "a shard below one grain");
+            if work < 2 * grain {
+                prop_assert_eq!(l.shards(), 1);
+            }
+            if work >= cap * grain {
+                prop_assert_eq!(&l, &ShardLayout::balanced(items, cap));
+            }
+            // Contiguous and covering, whatever the count came out as.
+            prop_assert_eq!(l.items(), items);
+            let mut next = 0;
+            for (_, r) in l.iter() {
+                prop_assert_eq!(r.start, next);
+                next = r.end;
+            }
+            prop_assert_eq!(next, items);
+        }
+    }
+
+    #[test]
+    fn sized_layout_clamps_a_zero_grain() {
+        assert_eq!(ShardLayout::sized(10, 5, 0, 8).shards(), 5);
     }
 
     #[test]

@@ -6,6 +6,11 @@ use acm::core::framework::run_experiment;
 use acm::core::policy::PolicyKind;
 use acm::sim::SimTime;
 use acm::workload::ClientSchedule;
+use std::sync::Mutex;
+
+/// Held by every test here that resizes the global exec pool: tests run
+/// on parallel threads and would otherwise see each other's widths.
+static POOL_WIDTH: Mutex<()> = Mutex::new(());
 
 #[test]
 fn full_pipeline_is_bit_reproducible_per_seed() {
@@ -50,6 +55,7 @@ fn parallel_execution_is_byte_identical_to_sequential() {
         (format!("{per_seed:?}"), jsonl)
     };
 
+    let _width = POOL_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
     let before = acm::exec::current_threads();
     acm::exec::configure_threads(1);
     let sequential = sweep();
@@ -104,6 +110,7 @@ fn model_selection_is_byte_identical_across_thread_widths() {
         )
     };
 
+    let _width = POOL_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
     let before = acm::exec::current_threads();
     acm::exec::configure_threads(1);
     let sequential = selection();
@@ -114,6 +121,70 @@ fn model_selection_is_byte_identical_across_thread_widths() {
     assert_eq!(
         sequential, parallel,
         "tuning/CV results differ between 1 and 4 threads"
+    );
+}
+
+/// Widening the pool must never lose on a paper-sized world: its MONITOR
+/// work (22 VMs) is smaller than one fan-out, so the loop must not fan it
+/// out (a fan-out per era roughly doubles this run). A wall-clock gate,
+/// so it is `#[ignore]`d out of tier-1; CI runs it alone in release.
+#[test]
+#[ignore = "wall-clock gate: run alone, in release"]
+fn small_world_width_never_loses() {
+    use acm::core::control_loop::ControlLoop;
+    use acm::core::framework::build_vmcs;
+    use acm::sim::rng::SimRng;
+    use std::time::{Duration, Instant};
+
+    if acm::exec::available_threads() < 2 {
+        eprintln!("small_world_width_never_loses: skipped, fewer than 2 cores");
+        return;
+    }
+    let _width = POOL_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = ExperimentConfig::three_region_fig4(PolicyKind::AvailableResources, 2016);
+    let timed_run = |threads: usize| -> Duration {
+        acm::exec::configure_threads(threads);
+        let mut rng = SimRng::new(cfg.seed);
+        let vmcs = build_vmcs(&cfg, &mut rng);
+        let mut cl = ControlLoop::new(&cfg, vmcs, rng);
+        let t = Instant::now();
+        cl.run(120);
+        t.elapsed()
+    };
+    let median = |walls: &mut Vec<Duration>| {
+        walls.sort();
+        walls[walls.len() / 2].as_secs_f64()
+    };
+    // One measurement: 15 alternating runs per width, ratio of medians.
+    let measure = || {
+        let (mut narrow, mut wide) = (Vec::new(), Vec::new());
+        for round in 0..15 {
+            // Alternate which width goes first so drift hits both alike.
+            if round % 2 == 0 {
+                narrow.push(timed_run(1));
+                wide.push(timed_run(2));
+            } else {
+                wide.push(timed_run(2));
+                narrow.push(timed_run(1));
+            }
+        }
+        let (narrow, wide) = (median(&mut narrow), median(&mut wide));
+        eprintln!(
+            "fig-4 x policy 2, run(120): width 1 {:.2} ms, width 2 {:.2} ms, ratio {:.2}",
+            narrow * 1e3,
+            wide * 1e3,
+            wide / narrow
+        );
+        wide / narrow
+    };
+    // A measurement is 0.2 s of wall clock, so one burst from a noisy
+    // neighbour can tilt it; a fan-out per era tilts every one of them.
+    let before = acm::exec::current_threads();
+    let held = (0..3).any(|_| measure() <= 1.10);
+    acm::exec::configure_threads(before);
+    assert!(
+        held,
+        "width 2 loses to width 1 by more than 10 % in 3 of 3 measurements"
     );
 }
 

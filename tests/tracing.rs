@@ -23,12 +23,15 @@ use acm::sim::rng::SimRng;
 use acm::sim::{Duration, SimTime};
 use acm::workload::ClientSchedule;
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Same shape as the sharding suite's randomized world: 2-5 regions on
 /// the paper flavors, full-mesh overlay, randomized faults with message
-/// chaos, degradation on.
-fn randomized_config(seed: u64) -> ExperimentConfig {
+/// chaos, degradation on. `scale` multiplies every pool and client
+/// population: 1 is paper-sized (MONITOR on one shard), 8 puts every
+/// such world past the grain so MONITOR fans out over child hubs.
+fn randomized_config(seed: u64, scale: u32) -> ExperimentConfig {
     let mut gen = SimRng::new(seed ^ 0x7ace_7ace);
     let n = 2 + gen.index(4);
     let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 9000 + seed);
@@ -43,7 +46,9 @@ fn randomized_config(seed: u64) -> ExperimentConfig {
                 _ => ExperimentConfig::region3_munich(),
             };
             region.name = format!("r{i}-{}", region.name);
-            let clients = ClientSchedule::Constant(64 + gen.index(449) as u32);
+            region.total_vms *= scale as usize;
+            region.target_active *= scale as usize;
+            let clients = ClientSchedule::Constant((64 + gen.index(449) as u32) * scale);
             RegionSpec { region, clients }
         })
         .collect();
@@ -66,34 +71,55 @@ fn randomized_config(seed: u64) -> ExperimentConfig {
     cfg
 }
 
-fn traced_run(cfg: &ExperimentConfig, trace_seed: u64) -> (String, String, String) {
+/// One traced run: telemetry CSV, event log, span tree and the MONITOR
+/// shard count of the last era.
+fn traced_run(cfg: &ExperimentConfig, trace_seed: u64) -> (String, String, String, f64) {
     let obs = Obs::new(ObsConfig::traced(trace_seed));
     let tel = acm::core::framework::run_experiment_with_obs(cfg, obs.clone());
-    (tel.to_csv(), obs.events_jsonl(), obs.spans_jsonl())
+    let shards = obs.gauge("acm.core.control_loop.monitor_shards").value();
+    (tel.to_csv(), obs.events_jsonl(), obs.spans_jsonl(), shards)
+}
+
+/// Contract 1 on one world: widths 1, 2 and 4 agree byte for byte.
+/// Returns the MONITOR shard count the world ran on.
+fn assert_traced_width_identity(cfg: &ExperimentConfig, seed: u64) -> Result<f64, TestCaseError> {
+    let before = acm::exec::current_threads();
+    acm::exec::configure_threads(1);
+    let one = traced_run(cfg, seed);
+    acm::exec::configure_threads(2);
+    let two = traced_run(cfg, seed);
+    acm::exec::configure_threads(4);
+    let four = traced_run(cfg, seed);
+    acm::exec::configure_threads(before);
+    prop_assert!(!one.2.is_empty(), "traced run produced no spans");
+    prop_assert_eq!(&one.0, &two.0, "telemetry diverged at 2 threads");
+    prop_assert_eq!(&one.1, &two.1, "event log diverged at 2 threads");
+    prop_assert_eq!(&one.2, &two.2, "span tree diverged at 2 threads");
+    prop_assert_eq!(&one.0, &four.0, "telemetry diverged at 4 threads");
+    prop_assert_eq!(&one.1, &four.1, "event log diverged at 4 threads");
+    prop_assert_eq!(&one.2, &four.2, "span tree diverged at 4 threads");
+    prop_assert_eq!(one.3, four.3, "the shard count followed the thread width");
+    Ok(one.3)
 }
 
 proptest! {
     /// Contract 1: full span tree + event log + telemetry are
     /// byte-identical at widths 1, 2 and 4 with tracing enabled, under a
-    /// randomized fault plan.
+    /// randomized fault plan. Paper-sized worlds run MONITOR on one
+    /// shard, straight into the parent hub.
     #[test]
     fn traced_randomized_worlds_are_byte_identical_across_widths(seed in 0u64..8) {
-        let cfg = randomized_config(seed);
-        let before = acm::exec::current_threads();
-        acm::exec::configure_threads(1);
-        let one = traced_run(&cfg, seed);
-        acm::exec::configure_threads(2);
-        let two = traced_run(&cfg, seed);
-        acm::exec::configure_threads(4);
-        let four = traced_run(&cfg, seed);
-        acm::exec::configure_threads(before);
-        prop_assert!(!one.2.is_empty(), "traced run produced no spans");
-        prop_assert_eq!(&one.0, &two.0, "telemetry diverged at 2 threads");
-        prop_assert_eq!(&one.1, &two.1, "event log diverged at 2 threads");
-        prop_assert_eq!(&one.2, &two.2, "span tree diverged at 2 threads");
-        prop_assert_eq!(&one.0, &four.0, "telemetry diverged at 4 threads");
-        prop_assert_eq!(&one.1, &four.1, "event log diverged at 4 threads");
-        prop_assert_eq!(&one.2, &four.2, "span tree diverged at 4 threads");
+        let shards = assert_traced_width_identity(&randomized_config(seed, 1), seed)?;
+        prop_assert_eq!(shards, 1.0, "a paper-sized world must not fan out");
+    }
+
+    /// Contract 1 past the grain: the scaled worlds fan MONITOR out over
+    /// child hubs (which annotate with the era's ambient context but
+    /// never allocate spans) and merge them in shard order.
+    #[test]
+    fn traced_scaled_worlds_are_byte_identical_across_widths(seed in 0u64..8) {
+        let shards = assert_traced_width_identity(&randomized_config(seed, 8), seed)?;
+        prop_assert!(shards >= 2.0, "scaled world ran on {shards} MONITOR shard(s)");
     }
 
     /// Contract 2: with tracing off, the event stream is byte-identical
@@ -101,7 +127,7 @@ proptest! {
     /// flag is a true no-op.
     #[test]
     fn disabled_tracing_leaves_the_event_stream_untouched(seed in 0u64..4) {
-        let cfg = randomized_config(seed);
+        let cfg = randomized_config(seed, 1);
         let run = |obs_cfg: ObsConfig| {
             let obs = Obs::new(obs_cfg);
             let tel = acm::core::framework::run_experiment_with_obs(&cfg, obs.clone());
