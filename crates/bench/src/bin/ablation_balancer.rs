@@ -13,7 +13,6 @@ use acm_core::config::{ExperimentConfig, PredictorChoice};
 use acm_core::framework::run_experiment;
 use acm_core::policy::PolicyKind;
 use acm_pcam::BalancerStrategy;
-use rayon::prelude::*;
 use std::fs;
 
 fn main() {
@@ -30,9 +29,8 @@ fn main() {
     );
 
     let mut csv = String::from("balancer,proactive,reactive,completed,resp_ms,spread\n");
-    let rows: Vec<(String, String)> = strategies
-        .par_iter()
-        .map(|(name, strategy)| {
+    let rows: Vec<(String, String)> =
+        acm_exec::map_collect(strategies.iter().collect(), |(name, strategy)| {
             let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 2016);
             cfg.predictor = PredictorChoice::Oracle;
             cfg.name = format!("ablation-balancer-{name}");
@@ -60,8 +58,7 @@ fn main() {
                     tel.rmttf_spread(w)
                 ),
             )
-        })
-        .collect();
+        });
     for (line, csv_line) in rows {
         println!("{line}");
         csv.push_str(&csv_line);

@@ -11,7 +11,6 @@
 use acm_core::config::{ExperimentConfig, PredictorChoice};
 use acm_core::framework::run_experiment;
 use acm_core::policy::PolicyKind;
-use rayon::prelude::*;
 use std::fs;
 
 fn main() {
@@ -24,10 +23,9 @@ fn main() {
 
     let mut csv = String::from("policy,beta,spread,convergence_era,f_oscillation,resp_ms\n");
     for policy in PolicyKind::ALL {
-        // Parallel sweep: each β is an independent run (rayon).
-        let rows: Vec<(f64, String, String)> = betas
-            .par_iter()
-            .map(|&beta| {
+        // Parallel sweep: each β is an independent run.
+        let rows: Vec<(f64, String, String)> =
+            acm_exec::map_collect(betas.iter().collect(), |&beta| {
                 let mut cfg = ExperimentConfig::three_region_fig4(policy, 2016);
                 cfg.predictor = PredictorChoice::Oracle;
                 cfg.beta = beta;
@@ -56,8 +54,7 @@ fn main() {
                     tel.tail_response(w) * 1000.0
                 );
                 (beta, line, csv_line)
-            })
-            .collect();
+            });
         for (_, line, csv_line) in rows {
             println!("{line}");
             csv.push_str(&csv_line);

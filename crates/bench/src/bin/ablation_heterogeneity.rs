@@ -16,7 +16,6 @@ use acm_core::policy::PolicyKind;
 use acm_pcam::RegionConfig;
 use acm_vm::VmFlavor;
 use acm_workload::ClientSchedule;
-use rayon::prelude::*;
 use std::fs;
 
 /// A two-region deployment whose region-B RAM is `1/ratio` of region-A's
@@ -55,28 +54,25 @@ fn main() {
     );
 
     let mut csv = String::from("ratio,p1_spread,p2_spread,sqrt_ratio\n");
-    let rows: Vec<(String, String)> = ratios
-        .par_iter()
-        .map(|&ratio| {
-            let run = |policy| {
-                let tel = run_experiment(&deployment(ratio, policy));
-                let w = tel.eras() / 3;
-                tel.rmttf_spread(w)
-            };
-            let p1 = run(PolicyKind::SensibleRouting);
-            let p2 = run(PolicyKind::AvailableResources);
-            (
-                format!(
-                    "{:>8.1} {:>14.3} {:>14.3} {:>14.3}",
-                    ratio,
-                    p1,
-                    p2,
-                    ratio.sqrt()
-                ),
-                format!("{ratio},{p1:.4},{p2:.4},{:.4}\n", ratio.sqrt()),
-            )
-        })
-        .collect();
+    let rows: Vec<(String, String)> = acm_exec::map_collect(ratios.iter().collect(), |&ratio| {
+        let run = |policy| {
+            let tel = run_experiment(&deployment(ratio, policy));
+            let w = tel.eras() / 3;
+            tel.rmttf_spread(w)
+        };
+        let p1 = run(PolicyKind::SensibleRouting);
+        let p2 = run(PolicyKind::AvailableResources);
+        (
+            format!(
+                "{:>8.1} {:>14.3} {:>14.3} {:>14.3}",
+                ratio,
+                p1,
+                p2,
+                ratio.sqrt()
+            ),
+            format!("{ratio},{p1:.4},{p2:.4},{:.4}\n", ratio.sqrt()),
+        )
+    });
     for (line, csv_line) in rows {
         println!("{line}");
         csv.push_str(&csv_line);

@@ -10,7 +10,6 @@
 use acm_core::config::{ExperimentConfig, PredictorChoice};
 use acm_core::framework::run_experiment;
 use acm_core::policy::PolicyKind;
-use rayon::prelude::*;
 use std::fs;
 
 fn main() {
@@ -29,9 +28,8 @@ fn main() {
         }
     }
     let mut csv = String::from("k,noise,spread,convergence_era,f_oscillation\n");
-    let rows: Vec<(String, String)> = jobs
-        .par_iter()
-        .map(|&(k, noise)| {
+    let rows: Vec<(String, String)> =
+        acm_exec::map_collect(jobs.iter().collect(), |&(k, noise)| {
             let mut cfg = ExperimentConfig::three_region_fig4(PolicyKind::Exploration, 2016);
             cfg.predictor = PredictorChoice::Oracle;
             cfg.k = k;
@@ -60,8 +58,7 @@ fn main() {
                     tel.fraction_oscillation(w)
                 ),
             )
-        })
-        .collect();
+        });
     for (line, csv_line) in rows {
         println!("{line}");
         csv.push_str(&csv_line);

@@ -15,7 +15,6 @@ use acm_core::config::{ExperimentConfig, PredictorChoice};
 use acm_core::framework::run_experiment;
 use acm_core::policy::PolicyKind;
 use acm_ml::model::ModelKind;
-use rayon::prelude::*;
 use std::fs;
 
 fn main() {
@@ -41,9 +40,8 @@ fn main() {
     );
 
     let mut csv = String::from("predictor,spread,convergence_era,proactive,reactive,resp_ms\n");
-    let rows: Vec<(String, String)> = candidates
-        .par_iter()
-        .map(|(name, choice)| {
+    let rows: Vec<(String, String)> =
+        acm_exec::map_collect(candidates.iter().collect(), |(name, choice)| {
             let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 2016);
             cfg.predictor = *choice;
             cfg.name = format!("ablation-predictor-{name}");
@@ -70,8 +68,7 @@ fn main() {
                     tel.tail_response(w) * 1000.0
                 ),
             )
-        })
-        .collect();
+        });
     for (line, csv_line) in rows {
         println!("{line}");
         csv.push_str(&csv_line);

@@ -15,7 +15,6 @@ use acm_core::config::ExperimentConfig;
 use acm_core::framework::run_experiment;
 use acm_core::policy::PolicyKind;
 use acm_sim::time::Duration;
-use rayon::prelude::*;
 use std::fs;
 
 fn main() {
@@ -27,35 +26,32 @@ fn main() {
     );
 
     let mut csv = String::from("threshold_s,proactive,reactive,completed,resp_ms\n");
-    let rows: Vec<(String, String)> = thresholds_s
-        .par_iter()
-        .map(|&th| {
-            let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 2016);
-            cfg.name = format!("ablation-rejuvenation-{th}");
-            for spec in &mut cfg.regions {
-                spec.region.rttf_threshold = Duration::from_secs(th);
-            }
-            let tel = run_experiment(&cfg);
-            let w = tel.eras() / 3;
-            (
-                format!(
-                    "{:>12} {:>10} {:>10} {:>12} {:>10.0}",
-                    th,
-                    tel.total_proactive(),
-                    tel.total_reactive(),
-                    tel.total_completed(),
-                    tel.tail_response(w) * 1000.0
-                ),
-                format!(
-                    "{th},{},{},{},{:.1}\n",
-                    tel.total_proactive(),
-                    tel.total_reactive(),
-                    tel.total_completed(),
-                    tel.tail_response(w) * 1000.0
-                ),
-            )
-        })
-        .collect();
+    let rows: Vec<(String, String)> = acm_exec::map_collect(thresholds_s.iter().collect(), |&th| {
+        let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 2016);
+        cfg.name = format!("ablation-rejuvenation-{th}");
+        for spec in &mut cfg.regions {
+            spec.region.rttf_threshold = Duration::from_secs(th);
+        }
+        let tel = run_experiment(&cfg);
+        let w = tel.eras() / 3;
+        (
+            format!(
+                "{:>12} {:>10} {:>10} {:>12} {:>10.0}",
+                th,
+                tel.total_proactive(),
+                tel.total_reactive(),
+                tel.total_completed(),
+                tel.tail_response(w) * 1000.0
+            ),
+            format!(
+                "{th},{},{},{},{:.1}\n",
+                tel.total_proactive(),
+                tel.total_reactive(),
+                tel.total_completed(),
+                tel.tail_response(w) * 1000.0
+            ),
+        )
+    });
     for (line, csv_line) in rows {
         println!("{line}");
         csv.push_str(&csv_line);

@@ -432,17 +432,7 @@ fn byte_identity_check(report: &mut Report) {
 }
 
 fn main() {
-    let mut gate = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--convergence-gate" => gate = true,
-            other => {
-                eprintln!("chaos_report: unknown argument {other:?}");
-                eprintln!("usage: chaos_report [--convergence-gate]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let gate = acm_bench::flags("chaos_report", &["--convergence-gate"]).has("--convergence-gate");
     let mut report = Report {
         entries: Vec::new(),
         failures: Vec::new(),

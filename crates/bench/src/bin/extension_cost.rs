@@ -16,7 +16,6 @@ use acm_core::config::{ExperimentConfig, PredictorChoice};
 use acm_core::cost::price_run;
 use acm_core::framework::run_experiment;
 use acm_core::policy::PolicyKind;
-use rayon::prelude::*;
 use std::fs;
 
 fn main() {
@@ -27,9 +26,8 @@ fn main() {
     );
 
     let mut csv = String::from("policy,spread,total_usd,usd_per_mreq,f_munich,resp_ms\n");
-    let rows: Vec<(String, String)> = PolicyKind::EXTENDED
-        .par_iter()
-        .map(|&policy| {
+    let rows: Vec<(String, String)> =
+        acm_exec::map_collect(PolicyKind::EXTENDED.iter().collect(), |&policy| {
             let mut cfg = ExperimentConfig::three_region_fig4(policy, 2016);
             cfg.predictor = PredictorChoice::Oracle;
             cfg.name = format!("extension-cost-{policy}");
@@ -58,8 +56,7 @@ fn main() {
                     tel.tail_response(w) * 1000.0
                 ),
             )
-        })
-        .collect();
+        });
     for (line, csv_line) in rows {
         println!("{line}");
         csv.push_str(&csv_line);

@@ -339,7 +339,7 @@ fn data_plane_scenario(report: &mut Report, scale: &Scale, smoke: bool) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = acm_bench::flags("mega_report", &["--smoke"]).has("--smoke");
     let scale = if smoke { Scale::smoke() } else { Scale::full() };
     let mut report = Report {
         entries: Vec::new(),

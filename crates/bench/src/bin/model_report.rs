@@ -386,7 +386,7 @@ fn width_scenario(report: &mut Report, models: &[RttfPredictor]) {
 }
 
 fn main() {
-    let gate = std::env::args().any(|a| a == "--gate");
+    let gate = acm_bench::flags("model_report", &["--gate"]).has("--gate");
     let mut report = Report {
         entries: Vec::new(),
         failures: Vec::new(),

@@ -1,9 +1,9 @@
 //! Hot-path throughput report.
 //!
 //! Runs fixed-seed workloads over every layer the hot-path overhaul
-//! touched — the event kernel (new arena queue vs the retained seed
-//! implementation), the discrete-event driver, request dispatch through
-//! `RegionSim`, leader policy steps, REP-Tree training plus
+//! touched — the event kernel's arena queue, the discrete-event driver,
+//! request dispatch through `RegionSim`, leader policy steps, REP-Tree
+//! training plus
 //! scalar-vs-batched prediction, the observability layer's overhead, the
 //! execution pool's thread-scaling curve and the model-selection (tuning
 //! grid + k-fold CV) scaling curve — and writes the numbers to
@@ -88,7 +88,7 @@ impl Report {
 /// The seed of `event_queue_push_pop_1k`: schedule 1k, drain.
 fn queue_workloads(report: &mut Report) {
     const N: u64 = 1000;
-    let new_pp = time_it(200, 9, || {
+    let push_pop = time_it(200, 9, || {
         let mut rng = SimRng::new(1);
         let mut q = acm_sim::event::EventQueue::new();
         for i in 0..N {
@@ -100,47 +100,14 @@ fn queue_workloads(report: &mut Report) {
         }
         black_box(sum);
     });
-    let legacy_pp = time_it(200, 9, || {
-        let mut rng = SimRng::new(1);
-        let mut q = acm_sim::legacy::EventQueue::new();
-        for i in 0..N {
-            q.schedule(SimTime::from_micros(rng.next_u64() % 1_000_000), i);
-        }
-        let mut sum = 0u64;
-        while let Some((_, v)) = q.pop() {
-            sum += v;
-        }
-        black_box(sum);
-    });
-    report.push("event_queue_push_pop_1k_ops_per_s", N as f64 / new_pp);
-    report.push(
-        "event_queue_push_pop_1k_legacy_ops_per_s",
-        N as f64 / legacy_pp,
-    );
-    report.push("event_queue_push_pop_1k_speedup", legacy_pp / new_pp);
+    report.push("event_queue_push_pop_1k_ops_per_s", N as f64 / push_pop);
 
     // Cancellation-heavy churn: schedule 4, cancel 2, pop 1, repeat — the
     // timer-wheel-like pattern the per-request completion events produce.
     const ROUNDS: u64 = 1000;
-    let new_cc = time_it(120, 9, || {
+    let churn = time_it(120, 9, || {
         let mut rng = SimRng::new(2);
         let mut q = acm_sim::event::EventQueue::new();
-        let mut handles = Vec::with_capacity(4 * ROUNDS as usize);
-        for i in 0..ROUNDS {
-            for k in 0..4u64 {
-                handles
-                    .push(q.schedule(SimTime::from_micros(rng.next_u64() % 1_000_000), i * 4 + k));
-            }
-            let h = handles.len();
-            q.cancel(handles[h - 2]);
-            q.cancel(handles[h - 4]);
-            black_box(q.pop());
-        }
-        while q.pop().is_some() {}
-    });
-    let legacy_cc = time_it(120, 9, || {
-        let mut rng = SimRng::new(2);
-        let mut q = acm_sim::legacy::EventQueue::new();
         let mut handles = Vec::with_capacity(4 * ROUNDS as usize);
         for i in 0..ROUNDS {
             for k in 0..4u64 {
@@ -156,38 +123,8 @@ fn queue_workloads(report: &mut Report) {
     });
     report.push(
         "event_queue_cancel_churn_ops_per_s",
-        (7 * ROUNDS) as f64 / new_cc,
+        (7 * ROUNDS) as f64 / churn,
     );
-    report.push(
-        "event_queue_cancel_churn_legacy_ops_per_s",
-        (7 * ROUNDS) as f64 / legacy_cc,
-    );
-    report.push("event_queue_cancel_churn_speedup", legacy_cc / new_cc);
-}
-
-/// A verbatim replica of the seed driver loop over the retained seed queue:
-/// boxed `FnOnce` handlers popped in `(time, seq)` order. Only the queue
-/// differs from [`Simulator`], so the ratio isolates the kernel swap.
-type LegacyHandler = Box<dyn FnOnce(&mut LegacySim)>;
-
-struct LegacySim {
-    now: SimTime,
-    queue: acm_sim::legacy::EventQueue<LegacyHandler>,
-    world: u64,
-}
-
-impl LegacySim {
-    fn schedule_in(&mut self, delay: Duration, handler: impl FnOnce(&mut LegacySim) + 'static) {
-        let at = self.now + delay;
-        self.queue.schedule(at, Box::new(handler));
-    }
-
-    fn run_to_completion(&mut self) {
-        while let Some((at, handler)) = self.queue.pop() {
-            self.now = at;
-            handler(self);
-        }
-    }
 }
 
 /// The seed of `simulator_10k_events`: a 10k-deep self-scheduling chain.
@@ -205,28 +142,7 @@ fn simulator_workload(report: &mut Report) {
         sim.run_to_completion(u64::MAX);
         black_box(sim.world);
     });
-    let legacy_per_run = time_it(30, 9, || {
-        let mut sim = LegacySim {
-            now: SimTime::ZERO,
-            queue: acm_sim::legacy::EventQueue::new(),
-            world: 0,
-        };
-        fn chain(s: &mut LegacySim) {
-            s.world += 1;
-            if s.world < 10_000 {
-                s.schedule_in(Duration::from_micros(10), chain);
-            }
-        }
-        sim.schedule_in(Duration::ZERO, chain);
-        sim.run_to_completion();
-        black_box(sim.world);
-    });
     report.push("simulator_10k_events_per_s", N as f64 / per_run);
-    report.push(
-        "simulator_10k_events_legacy_per_s",
-        N as f64 / legacy_per_run,
-    );
-    report.push("simulator_10k_events_speedup", legacy_per_run / per_run);
 }
 
 /// Request dispatch through the event-grain region: serve with periodic
@@ -529,8 +445,7 @@ fn obs_overhead_workload(report: &mut Report) -> (f64, f64) {
     (noop_pct, enabled_pct)
 }
 
-/// Wall-clock of the Figure-3 experiment (the workload the acceptance
-/// criterion tracks end to end).
+/// Wall-clock of the Figure-3 experiment, end to end.
 fn fig3_workload(report: &mut Report) {
     let cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 42);
     let per_run = time_it(3, 5, || {
@@ -540,10 +455,19 @@ fn fig3_workload(report: &mut Report) {
 }
 
 fn main() {
+    let flags = acm_bench::flags(
+        "perf_report",
+        &[
+            "--obs-gate",
+            "--batch-gate",
+            "--scaling-gate",
+            "--cv-scaling-gate",
+        ],
+    );
     let mut report = Report {
         entries: Vec::new(),
     };
-    if std::env::args().any(|a| a == "--obs-gate") {
+    if flags.has("--obs-gate") {
         println!("observability overhead gate (10k-event chain)\n");
         let (noop_pct, enabled_pct) = obs_overhead_workload(&mut report);
         if noop_pct > 2.0 {
@@ -559,7 +483,7 @@ fn main() {
         );
         return;
     }
-    if std::env::args().any(|a| a == "--batch-gate") {
+    if flags.has("--batch-gate") {
         println!("REP-Tree batched-prediction gate\n");
         let speedup = rep_tree_workload(&mut report);
         if speedup < 1.0 {
@@ -569,7 +493,7 @@ fn main() {
         println!("\nOK: batch prediction speedup {speedup:.3} >= 1.0");
         return;
     }
-    if std::env::args().any(|a| a == "--scaling-gate") {
+    if flags.has("--scaling-gate") {
         println!("execution-pool scaling gate (training-set harvest)\n");
         let avail = acm_exec::available_threads();
         let speedup = scaling_workload(&mut report);
@@ -584,7 +508,7 @@ fn main() {
         println!("\nOK: 4-thread harvest speedup {speedup:.2} >= 3.0");
         return;
     }
-    if std::env::args().any(|a| a == "--cv-scaling-gate") {
+    if flags.has("--cv-scaling-gate") {
         println!("model-selection scaling gate (tuning grid + k-fold CV)\n");
         let avail = acm_exec::available_threads();
         let speedup = cv_scaling_workload(&mut report);

@@ -271,7 +271,7 @@ fn width_scenario(report: &mut Report, gate: bool) {
 }
 
 fn main() {
-    let gate = std::env::args().any(|a| a == "--gate");
+    let gate = acm_bench::flags("router_report", &["--gate"]).has("--gate");
     let mut report = Report {
         entries: Vec::new(),
         failures: Vec::new(),

@@ -11,7 +11,6 @@ use acm_core::config::{ExperimentConfig, PredictorChoice};
 use acm_core::framework::run_experiment_with_obs;
 use acm_core::policy::PolicyKind;
 use acm_obs::{MetricValue, Obs, ObsConfig, ObsHandle};
-use rayon::prelude::*;
 use std::fs;
 
 struct Agg {
@@ -44,9 +43,8 @@ fn sweep(
         // Each run records into its own child hub; the children come back
         // in seed order (order-stable collect) and are merged in that
         // order, so the rollup is deterministic at any thread count.
-        let runs: Vec<(f64, f64, f64, bool, ObsHandle)> = (0..seeds)
-            .into_par_iter()
-            .map(|seed| {
+        let runs: Vec<(f64, f64, f64, bool, ObsHandle)> =
+            acm_exec::map_collect((0..seeds).collect(), |seed| {
                 let cfg = make(policy, 1000 + seed);
                 let obs = Obs::new(ObsConfig::default());
                 let tel = run_experiment_with_obs(&cfg, obs.clone());
@@ -58,8 +56,7 @@ fn sweep(
                     tel.convergence_era(1.25).is_some(),
                     obs,
                 )
-            })
-            .collect();
+            });
         for (_, _, _, _, child) in &runs {
             rollup.merge_from(child);
         }

@@ -498,7 +498,7 @@ fn overhead_check(report: &mut Report) {
 }
 
 fn main() {
-    let gate = std::env::args().any(|a| a == "--gate");
+    let gate = acm_bench::flags("trace_report", &["--gate"]).has("--gate");
     let mut report = Report {
         entries: Vec::new(),
         failures: Vec::new(),

@@ -83,9 +83,67 @@ pub fn tail_window(tel: &ExperimentTelemetry) -> usize {
     (tel.eras() / 3).max(1)
 }
 
+/// The boolean flags one report binary was started with.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Flags(Vec<String>);
+
+impl Flags {
+    /// Whether `flag` was given (once or repeatedly).
+    pub fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|f| f == flag)
+    }
+}
+
+/// Checks every argument against `allowed`; the first unknown one is the
+/// error, so a mistyped gate flag cannot run ungated.
+fn parse_flags(allowed: &[&str], args: impl IntoIterator<Item = String>) -> Result<Flags, String> {
+    let given: Vec<String> = args.into_iter().collect();
+    match given.iter().find(|a| !allowed.contains(&a.as_str())) {
+        Some(unknown) => Err(unknown.clone()),
+        None => Ok(Flags(given)),
+    }
+}
+
+/// The process arguments checked against `allowed`: an unknown argument
+/// prints the usage line of `bin` on stderr and exits with status 2.
+pub fn flags(bin: &str, allowed: &[&str]) -> Flags {
+    parse_flags(allowed, std::env::args().skip(1)).unwrap_or_else(|unknown| {
+        eprintln!("{bin}: unknown argument {unknown:?}");
+        let usage: Vec<String> = allowed.iter().map(|f| format!("[{f}]")).collect();
+        eprintln!("usage: {bin} {}", usage.join(" "));
+        std::process::exit(2);
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flags_accept_known_and_repeated_and_reject_unknown() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let allowed = ["--gate", "--smoke"];
+
+        let none = parse_flags(&allowed, args(&[])).unwrap();
+        assert!(!none.has("--gate") && !none.has("--smoke"));
+
+        let gate = parse_flags(&allowed, args(&["--gate"])).unwrap();
+        assert!(gate.has("--gate") && !gate.has("--smoke"));
+
+        let repeated = parse_flags(&allowed, args(&["--gate", "--smoke", "--gate"])).unwrap();
+        assert!(repeated.has("--gate") && repeated.has("--smoke"));
+
+        for bad in ["--gat", "-gate", "gate", "--gate=1", ""] {
+            assert_eq!(
+                parse_flags(&allowed, args(&["--gate", bad])),
+                Err(bad.to_string())
+            );
+        }
+        assert_eq!(
+            parse_flags(&[], args(&["--gate"])),
+            Err("--gate".to_string())
+        );
+    }
 
     #[test]
     fn claim_line_formats() {

@@ -1,8 +1,10 @@
 //! # acm-exec — deterministic data-parallel execution
 //!
 //! A std-only (threads + atomics + mutex/condvar, zero dependencies)
-//! work-stealing thread pool powering every `par_iter` call site in the
-//! workspace through the vendored `rayon` facade.
+//! work-stealing thread pool behind every parallel call site in the
+//! workspace. Four entry points — [`map_collect`], [`try_map_collect`],
+//! [`for_each_mut`], [`spawn_job`] — over two mechanisms: the
+//! range-stealing map (the first three) and a claimable background job.
 //!
 //! ## Design
 //!
@@ -43,9 +45,9 @@
 //!
 //! Every pool keeps relaxed-atomic activity counters — parallel/sequential
 //! maps, items, chunk pops, steals, submitted and caller-inlined helper
-//! jobs, peak queue depth, and per-participant busy time around
-//! `map_collect` participation, scope / `for_each_mut` tasks and
-//! `spawn_job` bodies. [`ThreadPool::stats`] returns a
+//! jobs, peak queue depth, and per-participant busy time around map
+//! participation (`map_collect` / `for_each_mut`) and `spawn_job` bodies.
+//! [`ThreadPool::stats`] returns a
 //! [`PoolStatsSnapshot`]; [`PoolStatsSnapshot::delta_since`] subtracts a
 //! baseline so callers can attribute activity to one phase of a run. The
 //! counters live off the CAS hot path (one flush per participant per map,
@@ -138,8 +140,9 @@ fn pop_front(range: &AtomicU64, chunk: usize) -> Option<(usize, usize)> {
 }
 
 /// Thief side: detach the back half of a victim's range (victim keeps the
-/// front ⌈half⌉, so a 1-element range is never stolen down to nothing
-/// mid-pop).
+/// front ⌈half⌉). A lone remaining element is taken whole: its owner is
+/// busy with an earlier chunk, and the full-word CAS makes the owner's
+/// next pop see the range empty.
 fn steal_half(range: &AtomicU64) -> Option<(usize, usize)> {
     let mut cur = range.load(Ordering::Acquire);
     loop {
@@ -147,10 +150,11 @@ fn steal_half(range: &AtomicU64) -> Option<(usize, usize)> {
         if s >= e {
             return None;
         }
-        let mid = s + (e - s).div_ceil(2);
-        if mid >= e {
-            return None; // single element: leave it to the owner
-        }
+        let mid = if e - s == 1 {
+            s
+        } else {
+            s + (e - s).div_ceil(2)
+        };
         match range.compare_exchange_weak(cur, pack(s, mid), Ordering::AcqRel, Ordering::Acquire) {
             Ok(_) => return Some((mid, e)),
             Err(observed) => cur = observed,
@@ -217,13 +221,13 @@ thread_local! {
     /// other thread is a caller, index 0.
     static PARTICIPANT: Cell<usize> = const { Cell::new(0) };
     /// True while this thread is inside a [`BusySection`], so that a map
-    /// nested in a scope task (or the reverse) is counted once.
+    /// nested in another map or in a background job is counted once.
     static IN_BUSY_SECTION: Cell<bool> = const { Cell::new(false) };
 }
 
-/// One stretch of pool work on the current thread — a `map_collect`
-/// participation, a scope task or a `spawn_job` body. Dropping it adds the
-/// elapsed wall time and one span to the thread's participant slot, unless
+/// One stretch of pool work on the current thread — a map participation
+/// or a `spawn_job` body. Dropping it adds the elapsed wall
+/// time and one span to the thread's participant slot, unless
 /// the section is nested inside another one on the same thread.
 struct BusySection<'a> {
     /// `None` for a nested section.
@@ -301,27 +305,29 @@ impl PoolStats {
 pub struct PoolStatsSnapshot {
     /// Participant count of the pool (workers + the caller).
     pub threads: usize,
-    /// `map_collect` calls that actually fanned out (≥ 2 participants).
+    /// `map_collect` / `for_each_mut` calls that actually fanned out
+    /// (≥ 2 participants).
     pub par_maps: u64,
     /// `map_collect` calls that took the exact sequential path.
     pub seq_maps: u64,
-    /// Total items moved through `map_collect` (both paths).
+    /// Total items moved through `map_collect` (both paths) and fanned-out
+    /// `for_each_mut` calls.
     pub items: u64,
     /// Chunks participants popped off the front of their own range.
     pub chunks_popped: u64,
     /// Successful back-half steals from a victim's range.
     pub steals: u64,
-    /// Helper jobs pushed onto the pool queue (maps, joins, scope tasks).
+    /// Jobs pushed onto the pool queue (map helpers, background jobs).
     pub jobs_submitted: u64,
     /// Queued helpers the *caller* claimed and inlined because no worker
     /// had started them (saturation / nesting indicator).
     pub helpers_inlined: u64,
     /// Deepest the shared job queue has ever been at submit time.
     pub queue_depth_peak: u64,
-    /// Per-participant wall-clock nanoseconds spent on pool work:
-    /// `map_collect` participation, scope / `for_each_mut` tasks and
-    /// `spawn_job` bodies, nested work counted once (index 0 is the
-    /// calling thread, index `i` worker `acm-exec-i`).
+    /// Per-participant wall-clock nanoseconds spent on pool work: map
+    /// participation (`map_collect` / `for_each_mut`) and `spawn_job`
+    /// bodies, nested work counted once (index 0 is the calling thread,
+    /// index `i` worker `acm-exec-i`).
     pub worker_busy_ns: Vec<u64>,
     /// Per-participant count of those stretches of work.
     pub worker_spans: Vec<u64>,
@@ -688,80 +694,18 @@ impl ThreadPool {
         })
     }
 
-    /// Runs both closures, potentially in parallel, and returns both
-    /// results. `a` always runs on the calling thread; `b` runs on a
-    /// worker if one picks it up before `a` finishes, else inline.
-    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA,
-        B: FnOnce() -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        if self.threads <= 1 {
-            let ra = a();
-            return (ra, b());
-        }
-
-        struct JoinShared<B, RB> {
-            b: UnsafeCell<Option<B>>,
-            out: UnsafeCell<Option<Result<RB, PanicPayload>>>,
-        }
-        // SAFETY: the claim flag serialises all cell access.
-        unsafe impl<B: Send, RB: Send> Sync for JoinShared<B, RB> {}
-
-        let shared = JoinShared::<B, RB> {
-            b: UnsafeCell::new(Some(b)),
-            out: UnsafeCell::new(None),
-        };
-        let control = JobControl::new(1);
-        let shared_ref = &shared;
-        let run_b = move || {
-            // SAFETY: claim won ⇒ exclusive access to both cells.
-            let bfn = unsafe { (*shared_ref.b.get()).take() }.expect("join body taken once");
-            let out = panic::catch_unwind(AssertUnwindSafe(bfn));
-            unsafe { *shared_ref.out.get() = Some(out) };
-        };
-        {
-            let ctl = Arc::clone(&control);
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                if ctl.try_claim(0) {
-                    run_b();
-                    ctl.latch.count_down();
-                }
-            });
-            // SAFETY: same claim discipline as `map_collect`.
-            let job: Job = unsafe { mem::transmute(job) };
-            self.submit(job);
-        }
-
-        let ra = panic::catch_unwind(AssertUnwindSafe(a));
-        if control.try_claim(0) {
-            self.stats.helpers_inlined.fetch_add(1, Ordering::Relaxed);
-            run_b();
-            control.latch.count_down();
-        }
-        control.latch.wait();
-
-        // SAFETY: every participant is done with the cells.
-        let rb = unsafe { (*shared.out.get()).take() }.expect("join result present");
-        match (ra, rb) {
-            (Ok(ra), Ok(rb)) => (ra, rb),
-            (Err(p), _) | (_, Err(p)) => panic::resume_unwind(p),
-        }
-    }
-
     /// Applies `f(i, &mut items[i])` to every slot, potentially in
     /// parallel, and returns once all slots are done. Each index is handed
-    /// to exactly one task, so the in-place mutation never aliases. With a
-    /// single participant (or ≤ 1 items) the slots are visited strictly in
-    /// index order — the exact sequential path, no threads, no atomics.
+    /// to exactly one participant, so the in-place mutation never aliases.
+    /// With a single participant (or ≤ 1 items) the slots are visited
+    /// strictly in index order — the exact sequential path, no threads, no
+    /// atomics.
     ///
     /// This is the era-scoped shard driver: one long-lived shard per slot,
-    /// advanced in place behind an era barrier. Panics in `f` propagate
-    /// after every spawned task has quiesced (the [`scope`] discipline).
-    ///
-    /// [`scope`]: ThreadPool::scope
+    /// advanced in place behind an era barrier. It is a
+    /// [`map_collect`](ThreadPool::map_collect) over the slots' `&mut`
+    /// borrows, so a slow slot's neighbours are stolen off its range and
+    /// panics in `f` propagate the same way.
     pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
@@ -773,78 +717,15 @@ impl ThreadPool {
             }
             return;
         }
-        struct SendPtr<T>(*mut T);
-        // SAFETY: the pointer is only dereferenced at distinct indices,
-        // one task each, all inside the scope barrier.
-        unsafe impl<T: Send> Send for SendPtr<T> {}
-        impl<T> Clone for SendPtr<T> {
-            fn clone(&self) -> Self {
-                *self
-            }
-        }
-        impl<T> Copy for SendPtr<T> {}
-        impl<T> SendPtr<T> {
-            // Method (not field) access, so closures capture the Send
-            // wrapper rather than the bare `*mut T` inside it.
-            fn get(self) -> *mut T {
-                self.0
-            }
-        }
-
-        let base = SendPtr(items.as_mut_ptr());
-        let n = items.len();
-        let f = &f;
-        self.scope(|s| {
-            for i in 0..n {
-                s.spawn(move || {
-                    // SAFETY: index `i` belongs to this task alone; the
-                    // scope keeps the borrow of `items` alive until every
-                    // task has completed.
-                    let slot = unsafe { &mut *base.get().add(i) };
-                    f(i, slot);
-                });
-            }
+        self.map_collect(items.iter_mut().enumerate().collect(), |(i, slot)| {
+            f(i, slot)
         });
-    }
-
-    /// Runs `f` with a [`Scope`] onto which `'scope`-borrowing tasks can
-    /// be spawned; returns once every spawned task has completed. The
-    /// first panic (from `f` or any task) is re-raised after the barrier.
-    pub fn scope<'scope, F, R>(&self, f: F) -> R
-    where
-        F: FnOnce(&Scope<'scope, '_>) -> R,
-    {
-        let scope = Scope {
-            pool: self,
-            tasks: Mutex::new(Vec::new()),
-            _marker: std::marker::PhantomData,
-        };
-        let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        let tasks = mem::take(&mut *scope.tasks.lock().unwrap_or_else(|e| e.into_inner()));
-        for t in &tasks {
-            t.try_run(); // claim whatever no worker has started
-        }
-        for t in &tasks {
-            t.latch.wait();
-        }
-        let mut first_panic = None;
-        for t in &tasks {
-            // SAFETY: all tasks quiesced behind their latches.
-            if let Some(p) = unsafe { (*t.panic.get()).take() } {
-                first_panic.get_or_insert(p);
-            }
-        }
-        match (result, first_panic) {
-            (Err(p), _) => panic::resume_unwind(p),
-            (Ok(_), Some(p)) => panic::resume_unwind(p),
-            (Ok(r), None) => r,
-        }
     }
 
     /// Submits a detached background job and returns a [`JobHandle`] to
     /// collect its result later.
     ///
-    /// The job follows the same claim discipline as scope tasks: a worker
+    /// The job follows the same claim discipline as map helpers: a worker
     /// that picks it up runs it; if no worker has started it by the time
     /// the caller [`JobHandle::join`]s, the caller claims and inlines it —
     /// a saturated (or nested) pool degrades to inline execution instead
@@ -944,11 +825,11 @@ impl Drop for ThreadPool {
 }
 
 // ---------------------------------------------------------------------------
-// scope
+// background jobs
 // ---------------------------------------------------------------------------
 
-/// One spawned scope task: body + claim flag + completion latch, shared
-/// between the queued job and the scope-end drain.
+/// One background job: body + claim flag + completion latch, shared
+/// between the queue entry and the [`JobHandle`].
 struct ClaimableTask {
     claimed: AtomicBool,
     latch: Latch,
@@ -958,7 +839,7 @@ struct ClaimableTask {
 }
 
 // SAFETY: the claim flag serialises access to both cells; the latch
-// publishes the panic slot to the scope-end reader.
+// publishes the panic slot to the joining reader.
 unsafe impl Sync for ClaimableTask {}
 unsafe impl Send for ClaimableTask {}
 
@@ -978,7 +859,7 @@ impl ClaimableTask {
             return;
         }
         // SAFETY: claim won ⇒ exclusive access.
-        let body = unsafe { (*self.body.get()).take() }.expect("scope body taken once");
+        let body = unsafe { (*self.body.get()).take() }.expect("job body taken once");
         let busy = self.stats.busy_section();
         if let Err(p) = panic::catch_unwind(AssertUnwindSafe(body)) {
             // SAFETY: still claim-guarded; published by the latch below.
@@ -987,44 +868,6 @@ impl ClaimableTask {
         // Before the latch, so a reader woken by it sees the time counted.
         drop(busy);
         self.latch.count_down();
-    }
-}
-
-/// A fork-join scope: tasks spawned here may borrow from the enclosing
-/// stack frame (`'scope`) and are guaranteed complete before
-/// [`ThreadPool::scope`] returns.
-///
-/// Unlike real rayon, task closures take no `&Scope` argument, so a task
-/// cannot spawn siblings — none of this workspace's workloads need that.
-pub struct Scope<'scope, 'pool> {
-    pool: &'pool ThreadPool,
-    tasks: Mutex<Vec<Arc<ClaimableTask>>>,
-    _marker: std::marker::PhantomData<&'scope mut &'scope ()>,
-}
-
-impl<'scope, 'pool> Scope<'scope, 'pool> {
-    /// Spawns a task onto the scope. With a single-participant pool the
-    /// task runs inline immediately (exact sequential order).
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        if self.pool.threads <= 1 {
-            f();
-            return;
-        }
-        let body: Box<dyn FnOnce() + Send + 'scope> = Box::new(f);
-        // SAFETY: the scope barrier keeps `'scope` borrows alive until
-        // every task has run; a post-scope queue entry loses its claim and
-        // never touches the body.
-        let body: Job = unsafe { mem::transmute(body) };
-        let task = ClaimableTask::new(body, &self.pool.stats);
-        let queued = Arc::clone(&task);
-        self.pool.submit(Box::new(move || queued.try_run()));
-        self.tasks
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(task);
     }
 }
 
@@ -1133,26 +976,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// [`ThreadPool::join`] on the global pool.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    global().join(a, b)
-}
-
-/// [`ThreadPool::scope`] on the global pool.
-pub fn scope<'scope, F, R>(f: F) -> R
-where
-    F: FnOnce(&Scope<'scope, '_>) -> R,
-{
-    let pool = global();
-    pool.scope(f)
-}
-
 /// [`ThreadPool::for_each_mut`] on the global pool.
 pub fn for_each_mut<T, F>(items: &mut [T], f: F)
 where
@@ -1247,34 +1070,6 @@ mod tests {
     }
 
     #[test]
-    fn join_runs_both_and_propagates_panics() {
-        let pool = ThreadPool::new(2);
-        let (a, b) = pool.join(|| 40 + 1, || "right".len());
-        assert_eq!((a, b), (41, 5));
-        let err = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.join(|| 1, || -> usize { panic!("join-b") })
-        }))
-        .unwrap_err();
-        assert_eq!(*err.downcast_ref::<&str>().unwrap(), "join-b");
-    }
-
-    #[test]
-    fn scope_completes_all_spawned_tasks() {
-        for threads in [1, 4] {
-            let pool = ThreadPool::new(threads);
-            let hits = AtomicUsize::new(0);
-            pool.scope(|s| {
-                for _ in 0..16 {
-                    s.spawn(|| {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), 16, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn for_each_mut_matches_sequential_across_widths() {
         let expect: Vec<u64> = (0..97u64).map(|i| i * 3 + 1).collect();
         for threads in [1, 2, 4, 8] {
@@ -1317,6 +1112,47 @@ mod tests {
     }
 
     #[test]
+    fn for_each_mut_rebalances_a_skewed_slot() {
+        // Slot 0 cannot finish until every other slot has: whichever
+        // participant holds it is stuck, so the rest of its range — down
+        // to the last element — has to be stolen off it.
+        let pool = ThreadPool::new(2);
+        let mut slots = vec![0u32; 8];
+        let others_done = AtomicUsize::new(0);
+        let deadline = Instant::now() + std::time::Duration::from_secs(60);
+        pool.for_each_mut(&mut slots, |i, v| {
+            if i == 0 {
+                while others_done.load(Ordering::Acquire) < 7 {
+                    assert!(Instant::now() < deadline, "slots behind slot 0 never ran");
+                    thread::yield_now();
+                }
+            } else {
+                others_done.fetch_add(1, Ordering::Release);
+            }
+            *v = i as u32 + 1;
+        });
+        assert_eq!(slots, [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert!(pool.stats().steals >= 1);
+    }
+
+    #[test]
+    fn for_each_mut_inside_map_collect_does_not_deadlock() {
+        // The chaos-campaign shape: a panic-isolating batch whose every
+        // item drives an era barrier over its own shards, on a pool too
+        // narrow to give either level a free worker.
+        let pool = ThreadPool::new(2);
+        let out = pool.try_map_collect((0..8u64).collect(), |i| {
+            let mut shards = vec![0u64; 5];
+            for _era in 0..20 {
+                pool.for_each_mut(&mut shards, |s, v| *v += i * 10 + s as u64);
+            }
+            shards.iter().sum::<u64>()
+        });
+        let expect: Vec<Result<u64, String>> = (0..8u64).map(|i| Ok(20 * (i * 50 + 10))).collect();
+        assert_eq!(out, expect);
+    }
+
+    #[test]
     fn nested_map_collect_does_not_deadlock() {
         let pool = ThreadPool::new(2);
         let out = pool.map_collect((0..8u64).collect(), |i| {
@@ -1353,18 +1189,23 @@ mod tests {
         );
         assert!(d.total_busy_ns() >= d.worker_busy_ns[0]);
 
-        // Scope tasks: one span per slot, whichever thread ran it.
+        // `for_each_mut` is a map over the slots: one fan-out, one span
+        // per range, whichever thread worked it.
         let before = pool.stats();
+        let started = Instant::now();
         let mut slots = vec![0u64; 64];
         pool.for_each_mut(&mut slots, |i, v| *v = (0..=i as u64).sum());
+        let wall_ns = started.elapsed().as_nanos() as u64;
         let d = pool.stats().delta_since(&before);
-        assert_eq!(d.worker_spans.iter().sum::<u64>(), 64);
-        assert!(d.total_busy_ns() > 0);
-        assert_eq!(
-            (d.par_maps, d.steals),
-            (0, 0),
-            "no ranges, nothing to steal"
-        );
+        assert_eq!((d.par_maps, d.seq_maps, d.items), (1, 0, 64));
+        assert!(d.worker_busy_ns[0] > 0 && d.worker_spans[0] >= 1);
+        assert_eq!(d.worker_spans.iter().sum::<u64>(), 4);
+        for (w, busy) in d.worker_busy_ns.iter().enumerate() {
+            assert!(
+                *busy <= wall_ns,
+                "participant {w}: busy {busy} ns of {wall_ns} ns"
+            );
+        }
 
         // A background job is one span, wherever it ran.
         let before = pool.stats();
@@ -1377,9 +1218,9 @@ mod tests {
 
     #[test]
     fn nested_pool_work_is_counted_once_per_thread() {
-        // Scope tasks that do nothing but run a nested map: were both the
-        // task and the map participation inside it counted, a thread's
-        // busy time would come to about twice the wall time.
+        // Slots that do nothing but run a nested map: were both the outer
+        // participation and the map participation inside it counted, a
+        // thread's busy time would come to about twice the wall time.
         let pool = ThreadPool::new(2);
         let before = pool.stats();
         let started = Instant::now();
@@ -1505,7 +1346,7 @@ mod tests {
         // Regression: the swap used to drop the old pool (joining its
         // workers) while still holding the global cell's write lock. A
         // background job draining on one of those workers that touched
-        // `global()` — as every nested map/scope through the facade does —
+        // `global()` — as every nested map through the free functions does —
         // blocked on the read lock, and the join never returned.
         let _resizing = GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner());
         configure_threads(2);

@@ -9,7 +9,7 @@
 //! 1. fit a Lasso on the full feature set and keep the features whose
 //!    standardised weight passes a threshold,
 //! 2. train every family in the menu on the projected training split
-//!    (in parallel via rayon — the families are independent),
+//!    (in parallel on the exec pool — the families are independent),
 //! 3. score each on the holdout and rank by RMSE,
 //! 4. return the winner wrapped as an [`RttfPredictor`] that accepts the
 //!    *full* feature vector at runtime and projects internally.
@@ -21,7 +21,6 @@ use crate::model::{AnyModel, ModelKind, Regressor};
 use crate::validate::evaluate;
 use acm_obs::{Obs, Timer};
 use acm_sim::rng::SimRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Toolchain configuration.
@@ -246,9 +245,8 @@ impl F2pmToolchain {
                 (kind, rng.split(), timer)
             })
             .collect();
-        let mut results: Vec<(AnyModel, ModelOutcome)> = jobs
-            .into_par_iter()
-            .map(|(kind, mut model_rng, fit_timer)| {
+        let mut results: Vec<(AnyModel, ModelOutcome)> =
+            acm_exec::map_collect(jobs, |(kind, mut model_rng, fit_timer)| {
                 let model = {
                     let _fit = fit_timer.start();
                     kind.fit(&train, &mut model_rng)
@@ -258,8 +256,7 @@ impl F2pmToolchain {
                     evaluate(&model, &holdout)
                 };
                 (model, ModelOutcome { kind, metrics })
-            })
-            .collect();
+            });
 
         // 4. Rank by holdout RMSE.
         results.sort_by(|a, b| {

@@ -6,7 +6,7 @@
 //! and the `tune_*` helpers supply sensible grids per family.
 //!
 //! The search fans the full `candidate × fold` job matrix out onto the
-//! exec pool (through the vendored-rayon facade) with one RNG stream
+//! exec pool (`acm_exec::map_collect`) with one RNG stream
 //! pre-split per job **in sequential order** — finer-grained than
 //! per-candidate dispatch, so a 9-candidate grid load-balances across
 //! more than 9 workers, and byte-identical at any `ACM_THREADS` width.
@@ -19,7 +19,6 @@ use crate::svr::{LinearSvr, SvrConfig};
 use crate::validate::check_folds;
 pub use crate::validate::CvError;
 use acm_sim::rng::SimRng;
-use rayon::prelude::*;
 
 /// Result of a grid search: the winning candidate and its CV RMSE.
 #[derive(Debug, Clone)]
@@ -68,21 +67,18 @@ where
         .map(|(c, f)| (c, f, rng.split()))
         .collect();
 
-    let fold_rmse: Vec<f64> = jobs
-        .into_par_iter()
-        .map(|(c, f, mut job_rng)| {
-            let (train, val) = &folds[f];
-            let preds = fit_predict(&candidates[c], train, val, &mut job_rng);
-            assert_eq!(preds.len(), val.len(), "one prediction per row");
-            let mse: f64 = preds
-                .iter()
-                .zip(val.targets())
-                .map(|(p, t)| (p - t) * (p - t))
-                .sum::<f64>()
-                / val.len() as f64;
-            mse.sqrt()
-        })
-        .collect();
+    let fold_rmse: Vec<f64> = acm_exec::map_collect(jobs, |(c, f, mut job_rng)| {
+        let (train, val) = &folds[f];
+        let preds = fit_predict(&candidates[c], train, val, &mut job_rng);
+        assert_eq!(preds.len(), val.len(), "one prediction per row");
+        let mse: f64 = preds
+            .iter()
+            .zip(val.targets())
+            .map(|(p, t)| (p - t) * (p - t))
+            .sum::<f64>()
+            / val.len() as f64;
+        mse.sqrt()
+    });
 
     let scores: Vec<(C, f64)> = candidates
         .into_iter()

@@ -1,7 +1,7 @@
 //! Model validation: holdout and k-fold evaluation.
 //!
-//! k-fold CV runs its folds in parallel on the exec pool (through the
-//! vendored-rayon facade) with one RNG stream pre-split per fold **in
+//! k-fold CV runs its folds in parallel on the exec pool
+//! (`acm_exec::map_collect`) with one RNG stream pre-split per fold **in
 //! sequential order**, so results are byte-identical at any
 //! `ACM_THREADS` width — the same discipline as `pcam::training`.
 
@@ -9,7 +9,6 @@ use crate::dataset::Dataset;
 use crate::metrics::RegressionMetrics;
 use crate::model::{AnyModel, ModelKind, Regressor};
 use acm_sim::rng::SimRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Why a k-fold request cannot be evaluated.
@@ -193,13 +192,10 @@ pub fn try_cross_validate(
     // byte-identical at any ACM_THREADS width.
     let jobs: Vec<((Dataset, Dataset), SimRng)> =
         folds.into_iter().map(|f| (f, rng.split())).collect();
-    let results = jobs
-        .into_par_iter()
-        .map(|((train, val), mut fold_rng)| {
-            let model = kind.fit(&train, &mut fold_rng);
-            evaluate(&model, &val)
-        })
-        .collect();
+    let results = acm_exec::map_collect(jobs, |((train, val), mut fold_rng)| {
+        let model = kind.fit(&train, &mut fold_rng);
+        evaluate(&model, &val)
+    });
     Ok(CvResult {
         kind,
         folds: results,

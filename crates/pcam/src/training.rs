@@ -15,7 +15,6 @@ use acm_ml::dataset::Dataset;
 use acm_sim::rng::SimRng;
 use acm_sim::time::{Duration, SimTime};
 use acm_vm::{AnomalyConfig, FailureSpec, FeatureVec, Vm, VmFlavor, VmId, VmState, FEATURE_NAMES};
-use rayon::prelude::*;
 
 /// Parameters for the collection phase.
 #[derive(Debug, Clone)]
@@ -68,10 +67,9 @@ pub fn collect_database(
             runs.push((lambda, rng.split()));
         }
     }
-    let batches: Vec<Vec<(Vec<f64>, f64)>> = runs
-        .into_par_iter()
-        .map(|(lambda, run_rng)| collect_run(flavor, anomaly, failure_spec, cfg, lambda, run_rng))
-        .collect();
+    let batches = acm_exec::map_collect(runs, |(lambda, run_rng)| {
+        collect_run(flavor, anomaly, failure_spec, cfg, lambda, run_rng)
+    });
     let mut db = Dataset::new(FEATURE_NAMES);
     for (features, rttf) in batches.into_iter().flatten() {
         db.push(features, rttf);

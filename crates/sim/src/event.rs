@@ -7,10 +7,8 @@
 //! ordered by time alone cannot provide (order among equal keys is
 //! unspecified). Cancellation is O(1): the event's slot is invalidated by
 //! bumping its generation, and the orphaned heap entry is skipped lazily on
-//! pop. No hashing happens anywhere on the schedule/cancel/pop path — the
-//! seed implementation's two per-operation `HashSet`s are replaced by direct
-//! slot indexing (the seed code survives as [`crate::legacy::EventQueue`]
-//! for differential tests and benchmark baselines).
+//! pop. No hashing happens anywhere on the schedule/cancel/pop path: slots
+//! are indexed directly.
 //!
 //! The 4-ary layout halves the tree depth of a binary heap, and the heap is
 //! stored struct-of-arrays with `(time, seq)` packed into one 16-byte

@@ -20,8 +20,6 @@
 //!   generation-tagged slot arena, with a monotonic sequence tie-breaker so
 //!   simultaneous events fire in schedule order and O(1) hash-free
 //!   cancellation.
-//! * [`legacy`] — the seed's `BinaryHeap`+`HashSet` event queue, kept as a
-//!   differential-test model and benchmark baseline.
 //! * [`sim`] — the [`Simulator`] driver: schedule closures or
 //!   typed events, run until quiescence or a deadline.
 //! * [`shard`] — era-synchronized sharded execution: the world split into
@@ -40,7 +38,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod event;
-pub mod legacy;
 pub mod rng;
 pub mod series;
 pub mod shard;

@@ -148,7 +148,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Differential properties: the arena event queue vs two independent models.
+// Differential property: the arena event queue vs an independent model.
 // ---------------------------------------------------------------------------
 
 /// One step of a random event-queue workload.
@@ -243,10 +243,9 @@ proptest! {
                 QueueOp::Pop => {
                     let a = arena.pop();
                     let b = naive.pop();
+                    // Handles of fired events stay held, so later
+                    // cancels also try stale ones (both must refuse).
                     prop_assert_eq!(a, b, "pop diverged");
-                    if let Some((_, gone)) = a {
-                        handles.retain(|(_, s)| *s != gone);
-                    }
                 }
                 QueueOp::Clear => {
                     arena.clear();
@@ -264,42 +263,6 @@ proptest! {
             if a.is_none() {
                 break;
             }
-        }
-    }
-
-    #[test]
-    fn arena_queue_matches_seed_implementation(
-        ops in proptest::collection::vec(op_strategy(), 1..400),
-    ) {
-        let mut arena = EventQueue::new();
-        let mut seed = acm_sim::legacy::EventQueue::new();
-        let mut handles: Vec<(acm_sim::EventId, acm_sim::legacy::EventId)> = Vec::new();
-        let mut payload = 0u64;
-        for op in ops {
-            match op {
-                QueueOp::Schedule(at) => {
-                    let at = SimTime::from_micros(at);
-                    handles.push((arena.schedule(at, payload), seed.schedule(at, payload)));
-                    payload += 1;
-                }
-                QueueOp::Cancel(k) => {
-                    if !handles.is_empty() {
-                        let (a, b) = handles.remove(k % handles.len());
-                        prop_assert_eq!(arena.cancel(a), seed.cancel(b));
-                    }
-                }
-                QueueOp::Pop => {
-                    let (a, b) = (arena.pop(), seed.pop());
-                    prop_assert_eq!(a, b, "pop diverged from seed queue");
-                }
-                QueueOp::Clear => {
-                    arena.clear();
-                    seed.clear();
-                    handles.clear();
-                }
-            }
-            prop_assert_eq!(arena.len(), seed.len());
-            prop_assert_eq!(arena.peek_time(), seed.peek_time());
         }
     }
 }

@@ -28,24 +28,20 @@ fn parallel_execution_is_byte_identical_to_sequential() {
     // aggregate and the full telemetry JSONL export must not change by a
     // single byte between ACM_THREADS=1 (pure sequential path) and a
     // 4-thread pool.
-    use rayon::prelude::*;
     let sweep = || {
-        let per_seed: Vec<(f64, f64, f64)> = (0..4u64)
-            .into_par_iter()
-            .map(|seed| {
-                let mut cfg =
-                    ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 1000 + seed);
-                cfg.predictor = PredictorChoice::Oracle;
-                cfg.eras = 30;
-                let tel = run_experiment(&cfg);
-                let w = tel.eras() / 3;
-                (
-                    tel.rmttf_spread(w),
-                    tel.fraction_oscillation(w),
-                    tel.tail_response(w),
-                )
-            })
-            .collect();
+        let per_seed: Vec<(f64, f64, f64)> = acm::exec::map_collect((0..4u64).collect(), |seed| {
+            let mut cfg =
+                ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 1000 + seed);
+            cfg.predictor = PredictorChoice::Oracle;
+            cfg.eras = 30;
+            let tel = run_experiment(&cfg);
+            let w = tel.eras() / 3;
+            (
+                tel.rmttf_spread(w),
+                tel.fraction_oscillation(w),
+                tel.tail_response(w),
+            )
+        });
         let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::Exploration, 77);
         cfg.predictor = PredictorChoice::Oracle;
         cfg.eras = 20;
