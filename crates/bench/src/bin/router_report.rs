@@ -248,6 +248,9 @@ fn width_scenario(report: &mut Report, gate: bool) {
             1 => {
                 wall_1t = out.wall_s;
                 report.push("plane_decisions", out.decisions() as f64);
+                // Deepest shard queue: in-flight requests, not the
+                // ~24 k-arrival era window.
+                report.push("plane_peak_pending", out.peak_pending as f64);
                 digest_1t = out.digests;
             }
             _ => {

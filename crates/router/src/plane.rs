@@ -115,6 +115,14 @@ pub struct PlaneOutcome {
     pub wall_s: f64,
     /// Event-queue arena slots recycled across eras (all shards).
     pub arena_reuse: u64,
+    /// Events popped off the shards' queues — the completions.
+    pub queue_pops: u64,
+    /// Arrivals streamed past the queues; `queue_pops + arrivals_streamed
+    /// == executed`.
+    pub arrivals_streamed: u64,
+    /// Deepest any shard's event queue got (live events). The queues hold
+    /// in-flight requests only, never a whole era's window.
+    pub peak_pending: usize,
     /// Per-shard digests in shard-index order — byte-compare these
     /// across thread widths.
     pub digests: Vec<ShardDigest>,
@@ -248,33 +256,31 @@ pub fn run_routed_plane(cfg: &RoutedPlaneConfig) -> PlaneOutcome {
                 .world
                 .arrivals
                 .fill_window(era_start, era_end, &mut buf);
-            for &at in &buf {
-                shard.sim.schedule_at(at, move |s| {
-                    s.world.accepted += 1;
-                    // The tentpole path: this request — not a bulk
-                    // era-grain share — picks its region right now.
-                    let region = s.world.router.route();
-                    let to = NodeId(1_000_000 + region as u32);
-                    match s.world.chaos.message_fate(s.now(), from, to) {
-                        MessageFate::Drop => s.world.dropped += 1,
-                        MessageFate::Deliver { extra_delay } => {
-                            s.world.chaos_delay_us += extra_delay.as_micros();
-                            let mean = s.world.service_mean_s[region];
-                            let svc =
-                                Duration::from_secs_f64(s.world.service.exponential(1.0 / mean));
-                            let latency = svc + extra_delay;
-                            s.schedule_at(s.now() + latency, move |s| {
-                                s.world.completed += 1;
-                                if s.world.latency_feedback {
-                                    s.world.router.record_latency(region, latency);
-                                }
-                            });
-                        }
+            // The window is already sorted: it is merged with the
+            // queue, which then holds in-flight completions only.
+            shard.sim.run_until_with_arrivals(&buf, era_end, |s| {
+                s.world.accepted += 1;
+                // The tentpole path: this request — not a bulk
+                // era-grain share — picks its region right now.
+                let region = s.world.router.route();
+                let to = NodeId(1_000_000 + region as u32);
+                match s.world.chaos.message_fate(s.now(), from, to) {
+                    MessageFate::Drop => s.world.dropped += 1,
+                    MessageFate::Deliver { extra_delay } => {
+                        s.world.chaos_delay_us += extra_delay.as_micros();
+                        let mean = s.world.service_mean_s[region];
+                        let svc = Duration::from_secs_f64(s.world.service.exponential(1.0 / mean));
+                        let latency = svc + extra_delay;
+                        s.schedule_at(s.now() + latency, move |s| {
+                            s.world.completed += 1;
+                            if s.world.latency_feedback {
+                                s.world.router.record_latency(region, latency);
+                            }
+                        });
                     }
-                });
-            }
+                }
+            });
             shard.sim.world.buf = buf;
-            shard.sim.run_until(era_end);
         });
     }
     // Drain stragglers (completions scheduled past the last era end).
@@ -291,6 +297,14 @@ pub fn run_routed_plane(cfg: &RoutedPlaneConfig) -> PlaneOutcome {
         executed: world.total_executed(),
         wall_s,
         arena_reuse: obs.counter("acm.sim.queue.arena_reuse").value(),
+        queue_pops: obs.counter("acm.sim.queue.pop").value(),
+        arrivals_streamed: obs.counter("acm.sim.arrivals.streamed").value(),
+        peak_pending: world
+            .shards()
+            .iter()
+            .map(|s| s.sim.peak_pending())
+            .max()
+            .unwrap_or(0),
         digests: world
             .shards()
             .iter()
@@ -337,6 +351,27 @@ mod tests {
         acm_exec::configure_threads(before);
         assert_eq!(one.digests, four.digests, "plane depends on thread width");
         assert!(one.decisions() > 0);
+    }
+
+    #[test]
+    fn queues_hold_in_flight_requests_not_the_era_window() {
+        let cfg = small_cfg();
+        let out = run_routed_plane(&cfg);
+        let shard_era = out.decisions() / (cfg.eras * cfg.shards as u64);
+        assert!(
+            (out.peak_pending as u64) * 2 < shard_era,
+            "queue depth {} against {shard_era} arrivals per shard-era",
+            out.peak_pending
+        );
+    }
+
+    #[test]
+    fn executed_reconciles_with_pops_and_streamed_arrivals() {
+        let out = run_routed_plane(&small_cfg());
+        let completed: u64 = out.digests.iter().map(|d| d.completed).sum();
+        assert_eq!(out.arrivals_streamed, out.decisions());
+        assert_eq!(out.queue_pops, completed);
+        assert_eq!(out.queue_pops + out.arrivals_streamed, out.executed);
     }
 
     #[test]

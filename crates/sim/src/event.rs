@@ -15,6 +15,13 @@
 //! integer key: the four children a sift step compares share a single cache
 //! line, which benches measurably faster for the push/pop mix the simulator
 //! produces.
+//!
+//! A heap is the wrong container for input that is already sorted, so the
+//! queue also lets a caller *merge* such a stream with it instead of
+//! scheduling it: [`EventQueue::reserve_seqs`] hands the stream a block of
+//! sequence numbers and [`EventQueue::pop_before`] pops only what orders
+//! ahead of the stream's next entry. [`crate::sim`] builds its run loop on
+//! the pair.
 
 use crate::time::SimTime;
 
@@ -173,7 +180,41 @@ impl<T> EventQueue<T> {
 
     /// Removes and returns the earliest live event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        while let Some((key, meta)) = self.pop_min() {
+        // No real key reaches the bound: sequence numbers never get to
+        // `u64::MAX`.
+        self.pop_below(u128::MAX)
+    }
+
+    /// Removes and returns the earliest live event only if it orders
+    /// strictly before `(at, seq)`; a later head stays pending. Tombstones
+    /// of cancelled events ahead of the bound are discarded on the way,
+    /// as [`peek_time`] does. This is the merge step of a run loop that
+    /// interleaves the queue with a sorted stream whose entries hold
+    /// reserved sequence numbers ([`reserve_seqs`]).
+    ///
+    /// [`peek_time`]: EventQueue::peek_time
+    /// [`reserve_seqs`]: EventQueue::reserve_seqs
+    pub fn pop_before(&mut self, at: SimTime, seq: u64) -> Option<(SimTime, T)> {
+        self.pop_below(pack_key(at, seq))
+    }
+
+    /// Reserves `n` consecutive sequence numbers and returns the first.
+    /// An entry of a sorted stream that is merged with the queue instead
+    /// of scheduled into it takes one of these, so it ties with queued
+    /// events exactly as if it had been scheduled at the moment of the
+    /// reservation: after everything scheduled before, ahead of
+    /// everything scheduled later.
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    /// Pops the earliest live event whose packed key is below `bound`.
+    #[inline]
+    fn pop_below(&mut self, bound: u128) -> Option<(SimTime, T)> {
+        while self.keys.first().is_some_and(|&key| key < bound) {
+            let (key, meta) = self.pop_min().expect("the heap has a head");
             let s = &mut self.slots[meta.slot as usize];
             if s.gen != meta.gen {
                 continue; // tombstone of a cancelled event
@@ -383,6 +424,43 @@ mod tests {
         q.cancel(a);
         assert_eq!(q.peek_time(), Some(t(4)));
         assert_eq!(q.pop(), Some((t(4), "b")));
+    }
+
+    #[test]
+    fn pop_before_stops_at_the_bound() {
+        let mut q = EventQueue::new();
+        q.schedule(t(1), "a"); // seq 0
+        q.schedule(t(2), "b"); // seq 1
+        q.schedule(t(3), "c"); // seq 2
+        assert_eq!(q.pop_before(t(1), 0), None, "the bound is exclusive");
+        assert_eq!(q.pop_before(t(2), 1), Some((t(1), "a")));
+        assert_eq!(q.pop_before(t(2), 1), None);
+        assert_eq!(q.pop_before(t(2), 2), Some((t(2), "b")));
+        assert_eq!(q.len(), 1, "the later head stays pending");
+        assert_eq!(q.pop(), Some((t(3), "c")));
+    }
+
+    #[test]
+    fn pop_before_skips_cancelled_heads() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(1), "a");
+        q.schedule(t(2), "b");
+        q.cancel(a);
+        assert_eq!(q.pop_before(t(5), 0), Some((t(2), "b")));
+        assert_eq!(q.pop_before(t(5), 0), None);
+    }
+
+    #[test]
+    fn reserved_seqs_sit_between_earlier_and_later_schedules() {
+        let mut q = EventQueue::new();
+        q.schedule(t(5), "before");
+        let first = q.reserve_seqs(2);
+        q.schedule(t(5), "after");
+        // Same instant: only what was scheduled before the reservation
+        // orders ahead of the block, and nothing of it ahead of itself.
+        assert_eq!(q.pop_before(t(5), first), Some((t(5), "before")));
+        assert_eq!(q.pop_before(t(5), first + 1), None);
+        assert_eq!(q.pop(), Some((t(5), "after")));
     }
 
     #[test]

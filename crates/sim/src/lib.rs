@@ -20,8 +20,11 @@
 //!   generation-tagged slot arena, with a monotonic sequence tie-breaker so
 //!   simultaneous events fire in schedule order and O(1) hash-free
 //!   cancellation.
-//! * [`sim`] — the [`Simulator`] driver: schedule closures or
-//!   typed events, run until quiescence or a deadline.
+//! * [`sim`] — the [`Simulator`] driver: schedule closures, run until
+//!   quiescence or a deadline. The one run loop merges the queue with a
+//!   sorted stream of arrival instants
+//!   ([`Simulator::run_until_with_arrivals`]), so an open-loop source
+//!   never boxes a window of requests into the heap.
 //! * [`shard`] — era-synchronized sharded execution: the world split into
 //!   contiguous [`Shard`]s (private event queue + pre-split RNG each)
 //!   advanced concurrently on the `acm-exec` pool and merged in index

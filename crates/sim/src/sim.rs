@@ -8,6 +8,12 @@
 //!
 //! Execution is strictly deterministic: time never goes backwards, and
 //! simultaneous events run in scheduling order (see [`crate::event`]).
+//!
+//! There is one run loop, [`Simulator::run_until_with_arrivals`]: it merges
+//! the queue with a sorted slice of arrival instants that share one
+//! handler, so an open-loop source feeds the simulator a window of
+//! requests without a boxed closure, an arena slot or a heap entry per
+//! request. [`Simulator::run_until`] is the same loop over an empty slice.
 
 use crate::event::{EventId, EventQueue};
 use crate::time::{Duration, SimTime};
@@ -54,10 +60,17 @@ pub struct Simulator<W> {
     /// chain a register increment, not an atomic RMW per event.
     pending_push: u64,
     pending_pop: u64,
+    /// Arrivals fired straight from a caller's slice
+    /// ([`Simulator::run_until_with_arrivals`]): executed events that were
+    /// never pushed or popped.
+    pending_streamed: u64,
+    /// High-water mark of live pending events.
+    peak_pending: usize,
     /// Queue instrumentation; inert until [`Simulator::set_obs`] resolves
     /// live handles. Values lag the hot path until the next flush.
     ctr_push: Counter,
     ctr_pop: Counter,
+    ctr_streamed: Counter,
     /// Arena-reuse tally already published, so flushes emit deltas of the
     /// queue's cumulative [`EventQueue::reused_slots`] figure.
     reuse_flushed: u64,
@@ -74,39 +87,46 @@ impl<W> Simulator<W> {
             executed: 0,
             pending_push: 0,
             pending_pop: 0,
+            pending_streamed: 0,
+            peak_pending: 0,
             ctr_push: Counter::default(),
             ctr_pop: Counter::default(),
+            ctr_streamed: Counter::default(),
             reuse_flushed: 0,
             ctr_arena_reuse: Counter::default(),
         }
     }
 
     /// Attaches observability: counts queue pushes (`acm.sim.queue.push`),
-    /// pops (`acm.sim.queue.pop`) and arena-slot reuse
-    /// (`acm.sim.queue.arena_reuse` — allocations the clear-and-reuse
-    /// arena saved). Metrics never feed back into the model, so attaching
-    /// this cannot perturb determinism. Tallies batched before the call
-    /// are flushed to the previous handles first.
+    /// pops (`acm.sim.queue.pop`), arrivals streamed past the queue
+    /// (`acm.sim.arrivals.streamed`; pops + streamed = [`executed`]) and
+    /// arena-slot reuse (`acm.sim.queue.arena_reuse` — allocations the
+    /// clear-and-reuse arena saved). Metrics never feed back into the
+    /// model, so attaching this cannot perturb determinism. Tallies
+    /// batched before the call are flushed to the previous handles first.
+    ///
+    /// [`executed`]: Simulator::executed
     pub fn set_obs(&mut self, obs: &ObsHandle) {
         self.flush_obs();
         self.ctr_push = obs.counter("acm.sim.queue.push");
         self.ctr_pop = obs.counter("acm.sim.queue.pop");
+        self.ctr_streamed = obs.counter("acm.sim.arrivals.streamed");
         self.ctr_arena_reuse = obs.counter("acm.sim.queue.arena_reuse");
     }
 
-    /// Publishes the batched push/pop tallies to the attached counters.
-    /// Runs automatically when [`Simulator::step`], [`Simulator::run_until`]
-    /// or [`Simulator::run_to_completion`] returns; call it manually only
-    /// if counters are read while handlers are mid-flight.
+    /// Publishes the batched push/pop/streamed tallies to the attached
+    /// counters. Runs automatically when [`Simulator::step`] or any of the
+    /// run methods returns; call it manually only if counters are read
+    /// while handlers are mid-flight.
     pub fn flush_obs(&mut self) {
-        if self.pending_push > 0 {
-            self.ctr_push.add(self.pending_push);
-            self.pending_push = 0;
+        fn publish(ctr: &Counter, pending: &mut u64) {
+            if *pending > 0 {
+                ctr.add(std::mem::take(pending));
+            }
         }
-        if self.pending_pop > 0 {
-            self.ctr_pop.add(self.pending_pop);
-            self.pending_pop = 0;
-        }
+        publish(&self.ctr_push, &mut self.pending_push);
+        publish(&self.ctr_pop, &mut self.pending_pop);
+        publish(&self.ctr_streamed, &mut self.pending_streamed);
         let reused = self.queue.reused_slots();
         if reused > self.reuse_flushed {
             self.ctr_arena_reuse.add(reused - self.reuse_flushed);
@@ -129,6 +149,12 @@ impl<W> Simulator<W> {
         self.queue.len()
     }
 
+    /// The most live events that were ever pending at once — how deep the
+    /// queue really got, whatever the wall clock says.
+    pub fn peak_pending(&self) -> usize {
+        self.peak_pending
+    }
+
     /// Schedules `handler` to run at the absolute instant `at`.
     ///
     /// Panics if `at` is in the past — the model must never rewind time.
@@ -142,8 +168,7 @@ impl<W> Simulator<W> {
             "cannot schedule into the past ({at} < {})",
             self.now
         );
-        self.pending_push += 1;
-        self.queue.schedule(at, Box::new(handler))
+        self.push(at, Box::new(handler))
     }
 
     /// Schedules `handler` to run after `delay`.
@@ -152,9 +177,15 @@ impl<W> Simulator<W> {
         delay: Duration,
         handler: impl FnOnce(&mut Simulator<W>) + Send + 'static,
     ) -> EventId {
-        let at = self.now + delay;
+        self.push(self.now + delay, Box::new(handler))
+    }
+
+    #[inline]
+    fn push(&mut self, at: SimTime, handler: Handler<W>) -> EventId {
         self.pending_push += 1;
-        self.queue.schedule(at, Box::new(handler))
+        let id = self.queue.schedule(at, handler);
+        self.peak_pending = self.peak_pending.max(self.queue.len());
+        id
     }
 
     /// Cancels a pending event. Returns `true` if it had not yet fired.
@@ -175,14 +206,28 @@ impl<W> Simulator<W> {
     fn step_inner(&mut self) -> bool {
         match self.queue.pop() {
             Some((at, handler)) => {
-                debug_assert!(at >= self.now);
-                self.now = at;
-                self.executed += 1;
-                self.pending_pop += 1;
-                handler(self);
+                self.fire(at, handler);
                 true
             }
             None => false,
+        }
+    }
+
+    /// Executes one popped event.
+    #[inline]
+    fn fire(&mut self, at: SimTime, handler: Handler<W>) {
+        debug_assert!(at >= self.now);
+        self.now = at;
+        self.executed += 1;
+        self.pending_pop += 1;
+        handler(self);
+    }
+
+    /// Executes every pending event that orders before `(at, seq)`.
+    #[inline]
+    fn run_before(&mut self, at: SimTime, seq: u64) {
+        while let Some((t, handler)) = self.queue.pop_before(at, seq) {
+            self.fire(t, handler);
         }
     }
 
@@ -192,20 +237,61 @@ impl<W> Simulator<W> {
     /// strictly after it is left pending and the clock is advanced to
     /// `deadline` so a subsequent `run_until` resumes cleanly.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        let outcome = loop {
-            match self.queue.peek_time() {
-                None => {
-                    self.now = self.now.max(deadline);
-                    break RunOutcome::Quiescent;
-                }
-                Some(at) if at > deadline => {
-                    self.now = deadline;
-                    break RunOutcome::DeadlineReached;
-                }
-                Some(_) => {
-                    self.step_inner();
-                }
-            }
+        self.run_until_with_arrivals(&[], deadline, |_| {})
+    }
+
+    /// [`run_until`] with a window of arrivals merged in: `on_arrival`
+    /// fires once at each instant of `arrivals`, interleaved with the
+    /// pending events in time order.
+    ///
+    /// Observably identical to `for &at in arrivals { self.schedule_at(at,
+    /// on_arrival) }` followed by `self.run_until(deadline)` — same firing
+    /// order, same [`executed`], same clock — but nothing is boxed or
+    /// queued per arrival. Arrival `k` holds the sequence number that
+    /// `schedule_at` would have given it, so every tie breaks the same
+    /// way: at one instant, events pending before the call fire first,
+    /// then the arrivals in slice order, then events scheduled during the
+    /// call.
+    ///
+    /// `arrivals` must ascend from no earlier than [`now`] to no later
+    /// than `deadline` (an arrival at `deadline` fires). Panics otherwise:
+    /// an arrival the clock has passed cannot be scheduled, and one past
+    /// the deadline has no queue to wait in.
+    ///
+    /// [`run_until`]: Simulator::run_until
+    /// [`executed`]: Simulator::executed
+    /// [`now`]: Simulator::now
+    pub fn run_until_with_arrivals(
+        &mut self,
+        arrivals: &[SimTime],
+        deadline: SimTime,
+        mut on_arrival: impl FnMut(&mut Simulator<W>),
+    ) -> RunOutcome {
+        let first_seq = self.queue.reserve_seqs(arrivals.len() as u64);
+        for (seq, &at) in (first_seq..).zip(arrivals) {
+            assert!(
+                at >= self.now,
+                "cannot schedule into the past ({at} < {})",
+                self.now
+            );
+            assert!(
+                at <= deadline,
+                "arrival at {at} is past the deadline {deadline}"
+            );
+            self.run_before(at, seq);
+            self.now = at;
+            self.executed += 1;
+            self.pending_streamed += 1;
+            on_arrival(self);
+        }
+        // Every sequence number in use orders before `u64::MAX`.
+        self.run_before(deadline, u64::MAX);
+        let outcome = if self.queue.is_empty() {
+            self.now = self.now.max(deadline);
+            RunOutcome::Quiescent
+        } else {
+            self.now = deadline;
+            RunOutcome::DeadlineReached
         };
         self.flush_obs();
         outcome
@@ -374,6 +460,31 @@ mod tests {
         sim.run_to_completion(100);
         assert_eq!(obs.counter("acm.sim.queue.push").value(), 5);
         assert_eq!(obs.counter("acm.sim.queue.pop").value(), 5);
+        assert_eq!(obs.counter("acm.sim.arrivals.streamed").value(), 0);
+        // Streamed arrivals are executed without a push or a pop; the
+        // follow-up each one schedules goes through the queue as usual.
+        sim.run_until_with_arrivals(&[t(6), t(7), t(7)], t(9), |s| {
+            s.schedule_in(Duration::from_secs(1), |s| s.world.counter += 1);
+        });
+        let pops = obs.counter("acm.sim.queue.pop").value();
+        let streamed = obs.counter("acm.sim.arrivals.streamed").value();
+        assert_eq!(obs.counter("acm.sim.queue.push").value(), 8);
+        assert_eq!((pops, streamed), (8, 3));
+        assert_eq!(pops + streamed, sim.executed());
+        assert_eq!(sim.world.counter, 8);
+    }
+
+    #[test]
+    fn peak_pending_is_the_high_water_of_live_events() {
+        let mut sim = Simulator::new(World::default());
+        let a = sim.schedule_at(t(1), |_| {});
+        sim.schedule_at(t(2), |_| {});
+        sim.cancel(a);
+        sim.schedule_at(t(3), |_| {});
+        assert_eq!(sim.peak_pending(), 2, "a cancelled event is not live");
+        sim.run_to_completion(10);
+        sim.schedule_at(t(4), |_| {});
+        assert_eq!(sim.peak_pending(), 2, "the mark never falls");
     }
 
     #[test]

@@ -266,3 +266,225 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Differential property: streamed arrivals vs the same arrivals scheduled
+// one boxed closure at a time (the form `run_until_with_arrivals` replaced,
+// kept here as the oracle).
+// ---------------------------------------------------------------------------
+
+use acm_sim::sim::RunOutcome;
+use acm_sim::{EventId, Simulator};
+
+/// Arrival instants, follow-up delays and era bounds are all multiples of
+/// this, so equal-instant ties are the common case, not the corner case.
+const GRID_US: u64 = 250;
+/// Grid steps per era.
+const ERA_STEPS: u64 = 10;
+
+/// What fired: `(now µs, is_arrival, tag)`; cancellations log their target
+/// and outcome the same way.
+type Log = Vec<(u64, bool, u64)>;
+
+struct EraWorld {
+    rng: SimRng,
+    log: Log,
+    /// Handles of follow-ups, fired or not, for later cancellation.
+    held: Vec<EventId>,
+    next_tag: u64,
+}
+
+/// One handler body for arrivals and follow-ups alike: log, maybe cancel a
+/// held event, schedule up to two follow-ups 0–12 grid steps ahead (same
+/// instant, a later arrival's instant, or a later era). Every choice comes
+/// from the world's RNG, so any difference in firing order also derails
+/// everything after it.
+fn act(s: &mut Simulator<EraWorld>, is_arrival: bool, tag: u64, depth: u32) {
+    let now = s.now().as_micros();
+    s.world.log.push((now, is_arrival, tag));
+    if !s.world.held.is_empty() && s.world.rng.bernoulli(0.3) {
+        let k = s.world.rng.index(s.world.held.len());
+        let id = s.world.held.swap_remove(k);
+        let hit = s.cancel(id);
+        s.world.log.push((now, hit, u64::MAX));
+    }
+    if depth < 3 {
+        for _ in 0..s.world.rng.index(3) {
+            let delay = Duration::from_micros(GRID_US * s.world.rng.index(13) as u64);
+            let tag = s.world.next_tag;
+            s.world.next_tag += 1;
+            let id = s.schedule_in(delay, move |s| act(s, false, tag, depth + 1));
+            s.world.held.push(id);
+        }
+    }
+}
+
+/// What is compared after every era.
+type EraState = (RunOutcome, u64, SimTime, usize, Log);
+
+/// Runs the eras (each a list of grid offsets into the era, deadline
+/// included) and a final drain, feeding each window through `feed`.
+fn run_eras(
+    seed: u64,
+    eras: &[Vec<u64>],
+    feed: impl Fn(&mut Simulator<EraWorld>, &[SimTime], SimTime, u64) -> RunOutcome,
+) -> Vec<EraState> {
+    let mut sim = Simulator::new(EraWorld {
+        rng: SimRng::new(seed),
+        log: Vec::new(),
+        held: Vec::new(),
+        next_tag: 0,
+    });
+    let era_us = GRID_US * ERA_STEPS;
+    let snapshot = |sim: &mut Simulator<EraWorld>, outcome| {
+        let log = std::mem::take(&mut sim.world.log);
+        (outcome, sim.executed(), sim.now(), sim.pending(), log)
+    };
+    let mut states = Vec::new();
+    let mut first_tag = 0;
+    for (e, offsets) in eras.iter().enumerate() {
+        let start = e as u64 * era_us;
+        let mut window: Vec<SimTime> = offsets
+            .iter()
+            .map(|o| SimTime::from_micros(start + o * GRID_US))
+            .collect();
+        window.sort();
+        let deadline = SimTime::from_micros(start + era_us);
+        let outcome = feed(&mut sim, &window, deadline, first_tag);
+        first_tag += window.len() as u64;
+        states.push(snapshot(&mut sim, outcome));
+    }
+    let outcome = sim.run_until(SimTime::from_micros((eras.len() as u64 + 4) * era_us));
+    states.push(snapshot(&mut sim, outcome));
+    states
+}
+
+proptest! {
+    #[test]
+    fn streamed_arrivals_match_scheduled_arrivals(
+        seed in any::<u64>(),
+        eras in proptest::collection::vec(
+            proptest::collection::vec(0u64..=ERA_STEPS, 0..14),
+            2..6,
+        ),
+    ) {
+        let scheduled = run_eras(seed, &eras, |sim, window, deadline, first_tag| {
+            for (k, &at) in window.iter().enumerate() {
+                let tag = first_tag + k as u64;
+                sim.schedule_at(at, move |s| act(s, true, tag, 0));
+            }
+            sim.run_until(deadline)
+        });
+        let streamed = run_eras(seed, &eras, |sim, window, deadline, first_tag| {
+            let mut tag = first_tag;
+            sim.run_until_with_arrivals(window, deadline, |s| {
+                act(s, true, tag, 0);
+                tag += 1;
+            })
+        });
+        for (era, (a, b)) in scheduled.iter().zip(&streamed).enumerate() {
+            prop_assert_eq!(a, b, "era {} diverged:\n scheduled {:?}\n streamed  {:?}", era, a, b);
+        }
+    }
+}
+
+/// A world that logs tags in firing order.
+fn tag_sim() -> Simulator<Vec<&'static str>> {
+    Simulator::new(Vec::new())
+}
+
+fn us(micros: u64) -> SimTime {
+    SimTime::from_micros(micros)
+}
+
+#[test]
+fn event_pending_from_an_earlier_call_fires_before_the_arrival_at_its_instant() {
+    let mut sim = tag_sim();
+    sim.run_until_with_arrivals(&[us(10)], us(50), |s| {
+        s.schedule_at(us(70), |s| s.world.push("carried over"));
+    });
+    sim.run_until_with_arrivals(&[us(70)], us(100), |s| s.world.push("arrival"));
+    assert_eq!(sim.world, ["carried over", "arrival"]);
+}
+
+#[test]
+fn event_scheduled_during_the_call_fires_after_the_arrival_at_its_instant() {
+    let mut sim = tag_sim();
+    let mut k = 0;
+    sim.run_until_with_arrivals(&[us(10), us(20)], us(50), |s| {
+        k += 1;
+        if k == 1 {
+            s.schedule_at(us(20), |s| s.world.push("follow-up"));
+        } else {
+            s.world.push("second arrival");
+        }
+    });
+    assert_eq!(sim.world, ["second arrival", "follow-up"]);
+}
+
+#[test]
+fn equal_instant_arrivals_fire_in_slice_order_ahead_of_their_follow_ups() {
+    let mut sim = Simulator::new(Vec::new());
+    let mut k = 0u32;
+    sim.run_until_with_arrivals(&[us(5); 3], us(5), |s| {
+        let me = k;
+        k += 1;
+        s.world.push(me);
+        s.schedule_in(Duration::ZERO, move |s| s.world.push(10 + me));
+    });
+    assert_eq!(sim.world, [0, 1, 2, 10, 11, 12]);
+    assert_eq!(sim.executed(), 6);
+}
+
+#[test]
+fn arrival_at_the_deadline_fires() {
+    let mut sim = tag_sim();
+    let outcome = sim.run_until_with_arrivals(&[us(50)], us(50), |s| s.world.push("edge"));
+    assert_eq!(sim.world, ["edge"]);
+    assert_eq!((outcome, sim.now()), (RunOutcome::Quiescent, us(50)));
+}
+
+#[test]
+#[should_panic(expected = "past the deadline")]
+fn arrival_past_the_deadline_panics() {
+    tag_sim().run_until_with_arrivals(&[us(10), us(51)], us(50), |_| {});
+}
+
+#[test]
+#[should_panic(expected = "cannot schedule into the past")]
+fn unsorted_arrivals_panic() {
+    tag_sim().run_until_with_arrivals(&[us(20), us(10)], us(50), |_| {});
+}
+
+#[test]
+#[should_panic(expected = "cannot schedule into the past")]
+fn stale_arrivals_panic() {
+    let mut sim = tag_sim();
+    sim.run_until(us(30));
+    sim.run_until_with_arrivals(&[us(20)], us(50), |_| {});
+}
+
+#[test]
+fn empty_slice_is_run_until() {
+    let build = || {
+        let mut sim = tag_sim();
+        sim.schedule_at(us(10), |s| s.world.push("a"));
+        let gone = sim.schedule_at(us(20), |s| s.world.push("cancelled"));
+        sim.schedule_at(us(30), |s| s.world.push("b"));
+        sim.schedule_at(us(31), |s| s.world.push("late"));
+        sim.cancel(gone);
+        sim
+    };
+    let (mut plain, mut streamed) = (build(), build());
+    for deadline in [us(30), us(100)] {
+        let a = plain.run_until(deadline);
+        let b = streamed.run_until_with_arrivals(&[], deadline, |_| unreachable!());
+        assert_eq!(a, b);
+        assert_eq!(plain.world, streamed.world);
+        assert_eq!(
+            (plain.now(), plain.executed(), plain.pending()),
+            (streamed.now(), streamed.executed(), streamed.pending())
+        );
+    }
+    assert_eq!(plain.world, ["a", "b", "late"]);
+}

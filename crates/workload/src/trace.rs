@@ -270,11 +270,19 @@ impl OpenLoopArrivals {
         &self.profile
     }
 
-    /// Clears `out` and fills it with the arrivals in `[from, to)`,
-    /// reusing the buffer's allocation across eras. Windows must be
-    /// consumed in ascending, non-overlapping order (candidates are
-    /// generated once and never rewound); arrivals falling into a skipped
-    /// gap are dropped.
+    /// Clears `out` and fills it with the arrivals whose candidate
+    /// instant lies in `[from, to)`, reusing the buffer's allocation
+    /// across eras. Windows must be consumed in ascending, non-overlapping
+    /// order (candidates are generated once and never rewound); arrivals
+    /// falling into a skipped gap are dropped.
+    ///
+    /// The instants pushed are the candidates rounded to the nearest
+    /// microsecond, so one just below `to` can land exactly on `to`. What
+    /// holds is: `out` ascends, `from <= at <= to` for every entry, and
+    /// consecutive windows never step back (the last of one is `<=` the
+    /// first of the next). A consumer running a window to its end must
+    /// therefore include the end instant, as
+    /// `Simulator::run_until_with_arrivals` does.
     pub fn fill_window(&mut self, from: SimTime, to: SimTime, out: &mut Vec<SimTime>) {
         out.clear();
         let from_s = from.as_secs_f64();
@@ -458,6 +466,37 @@ mod tests {
             }
             assert_eq!(got, whole.arrivals(), "windows {windows:?}");
         }
+    }
+
+    #[test]
+    fn windows_ascend_within_inclusive_bounds_and_never_step_back() {
+        // A rate high enough that candidates within half a microsecond of
+        // a window end do occur over these seeds.
+        let p = RateProfile::Constant(20_000.0);
+        let mut on_the_end = 0;
+        for seed in 0..40u64 {
+            for splits in [&[1_000_000u64][..], &[1, 7, 250_000, 333_333, 416_659]] {
+                let mut gen = OpenLoopArrivals::new(p.clone(), SimRng::new(seed));
+                let mut buf = Vec::new();
+                let mut from = SimTime::ZERO;
+                let mut last = SimTime::ZERO;
+                for w in splits {
+                    let to = from + Duration::from_micros(*w);
+                    gen.fill_window(from, to, &mut buf);
+                    for &at in &buf {
+                        assert!(at >= last, "seed {seed}: {at} after {last}");
+                        assert!(
+                            from <= at && at <= to,
+                            "seed {seed}: {at} outside [{from}, {to}]"
+                        );
+                        last = at;
+                    }
+                    on_the_end += buf.iter().filter(|at| **at == to).count();
+                    from = to;
+                }
+            }
+        }
+        assert!(on_the_end > 0, "no arrival rounded onto a window end");
     }
 
     #[test]

@@ -201,21 +201,18 @@ fn data_plane_digest(shards: usize) -> Vec<(u64, u64, u64)> {
                 .world
                 .arrivals
                 .fill_window(era_start, era_end, &mut buf);
-            for &at in &buf {
-                shard.sim.schedule_at(at, move |s| {
-                    s.world.accepted += 1;
-                    match s.world.chaos.message_fate(s.now(), from, to) {
-                        MessageFate::Drop => s.world.dropped += 1,
-                        MessageFate::Deliver { extra_delay } => {
-                            let svc = Duration::from_secs_f64(s.world.service.exponential(0.3));
-                            s.schedule_at(s.now() + svc + extra_delay, |s| {
-                                s.world.completed += 1;
-                            });
-                        }
+            shard.sim.run_until_with_arrivals(&buf, era_end, |s| {
+                s.world.accepted += 1;
+                match s.world.chaos.message_fate(s.now(), from, to) {
+                    MessageFate::Drop => s.world.dropped += 1,
+                    MessageFate::Deliver { extra_delay } => {
+                        let svc = Duration::from_secs_f64(s.world.service.exponential(0.3));
+                        s.schedule_at(s.now() + svc + extra_delay, |s| {
+                            s.world.completed += 1;
+                        });
                     }
-                });
-            }
-            shard.sim.run_until(era_end);
+                }
+            });
         });
     }
     world
