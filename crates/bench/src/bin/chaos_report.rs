@@ -108,8 +108,8 @@ fn spread_at(tel: &ExperimentTelemetry, live: &[usize], e: usize) -> f64 {
     let means: Vec<f64> = live
         .iter()
         .map(|&j| {
-            let pts = &tel.rmttf(j).points()[lo..=e];
-            pts.iter().map(|p| p.value).sum::<f64>() / pts.len() as f64
+            let window = e + 1 - lo;
+            tel.rmttf(j).values().skip(lo).take(window).sum::<f64>() / window as f64
         })
         .collect();
     let max = means.iter().fold(0.0_f64, |a, b| a.max(*b));
@@ -129,9 +129,10 @@ fn converge_era(tel: &ExperimentTelemetry, live: &[usize], from: usize) -> Optio
 
 /// First era at or after `from` where region `j`'s fraction is positive.
 fn first_flow_era(tel: &ExperimentTelemetry, j: usize, from: usize) -> Option<usize> {
-    tel.fraction(j).points()[from..]
-        .iter()
-        .position(|p| p.value > 0.0)
+    tel.fraction(j)
+        .values()
+        .skip(from)
+        .position(|v| v > 0.0)
         .map(|i| i + from)
 }
 
@@ -177,9 +178,11 @@ fn partition_heal_scenario(
     // Zero flow while unreachable. The staleness TTL (2 eras) admits up
     // to three stale eras before quarantine, so the window starts at
     // fail + 4 to cover both regimes.
-    let cut: Vec<f64> = tel.fraction(1).points()[fail_era + 4..heal_era]
-        .iter()
-        .map(|p| p.value)
+    let cut: Vec<f64> = tel
+        .fraction(1)
+        .values()
+        .take(heal_era)
+        .skip(fail_era + 4)
         .collect();
     let zero_flow = cut.iter().all(|v| *v == 0.0);
     report.push(
@@ -240,11 +243,11 @@ fn leader_kill_scenario(report: &mut Report) {
         count_events(&obs, "chaos.leader.kill") as f64,
     );
 
-    let tail: Vec<f64> = tel.fraction(0).points()[kill_era + 4..]
-        .iter()
-        .map(|p| p.value)
-        .collect();
-    let zero_flow = tail.iter().all(|v| *v == 0.0);
+    let zero_flow = tel
+        .fraction(0)
+        .values()
+        .skip(kill_era + 4)
+        .all(|v| v == 0.0);
     report.push("leader_kill_zero_flow_ok", f64::from(u8::from(zero_flow)));
     report.gate(
         zero_flow,

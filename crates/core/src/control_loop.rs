@@ -1187,16 +1187,13 @@ impl ControlLoop {
         let mut install_ctx = None;
         if installable {
             if self.obs.enabled() {
-                let fmt = |fs: &[f64]| {
-                    acm_obs::json::array(fs.iter().map(|f| acm_obs::json::fmt_f64(*f)))
-                };
                 install_ctx = self.obs.emit_caused(
                     t_end.as_micros(),
                     "plan.install",
                     vec![
                         ("era", Value::from(self.era_index)),
-                        ("old", Value::from(fmt(&self.fractions))),
-                        ("new", Value::from(fmt(&target))),
+                        ("old", Value::from(self.fractions.as_slice())),
+                        ("new", Value::from(target.as_slice())),
                     ],
                     plan_parent,
                 );
@@ -1311,9 +1308,11 @@ impl ControlLoop {
         // ----- client-observed response times for the next era -------------
         // A client attached to region i experiences the processing time of
         // wherever its request was forwarded, plus the WAN round trip.
+        // All n² latencies, every era: one tree fetch per client region,
+        // then n reads off it.
         let mut observed = vec![0.0; n];
         for i in 0..n {
-            let node_i = ExperimentConfig::node_of(i);
+            let from_i = self.transport.tree(ExperimentConfig::node_of(i));
             let mut r = 0.0;
             for j in 0..n {
                 let frac = plan.fraction(i, j);
@@ -1323,8 +1322,8 @@ impl ControlLoop {
                 let rtt = if i == j {
                     0.0
                 } else {
-                    self.transport
-                        .latency(node_i, ExperimentConfig::node_of(j))
+                    from_i
+                        .latency(ExperimentConfig::node_of(j))
                         .map_or(0.0, |d| 2.0 * d.as_secs_f64())
                 };
                 r += frac * (reports[j].mean_response_s + rtt);
@@ -2041,13 +2040,7 @@ mod tests {
         assert!(cl.fractions()[1] > 0.0);
         // Zero flow while unreachable: probation (3 eras) ends well before
         // era 30; check the fraction series went to zero and came back.
-        let fr1: Vec<f64> = cl
-            .telemetry()
-            .fraction(1)
-            .points()
-            .iter()
-            .map(|p| p.value)
-            .collect();
+        let fr1: Vec<f64> = cl.telemetry().fraction(1).values().collect();
         assert!(fr1[15].abs() < 1e-12, "mid-partition flow must be zero");
         assert!(fr1[39] > 0.0, "flow restored by the end");
         // Once re-admitted, the region never flaps back out.

@@ -8,10 +8,10 @@
 //! convergence/stability statistics the assessment in Sec. VI-B is based
 //! on.
 
-use acm_sim::series::{SeriesTable, TimeSeries};
 use acm_sim::stats::OnlineStats;
 use acm_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// Everything one region reported in one era.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -32,53 +32,122 @@ pub struct RegionEraRecord {
     pub completed: u64,
 }
 
+/// One cell of the telemetry table: what a [`SeriesView`] hands out per era
+/// (`view.points()[e].value`).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct EraValue {
+    /// The recorded value.
+    pub value: f64,
+}
+
+/// The four per-region column groups of a row, in CSV order.
+const GROUPS: [&str; 4] = ["rmttf", "f", "resp", "active"];
+/// The global columns that close a row, in CSV order.
+const GLOBALS: [&str; 4] = ["global_resp", "lambda", "plan_churn", "remote_frac"];
+
 /// Full telemetry of one experiment run.
+///
+/// Storage is one **era-major table**: an era is one row of `4n + 4` values
+/// — the regions' RMTTFs, fractions, response times and ACTIVE-VM counts,
+/// then global response, λ, plan churn and remote fraction, which is the
+/// CSV's column order — allocated once, at its exact size, when the era is
+/// recorded. The era clock is stored once per row, not once per value. A
+/// signal over time is a [`SeriesView`]: a column of the table, borrowed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExperimentTelemetry {
     region_names: Vec<String>,
-    /// Per-region series, index-aligned with `region_names`.
-    rmttf: Vec<TimeSeries>,
-    fraction: Vec<TimeSeries>,
-    response: Vec<TimeSeries>,
-    active_vms: Vec<TimeSeries>,
-    /// Global client-side mean response time.
-    global_response: TimeSeries,
-    /// Global offered rate λ.
-    global_lambda: TimeSeries,
-    /// Forward-plan churn per era.
-    plan_churn: TimeSeries,
-    /// Remote-forwarding fraction per era.
-    remote_fraction: TimeSeries,
+    /// End instant of each recorded era.
+    clock: Vec<SimTime>,
+    /// One row per era, index-aligned with `clock`.
+    rows: Vec<Box<[EraValue]>>,
     /// Lifetime counters.
     total_proactive: u64,
     total_reactive: u64,
     total_completed: u64,
-    eras: usize,
+}
+
+/// One signal over the recorded eras: a borrowed column of the telemetry
+/// table (`Copy`; nothing is materialised).
+#[derive(Debug, Clone, Copy)]
+pub struct SeriesView<'a> {
+    rows: &'a [Box<[EraValue]>],
+    col: usize,
+}
+
+impl<'a> SeriesView<'a> {
+    /// The series as an indexable sequence, `points()[e].value` — the view
+    /// itself, under the name the per-series storage used to give it.
+    pub fn points(self) -> Self {
+        self
+    }
+
+    /// The most recent value, if any.
+    pub fn last(self) -> Option<f64> {
+        self.values().next_back()
+    }
+
+    /// Values only, in era order.
+    pub fn values(self) -> impl DoubleEndedIterator<Item = f64> + ExactSizeIterator + 'a {
+        self.rows.iter().map(move |row| row[self.col].value)
+    }
+
+    /// The final `n` values (or all, if fewer), in era order.
+    fn tail(self, n: usize) -> impl Iterator<Item = f64> + 'a {
+        self.values().skip(self.rows.len().saturating_sub(n))
+    }
+
+    /// Summary statistics over the final `n` eras (or all, if fewer).
+    pub fn tail_stats(self, n: usize) -> OnlineStats {
+        let mut s = OnlineStats::new();
+        for v in self.tail(n) {
+            s.push(v);
+        }
+        s
+    }
+
+    /// Coefficient of variation of the final `n` eras — the stability
+    /// metric used to compare policy oscillation (paper claims Policy 2's
+    /// `f_i` oscillates least).
+    pub fn tail_cv(self, n: usize) -> f64 {
+        self.tail_stats(n).cv()
+    }
+
+    /// Largest absolute step between consecutive eras in the final `n` —
+    /// captures the "many redirections of the request flow" the paper
+    /// attributes to Policy 1.
+    pub fn tail_max_step(self, n: usize) -> f64 {
+        let mut tail = self.tail(n);
+        let Some(mut prev) = tail.next() else {
+            return 0.0;
+        };
+        let mut max = 0.0;
+        for v in tail {
+            max = f64::max(max, (v - prev).abs());
+            prev = v;
+        }
+        max
+    }
+}
+
+impl std::ops::Index<usize> for SeriesView<'_> {
+    type Output = EraValue;
+
+    /// The value recorded in era `e`, by reference into the table.
+    fn index(&self, e: usize) -> &EraValue {
+        &self.rows[e][self.col]
+    }
 }
 
 impl ExperimentTelemetry {
     /// Creates empty telemetry for the named regions.
     pub fn new(region_names: Vec<String>) -> Self {
-        let mk = |suffix: &str| -> Vec<TimeSeries> {
-            region_names
-                .iter()
-                .map(|n| TimeSeries::new(format!("{n}_{suffix}")))
-                .collect()
-        };
         ExperimentTelemetry {
-            rmttf: mk("rmttf"),
-            fraction: mk("f"),
-            response: mk("resp"),
-            active_vms: mk("active"),
-            global_response: TimeSeries::new("global_resp"),
-            global_lambda: TimeSeries::new("lambda"),
-            plan_churn: TimeSeries::new("plan_churn"),
-            remote_fraction: TimeSeries::new("remote_frac"),
             region_names,
+            clock: Vec::new(),
+            rows: Vec::new(),
             total_proactive: 0,
             total_reactive: 0,
             total_completed: 0,
-            eras: 0,
         }
     }
 
@@ -89,7 +158,7 @@ impl ExperimentTelemetry {
 
     /// Number of recorded eras.
     pub fn eras(&self) -> usize {
-        self.eras
+        self.rows.len()
     }
 
     /// Appends one era of records (one per region, index-aligned).
@@ -102,60 +171,92 @@ impl ExperimentTelemetry {
         plan_churn: f64,
         remote_fraction: f64,
     ) {
-        assert_eq!(
-            regions.len(),
-            self.region_names.len(),
-            "one record per region"
+        let n = self.region_names.len();
+        assert_eq!(regions.len(), n, "one record per region");
+        assert!(
+            self.clock.last().is_none_or(|last| t >= *last),
+            "eras must be recorded in time order"
         );
+        let mut row = vec![EraValue { value: 0.0 }; 4 * n + 4].into_boxed_slice();
         for (i, r) in regions.iter().enumerate() {
-            self.rmttf[i].push(t, r.rmttf);
-            self.fraction[i].push(t, r.fraction);
-            self.response[i].push(t, r.response_s);
-            self.active_vms[i].push(t, r.active_vms as f64);
+            row[i].value = r.rmttf;
+            row[n + i].value = r.fraction;
+            row[2 * n + i].value = r.response_s;
+            row[3 * n + i].value = r.active_vms as f64;
             self.total_proactive += r.proactive as u64;
             self.total_reactive += r.reactive as u64;
             self.total_completed += r.completed;
         }
-        self.global_response.push(t, global_response_s);
-        self.global_lambda.push(t, global_lambda);
-        self.plan_churn.push(t, plan_churn);
-        self.remote_fraction.push(t, remote_fraction);
-        self.eras += 1;
+        let globals = [
+            global_response_s,
+            global_lambda,
+            plan_churn,
+            remote_fraction,
+        ];
+        for (cell, value) in row[4 * n..].iter_mut().zip(globals) {
+            cell.value = value;
+        }
+        self.clock.push(t);
+        self.rows.push(row);
+    }
+
+    fn column(&self, col: usize) -> SeriesView<'_> {
+        SeriesView {
+            rows: &self.rows,
+            col,
+        }
+    }
+
+    /// Column `i` of per-region group `group` (an index into [`GROUPS`]).
+    fn region_column(&self, group: usize, i: usize) -> SeriesView<'_> {
+        let n = self.region_names.len();
+        assert!(i < n, "region {i} of {n}");
+        self.column(group * n + i)
+    }
+
+    /// Global column `k` (an index into [`GLOBALS`]).
+    fn global_column(&self, k: usize) -> SeriesView<'_> {
+        self.column(4 * self.region_names.len() + k)
     }
 
     /// RMTTF series of region `i`.
-    pub fn rmttf(&self, i: usize) -> &TimeSeries {
-        &self.rmttf[i]
+    pub fn rmttf(&self, i: usize) -> SeriesView<'_> {
+        self.region_column(0, i)
     }
 
     /// Fraction series of region `i`.
-    pub fn fraction(&self, i: usize) -> &TimeSeries {
-        &self.fraction[i]
+    pub fn fraction(&self, i: usize) -> SeriesView<'_> {
+        self.region_column(1, i)
     }
 
     /// Response-time series of region `i`.
-    pub fn response(&self, i: usize) -> &TimeSeries {
-        &self.response[i]
+    pub fn response(&self, i: usize) -> SeriesView<'_> {
+        self.region_column(2, i)
     }
 
     /// ACTIVE-VM-count series of region `i`.
-    pub fn active_vms(&self, i: usize) -> &TimeSeries {
-        &self.active_vms[i]
+    pub fn active_vms(&self, i: usize) -> SeriesView<'_> {
+        self.region_column(3, i)
     }
 
     /// Global client response time series (figure row 3).
-    pub fn global_response(&self) -> &TimeSeries {
-        &self.global_response
+    pub fn global_response(&self) -> SeriesView<'_> {
+        self.global_column(0)
     }
 
     /// Global offered rate series.
-    pub fn global_lambda(&self) -> &TimeSeries {
-        &self.global_lambda
+    pub fn global_lambda(&self) -> SeriesView<'_> {
+        self.global_column(1)
     }
 
     /// Plan churn series.
-    pub fn plan_churn(&self) -> &TimeSeries {
-        &self.plan_churn
+    pub fn plan_churn(&self) -> SeriesView<'_> {
+        self.global_column(2)
+    }
+
+    /// Remote-forwarding fraction series.
+    pub fn remote_fraction(&self) -> SeriesView<'_> {
+        self.global_column(3)
     }
 
     /// Lifetime proactive rejuvenations.
@@ -179,10 +280,8 @@ impl ExperimentTelemetry {
     /// largest to the smallest region-mean RMTTF (1.0 = perfectly
     /// converged). Policy 2 should score near 1; Policy 1 should not.
     pub fn rmttf_spread(&self, window: usize) -> f64 {
-        let means: Vec<f64> = self
-            .rmttf
-            .iter()
-            .map(|s| s.tail_stats(window).mean())
+        let means: Vec<f64> = (0..self.region_names.len())
+            .map(|i| self.rmttf(i).tail_stats(window).mean())
             .collect();
         let max = means.iter().fold(0.0_f64, |a, b| a.max(*b));
         let min = means.iter().fold(f64::INFINITY, |a, b| a.min(*b));
@@ -198,8 +297,8 @@ impl ExperimentTelemetry {
     /// metric behind "the values of f_i are subject to oscillations".
     pub fn fraction_oscillation(&self, window: usize) -> f64 {
         let mut s = OnlineStats::new();
-        for series in &self.fraction {
-            s.push(series.tail_cv(window));
+        for i in 0..self.region_names.len() {
+            s.push(self.fraction(i).tail_cv(window));
         }
         s.mean()
     }
@@ -207,15 +306,14 @@ impl ExperimentTelemetry {
     /// Largest single-era jump of any region's fraction in the final
     /// `window` eras (plan-redirection severity).
     pub fn fraction_max_step(&self, window: usize) -> f64 {
-        self.fraction
-            .iter()
-            .map(|s| s.tail_max_step(window))
+        (0..self.region_names.len())
+            .map(|i| self.fraction(i).tail_max_step(window))
             .fold(0.0, f64::max)
     }
 
     /// Mean global response time over the final `window` eras.
     pub fn tail_response(&self, window: usize) -> f64 {
-        self.global_response.tail_stats(window).mean()
+        self.global_response().tail_stats(window).mean()
     }
 
     /// First era at which the (5-era smoothed) RMTTF spread *reaches* the
@@ -223,21 +321,19 @@ impl ExperimentTelemetry {
     /// persistence requirement; see [`Self::convergence_era`] for the
     /// stay-there variant).
     pub fn first_reach_era(&self, bound: f64) -> Option<usize> {
-        let n = self.eras;
-        (0..n).find(|&e| self.smoothed_spread_at(e) <= bound)
+        (0..self.eras()).find(|&e| self.smoothed_spread_at(e) <= bound)
     }
 
     /// The 5-era-smoothed max/min RMTTF ratio at era `e`.
     fn smoothed_spread_at(&self, e: usize) -> f64 {
         const SMOOTH: usize = 5;
-        let n = self.eras;
-        let smoothed = |series: &TimeSeries| -> f64 {
-            let lo = e.saturating_sub(SMOOTH / 2);
-            let hi = (e + SMOOTH / 2 + 1).min(n);
-            let pts = &series.points()[lo..hi];
-            pts.iter().map(|p| p.value).sum::<f64>() / pts.len() as f64
-        };
-        let vals: Vec<f64> = self.rmttf.iter().map(smoothed).collect();
+        let lo = e.saturating_sub(SMOOTH / 2);
+        let hi = (e + SMOOTH / 2 + 1).min(self.eras());
+        let window = &self.rows[lo..hi];
+        // RMTTFs are the first column group: region `i` is column `i`.
+        let vals: Vec<f64> = (0..self.region_names.len())
+            .map(|i| window.iter().map(|row| row[i].value).sum::<f64>() / window.len() as f64)
+            .collect();
         let max = vals.iter().fold(0.0_f64, |a, b| a.max(*b));
         let min = vals.iter().fold(f64::INFINITY, |a, b| a.min(*b));
         if min <= 0.0 {
@@ -254,7 +350,7 @@ impl ExperimentTelemetry {
     /// inflate one region's estimate for a single era without the system
     /// actually diverging.
     pub fn convergence_era(&self, bound: f64) -> Option<usize> {
-        let n = self.eras;
+        let n = self.eras();
         if n == 0 {
             return None;
         }
@@ -283,44 +379,27 @@ impl ExperimentTelemetry {
         best
     }
 
-    /// Renders the full telemetry as one CSV table (figure regeneration).
+    /// Renders the full telemetry as one CSV table (figure regeneration):
+    /// a `time_s` column, then the table's rows as stored.
     pub fn to_csv(&self) -> String {
-        let mut names: Vec<String> = Vec::new();
-        for group in [
-            &self.rmttf,
-            &self.fraction,
-            &self.response,
-            &self.active_vms,
-        ] {
-            for s in group.iter() {
-                names.push(s.name().to_string());
+        let mut out = String::from("time_s");
+        for suffix in GROUPS {
+            for name in &self.region_names {
+                let _ = write!(out, ",{name}_{suffix}");
             }
         }
-        names.push("global_resp".into());
-        names.push("lambda".into());
-        names.push("plan_churn".into());
-        names.push("remote_frac".into());
-        let mut table = SeriesTable::new(names);
-        for e in 0..self.eras {
-            let t = self.global_response.points()[e].t;
-            let mut row = Vec::new();
-            for group in [
-                &self.rmttf,
-                &self.fraction,
-                &self.response,
-                &self.active_vms,
-            ] {
-                for s in group.iter() {
-                    row.push(s.points()[e].value);
-                }
-            }
-            row.push(self.global_response.points()[e].value);
-            row.push(self.global_lambda.points()[e].value);
-            row.push(self.plan_churn.points()[e].value);
-            row.push(self.remote_fraction.points()[e].value);
-            table.push_row(t, &row);
+        for name in GLOBALS {
+            let _ = write!(out, ",{name}");
         }
-        table.to_csv()
+        out.push('\n');
+        for (t, row) in self.clock.iter().zip(&self.rows) {
+            let _ = write!(out, "{:.3}", t.as_secs_f64());
+            for cell in row.iter() {
+                let _ = write!(out, ",{:.6}", cell.value);
+            }
+            out.push('\n');
+        }
+        out
     }
 
     /// Renders the telemetry as JSON Lines, one object per era. Shares the
@@ -328,25 +407,26 @@ impl ExperimentTelemetry {
     /// can be concatenated and post-processed by the same tooling.
     pub fn to_jsonl(&self) -> String {
         use acm_obs::json::{self, JsonObject};
+        let n = self.region_names.len();
         let mut out = String::new();
-        for e in 0..self.eras {
-            let regions = json::array((0..self.region_names.len()).map(|i| {
+        for (e, (t, row)) in self.clock.iter().zip(&self.rows).enumerate() {
+            let regions = json::array((0..n).map(|i| {
                 let mut o = JsonObject::new();
                 o.field_str("name", &self.region_names[i])
-                    .field_f64("rmttf_s", self.rmttf[i].points()[e].value)
-                    .field_f64("fraction", self.fraction[i].points()[e].value)
-                    .field_f64("response_s", self.response[i].points()[e].value)
-                    .field_u64("active_vms", self.active_vms[i].points()[e].value as u64);
+                    .field_f64("rmttf_s", row[i].value)
+                    .field_f64("fraction", row[n + i].value)
+                    .field_f64("response_s", row[2 * n + i].value)
+                    .field_u64("active_vms", row[3 * n + i].value as u64);
                 o.finish()
             }));
             let mut o = JsonObject::new();
             o.field_u64("era", e as u64)
-                .field_u64("t_us", self.global_response.points()[e].t.as_micros())
+                .field_u64("t_us", t.as_micros())
                 .field_raw("regions", &regions)
-                .field_f64("global_response_s", self.global_response.points()[e].value)
-                .field_f64("lambda", self.global_lambda.points()[e].value)
-                .field_f64("plan_churn", self.plan_churn.points()[e].value)
-                .field_f64("remote_fraction", self.remote_fraction.points()[e].value);
+                .field_f64("global_response_s", row[4 * n].value)
+                .field_f64("lambda", row[4 * n + 1].value)
+                .field_f64("plan_churn", row[4 * n + 2].value)
+                .field_f64("remote_fraction", row[4 * n + 3].value);
             out.push_str(&o.finish());
             out.push('\n');
         }
@@ -558,6 +638,78 @@ mod tests {
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }
+    }
+
+    #[test]
+    fn views_read_the_table_like_the_series_they_replace() {
+        use acm_sim::series::TimeSeries;
+        let mut tel = two_region();
+        let mut oracle = TimeSeries::new("r3_f");
+        let empty = tel.fraction(1);
+        assert_eq!((empty.values().len(), empty.last()), (0, None));
+        assert_eq!(empty.tail_stats(5).count(), 0);
+        assert_eq!(empty.tail_max_step(5), 0.0);
+        assert_eq!(tel.rmttf_spread(5), f64::INFINITY);
+
+        for (e, f) in [0.3, 0.28, 0.35, 0.1, 0.12, 0.11, 0.4]
+            .into_iter()
+            .enumerate()
+        {
+            let at = t(30 * (e as u64 + 1));
+            tel.record_era(
+                at,
+                &[record(500.0 + e as f64, 1.0 - f), record(480.0, f)],
+                0.1 + f,
+                60.0,
+                f / 2.0,
+                0.1,
+            );
+            oracle.push(at, f);
+        }
+        let view = tel.fraction(1);
+        assert_eq!(view.last(), oracle.last());
+        assert_eq!(
+            view.values().collect::<Vec<_>>(),
+            oracle.values().collect::<Vec<_>>()
+        );
+        for e in 0..oracle.len() {
+            assert_eq!(view.points()[e].value, oracle.points()[e].value);
+            assert_eq!(view[e].value, oracle.points()[e].value);
+        }
+        for window in [0, 1, 2, 3, 7, 99] {
+            let (got, want) = (view.tail_stats(window), oracle.tail_stats(window));
+            assert_eq!(got.count(), want.count(), "window {window}");
+            assert_eq!(got.mean().to_bits(), want.mean().to_bits());
+            assert_eq!(
+                view.tail_cv(window).to_bits(),
+                oracle.tail_cv(window).to_bits()
+            );
+            assert_eq!(view.tail_max_step(window), oracle.tail_max_step(window));
+        }
+        // Every accessor lands on its own column of the row.
+        assert_eq!(tel.rmttf(0).last(), Some(506.0));
+        assert_eq!(tel.rmttf(1).last(), Some(480.0));
+        assert_eq!(tel.fraction(0).last(), Some(0.6));
+        assert_eq!(tel.response(1).last(), Some(0.1));
+        assert_eq!(tel.active_vms(0).last(), Some(4.0));
+        assert_eq!(tel.global_response().last(), Some(0.5));
+        assert_eq!(tel.global_lambda().last(), Some(60.0));
+        assert_eq!(tel.plan_churn().last(), Some(0.2));
+        assert_eq!(tel.remote_fraction().last(), Some(0.1));
+    }
+
+    #[test]
+    #[should_panic(expected = "region 2 of 2")]
+    fn region_index_past_the_group_panics() {
+        let _ = two_region().fraction(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "time order")]
+    fn eras_must_be_recorded_in_time_order() {
+        let mut tel = two_region();
+        tel.record_era(t(60), &[record(1.0, 0.5); 2], 0.1, 60.0, 0.0, 0.1);
+        tel.record_era(t(30), &[record(1.0, 0.5); 2], 0.1, 60.0, 0.0, 0.1);
     }
 
     #[test]

@@ -802,6 +802,15 @@ impl<T: Send + 'static> JobHandle<T> {
     }
 }
 
+/// Teardown invariant: **a pool's workers are never joined from one of
+/// themselves, and a swapped-out pool's workers exit once its queue has
+/// drained, whoever drops the last handle.** [`global`] hands out `Arc`
+/// clones, so after [`configure_threads`] swaps a pool out the last handle
+/// may be a temporary inside a [`spawn_job`] body — running on one of this
+/// pool's own workers. `drop` therefore joins every worker *except* the
+/// thread it runs on: that handle is detached, and the worker leaves its
+/// loop by itself as soon as the job returns and the queue is empty
+/// (`worker_loop` checks the shutdown flag only with nothing left to pop).
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         // Raise the flag under the queue lock: a worker holds that lock from
@@ -812,14 +821,17 @@ impl Drop for ThreadPool {
             self.shared.shutdown.store(true, Ordering::Release);
         }
         self.shared.available.notify_all();
-        let mut workers = self
+        let me = thread::current().id();
+        for h in self
             .workers
             .get_mut()
             .unwrap_or_else(|e| e.into_inner())
             .drain(..)
-            .collect::<Vec<_>>();
-        for h in workers.drain(..) {
-            let _ = h.join();
+        {
+            // Joining oneself is EDEADLK; dropping the handle detaches.
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -909,7 +921,9 @@ pub fn global() -> Arc<ThreadPool> {
 /// to ≥ 1) and returns the effective count. Prefer this over mutating
 /// `ACM_THREADS` in-process: the environment is read once, and
 /// `std::env::set_var` is racy. In-flight operations on the old pool
-/// finish undisturbed; its workers exit once the last handle drops.
+/// finish undisturbed; its workers exit once the last handle drops — on
+/// whichever thread that happens (see the invariant on `ThreadPool`'s
+/// `Drop`).
 pub fn configure_threads(threads: usize) -> usize {
     let threads = threads.max(1);
     let mut guard = global_cell().write().unwrap_or_else(|e| e.into_inner());
@@ -1365,6 +1379,52 @@ mod tests {
         started.wait();
         configure_threads(1);
         assert_eq!(h.join(), 2_000 * 1_999);
+        configure_threads(available_threads());
+    }
+
+    #[test]
+    fn last_handle_dropped_on_a_worker_does_not_join_itself() {
+        // Regression: a background job on a worker of pool P held a
+        // `global()` clone while `configure_threads` swapped P out; the
+        // clone was then the last handle, `Drop` ran on P's own worker and
+        // joined every worker including itself ("Resource deadlock
+        // avoided", re-raised by `JobHandle::join`). The channels force
+        // exactly that order: hold, swap, release.
+        use std::sync::mpsc;
+        let _resizing = GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner());
+        configure_threads(3);
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let h = spawn_job(move || {
+            let pool = global();
+            let queue = Arc::downgrade(&pool.shared);
+            let on = thread::current().name().map(str::to_string);
+            held_tx.send((on, queue)).unwrap();
+            release_rx.recv().unwrap();
+            drop(pool);
+        });
+        // Received only once a worker runs the body, so `join` below cannot
+        // have inlined it on this thread.
+        let (on, queue) = held_rx.recv().unwrap();
+        assert!(
+            on.as_deref().is_some_and(|n| n.starts_with("acm-exec-")),
+            "job ran on {on:?}, not on a pool worker"
+        );
+        configure_threads(2);
+        assert_eq!(
+            queue.strong_count(),
+            3,
+            "the job's clone keeps the old pool (and its 2 workers) alive"
+        );
+        release_tx.send(()).unwrap();
+        h.join();
+        // Both workers of the old pool leave their loops: the joined one
+        // before `drop` returned, the detached one right after its job.
+        let deadline = Instant::now() + std::time::Duration::from_secs(30);
+        while queue.strong_count() != 0 {
+            assert!(Instant::now() < deadline, "old pool's workers never exited");
+            thread::yield_now();
+        }
         configure_threads(available_threads());
     }
 

@@ -42,6 +42,11 @@ pub enum Value {
     Bool(bool),
     /// Short label (policy/strategy names).
     Str(String),
+    /// Float vector (a plan's fractions). Kept as numbers while retained;
+    /// exported as the JSON *string* of the array text — `"[0.5,0.5]"`,
+    /// elements formatted like [`Value::F64`] — which is the form such
+    /// fields had on the wire when emitters pre-rendered them.
+    F64s(Box<[f64]>),
 }
 
 impl From<u64> for Value {
@@ -92,6 +97,12 @@ impl From<String> for Value {
     }
 }
 
+impl From<&[f64]> for Value {
+    fn from(v: &[f64]) -> Self {
+        Value::F64s(v.into())
+    }
+}
+
 impl Value {
     fn push_json(&self, out: &mut String) {
         match self {
@@ -100,6 +111,17 @@ impl Value {
             Value::F64(v) => push_f64(out, *v),
             Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
             Value::Str(v) => push_escaped(out, v),
+            // Digits, signs, `.`, `,`, brackets and `null`: nothing to escape.
+            Value::F64s(vs) => {
+                out.push_str("\"[");
+                for (i, v) in vs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    push_f64(out, *v);
+                }
+                out.push_str("]\"");
+            }
         }
     }
 }
@@ -390,6 +412,28 @@ mod tests {
         let log = EventLog::new(2);
         log.push(0, "e", vec![("v", Value::F64(f64::NAN))]);
         assert!(log.to_jsonl().contains("\"v\":null"));
+    }
+
+    #[test]
+    fn float_vectors_export_as_the_prerendered_string() {
+        use crate::json::{array, fmt_f64};
+        let cases: [&[f64]; 4] = [
+            &[],
+            &[0.5],
+            &[0.8432770665583008, 0.15672293344169913, -0.0, 1e-9, 1e21],
+            &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.25],
+        ];
+        for vs in cases {
+            // What `plan.install` used to store: the array text, as a string.
+            let prerendered = Value::from(array(vs.iter().map(|v| fmt_f64(*v))));
+            let (mut compact, mut old) = (String::new(), String::new());
+            Value::from(vs).push_json(&mut compact);
+            prerendered.push_json(&mut old);
+            assert_eq!(compact, old);
+        }
+        let mut out = String::new();
+        Value::from(&[f64::NAN, 0.25][..]).push_json(&mut out);
+        assert_eq!(out, "\"[null,0.25]\"");
     }
 
     #[test]

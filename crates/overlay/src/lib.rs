@@ -11,8 +11,8 @@
 //! simulation kernel:
 //!
 //! * [`graph`] — the weighted controller topology,
-//! * [`routing`] — smallest-latency paths (Dijkstra) with failure-aware
-//!   rerouting,
+//! * [`routing`] — smallest-latency paths (one Dijkstra per source, kept
+//!   as a shortest-path tree) with failure-aware rerouting,
 //! * [`election`] — leader election that tolerates multiple node and link
 //!   failures (per-partition minimum-id convergecast, re-run on any
 //!   membership change),
@@ -44,6 +44,6 @@ pub use fault::{
 };
 pub use graph::{LinkId, NodeId, OverlayGraph};
 pub use heartbeat::{FailureDetector, HeartbeatConfig};
-pub use routing::{Route, Router};
+pub use routing::{PathTree, Route, Router};
 pub use staging::{drain_in_shard_order, ShardOutbox, StagedMessage};
 pub use transport::Transport;

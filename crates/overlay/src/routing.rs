@@ -1,21 +1,35 @@
 //! Smallest-latency routing with failure-aware rerouting.
 //!
-//! Dijkstra over the *usable* subgraph (failed nodes and links excluded).
-//! [`Router`] caches computed routes and is invalidated wholesale whenever
-//! the failure state changes. On the paper's topologies (a handful of
-//! controllers) recomputation is trivially cheap and the cache only keeps
-//! the hot control loop allocation-free. It does not stay cheap: every
-//! uncached `(src, dst)` pair runs one full Dijkstra, so on a 200-node
-//! star a pair costs ~16 µs and the era after an invalidation ~630 ms
-//! (the control loop's client-observed-response pass asks for all n²
-//! pairs), and every hit clones its `Route`. One shortest-path tree per
-//! source fixes it (measured 4.4× on the benchmark's `mega-control`); it
-//! is parked until that workload's `peak_rss_mb` is taken at a pinned era
-//! count — see CHANGES.md, PR 13.
+//! One Dijkstra, over the *usable* subgraph (failed nodes and links
+//! excluded), and it always runs to completion: [`PathTree::build`] settles
+//! every node reachable from one source and keeps, per node, its distance
+//! and its predecessor on the best path. Everything else reads that tree —
+//! [`PathTree::latency`] is a lookup, [`PathTree::route`] walks the
+//! predecessors back to the source, and [`dijkstra`] is "build the tree
+//! from `src`, read `dst`".
+//!
+//! [`Router`] keeps one tree per source, built on the first query from
+//! that source and dropped wholesale by [`Router::invalidate`] whenever the
+//! failure state changes. The control loop's client-observed-response pass
+//! asks for all n² latencies of an n-region world every era; with trees
+//! the era after a partition or a heal costs n Dijkstras (~13 ms at
+//! n = 200, where n² early-exit searches cost ~630 ms) and every other era
+//! n² lookups (~1 ms), and a latency query neither clones nor allocates.
+//! Invalidation is deliberately not scoped to what a fault can reach:
+//! rebuilding all n trees already sits inside the spread of a ~35 ms era,
+//! so there is little left for scoping to save.
+//!
+//! Ties are broken the way the textbook early-exit search breaks them — a
+//! node's predecessor changes only on a strictly smaller distance, and the
+//! heap orders equal distances by node id — so paths, not just latencies,
+//! equal the per-pair search's (`tests/properties.rs` keeps that search as
+//! its oracle).
 
 use crate::graph::{NodeId, OverlayGraph};
+use acm_obs::Counter;
 use acm_sim::time::Duration;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 /// A computed route.
@@ -34,10 +48,108 @@ impl Route {
     }
 }
 
-/// Route cache keyed on `(src, dst)`.
+/// One settled node of a [`PathTree`].
+#[derive(Debug, Clone, Copy)]
+struct Settled {
+    node: NodeId,
+    /// Smallest latency from the source.
+    latency: Duration,
+    /// Position in the tree of the previous node on the best path (the
+    /// source points at itself). `u32` like the ids it stands for.
+    prev: u32,
+}
+
+/// The shortest-path tree of one source: every node reachable from it over
+/// usable links, with its latency and its predecessor.
+#[derive(Debug, Clone, Default)]
+pub struct PathTree {
+    /// Ascending node id, so a lookup is a binary search.
+    settled: Vec<Settled>,
+}
+
+impl PathTree {
+    /// Runs Dijkstra from `src` over the usable subgraph. A failed or
+    /// absent source reaches nothing, not even itself.
+    pub fn build(g: &OverlayGraph, src: NodeId) -> Self {
+        if !g.is_alive(src) {
+            return PathTree::default();
+        }
+        // node → (latency, predecessor)
+        let mut best: BTreeMap<NodeId, (Duration, NodeId)> = BTreeMap::new();
+        // Min-heap on (latency, node id): deterministic on ties.
+        let mut heap: BinaryHeap<Reverse<(Duration, NodeId)>> = BinaryHeap::new();
+        best.insert(src, (Duration::ZERO, src));
+        heap.push(Reverse((Duration::ZERO, src)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if best.get(&u).is_some_and(|(b, _)| *b < d) {
+                continue; // stale entry
+            }
+            for (v, w) in g.usable_neighbors(u) {
+                let nd = d + w;
+                if best.get(&v).is_none_or(|(b, _)| nd < *b) {
+                    best.insert(v, (nd, u));
+                    heap.push(Reverse((nd, v)));
+                }
+            }
+        }
+        let nodes: Vec<NodeId> = best.keys().copied().collect();
+        let settled = best
+            .into_iter()
+            .map(|(node, (latency, prev))| Settled {
+                node,
+                latency,
+                prev: nodes
+                    .binary_search(&prev)
+                    .expect("predecessors are settled") as u32,
+            })
+            .collect();
+        PathTree { settled }
+    }
+
+    fn position(&self, n: NodeId) -> Option<usize> {
+        self.settled.binary_search_by_key(&n, |s| s.node).ok()
+    }
+
+    /// Smallest latency to `dst`, or `None` when it is unreachable.
+    pub fn latency(&self, dst: NodeId) -> Option<Duration> {
+        self.position(dst).map(|i| self.settled[i].latency)
+    }
+
+    /// The latency to `dst` and the links of the best path as `(from, to)`
+    /// pairs, walked **backwards** (last hop first) without allocating;
+    /// `None` when `dst` is unreachable, no links for the source itself.
+    pub fn hops_back(
+        &self,
+        dst: NodeId,
+    ) -> Option<(Duration, impl Iterator<Item = (NodeId, NodeId)> + '_)> {
+        let mut at = self.position(dst)?;
+        let hops = std::iter::from_fn(move || {
+            let to = self.settled[at];
+            if to.prev as usize == at {
+                return None;
+            }
+            at = to.prev as usize;
+            Some((self.settled[at].node, to.node))
+        });
+        Some((self.settled[at].latency, hops))
+    }
+
+    /// The best route to `dst`, or `None` when it is unreachable.
+    pub fn route(&self, dst: NodeId) -> Option<Route> {
+        let (latency, hops) = self.hops_back(dst)?;
+        let mut path = vec![dst];
+        path.extend(hops.map(|(from, _)| from));
+        path.reverse();
+        Some(Route { path, latency })
+    }
+}
+
+/// Per-source cache of shortest-path trees.
 #[derive(Debug, Clone, Default)]
 pub struct Router {
-    cache: BTreeMap<(NodeId, NodeId), Option<Route>>,
+    trees: BTreeMap<NodeId, PathTree>,
+    /// Counts tree builds; inert until [`crate::Transport::set_obs`].
+    pub(crate) tree_builds: Counter,
 }
 
 impl Router {
@@ -46,34 +158,41 @@ impl Router {
         Router::default()
     }
 
+    /// The tree of `src`, built on the first query since the last
+    /// [`Router::invalidate`].
+    pub fn tree(&mut self, g: &OverlayGraph, src: NodeId) -> &PathTree {
+        self.trees.entry(src).or_insert_with(|| {
+            self.tree_builds.inc();
+            PathTree::build(g, src)
+        })
+    }
+
     /// Smallest-latency route between two alive nodes, or `None` when the
     /// destination is unreachable (partition, failed endpoint).
     pub fn route(&mut self, g: &OverlayGraph, src: NodeId, dst: NodeId) -> Option<Route> {
-        if let Some(cached) = self.cache.get(&(src, dst)) {
-            return cached.clone();
-        }
-        let route = dijkstra(g, src, dst);
-        self.cache.insert((src, dst), route.clone());
-        route
+        self.tree(g, src).route(dst)
     }
 
-    /// Latency of the best route, if any.
+    /// Latency of the best route, if any. Materialises no path.
     pub fn latency(&mut self, g: &OverlayGraph, src: NodeId, dst: NodeId) -> Option<Duration> {
-        self.route(g, src, dst).map(|r| r.latency)
+        self.tree(g, src).latency(dst)
     }
 
-    /// Drops every cached route. Call after any failure/recovery event.
+    /// Drops every cached tree. Call after any failure/recovery event.
     pub fn invalidate(&mut self) {
-        self.cache.clear();
+        self.trees.clear();
     }
 
-    /// Number of cached entries (diagnostics).
-    pub fn cached_routes(&self) -> usize {
-        self.cache.len()
+    /// Number of cached trees — at most one per source queried since the
+    /// last invalidation (diagnostics).
+    pub fn cached_trees(&self) -> usize {
+        self.trees.len()
     }
 }
 
-/// Plain Dijkstra on the usable subgraph.
+/// Smallest-latency route from `src` to `dst` on the usable subgraph: the
+/// `dst` entry of `src`'s [`PathTree`]. Callers with several destinations
+/// per source should build the tree once (or go through a [`Router`]).
 ///
 /// ```
 /// use acm_overlay::graph::{NodeId, OverlayGraph};
@@ -87,49 +206,7 @@ impl Router {
 /// assert_eq!(route.path, vec![NodeId(0), NodeId(1), NodeId(2)]);
 /// ```
 pub fn dijkstra(g: &OverlayGraph, src: NodeId, dst: NodeId) -> Option<Route> {
-    if !g.is_alive(src) || !g.is_alive(dst) {
-        return None;
-    }
-    if src == dst {
-        return Some(Route {
-            path: vec![src],
-            latency: Duration::ZERO,
-        });
-    }
-    let mut dist: BTreeMap<NodeId, Duration> = BTreeMap::new();
-    let mut prev: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-    // Max-heap on Reverse ordering via tuple of (negated comparison): use
-    // std::cmp::Reverse over (Duration, NodeId) for determinism on ties.
-    let mut heap: BinaryHeap<std::cmp::Reverse<(Duration, NodeId)>> = BinaryHeap::new();
-    dist.insert(src, Duration::ZERO);
-    heap.push(std::cmp::Reverse((Duration::ZERO, src)));
-
-    while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
-        if dist.get(&u).is_some_and(|best| *best < d) {
-            continue; // stale entry
-        }
-        if u == dst {
-            break;
-        }
-        for (v, w) in g.usable_neighbors(u) {
-            let nd = d + w;
-            if dist.get(&v).is_none_or(|best| nd < *best) {
-                dist.insert(v, nd);
-                prev.insert(v, u);
-                heap.push(std::cmp::Reverse((nd, v)));
-            }
-        }
-    }
-
-    let latency = *dist.get(&dst)?;
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = *prev.get(&cur).expect("reachable node has a predecessor");
-        path.push(cur);
-    }
-    path.reverse();
-    Some(Route { path, latency })
+    PathTree::build(g, src).route(dst)
 }
 
 #[cfg(test)]
@@ -254,7 +331,7 @@ mod tests {
         let mut router = Router::new();
         let r1 = router.route(&g, n(0), n(2)).unwrap();
         assert_eq!(r1.latency, ms(20));
-        assert_eq!(router.cached_routes(), 1);
+        assert_eq!(router.cached_trees(), 1);
         // Failure without invalidation: stale cache by design...
         g.fail_link(n(0), n(1));
         assert_eq!(router.route(&g, n(0), n(2)).unwrap().latency, ms(20));

@@ -1,19 +1,27 @@
 //! Latency-faithful message delivery between controllers.
 //!
-//! [`Transport`] wraps the topology and the route cache, tracks
-//! sent/dropped counters, and schedules deliveries on the discrete-event
-//! simulator after the route latency. Messages to unreachable nodes are
-//! dropped (the control loop tolerates this: a slave whose report is lost
-//! simply keeps its previous plan for one era — the same behaviour a lost
-//! TCP connection would produce in the real deployment).
+//! [`Transport`] wraps the topology and the router's per-source
+//! shortest-path trees, tracks sent/dropped counters, and schedules
+//! deliveries on the discrete-event simulator after the route latency.
+//! Messages to unreachable nodes are dropped (the control loop tolerates
+//! this: a slave whose report is lost simply keeps its previous plan for
+//! one era — the same behaviour a lost TCP connection would produce in the
+//! real deployment).
 
 use crate::graph::{NodeId, OverlayGraph};
-use crate::routing::Router;
+use crate::routing::{PathTree, Router};
 use acm_obs::{Counter, Hist, ObsHandle, Timer};
 use acm_sim::sim::Simulator;
 use acm_sim::time::Duration;
 
 /// Message-passing facade over the overlay.
+///
+/// Owns the topology and a [`Router`]. Every method that changes the
+/// failure state drops all of the router's trees, so a query never sees a
+/// stale route; the next query from a source rebuilds that source's tree
+/// (one Dijkstra), and every later query from it — [`Transport::latency`]
+/// and [`Transport::prepare_send`] alike — is a lookup that allocates
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct Transport {
     graph: OverlayGraph,
@@ -27,6 +35,7 @@ pub struct Transport {
     ctr_sent: Counter,
     ctr_dropped: Counter,
     ctr_unroutable: Counter,
+    ctr_invalidations: Counter,
 }
 
 impl Transport {
@@ -43,15 +52,18 @@ impl Transport {
             ctr_sent: Counter::default(),
             ctr_dropped: Counter::default(),
             ctr_unroutable: Counter::default(),
+            ctr_invalidations: Counter::default(),
         }
     }
 
     /// Attaches observability: `acm.overlay.transport.route_ns` times every
-    /// route computation/cache hit, `…transport.hops` and
-    /// `…transport.hop_latency_us` record the shape of each delivered
-    /// route, and `…transport.{sent,dropped,unroutable}` export the send
-    /// counters (unroutable counts sends with no usable path — today the
-    /// only way a transport-level send can drop).
+    /// send's route lookup (tree hit and tree build alike),
+    /// `…transport.hops` and `…transport.hop_latency_us` record the shape
+    /// of each delivered route, `…transport.{sent,dropped,unroutable}`
+    /// export the send counters (unroutable counts sends with no usable
+    /// path — today the only way a transport-level send can drop), and
+    /// `…transport.{tree_builds,invalidations}` count Dijkstra runs and
+    /// wholesale cache drops — the cost of the era after a fault.
     pub fn set_obs(&mut self, obs: &ObsHandle) {
         self.route_timer = obs.timer("acm.overlay.transport.route_ns");
         self.hist_hops = obs.histogram("acm.overlay.transport.hops");
@@ -59,6 +71,8 @@ impl Transport {
         self.ctr_sent = obs.counter("acm.overlay.transport.sent");
         self.ctr_dropped = obs.counter("acm.overlay.transport.dropped");
         self.ctr_unroutable = obs.counter("acm.overlay.transport.unroutable");
+        self.ctr_invalidations = obs.counter("acm.overlay.transport.invalidations");
+        self.router.tree_builds = obs.counter("acm.overlay.transport.tree_builds");
     }
 
     /// Read access to the topology.
@@ -72,49 +86,61 @@ impl Transport {
         self.router.latency(&self.graph, from, to)
     }
 
+    /// The current shortest-path tree of `from`: for a caller about to ask
+    /// one source for many destinations (see [`PathTree::latency`]).
+    pub fn tree(&mut self, from: NodeId) -> &PathTree {
+        self.router.tree(&self.graph, from)
+    }
+
+    fn invalidate(&mut self) {
+        self.router.invalidate();
+        self.ctr_invalidations.inc();
+    }
+
     /// Fails a link and invalidates routes.
     pub fn fail_link(&mut self, a: NodeId, b: NodeId) {
         self.graph.fail_link(a, b);
-        self.router.invalidate();
+        self.invalidate();
     }
 
     /// Recovers a link and invalidates routes.
     pub fn recover_link(&mut self, a: NodeId, b: NodeId) {
         self.graph.recover_link(a, b);
-        self.router.invalidate();
+        self.invalidate();
     }
 
     /// Fails a node and invalidates routes.
     pub fn fail_node(&mut self, n: NodeId) {
         self.graph.fail_node(n);
-        self.router.invalidate();
+        self.invalidate();
     }
 
     /// Recovers a node and invalidates routes.
     pub fn recover_node(&mut self, n: NodeId) {
         self.graph.recover_node(n);
-        self.router.invalidate();
+        self.invalidate();
     }
 
     /// Attempts a send: returns the delivery delay (and counts it sent), or
     /// `None` and counts a drop. The caller schedules the delivery — this
     /// keeps `Transport` usable both inside and outside a simulator world.
     pub fn prepare_send(&mut self, from: NodeId, to: NodeId) -> Option<Duration> {
-        let route = {
-            let _span = self.route_timer.start();
-            self.router.route(&self.graph, from, to)
-        };
-        match route {
-            Some(r) => {
+        let span = self.route_timer.start();
+        let found = self.router.tree(&self.graph, from).hops_back(to);
+        drop(span);
+        match found {
+            Some((latency, links)) => {
                 self.sent += 1;
                 self.ctr_sent.inc();
-                self.hist_hops.record(r.hops() as u64);
-                for hop in r.path.windows(2) {
-                    if let Some(d) = self.graph.link_latency(hop[0], hop[1]) {
+                let mut hops = 0;
+                for (a, b) in links {
+                    hops += 1;
+                    if let Some(d) = self.graph.link_latency(a, b) {
                         self.hist_hop_latency.record(d.as_micros());
                     }
                 }
-                Some(r.latency)
+                self.hist_hops.record(hops);
+                Some(latency)
             }
             None => {
                 self.dropped += 1;
@@ -251,5 +277,36 @@ mod tests {
         assert_eq!(hop_lat.count, 2, "one sample per hop");
         let route_ns = obs.histogram("acm.overlay.transport.route_ns").snapshot();
         assert_eq!(route_ns.count, 2, "timed on hit and miss alike");
+        // One tree per source per failure state: built for the first send,
+        // dropped by each of the two failures, rebuilt for the second send.
+        assert_eq!(obs.counter("acm.overlay.transport.tree_builds").value(), 2);
+        assert_eq!(
+            obs.counter("acm.overlay.transport.invalidations").value(),
+            2
+        );
+    }
+
+    #[test]
+    fn all_pairs_cost_one_tree_per_source() {
+        // The 200-region star the benchmark's mega world runs on.
+        let n = 200u32;
+        let mut g = OverlayGraph::new();
+        for j in 1..n {
+            g.add_link(NodeId(0), NodeId(j), ms(8 + (u64::from(j) * 7) % 40));
+        }
+        let mut t = Transport::new(g);
+        for _era in 0..2 {
+            for a in 0..n {
+                for b in 0..n {
+                    assert!(t.latency(NodeId(a), NodeId(b)).is_some());
+                }
+            }
+            assert_eq!(t.router.cached_trees(), n as usize);
+        }
+        t.fail_link(NodeId(0), NodeId(n - 1));
+        assert_eq!(t.router.cached_trees(), 0);
+        assert_eq!(t.latency(NodeId(1), NodeId(n - 1)), None);
+        assert_eq!(t.latency(NodeId(1), NodeId(2)), Some(ms(15) + ms(22)));
+        assert_eq!(t.router.cached_trees(), 1);
     }
 }

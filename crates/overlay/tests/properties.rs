@@ -2,11 +2,104 @@
 
 use acm_overlay::election::elect;
 use acm_overlay::graph::{NodeId, OverlayGraph};
-use acm_overlay::routing::dijkstra;
+use acm_overlay::routing::{dijkstra, Route, Router};
 use acm_overlay::{ChaosLayer, FaultPlan, Transport};
 use acm_sim::rng::SimRng;
 use acm_sim::time::{Duration, SimTime};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BinaryHeap};
+
+/// The library's former routing kernel, kept as the oracle: one Dijkstra
+/// per `(src, dst)` pair that stops as soon as `dst` is settled.
+fn per_pair_dijkstra(g: &OverlayGraph, src: NodeId, dst: NodeId) -> Option<Route> {
+    if !g.is_alive(src) || !g.is_alive(dst) {
+        return None;
+    }
+    if src == dst {
+        return Some(Route {
+            path: vec![src],
+            latency: Duration::ZERO,
+        });
+    }
+    let mut dist: BTreeMap<NodeId, Duration> = BTreeMap::new();
+    let mut prev: BTreeMap<NodeId, NodeId> = BTreeMap::new();
+    let mut heap: BinaryHeap<std::cmp::Reverse<(Duration, NodeId)>> = BinaryHeap::new();
+    dist.insert(src, Duration::ZERO);
+    heap.push(std::cmp::Reverse((Duration::ZERO, src)));
+    while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+        if dist.get(&u).is_some_and(|best| *best < d) {
+            continue;
+        }
+        if u == dst {
+            break;
+        }
+        for (v, w) in g.usable_neighbors(u) {
+            let nd = d + w;
+            if dist.get(&v).is_none_or(|best| nd < *best) {
+                dist.insert(v, nd);
+                prev.insert(v, u);
+                heap.push(std::cmp::Reverse((nd, v)));
+            }
+        }
+    }
+    let latency = *dist.get(&dst)?;
+    let mut path = vec![dst];
+    let mut cur = dst;
+    while cur != src {
+        cur = *prev.get(&cur).expect("reachable node has a predecessor");
+        path.push(cur);
+    }
+    path.reverse();
+    Some(Route { path, latency })
+}
+
+/// Flips the failure state of random nodes and links of `g`.
+fn shake_failures(g: &mut OverlayGraph, n: u32, rng: &mut SimRng, p: f64) {
+    for i in 0..n {
+        if rng.bernoulli(p) {
+            if g.is_alive(NodeId(i)) {
+                g.fail_node(NodeId(i));
+            } else {
+                g.recover_node(NodeId(i));
+            }
+        }
+        for j in (i + 1)..n {
+            if g.link_latency(NodeId(i), NodeId(j)).is_some() && rng.bernoulli(p) {
+                if g.link_failed(NodeId(i), NodeId(j)) {
+                    g.recover_link(NodeId(i), NodeId(j));
+                } else {
+                    g.fail_link(NodeId(i), NodeId(j));
+                }
+            }
+        }
+    }
+}
+
+/// Every ordered pair over ids `0..=n` (`n` itself is absent from the
+/// graph), `src == dst` included: the oracle's answer on `g`.
+fn all_pairs_oracle(g: &OverlayGraph, n: u32) -> Vec<Option<Route>> {
+    (0..=n)
+        .flat_map(|a| (0..=n).map(move |b| (a, b)))
+        .map(|(a, b)| per_pair_dijkstra(g, NodeId(a), NodeId(b)))
+        .collect()
+}
+
+/// The same sweep through a [`Router`]: `(route, latency)` per pair.
+fn all_pairs_router(
+    router: &mut Router,
+    g: &OverlayGraph,
+    n: u32,
+) -> Vec<(Option<Route>, Option<Duration>)> {
+    (0..=n)
+        .flat_map(|a| (0..=n).map(move |b| (a, b)))
+        .map(|(a, b)| {
+            (
+                router.route(g, NodeId(a), NodeId(b)),
+                router.latency(g, NodeId(a), NodeId(b)),
+            )
+        })
+        .collect()
+}
 
 /// Builds a random graph from a seed: `n` nodes, ring + random chords,
 /// optional random failures.
@@ -43,6 +136,53 @@ fn random_graph(seed: u64, n: u32, fail_prob: f64) -> OverlayGraph {
 }
 
 proptest! {
+    #[test]
+    fn router_trees_match_the_per_pair_search(
+        seed in 0u64..1_000_000,
+        n in 2u32..=24,
+        density in 0.08f64..0.6,
+    ) {
+        // Link weights from {1, 2, 3} ms: equal-latency alternatives are
+        // the norm, so any change of tie order shows up as another path.
+        let mut rng = SimRng::new(seed);
+        let mut g = OverlayGraph::new();
+        for i in 0..n {
+            g.add_node(NodeId(i));
+            for j in (i + 1)..n {
+                if rng.bernoulli(density) {
+                    g.add_link(
+                        NodeId(i),
+                        NodeId(j),
+                        Duration::from_millis(rng.index(3) as u64 + 1),
+                    );
+                }
+            }
+        }
+        shake_failures(&mut g, n, &mut rng, 0.15);
+
+        let mut router = Router::new();
+        let check = |router: &mut Router, g: &OverlayGraph, want: &[Option<Route>]| {
+            let got = all_pairs_router(router, g, n);
+            for (i, ((route, latency), want)) in got.iter().zip(want).enumerate() {
+                let pair = (i as u32 / (n + 1), i as u32 % (n + 1));
+                prop_assert_eq!(route, want, "route {:?}", pair);
+                prop_assert_eq!(*latency, want.as_ref().map(|r| r.latency), "latency {:?}", pair);
+            }
+            Ok(())
+        };
+        let before = all_pairs_oracle(&g, n);
+        check(&mut router, &g, &before)?;
+        prop_assert!(router.cached_trees() <= n as usize + 1);
+
+        // New failure state: answers stay those of the old one until the
+        // caller invalidates, then equal the oracle's on the new one.
+        shake_failures(&mut g, n, &mut rng, 0.2);
+        check(&mut router, &g, &before)?;
+        router.invalidate();
+        prop_assert_eq!(router.cached_trees(), 0);
+        check(&mut router, &g, &all_pairs_oracle(&g, n))?;
+    }
+
     #[test]
     fn routes_only_traverse_usable_links(
         seed in 0u64..2_000,

@@ -33,6 +33,11 @@ pub mod pool;
 pub mod training;
 pub mod vmc;
 
+/// Serialises the tests of this binary that resize the process-global
+/// exec pool: widths set by one must not change under another.
+#[cfg(test)]
+pub(crate) static POOL_WIDTH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 pub use balancer::BalancerStrategy;
 pub use events::{RegionSim, RegionSimStats};
 pub use lifecycle::{LifecycleConfig, LifecycleEvent, ModelLifecycle, ShadowScore};

@@ -846,6 +846,7 @@ mod tests {
             };
             (transcript, m.predict(probe.as_slice()))
         };
+        let _width = crate::POOL_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
         let before = acm_exec::current_threads();
         acm_exec::configure_threads(1);
         let seq = run();

@@ -180,6 +180,7 @@ mod tests {
             FailureSpec::default(),
             quick_cfg(),
         );
+        let _width = crate::POOL_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
         let before = acm_exec::current_threads();
         acm_exec::configure_threads(1);
         let seq = collect_database(&args.0, &args.1, &args.2, &args.3, &mut SimRng::new(9));

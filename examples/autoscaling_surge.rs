@@ -56,9 +56,10 @@ fn main() {
     // Peak capacity per phase (the instantaneous count dips whenever a VM
     // is rejuvenating, so compare peaks, not endpoints).
     let peak = |from: usize, to: usize| -> f64 {
-        tel.active_vms(0).points()[from..to]
-            .iter()
-            .map(|p| p.value)
+        tel.active_vms(0)
+            .values()
+            .take(to)
+            .skip(from)
             .fold(0.0, f64::max)
     };
     let before = peak(0, 20);

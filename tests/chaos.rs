@@ -56,10 +56,7 @@ fn leader_kill_triggers_reelection_and_quarantines_the_dead_region() {
         events.iter().any(|e| e.kind == "region.quarantine"),
         "dead region must be quarantined"
     );
-    let tail: Vec<f64> = tel.fraction(0).points()[30..]
-        .iter()
-        .map(|p| p.value)
-        .collect();
+    let tail: Vec<f64> = tel.fraction(0).values().skip(30).collect();
     assert!(
         tail.iter().all(|v| *v == 0.0),
         "dead region still receives flow: {tail:?}"
@@ -105,7 +102,7 @@ fn readmission_hysteresis_prevents_plan_oscillation() {
     assert_eq!(count("region.readmit"), 1, "exactly one re-admission");
     // Once re-admitted, the region keeps its flow: the fraction series
     // never collapses back to zero after its post-heal recovery.
-    let f1: Vec<f64> = tel.fraction(1).points().iter().map(|p| p.value).collect();
+    let f1: Vec<f64> = tel.fraction(1).values().collect();
     let readmit = f1[21..]
         .iter()
         .position(|v| *v > 0.0)

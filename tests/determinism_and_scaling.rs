@@ -221,9 +221,10 @@ fn autoscaler_grows_a_region_under_a_client_surge() {
     };
     let tel = run_experiment(&cfg);
     let peak = |from: usize, to: usize| {
-        tel.active_vms(0).points()[from..to]
-            .iter()
-            .map(|p| p.value)
+        tel.active_vms(0)
+            .values()
+            .take(to)
+            .skip(from)
             .fold(0.0, f64::max)
     };
     assert!(

@@ -58,7 +58,7 @@ fn partition_freezes_fractions_for_the_cut_region() {
     // Fractions recorded after the cut stay frozen at the last agreed
     // value: the leader cannot install plans on the unreachable region.
     let f = tel.fraction(1);
-    let frozen: Vec<f64> = f.points()[12..].iter().map(|p| p.value).collect();
+    let frozen: Vec<f64> = f.values().skip(12).collect();
     let first = frozen[0];
     assert!(
         frozen.iter().all(|v| (v - first).abs() < 1e-9),

@@ -1,0 +1,242 @@
+//! Integration: what an era leaves behind, and what its exports look like.
+//!
+//! A time-budgeted benchmark run that finishes more eras retains more, so
+//! what one era retains is part of the performance contract. This binary
+//! installs a counting allocator and steps a 200-region star world — the
+//! shape of the benchmark's `mega-control`, with small pools and client
+//! populations so it runs in seconds — to bound the live heap an era adds,
+//! and checks on a fig-4 run that storing telemetry and plan vectors
+//! compactly left the three exports byte for byte where they were.
+
+use acm::core::config::{ExperimentConfig, PredictorChoice, RegionSpec};
+use acm::core::control_loop::ControlLoop;
+use acm::core::framework::{build_vmcs, run_experiment_with_obs};
+use acm::core::policy::PolicyKind;
+use acm::core::telemetry::ExperimentTelemetry;
+use acm::core::DegradationConfig;
+use acm::obs::json::{self, JsonObject};
+use acm::obs::{Obs, ObsConfig, Value};
+use acm::overlay::FaultPlan;
+use acm::sim::rng::SimRng;
+use acm::sim::series::SeriesTable;
+use acm::sim::{Duration, SimTime};
+use acm::workload::ClientSchedule;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Mutex;
+
+/// Bytes currently allocated by the whole process.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+struct Counting;
+
+// SAFETY: defers every operation to `System` unchanged; the counter is a
+// relaxed statistic that publishes nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(
+            new_size as isize - layout.size() as isize,
+            Ordering::Relaxed,
+        );
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The counter is process-wide: the tests of this binary take turns.
+static HEAP: Mutex<()> = Mutex::new(());
+
+const REGIONS: usize = 200;
+
+/// `mega-control`'s world in small: the three paper flavors cycled over a
+/// star rooted at region 0, 16 browsers per region, one early partition
+/// of the last region, 2 % message drop, graceful degradation on.
+fn star_world(seed: u64) -> ExperimentConfig {
+    let n = REGIONS;
+    let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, seed);
+    cfg.name = format!("retention-{n}r");
+    cfg.predictor = PredictorChoice::Oracle;
+    cfg.eras = 120;
+    cfg.regions = (0..n)
+        .map(|i| {
+            let mut region = match i % 3 {
+                0 => ExperimentConfig::region1_ireland(),
+                1 => ExperimentConfig::region2_frankfurt(),
+                _ => ExperimentConfig::region3_munich(),
+            };
+            region.name = format!("r{i:03}-{}", region.name);
+            RegionSpec {
+                region,
+                clients: ClientSchedule::Constant(16),
+            }
+        })
+        .collect();
+    cfg.latencies = (1..n)
+        .map(|j| (0usize, j, Duration::from_millis(8 + (j as u64 * 7) % 40)))
+        .collect();
+    let era_s = cfg.era.as_micros() / 1_000_000;
+    cfg.fault_plan = Some(
+        FaultPlan::scripted(seed, Vec::new())
+            .partition_window(
+                vec![ExperimentConfig::node_of(n - 1)],
+                SimTime::from_secs(6 * era_s),
+                SimTime::from_secs(12 * era_s),
+            )
+            .with_message_chaos(0.02, Duration::from_millis(10)),
+    );
+    cfg.degradation = DegradationConfig::enabled();
+    cfg
+}
+
+#[test]
+fn an_era_of_the_200_region_world_retains_at_most_15_kb() {
+    let _heap = HEAP.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = star_world(11);
+    let mut rng = SimRng::new(cfg.seed);
+    let vmcs = build_vmcs(&cfg, &mut rng);
+    let mut cl = ControlLoop::new(&cfg, vmcs, rng);
+
+    cl.run(40);
+    let at_40 = LIVE.load(Ordering::Relaxed);
+    cl.run(80);
+    let at_120 = LIVE.load(Ordering::Relaxed);
+    let per_era = (at_120 - at_40) as f64 / 80.0;
+    // Reads 14 367 B at any pool width: one telemetry row of
+    // (4 n + 4) x 8 = 6 432 B, one `plan.install` keeping two n-vectors,
+    // 3 200 B, and ~4.7 KB of small events (the era's ~16 message drops and
+    // retries, plus their stores' `Vec` doubling 512 -> 1 024 records
+    // inside the window), which stop growing once a kind reaches
+    // `event_capacity`. Per-series storage and pre-rendered plan strings
+    // read 33 816 B on the same world, so 15 KB fails if either returns.
+    assert!(
+        per_era <= 15.0 * 1024.0,
+        "eras 40-120 retained {per_era:.0} B each ({at_40} -> {at_120})"
+    );
+    assert!(per_era >= 6_432.0, "telemetry alone is 6 432 B per era");
+    assert_eq!(cl.telemetry().eras(), 120);
+
+    // Every era asks for all n^2 client-to-region latencies: that is one
+    // shortest-path tree per source and failure state, never one search
+    // per pair.
+    let obs = cl.obs();
+    let builds = obs.counter("acm.overlay.transport.tree_builds").value();
+    let invalidations = obs.counter("acm.overlay.transport.invalidations").value();
+    assert!(invalidations >= 2, "the partition and its heal");
+    assert!(
+        builds >= REGIONS as u64 && builds <= REGIONS as u64 * (invalidations + 1),
+        "{builds} tree builds over {invalidations} invalidations"
+    );
+}
+
+/// End instant of era `e`: the clock the telemetry stores once per row.
+fn era_end(era: Duration, e: usize) -> SimTime {
+    SimTime::from_micros(era.as_micros() * (e as u64 + 1))
+}
+
+/// `to_csv` as it was rendered while every signal was a `TimeSeries`:
+/// through a `SeriesTable` of the same columns.
+fn csv_via_series_table(tel: &ExperimentTelemetry, era: Duration) -> String {
+    let n = tel.region_names().len();
+    let mut names = Vec::new();
+    for suffix in ["rmttf", "f", "resp", "active"] {
+        for name in tel.region_names() {
+            names.push(format!("{name}_{suffix}"));
+        }
+    }
+    names.extend(["global_resp", "lambda", "plan_churn", "remote_frac"].map(String::from));
+    let mut table = SeriesTable::new(names);
+    for e in 0..tel.eras() {
+        let mut row = Vec::new();
+        row.extend((0..n).map(|i| tel.rmttf(i).points()[e].value));
+        row.extend((0..n).map(|i| tel.fraction(i).points()[e].value));
+        row.extend((0..n).map(|i| tel.response(i).points()[e].value));
+        row.extend((0..n).map(|i| tel.active_vms(i).points()[e].value));
+        row.push(tel.global_response().points()[e].value);
+        row.push(tel.global_lambda().points()[e].value);
+        row.push(tel.plan_churn().points()[e].value);
+        row.push(tel.remote_fraction().points()[e].value);
+        table.push_row(era_end(era, e), &row);
+    }
+    table.to_csv()
+}
+
+/// `to_jsonl` as it was written against per-series storage.
+fn jsonl_via_views(tel: &ExperimentTelemetry, era: Duration) -> String {
+    let mut out = String::new();
+    for e in 0..tel.eras() {
+        let regions = json::array((0..tel.region_names().len()).map(|i| {
+            let mut o = JsonObject::new();
+            o.field_str("name", &tel.region_names()[i])
+                .field_f64("rmttf_s", tel.rmttf(i).points()[e].value)
+                .field_f64("fraction", tel.fraction(i).points()[e].value)
+                .field_f64("response_s", tel.response(i).points()[e].value)
+                .field_u64("active_vms", tel.active_vms(i).points()[e].value as u64);
+            o.finish()
+        }));
+        let mut o = JsonObject::new();
+        o.field_u64("era", e as u64)
+            .field_u64("t_us", era_end(era, e).as_micros())
+            .field_raw("regions", &regions)
+            .field_f64("global_response_s", tel.global_response().points()[e].value)
+            .field_f64("lambda", tel.global_lambda().points()[e].value)
+            .field_f64("plan_churn", tel.plan_churn().points()[e].value)
+            .field_f64("remote_fraction", tel.remote_fraction().points()[e].value);
+        out.push_str(&o.finish());
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn compact_storage_leaves_the_exports_byte_identical() {
+    let _heap = HEAP.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = ExperimentConfig::three_region_fig4(PolicyKind::AvailableResources, 2016);
+    let obs = Obs::new(ObsConfig::default());
+    let tel = run_experiment_with_obs(&cfg, obs.clone());
+
+    // The CSV: the committed figure, and the pre-change rendering.
+    let csv = tel.to_csv();
+    assert!(
+        csv == include_str!("../results/fig4-policy2-available-resources.csv"),
+        "to_csv moved off results/"
+    );
+    assert!(csv == csv_via_series_table(&tel, cfg.era), "to_csv moved");
+    assert!(
+        tel.to_jsonl() == jsonl_via_views(&tel, cfg.era),
+        "to_jsonl moved"
+    );
+
+    // The decision log: `plan.install` used to store `old` / `new` as the
+    // array text; render every record that way and compare.
+    let mut installs = 0;
+    let expected: String = obs
+        .events_tail(usize::MAX)
+        .into_iter()
+        .map(|mut rec| {
+            for (_, v) in rec.fields.iter_mut() {
+                if let Value::F64s(fs) = v {
+                    installs += 1;
+                    *v = Value::from(json::array(fs.iter().map(|f| json::fmt_f64(*f))));
+                }
+            }
+            rec.to_json() + "\n"
+        })
+        .collect();
+    assert!(
+        installs >= 2 * 100,
+        "plan.install carries two vectors an era"
+    );
+    assert!(obs.events_jsonl() == expected, "events_jsonl moved");
+}

@@ -27,13 +27,7 @@ fn scripted_policy_switch_rescues_sensible_routing() {
     let tel = run_experiment(&cfg);
     // Diverged while Policy 1 ruled...
     let early: Vec<f64> = (0..2)
-        .map(|i| {
-            tel.rmttf(i).points()[30..45]
-                .iter()
-                .map(|p| p.value)
-                .sum::<f64>()
-                / 15.0
-        })
+        .map(|i| tel.rmttf(i).values().skip(30).take(15).sum::<f64>() / 15.0)
         .collect();
     let early_spread = early[0].max(early[1]) / early[0].min(early[1]);
     assert!(early_spread > 1.5, "early spread {early_spread}");
