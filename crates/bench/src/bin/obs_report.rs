@@ -48,15 +48,18 @@ fn print_metric_row(name: &str, value: &MetricValue) {
     }
 }
 
-fn print_phase_row(label: &str, h: &HistogramSnapshot) {
+/// One phase-table row; `share` is the phase's sum over the era's (the
+/// four phases tile the era, so the column adds up to the `era` row's 1).
+fn print_phase_row(label: &str, h: &HistogramSnapshot, era_sum: u64) {
     println!(
-        "{:<12} {:>8} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
+        "{:<12} {:>8} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>8.3}",
         label,
         h.count,
         h.mean() / 1e3,
         h.quantile(0.5) as f64 / 1e3,
         h.quantile(0.99) as f64 / 1e3,
         h.max as f64 / 1e3,
+        h.sum as f64 / era_sum.max(1) as f64,
     );
 }
 
@@ -97,18 +100,21 @@ fn main() {
 
     // ----- MAPE phase timing ----------------------------------------------
     println!(
-        "{:<12} {:>8} {:>12} {:>12} {:>12} {:>12}",
-        "phase", "count", "mean_us", "p50_us", "p99_us", "max_us"
+        "{:<12} {:>8} {:>12} {:>12} {:>12} {:>12} {:>8}",
+        "phase", "count", "mean_us", "p50_us", "p99_us", "max_us", "share"
     );
     let metrics = obs.metrics();
-    for phase in ["monitor", "analyze", "plan", "execute", "era"] {
+    let phase_hist = |phase: &str| {
         let name = format!("acm.core.control_loop.{phase}_ns");
-        if let Some(MetricValue::Histogram(h)) = metrics
-            .iter()
-            .find(|m| m.name == name)
-            .map(|m| m.value.clone())
-        {
-            print_phase_row(phase, &h);
+        metrics.iter().find_map(|m| match &m.value {
+            MetricValue::Histogram(h) if m.name == name => Some(h.clone()),
+            _ => None,
+        })
+    };
+    let era_sum = phase_hist("era").map_or(0, |h| h.sum);
+    for phase in ["monitor", "analyze", "plan", "execute", "era"] {
+        if let Some(h) = phase_hist(phase) {
+            print_phase_row(phase, &h, era_sum);
         }
     }
 

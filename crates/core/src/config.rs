@@ -16,7 +16,7 @@
 use crate::autoscale::AutoscaleConfig;
 use crate::degrade::DegradationConfig;
 use crate::policy::PolicyKind;
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, ScenarioAction, ScheduledAction};
 use acm_ml::model::ModelKind;
 use acm_obs::ObsConfig;
 use acm_overlay::{FaultPlan, NodeId};
@@ -93,7 +93,9 @@ pub struct ExperimentConfig {
     pub predictor: PredictorChoice,
     /// Autoscaling configuration.
     pub autoscale: AutoscaleConfig,
-    /// Scheduled overlay faults.
+    /// Scheduled overlay faults: an input format, lowered into
+    /// [`ScenarioAction::FailLink`] / [`ScenarioAction::RecoverLink`] when
+    /// the loop is built.
     pub link_faults: Vec<LinkFault>,
     /// Deterministic chaos schedule replayed against the overlay
     /// transport (link flaps, crashes, partitions, leader kills,
@@ -241,6 +243,25 @@ impl ExperimentConfig {
             drift: DriftConfig::default(),
             lifecycle: LifecycleConfig::default(),
         }
+    }
+
+    /// The timeline the control loop runs: `link_faults` lowered into
+    /// `FailLink` / `RecoverLink` actions, ahead of the scripted actions
+    /// that share their instant.
+    pub(crate) fn lowered_scenario(&self) -> Scenario {
+        let at = |at, action| ScheduledAction { at, action };
+        let lowered = self.link_faults.iter().flat_map(|f| {
+            let (a, b) = (f.a, f.b);
+            [
+                at(f.fail_at, ScenarioAction::FailLink { a, b }),
+                at(f.recover_at, ScenarioAction::RecoverLink { a, b }),
+            ]
+        });
+        Scenario::new(
+            lowered
+                .chain(self.scenario.pending().iter().copied())
+                .collect(),
+        )
     }
 
     /// Overlay node id of region `i` (regions map 1:1 onto overlay nodes).

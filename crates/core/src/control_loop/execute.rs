@@ -1,0 +1,230 @@
+//! EXECUTE (Alg. 3) and the era's close: install or freeze the plan, sync
+//! the router, autoscale — then everything that reads the finished era:
+//! drift windows, lifecycle verdicts, client-observed response, the
+//! telemetry row, SLO windows and the pool sample.
+
+use super::causes::Link;
+use super::leader::SendOutcome;
+use super::{ControlLoop, Decided, Heard, Monitored};
+use crate::config::ExperimentConfig;
+use crate::telemetry::RegionEraRecord;
+use acm_obs::{SloTransition, Value};
+use acm_sim::time::Duration;
+
+impl ControlLoop {
+    pub(super) fn execute(&mut self, seen: Monitored, heard: &Heard, decided: Decided) {
+        self.install(&seen, heard, &decided.live_mask, decided.target);
+        // Autoscaling (Alg. 3 lines 6–8).
+        for (j, vmc) in self.vmcs.iter_mut().enumerate() {
+            let (response, rmttf) = (seen.reports[j].mean_response_s, decided.rmttf_now[j]);
+            self.autoscalers[j].step(&self.autoscale_cfg, vmc, seen.t_end, response, rmttf);
+        }
+        self.close_model_era(&seen);
+        let global_response = self.observe_clients(&seen);
+        self.record_telemetry(&seen, &decided.rmttf_now, global_response);
+        self.observe_slos(&seen, heard);
+        self.ins.sample_pool();
+
+        self.leader.plan = Some(seen.plan);
+        self.now = seen.t_end;
+        self.era_index += 1;
+    }
+
+    /// Installs the new plan, but only if EVERY participating region is
+    /// reachable — a global forward plan installed on a strict subset of
+    /// the load balancers would be inconsistent (fractions would no longer
+    /// sum to one across the regions actually applying them), so the
+    /// leader freezes the previous plan until connectivity returns. Then
+    /// brings the data plane in step.
+    fn install(&mut self, seen: &Monitored, heard: &Heard, live_mask: &[bool], target: Vec<f64>) {
+        let (t_end, n) = (seen.t_end, live_mask.len());
+        let degraded = self.degradation.enabled;
+        // The mask is all-true without degradation. Short-circuits on the
+        // first unreachable balancer, exactly like the pre-degradation
+        // all-regions gate.
+        let targets: Vec<usize> = (0..n).filter(|&j| live_mask[j]).collect();
+        let installable = !targets.is_empty()
+            && targets.iter().all(|&j| {
+                let to = ExperimentConfig::node_of(j);
+                self.send_with_retries(t_end, heard.leader, to) == SendOutcome::Delivered
+            });
+        let live = targets.len();
+        let era_index = self.era_index;
+        if installable {
+            let old = &self.leader.fractions;
+            self.causes.emit(t_end, Link::PlanInstall, || {
+                vec![
+                    ("era", Value::from(era_index)),
+                    ("old", Value::from(old.as_slice())),
+                    ("new", Value::from(target.as_slice())),
+                ]
+            });
+            self.leader.fractions = target;
+        } else if degraded {
+            self.causes.emit(t_end, Link::PlanFreeze, || {
+                vec![
+                    ("era", Value::from(era_index)),
+                    ("live", Value::from(live)),
+                    ("regions", Value::from(n)),
+                ]
+            });
+        }
+
+        // Data-plane sync: rebuild the router's weight table from the
+        // fractions now in force — the freshly installed plan, or the
+        // frozen one with this era's quarantine mask applied — in one
+        // atomic double-buffered swap. Quarantined regions carry zero
+        // weight and become structurally unsampleable.
+        let router = &mut self.router;
+        if router.install(&self.leader.fractions, degraded.then_some(live_mask)) {
+            self.causes.emit(t_end, Link::RouterReplan, || {
+                let support = router.shares().iter().filter(|s| **s > 0.0).count();
+                vec![
+                    ("epoch", Value::from(router.epoch())),
+                    ("live", Value::from(live)),
+                    ("support", Value::from(support)),
+                ]
+            });
+        }
+        // Routed outcomes feed the latency scorer: each region's
+        // completion-weighted mean response this era is one decayed
+        // sample (regions that completed nothing contribute no signal).
+        for (j, r) in seen.reports.iter().enumerate() {
+            if r.completed > 0 && r.mean_response_s > 0.0 {
+                router.record_latency(j, Duration::from_secs_f64(r.mean_response_s));
+            }
+        }
+        router.publish();
+    }
+
+    /// Predictor-drift watch, then the lifecycle's verdicts. Every
+    /// end-of-life event this era feeds its region's miss window (a flip
+    /// into the drifted state opens a root `drift.signal` span on tracing
+    /// hubs). The verdicts come after the feed so a flip detected this era
+    /// can trigger its refit in the same era, and after the install so
+    /// shadow scores include everything the region processed this era.
+    fn close_model_era(&mut self, seen: &Monitored) {
+        let t_us = seen.t_end.as_micros();
+        let per_region = self.drift.iter_mut().zip(&self.vmcs).zip(&seen.reports);
+        for (j, ((drift, vmc), r)) in per_region.enumerate() {
+            for (missed, count) in [
+                (true, r.reactive_failures),
+                (false, r.proactive_rejuvenations),
+            ] {
+                for _ in 0..count {
+                    if let Some(ctx) = drift.record_with_obs(missed, &self.obs, t_us, vmc.name()) {
+                        self.causes.drifted(j, ctx);
+                    }
+                }
+            }
+        }
+        if self.lifecycle_on {
+            let era_no = self.era_index as u64;
+            for (j, (vmc, drift)) in self.vmcs.iter_mut().zip(&self.drift).enumerate() {
+                let events = vmc.lifecycle_end_era(era_no, drift.drifted());
+                self.causes.lifecycle(seen.t_end, j, vmc.name(), &events);
+            }
+            self.ins.publish_models(&self.vmcs);
+        }
+    }
+
+    /// Client-observed response times for the next era: a client attached
+    /// to region i experiences the processing time of wherever its request
+    /// was forwarded, plus the WAN round trip. All n² latencies, every
+    /// era: one tree fetch per client region, then n reads off it. Returns
+    /// the ingress-weighted global response.
+    fn observe_clients(&mut self, seen: &Monitored) -> f64 {
+        for (i, observed) in self.observed_response.iter_mut().enumerate() {
+            let from_i = self.net.transport.tree(ExperimentConfig::node_of(i));
+            let mut r = 0.0;
+            for (j, report) in seen.reports.iter().enumerate() {
+                let frac = seen.plan.fraction(i, j);
+                if frac == 0.0 {
+                    continue;
+                }
+                let rtt = if i == j {
+                    0.0
+                } else {
+                    from_i
+                        .latency(ExperimentConfig::node_of(j))
+                        .map_or(0.0, |d| 2.0 * d.as_secs_f64())
+                };
+                r += frac * (report.mean_response_s + rtt);
+            }
+            *observed = r;
+        }
+        let per_ingress = seen.ingress.iter().zip(&self.observed_response);
+        per_ingress.map(|(a, r)| a * r).sum()
+    }
+
+    fn record_telemetry(&mut self, seen: &Monitored, rmttf_now: &[f64], global_response: f64) {
+        let per_region = seen
+            .reports
+            .iter()
+            .zip(rmttf_now)
+            .zip(&self.leader.fractions);
+        let records: Vec<RegionEraRecord> = per_region
+            .map(|((r, &rmttf), &fraction)| RegionEraRecord {
+                rmttf,
+                fraction,
+                response_s: r.mean_response_s,
+                active_vms: r.active_vms,
+                proactive: r.proactive_rejuvenations,
+                reactive: r.reactive_failures,
+                completed: r.completed,
+            })
+            .collect();
+        self.telemetry.record_era(
+            seen.t_end,
+            &records,
+            global_response,
+            seen.lambda_total,
+            seen.churn,
+            seen.plan.remote_fraction(),
+        );
+    }
+
+    /// SLO burn rates, observed on tracing hubs only so untraced event
+    /// streams stay byte-identical. Availability: did the leader hear from
+    /// every region this era? Latency: completed requests served by
+    /// regions inside the 1 s SLA (the paper's response-time bound). Both
+    /// use the SRE fast/slow multi-window rule.
+    fn observe_slos(&mut self, seen: &Monitored, heard: &Heard) {
+        if !self.obs.trace_enabled() {
+            return;
+        }
+        let reports = &seen.reports;
+        let heard_from = heard.delivered.iter().filter(|d| **d).count() as u64;
+        let completed: u64 = reports.iter().map(|r| r.completed).sum();
+        let within_sla: u64 = reports
+            .iter()
+            .filter(|r| r.mean_response_s <= 1.0)
+            .map(|r| r.completed)
+            .sum();
+        let inputs = [(heard_from, reports.len() as u64), (within_sla, completed)];
+        for (i, (slo, (good, total))) in self.slo.iter_mut().zip(inputs).enumerate() {
+            let name = slo.spec().name;
+            match slo.observe(good, total) {
+                Some(SloTransition::Fired {
+                    fast_burn,
+                    slow_burn,
+                }) => self.causes.emit(seen.t_end, Link::SloBurn(i), || {
+                    vec![
+                        ("slo", Value::from(name)),
+                        ("fast_burn", Value::from(fast_burn)),
+                        ("slow_burn", Value::from(slow_burn)),
+                    ]
+                }),
+                Some(SloTransition::Recovered { fast_burn }) => {
+                    self.causes.emit(seen.t_end, Link::SloRecovered(i), || {
+                        vec![
+                            ("slo", Value::from(name)),
+                            ("fast_burn", Value::from(fast_burn)),
+                        ]
+                    })
+                }
+                None => {}
+            }
+        }
+    }
+}

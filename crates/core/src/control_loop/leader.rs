@@ -1,0 +1,206 @@
+//! What the leader knows, and the control plane it talks over.
+
+use crate::config::ExperimentConfig;
+use crate::degrade::HealthTracker;
+use crate::ewma::RmttfEwma;
+use crate::plan::ForwardPlan;
+use crate::policy::{uniform_fractions, LoadBalancingPolicy};
+use acm_obs::ObsHandle;
+use acm_overlay::{
+    ChaosLayer, Elector, FailureDetector, MessageFate, NodeId, OverlayGraph, Transport,
+};
+use acm_sim::rng::SimRng;
+use acm_sim::time::SimTime;
+
+/// The state the leader carries from era to era — what a successor would
+/// have to be handed to resume without a plan regression. Plain data: the
+/// phases read and write the fields directly.
+pub(super) struct LeaderState {
+    /// Eq. 1 smoothing state per region.
+    pub(super) estimators: Vec<RmttfEwma>,
+    /// The latest received `lastRMTTF` per region (stale on loss).
+    pub(super) received_rmttf: Vec<f64>,
+    /// Fractions currently installed on the load balancers.
+    pub(super) fractions: Vec<f64>,
+    /// Last forward plan (for churn accounting).
+    pub(super) plan: Option<ForwardPlan>,
+    /// Report-age / quarantine state machine with its outage ordinals;
+    /// present iff degradation is enabled, like the detector.
+    pub(super) tracker: Option<HealthTracker>,
+    /// Heartbeat suspicion, fed by report deliveries.
+    pub(super) detector: Option<FailureDetector>,
+    pub(super) policy: LoadBalancingPolicy,
+    /// Per-region VM-hour prices (for re-costing subset policies).
+    region_costs: Vec<f64>,
+    /// The policy's exploration stream.
+    rng: SimRng,
+}
+
+impl LeaderState {
+    pub(super) fn new(cfg: &ExperimentConfig, obs: &ObsHandle, rng: SimRng) -> Self {
+        let n = cfg.regions.len();
+        let region_costs: Vec<f64> = cfg.regions.iter().map(|r| r.region.vm_hour_usd).collect();
+        let mut policy = LoadBalancingPolicy::new(cfg.policy)
+            .with_k(cfg.k)
+            .with_noise(cfg.exploration_noise)
+            .with_region_costs(region_costs.clone());
+        policy.set_obs(obs);
+        let detector = cfg.degradation.enabled.then(|| {
+            let nodes = (0..n).map(ExperimentConfig::node_of);
+            let mut det = FailureDetector::new(cfg.degradation.heartbeat, nodes, SimTime::ZERO);
+            det.set_obs(obs);
+            det
+        });
+        LeaderState {
+            estimators: vec![RmttfEwma::new(cfg.beta); n],
+            received_rmttf: vec![0.0; n],
+            fractions: uniform_fractions(n),
+            plan: None,
+            tracker: detector
+                .is_some()
+                .then(|| HealthTracker::new(&cfg.degradation, n)),
+            detector,
+            policy,
+            region_costs,
+            rng,
+        }
+    }
+
+    /// Eq. 1 over this era's reports. The baseline smooths whatever the
+    /// leader holds (stale on loss); degradation smooths fresh data only.
+    pub(super) fn smooth(&mut self, delivered: &[bool]) -> Vec<f64> {
+        let fresh_only = self.tracker.is_some();
+        let held = self.received_rmttf.iter().zip(delivered);
+        self.estimators
+            .iter_mut()
+            .zip(held)
+            .map(|(est, (&raw, &fresh))| {
+                if fresh || !fresh_only {
+                    est.update(raw)
+                } else {
+                    est.value_or_zero()
+                }
+            })
+            .collect()
+    }
+
+    /// Runs the policy over the plan-participating regions. With every
+    /// region live this is exactly the baseline call; with a strict subset
+    /// the previous fractions are renormalised over the live regions, the
+    /// policy plans in that subspace (re-costed for the cost-aware kind),
+    /// and quarantined regions are pinned to zero flow. With nobody live
+    /// the previous fractions are kept (the plan freezes anyway).
+    pub(super) fn plan_fractions(
+        &mut self,
+        live_mask: &[bool],
+        rmttf_now: &[f64],
+        lambda_total: f64,
+    ) -> Vec<f64> {
+        let n = live_mask.len();
+        let live: Vec<usize> = (0..n).filter(|&j| live_mask[j]).collect();
+        if live.len() == n {
+            return self.policy.next_fractions(
+                &self.fractions,
+                rmttf_now,
+                lambda_total,
+                &mut self.rng,
+            );
+        }
+        if live.is_empty() {
+            return self.fractions.clone();
+        }
+        let prev_sum: f64 = live.iter().map(|&j| self.fractions[j]).sum();
+        let prev_live: Vec<f64> = if prev_sum > 0.0 {
+            live.iter().map(|&j| self.fractions[j] / prev_sum).collect()
+        } else {
+            uniform_fractions(live.len())
+        };
+        let rmttf_live: Vec<f64> = live.iter().map(|&j| rmttf_now[j]).collect();
+        let costs_live: Vec<f64> = live.iter().map(|&j| self.region_costs[j]).collect();
+        let sub_policy = self.policy.clone().with_region_costs(costs_live);
+        let target_live =
+            sub_policy.next_fractions(&prev_live, &rmttf_live, lambda_total, &mut self.rng);
+        let mut target = vec![0.0; n];
+        for (k, &j) in live.iter().enumerate() {
+            target[j] = target_live[k];
+        }
+        target
+    }
+}
+
+/// What happened to one control-plane message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum SendOutcome {
+    /// Routed and delivered (possibly with chaos-injected extra delay).
+    Delivered,
+    /// Routed, but the chaos layer dropped it — a retry can succeed.
+    ChaosDropped,
+    /// No usable route; retrying within the era cannot help.
+    Unroutable,
+}
+
+/// The overlay as the loop drives it: transport, election, and the chaos
+/// replay over them (present iff a fault plan is configured).
+pub(super) struct ControlPlane {
+    pub(super) transport: Transport,
+    pub(super) elector: Elector,
+    pub(super) chaos: Option<ChaosLayer>,
+}
+
+impl ControlPlane {
+    pub(super) fn new(cfg: &ExperimentConfig, obs: &ObsHandle) -> Self {
+        let mut graph = OverlayGraph::new();
+        for i in 0..cfg.regions.len() {
+            graph.add_node(ExperimentConfig::node_of(i));
+        }
+        for &(a, b, lat) in &cfg.latencies {
+            graph.add_link(
+                ExperimentConfig::node_of(a),
+                ExperimentConfig::node_of(b),
+                lat,
+            );
+        }
+        let mut transport = Transport::new(graph);
+        transport.set_obs(obs);
+        let mut elector = Elector::new();
+        elector.set_obs(obs);
+        elector.re_elect(transport.graph());
+        let chaos = cfg.fault_plan.as_ref().map(|plan| {
+            let mut layer = ChaosLayer::new(plan);
+            layer.set_obs(obs);
+            layer
+        });
+        ControlPlane {
+            transport,
+            elector,
+            chaos,
+        }
+    }
+
+    /// The overlay node of the region the leader VMC lives in, as seen from
+    /// region-0's partition (the figure deployments are never partitioned).
+    pub(super) fn leader_node(&self) -> NodeId {
+        // Leader of the partition containing the lowest alive node; if all
+        // nodes are dead fall back to node 0 (nothing routes anyway).
+        let alive = self.transport.graph().alive_nodes();
+        let probe = alive.first().copied().unwrap_or(NodeId(0));
+        let election = self.elector.current().expect("elected at construction");
+        election.leader(probe).unwrap_or(probe)
+    }
+
+    /// One control-plane send attempt from `from` to `to`: routes over the
+    /// transport, then (when a chaos plan is active) lets the chaos layer
+    /// decide the message's fate.
+    pub(super) fn send(&mut self, now: SimTime, from: NodeId, to: NodeId) -> SendOutcome {
+        if self.transport.prepare_send(from, to).is_none() {
+            return SendOutcome::Unroutable;
+        }
+        match &mut self.chaos {
+            Some(chaos) => match chaos.message_fate(now, from, to) {
+                MessageFate::Deliver { .. } => SendOutcome::Delivered,
+                MessageFate::Drop => SendOutcome::ChaosDropped,
+            },
+            None => SendOutcome::Delivered,
+        }
+    }
+}

@@ -1,0 +1,296 @@
+//! The ACM closed control loop (paper Sec. V, Fig. 2, Algorithms 1–3).
+//!
+//! [`ControlLoop::step_era`] walks the four states, each a function over
+//! typed per-era values, each timed by one phase clock so the four
+//! timers tile the era:
+//!
+//! * **Monitor** (`monitor`) — due scenario actions (scripted link
+//!   faults among them) and chaos-plan faults are applied and the leader
+//!   re-elected; refits due this era are joined; the client populations
+//!   offer load per the interactive response-time law; the forward plan
+//!   in force splits it; every region's VMC advances one era on the
+//!   MONITOR shards — collecting features, predicting its RMTTF and
+//!   actuating PCAM locally (Alg. 1's region half).
+//! * **Analyze** (`analyze`) — slaves ship `lastRMTTF_i` to the leader
+//!   over the overlay, with retries under degradation (reports are lost
+//!   when the overlay cannot route — the leader then keeps the stale
+//!   value); the heartbeat detector turns silence into suspicion.
+//! * **Plan** (`plan`, Alg. 2, leader only) — quarantine state machine,
+//!   Eq. 1 EWMA per region, then the configured `POLICY()` computes the
+//!   next fractions `f_i^t`. Nothing else: `plan_ns` is decision latency.
+//! * **Execute** (`execute`, Alg. 3) — the new fractions are installed on
+//!   every reachable region's load balancer (or the plan freezes), the
+//!   router follows, autoscaling fires where the response-time / RMTTF
+//!   thresholds demand. The era's close lives here too, because it reads
+//!   what the install left behind: drift windows, lifecycle verdicts,
+//!   client-observed response, the telemetry row, SLO windows, the pool
+//!   sample.
+//!
+//! What persists between eras is a `leader::LeaderState` (what a
+//! successor leader would need), the `causes` chain decision events hang
+//! off, and the region-side world (VMCs, workloads, overlay).
+
+mod analyze;
+mod causes;
+mod execute;
+mod instruments;
+mod leader;
+mod monitor;
+mod plan;
+#[cfg(test)]
+mod tests;
+
+use crate::autoscale::{AutoscaleConfig, Autoscaler};
+use crate::config::ExperimentConfig;
+use crate::degrade::DegradationConfig;
+use crate::plan::ForwardPlan;
+use crate::policy::PolicyKind;
+use crate::scenario::Scenario;
+use crate::telemetry::ExperimentTelemetry;
+use acm_obs::{BurnRateMonitor, Obs, ObsConfig, ObsHandle, SloSpec, Value};
+use acm_overlay::{ElectionOutcome, NodeId};
+use acm_pcam::{DriftMonitor, RegionEraReport, Vmc};
+use acm_router::RequestRouter;
+use acm_sim::rng::SimRng;
+use acm_sim::time::{Duration, SimTime};
+use acm_workload::RegionWorkload;
+use causes::Causes;
+use instruments::{Instruments, Phase};
+use leader::{ControlPlane, LeaderState};
+
+/// What MONITOR saw: the era's end instant, the load the clients offered
+/// and where the plan in force sent it, and every region's report.
+struct Monitored {
+    t_end: SimTime,
+    /// Share of the global request rate entering at each region.
+    ingress: Vec<f64>,
+    lambda_total: f64,
+    /// The forward plan realising the fractions in force this era.
+    plan: ForwardPlan,
+    /// Its churn against last era's plan.
+    churn: f64,
+    reports: Vec<RegionEraReport>,
+}
+
+/// What ANALYZE heard: who leads, and whose report reached them.
+struct Heard {
+    leader: NodeId,
+    delivered: Vec<bool>,
+}
+
+/// What PLAN decided: who takes part, the smoothed RMTTFs, the next
+/// fractions.
+struct Decided {
+    live_mask: Vec<bool>,
+    rmttf_now: Vec<f64>,
+    target: Vec<f64>,
+}
+
+/// The running multi-region control loop.
+pub struct ControlLoop {
+    era: Duration,
+    now: SimTime,
+    era_index: usize,
+    vmcs: Vec<Vmc>,
+    workloads: Vec<RegionWorkload>,
+    /// Response time the clients of each ingress region observed last era.
+    observed_response: Vec<f64>,
+    autoscale_cfg: AutoscaleConfig,
+    autoscalers: Vec<Autoscaler>,
+    /// Per-region predictor-miss watchers feeding `drift.signal` roots.
+    drift: Vec<DriftMonitor>,
+    /// True when `cfg.lifecycle.enabled` armed a model lifecycle on every
+    /// model-backed VMC.
+    lifecycle_on: bool,
+    net: ControlPlane,
+    /// Leader-side degradation knobs (quarantine, retries, hysteresis).
+    degradation: DegradationConfig,
+    leader: LeaderState,
+    /// Runtime reconfigurations still to come, `cfg.link_faults` included.
+    scenario: Scenario,
+    /// Request-routing data plane kept in lock-step with the installed
+    /// plan: every install (fresh or frozen-with-quarantine) rebuilds the
+    /// router's weight table with quarantined regions masked to zero.
+    router: RequestRouter,
+    /// Burn-rate monitors (availability, latency).
+    slo: [BurnRateMonitor; 2],
+    telemetry: ExperimentTelemetry,
+    causes: Causes,
+    ins: Instruments,
+    obs: ObsHandle,
+    /// Blueprint for the per-shard child hubs of a sharded MONITOR.
+    obs_cfg: ObsConfig,
+    /// Forces the MONITOR shard count (shard-count identity tests).
+    #[cfg(test)]
+    monitor_shards_override: Option<usize>,
+}
+
+impl ControlLoop {
+    /// Wires the loop from pre-built VMCs (the framework module handles
+    /// predictor training and hands the VMCs in). Observability follows
+    /// `cfg.obs`; use [`ControlLoop::new_with_obs`] to share an existing
+    /// [`Obs`] instance instead.
+    pub fn new(cfg: &ExperimentConfig, vmcs: Vec<Vmc>, rng: SimRng) -> Self {
+        let obs = Obs::new(cfg.obs);
+        Self::new_with_obs(cfg, vmcs, rng, obs)
+    }
+
+    /// Like [`ControlLoop::new`] but instruments the loop (and every VMC,
+    /// the elector and the policy) against the caller's [`Obs`] instance,
+    /// so one registry aggregates the whole run.
+    pub fn new_with_obs(
+        cfg: &ExperimentConfig,
+        mut vmcs: Vec<Vmc>,
+        mut rng: SimRng,
+        obs: ObsHandle,
+    ) -> Self {
+        cfg.validate().expect("invalid experiment config");
+        assert_eq!(vmcs.len(), cfg.regions.len(), "one VMC per region");
+        let n = cfg.regions.len();
+        for vmc in &mut vmcs {
+            vmc.set_obs(obs.clone());
+        }
+
+        // RNG split order is load-bearing: the leader's stream takes the
+        // first split, exactly as before the router existed, so pre-router
+        // runs replay byte-identically; the router's dedicated stream is
+        // the second split.
+        let leader = LeaderState::new(cfg, &obs, rng.split());
+        let mut router = RequestRouter::new(n, cfg.router, rng.split());
+        router.set_obs(&obs);
+        // The model lifecycle's stream is the THIRD split, taken only when
+        // the feature is on: every pre-lifecycle seed (and every run with
+        // the feature off) replays byte-identically.
+        if cfg.lifecycle.enabled {
+            let mut lc_rng = rng.split();
+            for vmc in &mut vmcs {
+                vmc.enable_lifecycle(cfg.lifecycle, lc_rng.split());
+            }
+        }
+
+        let slo = [SloSpec::availability(), SloSpec::latency()].map(BurnRateMonitor::new);
+        ControlLoop {
+            era: cfg.era,
+            now: SimTime::ZERO,
+            era_index: 0,
+            vmcs,
+            workloads: cfg.regions.iter().map(|r| r.workload()).collect(),
+            observed_response: vec![0.0; n],
+            autoscale_cfg: cfg.autoscale.clone(),
+            autoscalers: vec![Autoscaler::new(); n],
+            // One predictor-miss window per region, tuned by `cfg.drift`.
+            drift: (0..n).map(|_| cfg.drift.monitor()).collect(),
+            lifecycle_on: cfg.lifecycle.enabled,
+            net: ControlPlane::new(cfg, &obs),
+            degradation: cfg.degradation.clone(),
+            leader,
+            scenario: cfg.lowered_scenario(),
+            router,
+            causes: Causes::new(&obs, n, slo.len()),
+            slo,
+            telemetry: ExperimentTelemetry::new(
+                cfg.regions.iter().map(|r| r.region.name.clone()).collect(),
+            ),
+            ins: Instruments::new(cfg, &obs),
+            obs,
+            obs_cfg: cfg.obs,
+            #[cfg(test)]
+            monitor_shards_override: None,
+        }
+    }
+
+    /// The observability instance the loop records into.
+    pub fn obs(&self) -> &ObsHandle {
+        &self.obs
+    }
+
+    /// The request-routing data plane under the installed plan.
+    pub fn router(&self) -> &RequestRouter {
+        &self.router
+    }
+
+    /// Mutable router access (route requests, split per-shard lenses).
+    pub fn router_mut(&mut self) -> &mut RequestRouter {
+        &mut self.router
+    }
+
+    /// Current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Telemetry so far.
+    pub fn telemetry(&self) -> &ExperimentTelemetry {
+        &self.telemetry
+    }
+
+    /// Consumes the loop, returning the telemetry.
+    pub fn into_telemetry(self) -> ExperimentTelemetry {
+        self.telemetry
+    }
+
+    /// The VMCs (for assertions in tests).
+    pub fn vmcs(&self) -> &[Vmc] {
+        &self.vmcs
+    }
+
+    /// Flips the model lifecycle's poison-refits chaos hook on every
+    /// region (see `acm_pcam::LifecycleConfig::poison_refits`). No-op
+    /// when the lifecycle is disabled.
+    pub fn set_lifecycle_poison(&mut self, on: bool) {
+        for vmc in &mut self.vmcs {
+            if let Some(lc) = vmc.lifecycle_mut() {
+                lc.set_poison_refits(on);
+            }
+        }
+    }
+
+    /// Fractions currently installed.
+    pub fn fractions(&self) -> &[f64] {
+        &self.leader.fractions
+    }
+
+    /// Switches the leader's policy at runtime, keeping the tuning knobs
+    /// (k, jitter, region costs). The paper's framework "offers the
+    /// possibility to modify the deploy at runtime in case the workload
+    /// conditions change during the lifetime of the system" (Sec. II) —
+    /// this is the policy-level version of that capability, and what a
+    /// scripted `SwitchPolicy` calls.
+    pub fn set_policy(&mut self, kind: PolicyKind) {
+        self.leader.policy = self.leader.policy.clone().with_kind(kind);
+        if self.obs.enabled() {
+            self.obs.emit(
+                self.now.as_micros(),
+                "policy.switch",
+                vec![("policy", Value::from(kind.to_string()))],
+            );
+        }
+    }
+
+    /// The current election outcome.
+    pub fn election(&self) -> &ElectionOutcome {
+        let current = self.net.elector.current();
+        current.expect("election ran at construction")
+    }
+
+    /// Runs one full era of the closed loop: Fig. 2's walk, each phase
+    /// closed by the clock reading that opens the next.
+    pub fn step_era(&mut self) {
+        self.ins.clock.start(self.era_index);
+        let seen = self.monitor();
+        self.ins.clock.end(Phase::Monitor);
+        let heard = self.analyze(&seen);
+        self.ins.clock.end(Phase::Analyze);
+        let decided = self.plan(&seen, &heard);
+        self.ins.clock.end(Phase::Plan);
+        self.execute(seen, &heard, decided);
+        self.ins.clock.end(Phase::Execute);
+    }
+
+    /// Runs `eras` control eras.
+    pub fn run(&mut self, eras: usize) {
+        for _ in 0..eras {
+            self.step_era();
+        }
+    }
+}

@@ -1,0 +1,93 @@
+//! PLAN (Alg. 2, leader only): region health, Eq. 1, then `POLICY()`.
+//! Nothing else belongs here — `plan_ns` is the leader's decision latency.
+
+use super::causes::Link;
+use super::{ControlLoop, Decided, Heard, Monitored};
+use crate::config::ExperimentConfig;
+use crate::degrade::HealthEvent;
+use crate::ewma::RmttfEwma;
+use acm_obs::Value;
+use acm_sim::time::SimTime;
+
+impl ControlLoop {
+    pub(super) fn plan(&mut self, seen: &Monitored, heard: &Heard) -> Decided {
+        let t_end = seen.t_end;
+        let live_mask = self.update_region_health(&heard.delivered, t_end);
+        let rmttf_now = self.leader.smooth(&heard.delivered);
+        if self.obs.enabled() {
+            for (j, &smoothed) in rmttf_now.iter().enumerate() {
+                if self.degradation.enabled && !heard.delivered[j] {
+                    continue; // no update happened, nothing to log
+                }
+                self.obs.emit(
+                    t_end.as_micros(),
+                    "ewma.update",
+                    vec![
+                        ("region", Value::from(self.vmcs[j].name().to_string())),
+                        ("raw_s", Value::from(self.leader.received_rmttf[j])),
+                        ("smoothed_s", Value::from(smoothed)),
+                    ],
+                );
+            }
+        }
+        let target = self
+            .leader
+            .plan_fractions(&live_mask, &rmttf_now, seen.lambda_total);
+        Decided {
+            live_mask,
+            rmttf_now,
+            target,
+        }
+    }
+
+    /// Feeds this era's report outcomes into the quarantine state machine
+    /// and returns the plan-participation mask (all-true when degradation
+    /// is disabled). Re-admitted regions get a fresh EWMA so the stale
+    /// pre-outage estimate cannot linger.
+    fn update_region_health(&mut self, delivered: &[bool], t_end: SimTime) -> Vec<bool> {
+        let Some(tracker) = &mut self.leader.tracker else {
+            return vec![true; delivered.len()];
+        };
+        for (j, &was_delivered) in delivered.iter().enumerate() {
+            let node = ExperimentConfig::node_of(j);
+            let suspected = self
+                .leader
+                .detector
+                .as_ref()
+                .is_some_and(|d| d.is_suspected(node));
+            let Some(ev) = tracker.observe(j, was_delivered, suspected) else {
+                continue;
+            };
+            let link = match ev {
+                HealthEvent::Quarantined { .. } => Link::Quarantine(j),
+                HealthEvent::ProbationStarted => Link::Probation(j),
+                HealthEvent::Readmitted => {
+                    let est = &mut self.leader.estimators[j];
+                    *est = RmttfEwma::new(est.beta());
+                    // Same hygiene for the data plane: the region rejoins
+                    // with no latency history, not its pre-outage one.
+                    self.router.reset_latency(j);
+                    Link::Readmit(j)
+                }
+            };
+            let (vmc, era_index, tracker) = (&self.vmcs[j], self.era_index, &*tracker);
+            self.causes.emit(t_end, link, || {
+                let mut fields = vec![("region", Value::from(vmc.name().to_string()))];
+                if let HealthEvent::Quarantined { stale, suspected } = ev {
+                    fields.push(("stale", Value::from(stale)));
+                    fields.push(("suspected", Value::from(suspected)));
+                    fields.push(("age_eras", Value::from(tracker.age(j))));
+                }
+                // Invariant-checker hooks: which era the transition landed
+                // in and which outage it belongs to (the lifetime
+                // quarantine ordinal), so "exactly one readmit per outage"
+                // is checkable from the event log alone.
+                fields.push(("era", Value::from(era_index)));
+                fields.push(("outage", Value::from(tracker.quarantine_count(j))));
+                fields
+            });
+        }
+        self.ins.quarantined.set(tracker.excluded_count() as f64);
+        (0..delivered.len()).map(|j| tracker.is_live(j)).collect()
+    }
+}

@@ -5,8 +5,9 @@
 //! the system" (paper Sec. II). [`Scenario`] makes such modifications
 //! first-class experiment inputs: a timeline of actions — policy switches,
 //! overlay faults, capacity changes — that the control loop applies as
-//! their instants pass. Link faults via [`crate::config::LinkFault`] remain
-//! supported; scenarios are the general mechanism.
+//! their instants pass. A [`crate::config::LinkFault`] list is shorthand
+//! for a `FailLink` / `RecoverLink` pair per fault and is lowered into
+//! them when the loop is built.
 
 use crate::policy::PolicyKind;
 use acm_sim::time::SimTime;
@@ -17,7 +18,8 @@ use serde::{Deserialize, Serialize};
 pub enum ScenarioAction {
     /// Switch the leader's load-balancing policy.
     SwitchPolicy(PolicyKind),
-    /// Fail the overlay link between two regions.
+    /// Fail the overlay link between two regions (a `fault.scripted` root
+    /// on tracing hubs).
     FailLink {
         /// First endpoint (region index).
         a: usize,

@@ -67,17 +67,26 @@ impl TimelineRecorder {
 
     /// Microseconds elapsed since the recorder's epoch.
     pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        self.at_us(Instant::now())
+    }
+
+    /// Where a clock reading the caller already holds falls on the
+    /// timeline, in microseconds since the recorder's epoch.
+    pub fn at_us(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.epoch).as_micros() as u64
     }
 
     /// Names a track (idempotent; first name wins). Rendered as the
     /// thread name of the corresponding row.
     pub fn set_track_name(&self, track: u32, name: &str) {
+        self.name_track(track, || name.to_string());
+    }
+
+    /// [`TimelineRecorder::set_track_name`] for per-era callers: the name
+    /// is only built the first time the track is seen.
+    pub fn name_track(&self, track: u32, name: impl FnOnce() -> String) {
         let mut inner = self.inner.lock().unwrap();
-        inner
-            .track_names
-            .entry(track)
-            .or_insert_with(|| name.to_string());
+        inner.track_names.entry(track).or_insert_with(name);
     }
 
     /// Records one complete slice.

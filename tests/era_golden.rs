@@ -1,0 +1,268 @@
+//! Characterisation: what `ControlLoop::step_era` leaves behind, pinned.
+//!
+//! Three ≤ 40-era worlds that between them walk every branch of the era —
+//! scripted link faults and scenario actions, the sharded MONITOR with
+//! child hubs, message chaos with retries, quarantine → probation →
+//! readmit, a leader kill, frozen plans, SLO windows, and the model
+//! lifecycle's refit → promote / reject chain. Each pins the FNV-1a-64
+//! of the telemetry CSV, the event log and the span tree. The constants
+//! were generated at a70fc62, before `step_era` was decomposed: a
+//! mismatch means the era's behaviour (event kinds, fields or order,
+//! span ids, RNG draws) moved — regenerate them only for a change that
+//! means to move it.
+
+use acm::core::config::{ExperimentConfig, LinkFault, PredictorChoice, RegionSpec};
+use acm::core::control_loop::ControlLoop;
+use acm::core::framework::build_vmcs;
+use acm::core::policy::PolicyKind;
+use acm::core::scenario::{Scenario, ScenarioAction, ScheduledAction};
+use acm::core::DegradationConfig;
+use acm::ml::model::ModelKind;
+use acm::ml::toolchain::F2pmToolchain;
+use acm::obs::ObsConfig;
+use acm::overlay::{FaultPlan, NodeId};
+use acm::pcam::training::{collect_database, CollectionConfig};
+use acm::pcam::{DriftConfig, LifecycleConfig, RttfSource, Vmc};
+use acm::sim::rng::SimRng;
+use acm::sim::{Duration, SimTime};
+use acm::workload::ClientSchedule;
+
+const ERAS: usize = 40;
+
+fn fnv64(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn t(s: u64) -> SimTime {
+    SimTime::from_secs(s)
+}
+
+/// The loop `run_experiment` would build (every oracle world sets
+/// `PredictorChoice::Oracle`, so nothing trains).
+fn framework_loop(cfg: &ExperimentConfig) -> ControlLoop {
+    let mut rng = SimRng::new(cfg.seed);
+    let vmcs = build_vmcs(cfg, &mut rng);
+    ControlLoop::new(cfg, vmcs, rng)
+}
+
+/// Runs the loop and checks its three artefacts against the pinned
+/// `[csv, events, spans]` hashes; `kinds` must all appear in the event
+/// log (a world that stops producing a branch pins nothing about it).
+fn check(name: &str, mut cl: ControlLoop, kinds: &[&str], golden: [u64; 3]) {
+    cl.run(ERAS);
+    let events = cl.obs().events_jsonl();
+    for kind in kinds {
+        assert!(
+            events.contains(&format!("\"kind\":\"{kind}\"")),
+            "{name}: the world never produced {kind}"
+        );
+    }
+    let got = [
+        fnv64(&cl.telemetry().to_csv()),
+        fnv64(&events),
+        fnv64(&cl.obs().spans_jsonl()),
+    ];
+    assert_eq!(
+        got, golden,
+        "{name}: [csv, events, spans] = [{:#018x}, {:#018x}, {:#018x}]",
+        got[0], got[1], got[2]
+    );
+}
+
+/// (a) fig-4 × Policy 3, default observability: a scripted link fault and
+/// a scenario that completes the partition, switches policy and changes
+/// capacity.
+#[test]
+fn scripted_fig4_world() {
+    let mut cfg = ExperimentConfig::three_region_fig4(PolicyKind::Exploration, 2016);
+    cfg.predictor = PredictorChoice::Oracle;
+    cfg.link_faults = vec![LinkFault {
+        a: 0,
+        b: 2,
+        fail_at: t(300),
+        recover_at: t(600),
+    }];
+    let at = |s, action| ScheduledAction { at: t(s), action };
+    cfg.scenario = Scenario::new(vec![
+        // With 0–2 down, cutting 1–2 partitions region 2 for six eras.
+        at(360, ScenarioAction::FailLink { a: 1, b: 2 }),
+        at(540, ScenarioAction::RecoverLink { a: 1, b: 2 }),
+        at(
+            450,
+            ScenarioAction::SwitchPolicy(PolicyKind::AvailableResources),
+        ),
+        at(600, ScenarioAction::AddVm { region: 2 }),
+        at(
+            600,
+            ScenarioAction::SetTargetActive {
+                region: 2,
+                target: 4,
+            },
+        ),
+    ]);
+    check(
+        "scripted fig-4",
+        framework_loop(&cfg),
+        &["policy.switch", "report.lost", "leader.change"],
+        [
+            0x056a_ebb6_aa84_5629,
+            0x0be6_97a0_751e_101a,
+            0xcbf2_9ce4_8422_2325,
+        ],
+    );
+}
+
+/// (a') The legacy `link_faults` route on a traced hub: the fault opens a
+/// `fault.scripted` root that the losses and the re-election chain off.
+#[test]
+fn traced_link_fault_world() {
+    let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 2016);
+    cfg.predictor = PredictorChoice::Oracle;
+    cfg.link_faults = vec![LinkFault {
+        a: 0,
+        b: 1,
+        fail_at: t(300),
+        recover_at: t(600),
+    }];
+    cfg.obs = ObsConfig::traced(9);
+    check(
+        "traced link fault",
+        framework_loop(&cfg),
+        &["fault.scripted", "report.lost", "leader.change"],
+        [
+            0x3bee_dc00_65d9_bb13,
+            0xb3fd_db9e_59d4_ca19,
+            0xa5da_5d5f_ba01_ba0a,
+        ],
+    );
+}
+
+/// (b) Five regions with pools × 8 (MONITOR on five shards, child hubs
+/// merged at the barrier), a partition window, a leader kill, 5 % message
+/// chaos, degradation on — traced.
+#[test]
+fn sharded_chaos_world() {
+    let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 42);
+    cfg.predictor = PredictorChoice::Oracle;
+    cfg.regions = (0..5)
+        .map(|i| {
+            let mut region = match i % 3 {
+                0 => ExperimentConfig::region1_ireland(),
+                1 => ExperimentConfig::region2_frankfurt(),
+                _ => ExperimentConfig::region3_munich(),
+            };
+            region.name = format!("r{i}-{}", region.name);
+            region.total_vms *= 8;
+            region.target_active *= 8;
+            RegionSpec {
+                region,
+                clients: ClientSchedule::Constant(8 * (160 + 64 * i as u32)),
+            }
+        })
+        .collect();
+    cfg.latencies = (1..5)
+        .map(|j| (0, j, Duration::from_millis(10 + 5 * j as u64)))
+        .collect();
+    cfg.degradation = DegradationConfig::enabled();
+    cfg.degradation.heartbeat.timeout = Duration::from_secs(50);
+    cfg.fault_plan = Some(
+        FaultPlan::scripted(5, Vec::new())
+            .partition_window(vec![NodeId(3), NodeId(4)], t(150), t(360))
+            .kill_leader_at(t(1050))
+            .with_message_chaos(0.05, Duration::from_millis(20)),
+    );
+    cfg.obs = ObsConfig::traced(77);
+    let cl = framework_loop(&cfg);
+    check(
+        "sharded chaos",
+        cl,
+        &[
+            "chaos.partition",
+            "report.lost",
+            "report.retry",
+            "heartbeat.timeout",
+            "region.quarantine",
+            "region.probation",
+            "region.readmit",
+            "leader.change",
+            "plan.freeze",
+            "router.replan",
+            "slo.burn",
+            "slo.recovered",
+        ],
+        [
+            0x90e7_2445_3657_f9c6,
+            0xf4bf_83ec_7f78_1e57,
+            0x1dd5_eb65_7342_dc0a,
+        ],
+    );
+}
+
+/// (c) The drifted fig-3 world: regions leak 3× faster than the profile
+/// the (stale) REP-Tree predictors were trained on, lifecycle on — traced.
+#[test]
+fn drifted_lifecycle_world() {
+    let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 42);
+    for spec in &mut cfg.regions {
+        spec.region.anomaly.leak_size_mb *= 3.0;
+    }
+    cfg.drift = DriftConfig {
+        window: 8,
+        miss_bound: 0.25,
+        min_samples: 2,
+    };
+    cfg.lifecycle = LifecycleConfig {
+        enabled: true,
+        min_labelled_rows: 20,
+        shadow_min_samples: 6,
+        cooldown_eras: 4,
+        ..Default::default()
+    };
+    cfg.obs = ObsConfig::traced(2026);
+
+    let mut train_rng = SimRng::new(7);
+    let quick = CollectionConfig {
+        lambdas: vec![4.0, 8.0, 16.0],
+        runs_per_lambda: 3,
+        ..Default::default()
+    };
+    let mut rng = SimRng::new(cfg.seed);
+    let vmcs = cfg
+        .regions
+        .iter()
+        .map(|spec| {
+            let db = collect_database(
+                &spec.region.flavor,
+                &acm::vm::AnomalyConfig::default(),
+                &spec.region.failure_spec,
+                &quick,
+                &mut train_rng,
+            );
+            let toolchain = F2pmToolchain {
+                models: vec![ModelKind::RepTree],
+                ..Default::default()
+            };
+            let (model, _) = toolchain.run(&db, &mut train_rng);
+            Vmc::new(spec.region.clone(), RttfSource::Model(model), rng.split())
+        })
+        .collect();
+    check(
+        "drifted lifecycle",
+        ControlLoop::new(&cfg, vmcs, rng),
+        &[
+            "drift.signal",
+            "model.refit.start",
+            "model.refit.done",
+            "model.promote",
+            "model.reject",
+            "model.rollback",
+        ],
+        [
+            0xd74b_0d45_3cec_5a0d,
+            0xa5b0_ba48_ef70_3245,
+            0x836a_b624_72d7_5d4c,
+        ],
+    );
+}

@@ -1,9 +1,10 @@
 //! Integration: scripted runtime scenarios through the whole framework.
 
 use acm::core::config::{ExperimentConfig, PredictorChoice};
-use acm::core::framework::run_experiment;
+use acm::core::framework::{run_experiment, run_experiment_with_obs};
 use acm::core::policy::PolicyKind;
 use acm::core::scenario::{Scenario, ScenarioAction, ScheduledAction};
+use acm::obs::{Obs, ObsConfig};
 use acm::sim::SimTime;
 
 fn base(policy: PolicyKind) -> ExperimentConfig {
@@ -74,8 +75,15 @@ fn scripted_capacity_change_is_applied() {
 
 #[test]
 fn scripted_link_fault_matches_link_fault_config() {
-    // The scenario mechanism must behave exactly like the legacy
-    // link_faults list.
+    // `link_faults` is an input format lowered into the scenario
+    // mechanism: both spellings leave the same telemetry, the same event
+    // log and — on a traced hub, where a scripted fault opens a
+    // `fault.scripted` root — the same span tree.
+    let run = |cfg: &ExperimentConfig| {
+        let obs = Obs::new(ObsConfig::traced(2016));
+        let tel = run_experiment_with_obs(cfg, obs.clone());
+        (tel.to_csv(), obs.events_jsonl(), obs.spans_jsonl())
+    };
     let mut via_faults = base(PolicyKind::AvailableResources);
     via_faults.eras = 40;
     via_faults.link_faults = vec![acm::core::config::LinkFault {
@@ -84,7 +92,6 @@ fn scripted_link_fault_matches_link_fault_config() {
         fail_at: t(300),
         recover_at: t(600),
     }];
-    let tel_faults = run_experiment(&via_faults);
 
     let mut via_scenario = base(PolicyKind::AvailableResources);
     via_scenario.eras = 40;
@@ -98,9 +105,10 @@ fn scripted_link_fault_matches_link_fault_config() {
             action: ScenarioAction::RecoverLink { a: 0, b: 1 },
         },
     ]);
-    let tel_scenario = run_experiment(&via_scenario);
 
-    assert_eq!(tel_faults.to_csv(), tel_scenario.to_csv());
+    let (faults, scenario) = (run(&via_faults), run(&via_scenario));
+    assert!(faults.1.contains("fault.scripted"));
+    assert_eq!(faults, scenario);
 }
 
 #[test]
