@@ -2,9 +2,8 @@
 //!
 //! Runs fixed-seed workloads over every layer the hot-path overhaul
 //! touched — the event kernel's arena queue, the discrete-event driver,
-//! request dispatch through `RegionSim`, leader policy steps, REP-Tree
-//! training plus
-//! scalar-vs-batched prediction, the observability layer's overhead, the
+//! leader policy steps, REP-Tree training plus scalar-vs-batched
+//! prediction, the observability layer's overhead, the
 //! execution pool's thread-scaling curve and the model-selection (tuning
 //! grid + k-fold CV) scaling curve — and writes the numbers to
 //! `BENCH_PR4.json` at the repository root.
@@ -35,9 +34,7 @@ use acm_core::framework::run_experiment;
 use acm_core::policy::{uniform_fractions, LoadBalancingPolicy, PolicyKind};
 use acm_ml::model::{AnyModel, ModelKind};
 use acm_obs::{Obs, ObsConfig, ObsHandle};
-use acm_pcam::events::RegionSim;
 use acm_pcam::training::{collect_database, CollectionConfig};
-use acm_pcam::vmc::{RegionConfig, RttfSource};
 use acm_sim::rng::SimRng;
 use acm_sim::sim::Simulator;
 use acm_sim::time::{Duration, SimTime};
@@ -145,32 +142,6 @@ fn simulator_workload(report: &mut Report) {
     report.push("simulator_10k_events_per_s", N as f64 / per_run);
 }
 
-/// Request dispatch through the event-grain region: serve with periodic
-/// controller ticks, concurrency-tracked begin/finish.
-fn region_sim_workload(report: &mut Report) {
-    const REQS: u64 = 50_000;
-    let per_run = time_it(8, 7, || {
-        let mut region = RegionSim::new(
-            RegionConfig::new("perf", VmFlavor::m3_medium(), 6, 4),
-            RttfSource::Oracle,
-            9.0,
-            SimRng::new(5),
-        );
-        let mut now = SimTime::ZERO;
-        for step in 0..REQS {
-            if let Some((vm, _)) = region.begin(now) {
-                region.finish(vm);
-            }
-            if step % 300 == 0 {
-                now += Duration::from_secs(25);
-                region.control_tick(now);
-            }
-        }
-        black_box(region.stats());
-    });
-    report.push("region_sim_requests_per_s", REQS as f64 / per_run);
-}
-
 /// One leader `POLICY()` evaluation at 16 regions.
 fn policy_workload(report: &mut Report) {
     const N: usize = 16;
@@ -239,6 +210,7 @@ fn rep_tree_workload(report: &mut Report) -> f64 {
 fn scaling_workload(report: &mut Report) -> f64 {
     let avail = acm_exec::available_threads();
     report.push("scaling_threads_available", avail as f64);
+    let before = acm_exec::current_threads();
     let mut points = vec![1usize, 2, 4, avail];
     points.sort_unstable();
     points.dedup();
@@ -249,7 +221,7 @@ fn scaling_workload(report: &mut Report) -> f64 {
     let collection = CollectionConfig::default();
     let harvest = |threads: usize| {
         acm_exec::configure_threads(threads);
-        let t = time_it(2, 5, || {
+        time_it(2, 5, || {
             let mut rng = SimRng::new(2016);
             black_box(collect_database(
                 &flavor,
@@ -258,21 +230,17 @@ fn scaling_workload(report: &mut Report) -> f64 {
                 &collection,
                 &mut rng,
             ));
-        });
-        acm_exec::configure_threads(0); // back to the env/core default
-        t
+        })
     };
     let mut rng = SimRng::new(2016);
     let db = collect_database(&flavor, &anomaly, &failure, &collection, &mut rng);
     let toolchain = acm_ml::toolchain::F2pmToolchain::default();
     let fit = |threads: usize| {
         acm_exec::configure_threads(threads);
-        let t = time_it(1, 3, || {
+        time_it(1, 3, || {
             let mut r = SimRng::new(5);
             black_box(toolchain.run(black_box(&db), &mut r));
-        });
-        acm_exec::configure_threads(0);
-        t
+        })
     };
 
     let mut harvest_base = f64::NAN;
@@ -299,6 +267,7 @@ fn scaling_workload(report: &mut Report) -> f64 {
             gate = harvest_base / h;
         }
     }
+    acm_exec::configure_threads(before);
     gate
 }
 
@@ -312,6 +281,7 @@ fn scaling_workload(report: &mut Report) -> f64 {
 fn cv_scaling_workload(report: &mut Report) -> f64 {
     let avail = acm_exec::available_threads();
     report.push("cv_scaling_threads_available", avail as f64);
+    let before = acm_exec::current_threads();
     let mut points = vec![1usize, 2, 4, avail];
     points.sort_unstable();
     points.dedup();
@@ -326,16 +296,14 @@ fn cv_scaling_workload(report: &mut Report) -> f64 {
     );
     let grid = |threads: usize| {
         acm_exec::configure_threads(threads);
-        let t = time_it(2, 5, || {
+        time_it(2, 5, || {
             let mut r = SimRng::new(7);
             black_box(acm_ml::tuning::tune_rep_tree(black_box(&db), 5, &mut r));
-        });
-        acm_exec::configure_threads(0); // back to the env/core default
-        t
+        })
     };
     let folds = |threads: usize| {
         acm_exec::configure_threads(threads);
-        let t = time_it(4, 5, || {
+        time_it(4, 5, || {
             let mut r = SimRng::new(7);
             black_box(acm_ml::validate::cross_validate(
                 acm_ml::model::ModelKind::RepTree,
@@ -343,9 +311,7 @@ fn cv_scaling_workload(report: &mut Report) -> f64 {
                 8,
                 &mut r,
             ));
-        });
-        acm_exec::configure_threads(0);
-        t
+        })
     };
 
     let mut grid_base = f64::NAN;
@@ -366,6 +332,7 @@ fn cv_scaling_workload(report: &mut Report) -> f64 {
             gate = grid_base / g;
         }
     }
+    acm_exec::configure_threads(before);
     gate
 }
 
@@ -527,7 +494,6 @@ fn main() {
     println!("hot-path throughput report (fixed seeds, release build)\n");
     queue_workloads(&mut report);
     simulator_workload(&mut report);
-    region_sim_workload(&mut report);
     policy_workload(&mut report);
     rep_tree_workload(&mut report);
     obs_overhead_workload(&mut report);

@@ -628,12 +628,4 @@ impl RunTrace {
     pub fn eras(&self) -> usize {
         self.eras
     }
-
-    /// Eras in which at least one region was excluded from the plan.
-    pub fn excluded_eras(&self) -> usize {
-        self.excluded
-            .iter()
-            .filter(|m| m.iter().any(|&x| x))
-            .count()
-    }
 }

@@ -2,12 +2,12 @@
 //!
 //! Every violation a campaign finds is shrunk to a minimal plan and
 //! serialized as one JSON document (written with the obs JSON writer,
-//! read back with its parser — no external serde). Entries live under
-//! `crates/chaos/corpus/` and are replayed by tier-1 as regression
-//! tests with failing-then-fixed semantics: with the entry's (test-only)
-//! injection the expected invariant must still fire; without it the run
-//! must be clean — proving both that the bug reproduces and that the
-//! production system does not exhibit it.
+//! read back with its parser). Entries live under `crates/chaos/corpus/`
+//! and are replayed by tier-1 as regression tests with failing-then-fixed
+//! semantics: with the entry's (test-only) injection the expected
+//! invariant must still fire; without it the run must be clean — proving
+//! both that the bug reproduces and that the production system does not
+//! exhibit it.
 
 use crate::campaign::{case_from_parts, run_case, Injection, Verdict};
 use acm_obs::json::{self, JsonObject, JsonValue};

@@ -15,10 +15,9 @@
 
 use acm_pcam::Vmc;
 use acm_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Autoscaling thresholds and pacing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AutoscaleConfig {
     /// Enable the controller (the fig3/fig4 reproduction keeps region
     /// sizes fixed as in the paper, so it defaults off).
@@ -49,7 +48,7 @@ impl Default for AutoscaleConfig {
 }
 
 /// What the autoscaler did for one region in one era.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleAction {
     /// Nothing to do (or disabled / cooling down).
     None,

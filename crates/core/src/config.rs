@@ -25,10 +25,9 @@ use acm_router::LatencyAwareness;
 use acm_sim::time::{Duration, SimTime};
 use acm_vm::VmFlavor;
 use acm_workload::{ClientSchedule, RegionWorkload, TpcwMix};
-use serde::{Deserialize, Serialize};
 
 /// How the VMCs obtain RTTF predictions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictorChoice {
     /// Ground truth (perfect-prediction baseline and fast tests).
     Oracle,
@@ -38,7 +37,7 @@ pub enum PredictorChoice {
 }
 
 /// One region of the deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegionSpec {
     /// PCAM configuration of the region.
     pub region: RegionConfig,
@@ -54,7 +53,7 @@ impl RegionSpec {
 }
 
 /// A scheduled overlay fault (link level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkFault {
     /// First endpoint (region index).
     pub a: usize,
@@ -67,7 +66,7 @@ pub struct LinkFault {
 }
 
 /// Complete description of one experiment run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     /// Run label (used in CSV output).
     pub name: String,

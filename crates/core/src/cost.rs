@@ -12,10 +12,9 @@
 
 use crate::telemetry::ExperimentTelemetry;
 use acm_sim::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Cost summary of one experiment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostReport {
     /// Per-region spend, USD, index-aligned with the telemetry regions.
     pub per_region_usd: Vec<f64>,

@@ -11,12 +11,11 @@
 
 use acm_overlay::HeartbeatConfig;
 use acm_sim::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Knobs for the leader's degradation behaviour. Disabled by default:
 /// the paper's figure deployments freeze the plan under partitions, and
 /// the pre-PR telemetry must stay byte-identical.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradationConfig {
     /// Master switch; everything below is ignored when false.
     pub enabled: bool,

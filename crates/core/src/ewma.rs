@@ -11,8 +11,6 @@
 //! report entirely (fast, noisy). The `ablation_beta` bench sweeps this
 //! trade-off.
 
-use serde::{Deserialize, Serialize};
-
 /// One region's smoothed RMTTF estimate held by the leader.
 ///
 /// ```
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// e.update(100.0);                       // first report initialises
 /// assert_eq!(e.update(200.0), 125.0);    // 0.75·100 + 0.25·200
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RmttfEwma {
     beta: f64,
     value: Option<f64>,

@@ -14,8 +14,6 @@
 //! `min(a_i, f_i)` of its own ingress, surplus regions export the rest to
 //! deficit regions proportionally to their unmet demand.
 
-use serde::{Deserialize, Serialize};
-
 /// A row-stochastic forwarding matrix between region load balancers.
 ///
 /// ```
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((plan.fraction(1, 0) - 0.6).abs() < 1e-9); // region 1 forwards 60 %
 /// assert!((plan.realised_share(0) - 0.8).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForwardPlan {
     /// `rows[i][j]` = fraction of region *i*'s ingress forwarded to *j*.
     rows: Vec<Vec<f64>>,

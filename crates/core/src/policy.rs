@@ -26,13 +26,12 @@
 
 use acm_obs::{Counter, ObsHandle, Timer};
 use acm_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Fraction floor applied after every policy step.
 pub const MIN_FRACTION: f64 = 0.01;
 
 /// Which policy the leader runs (selected "at configuration time", Alg. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Policy 1 — Sensible Routing (Eq. 2).
     SensibleRouting,
@@ -90,7 +89,7 @@ impl std::fmt::Display for PolicyKind {
 /// let f = policy.next_fractions(&[0.5, 0.5], &[300.0, 100.0], 50.0, &mut SimRng::new(1));
 /// assert!((f[0] - 0.75).abs() < 1e-9); // Eq. 2: f ∝ RMTTF
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LoadBalancingPolicy {
     kind: PolicyKind,
     /// Exploration step factor `k` (Policy 3 only).

@@ -11,10 +11,9 @@
 
 use crate::policy::PolicyKind;
 use acm_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One runtime reconfiguration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScenarioAction {
     /// Switch the leader's load-balancing policy.
     SwitchPolicy(PolicyKind),
@@ -48,7 +47,7 @@ pub enum ScenarioAction {
 }
 
 /// An action with its firing instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledAction {
     /// When the action fires (applied at the first era boundary ≥ `at`).
     pub at: SimTime,
@@ -57,7 +56,7 @@ pub struct ScheduledAction {
 }
 
 /// An ordered timeline of runtime actions.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Scenario {
     actions: Vec<ScheduledAction>,
 }

@@ -10,11 +10,10 @@
 
 use acm_sim::stats::OnlineStats;
 use acm_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Everything one region reported in one era.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegionEraRecord {
     /// Leader-side (EWMA) RMTTF estimate, seconds.
     pub rmttf: f64,
@@ -34,7 +33,7 @@ pub struct RegionEraRecord {
 
 /// One cell of the telemetry table: what a [`SeriesView`] hands out per era
 /// (`view.points()[e].value`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EraValue {
     /// The recorded value.
     pub value: f64,
@@ -53,7 +52,7 @@ const GLOBALS: [&str; 4] = ["global_resp", "lambda", "plan_churn", "remote_frac"
 /// CSV's column order — allocated once, at its exact size, when the era is
 /// recorded. The era clock is stored once per row, not once per value. A
 /// signal over time is a [`SeriesView`]: a column of the table, borrowed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentTelemetry {
     region_names: Vec<String>,
     /// End instant of each recorded era.

@@ -6,10 +6,9 @@
 //! (so Lasso selection can be reported by name).
 
 use acm_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A supervised regression dataset: rows of features with an RTTF target.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     feature_names: Vec<String>,
     x: Vec<Vec<f64>>,

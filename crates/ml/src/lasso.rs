@@ -20,7 +20,6 @@
 use crate::dataset::Dataset;
 use crate::linalg::dot;
 use crate::scaler::StandardScaler;
-use serde::{Deserialize, Serialize};
 
 /// Convergence tolerance on the max coordinate change (standardised scale).
 const TOL: f64 = 1e-7;
@@ -30,7 +29,7 @@ const MAX_SWEEPS: usize = 10_000;
 const DEFAULT_ALPHA_SHARE: f64 = 0.01;
 
 /// A trained Lasso model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LassoRegression {
     /// Weights in the original feature space.
     weights: Vec<f64>,

@@ -7,10 +7,8 @@
 //! clear and fast enough; the hot paths iterate rows contiguously to stay
 //! cache-friendly per the hpc guides.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

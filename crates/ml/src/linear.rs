@@ -8,7 +8,6 @@
 use crate::dataset::Dataset;
 use crate::linalg::{dot, Matrix};
 use crate::scaler::StandardScaler;
-use serde::{Deserialize, Serialize};
 
 /// Numerical jitter added to the Gram diagonal (standardised scale).
 const JITTER: f64 = 1e-8;
@@ -25,7 +24,7 @@ const JITTER: f64 = 1e-8;
 /// let model = LinearRegression::fit(&ds);
 /// assert!((model.predict_one(&[10.0]) - 21.0).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearRegression {
     /// Weights in the *original* (unstandardised) feature space.
     weights: Vec<f64>,

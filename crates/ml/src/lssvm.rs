@@ -19,10 +19,9 @@ use crate::dataset::Dataset;
 use crate::linalg::Matrix;
 use crate::scaler::{StandardScaler, TargetScaler};
 use acm_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// LS-SVM hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LsSvmConfig {
     /// Regularisation γ (larger = less regularisation).
     pub gamma: f64,
@@ -44,7 +43,7 @@ impl Default for LsSvmConfig {
 }
 
 /// A trained LS-SVM regressor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LsSvm {
     support: Vec<Vec<f64>>, // standardised support points
     alphas: Vec<f64>,

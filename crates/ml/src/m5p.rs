@@ -9,10 +9,9 @@
 
 use crate::dataset::Dataset;
 use crate::ridge::RidgeRegression;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for M5P.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct M5Config {
     /// Maximum tree depth.
     pub max_depth: usize,
@@ -39,7 +38,7 @@ impl Default for M5Config {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct M5Node {
     /// Linear model fitted on this node's training rows.
     model: RidgeRegression,
@@ -50,7 +49,7 @@ struct M5Node {
 }
 
 /// A trained M5P model tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct M5Prime {
     nodes: Vec<M5Node>,
     root: usize,

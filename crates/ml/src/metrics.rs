@@ -4,10 +4,8 @@
 //! which is the most effective ML model" (paper Sec. III). These are the
 //! standard ones the model-selection harness reports.
 
-use serde::{Deserialize, Serialize};
-
 /// Bundle of regression metrics on one evaluation set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegressionMetrics {
     /// Mean absolute error.
     pub mae: f64,

@@ -9,7 +9,6 @@ use crate::rep_tree::RepTree;
 use crate::ridge::RidgeRegression;
 use crate::svr::LinearSvr;
 use acm_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A trained regression model.
 pub trait Regressor: Send + Sync {
@@ -29,7 +28,7 @@ pub trait Regressor: Send + Sync {
 /// M5P, REP-Tree, Lasso as a predictor, Support-Vector Machine, and
 /// Least-Square Support-Vector Machine" — plus Ridge, which the toolchain
 /// uses internally and exposes for ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Ordinary least squares.
     Linear,
@@ -97,7 +96,7 @@ impl std::fmt::Display for ModelKind {
 
 /// A trained model from any family (closed enum so it serialises and avoids
 /// trait objects on hot prediction paths).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum AnyModel {
     /// Trained OLS model.
     Linear(LinearRegression),

@@ -9,10 +9,9 @@
 
 use crate::dataset::Dataset;
 use acm_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Growth and pruning hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RepTreeConfig {
     /// Maximum tree depth (root = depth 0).
     pub max_depth: usize,
@@ -37,7 +36,7 @@ impl Default for RepTreeConfig {
 }
 
 /// Arena node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     Leaf {
         value: f64,
@@ -61,7 +60,7 @@ enum Node {
 const FLAT_LEAF: u32 = u32::MAX;
 
 /// A trained REP-Tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RepTree {
     nodes: Vec<Node>,
     root: usize,

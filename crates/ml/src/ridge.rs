@@ -7,10 +7,9 @@
 use crate::dataset::Dataset;
 use crate::linalg::dot;
 use crate::linear::fit_l2;
-use serde::{Deserialize, Serialize};
 
 /// A trained ridge-regression model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RidgeRegression {
     weights: Vec<f64>,
     intercept: f64,

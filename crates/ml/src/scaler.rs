@@ -5,10 +5,8 @@
 //! (MiB vs. utilisation fractions), so each model standardises internally
 //! with a [`StandardScaler`] fitted on its training split.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-column mean/std scaler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,
@@ -83,7 +81,7 @@ impl StandardScaler {
 
 /// Scalar target scaler (mean/std of y), used by models that standardise the
 /// target during training and un-standardise predictions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TargetScaler {
     mean: f64,
     std: f64,

@@ -10,10 +10,9 @@ use crate::dataset::Dataset;
 use crate::linalg::dot;
 use crate::scaler::{StandardScaler, TargetScaler};
 use acm_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// SVR hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SvrConfig {
     /// Width of the ε-insensitive tube (standardised target units).
     pub epsilon: f64,
@@ -34,7 +33,7 @@ impl Default for SvrConfig {
 }
 
 /// A trained linear SVR.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearSvr {
     /// Weights on the standardised feature scale.
     w: Vec<f64>,

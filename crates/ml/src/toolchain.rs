@@ -21,10 +21,9 @@ use crate::model::{AnyModel, ModelKind, Regressor};
 use crate::validate::evaluate;
 use acm_obs::{Obs, Timer};
 use acm_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Toolchain configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct F2pmToolchain {
     /// Fraction of the database used for training (rest is holdout).
     pub train_frac: f64,
@@ -49,7 +48,7 @@ impl Default for F2pmToolchain {
 }
 
 /// Outcome of one model family in the toolchain run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelOutcome {
     /// Family.
     pub kind: ModelKind,
@@ -58,7 +57,7 @@ pub struct ModelOutcome {
 }
 
 /// Report of a toolchain run: the Lasso selection plus the ranked menu.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct F2pmReport {
     /// Indices (into the full feature vector) of the selected features.
     pub selected_features: Vec<usize>,
@@ -110,7 +109,7 @@ impl F2pmReport {
 /// A deployable RTTF predictor: the winning model plus the feature
 /// projection chosen by Lasso. Predictions are clamped to be non-negative —
 /// a remaining time to failure below zero is meaningless to the controller.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RttfPredictor {
     model: AnyModel,
     selected: Vec<usize>,

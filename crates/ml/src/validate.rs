@@ -9,7 +9,6 @@ use crate::dataset::Dataset;
 use crate::metrics::RegressionMetrics;
 use crate::model::{AnyModel, ModelKind, Regressor};
 use acm_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Why a k-fold request cannot be evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +83,7 @@ pub fn holdout_eval(
 }
 
 /// Per-fold and aggregate results of a k-fold cross-validation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CvResult {
     /// Model family evaluated.
     pub kind: ModelKind,
@@ -141,7 +140,7 @@ impl CvResult {
 }
 
 /// One point of a learning curve.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LearningPoint {
     /// Training rows used.
     pub train_rows: usize,

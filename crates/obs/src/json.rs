@@ -1,11 +1,10 @@
 //! Minimal hand-rolled JSON writer and reader.
 //!
-//! The workspace's vendored `serde` is marker-traits only (its derive
-//! expands to nothing), so every exporter in the repo writes JSON by
-//! hand. This module centralises the things they all need —
-//! string escaping, deterministic `f64` formatting, and an object
-//! builder — so the event log, `ExperimentTelemetry::to_jsonl` and the
-//! bench binaries share one implementation.
+//! Every exporter in the repo writes JSON by hand. This module
+//! centralises the things they all need — string escaping, deterministic
+//! `f64` formatting, and an object builder — so the event log,
+//! `ExperimentTelemetry::to_jsonl` and the bench binaries share one
+//! implementation.
 //!
 //! `f64` values use Rust's `Display` (shortest round-trip
 //! representation), which is deterministic across runs and platforms;

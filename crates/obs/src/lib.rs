@@ -15,7 +15,7 @@
 //!   STANDBY activations, leader changes, plan installs, EWMA updates)
 //!   with a JSONL exporter;
 //! * [`json`] — the tiny hand-rolled JSON writer the event log and the
-//!   bench/telemetry exporters share (the vendored `serde` is marker-only).
+//!   bench/telemetry exporters share.
 //!
 //! Everything hangs off an [`Obs`] handle created from an [`ObsConfig`].
 //! The default configuration is **on-but-cheap**: metrics are relaxed
@@ -35,8 +35,8 @@
 //! ```
 //! use acm_obs::{Obs, ObsConfig, Value};
 //! let obs = Obs::new(ObsConfig::default());
-//! let dispatches = obs.counter("acm.pcam.pool.dispatch");
-//! dispatches.inc();
+//! let activations = obs.counter("acm.pcam.pool.activations");
+//! activations.inc();
 //! {
 //!     let _era = obs.span("acm.core.control_loop.era_ns");
 //!     // ... timed work ...
@@ -45,7 +45,7 @@
 //!     ("vm", Value::from(3u64)),
 //!     ("predicted_rttf_s", Value::from(84.2)),
 //! ]);
-//! assert_eq!(dispatches.value(), 1);
+//! assert_eq!(activations.value(), 1);
 //! assert_eq!(obs.events_tail(1)[0].kind, "rejuvenation.proactive");
 //! ```
 
@@ -280,18 +280,6 @@ impl Obs {
     /// Opens a root span at simulated time `t_us` (None without tracing).
     pub fn trace_root(&self, t_us: u64, name: &'static str) -> Option<TraceContext> {
         self.tracer.as_ref().map(|t| t.span(t_us, name, None))
-    }
-
-    /// Opens a child span of `parent` (None without tracing).
-    pub fn trace_child(
-        &self,
-        t_us: u64,
-        name: &'static str,
-        parent: TraceContext,
-    ) -> Option<TraceContext> {
-        self.tracer
-            .as_ref()
-            .map(|t| t.span(t_us, name, Some(parent)))
     }
 
     /// The ambient trace context (None without tracing or when unset).

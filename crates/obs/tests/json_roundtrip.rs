@@ -1,12 +1,11 @@
 //! Property test: every `EventRecord::to_json` line is valid JSON and
 //! string payloads survive the escape/parse round trip.
 //!
-//! The workspace writes all of its JSON by hand (the vendored serde is
-//! marker-only), so nothing but these tests stands between a control
-//! character in a region name and a corrupt JSONL decision log. The
-//! validator below is an intentionally minimal recursive-descent JSON
-//! parser — independent of `acm_obs::json`, so a shared bug cannot
-//! vacuously pass.
+//! The workspace writes all of its JSON by hand, so nothing but these
+//! tests stands between a control character in a region name and a
+//! corrupt JSONL decision log. The validator below is an intentionally
+//! minimal recursive-descent JSON parser — independent of
+//! `acm_obs::json`, so a shared bug cannot vacuously pass.
 
 use acm_obs::{EventRecord, Value};
 use proptest::prelude::*;

@@ -15,11 +15,10 @@
 
 use crate::graph::{NodeId, OverlayGraph};
 use acm_obs::{Counter, Hist, ObsHandle};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Result of one election run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElectionOutcome {
     /// Leader per alive node (nodes in the same partition share a leader).
     pub leader_of: BTreeMap<NodeId, NodeId>,

@@ -21,10 +21,9 @@ use crate::transport::Transport;
 use acm_obs::{Counter, Hist, Obs, ObsHandle, TraceContext, Value};
 use acm_sim::rng::SimRng;
 use acm_sim::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One injectable topology fault.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultAction {
     /// Cut the direct link `a`–`b`.
     FailLink(NodeId, NodeId),
@@ -46,7 +45,7 @@ pub enum FaultAction {
 }
 
 /// A fault scheduled at an absolute sim time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
     /// When the fault fires (applied at the first era boundary >= `at`).
     pub at: SimTime,
@@ -55,7 +54,7 @@ pub struct FaultEvent {
 }
 
 /// Probabilistic per-message chaos on control-plane sends.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MessageChaos {
     /// Probability that a routable message is dropped anyway.
     pub drop_prob: f64,
@@ -80,7 +79,7 @@ impl MessageChaos {
 }
 
 /// A seeded, fully deterministic fault schedule.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for the chaos layer's private RNG stream (message chaos).
     pub seed: u64,

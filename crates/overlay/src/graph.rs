@@ -2,11 +2,10 @@
 //! with dynamic node/link failure state.
 
 use acm_sim::time::Duration;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of an overlay node (a VM controller).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl std::fmt::Display for NodeId {
@@ -16,7 +15,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Identifier of an undirected link, normalised so `a <= b`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId {
     /// Lower endpoint.
     pub a: NodeId,
@@ -40,7 +39,7 @@ impl LinkId {
 ///
 /// Deterministic iteration everywhere (BTree storage): the control loop's
 /// behaviour must not depend on hash ordering.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OverlayGraph {
     /// Adjacency: node → (neighbor → latency).
     adj: BTreeMap<NodeId, BTreeMap<NodeId, Duration>>,

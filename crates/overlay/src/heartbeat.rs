@@ -11,11 +11,10 @@
 use crate::graph::NodeId;
 use acm_obs::{Counter, ObsHandle};
 use acm_sim::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Heartbeat cadence and suspicion timeout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeartbeatConfig {
     /// How often every node emits heartbeats.
     pub period: Duration,
@@ -47,7 +46,7 @@ impl HeartbeatConfig {
 }
 
 /// One node's view of its peers' liveness.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FailureDetector {
     cfg: HeartbeatConfig,
     /// Most recent heartbeat received per peer.

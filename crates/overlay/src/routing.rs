@@ -28,12 +28,11 @@
 use crate::graph::{NodeId, OverlayGraph};
 use acm_obs::Counter;
 use acm_sim::time::Duration;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 /// A computed route.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// Node sequence, source first, destination last.
     pub path: Vec<NodeId>,

@@ -9,10 +9,9 @@
 use acm_sim::time::SimTime;
 use acm_sim::weights::WeightTable;
 use acm_vm::Vm;
-use serde::{Deserialize, Serialize};
 
 /// How the VMC spreads the region's request rate over its ACTIVE VMs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BalancerStrategy {
     /// Every active VM gets the same share (round-robin in the limit).
     #[default]

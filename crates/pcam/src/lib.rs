@@ -14,8 +14,6 @@
 //!   reactive failure recovery, RMTTF reporting, era processing.
 //! * [`training`] — harvesting the F2PM feature database from instrumented
 //!   runs of the VM model.
-//! * [`events`] — the per-request grain: an event-driven region façade for
-//!   discrete-event simulations.
 //! * [`online`] — retroactive feature labelling and predictor-drift
 //!   detection (the retraining loop a live deployment needs).
 //! * [`lifecycle`] — the versioned model registry: background refits on
@@ -26,7 +24,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod balancer;
-pub mod events;
 pub mod lifecycle;
 pub mod online;
 pub mod pool;
@@ -39,7 +36,6 @@ pub mod vmc;
 pub(crate) static POOL_WIDTH: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 pub use balancer::BalancerStrategy;
-pub use events::{RegionSim, RegionSimStats};
 pub use lifecycle::{LifecycleConfig, LifecycleEvent, ModelLifecycle, ShadowScore};
 pub use online::{DriftConfig, DriftMonitor, OnlineLabeler};
 pub use pool::VmPool;

@@ -35,7 +35,6 @@ use acm_ml::toolchain::{F2pmToolchain, RttfPredictor};
 use acm_sim::rng::SimRng;
 use acm_sim::time::SimTime;
 use acm_vm::{FeatureVec, VmId};
-use serde::{Deserialize, Serialize};
 
 /// Hard floor on refit dataset size, matching the F2PM toolchain's own
 /// minimum — a refit is never submitted on fewer rows no matter how low
@@ -45,7 +44,7 @@ pub const MIN_REFIT_ROWS: usize = 20;
 /// Tuning of the versioned model lifecycle. Disabled by default: a
 /// config that never mentions the lifecycle replays byte-identically to
 /// runs recorded before it existed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifecycleConfig {
     /// Master switch. When off, the VMC carries no lifecycle state at
     /// all (and consumes no RNG stream).

@@ -18,7 +18,6 @@
 use acm_ml::dataset::Dataset;
 use acm_sim::time::SimTime;
 use acm_vm::{FeatureVec, VmId, FEATURE_NAMES};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Retroactive labeller for the F2PM feature stream.
@@ -163,7 +162,7 @@ impl OnlineLabeler {
 /// Configuration of the per-region [`DriftMonitor`], lifted out of the
 /// construction site so deployments can tune the detector. The defaults
 /// reproduce the historical hard-coded values byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// Sliding window length (end-of-life events remembered).
     pub window: usize,
@@ -211,7 +210,7 @@ impl DriftConfig {
 }
 
 /// Sliding-window predictor-miss detector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DriftMonitor {
     /// Ring buffer of recent failure outcomes: `true` = reactive (missed).
     window: Vec<bool>,

@@ -8,15 +8,13 @@
 use acm_obs::{Counter, Gauge, ObsHandle};
 use acm_sim::rng::SimRng;
 use acm_sim::time::SimTime;
-use acm_vm::service::RequestOutcome;
 use acm_vm::{AnomalyConfig, FailureSpec, Vm, VmFlavor, VmId, VmState};
-use serde::{Deserialize, Serialize};
 
 /// Sentinel for "id not present" in the id → slot index.
 const NO_SLOT: u32 = u32::MAX;
 
 /// Pool statistics snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolCounts {
     /// Serving VMs.
     pub active: usize,
@@ -36,7 +34,7 @@ impl PoolCounts {
 }
 
 /// A region's VM pool.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VmPool {
     vms: Vec<Vm>,
     target_active: usize,
@@ -45,16 +43,10 @@ pub struct VmPool {
     anomaly_cfg: AnomalyConfig,
     failure_spec: FailureSpec,
     rng: SimRng,
-    /// `id.0` → slot in `vms` (`NO_SLOT` when absent), so per-request VM
-    /// lookup is O(1) instead of a linear scan.
+    /// `id.0` → slot in `vms` (`NO_SLOT` when absent), so VM lookup by id
+    /// is O(1) instead of a linear scan.
     id_index: Vec<u32>,
-    /// Cached ids of ACTIVE VMs in `vms` order, rebuilt lazily when a
-    /// lifecycle transition marks it stale. Keeps the dispatch hot path
-    /// ([`VmPool::active_ids_cached`]) allocation-free.
-    active_cache: Vec<VmId>,
-    active_dirty: bool,
-    /// Lifecycle/dispatch instrumentation; inert until [`VmPool::set_obs`].
-    ctr_dispatch: Counter,
+    /// Lifecycle instrumentation; inert until [`VmPool::set_obs`].
     ctr_activations: Counter,
     ctr_demotions: Counter,
     ctr_rejuv_completed: Counter,
@@ -108,9 +100,6 @@ impl VmPool {
             failure_spec,
             rng,
             id_index: Vec::new(),
-            active_cache: Vec::with_capacity(target_active),
-            active_dirty: true,
-            ctr_dispatch: Counter::default(),
             ctr_activations: Counter::default(),
             ctr_demotions: Counter::default(),
             ctr_rejuv_completed: Counter::default(),
@@ -123,12 +112,12 @@ impl VmPool {
         pool
     }
 
-    /// Attaches observability: request dispatch (`acm.pcam.pool.dispatch`),
-    /// lifecycle transition counters (`acm.pcam.pool.activations` /
-    /// `.demotions` / `.rejuvenations_completed`) and live pool-state
-    /// gauges (`acm.pcam.pool.active` / `.standby` / `.rejuvenating` /
-    /// `.failed`). The gauges are seeded with the current census so they
-    /// read correctly before the first control era.
+    /// Attaches observability: lifecycle transition counters
+    /// (`acm.pcam.pool.activations` / `.demotions` /
+    /// `.rejuvenations_completed`) and live pool-state gauges
+    /// (`acm.pcam.pool.active` / `.standby` / `.rejuvenating` / `.failed`).
+    /// The gauges are seeded with the current census so they read
+    /// correctly before the first control era.
     pub fn set_obs(&mut self, obs: &ObsHandle) {
         self.set_obs_scoped(obs, None);
     }
@@ -139,7 +128,6 @@ impl VmPool {
     /// wins on a shared gauge. Counters stay unqualified: they aggregate
     /// meaningfully across regions.
     pub fn set_obs_scoped(&mut self, obs: &ObsHandle, region: Option<&str>) {
-        self.ctr_dispatch = obs.counter("acm.pcam.pool.dispatch");
         self.ctr_activations = obs.counter("acm.pcam.pool.activations");
         self.ctr_demotions = obs.counter("acm.pcam.pool.demotions");
         self.ctr_rejuv_completed = obs.counter("acm.pcam.pool.rejuvenations_completed");
@@ -156,8 +144,7 @@ impl VmPool {
 
     /// Pushes the current ACTIVE/STANDBY/REJUV/FAILED census into the
     /// pool-state gauges (no-op without [`VmPool::set_obs`]). Called once
-    /// per control era rather than per transition so the census scan stays
-    /// off the per-request hot path.
+    /// per control era rather than per transition.
     pub fn publish_gauges(&self) {
         let c = self.counts();
         self.g_active.set(c.active as f64);
@@ -219,10 +206,8 @@ impl VmPool {
         &self.vms
     }
 
-    /// All VMs (write). Conservatively marks the ACTIVE cache stale: the
-    /// caller may transition any VM through the returned slice.
+    /// All VMs (write).
     pub fn vms_mut(&mut self) -> &mut [Vm] {
-        self.active_dirty = true;
         &mut self.vms
     }
 
@@ -231,41 +216,9 @@ impl VmPool {
         self.slot_of(id).map(|slot| &self.vms[slot])
     }
 
-    /// Mutable VM lookup by id (O(1)). Conservatively marks the ACTIVE
-    /// cache stale: the caller may transition the VM's lifecycle state.
+    /// Mutable VM lookup by id (O(1)).
     pub fn vm_mut(&mut self, id: VmId) -> Option<&mut Vm> {
-        self.active_dirty = true;
         self.slot_of(id).map(|slot| &mut self.vms[slot])
-    }
-
-    /// Starts a request on the given VM without staling the ACTIVE cache
-    /// unless the arrival actually tripped the failure predicate (the only
-    /// lifecycle transition this call can cause). This is the dispatch hot
-    /// path: O(1) lookup, zero allocation.
-    pub fn begin_request(
-        &mut self,
-        id: VmId,
-        now: SimTime,
-        lambda_hint: f64,
-    ) -> Option<RequestOutcome> {
-        self.ctr_dispatch.inc();
-        let slot = self.slot_of(id)?;
-        let vm = &mut self.vms[slot];
-        let out = vm.begin_request(now, lambda_hint);
-        if out.is_none() {
-            // Arrival-triggered failure (ACTIVE → FAILED), or a stale
-            // caller-side id; either way the cached ACTIVE set is suspect.
-            self.active_dirty = true;
-        }
-        out
-    }
-
-    /// Releases the in-flight slot taken by [`VmPool::begin_request`].
-    /// Never a lifecycle transition, so the ACTIVE cache stays valid.
-    pub fn end_request(&mut self, id: VmId) {
-        if let Some(slot) = self.slot_of(id) {
-            self.vms[slot].end_request();
-        }
     }
 
     /// Current state census.
@@ -287,27 +240,13 @@ impl VmPool {
         c
     }
 
-    /// Ids of currently ACTIVE VMs (ascending). Allocates; prefer
-    /// [`VmPool::active_ids_cached`] on hot paths.
+    /// Ids of currently ACTIVE VMs (ascending).
     pub fn active_ids(&self) -> Vec<VmId> {
         self.vms
             .iter()
             .filter(|v| v.is_active())
             .map(|v| v.id())
             .collect()
-    }
-
-    /// Ids of currently ACTIVE VMs (ascending) from the lifecycle-tracked
-    /// cache. Rebuilds in place only when a transition staled it, so the
-    /// steady-state dispatch path performs no allocation and no scan.
-    pub fn active_ids_cached(&mut self) -> &[VmId] {
-        if self.active_dirty {
-            self.active_cache.clear();
-            self.active_cache
-                .extend(self.vms.iter().filter(|v| v.is_active()).map(|v| v.id()));
-            self.active_dirty = false;
-        }
-        &self.active_cache
     }
 
     /// Promotes standbys until the active count reaches the target or the
@@ -330,7 +269,6 @@ impl VmPool {
             }
         }
         if activated > 0 {
-            self.active_dirty = true;
             self.ctr_activations.add(activated as u64);
         }
         activated
@@ -358,14 +296,11 @@ impl VmPool {
         for &(_, slot) in active.iter().take(excess) {
             self.vms[slot].deactivate(now);
         }
-        self.active_dirty = true;
         self.ctr_demotions.add(excess as u64);
         excess
     }
 
     /// Completes any due rejuvenations. Returns how many finished.
-    /// (Rejuvenating → STANDBY never touches the ACTIVE set, so the
-    /// dispatch cache stays valid.)
     pub fn poll_rejuvenations(&mut self, now: SimTime) -> usize {
         let finished: usize = self
             .vms
@@ -405,8 +340,7 @@ impl VmPool {
     pub fn remove_standby(&mut self) -> Option<VmId> {
         let idx = self.vms.iter().position(|v| v.is_standby())?;
         let id = self.vms.remove(idx).id();
-        // The removal shifted every later slot; the cache holds ids (still
-        // valid — a standby left), but the index must be rebuilt.
+        // The removal shifted every later slot.
         self.rebuild_index();
         Some(id)
     }
@@ -538,42 +472,11 @@ mod tests {
     }
 
     #[test]
-    fn cached_active_ids_track_lifecycle_transitions() {
-        let mut p = pool(5, 3);
-        assert_eq!(p.active_ids_cached().to_vec(), p.active_ids());
-
-        // Rejuvenating an active VM via vm_mut stales the cache.
-        let id = p.active_ids()[1];
-        p.vm_mut(id)
-            .unwrap()
-            .start_rejuvenation(t(0), Duration::from_secs(60));
-        assert_eq!(p.active_ids_cached().to_vec(), p.active_ids());
-        assert!(!p.active_ids_cached().contains(&id));
-
-        // Replenish promotes a standby; cache follows.
-        p.replenish_active(t(1));
-        assert_eq!(p.active_ids_cached().to_vec(), p.active_ids());
-        assert_eq!(p.active_ids_cached().len(), 3);
-
-        // Rejuvenation completion restores a standby, not an active.
-        p.poll_rejuvenations(t(120));
-        assert_eq!(p.active_ids_cached().to_vec(), p.active_ids());
-
-        // Scale down demotes; cache follows.
-        p.set_target_active(1);
-        p.demote_excess_active(t(121));
-        assert_eq!(p.active_ids_cached().to_vec(), p.active_ids());
-        assert_eq!(p.active_ids_cached().len(), 1);
-    }
-
-    #[test]
-    fn pool_metrics_count_dispatch_and_lifecycle() {
+    fn pool_metrics_count_lifecycle_transitions() {
         let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
         let mut p = pool(4, 2);
         p.set_obs(&obs);
         let id = p.active_ids()[0];
-        p.begin_request(id, t(0), 5.0).expect("serves");
-        p.end_request(id);
         p.vm_mut(id)
             .unwrap()
             .start_rejuvenation(t(0), Duration::from_secs(30));
@@ -581,7 +484,6 @@ mod tests {
         p.poll_rejuvenations(t(30)); // completes the rejuvenation
         p.set_target_active(1);
         p.demote_excess_active(t(31)); // demotes one active
-        assert_eq!(obs.counter("acm.pcam.pool.dispatch").value(), 1);
         assert_eq!(obs.counter("acm.pcam.pool.activations").value(), 1);
         assert_eq!(
             obs.counter("acm.pcam.pool.rejuvenations_completed").value(),
@@ -614,20 +516,5 @@ mod tests {
             c.rejuvenating as f64
         );
         assert_eq!(obs.gauge("acm.pcam.pool.failed").value(), c.failed as f64);
-    }
-
-    #[test]
-    fn begin_request_wrapper_matches_direct_call() {
-        let mut p = pool(3, 2);
-        let id = p.active_ids()[0];
-        let out = p.begin_request(id, t(0), 5.0).expect("active VM serves");
-        assert!(out.response_s > 0.0);
-        assert_eq!(p.vm(id).unwrap().inflight(), 1);
-        p.end_request(id);
-        assert_eq!(p.vm(id).unwrap().inflight(), 0);
-        // Unknown and non-active targets are rejected, not panicked.
-        assert!(p.begin_request(VmId(99), t(0), 5.0).is_none());
-        let standby = p.vms().iter().find(|v| v.is_standby()).unwrap().id();
-        assert!(p.begin_request(standby, t(0), 5.0).is_none());
     }
 }

@@ -16,7 +16,6 @@ use acm_sim::rng::SimRng;
 use acm_sim::stats::OnlineStats;
 use acm_sim::time::{Duration, SimTime};
 use acm_vm::{AnomalyConfig, FailureSpec, Vm, VmFlavor, VmState};
-use serde::{Deserialize, Serialize};
 
 /// Where the VMC gets its RTTF estimates.
 #[derive(Debug, Clone)]
@@ -60,7 +59,7 @@ impl RttfSource {
 }
 
 /// Static configuration of one region's controller.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegionConfig {
     /// Display name (e.g. `"eu-west-1"`).
     pub name: String,
@@ -107,7 +106,7 @@ impl RegionConfig {
 }
 
 /// What one region experienced during one control era.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegionEraReport {
     /// Mean per-VM MTTF estimate over ACTIVE VMs at era end, seconds —
     /// the `lastRMTTF_i` this VMC sends to the leader.

@@ -19,14 +19,12 @@
 //! O(n)-every-`refresh_every`-samples schedule, so scoring never walks the
 //! region list on the routing path.
 
-use serde::{Deserialize, Serialize};
-
 /// Additive key penalty that pushes an excluded region behind every
 /// non-excluded one (measured keys are microseconds, far below this).
 const EXCLUDED_PENALTY_US: f64 = 1e12;
 
 /// Tuning knobs of the latency-aware scorer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyAwareness {
     /// Samples a region needs before latency can penalise it.
     pub minimum_measurements: u64,

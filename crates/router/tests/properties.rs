@@ -143,3 +143,42 @@ fn routed_mega_run_is_byte_identical_1_vs_4_threads() {
         "arena reuse is part of the deterministic footprint"
     );
 }
+
+/// The benchmark's `routed-plane` shape, small: skewed weights, the same
+/// with the last region quarantined, the reversed skew — one era each,
+/// chaos and latency feedback on. The plane is otherwise only checked for
+/// width identity; this pins its counts and an FNV-1a-64 over the
+/// per-shard digests, so an edit to `acm-sim`, `acm-workload` or the
+/// router that moves a single request shows up in tier-1.
+#[test]
+fn routed_plane_golden() {
+    let n = 8;
+    let mut cfg = RoutedPlaneConfig::new(n, 4, 1 << 12, 3, 11);
+    let skew: Vec<f64> = (0..n).map(|i| (3 - (i % 3)) as f64).collect();
+    let mut masked_live = vec![true; n];
+    masked_live[n - 1] = false;
+    cfg.plans = vec![
+        PlanStep::all_live(skew.clone()),
+        PlanStep {
+            fractions: skew.clone(),
+            live: masked_live,
+        },
+        PlanStep::all_live(skew.into_iter().rev().collect()),
+    ];
+    let out = run_routed_plane(&cfg);
+    let words = out.digests.iter().flat_map(|d| {
+        [d.accepted, d.dropped, d.completed, d.chaos_delay_us]
+            .into_iter()
+            .chain(d.routed.iter().copied())
+    });
+    let fnv = words
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(
+        (out.executed, out.queue_pops, out.arrivals_streamed, fnv),
+        (36_234, 17_919, 18_315, 0x15ea_2332_ff61_1bdf),
+        "routed plane changed behaviour"
+    );
+}

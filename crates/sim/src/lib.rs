@@ -29,8 +29,8 @@
 //!   contiguous [`Shard`]s (private event queue + pre-split RNG each)
 //!   advanced concurrently on the `acm-exec` pool and merged in index
 //!   order at era barriers, byte-identical at any thread width.
-//! * [`stats`] — online statistics (Welford mean/variance, quantile sketch,
-//!   histograms) used by telemetry.
+//! * [`stats`] — online statistics (Welford mean/variance with min/max)
+//!   used by telemetry.
 //! * [`series`] — time-series recording used to emit the figure CSVs.
 //! * [`weights`] — the shared weighted-selection primitive
 //!   ([`WeightTable`]): share normalisation plus O(1) alias sampling with
@@ -54,6 +54,6 @@ pub use rng::SimRng;
 pub use series::{SeriesPoint, SeriesTable, TimeSeries};
 pub use shard::{merge_in_shard_order, Shard, ShardLayout, ShardedWorld};
 pub use sim::Simulator;
-pub use stats::{Histogram, OnlineStats, P2Quantile};
+pub use stats::OnlineStats;
 pub use time::{Duration, SimTime};
 pub use weights::WeightTable;

@@ -9,8 +9,6 @@
 //! private stream so that adding a component never perturbs the draws seen by
 //! the others.
 
-use serde::{Deserialize, Serialize};
-
 /// SplitMix64 step, used for seeding and for deriving child streams.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -22,7 +20,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// A deterministic, splittable PRNG (xoshiro256++) with the distribution
 /// samplers needed by the ACM models.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     s: [u64; 4],
 }
@@ -220,7 +218,7 @@ impl SimRng {
 }
 
 /// Precomputed CDF for Zipf sampling over `n` ranks with exponent `s`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZipfTable {
     cdf: Vec<f64>,
 }

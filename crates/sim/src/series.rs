@@ -8,11 +8,10 @@
 
 use crate::stats::OnlineStats;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One observation of a named signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesPoint {
     /// Instant of the observation.
     pub t: SimTime,
@@ -21,7 +20,7 @@ pub struct SeriesPoint {
 }
 
 /// An append-only series of timestamped observations.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     name: String,
     points: Vec<SeriesPoint>,
@@ -113,7 +112,7 @@ impl TimeSeries {
 }
 
 /// A bundle of aligned series sharing time stamps (one CSV table).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SeriesTable {
     series: Vec<TimeSeries>,
 }

@@ -314,30 +314,6 @@ impl<W> Simulator<W> {
     }
 }
 
-impl<W> Simulator<W> {
-    /// Schedules a periodic event: `handler` runs every `period` starting at
-    /// `first`, until it returns `false`.
-    pub fn schedule_periodic(
-        &mut self,
-        first: SimTime,
-        period: Duration,
-        handler: impl FnMut(&mut Simulator<W>) -> bool + Send + 'static,
-    ) {
-        assert!(!period.is_zero(), "periodic events need a positive period");
-        fn tick<W>(
-            sim: &mut Simulator<W>,
-            period: Duration,
-            mut handler: impl FnMut(&mut Simulator<W>) -> bool + Send + 'static,
-        ) {
-            if handler(sim) {
-                let next = sim.now() + period;
-                sim.schedule_at(next, move |s| tick(s, period, handler));
-            }
-        }
-        self.schedule_at(first, move |s| tick(s, period, handler));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,19 +410,6 @@ mod tests {
         sim.schedule_at(t(0), again);
         assert_eq!(sim.run_to_completion(50), RunOutcome::StepBudgetExhausted);
         assert_eq!(sim.world.counter, 50);
-    }
-
-    #[test]
-    fn periodic_runs_until_told_to_stop() {
-        let mut sim = Simulator::new(World::default());
-        sim.schedule_periodic(t(1), Duration::from_secs(2), |s| {
-            s.world.counter += 1;
-            s.world.counter < 5
-        });
-        sim.run_to_completion(100);
-        assert_eq!(sim.world.counter, 5);
-        // Ticks at t = 1, 3, 5, 7, 9.
-        assert_eq!(sim.now(), t(9));
     }
 
     #[test]

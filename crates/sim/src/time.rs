@@ -5,7 +5,6 @@
 //! instant compare equal and fall back to the scheduling sequence number,
 //! which floating-point timestamps cannot guarantee across platforms.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
@@ -13,9 +12,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 pub const TICKS_PER_SECOND: u64 = 1_000_000;
 
 /// A span of simulated time (non-negative, microsecond resolution).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl Duration {
@@ -63,11 +60,6 @@ impl Duration {
     /// This duration in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / TICKS_PER_SECOND as f64
-    }
-
-    /// This duration in fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
     }
 
     /// True if this is the zero duration.
@@ -126,9 +118,7 @@ impl fmt::Display for Duration {
 /// An absolute instant on the simulated clock.
 ///
 /// The simulation epoch is `SimTime::ZERO`; instants only ever move forward.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -12,7 +12,6 @@
 //! swaps plans era after era allocates nothing after warm-up.
 
 use crate::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A prebuilt weighted-sampling table over indices `0..len`.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert!((t.shares()[0] - 0.7).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightTable {
     /// Normalised shares, zeros preserved (len = input len).
     shares: Vec<f64>,

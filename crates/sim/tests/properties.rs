@@ -2,7 +2,7 @@
 
 use acm_sim::event::EventQueue;
 use acm_sim::rng::SimRng;
-use acm_sim::stats::{Histogram, OnlineStats, P2Quantile};
+use acm_sim::stats::OnlineStats;
 use acm_sim::time::{Duration, SimTime};
 use proptest::prelude::*;
 
@@ -32,41 +32,6 @@ proptest! {
             (a.variance() - whole.variance()).abs()
                 < 1e-6 * (1.0 + whole.variance().abs())
         );
-    }
-
-    #[test]
-    fn p2_quantile_tracks_exact_quantile(
-        seed in 0u64..500,
-        q in 0.05f64..0.95,
-    ) {
-        let mut rng = SimRng::new(seed);
-        let mut est = P2Quantile::new(q);
-        let mut xs = Vec::with_capacity(5_000);
-        for _ in 0..5_000 {
-            let x = rng.uniform(0.0, 1.0);
-            est.push(x);
-            xs.push(x);
-        }
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let exact = xs[((xs.len() as f64 - 1.0) * q) as usize];
-        prop_assert!(
-            (est.estimate() - exact).abs() < 0.05,
-            "q={q}: est {} vs exact {exact}",
-            est.estimate()
-        );
-    }
-
-    #[test]
-    fn histogram_conserves_counts(
-        xs in proptest::collection::vec(-10.0f64..20.0, 0..500),
-    ) {
-        let mut h = Histogram::new(0.0, 10.0, 7);
-        for &x in &xs {
-            h.push(x);
-        }
-        let binned: u64 = h.bins().iter().sum();
-        prop_assert_eq!(binned + h.underflow() + h.overflow(), xs.len() as u64);
-        prop_assert_eq!(h.count(), xs.len() as u64);
     }
 
     #[test]

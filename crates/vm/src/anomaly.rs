@@ -12,7 +12,6 @@
 //! statistically identical accumulation to the fine per-request grain.
 
 use acm_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Probability that a request triggers a memory leak (paper: 10 %).
 pub const DEFAULT_LEAK_PROB: f64 = 0.10;
@@ -20,7 +19,7 @@ pub const DEFAULT_LEAK_PROB: f64 = 0.10;
 pub const DEFAULT_THREAD_PROB: f64 = 0.05;
 
 /// Injection parameters for software anomalies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnomalyConfig {
     /// Per-request probability of a memory leak.
     pub leak_prob: f64,
@@ -91,7 +90,7 @@ impl AnomalyConfig {
 }
 
 /// Accumulated anomaly damage on one VM since its last rejuvenation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnomalyState {
     /// Total leaked resident memory, MiB.
     pub leaked_mb: f64,

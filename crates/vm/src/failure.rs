@@ -20,10 +20,9 @@
 use crate::anomaly::{AnomalyConfig, AnomalyState};
 use crate::flavor::VmFlavor;
 use crate::service;
-use serde::{Deserialize, Serialize};
 
 /// Which failure predicate fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureCause {
     /// Resident set exceeded RAM + swap.
     OutOfMemory,
@@ -45,7 +44,7 @@ impl std::fmt::Display for FailureCause {
 }
 
 /// Failure-point definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureSpec {
     /// SLA bound on the mean response time, seconds. The paper keeps client
     /// response times under a 1-second threshold (Sec. VI-B).

@@ -9,8 +9,6 @@
 //! genuinely indirect just as in the paper. Lasso regularisation later
 //! selects the informative subset.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of features in the vector.
 pub const FEATURE_COUNT: usize = 12;
 
@@ -31,7 +29,7 @@ pub const FEATURE_NAMES: [&str; FEATURE_COUNT] = [
 ];
 
 /// A single observation of the monitored system features.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeatureVec {
     /// Feature values, index-aligned with [`FEATURE_NAMES`].
     pub values: [f64; FEATURE_COUNT],

@@ -13,8 +13,6 @@
 //! so the three flavors are *strongly heterogeneous* — the property the
 //! paper's policy study is about.
 
-use serde::{Deserialize, Serialize};
-
 /// Static capacity description of a VM type.
 ///
 /// ```
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(medium.fresh_service_rate(), 50.0); // 1 core / 20 ms demand
 /// assert!(medium.oom_headroom_mb() > VmFlavor::private_munich().oom_headroom_mb());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmFlavor {
     /// Human-readable flavor name (e.g. `"m3.medium"`).
     pub name: String,

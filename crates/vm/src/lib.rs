@@ -17,12 +17,9 @@
 //! * knows its ground-truth remaining time to failure, which is what the ML
 //!   toolchain learns to approximate.
 //!
-//! The model has two operating grains that share all state:
-//!
-//! * **per-request** ([`Vm::process_request`]) for the event-driven examples,
-//! * **per-era** ([`Vm::process_era`]) — the aggregate used by the control
-//!   loop and figure harness, where one call accounts for all requests a VM
-//!   served during a control period.
+//! The model runs at the era grain: one [`Vm::process_era`] call accounts
+//! for all requests a VM served during a control period, which is the
+//! interval at which the paper's VMC observes and acts.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -38,5 +35,5 @@ pub use anomaly::{AnomalyConfig, AnomalyState};
 pub use failure::{FailureCause, FailureSpec};
 pub use features::{FeatureVec, FEATURE_COUNT, FEATURE_NAMES};
 pub use flavor::VmFlavor;
-pub use service::{EraOutcome, RequestOutcome};
+pub use service::EraOutcome;
 pub use vm::{Vm, VmId, VmState};

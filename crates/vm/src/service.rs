@@ -20,7 +20,6 @@
 use crate::anomaly::{AnomalyConfig, AnomalyState};
 use crate::flavor::VmFlavor;
 use acm_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Demand multiplier when the swap space is completely full (i.e. requests
 /// run `1 + SWAP_PENALTY` times slower at 100 % swap usage).
@@ -68,17 +67,8 @@ pub fn mm1_response(mu: f64, lambda: f64) -> Option<f64> {
     }
 }
 
-/// Outcome of one request in the per-request (event-driven) grain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RequestOutcome {
-    /// Sojourn time experienced by the request, seconds.
-    pub response_s: f64,
-    /// Whether the request triggered an anomaly injection.
-    pub anomaly_injected: bool,
-}
-
 /// Aggregate outcome of one control era on one VM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EraOutcome {
     /// Requests offered to the VM this era.
     pub offered: u64,

@@ -4,20 +4,18 @@
 //! **STANDBY**; when a VM's predicted RTTF drops below the user threshold
 //! the controller sends the failing VM a REJUVENATE command and a standby an
 //! ACTIVATE command (paper Sec. III). [`Vm`] implements that lifecycle plus
-//! the two load-processing grains (per request / per era), feature
-//! extraction, and ground-truth RTTF.
+//! era-grain load processing, feature extraction, and ground-truth RTTF.
 
 use crate::anomaly::{AnomalyConfig, AnomalyState};
 use crate::failure::{FailureCause, FailureSpec};
 use crate::features::{FeatureVec, FEATURE_COUNT};
 use crate::flavor::VmFlavor;
-use crate::service::{self, EraOutcome, RequestOutcome};
+use crate::service::{self, EraOutcome};
 use acm_sim::rng::SimRng;
 use acm_sim::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a VM, unique within a region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VmId(pub u32);
 
 impl std::fmt::Display for VmId {
@@ -27,7 +25,7 @@ impl std::fmt::Display for VmId {
 }
 
 /// Lifecycle state of a VM replica.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum VmState {
     /// Serving requests.
     Active,
@@ -49,7 +47,7 @@ pub enum VmState {
 }
 
 /// A simulated server-replica VM.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vm {
     id: VmId,
     flavor: VmFlavor,
@@ -59,8 +57,6 @@ pub struct Vm {
     anomaly: AnomalyState,
     /// Instant of the last boot or rejuvenation completion.
     last_refresh: SimTime,
-    /// Requests currently in service (per-request grain only).
-    inflight: u32,
     /// Total completed requests over the VM's life (all epochs).
     total_completed: u64,
     /// Number of rejuvenations performed.
@@ -92,7 +88,6 @@ impl Vm {
             state,
             anomaly: AnomalyState::fresh(),
             last_refresh: SimTime::ZERO,
-            inflight: 0,
             total_completed: 0,
             rejuvenation_count: 0,
             failure_count: 0,
@@ -188,7 +183,6 @@ impl Vm {
         );
         let _ = now;
         self.state = VmState::Standby;
-        self.inflight = 0;
     }
 
     /// ACTIVE (or Failed) → REJUVENATING for `duration`. Clears all anomaly
@@ -204,7 +198,6 @@ impl Vm {
             until: now + duration,
         };
         self.rejuvenation_count += 1;
-        self.inflight = 0;
     }
 
     /// Completes rejuvenation if its deadline has passed: REJUVENATING →
@@ -226,62 +219,9 @@ impl Vm {
     fn fail(&mut self, at: SimTime, cause: FailureCause) {
         self.state = VmState::Failed { at, cause };
         self.failure_count += 1;
-        self.inflight = 0;
     }
 
     // ----- load processing --------------------------------------------------
-
-    /// Per-request grain, request start: injects anomalies, computes the
-    /// processor-sharing sojourn given the *current* in-flight population,
-    /// and admits the request (incrementing in-flight). The caller must
-    /// call [`Vm::end_request`] once the sojourn elapses — the event-driven
-    /// harness schedules that as a completion event. Returns `None`
-    /// (dropping the request) if the VM is not active or fails on arrival.
-    pub fn begin_request(&mut self, now: SimTime, lambda_hint: f64) -> Option<RequestOutcome> {
-        if !self.is_active() {
-            return None;
-        }
-        if let Some(cause) =
-            self.failure_spec
-                .check(&self.flavor, &self.anomaly_cfg, &self.anomaly, lambda_hint)
-        {
-            self.fail(now, cause);
-            return None;
-        }
-        let injected = self.anomaly.apply_request(&self.anomaly_cfg, &mut self.rng);
-        let mu = service::effective_service_rate(&self.flavor, &self.anomaly_cfg, &self.anomaly);
-        // Processor sharing: each in-flight request dilates service.
-        let share = (self.inflight as f64 + 1.0) / mu.max(1e-9);
-        self.inflight += 1;
-        self.total_completed += 1;
-        Some(RequestOutcome {
-            response_s: share,
-            anomaly_injected: injected,
-        })
-    }
-
-    /// Per-request grain, request completion: releases one in-flight slot.
-    /// Tolerates completions racing a rejuvenation (which clears the
-    /// counter).
-    pub fn end_request(&mut self) {
-        self.inflight = self.inflight.saturating_sub(1);
-    }
-
-    /// Requests currently in service (per-request grain).
-    pub fn inflight(&self) -> u32 {
-        self.inflight
-    }
-
-    /// Per-request grain, fire-and-forget: [`Vm::begin_request`] with an
-    /// immediate [`Vm::end_request`]. Adequate when the caller does not
-    /// model concurrency (sojourns far shorter than inter-arrival gaps).
-    pub fn process_request(&mut self, now: SimTime, lambda_hint: f64) -> Option<RequestOutcome> {
-        let out = self.begin_request(now, lambda_hint);
-        if out.is_some() {
-            self.end_request();
-        }
-        out
-    }
 
     /// Era grain: accounts for one control period of length `era` during
     /// which requests arrived at `lambda` req/s (Poisson). Anomalies
@@ -552,47 +492,5 @@ mod tests {
         let m1 = vm.true_mttf(now, 10.0);
         let rel = (m1 - m0).abs() / m0;
         assert!(rel < 0.15, "MTTF drifted {m0} -> {m1}");
-    }
-
-    #[test]
-    fn per_request_grain_serves_and_fails() {
-        let mut vm = mk_vm(VmState::Active);
-        let out = vm.process_request(t(0), 10.0).expect("active VM serves");
-        assert!(out.response_s > 0.0);
-        assert_eq!(vm.inflight(), 0, "fire-and-forget releases the slot");
-        // Standby VM drops requests.
-        let mut standby = mk_vm(VmState::Standby);
-        assert!(standby.process_request(t(0), 10.0).is_none());
-    }
-
-    #[test]
-    fn concurrency_dilates_processor_sharing_sojourns() {
-        let mut vm = mk_vm(VmState::Active);
-        let first = vm.begin_request(t(0), 10.0).unwrap();
-        assert_eq!(vm.inflight(), 1);
-        let second = vm.begin_request(t(0), 10.0).unwrap();
-        assert_eq!(vm.inflight(), 2);
-        // The second request shares the processor with the first.
-        assert!(
-            second.response_s > 1.5 * first.response_s,
-            "{} !> 1.5x {}",
-            second.response_s,
-            first.response_s
-        );
-        vm.end_request();
-        vm.end_request();
-        assert_eq!(vm.inflight(), 0);
-        // Extra end_request calls are tolerated (rejuvenation races).
-        vm.end_request();
-        assert_eq!(vm.inflight(), 0);
-    }
-
-    #[test]
-    fn rejuvenation_clears_inflight() {
-        let mut vm = mk_vm(VmState::Active);
-        vm.begin_request(t(0), 10.0).unwrap();
-        vm.begin_request(t(0), 10.0).unwrap();
-        vm.start_rejuvenation(t(1), Duration::from_secs(60));
-        assert_eq!(vm.inflight(), 0);
     }
 }

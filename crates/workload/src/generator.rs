@@ -10,10 +10,9 @@
 
 use crate::THINK_TIME_MEAN_S;
 use acm_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// How a region's client population evolves over time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ClientSchedule {
     /// Fixed population.
     Constant(u32),
@@ -101,7 +100,7 @@ impl ClientSchedule {
 /// // Interactive law λ = N / (Z + R) with the 7 s TPC-W think time:
 /// assert!((w.offered_rate(SimTime::ZERO, 0.0) - 10.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionWorkload {
     schedule: ClientSchedule,
     think_time_s: f64,

@@ -6,15 +6,14 @@
 //! varied in `[16, 512]` and "significantly different in number" across
 //! regions (Sec. VI-A).
 //!
+//! The browsers are not simulated one by one: a population enters the
+//! model through the closed-loop law and a mix through its mean demand.
+//!
 //! * [`mix`] — the three canonical TPC-W interaction mixes (browsing,
 //!   shopping, ordering) with per-class service-demand multipliers.
-//! * [`browser`] — the emulated browser: exponential think time, session
-//!   state machine over interaction classes.
 //! * [`generator`] — per-region client populations with closed-loop offered
 //!   rates (`λ = N / (Z + R)`) and population schedules (constant, step,
 //!   ramp) for the load-surge experiments.
-//! * [`session`] — the first-order Markov session machine over interaction
-//!   classes (home → search → cart → buy …).
 //! * [`trace`] — open-loop rate profiles (constant, steps, diurnal,
 //!   burst) with Poisson arrival-trace materialisation for the benches,
 //!   plus the incremental per-era [`OpenLoopArrivals`] generator (with
@@ -23,16 +22,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod browser;
 pub mod generator;
 pub mod mix;
-pub mod session;
 pub mod trace;
 
-pub use browser::EmulatedBrowser;
 pub use generator::{ClientSchedule, RegionWorkload};
 pub use mix::{InteractionClass, TpcwMix};
-pub use session::Session;
 pub use trace::{ArrivalTrace, OpenLoopArrivals, RateProfile};
 
 /// Mean think time of a TPC-W emulated browser, seconds (TPC-W clause

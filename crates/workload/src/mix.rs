@@ -4,14 +4,11 @@
 //! categories and defines three canonical mixes by their browse/order
 //! ratio: **browsing** (95/5), **shopping** (80/20) and **ordering**
 //! (50/50). We model five representative interaction classes with relative
-//! service demands (order-side interactions hit the database harder) and
-//! expose the mixes as sampling distributions.
-
-use acm_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
+//! service demands (order-side interactions hit the database harder); a
+//! mix enters the VM model as its mean demand multiplier.
 
 /// A representative TPC-W interaction class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InteractionClass {
     /// Home page / product detail (cheap, cacheable).
     Browse,
@@ -56,7 +53,7 @@ impl InteractionClass {
 }
 
 /// One of the three canonical TPC-W mixes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TpcwMix {
     /// 95 % browse / 5 % order.
     Browsing,
@@ -98,12 +95,6 @@ impl TpcwMix {
             .map(|(c, w)| c.demand_multiplier() * w)
             .sum()
     }
-
-    /// Samples an interaction class.
-    pub fn sample(self, rng: &mut SimRng) -> InteractionClass {
-        let idx = rng.weighted_index(&self.class_weights());
-        InteractionClass::ALL[idx]
-    }
 }
 
 #[cfg(test)]
@@ -130,23 +121,6 @@ mod tests {
         assert!(
             TpcwMix::Ordering.mean_demand_multiplier() > TpcwMix::Browsing.mean_demand_multiplier()
         );
-    }
-
-    #[test]
-    fn sampling_tracks_weights() {
-        let mut rng = SimRng::new(1);
-        let mix = TpcwMix::Shopping;
-        let n = 100_000;
-        let mut counts = [0usize; 5];
-        for _ in 0..n {
-            let c = mix.sample(&mut rng);
-            let idx = InteractionClass::ALL.iter().position(|x| *x == c).unwrap();
-            counts[idx] += 1;
-        }
-        for (count, weight) in counts.iter().zip(mix.class_weights()) {
-            let freq = *count as f64 / n as f64;
-            assert!((freq - weight).abs() < 0.01, "freq {freq} vs {weight}");
-        }
     }
 
     #[test]

@@ -12,10 +12,9 @@
 
 use acm_sim::rng::SimRng;
 use acm_sim::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A deterministic request-rate profile λ(t), req/s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RateProfile {
     /// Constant rate.
     Constant(f64),
@@ -160,7 +159,7 @@ impl RateProfile {
 }
 
 /// A materialised sequence of arrival instants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalTrace {
     arrivals: Vec<SimTime>,
 }
