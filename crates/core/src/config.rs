@@ -305,6 +305,7 @@ impl ExperimentConfig {
         for spec in &self.regions {
             spec.region.flavor.validate()?;
             spec.region.anomaly.validate()?;
+            spec.region.failure_spec.validate()?;
         }
         self.scenario.validate(self.regions.len())?;
         self.obs.validate()?;
@@ -376,6 +377,11 @@ mod tests {
             fail_at: SimTime::from_secs(100),
             recover_at: SimTime::from_secs(50),
         }];
+        assert!(cfg.validate().is_err());
+
+        // A non-positive SLA bound would fail every healthy VM at t = 0.
+        let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::SensibleRouting, 1);
+        cfg.regions[1].region.failure_spec.sla_response_s = 0.0;
         assert!(cfg.validate().is_err());
     }
 }

@@ -10,6 +10,7 @@ use crate::config::ExperimentConfig;
 use crate::telemetry::RegionEraRecord;
 use acm_obs::{SloTransition, Value};
 use acm_sim::time::Duration;
+use std::sync::Arc;
 
 impl ControlLoop {
     pub(super) fn execute(&mut self, seen: Monitored, heard: &Heard, decided: Decided) {
@@ -51,12 +52,15 @@ impl ControlLoop {
         let live = targets.len();
         let era_index = self.era_index;
         if installable {
+            // One allocation per install: the leader, this event's `new`
+            // and the next install's `old` all point to it.
+            let target: Arc<[f64]> = target.into();
             let old = &self.leader.fractions;
             self.causes.emit(t_end, Link::PlanInstall, || {
                 vec![
                     ("era", Value::from(era_index)),
-                    ("old", Value::from(old.as_slice())),
-                    ("new", Value::from(target.as_slice())),
+                    ("old", Value::from(old.clone())),
+                    ("new", Value::from(target.clone())),
                 ]
             });
             self.leader.fractions = target;
@@ -162,7 +166,7 @@ impl ControlLoop {
             .reports
             .iter()
             .zip(rmttf_now)
-            .zip(&self.leader.fractions);
+            .zip(&*self.leader.fractions);
         let records: Vec<RegionEraRecord> = per_region
             .map(|((r, &rmttf), &fraction)| RegionEraRecord {
                 rmttf,

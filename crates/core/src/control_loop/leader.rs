@@ -11,6 +11,7 @@ use acm_overlay::{
 };
 use acm_sim::rng::SimRng;
 use acm_sim::time::SimTime;
+use std::sync::Arc;
 
 /// The state the leader carries from era to era — what a successor would
 /// have to be handed to resume without a plan regression. Plain data: the
@@ -20,8 +21,10 @@ pub(super) struct LeaderState {
     pub(super) estimators: Vec<RmttfEwma>,
     /// The latest received `lastRMTTF` per region (stale on loss).
     pub(super) received_rmttf: Vec<f64>,
-    /// Fractions currently installed on the load balancers.
-    pub(super) fractions: Vec<f64>,
+    /// Fractions currently installed on the load balancers. Replaced whole
+    /// by an install, never written in place, so the `plan.install` events
+    /// share the allocation.
+    pub(super) fractions: Arc<[f64]>,
     /// Last forward plan (for churn accounting).
     pub(super) plan: Option<ForwardPlan>,
     /// Report-age / quarantine state machine with its outage ordinals;
@@ -54,7 +57,7 @@ impl LeaderState {
         LeaderState {
             estimators: vec![RmttfEwma::new(cfg.beta); n],
             received_rmttf: vec![0.0; n],
-            fractions: uniform_fractions(n),
+            fractions: uniform_fractions(n).into(),
             plan: None,
             tracker: detector
                 .is_some()
@@ -107,7 +110,7 @@ impl LeaderState {
             );
         }
         if live.is_empty() {
-            return self.fractions.clone();
+            return self.fractions.to_vec();
         }
         let prev_sum: f64 = live.iter().map(|&j| self.fractions[j]).sum();
         let prev_live: Vec<f64> = if prev_sum > 0.0 {

@@ -27,7 +27,7 @@
 
 use crate::json::{push_escaped, push_f64, JsonObject};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A typed event-field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,8 +45,11 @@ pub enum Value {
     /// Float vector (a plan's fractions). Kept as numbers while retained;
     /// exported as the JSON *string* of the array text — `"[0.5,0.5]"`,
     /// elements formatted like [`Value::F64`] — which is the form such
-    /// fields had on the wire when emitters pre-rendered them.
-    F64s(Box<[f64]>),
+    /// fields had on the wire when emitters pre-rendered them. Shared, not
+    /// owned: an emitter that already holds the vector behind an `Arc` (the
+    /// leader's plan, which is one event's `new` and the next one's `old`)
+    /// retains one allocation however many records name it.
+    F64s(Arc<[f64]>),
 }
 
 impl From<u64> for Value {
@@ -100,6 +103,12 @@ impl From<String> for Value {
 impl From<&[f64]> for Value {
     fn from(v: &[f64]) -> Self {
         Value::F64s(v.into())
+    }
+}
+
+impl From<Arc<[f64]>> for Value {
+    fn from(v: Arc<[f64]>) -> Self {
+        Value::F64s(v)
     }
 }
 
@@ -434,6 +443,14 @@ mod tests {
         let mut out = String::new();
         Value::from(&[f64::NAN, 0.25][..]).push_json(&mut out);
         assert_eq!(out, "\"[null,0.25]\"");
+
+        // A shared vector is retained, not copied, and is the same value.
+        let plan: Arc<[f64]> = Arc::from(&[0.75, 0.25][..]);
+        let log = EventLog::new(4);
+        log.push(0, "plan.install", vec![("new", Value::from(plan.clone()))]);
+        log.push(1, "plan.install", vec![("old", Value::from(plan.clone()))]);
+        assert_eq!(Arc::strong_count(&plan), 3);
+        assert_eq!(Value::from(plan.clone()), Value::from(&plan[..]));
     }
 
     #[test]

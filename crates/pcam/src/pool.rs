@@ -8,7 +8,8 @@
 use acm_obs::{Counter, Gauge, ObsHandle};
 use acm_sim::rng::SimRng;
 use acm_sim::time::SimTime;
-use acm_vm::{AnomalyConfig, FailureSpec, Vm, VmFlavor, VmId, VmState};
+use acm_vm::{AnomalyConfig, FailureSpec, Vm, VmFlavor, VmId, VmSpec, VmState};
+use std::sync::Arc;
 
 /// Sentinel for "id not present" in the id → slot index.
 const NO_SLOT: u32 = u32::MAX;
@@ -39,9 +40,9 @@ pub struct VmPool {
     vms: Vec<Vm>,
     target_active: usize,
     next_id: u32,
-    flavor: VmFlavor,
-    anomaly_cfg: AnomalyConfig,
-    failure_spec: FailureSpec,
+    /// Flavor, anomaly config and failure spec: one allocation every VM of
+    /// the pool points to.
+    spec: Arc<VmSpec>,
     rng: SimRng,
     /// `id.0` → slot in `vms` (`NO_SLOT` when absent), so VM lookup by id
     /// is O(1) instead of a linear scan.
@@ -74,6 +75,7 @@ impl VmPool {
             target_active > 0 && target_active <= total,
             "target_active must be in 1..=total"
         );
+        let spec = Arc::new(VmSpec::new(flavor, anomaly_cfg, failure_spec));
         let vms = (0..total)
             .map(|i| {
                 let state = if i < target_active {
@@ -81,23 +83,14 @@ impl VmPool {
                 } else {
                     VmState::Standby
                 };
-                Vm::new(
-                    VmId(i as u32),
-                    flavor.clone(),
-                    anomaly_cfg.clone(),
-                    failure_spec.clone(),
-                    state,
-                    rng.split(),
-                )
+                Vm::with_spec(VmId(i as u32), spec.clone(), state, rng.split())
             })
             .collect();
         let mut pool = VmPool {
             vms,
             target_active,
             next_id: total as u32,
-            flavor,
-            anomaly_cfg,
-            failure_spec,
+            spec,
             rng,
             id_index: Vec::new(),
             ctr_activations: Counter::default(),
@@ -178,17 +171,17 @@ impl VmPool {
 
     /// The flavor every VM in this pool shares.
     pub fn flavor(&self) -> &VmFlavor {
-        &self.flavor
+        self.spec.flavor()
     }
 
     /// The failure spec in force.
     pub fn failure_spec(&self) -> &FailureSpec {
-        &self.failure_spec
+        self.spec.failure_spec()
     }
 
     /// The anomaly configuration in force.
     pub fn anomaly_config(&self) -> &AnomalyConfig {
-        &self.anomaly_cfg
+        self.spec.anomaly_config()
     }
 
     /// Desired number of simultaneously ACTIVE VMs.
@@ -319,11 +312,9 @@ impl VmPool {
         self.next_id += 1;
         let child_rng = self.rng.split();
         let slot = self.vms.len() as u32;
-        self.vms.push(Vm::new(
+        self.vms.push(Vm::with_spec(
             id,
-            self.flavor.clone(),
-            self.anomaly_cfg.clone(),
-            self.failure_spec.clone(),
+            self.spec.clone(),
             VmState::Standby,
             child_rng,
         ));

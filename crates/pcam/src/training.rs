@@ -112,13 +112,14 @@ fn collect_run(
     let mut rows = Vec::new();
     let mut now = SimTime::ZERO;
     for _ in 0..cfg.max_eras_per_run {
-        let rttf = vm.true_rttf(lambda);
+        let features: FeatureVec = vm.features(now, lambda);
+        // The era's own ground-truth solve labels the snapshot taken at its
+        // start.
+        let rttf = vm.process_era(now, cfg.era, lambda).rttf_s;
         if !rttf.is_finite() {
             break; // this load level never fails the VM
         }
-        let features: FeatureVec = vm.features(now, lambda);
         rows.push((features.as_slice().to_vec(), rttf));
-        vm.process_era(now, cfg.era, lambda);
         now += cfg.era;
         if !vm.is_active() {
             break; // reached the failure point
@@ -167,6 +168,35 @@ mod tests {
         let a = collect_database(&args.0, &args.1, &args.2, &args.3, &mut SimRng::new(5));
         let b = collect_database(&args.0, &args.1, &args.2, &args.3, &mut SimRng::new(5));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn default_database_is_pinned() {
+        // FNV-1a-64 over every row's feature bits then its label bits, in
+        // row order; the constants were taken before `collect_run` started
+        // labelling rows from `EraOutcome::rttf_s` (one ground-truth solve
+        // per row instead of two), which must not move a bit.
+        let db = collect_database(
+            &VmFlavor::m3_medium(),
+            &AnomalyConfig::default(),
+            &FailureSpec::default(),
+            &CollectionConfig::default(),
+            &mut SimRng::new(5),
+        );
+        let hash = db
+            .rows()
+            .iter()
+            .zip(db.targets())
+            .flat_map(|(row, target)| row.iter().chain(std::iter::once(target)))
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(
+            (db.len(), hash),
+            (554, 0xa80b_316a_7db1_beb2),
+            "database moved"
+        );
     }
 
     #[test]

@@ -36,4 +36,4 @@ pub use failure::{FailureCause, FailureSpec};
 pub use features::{FeatureVec, FEATURE_COUNT, FEATURE_NAMES};
 pub use flavor::VmFlavor;
 pub use service::EraOutcome;
-pub use vm::{Vm, VmId, VmState};
+pub use vm::{Vm, VmId, VmSpec, VmState};

@@ -81,6 +81,10 @@ pub struct EraOutcome {
     /// Seconds of the era during which the VM was serving (shorter than the
     /// era when the VM failed mid-era).
     pub active_s: f64,
+    /// Ground-truth remaining time to failure at era start under the era's
+    /// arrival rate, seconds (infinite when idle or when the VM never fails
+    /// at this rate): the one solve of the era, for whoever labels with it.
+    pub rttf_s: f64,
 }
 
 impl EraOutcome {
@@ -92,6 +96,7 @@ impl EraOutcome {
             mean_response_s: 0.0,
             utilization: 0.0,
             active_s: era_s,
+            rttf_s: f64::INFINITY,
         }
     }
 }

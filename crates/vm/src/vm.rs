@@ -13,6 +13,7 @@ use crate::flavor::VmFlavor;
 use crate::service::{self, EraOutcome};
 use acm_sim::rng::SimRng;
 use acm_sim::time::{Duration, SimTime};
+use std::sync::Arc;
 
 /// Identifier of a VM, unique within a region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,13 +47,51 @@ pub enum VmState {
     },
 }
 
-/// A simulated server-replica VM.
-#[derive(Debug, Clone)]
-pub struct Vm {
-    id: VmId,
+/// What the VMs of one region have in common — flavor, anomaly injection
+/// and failure point — validated once and shared: a pool holds one
+/// `Arc<VmSpec>` and each of its [`Vm`]s a pointer to it.
+#[derive(Debug)]
+pub struct VmSpec {
     flavor: VmFlavor,
     anomaly_cfg: AnomalyConfig,
     failure_spec: FailureSpec,
+}
+
+impl VmSpec {
+    /// Bundles the three region constants. Panics on an invalid one.
+    pub fn new(flavor: VmFlavor, anomaly_cfg: AnomalyConfig, failure_spec: FailureSpec) -> Self {
+        flavor.validate().expect("invalid flavor");
+        anomaly_cfg.validate().expect("invalid anomaly config");
+        failure_spec.validate().expect("invalid failure spec");
+        VmSpec {
+            flavor,
+            anomaly_cfg,
+            failure_spec,
+        }
+    }
+
+    /// The VM type.
+    pub fn flavor(&self) -> &VmFlavor {
+        &self.flavor
+    }
+
+    /// The anomaly-injection configuration.
+    pub fn anomaly_config(&self) -> &AnomalyConfig {
+        &self.anomaly_cfg
+    }
+
+    /// The failure-point definition.
+    pub fn failure_spec(&self) -> &FailureSpec {
+        &self.failure_spec
+    }
+}
+
+/// A simulated server-replica VM: a pointer to what it shares with its
+/// region ([`VmSpec`]) plus what differs between VMs.
+#[derive(Debug, Clone)]
+pub struct Vm {
+    id: VmId,
+    spec: Arc<VmSpec>,
     state: VmState,
     anomaly: AnomalyState,
     /// Instant of the last boot or rejuvenation completion.
@@ -63,13 +102,16 @@ pub struct Vm {
     rejuvenation_count: u64,
     /// Number of (reactive) failures suffered.
     failure_count: u64,
-    /// Outcome of the most recent era (drives the response-time feature).
-    last_era: Option<EraOutcome>,
+    /// Mean response time of the most recent era since the last refresh
+    /// (the response-time feature; 0 before the first era and when idle).
+    last_response_s: f64,
     rng: SimRng,
 }
 
 impl Vm {
-    /// Creates a VM in the given initial state at time zero.
+    /// Creates a VM with a spec of its own, in the given initial state at
+    /// time zero. Panics on an invalid flavor, anomaly config or failure
+    /// spec.
     pub fn new(
         id: VmId,
         flavor: VmFlavor,
@@ -78,20 +120,23 @@ impl Vm {
         state: VmState,
         rng: SimRng,
     ) -> Self {
-        flavor.validate().expect("invalid flavor");
-        anomaly_cfg.validate().expect("invalid anomaly config");
+        let spec = VmSpec::new(flavor, anomaly_cfg, failure_spec);
+        Vm::with_spec(id, Arc::new(spec), state, rng)
+    }
+
+    /// Creates a VM of a shared spec (one allocation per pool, not per VM)
+    /// in the given initial state at time zero.
+    pub fn with_spec(id: VmId, spec: Arc<VmSpec>, state: VmState, rng: SimRng) -> Self {
         Vm {
             id,
-            flavor,
-            anomaly_cfg,
-            failure_spec,
+            spec,
             state,
             anomaly: AnomalyState::fresh(),
             last_refresh: SimTime::ZERO,
             total_completed: 0,
             rejuvenation_count: 0,
             failure_count: 0,
-            last_era: None,
+            last_response_s: 0.0,
             rng,
         }
     }
@@ -103,7 +148,7 @@ impl Vm {
 
     /// The VM's flavor.
     pub fn flavor(&self) -> &VmFlavor {
-        &self.flavor
+        &self.spec.flavor
     }
 
     /// Current lifecycle state.
@@ -129,12 +174,12 @@ impl Vm {
 
     /// The failure specification in force.
     pub fn failure_spec(&self) -> &FailureSpec {
-        &self.failure_spec
+        &self.spec.failure_spec
     }
 
     /// The anomaly-injection configuration in force.
     pub fn anomaly_config(&self) -> &AnomalyConfig {
-        &self.anomaly_cfg
+        &self.spec.anomaly_cfg
     }
 
     /// Seconds since the last refresh (boot or rejuvenation).
@@ -208,7 +253,7 @@ impl Vm {
                 self.state = VmState::Standby;
                 self.anomaly.reset();
                 self.last_refresh = now;
-                self.last_era = None;
+                self.last_response_s = 0.0;
                 return true;
             }
         }
@@ -231,18 +276,19 @@ impl Vm {
     pub fn process_era(&mut self, now: SimTime, era: Duration, lambda: f64) -> EraOutcome {
         let era_s = era.as_secs_f64();
         if !self.is_active() || lambda <= 0.0 {
-            let out = EraOutcome::idle(era_s);
-            self.last_era = Some(out);
-            return out;
+            self.last_response_s = 0.0;
+            return EraOutcome::idle(era_s);
         }
+        let VmSpec {
+            flavor,
+            anomaly_cfg,
+            failure_spec,
+        } = &*self.spec;
 
-        let mu_start =
-            service::effective_service_rate(&self.flavor, &self.anomaly_cfg, &self.anomaly);
+        let mu_start = service::effective_service_rate(flavor, anomaly_cfg, &self.anomaly);
 
         // Ground truth: does the failure point arrive inside this era?
-        let (rttf_s, cause) =
-            self.failure_spec
-                .true_rttf(&self.flavor, &self.anomaly_cfg, &self.anomaly, lambda);
+        let (rttf_s, cause) = failure_spec.true_rttf(flavor, anomaly_cfg, &self.anomaly, lambda);
         let active_s = rttf_s.min(era_s);
 
         let offered = self.rng.poisson(lambda * era_s);
@@ -253,23 +299,23 @@ impl Vm {
         };
 
         self.anomaly
-            .apply_requests(&self.anomaly_cfg, completed, &mut self.rng);
+            .apply_requests(anomaly_cfg, completed, &mut self.rng);
         self.total_completed += completed;
 
-        let mu_end =
-            service::effective_service_rate(&self.flavor, &self.anomaly_cfg, &self.anomaly);
+        let mu_end = service::effective_service_rate(flavor, anomaly_cfg, &self.anomaly);
         let mean_response_s = if completed == 0 {
             0.0
         } else {
             service::era_response_time(mu_start, mu_end, lambda, era_s, &mut self.rng)
         };
+        self.last_response_s = mean_response_s;
 
         if active_s < era_s {
             let at = now + Duration::from_secs_f64(active_s);
             self.fail(at, cause.expect("finite RTTF implies a cause"));
         }
 
-        let out = EraOutcome {
+        EraOutcome {
             offered,
             completed,
             mean_response_s,
@@ -279,9 +325,8 @@ impl Vm {
                 f64::INFINITY
             },
             active_s,
-        };
-        self.last_era = Some(out);
-        out
+            rttf_s,
+        }
     }
 
     // ----- observation -------------------------------------------------------
@@ -289,8 +334,8 @@ impl Vm {
     /// The monitoring agent's view: the F2PM feature vector at `now`, given
     /// the VM's current arrival rate.
     pub fn features(&self, now: SimTime, lambda: f64) -> FeatureVec {
-        let f = &self.flavor;
-        let cfg = &self.anomaly_cfg;
+        let f = &self.spec.flavor;
+        let cfg = &self.spec.anomaly_cfg;
         let resident = service::resident_mb(f, cfg, &self.anomaly);
         let swap = service::swap_used_mb(f, cfg, &self.anomaly);
         let mu = service::effective_service_rate(f, cfg, &self.anomaly);
@@ -306,7 +351,7 @@ impl Vm {
         } else {
             10.0
         };
-        v[6] = self.last_era.map_or(0.0, |e| e.mean_response_s);
+        v[6] = self.last_response_s;
         v[7] = lambda;
         v[8] = self.age(now).as_secs_f64();
         v[9] = self.anomaly.requests_since_refresh as f64;
@@ -318,8 +363,9 @@ impl Vm {
     /// Ground-truth remaining time to failure at arrival rate `lambda`
     /// (seconds; infinite when the VM will never fail at this rate).
     pub fn true_rttf(&self, lambda: f64) -> f64 {
-        self.failure_spec
-            .true_rttf(&self.flavor, &self.anomaly_cfg, &self.anomaly, lambda)
+        let spec = &*self.spec;
+        spec.failure_spec
+            .true_rttf(&spec.flavor, &spec.anomaly_cfg, &self.anomaly, lambda)
             .0
     }
 
@@ -354,6 +400,59 @@ mod tests {
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    #[test]
+    fn a_vm_carries_only_what_differs_between_vms() {
+        // The flavor (with its heap name), anomaly config and failure spec
+        // sit behind one shared pointer; 14 700 of these are the mega
+        // world's live heap.
+        assert!(
+            std::mem::size_of::<Vm>() <= 144,
+            "{} B",
+            std::mem::size_of::<Vm>()
+        );
+        let spec = Arc::new(VmSpec::new(
+            VmFlavor::m3_small(),
+            AnomalyConfig::default(),
+            FailureSpec::default(),
+        ));
+        let a = Vm::with_spec(VmId(0), spec.clone(), VmState::Active, SimRng::new(1));
+        let b = Vm::with_spec(VmId(1), spec.clone(), VmState::Standby, SimRng::new(2));
+        assert!(std::ptr::eq(a.flavor(), b.flavor()));
+        assert_eq!(a.failure_spec(), spec.failure_spec());
+        assert_eq!(b.anomaly_config(), spec.anomaly_config());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid failure spec")]
+    fn a_non_positive_sla_bound_is_rejected() {
+        let spec = FailureSpec {
+            sla_response_s: 0.0,
+            enforce_sla: true,
+        };
+        Vm::new(
+            VmId(1),
+            VmFlavor::m3_medium(),
+            AnomalyConfig::default(),
+            spec,
+            VmState::Active,
+            SimRng::new(42),
+        );
+    }
+
+    #[test]
+    fn era_outcome_carries_the_ground_truth_it_was_decided_on() {
+        let mut vm = mk_vm(VmState::Active);
+        let rttf = vm.true_rttf(10.0);
+        let out = vm.process_era(t(0), Duration::from_secs(30), 10.0);
+        assert_eq!(out.rttf_s.to_bits(), rttf.to_bits());
+        assert_eq!(
+            mk_vm(VmState::Standby)
+                .process_era(t(0), Duration::from_secs(30), 10.0)
+                .rttf_s,
+            f64::INFINITY
+        );
     }
 
     #[test]

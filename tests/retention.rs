@@ -101,7 +101,7 @@ fn star_world(seed: u64) -> ExperimentConfig {
 }
 
 #[test]
-fn an_era_of_the_200_region_world_retains_at_most_15_kb() {
+fn an_era_of_the_200_region_world_retains_at_most_13_kb() {
     let _heap = HEAP.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = star_world(11);
     let mut rng = SimRng::new(cfg.seed);
@@ -113,15 +113,17 @@ fn an_era_of_the_200_region_world_retains_at_most_15_kb() {
     cl.run(80);
     let at_120 = LIVE.load(Ordering::Relaxed);
     let per_era = (at_120 - at_40) as f64 / 80.0;
-    // Reads 14 367 B at any pool width: one telemetry row of
-    // (4 n + 4) x 8 = 6 432 B, one `plan.install` keeping two n-vectors,
-    // 3 200 B, and ~4.7 KB of small events (the era's ~16 message drops and
-    // retries, plus their stores' `Vec` doubling 512 -> 1 024 records
-    // inside the window), which stop growing once a kind reaches
-    // `event_capacity`. Per-series storage and pre-rendered plan strings
-    // read 33 816 B on the same world, so 15 KB fails if either returns.
+    // Reads 12 804 B at any pool width: one telemetry row of
+    // (4 n + 4) x 8 = 6 432 B, one `plan.install` whose `new` is the
+    // leader's own n-vector behind an `Arc` and whose `old` is the previous
+    // install's `new`, 1 616 B, and ~4.7 KB of small events (the era's ~16
+    // message drops and retries, plus their stores' `Vec` doubling
+    // 512 -> 1 024 records inside the window), which stop growing once a
+    // kind reaches `event_capacity`. An install that copies both vectors
+    // reads 14 367 B, per-series storage and pre-rendered plan strings
+    // 33 816 B on the same world, so 13 KB fails if any of them returns.
     assert!(
-        per_era <= 15.0 * 1024.0,
+        per_era <= 13.0 * 1024.0,
         "eras 40-120 retained {per_era:.0} B each ({at_40} -> {at_120})"
     );
     assert!(per_era >= 6_432.0, "telemetry alone is 6 432 B per era");
