@@ -25,6 +25,7 @@
 //! Every scenario is deterministic per its hard-coded seed, so the gate
 //! numbers are stable across machines.
 
+use acm_bench::Report;
 use acm_core::config::{ExperimentConfig, PredictorChoice};
 use acm_core::framework::run_experiment_with_obs;
 use acm_core::policy::PolicyKind;
@@ -42,36 +43,6 @@ const READMIT_BUDGET_ERAS: usize = 25;
 const CONVERGE_BUDGET_ERAS: usize = 25;
 /// The equal-RMTTF band: max/min ratio of 5-era-smoothed region RMTTFs.
 const SPREAD_BAND: f64 = 1.35;
-
-struct Report {
-    entries: Vec<(String, f64)>,
-    failures: Vec<String>,
-}
-
-impl Report {
-    fn push(&mut self, name: &str, value: f64) {
-        println!("{name:<52} {value:>14.3}");
-        self.entries.push((name.to_string(), value));
-    }
-
-    fn gate(&mut self, ok: bool, what: String) {
-        if !ok {
-            println!("  GATE VIOLATION: {what}");
-            self.failures.push(what);
-        }
-    }
-
-    fn to_json(&self) -> String {
-        let mut o = acm_obs::json::JsonObject::new();
-        for (name, value) in &self.entries {
-            o.field_f64(name, (value * 1000.0).round() / 1000.0);
-        }
-        o.field_u64("gate_violations", self.failures.len() as u64);
-        let mut s = o.finish();
-        s.push('\n');
-        s
-    }
-}
 
 fn run(cfg: &ExperimentConfig) -> (ExperimentTelemetry, ObsHandle) {
     let obs = Obs::new(ObsConfig::default());
@@ -436,10 +407,7 @@ fn byte_identity_check(report: &mut Report) {
 
 fn main() {
     let gate = acm_bench::flags("chaos_report", &["--convergence-gate"]).has("--convergence-gate");
-    let mut report = Report {
-        entries: Vec::new(),
-        failures: Vec::new(),
-    };
+    let mut report = Report::default();
 
     println!("chaos / graceful-degradation report (fixed seeds)\n");
     println!("partition + heal, suspicion detector (default heartbeat)");
@@ -468,21 +436,5 @@ fn main() {
     println!("\nthread-width byte identity");
     byte_identity_check(&mut report);
 
-    let json = report.to_json();
-    match std::fs::write("BENCH_PR5.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_PR5.json"),
-        Err(e) => eprintln!("\nwarning: cannot write BENCH_PR5.json: {e}"),
-    }
-
-    if report.failures.is_empty() {
-        println!("all convergence gates hold");
-    } else {
-        eprintln!("\n{} gate violation(s):", report.failures.len());
-        for f in &report.failures {
-            eprintln!("  FAIL: {f}");
-        }
-        if gate {
-            std::process::exit(1);
-        }
-    }
+    report.finish("BENCH_PR5.json", "all convergence gates hold", gate);
 }

@@ -28,41 +28,12 @@
 //! Unknown arguments are an error (usage + exit 2), so CI typos cannot
 //! silently drop the gate.
 
+use acm_bench::Report;
 use acm_chaos::{
     case_from_parts, run_campaign, run_case, shrink_plan, CampaignConfig, CorpusEntry, Injection,
 };
 use acm_obs::{Obs, ObsConfig};
 use std::time::Instant;
-
-struct Report {
-    entries: Vec<(String, f64)>,
-    failures: Vec<String>,
-}
-
-impl Report {
-    fn push(&mut self, name: &str, value: f64) {
-        println!("{name:<52} {value:>14.3}");
-        self.entries.push((name.to_string(), value));
-    }
-
-    fn gate(&mut self, ok: bool, what: String) {
-        if !ok {
-            println!("  GATE VIOLATION: {what}");
-            self.failures.push(what);
-        }
-    }
-
-    fn to_json(&self) -> String {
-        let mut o = acm_obs::json::JsonObject::new();
-        for (name, value) in &self.entries {
-            o.field_f64(name, (value * 1000.0).round() / 1000.0);
-        }
-        o.field_u64("gate_violations", self.failures.len() as u64);
-        let mut s = o.finish();
-        s.push('\n');
-        s
-    }
-}
 
 struct Args {
     plans: usize,
@@ -356,10 +327,7 @@ fn main() {
         eras: args.eras,
         ..CampaignConfig::default()
     };
-    let mut report = Report {
-        entries: Vec::new(),
-        failures: Vec::new(),
-    };
+    let mut report = Report::default();
 
     println!(
         "chaos campaign sweep ({} plans, {} eras, seed {:#018x})\n",
@@ -372,21 +340,5 @@ fn main() {
     println!("\ncommitted reproducer corpus");
     corpus_section(&mut report);
 
-    let json = report.to_json();
-    match std::fs::write("BENCH_PR10.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_PR10.json"),
-        Err(e) => eprintln!("\nwarning: cannot write BENCH_PR10.json: {e}"),
-    }
-
-    if report.failures.is_empty() {
-        println!("all chaos gates hold");
-    } else {
-        eprintln!("\n{} gate violation(s):", report.failures.len());
-        for f in &report.failures {
-            eprintln!("  FAIL: {f}");
-        }
-        if args.gate {
-            std::process::exit(1);
-        }
-    }
+    report.finish("BENCH_PR10.json", "all chaos gates hold", args.gate);
 }

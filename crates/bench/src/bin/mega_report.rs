@@ -30,6 +30,7 @@
 //! speedup at 4 threads over 1. The full run enforces only the byte
 //! identity gates — throughput numbers vary with the machine.
 
+use acm_bench::Report;
 use acm_core::config::{ExperimentConfig, PredictorChoice, RegionSpec};
 use acm_core::policy::PolicyKind;
 use acm_core::{ControlLoop, DegradationConfig};
@@ -47,36 +48,6 @@ const ERA_S: u64 = 30;
 const SMOKE_EVENTS_PER_S_FLOOR: f64 = 50_000.0;
 /// Smoke-mode floor on the 4-thread data-plane speedup (>= 4 cores only).
 const SMOKE_SPEEDUP_FLOOR: f64 = 2.0;
-
-struct Report {
-    entries: Vec<(String, f64)>,
-    failures: Vec<String>,
-}
-
-impl Report {
-    fn push(&mut self, name: &str, value: f64) {
-        println!("{name:<52} {value:>14.3}");
-        self.entries.push((name.to_string(), value));
-    }
-
-    fn gate(&mut self, ok: bool, what: String) {
-        if !ok {
-            println!("  GATE VIOLATION: {what}");
-            self.failures.push(what);
-        }
-    }
-
-    fn to_json(&self) -> String {
-        let mut o = acm_obs::json::JsonObject::new();
-        for (name, value) in &self.entries {
-            o.field_f64(name, (value * 1000.0).round() / 1000.0);
-        }
-        o.field_u64("gate_violations", self.failures.len() as u64);
-        let mut s = o.finish();
-        s.push('\n');
-        s
-    }
-}
 
 /// Scale knobs for the two scenarios.
 struct Scale {
@@ -341,10 +312,7 @@ fn data_plane_scenario(report: &mut Report, scale: &Scale, smoke: bool) {
 fn main() {
     let smoke = acm_bench::flags("mega_report", &["--smoke"]).has("--smoke");
     let scale = if smoke { Scale::smoke() } else { Scale::full() };
-    let mut report = Report {
-        entries: Vec::new(),
-        failures: Vec::new(),
-    };
+    let mut report = Report::default();
 
     println!(
         "mega-scale sharded-world report ({} mode, {} cores)\n",
@@ -356,19 +324,5 @@ fn main() {
     println!("\ndata plane: per-request weighted-P2C routing on sharded event queues");
     data_plane_scenario(&mut report, &scale, smoke);
 
-    let json = report.to_json();
-    match std::fs::write("BENCH_PR6.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_PR6.json"),
-        Err(e) => eprintln!("\nwarning: cannot write BENCH_PR6.json: {e}"),
-    }
-
-    if report.failures.is_empty() {
-        println!("all gates hold");
-    } else {
-        eprintln!("\n{} gate violation(s):", report.failures.len());
-        for f in &report.failures {
-            eprintln!("  FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    report.finish("BENCH_PR6.json", "all gates hold", true);
 }

@@ -1,21 +1,21 @@
 //! Model-lifecycle report.
 //!
-//! Drives the versioned model registry (background refits, shadow
+//! Drives the versioned model registry (drift-triggered refits, shadow
 //! evaluation, promote/rollback) through the full control loop and
 //! verifies its contract, writing the numbers to `BENCH_PR9.json` at the
 //! repository root:
 //!
 //! * **Promotion under drift** — regions run a memory-leak profile 3x
 //!   the one the serving models were trained on; the drift monitor must
-//!   fire, background refits must be collected at their era boundary and
-//!   at least one live-fitted candidate must be promoted.
+//!   fire, refits must be handed over at their era boundary and at least
+//!   one live-fitted candidate must be promoted.
 //! * **Poison resistance** — after an honest warm-up, every refit is
 //!   target-shuffled (the `poison_refits` chaos hook): the shadow gate
 //!   must reject them all, the incumbent keeps serving.
-//! * **Plan-phase isolation** — refits train on the exec pool and join
-//!   at a fixed era boundary outside the Plan span; the Plan-phase p99
-//!   with the lifecycle on must stay within a generous factor of the
-//!   lifecycle-off baseline.
+//! * **Plan-phase isolation** — a refit trains at the close of EXECUTE
+//!   and is handed over at the head of MONITOR, both outside the Plan
+//!   span; the Plan-phase p99 with the lifecycle on must stay within a
+//!   generous factor of the lifecycle-off baseline.
 //! * **Why-chain completeness** — on a traced run every `model.promote`
 //!   chains off its `model.refit.start`, and refits chain off the
 //!   `drift.signal` that triggered them.
@@ -26,6 +26,7 @@
 //! cargo run --release -p acm-bench --bin model_report [-- --gate]
 //! ```
 
+use acm_bench::Report;
 use acm_core::config::ExperimentConfig;
 use acm_core::control_loop::ControlLoop;
 use acm_core::policy::PolicyKind;
@@ -49,36 +50,6 @@ const PLAN_P99_FACTOR: f64 = 10.0;
 /// Absolute escape hatch for the plan-phase gate: when both p99s are
 /// this small the ratio is noise, not a regression.
 const PLAN_P99_ESCAPE_NS: f64 = 1_000_000.0;
-
-struct Report {
-    entries: Vec<(String, f64)>,
-    failures: Vec<String>,
-}
-
-impl Report {
-    fn push(&mut self, name: &str, value: f64) {
-        println!("{name:<52} {value:>16.3}");
-        self.entries.push((name.to_string(), value));
-    }
-
-    fn gate(&mut self, ok: bool, what: String) {
-        if !ok {
-            println!("  GATE VIOLATION: {what}");
-            self.failures.push(what);
-        }
-    }
-
-    fn to_json(&self) -> String {
-        let mut o = acm_obs::json::JsonObject::new();
-        for (name, value) in &self.entries {
-            o.field_f64(name, (value * 1000.0).round() / 1000.0);
-        }
-        o.field_u64("gate_violations", self.failures.len() as u64);
-        let mut s = o.finish();
-        s.push('\n');
-        s
-    }
-}
 
 /// The drifted deployment: Fig. 3 regions leaking memory 3x faster than
 /// any training profile assumed, a sensitive drift monitor and a
@@ -201,8 +172,8 @@ fn promotion_scenario(report: &mut Report, models: &[RttfPredictor]) {
         vs.iter().any(|v| *v > 1),
         "lifecycle: no region serves a refit model".into(),
     );
-    // Every submitted refit is either collected or still in flight at
-    // the cut — at most one pending per region.
+    // Every submitted refit is either handed over or still waiting out
+    // its `refit_eras` at the cut — at most one pending per region.
     report.gate(
         started - done <= cl.vmcs().len(),
         format!(
@@ -260,8 +231,8 @@ fn poison_scenario(report: &mut Report, models: &[RttfPredictor]) {
     );
 }
 
-/// Plan-phase p99 with the lifecycle on vs off: background refits must
-/// never leak into the leader's Plan span.
+/// Plan-phase p99 with the lifecycle on vs off: refits must never leak
+/// into the leader's Plan span.
 fn plan_isolation_scenario(report: &mut Report, models: &[RttfPredictor]) {
     let plan_p99 = |cfg: &ExperimentConfig| -> f64 {
         let mut cl = build_loop(cfg, models);
@@ -387,10 +358,7 @@ fn width_scenario(report: &mut Report, models: &[RttfPredictor]) {
 
 fn main() {
     let gate = acm_bench::flags("model_report", &["--gate"]).has("--gate");
-    let mut report = Report {
-        entries: Vec::new(),
-        failures: Vec::new(),
-    };
+    let mut report = Report::default();
 
     println!(
         "model-lifecycle report ({} mode, {} cores)\n",
@@ -412,19 +380,5 @@ fn main() {
     println!("\nthread-width sweep (1/2/4 threads)");
     width_scenario(&mut report, &models);
 
-    let json = report.to_json();
-    match std::fs::write("BENCH_PR9.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_PR9.json"),
-        Err(e) => eprintln!("\nwarning: cannot write BENCH_PR9.json: {e}"),
-    }
-
-    if report.failures.is_empty() {
-        println!("all gates hold");
-    } else {
-        eprintln!("\n{} gate violation(s):", report.failures.len());
-        for f in &report.failures {
-            eprintln!("  FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    report.finish("BENCH_PR9.json", "all gates hold", true);
 }

@@ -27,6 +27,7 @@
 //! cannot flake the gate), the 1 % convergence bound, exact quarantine
 //! zero, and digest identity at every width.
 
+use acm_bench::Report;
 use acm_router::{run_routed_plane, LatencyAwareness, PlanStep, RequestRouter, RoutedPlaneConfig};
 use acm_sim::rng::SimRng;
 use acm_sim::time::Duration;
@@ -46,36 +47,6 @@ const THROUGHPUT_DECISIONS: u64 = 20_000_000;
 const LATENCY_BATCH: u64 = 1_000;
 /// Batches sampled per policy for p50/p99.
 const LATENCY_BATCHES: usize = 20_000;
-
-struct Report {
-    entries: Vec<(String, f64)>,
-    failures: Vec<String>,
-}
-
-impl Report {
-    fn push(&mut self, name: &str, value: f64) {
-        println!("{name:<52} {value:>16.3}");
-        self.entries.push((name.to_string(), value));
-    }
-
-    fn gate(&mut self, ok: bool, what: String) {
-        if !ok {
-            println!("  GATE VIOLATION: {what}");
-            self.failures.push(what);
-        }
-    }
-
-    fn to_json(&self) -> String {
-        let mut o = acm_obs::json::JsonObject::new();
-        for (name, value) in &self.entries {
-            o.field_f64(name, (value * 1000.0).round() / 1000.0);
-        }
-        o.field_u64("gate_violations", self.failures.len() as u64);
-        let mut s = o.finish();
-        s.push('\n');
-        s
-    }
-}
 
 /// The routing policies the hot loop is measured under.
 enum Policy {
@@ -275,10 +246,7 @@ fn width_scenario(report: &mut Report, gate: bool) {
 
 fn main() {
     let gate = acm_bench::flags("router_report", &["--gate"]).has("--gate");
-    let mut report = Report {
-        entries: Vec::new(),
-        failures: Vec::new(),
-    };
+    let mut report = Report::default();
 
     println!(
         "request-router data-plane report ({} mode, {} cores)\n",
@@ -298,19 +266,5 @@ fn main() {
     println!("\nthread-width sweep: routed plane with chaos + plan swaps");
     width_scenario(&mut report, gate);
 
-    let json = report.to_json();
-    match std::fs::write("BENCH_PR8.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_PR8.json"),
-        Err(e) => eprintln!("\nwarning: cannot write BENCH_PR8.json: {e}"),
-    }
-
-    if report.failures.is_empty() {
-        println!("all gates hold");
-    } else {
-        eprintln!("\n{} gate violation(s):", report.failures.len());
-        for f in &report.failures {
-            eprintln!("  FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    report.finish("BENCH_PR8.json", "all gates hold", true);
 }

@@ -28,6 +28,7 @@
 //! Every scenario is seed-fixed, so apart from the wall-clock overhead
 //! section the report is stable across machines.
 
+use acm_bench::Report;
 use acm_core::config::{ExperimentConfig, PredictorChoice};
 use acm_core::framework::run_experiment_with_obs;
 use acm_core::policy::PolicyKind;
@@ -54,36 +55,6 @@ const DECISION_KINDS: [&str; 6] = [
     "region.readmit",
     "leader.change",
 ];
-
-struct Report {
-    entries: Vec<(String, f64)>,
-    failures: Vec<String>,
-}
-
-impl Report {
-    fn push(&mut self, name: &str, value: f64) {
-        println!("{name:<52} {value:>14.3}");
-        self.entries.push((name.to_string(), value));
-    }
-
-    fn gate(&mut self, ok: bool, what: String) {
-        if !ok {
-            println!("  GATE VIOLATION: {what}");
-            self.failures.push(what);
-        }
-    }
-
-    fn to_json(&self) -> String {
-        let mut o = acm_obs::json::JsonObject::new();
-        for (name, value) in &self.entries {
-            o.field_f64(name, (value * 1000.0).round() / 1000.0);
-        }
-        o.field_u64("gate_violations", self.failures.len() as u64);
-        let mut s = o.finish();
-        s.push('\n');
-        s
-    }
-}
 
 fn run_traced(cfg: &ExperimentConfig, trace_seed: u64) -> (ExperimentTelemetry, ObsHandle) {
     let obs = Obs::new(ObsConfig::traced(trace_seed));
@@ -499,10 +470,7 @@ fn overhead_check(report: &mut Report) {
 
 fn main() {
     let gate = acm_bench::flags("trace_report", &["--gate"]).has("--gate");
-    let mut report = Report {
-        entries: Vec::new(),
-        failures: Vec::new(),
-    };
+    let mut report = Report::default();
 
     println!("causal tracing report (fixed seeds)\n");
     println!("partition + heal (Figure-3 deployment, eras 10..20)");
@@ -516,21 +484,5 @@ fn main() {
     println!("\nwall-clock overhead (interleaved rounds, minimum-of-rounds)");
     overhead_check(&mut report);
 
-    let json = report.to_json();
-    match std::fs::write("BENCH_PR7.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_PR7.json"),
-        Err(e) => eprintln!("\nwarning: cannot write BENCH_PR7.json: {e}"),
-    }
-
-    if report.failures.is_empty() {
-        println!("all tracing gates hold");
-    } else {
-        eprintln!("\n{} gate violation(s):", report.failures.len());
-        for f in &report.failures {
-            eprintln!("  FAIL: {f}");
-        }
-        if gate {
-            std::process::exit(1);
-        }
-    }
+    report.finish("BENCH_PR7.json", "all tracing gates hold", gate);
 }

@@ -121,9 +121,10 @@ pub struct ExperimentConfig {
     /// the historical hard-coded values, so existing seeds replay
     /// byte-identically.
     pub drift: DriftConfig,
-    /// Versioned model lifecycle (background refits, shadow evaluation,
-    /// promote/rollback). Disabled by default — when off, the loop's RNG
-    /// stream layout is unchanged from before the lifecycle existed.
+    /// Versioned model lifecycle (drift-triggered refits deployed
+    /// `refit_eras` eras later, shadow evaluation, promote/rollback).
+    /// Disabled by default — when off, the loop's RNG stream layout is
+    /// unchanged from before the lifecycle existed.
     pub lifecycle: LifecycleConfig,
 }
 

@@ -1,7 +1,7 @@
 //! EXECUTE (Alg. 3) and the era's close: install or freeze the plan, sync
 //! the router, autoscale — then everything that reads the finished era:
-//! drift windows, lifecycle verdicts, client-observed response, the
-//! telemetry row, SLO windows and the pool sample.
+//! drift windows, lifecycle verdicts and refits, client-observed response,
+//! the telemetry row, SLO windows and the pool sample.
 
 use super::causes::Link;
 use super::leader::SendOutcome;
@@ -107,6 +107,8 @@ impl ControlLoop {
     /// hubs). The verdicts come after the feed so a flip detected this era
     /// can trigger its refit in the same era, and after the install so
     /// shadow scores include everything the region processed this era.
+    /// A refit trains here, on the control thread, closing EXECUTE — it is
+    /// never Plan-phase latency.
     fn close_model_era(&mut self, seen: &Monitored) {
         let t_us = seen.t_end.as_micros();
         let per_region = self.drift.iter_mut().zip(&self.vmcs).zip(&seen.reports);

@@ -6,9 +6,9 @@
 //!
 //! * **Monitor** (`monitor`) — due scenario actions (scripted link
 //!   faults among them) and chaos-plan faults are applied and the leader
-//!   re-elected; refits due this era are joined; the client populations
-//!   offer load per the interactive response-time law; the forward plan
-//!   in force splits it; every region's VMC advances one era on the
+//!   re-elected; refit candidates due this era start shadowing; the
+//!   client populations offer load per the interactive response-time
+//!   law; the forward plan in force splits it; every region's VMC advances one era on the
 //!   MONITOR shards — collecting features, predicting its RMTTF and
 //!   actuating PCAM locally (Alg. 1's region half).
 //! * **Analyze** (`analyze`) — slaves ship `lastRMTTF_i` to the leader
@@ -22,8 +22,8 @@
 //!   every reachable region's load balancer (or the plan freezes), the
 //!   router follows, autoscaling fires where the response-time / RMTTF
 //!   thresholds demand. The era's close lives here too, because it reads
-//!   what the install left behind: drift windows, lifecycle verdicts,
-//!   client-observed response, the telemetry row, SLO windows, the pool
+//!   what the install left behind: drift windows, lifecycle verdicts
+//!   and refits, client-observed response, the telemetry row, SLO windows, the pool
 //!   sample.
 //!
 //! What persists between eras is a `leader::LeaderState` (what a

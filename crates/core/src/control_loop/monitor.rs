@@ -1,5 +1,5 @@
-//! MONITOR: due faults and scenario actions, refit joins, client ingress,
-//! the forward plan in force, and every region advanced one era.
+//! MONITOR: due faults and scenario actions, refit hand-overs, client
+//! ingress, the forward plan in force, and every region advanced one era.
 
 use super::causes::Link;
 use super::{ControlLoop, Monitored};
@@ -35,9 +35,8 @@ impl ControlLoop {
         self.causes
             .emit(t_start, Link::Era, || vec![("era", Value::from(era_index))]);
         self.apply_due();
-        // Refits due this era are joined at their fixed era boundary
-        // (claim-and-inline if the pool never started them): background
-        // training is MONITOR bookkeeping, never Plan-phase latency.
+        // Candidates whose `refit_eras` have passed start shadowing here,
+        // at a fixed era boundary, before the regions serve.
         if self.lifecycle_on {
             for (j, vmc) in self.vmcs.iter_mut().enumerate() {
                 let events = vmc.lifecycle_begin_era(era_index as u64);

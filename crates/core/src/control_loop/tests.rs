@@ -422,7 +422,7 @@ fn decision_log_covers_plans_ewma_and_phase_timers() {
     assert_eq!(count("ewma.update"), 10);
     assert_eq!(count("report.lost"), 0);
     // The four MAPE phases tile the era: on the plain loop, on the
-    // lifecycle-on drifted loop (refit joins, verdicts) and on a degraded
+    // lifecycle-on drifted loop (refits, verdicts) and on a degraded
     // chaos loop (retries, quarantine, freezes), every era is timed once
     // by each of the five timers and the four phase sums add up to the
     // era sum to the nanosecond.

@@ -2,9 +2,11 @@
 //!
 //! A std-only (threads + atomics + mutex/condvar, zero dependencies)
 //! work-stealing thread pool behind every parallel call site in the
-//! workspace. Four entry points — [`map_collect`], [`try_map_collect`],
-//! [`for_each_mut`], [`spawn_job`] — over two mechanisms: the
-//! range-stealing map (the first three) and a claimable background job.
+//! workspace. Three entry points — [`map_collect`], [`try_map_collect`],
+//! [`for_each_mut`] — over one mechanism: a range-stealing map whose
+//! helpers the caller can claim back. Every call returns only after all
+//! of its work has, so nothing the pool runs outlives the caller that is
+//! blocked on it.
 //!
 //! ## Design
 //!
@@ -46,19 +48,18 @@
 //! Every pool keeps relaxed-atomic activity counters — parallel/sequential
 //! maps, items, chunk pops, steals, submitted and caller-inlined helper
 //! jobs, peak queue depth, and per-participant busy time around map
-//! participation (`map_collect` / `for_each_mut`) and `spawn_job` bodies.
-//! [`ThreadPool::stats`] returns a
+//! participation. [`ThreadPool::stats`] returns a
 //! [`PoolStatsSnapshot`]; [`PoolStatsSnapshot::delta_since`] subtracts a
 //! baseline so callers can attribute activity to one phase of a run. The
 //! counters live off the CAS hot path (one flush per participant per map,
-//! two clock reads per task) and never influence scheduling, so
+//! two clock reads per participation) and never influence scheduling, so
 //! determinism is unaffected.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 use std::any::Any;
-use std::cell::{Cell, UnsafeCell};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::mem::{self, ManuallyDrop, MaybeUninit};
 use std::panic::{self, AssertUnwindSafe};
@@ -87,10 +88,6 @@ impl Latch {
             remaining: Mutex::new(count),
             done: Condvar::new(),
         }
-    }
-
-    fn is_done(&self) -> bool {
-        *self.remaining.lock().unwrap_or_else(|e| e.into_inner()) == 0
     }
 
     fn count_down(&self) {
@@ -221,14 +218,13 @@ thread_local! {
     /// other thread is a caller, index 0.
     static PARTICIPANT: Cell<usize> = const { Cell::new(0) };
     /// True while this thread is inside a [`BusySection`], so that a map
-    /// nested in another map or in a background job is counted once.
+    /// nested in another map is counted once.
     static IN_BUSY_SECTION: Cell<bool> = const { Cell::new(false) };
 }
 
-/// One stretch of pool work on the current thread — a map participation
-/// or a `spawn_job` body. Dropping it adds the elapsed wall
-/// time and one span to the thread's participant slot, unless
-/// the section is nested inside another one on the same thread.
+/// One map participation on the current thread. Dropping it adds the
+/// elapsed wall time and one span to the thread's participant slot,
+/// unless the section is nested inside another one on the same thread.
 struct BusySection<'a> {
     /// `None` for a nested section.
     outermost: Option<(&'a PoolStats, Instant)>,
@@ -317,17 +313,17 @@ pub struct PoolStatsSnapshot {
     pub chunks_popped: u64,
     /// Successful back-half steals from a victim's range.
     pub steals: u64,
-    /// Jobs pushed onto the pool queue (map helpers, background jobs).
+    /// Helper jobs pushed onto the pool queue (one per non-caller
+    /// participant of a fanned-out map).
     pub jobs_submitted: u64,
     /// Queued helpers the *caller* claimed and inlined because no worker
     /// had started them (saturation / nesting indicator).
     pub helpers_inlined: u64,
     /// Deepest the shared job queue has ever been at submit time.
     pub queue_depth_peak: u64,
-    /// Per-participant wall-clock nanoseconds spent on pool work: map
-    /// participation (`map_collect` / `for_each_mut`) and `spawn_job`
-    /// bodies, nested work counted once (index 0 is the calling thread,
-    /// index `i` worker `acm-exec-i`).
+    /// Per-participant wall-clock nanoseconds spent participating in
+    /// maps (`map_collect` / `for_each_mut`), nested maps counted once
+    /// (index 0 is the calling thread, index `i` worker `acm-exec-i`).
     pub worker_busy_ns: Vec<u64>,
     /// Per-participant count of those stretches of work.
     pub worker_spans: Vec<u64>,
@@ -721,96 +717,14 @@ impl ThreadPool {
             f(i, slot)
         });
     }
-
-    /// Submits a detached background job and returns a [`JobHandle`] to
-    /// collect its result later.
-    ///
-    /// The job follows the same claim discipline as map helpers: a worker
-    /// that picks it up runs it; if no worker has started it by the time
-    /// the caller [`JobHandle::join`]s, the caller claims and inlines it —
-    /// a saturated (or nested) pool degrades to inline execution instead
-    /// of deadlocking. On a single-participant pool the job runs inline
-    /// **at submit time**, preserving the exact sequential order of side
-    /// effects; callers that need width-independent results must therefore
-    /// pre-split any RNG state *before* spawning and join at a point fixed
-    /// by their own logic (an era boundary), never "when it happens to
-    /// finish".
-    ///
-    /// Panics inside the job are captured and re-raised by
-    /// [`JobHandle::join`].
-    pub fn spawn_job<T, F>(&self, f: F) -> JobHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-        let slot = Arc::clone(&result);
-        let body: Job = Box::new(move || {
-            let out = f();
-            *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-        });
-        let task = ClaimableTask::new(body, &self.stats);
-        if self.threads <= 1 {
-            task.try_run();
-        } else {
-            let queued = Arc::clone(&task);
-            self.submit(Box::new(move || queued.try_run()));
-        }
-        JobHandle { task, result }
-    }
 }
 
-/// Handle to a background job started with [`ThreadPool::spawn_job`] (or
-/// [`spawn_job`] on the global pool).
-pub struct JobHandle<T> {
-    task: Arc<ClaimableTask>,
-    result: Arc<Mutex<Option<T>>>,
-}
-
-impl<T> std::fmt::Debug for JobHandle<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobHandle")
-            .field("finished", &self.task.latch.is_done())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: Send + 'static> JobHandle<T> {
-    /// Whether the job has run to completion. Purely informational — the
-    /// answer depends on worker scheduling, so deterministic callers must
-    /// never branch their *logic* on it (join at a fixed point instead).
-    pub fn is_finished(&self) -> bool {
-        self.task.latch.is_done()
-    }
-
-    /// Collects the job's result, claiming and inlining the body if no
-    /// worker has started it yet (never blocks on a worker that may never
-    /// come). Re-raises the job's panic, if any.
-    pub fn join(self) -> T {
-        self.task.try_run();
-        self.task.latch.wait();
-        // SAFETY: the latch published the task's cells; nobody else holds
-        // the claim now.
-        if let Some(p) = unsafe { (*self.task.panic.get()).take() } {
-            panic::resume_unwind(p);
-        }
-        self.result
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .expect("job result present after latch")
-    }
-}
-
-/// Teardown invariant: **a pool's workers are never joined from one of
-/// themselves, and a swapped-out pool's workers exit once its queue has
-/// drained, whoever drops the last handle.** [`global`] hands out `Arc`
-/// clones, so after [`configure_threads`] swaps a pool out the last handle
-/// may be a temporary inside a [`spawn_job`] body — running on one of this
-/// pool's own workers. `drop` therefore joins every worker *except* the
-/// thread it runs on: that handle is detached, and the worker leaves its
-/// loop by itself as soon as the job returns and the queue is empty
-/// (`worker_loop` checks the shutdown flag only with nothing left to pop).
+/// Workers run only helpers of a map whose caller is blocked inside that
+/// map, holding a handle to the pool; so the last handle is dropped by a
+/// caller, with every worker idle, and the join below is prompt. (The
+/// queue may still hold helpers their caller claimed back: popping one is
+/// a no-op, and `worker_loop` checks the shutdown flag only with nothing
+/// left to pop.)
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         // Raise the flag under the queue lock: a worker holds that lock from
@@ -828,58 +742,13 @@ impl Drop for ThreadPool {
             .unwrap_or_else(|e| e.into_inner())
             .drain(..)
         {
-            // Joining oneself is EDEADLK; dropping the handle detaches.
+            // Never join the current thread (EDEADLK): should a handle ever
+            // be dropped on a worker, that worker is detached instead and
+            // leaves its loop on the flag.
             if h.thread().id() != me {
                 let _ = h.join();
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// background jobs
-// ---------------------------------------------------------------------------
-
-/// One background job: body + claim flag + completion latch, shared
-/// between the queue entry and the [`JobHandle`].
-struct ClaimableTask {
-    claimed: AtomicBool,
-    latch: Latch,
-    body: UnsafeCell<Option<Job>>,
-    panic: UnsafeCell<Option<PanicPayload>>,
-    stats: Arc<PoolStats>,
-}
-
-// SAFETY: the claim flag serialises access to both cells; the latch
-// publishes the panic slot to the joining reader.
-unsafe impl Sync for ClaimableTask {}
-unsafe impl Send for ClaimableTask {}
-
-impl ClaimableTask {
-    fn new(body: Job, stats: &Arc<PoolStats>) -> Arc<Self> {
-        Arc::new(ClaimableTask {
-            claimed: AtomicBool::new(false),
-            latch: Latch::new(1),
-            body: UnsafeCell::new(Some(body)),
-            panic: UnsafeCell::new(None),
-            stats: Arc::clone(stats),
-        })
-    }
-
-    fn try_run(&self) {
-        if self.claimed.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // SAFETY: claim won ⇒ exclusive access.
-        let body = unsafe { (*self.body.get()).take() }.expect("job body taken once");
-        let busy = self.stats.busy_section();
-        if let Err(p) = panic::catch_unwind(AssertUnwindSafe(body)) {
-            // SAFETY: still claim-guarded; published by the latch below.
-            unsafe { *self.panic.get() = Some(p) };
-        }
-        // Before the latch, so a reader woken by it sees the time counted.
-        drop(busy);
-        self.latch.count_down();
     }
 }
 
@@ -920,10 +789,9 @@ pub fn global() -> Arc<ThreadPool> {
 /// Replaces the global pool with one of `threads` participants (clamped
 /// to ≥ 1) and returns the effective count. Prefer this over mutating
 /// `ACM_THREADS` in-process: the environment is read once, and
-/// `std::env::set_var` is racy. In-flight operations on the old pool
-/// finish undisturbed; its workers exit once the last handle drops — on
-/// whichever thread that happens (see the invariant on `ThreadPool`'s
-/// `Drop`).
+/// `std::env::set_var` is racy. A map in flight on the old pool finishes
+/// there — its caller holds a handle — and the old pool's workers exit
+/// when the last handle drops.
 pub fn configure_threads(threads: usize) -> usize {
     let threads = threads.max(1);
     let mut guard = global_cell().write().unwrap_or_else(|e| e.into_inner());
@@ -936,10 +804,8 @@ pub fn configure_threads(threads: usize) -> usize {
         None
     };
     drop(guard);
-    // Tear the old pool down only after releasing the cell: dropping the
-    // last handle joins its workers, and a still-running background job
-    // may call `global()` (a read lock) while draining — joining under
-    // the write lock would deadlock against it.
+    // Outside the write lock: dropping the last handle joins the old
+    // pool's workers, which no `global()` caller should wait behind.
     drop(old);
     threads
 }
@@ -997,15 +863,6 @@ where
     F: Fn(usize, &mut T) + Sync,
 {
     global().for_each_mut(items, f)
-}
-
-/// [`ThreadPool::spawn_job`] on the global pool.
-pub fn spawn_job<T, F>(f: F) -> JobHandle<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    global().spawn_job(f)
 }
 
 #[cfg(test)]
@@ -1220,14 +1077,6 @@ mod tests {
                 "participant {w}: busy {busy} ns of {wall_ns} ns"
             );
         }
-
-        // A background job is one span, wherever it ran.
-        let before = pool.stats();
-        let sum = pool.spawn_job(|| (0..10_000u64).map(std::hint::black_box).sum::<u64>());
-        assert_eq!(sum.join(), 10_000 * 9_999 / 2);
-        let d = pool.stats().delta_since(&before);
-        assert_eq!(d.worker_spans.iter().sum::<u64>(), 1);
-        assert!(d.total_busy_ns() > 0);
     }
 
     #[test]
@@ -1285,66 +1134,6 @@ mod tests {
     }
 
     #[test]
-    fn spawn_job_returns_result_across_widths() {
-        for threads in [1, 2, 4] {
-            let pool = ThreadPool::new(threads);
-            let h = pool.spawn_job(|| (0..100u64).sum::<u64>());
-            assert_eq!(h.join(), 4950, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn spawn_job_runs_inline_at_submit_on_sequential_pool() {
-        // Width 1: the job's side effects happen before spawn_job returns,
-        // exactly as a sequential caller would observe.
-        let pool = ThreadPool::new(1);
-        let flag = Arc::new(AtomicBool::new(false));
-        let seen = Arc::clone(&flag);
-        let h = pool.spawn_job(move || seen.store(true, Ordering::SeqCst));
-        assert!(flag.load(Ordering::SeqCst), "inline at submit");
-        assert!(h.is_finished());
-        h.join();
-    }
-
-    #[test]
-    fn join_inlines_unstarted_jobs_instead_of_waiting() {
-        // A pool whose only worker is blocked: the caller must claim and
-        // inline the job rather than wait for a worker that never comes.
-        let pool = ThreadPool::new(2);
-        let gate = Arc::new(Latch::new(1));
-        let g = Arc::clone(&gate);
-        let _blocker = pool.spawn_job(move || g.wait());
-        let h = pool.spawn_job(|| 7 * 6);
-        assert_eq!(h.join(), 42);
-        gate.count_down();
-    }
-
-    #[test]
-    fn spawn_job_propagates_panics_on_join() {
-        let pool = ThreadPool::new(2);
-        let h = pool.spawn_job(|| -> u32 { panic!("job boom") });
-        let err = panic::catch_unwind(AssertUnwindSafe(|| h.join())).unwrap_err();
-        assert_eq!(*err.downcast_ref::<&str>().unwrap(), "job boom");
-        // The pool survives.
-        assert_eq!(pool.spawn_job(|| 5).join(), 5);
-    }
-
-    #[test]
-    fn spawned_jobs_can_use_the_pool_internally() {
-        // A background job fanning out a nested map_collect must not
-        // deadlock, even on a small pool.
-        let pool = Arc::new(ThreadPool::new(2));
-        let inner = Arc::clone(&pool);
-        let h = pool.spawn_job(move || {
-            inner
-                .map_collect((0..64u64).collect(), |i| i * 2)
-                .iter()
-                .sum::<u64>()
-        });
-        assert_eq!(h.join(), 64 * 63);
-    }
-
-    #[test]
     fn thread_env_parsing() {
         let cores = available_threads();
         assert_eq!(parse_thread_env(None), cores);
@@ -1357,75 +1146,44 @@ mod tests {
 
     #[test]
     fn configure_threads_does_not_deadlock_against_inflight_jobs() {
-        // Regression: the swap used to drop the old pool (joining its
-        // workers) while still holding the global cell's write lock. A
-        // background job draining on one of those workers that touched
-        // `global()` — as every nested map through the free functions does —
-        // blocked on the read lock, and the join never returned.
+        // What can be in flight across a swap is a map: its caller holds a
+        // handle to the old pool, its helpers run on the old pool's workers
+        // and re-enter the global cell (as every nested map through the
+        // free functions does) while the swap holds the write lock. The
+        // map must finish on the pool it started on, and whoever drops
+        // that pool's last handle must get its workers to exit.
         let _resizing = GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner());
         configure_threads(2);
-        let started = Arc::new(Latch::new(1));
-        let seen = Arc::clone(&started);
-        let h = spawn_job(move || {
-            seen.count_down();
-            let mut acc = 0u64;
-            for i in 0..2_000u64 {
-                // Keep re-entering the global cell while the swap races us.
-                acc += global().map_collect(vec![i], |v| v * 2)[0];
-                thread::yield_now();
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let looping = thread::spawn(move || {
+            let mut rounds = 0u64;
+            while !stopped.load(Ordering::Acquire) {
+                let out = global().map_collect((0..4u64).collect(), |i| {
+                    thread::yield_now();
+                    global()
+                        .map_collect(vec![i, rounds], |v| v * 2)
+                        .iter()
+                        .sum::<u64>()
+                });
+                let expect: Vec<u64> = (0..4u64).map(|i| 2 * (i + rounds)).collect();
+                assert_eq!(out, expect, "round {rounds}");
+                rounds += 1;
+                if rounds == 1 {
+                    started_tx.send(()).unwrap();
+                }
             }
-            acc
+            rounds
         });
-        started.wait();
-        configure_threads(1);
-        assert_eq!(h.join(), 2_000 * 1_999);
-        configure_threads(available_threads());
-    }
-
-    #[test]
-    fn last_handle_dropped_on_a_worker_does_not_join_itself() {
-        // Regression: a background job on a worker of pool P held a
-        // `global()` clone while `configure_threads` swapped P out; the
-        // clone was then the last handle, `Drop` ran on P's own worker and
-        // joined every worker including itself ("Resource deadlock
-        // avoided", re-raised by `JobHandle::join`). The channels force
-        // exactly that order: hold, swap, release.
-        use std::sync::mpsc;
-        let _resizing = GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner());
-        configure_threads(3);
-        let (held_tx, held_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let h = spawn_job(move || {
-            let pool = global();
-            let queue = Arc::downgrade(&pool.shared);
-            let on = thread::current().name().map(str::to_string);
-            held_tx.send((on, queue)).unwrap();
-            release_rx.recv().unwrap();
-            drop(pool);
-        });
-        // Received only once a worker runs the body, so `join` below cannot
-        // have inlined it on this thread.
-        let (on, queue) = held_rx.recv().unwrap();
-        assert!(
-            on.as_deref().is_some_and(|n| n.starts_with("acm-exec-")),
-            "job ran on {on:?}, not on a pool worker"
-        );
-        configure_threads(2);
-        assert_eq!(
-            queue.strong_count(),
-            3,
-            "the job's clone keeps the old pool (and its 2 workers) alive"
-        );
-        release_tx.send(()).unwrap();
-        h.join();
-        // Both workers of the old pool leave their loops: the joined one
-        // before `drop` returned, the detached one right after its job.
-        let deadline = Instant::now() + std::time::Duration::from_secs(30);
-        while queue.strong_count() != 0 {
-            assert!(Instant::now() < deadline, "old pool's workers never exited");
-            thread::yield_now();
+        started_rx.recv().unwrap();
+        for _ in 0..8 {
+            configure_threads(1);
+            configure_threads(2);
         }
         configure_threads(available_threads());
+        stop.store(true, Ordering::Release);
+        assert!(looping.join().unwrap() >= 1);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   runs of the VM model.
 //! * [`online`] — retroactive feature labelling and predictor-drift
 //!   detection (the retraining loop a live deployment needs).
-//! * [`lifecycle`] — the versioned model registry: background refits on
-//!   the exec pool, shadow evaluation with censored-aware error, and
-//!   promote/rollback of the serving predictor.
+//! * [`lifecycle`] — the versioned model registry: drift-triggered
+//!   refits deployed `refit_eras` eras later, shadow evaluation with
+//!   censored-aware error, and promote/rollback of the serving predictor.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,18 +1,20 @@
 //! Versioned RTTF model lifecycle (extension).
 //!
 //! `online` gave the VMC drift detection and retroactive labelling, but
-//! left two production gaps: a drift-triggered refit ran *inline* on the
-//! control thread (stalling the MAPE loop for whole eras), and the fresh
-//! model replaced the incumbent with **no evaluation** — a worse model
-//! shipped silently. This module closes both:
+//! left two production gaps: a drift-triggered refit replaced the serving
+//! model in the era that asked for it (as if regeneration were instant),
+//! and the fresh model replaced the incumbent with **no evaluation** — a
+//! worse model shipped silently. This module closes both:
 //!
-//! * **Background refits** — when drift fires, the current labelled
-//!   dataset is snapshotted and training runs as a claimable job on the
-//!   `acm-exec` pool. The control loop keeps planning; the result is
-//!   collected at a *deterministic era boundary* (`refit_eras` eras after
-//!   submission), never "when it happens to finish", so the simulation is
-//!   byte-identical at any `ACM_THREADS`. The job's RNG is split from the
-//!   lifecycle stream *before* dispatch, in sequential order.
+//! * **Background refits** — background in *simulated* time: when drift
+//!   fires, the candidate is trained on the labelled dataset as it stands
+//!   and then held for `refit_eras` eras, through which the loop keeps
+//!   planning on the incumbent; it is handed over at the fixed era
+//!   boundary `submitted_era + refit_eras`. On the host the fit runs
+//!   where it is snapshotted, on the control thread, with an RNG split
+//!   from the lifecycle stream: a REP-Tree refit is ~215 µs, and handing
+//!   it to another thread cost two wakes of a parked worker per refit —
+//!   more than the fit (`lifecycle-drift` ran faster at pool width 1).
 //! * **Shadow evaluation** — the candidate enters `Loading → Shadowing`:
 //!   it scores the live feature stream alongside the incumbent without
 //!   influencing any decision. The error is **censored-aware**: rows from
@@ -29,7 +31,6 @@
 
 use crate::online::OnlineLabeler;
 use crate::vmc::RttfSource;
-use acm_exec::JobHandle;
 use acm_ml::model::ModelKind;
 use acm_ml::toolchain::{F2pmToolchain, RttfPredictor};
 use acm_sim::rng::SimRng;
@@ -51,9 +52,8 @@ pub struct LifecycleConfig {
     pub enabled: bool,
     /// Labelled rows required before a drift signal may trigger a refit.
     pub min_labelled_rows: usize,
-    /// Eras between submitting a refit job and collecting its result.
-    /// The deterministic join point: the candidate is picked up exactly
-    /// this many eras later regardless of when the job really finished.
+    /// Simulated deployment delay of a candidate: eras between the
+    /// refit's submission and the era whose prologue starts shadowing it.
     pub refit_eras: u64,
     /// Minimum shadow samples (for BOTH candidate and incumbent) before
     /// the promotion verdict is evaluated.
@@ -152,12 +152,12 @@ impl ShadowScore {
     }
 }
 
-/// A refit job in flight on the exec pool.
+/// A trained candidate waiting out its `refit_eras` deployment delay.
 #[derive(Debug)]
 struct PendingRefit {
     version: u64,
     submitted_era: u64,
-    handle: JobHandle<RttfPredictor>,
+    predictor: RttfPredictor,
 }
 
 /// A candidate scoring the live stream next to the incumbent.
@@ -182,7 +182,7 @@ struct RegressionWatch {
 enum Phase {
     /// Serving the incumbent; no refit in flight.
     Idle,
-    /// A background refit job is training a candidate.
+    /// A refit was submitted; its candidate is not deployed yet.
     Loading(PendingRefit),
     /// The candidate shadows the incumbent on the live stream.
     Shadowing(ShadowCandidate),
@@ -193,14 +193,14 @@ enum Phase {
 /// just changed).
 #[derive(Debug, Clone, PartialEq)]
 pub enum LifecycleEvent {
-    /// A refit job was submitted to the exec pool.
+    /// A refit was submitted off the drift signal.
     RefitStarted {
         /// Version the candidate will carry.
         version: u64,
         /// Labelled rows in the snapshotted training set.
         rows: usize,
     },
-    /// The refit result was collected; the candidate starts shadowing.
+    /// The refit's candidate was handed over and starts shadowing.
     RefitDone {
         /// Candidate version now shadowing.
         version: u64,
@@ -258,8 +258,7 @@ pub struct ModelLifecycle {
     prior: Option<(u64, RttfPredictor)>,
     watch: Option<RegressionWatch>,
     last_refit_era: Option<u64>,
-    /// Dedicated RNG stream; refit jobs split from it in sequential
-    /// order before dispatch.
+    /// Dedicated RNG stream; each refit trains on its own split.
     rng: SimRng,
 }
 
@@ -361,11 +360,8 @@ impl ModelLifecycle {
         }
     }
 
-    /// Era prologue: collect a due refit result. The join point is the
-    /// fixed era boundary `submitted_era + refit_eras` — if the job has
-    /// not started by then, the caller claims and runs it inline (the
-    /// claimable-task discipline), so the outcome is identical at any
-    /// pool width.
+    /// Era prologue: hand a due candidate to `Shadowing`, at the fixed
+    /// era boundary `submitted_era + refit_eras`.
     pub fn begin_era(&mut self, era_index: u64) -> Vec<LifecycleEvent> {
         let mut events = Vec::new();
         let due = matches!(
@@ -376,11 +372,10 @@ impl ModelLifecycle {
             let Phase::Loading(p) = std::mem::replace(&mut self.phase, Phase::Idle) else {
                 unreachable!("checked above");
             };
-            let predictor = p.handle.join();
             events.push(LifecycleEvent::RefitDone { version: p.version });
             self.phase = Phase::Shadowing(ShadowCandidate {
                 version: p.version,
-                predictor,
+                predictor: p.predictor,
                 cand: ShadowScore::default(),
                 incumbent: ShadowScore::default(),
             });
@@ -473,9 +468,8 @@ impl ModelLifecycle {
         }
 
         // (3) Maybe submit a refit: idle, drifted, enough labels, out of
-        // cooldown. The dataset snapshot and the RNG split happen here,
-        // on the control thread, in era order — the job itself is free
-        // to finish whenever; only `begin_era` observes it.
+        // cooldown. The candidate is trained here, on the rows labelled
+        // so far; `begin_era` deploys it `refit_eras` eras later.
         let cooled = self
             .last_refit_era
             .is_none_or(|e| era_index.saturating_sub(e) >= self.cfg.cooldown_eras);
@@ -485,27 +479,25 @@ impl ModelLifecycle {
             && self.labeler.labelled_rows() >= self.cfg.min_labelled_rows.max(MIN_REFIT_ROWS)
         {
             let rows = self.labeler.labelled_rows();
-            let db = self.labeler.database().clone();
             let mut job_rng = self.rng.split();
-            let poison = self.cfg.poison_refits;
             let version = self.next_version;
             self.next_version += 1;
-            let handle = acm_exec::spawn_job(move || {
-                let db = if poison {
-                    crate::training::shuffle_targets(&db, &mut job_rng)
-                } else {
-                    db
-                };
-                let toolchain = F2pmToolchain {
-                    models: vec![ModelKind::RepTree],
-                    ..Default::default()
-                };
-                toolchain.run(&db, &mut job_rng).0
-            });
+            let toolchain = F2pmToolchain {
+                models: vec![ModelKind::RepTree],
+                ..Default::default()
+            };
+            let shuffled;
+            let db = if self.cfg.poison_refits {
+                shuffled = crate::training::shuffle_targets(self.labeler.database(), &mut job_rng);
+                &shuffled
+            } else {
+                self.labeler.database()
+            };
+            let predictor = toolchain.run(db, &mut job_rng).0;
             self.phase = Phase::Loading(PendingRefit {
                 version,
                 submitted_era: era_index,
-                handle,
+                predictor,
             });
             self.last_refit_era = Some(era_index);
             events.push(LifecycleEvent::RefitStarted { version, rows });

@@ -172,7 +172,7 @@ impl Vmc {
     /// Attaches a versioned model lifecycle to this controller. Only
     /// effective for [`RttfSource::Model`] regions — the oracle has no
     /// model to refit — and only when `cfg.enabled` is set. `rng` seeds
-    /// the lifecycle's dedicated stream (refit jobs split from it).
+    /// the lifecycle's dedicated stream (each refit trains on a split).
     pub fn enable_lifecycle(&mut self, cfg: LifecycleConfig, rng: SimRng) {
         if cfg.enabled && matches!(self.rttf_source, RttfSource::Model(_)) {
             self.lifecycle = Some(ModelLifecycle::new(cfg, rng));
@@ -194,8 +194,8 @@ impl Vmc {
         &self.rttf_source
     }
 
-    /// Era prologue for the model lifecycle: collects a due background
-    /// refit at its deterministic era boundary. No-op without a registry.
+    /// Era prologue for the model lifecycle: a candidate whose
+    /// `refit_eras` have passed starts shadowing. No-op without a registry.
     pub fn lifecycle_begin_era(&mut self, era_index: u64) -> Vec<LifecycleEvent> {
         match &mut self.lifecycle {
             Some(lc) => lc.begin_era(era_index),
@@ -205,7 +205,8 @@ impl Vmc {
 
     /// Era epilogue for the model lifecycle: regression watch, shadow
     /// verdict (a promotion or rollback swaps the serving predictor in
-    /// place), and possibly a new refit submission off the drift signal.
+    /// place), and possibly a new refit — trained here — off the drift
+    /// signal.
     pub fn lifecycle_end_era(&mut self, era_index: u64, drifted: bool) -> Vec<LifecycleEvent> {
         match &mut self.lifecycle {
             Some(lc) => lc.end_era(era_index, drifted, &mut self.rttf_source),

@@ -193,28 +193,6 @@ impl SimRng {
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         &xs[self.index(xs.len())]
     }
-
-    /// Samples an index according to non-negative `weights` (need not be
-    /// normalised). Panics if all weights are zero or any is negative.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights
-            .iter()
-            .inspect(|w| assert!(**w >= 0.0 && w.is_finite(), "weights must be non-negative"))
-            .sum();
-        assert!(total > 0.0, "at least one weight must be positive");
-        let mut target = self.f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            target -= w;
-            if target < 0.0 {
-                return i;
-            }
-        }
-        // Floating-point slack: fall back to the last positive weight.
-        weights
-            .iter()
-            .rposition(|w| *w > 0.0)
-            .expect("positive weight exists")
-    }
 }
 
 /// Precomputed CDF for Zipf sampling over `n` ranks with exponent `s`.
@@ -409,19 +387,6 @@ mod tests {
         assert!(counts[0] > counts[9] * 5, "{counts:?}");
         // All ranks hit.
         assert!(counts.iter().all(|c| *c > 0));
-    }
-
-    #[test]
-    fn weighted_index_tracks_weights() {
-        let mut rng = SimRng::new(12);
-        let w = [1.0, 0.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..40_000 {
-            counts[rng.weighted_index(&w)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
     }
 
     #[test]

@@ -97,19 +97,6 @@ proptest! {
         let d = Duration::from_micros(micros);
         prop_assert!(d.mul_f64(f1) <= d.mul_f64(f1 + extra) + Duration::from_micros(1));
     }
-
-    #[test]
-    fn weighted_index_never_picks_zero_weight(
-        seed in 0u64..1_000,
-        idx in 0usize..4,
-    ) {
-        let mut rng = SimRng::new(seed);
-        let mut weights = [1.0, 1.0, 1.0, 1.0];
-        weights[idx] = 0.0;
-        for _ in 0..200 {
-            prop_assert_ne!(rng.weighted_index(&weights), idx);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

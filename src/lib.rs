@@ -20,7 +20,7 @@
 //! * [`sim`] — deterministic discrete-event kernel,
 //! * [`exec`] — std-only work-stealing thread pool with deterministic
 //!   index-ordered collect (`map_collect`, `try_map_collect`,
-//!   `for_each_mut`, `spawn_job`: every parallel call site in the
+//!   `for_each_mut`: every parallel call site in the
 //!   workspace; sized by `ACM_THREADS` or [`exec::configure_threads`]),
 //! * [`vm`] — VM / anomaly / failure-point substrate,
 //! * [`ml`] — the F2PM model toolchain (OLS, Ridge, Lasso, REP-Tree, M5P,

@@ -1,5 +1,7 @@
 //! Integration: reproducibility guarantees and autoscaling behaviour.
 
+mod common;
+
 use acm::core::autoscale::AutoscaleConfig;
 use acm::core::config::{ExperimentConfig, PredictorChoice};
 use acm::core::framework::run_experiment;
@@ -120,10 +122,12 @@ fn model_selection_is_byte_identical_across_thread_widths() {
     );
 }
 
-/// Widening the pool must never lose on a paper-sized world: its MONITOR
-/// work (22 VMs) is smaller than one fan-out, so the loop must not fan it
-/// out (a fan-out per era roughly doubles this run). A wall-clock gate,
-/// so it is `#[ignore]`d out of tier-1; CI runs it alone in release.
+/// Widening the pool must never lose on a paper-sized world. Fig-4: its
+/// MONITOR work (22 VMs) is smaller than one fan-out, so the loop must
+/// not fan it out (a fan-out per era roughly doubles this run). The
+/// drifted lifecycle world: a ~215 µs refit is smaller than one hand-off
+/// to a parked worker, so refits must not cross threads. A wall-clock
+/// gate, so it is `#[ignore]`d out of tier-1; CI runs it alone in release.
 #[test]
 #[ignore = "wall-clock gate: run alone, in release"]
 fn small_world_width_never_loses() {
@@ -137,14 +141,24 @@ fn small_world_width_never_loses() {
         return;
     }
     let _width = POOL_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
-    let cfg = ExperimentConfig::three_region_fig4(PolicyKind::AvailableResources, 2016);
-    let timed_run = |threads: usize| -> Duration {
+    let fig4 = ExperimentConfig::three_region_fig4(PolicyKind::AvailableResources, 2016);
+    let drifted = common::drifted_lifecycle_cfg();
+    let stale = common::stale_models(&drifted);
+    let worlds: [(&str, usize, &dyn Fn() -> ControlLoop); 2] = [
+        ("fig-4 x policy 2", 120, &|| {
+            let mut rng = SimRng::new(fig4.seed);
+            let vmcs = build_vmcs(&fig4, &mut rng);
+            ControlLoop::new(&fig4, vmcs, rng)
+        }),
+        ("drifted fig-3, lifecycle on", 60, &|| {
+            common::lifecycle_loop(&drifted, &stale)
+        }),
+    ];
+    let timed_run = |threads: usize, eras: usize, build: &dyn Fn() -> ControlLoop| -> Duration {
         acm::exec::configure_threads(threads);
-        let mut rng = SimRng::new(cfg.seed);
-        let vmcs = build_vmcs(&cfg, &mut rng);
-        let mut cl = ControlLoop::new(&cfg, vmcs, rng);
+        let mut cl = build();
         let t = Instant::now();
-        cl.run(120);
+        cl.run(eras);
         t.elapsed()
     };
     let median = |walls: &mut Vec<Duration>| {
@@ -152,36 +166,38 @@ fn small_world_width_never_loses() {
         walls[walls.len() / 2].as_secs_f64()
     };
     // One measurement: 15 alternating runs per width, ratio of medians.
-    let measure = || {
+    let measure = |world: &str, eras: usize, build: &dyn Fn() -> ControlLoop| {
         let (mut narrow, mut wide) = (Vec::new(), Vec::new());
         for round in 0..15 {
             // Alternate which width goes first so drift hits both alike.
             if round % 2 == 0 {
-                narrow.push(timed_run(1));
-                wide.push(timed_run(2));
+                narrow.push(timed_run(1, eras, build));
+                wide.push(timed_run(2, eras, build));
             } else {
-                wide.push(timed_run(2));
-                narrow.push(timed_run(1));
+                wide.push(timed_run(2, eras, build));
+                narrow.push(timed_run(1, eras, build));
             }
         }
         let (narrow, wide) = (median(&mut narrow), median(&mut wide));
         eprintln!(
-            "fig-4 x policy 2, run(120): width 1 {:.2} ms, width 2 {:.2} ms, ratio {:.2}",
+            "{world}, run({eras}): width 1 {:.2} ms, width 2 {:.2} ms, ratio {:.2}",
             narrow * 1e3,
             wide * 1e3,
             wide / narrow
         );
         wide / narrow
     };
-    // A measurement is 0.2 s of wall clock, so one burst from a noisy
-    // neighbour can tilt it; a fan-out per era tilts every one of them.
+    // A measurement is ~0.1 s of wall clock, so one burst from a noisy
+    // neighbour can tilt it; a hand-off per era tilts every one of them.
     let before = acm::exec::current_threads();
-    let held = (0..3).any(|_| measure() <= 1.10);
-    acm::exec::configure_threads(before);
-    assert!(
-        held,
-        "width 2 loses to width 1 by more than 10 % in 3 of 3 measurements"
-    );
+    for (world, eras, build) in worlds {
+        let held = (0..3).any(|_| measure(world, eras, build) <= 1.10);
+        acm::exec::configure_threads(before);
+        assert!(
+            held,
+            "{world}: width 2 loses to width 1 by more than 10 % in 3 of 3 measurements"
+        );
+    }
 }
 
 #[test]

@@ -11,18 +11,16 @@
 //! span ids, RNG draws) moved — regenerate them only for a change that
 //! means to move it.
 
+mod common;
+
 use acm::core::config::{ExperimentConfig, LinkFault, PredictorChoice, RegionSpec};
 use acm::core::control_loop::ControlLoop;
 use acm::core::framework::build_vmcs;
 use acm::core::policy::PolicyKind;
 use acm::core::scenario::{Scenario, ScenarioAction, ScheduledAction};
 use acm::core::DegradationConfig;
-use acm::ml::model::ModelKind;
-use acm::ml::toolchain::F2pmToolchain;
 use acm::obs::ObsConfig;
 use acm::overlay::{FaultPlan, NodeId};
-use acm::pcam::training::{collect_database, CollectionConfig};
-use acm::pcam::{DriftConfig, LifecycleConfig, RttfSource, Vmc};
 use acm::sim::rng::SimRng;
 use acm::sim::{Duration, SimTime};
 use acm::workload::ClientSchedule;
@@ -204,53 +202,12 @@ fn sharded_chaos_world() {
 /// the (stale) REP-Tree predictors were trained on, lifecycle on — traced.
 #[test]
 fn drifted_lifecycle_world() {
-    let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 42);
-    for spec in &mut cfg.regions {
-        spec.region.anomaly.leak_size_mb *= 3.0;
-    }
-    cfg.drift = DriftConfig {
-        window: 8,
-        miss_bound: 0.25,
-        min_samples: 2,
-    };
-    cfg.lifecycle = LifecycleConfig {
-        enabled: true,
-        min_labelled_rows: 20,
-        shadow_min_samples: 6,
-        cooldown_eras: 4,
-        ..Default::default()
-    };
+    let mut cfg = common::drifted_lifecycle_cfg();
     cfg.obs = ObsConfig::traced(2026);
-
-    let mut train_rng = SimRng::new(7);
-    let quick = CollectionConfig {
-        lambdas: vec![4.0, 8.0, 16.0],
-        runs_per_lambda: 3,
-        ..Default::default()
-    };
-    let mut rng = SimRng::new(cfg.seed);
-    let vmcs = cfg
-        .regions
-        .iter()
-        .map(|spec| {
-            let db = collect_database(
-                &spec.region.flavor,
-                &acm::vm::AnomalyConfig::default(),
-                &spec.region.failure_spec,
-                &quick,
-                &mut train_rng,
-            );
-            let toolchain = F2pmToolchain {
-                models: vec![ModelKind::RepTree],
-                ..Default::default()
-            };
-            let (model, _) = toolchain.run(&db, &mut train_rng);
-            Vmc::new(spec.region.clone(), RttfSource::Model(model), rng.split())
-        })
-        .collect();
+    let models = common::stale_models(&cfg);
     check(
         "drifted lifecycle",
-        ControlLoop::new(&cfg, vmcs, rng),
+        common::lifecycle_loop(&cfg, &models),
         &[
             "drift.signal",
             "model.refit.start",
