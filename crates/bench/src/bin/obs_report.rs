@@ -1,9 +1,12 @@
 //! Observability report over one experiment run.
 //!
 //! Runs a Figure-3 deployment with the in-process observability layer
-//! enabled, then prints the MAPE phase-timing table, the busiest metrics
-//! and the tail of the decision log, and writes the full structured event
-//! stream to `obs_report.jsonl` at the repository root.
+//! enabled and causal tracing on, then prints the MAPE phase-timing
+//! table, the busiest metrics and the tail of the decision log. Writes
+//! four artefacts to the current directory: the structured event stream
+//! (`obs_report.jsonl`), the metrics (`obs_metrics.jsonl`), the span tree
+//! (`obs_spans.jsonl`) and the era timeline as Chrome trace-event JSON
+//! (`trace_timeline.json`, loadable in Perfetto or `chrome://tracing`).
 //!
 //! ```text
 //! cargo run --release -p acm-bench --bin obs_report -- [--eras N] [--oracle]
@@ -63,24 +66,33 @@ fn print_phase_row(label: &str, h: &HistogramSnapshot, era_sum: u64) {
     );
 }
 
+/// Prints the usage line and exits with status 2.
+fn usage(problem: &str) -> ! {
+    eprintln!("obs_report: {problem}");
+    eprintln!("usage: obs_report [--eras N] [--oracle]");
+    std::process::exit(2);
+}
+
+/// Writes one artefact, warning (not failing) when the write does.
+fn write_artefact(path: &str, contents: &str) {
+    match std::fs::write(path, contents) {
+        Ok(()) => println!("wrote {path}"),
+        Err(e) => eprintln!("warning: cannot write {path}: {e}"),
+    }
+}
+
 fn main() {
     let mut eras = 120usize;
     let mut oracle = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--eras" => {
-                eras = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--eras needs a positive integer");
-            }
+            "--eras" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n > 0 => eras = n,
+                _ => usage("--eras needs a positive integer"),
+            },
             "--oracle" => oracle = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: obs_report [--eras N] [--oracle]");
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown argument: {other}")),
         }
     }
 
@@ -89,7 +101,7 @@ fn main() {
     if oracle {
         cfg.predictor = PredictorChoice::Oracle;
     }
-    let obs = Obs::new(ObsConfig::default());
+    let obs = Obs::new(ObsConfig::traced(cfg.seed));
     let tel = run_experiment_with_obs(&cfg, obs.clone());
 
     println!(
@@ -215,12 +227,12 @@ fn main() {
         println!("{}", ev.to_json());
     }
 
-    match std::fs::write("obs_report.jsonl", obs.events_jsonl()) {
-        Ok(()) => println!("\nwrote obs_report.jsonl"),
-        Err(e) => eprintln!("\nwarning: cannot write obs_report.jsonl: {e}"),
-    }
-    match std::fs::write("obs_metrics.jsonl", obs.metrics_jsonl()) {
-        Ok(()) => println!("wrote obs_metrics.jsonl"),
-        Err(e) => eprintln!("warning: cannot write obs_metrics.jsonl: {e}"),
-    }
+    println!();
+    write_artefact("obs_report.jsonl", &obs.events_jsonl());
+    write_artefact("obs_metrics.jsonl", &obs.metrics_jsonl());
+    write_artefact("obs_spans.jsonl", &obs.spans_jsonl());
+    let timeline = obs
+        .timeline_recorder()
+        .expect("a traced hub records a timeline");
+    write_artefact("trace_timeline.json", &timeline.to_chrome_json());
 }

@@ -283,7 +283,7 @@ fn build_plan(cc: &CampaignConfig, case_seed: u64, regions: usize, era: Duration
     let mut rng = SimRng::new(acm_obs::trace::mix(case_seed, 0x91A6_0000_0001));
     if rng.bernoulli(cc.intensity.partition) && regions > 1 {
         // Partition a non-leader region (the leader-cut case is a
-        // different scenario family, exercised by trace_report).
+        // different scenario family, exercised by tests/tracing.rs).
         let victim = nodes[1 + rng.index(regions - 1)];
         let at_era = 1 + rng.index(active_eras / 2);
         let len_eras = 2 + rng.index(4);

@@ -12,7 +12,8 @@
 //! Everything is deterministic end to end: cases are pure functions of
 //! `(campaign seed, index)`, runs replay byte-identically at every
 //! `ACM_THREADS` width, and the campaign fingerprint (canonical verdict
-//! lines) is compared verbatim across widths by the `chaos_sweep` gate.
+//! lines) is compared verbatim across widths by the tier-1 test
+//! `campaign_fingerprint_is_identical_across_thread_widths`.
 //!
 //! [`FaultPlan`]: acm_overlay::FaultPlan
 

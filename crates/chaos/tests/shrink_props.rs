@@ -94,9 +94,9 @@ proptest! {
     }
 }
 
-/// A small campaign produces a byte-identical fingerprint at 1 and 4
-/// worker threads (the `chaos_sweep` gate checks the full-size version
-/// of this in release mode).
+/// A small campaign runs clean — no invariant violation, no crash, every
+/// plan counted — and produces a byte-identical fingerprint at 1 and 4
+/// worker threads (`chaos_sweep` runs the full-size campaign).
 #[test]
 fn campaign_fingerprint_is_identical_across_thread_widths() {
     let cc = CampaignConfig {
@@ -107,11 +107,15 @@ fn campaign_fingerprint_is_identical_across_thread_widths() {
     acm_exec::configure_threads(1);
     let seq = run_campaign(&cc, &Obs::new(ObsConfig::default()));
     acm_exec::configure_threads(4);
-    let par = run_campaign(&cc, &Obs::new(ObsConfig::default()));
+    let obs = Obs::new(ObsConfig::default());
+    let par = run_campaign(&cc, &obs);
     acm_exec::configure_threads(before);
     assert_eq!(
         seq.fingerprint, par.fingerprint,
         "campaign fingerprints diverge between 1 and 4 threads"
     );
     assert_eq!(seq.verdicts.len(), 12);
+    assert!(par.violating().is_empty(), "{}", par.fingerprint);
+    assert_eq!(par.crashed(), 0, "{}", par.fingerprint);
+    assert_eq!(obs.counter("acm.chaos.campaign.plans").value(), 12);
 }

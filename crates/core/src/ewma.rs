@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Small β smooths aggressively (slow, stable); β = 1 trusts the newest
-//! report entirely (fast, noisy). The `ablation_beta` bench sweeps this
+//! report entirely (fast, noisy). The `ablation beta` sweep measures this
 //! trade-off.
 
 /// One region's smoothed RMTTF estimate held by the leader.

@@ -21,8 +21,8 @@
 //! The default configuration is **on-but-cheap**: metrics are relaxed
 //! atomics, spans cost two `Instant` reads, and events go into bounded
 //! per-kind stores that pin each kind's earliest records. [`Obs::noop`] yields a disabled instance whose every operation
-//! reduces to one branch — its overhead on the hot simulator chain is
-//! benchmarked (< 2 %) by `perf_report --obs-gate`.
+//! reduces to one branch — its cost is the repo benchmark's
+//! `obs.emit_noop_ns` reading.
 //!
 //! Determinism: metrics and spans measure *wall-clock* (they never feed
 //! back into the model), while event records carry only *simulated* time

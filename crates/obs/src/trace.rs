@@ -4,8 +4,8 @@
 //! plane — a chaos fault firing, a heartbeat timeout, an era's monitor
 //! report, a drift signal — and its `parent` link records what caused it.
 //! Walking the links from a decision event back to a parentless span
-//! reconstructs the "why-chain" the `trace_report` bin prints (fault →
-//! suspicion → quarantine → re-plan → readmit).
+//! reconstructs the "why-chain" of that decision (fault → suspicion →
+//! quarantine → re-plan → readmit); `tests/tracing.rs` pins these chains.
 //!
 //! ## Identity without wall clock or randomness
 //!

@@ -8,9 +8,8 @@
 //! shard's latency scorer. Plan swaps happen at era barriers, applied to
 //! every lens in shard-index order.
 //!
-//! The harness exists once so the `mega_report` bench, the
-//! `router_report` bench and the byte-identity tests all exercise the
-//! *same* plane: per-shard outcome digests (including per-region routed
+//! The harness exists once so the repo benchmark's `routed-plane`
+//! workload and the byte-identity tests all exercise the *same* plane: per-shard outcome digests (including per-region routed
 //! counts) must be identical at any `ACM_THREADS`, because every source
 //! of randomness — arrivals, chaos, routing, service times — is a
 //! pre-split stream and every barrier merge runs in shard-index order.

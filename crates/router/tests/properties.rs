@@ -138,6 +138,7 @@ fn routed_mega_run_is_byte_identical_1_vs_4_threads() {
         "routed plane digests diverge across thread widths"
     );
     assert!(one.decisions() > 0, "plane routed nothing");
+    assert!(one.arena_reuse > 0, "event-queue arenas never reused");
     assert_eq!(
         one.arena_reuse, four.arena_reuse,
         "arena reuse is part of the deterministic footprint"

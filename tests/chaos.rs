@@ -1,20 +1,53 @@
 //! Integration: the deterministic chaos layer and the leader's graceful
 //! degradation, exercised through the whole stack — leader kills trigger
 //! re-election, fault plans replay byte-identically at any thread width,
-//! and re-admission hysteresis keeps the plan from oscillating.
+//! re-admission hysteresis keeps the plan from oscillating, and a flap
+//! storm under message chaos rides on retries without a quarantine.
 
 use acm::core::config::{ExperimentConfig, PredictorChoice};
 use acm::core::framework::{run_experiment, run_experiment_with_obs};
 use acm::core::policy::PolicyKind;
+use acm::core::telemetry::ExperimentTelemetry;
 use acm::core::DegradationConfig;
-use acm::obs::{Obs, ObsConfig};
-use acm::overlay::{FaultPlan, NodeId};
+use acm::obs::{Obs, ObsConfig, Value};
+use acm::overlay::{FaultPlan, HeartbeatConfig, NodeId};
 use acm::sim::{Duration, SimTime};
 use proptest::prelude::*;
+
+/// The equal-RMTTF band: max/min ratio of 5-era-smoothed region RMTTFs.
+const SPREAD_BAND: f64 = 1.35;
+/// Eras a healed region may take to regain flow, and the live set to
+/// re-enter the band, after the heal (or the kill).
+const RECOVERY_BUDGET_ERAS: usize = 25;
 
 fn oracle(mut cfg: ExperimentConfig) -> ExperimentConfig {
     cfg.predictor = PredictorChoice::Oracle;
     cfg
+}
+
+/// The tolerant detector: heartbeat timeout past the staleness TTL, so
+/// report age rather than suspicion is what trips a quarantine.
+fn ttl_heartbeat() -> HeartbeatConfig {
+    HeartbeatConfig {
+        period: Duration::from_secs(30),
+        timeout: Duration::from_secs(150),
+    }
+}
+
+/// First era at or after `from` where the trailing-5-era mean RMTTFs of
+/// the `live` regions sit within [`SPREAD_BAND`] of each other.
+fn band_era(tel: &ExperimentTelemetry, live: &[usize], from: usize) -> Option<usize> {
+    (from..tel.eras()).find(|&e| {
+        let lo = e.saturating_sub(4);
+        let window = e + 1 - lo;
+        let means: Vec<f64> = live
+            .iter()
+            .map(|&j| tel.rmttf(j).values().skip(lo).take(window).sum::<f64>() / window as f64)
+            .collect();
+        let max = means.iter().fold(0.0_f64, |a, b| a.max(*b));
+        let min = means.iter().fold(f64::INFINITY, |a, b| a.min(*b));
+        min > 0.0 && max / min <= SPREAD_BAND
+    })
 }
 
 #[test]
@@ -66,53 +99,125 @@ fn leader_kill_triggers_reelection_and_quarantines_the_dead_region() {
         (live_sum - 1.0).abs() < 1e-9,
         "survivors must absorb the whole flow, got {live_sum}"
     );
+    let band = band_era(&tel, &[1, 2], 10).map(|e| e - 10);
+    assert!(
+        band.is_some_and(|d| d <= RECOVERY_BUDGET_ERAS),
+        "survivors reach the RMTTF band {band:?} eras after the kill"
+    );
 }
 
 #[test]
 fn readmission_hysteresis_prevents_plan_oscillation() {
+    let (fail_era, heal_era) = (10, 20);
+    // Both detector regimes: suspicion (default heartbeat, the first
+    // fully-missed era trips) and the staleness TTL.
+    for (heartbeat, reason) in [
+        (HeartbeatConfig::default(), "suspected"),
+        (ttl_heartbeat(), "stale"),
+    ] {
+        let mut cfg = oracle(ExperimentConfig::two_region_fig3(
+            PolicyKind::AvailableResources,
+            77,
+        ));
+        cfg.eras = 45;
+        // Partition region 1 for ten eras; on top, drop 5% of control
+        // messages so the report-retry path is exercised the whole run.
+        cfg.fault_plan = Some(
+            FaultPlan::scripted(9, Vec::new())
+                .partition_window(
+                    vec![NodeId(1)],
+                    SimTime::from_secs(fail_era as u64 * 30),
+                    SimTime::from_secs(heal_era as u64 * 30),
+                )
+                .with_message_chaos(0.05, Duration::from_millis(40)),
+        );
+        cfg.degradation = DegradationConfig {
+            heartbeat,
+            ..DegradationConfig::enabled()
+        };
+        let obs = Obs::new(ObsConfig::default());
+        let tel = run_experiment_with_obs(&cfg, obs.clone());
+
+        let events = obs.events_tail(usize::MAX);
+        let quarantines: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == "region.quarantine")
+            .collect();
+        let readmits = events.iter().filter(|e| e.kind == "region.readmit");
+        // One outage, one quarantine, one re-admission — message chaos
+        // plus hysteresis must not produce extra health transitions.
+        assert_eq!(
+            quarantines.len(),
+            1,
+            "{reason}: no oscillation into quarantine"
+        );
+        assert_eq!(readmits.count(), 1, "{reason}: exactly one re-admission");
+        assert!(
+            quarantines[0].fields.contains(&(reason, Value::Bool(true))),
+            "quarantine not driven by `{reason}`: {:?}",
+            quarantines[0].fields
+        );
+        // Zero flow while unreachable. The staleness TTL admits up to
+        // three stale eras before quarantine, so the window starts at
+        // fail + 4 to cover both regimes.
+        let f1: Vec<f64> = tel.fraction(1).values().collect();
+        let cut = &f1[fail_era + 4..heal_era];
+        assert!(
+            cut.iter().all(|v| *v == 0.0),
+            "{reason}: flow while cut: {cut:?}"
+        );
+        // Once re-admitted, the region keeps its flow: the fraction series
+        // never collapses back to zero after its post-heal recovery.
+        let readmit = f1[heal_era..]
+            .iter()
+            .position(|v| *v > 0.0)
+            .expect("region 1 regains flow after the heal");
+        let band = band_era(&tel, &[0, 1], heal_era).map(|e| e - heal_era);
+        assert!(
+            readmit <= RECOVERY_BUDGET_ERAS && band.is_some_and(|d| d <= RECOVERY_BUDGET_ERAS),
+            "{reason}: readmit {readmit} and RMTTF band {band:?} eras after the heal"
+        );
+        let after = &f1[heal_era + readmit..];
+        assert!(
+            after.iter().all(|v| *v > 0.0),
+            "{reason}: flow flapped: {after:?}"
+        );
+    }
+}
+
+/// Two single-era link flaps plus 10 % message drop under the tolerant
+/// (TTL) detector: the retry path and the staleness TTL absorb all of it
+/// without one spurious quarantine, and the run ends balanced.
+#[test]
+fn flap_storm_rides_on_retries_without_a_quarantine() {
     let mut cfg = oracle(ExperimentConfig::two_region_fig3(
         PolicyKind::AvailableResources,
-        77,
+        2025,
     ));
-    cfg.eras = 45;
-    // Partition region 1 for ten eras; on top, drop 5% of control
-    // messages so the report-retry path is exercised the whole run.
+    cfg.eras = 60;
+    let at = SimTime::from_secs;
     cfg.fault_plan = Some(
-        FaultPlan::scripted(9, Vec::new())
-            .partition_window(
-                vec![NodeId(1)],
-                SimTime::from_secs(300),
-                SimTime::from_secs(600),
-            )
-            .with_message_chaos(0.05, Duration::from_millis(40)),
+        FaultPlan::scripted(7, Vec::new())
+            .link_flap(NodeId(0), NodeId(1), at(450), at(480))
+            .link_flap(NodeId(0), NodeId(1), at(1050), at(1080))
+            .with_message_chaos(0.10, Duration::from_millis(25)),
     );
-    cfg.degradation = DegradationConfig::enabled();
+    cfg.degradation = DegradationConfig {
+        heartbeat: ttl_heartbeat(),
+        ..DegradationConfig::enabled()
+    };
     let obs = Obs::new(ObsConfig::default());
     let tel = run_experiment_with_obs(&cfg, obs.clone());
 
+    let retries = obs.counter("acm.core.report.retries").value();
+    assert!(retries > 0, "the retry path was never exercised");
     let events = obs.events_tail(usize::MAX);
-    let count = |kind: &str| events.iter().filter(|e| e.kind == kind).count();
-    // One outage, one quarantine, one re-admission — message chaos plus
-    // hysteresis must not produce extra health transitions.
-    assert_eq!(
-        count("region.quarantine"),
-        1,
-        "no oscillation into quarantine"
-    );
-    assert_eq!(count("region.readmit"), 1, "exactly one re-admission");
-    // Once re-admitted, the region keeps its flow: the fraction series
-    // never collapses back to zero after its post-heal recovery.
-    let f1: Vec<f64> = tel.fraction(1).values().collect();
-    let readmit = f1[21..]
-        .iter()
-        .position(|v| *v > 0.0)
-        .map(|i| i + 21)
-        .expect("region 1 regains flow after the heal");
     assert!(
-        f1[readmit..].iter().all(|v| *v > 0.0),
-        "flow flapped after re-admission: {:?}",
-        &f1[readmit..]
+        events.iter().all(|e| e.kind != "region.quarantine"),
+        "spurious quarantine"
     );
+    let spread = tel.rmttf_spread(10);
+    assert!(spread <= SPREAD_BAND, "tail spread {spread} above the band");
 }
 
 proptest! {

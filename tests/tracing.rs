@@ -12,13 +12,14 @@
 //!    extra kinds, no extra fields).
 //! 3. **Chains are complete** — every quarantine decision in a chaos run
 //!    walks parent links back to a root cause (chaos fault, scripted
-//!    fault, or the era itself), with no orphan spans.
+//!    fault, or the era itself), with no orphan spans, and every decision
+//!    event resolves its span or cause to a root.
 
 use acm::core::config::{ExperimentConfig, PredictorChoice, RegionSpec};
 use acm::core::policy::PolicyKind;
 use acm::core::DegradationConfig;
-use acm::obs::{Obs, ObsConfig, SpanRecord, Value};
-use acm::overlay::{FaultPlan, NodeId};
+use acm::obs::{EventRecord, Obs, ObsConfig, ObsHandle, SpanRecord, Value};
+use acm::overlay::{FaultPlan, HeartbeatConfig, NodeId};
 use acm::sim::rng::SimRng;
 use acm::sim::{Duration, SimTime};
 use acm::workload::ClientSchedule;
@@ -158,6 +159,33 @@ fn chain_to_root(spans: &BTreeMap<u64, &SpanRecord>, mut id: u64) -> Vec<&'stati
     }
 }
 
+/// The `u64` field `key` of an event (span and cause ids).
+fn field_u64(e: &EventRecord, key: &str) -> Option<u64> {
+    e.fields.iter().find_map(|(k, v)| match v {
+        Value::U64(id) if *k == key => Some(*id),
+        _ => None,
+    })
+}
+
+/// Every decision event of a traced run resolves its `span` (or `cause`)
+/// through real parent links to a root: zero orphans.
+fn assert_decisions_rooted(obs: &ObsHandle, by_id: &BTreeMap<u64, &SpanRecord>) {
+    let decisions = [
+        "plan.install",
+        "plan.freeze",
+        "region.quarantine",
+        "region.probation",
+        "region.readmit",
+        "leader.change",
+    ];
+    for e in obs.events_tail(usize::MAX) {
+        if decisions.contains(&e.kind) {
+            let id = field_u64(&e, "span").or_else(|| field_u64(&e, "cause"));
+            chain_to_root(by_id, id.unwrap_or_else(|| panic!("orphan {}", e.kind)));
+        }
+    }
+}
+
 /// Contract 3 on the PR 5 chaos scenario: a partition quarantines a
 /// region, and the quarantine's causal chain reaches the chaos root.
 #[test]
@@ -201,14 +229,7 @@ fn quarantine_chains_reach_a_chaos_root() {
         "partition must quarantine region 1"
     );
     for q in &quarantines {
-        let span_id = q
-            .fields
-            .iter()
-            .find_map(|(k, v)| match (k, v) {
-                (&"span", Value::U64(id)) => Some(*id),
-                _ => None,
-            })
-            .expect("traced quarantine event carries its span id");
+        let span_id = field_u64(q, "span").expect("traced quarantine event carries its span id");
         let chain = chain_to_root(&by_id, span_id);
         assert_eq!(chain[0], "region.quarantine");
         let root = *chain.last().unwrap();
@@ -229,25 +250,78 @@ fn quarantine_chains_reach_a_chaos_root() {
     // The readmit after the heal continues the quarantine's chain.
     let readmit = events.iter().find(|e| e.kind == "region.readmit");
     let readmit = readmit.expect("healed region must be readmitted");
-    let span_id = readmit
-        .fields
-        .iter()
-        .find_map(|(k, v)| match (k, v) {
-            (&"span", Value::U64(id)) => Some(*id),
-            _ => None,
-        })
-        .expect("readmit carries its span id");
+    let span_id = field_u64(readmit, "span").expect("readmit carries its span id");
     let chain = chain_to_root(&by_id, span_id);
     assert!(
         chain.contains(&"region.quarantine"),
         "readmit must chain through its quarantine: {chain:?}"
     );
 
+    assert_decisions_rooted(&obs, &by_id);
+
     // SLO burn: the partition starves the leader of 50% of its reports,
-    // far past the 5% availability budget — the monitor must fire, and
-    // recover after the heal.
-    let burns = events.iter().filter(|e| e.kind == "slo.burn").count();
-    let recoveries = events.iter().filter(|e| e.kind == "slo.recovered").count();
-    assert!(burns > 0, "availability SLO must burn during the partition");
-    assert!(recoveries > 0, "SLO must recover after the heal");
+    // far past the 5% availability budget — the monitor must fire inside
+    // the fault window (never before it), and recover after the heal.
+    let seconds = |kind: &str| -> Vec<f64> {
+        let of_kind = events.iter().filter(|e| e.kind == kind);
+        of_kind.map(|e| e.t_us as f64 / 1e6).collect()
+    };
+    let (burns, recoveries) = (seconds("slo.burn"), seconds("slo.recovered"));
+    assert!(
+        burns.first().is_some_and(|t| *t <= 750.0) && burns.iter().all(|t| *t >= 300.0),
+        "availability SLO must burn during the partition: {burns:?}"
+    );
+    assert!(
+        recoveries.last().is_some_and(|t| *t > 600.0),
+        "SLO must recover after the heal: {recoveries:?}"
+    );
+    assert_eq!(obs.spans_dropped(), 0, "span retention overflowed");
+    // Leader phases plus the era slice: at least five slices per era.
+    let timeline = obs
+        .timeline_recorder()
+        .expect("traced run records a timeline");
+    assert!(timeline.len() >= 5 * cfg.eras, "{} slices", timeline.len());
+}
+
+/// A traced leader kill chains the successor's `leader.change` back to
+/// `chaos.leader.kill`, and a flap storm under message chaos leaves no
+/// decision orphaned either.
+#[test]
+fn leader_change_after_a_kill_chains_to_the_kill() {
+    let mut kill = ExperimentConfig::three_region_fig4(PolicyKind::AvailableResources, 2025);
+    kill.eras = 40;
+    kill.fault_plan =
+        Some(FaultPlan::scripted(2, Vec::new()).kill_leader_at(SimTime::from_secs(300)));
+    let mut flaps = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 2025);
+    flaps.eras = 60;
+    let at = SimTime::from_secs;
+    flaps.fault_plan = Some(
+        FaultPlan::scripted(7, Vec::new())
+            .link_flap(NodeId(0), NodeId(1), at(450), at(480))
+            .link_flap(NodeId(0), NodeId(1), at(1050), at(1080))
+            .with_message_chaos(0.10, Duration::from_millis(25)),
+    );
+    flaps.degradation.heartbeat = HeartbeatConfig {
+        period: Duration::from_secs(30),
+        timeout: Duration::from_secs(150),
+    };
+    for (mut cfg, kills) in [(kill, 1), (flaps, 0)] {
+        cfg.predictor = PredictorChoice::Oracle;
+        cfg.degradation.enabled = true;
+        let obs = Obs::new(ObsConfig::traced(2025));
+        let _ = acm::core::framework::run_experiment_with_obs(&cfg, obs.clone());
+        let spans = obs.spans();
+        let by_id: BTreeMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
+        assert_decisions_rooted(&obs, &by_id);
+        let elections: Vec<Vec<&str>> = obs
+            .events_tail(usize::MAX)
+            .iter()
+            .filter(|e| e.kind == "leader.change" && e.t_us >= 300_000_000)
+            .map(|e| chain_to_root(&by_id, field_u64(e, "span").expect("traced election")))
+            .collect();
+        let rooted = elections
+            .iter()
+            .filter(|c| c.last() == Some(&"chaos.leader.kill"));
+        assert_eq!(rooted.count(), kills, "post-kill elections: {elections:?}");
+    }
 }
