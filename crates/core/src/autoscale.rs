@@ -47,6 +47,34 @@ impl Default for AutoscaleConfig {
     }
 }
 
+impl AutoscaleConfig {
+    /// Checks the thresholds: all finite and positive (a NaN threshold
+    /// would silently never fire), and a low RMTTF mark strictly below the
+    /// high one (otherwise the region scales up and down on alternate
+    /// cooldowns).
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, v) in [
+            ("response_threshold_s", self.response_threshold_s),
+            ("rmttf_low_s", self.rmttf_low_s),
+            ("rmttf_high_s", self.rmttf_high_s),
+        ] {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!("autoscale {name} must be finite and positive: {v}"));
+            }
+        }
+        if self.rmttf_low_s >= self.rmttf_high_s {
+            return Err(format!(
+                "autoscale rmttf_low_s ({}) must be below rmttf_high_s ({})",
+                self.rmttf_low_s, self.rmttf_high_s
+            ));
+        }
+        if self.max_vms == 0 {
+            return Err("autoscale max_vms must be at least 1".into());
+        }
+        Ok(())
+    }
+}
+
 /// What the autoscaler did for one region in one era.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleAction {

@@ -16,13 +16,13 @@
 use crate::autoscale::AutoscaleConfig;
 use crate::degrade::DegradationConfig;
 use crate::policy::PolicyKind;
-use crate::scenario::{Scenario, ScenarioAction, ScheduledAction};
+use crate::scenario::Scenario;
 use acm_ml::model::ModelKind;
 use acm_obs::ObsConfig;
 use acm_overlay::{FaultPlan, NodeId};
 use acm_pcam::{DriftConfig, LifecycleConfig, RegionConfig};
 use acm_router::LatencyAwareness;
-use acm_sim::time::{Duration, SimTime};
+use acm_sim::time::Duration;
 use acm_vm::VmFlavor;
 use acm_workload::{ClientSchedule, RegionWorkload, TpcwMix};
 
@@ -52,19 +52,6 @@ impl RegionSpec {
     }
 }
 
-/// A scheduled overlay fault (link level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkFault {
-    /// First endpoint (region index).
-    pub a: usize,
-    /// Second endpoint (region index).
-    pub b: usize,
-    /// Fault injection instant.
-    pub fail_at: SimTime,
-    /// Recovery instant.
-    pub recover_at: SimTime,
-}
-
 /// Complete description of one experiment run.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
@@ -92,10 +79,6 @@ pub struct ExperimentConfig {
     pub predictor: PredictorChoice,
     /// Autoscaling configuration.
     pub autoscale: AutoscaleConfig,
-    /// Scheduled overlay faults: an input format, lowered into
-    /// [`ScenarioAction::FailLink`] / [`ScenarioAction::RecoverLink`] when
-    /// the loop is built.
-    pub link_faults: Vec<LinkFault>,
     /// Deterministic chaos schedule replayed against the overlay
     /// transport (link flaps, crashes, partitions, leader kills,
     /// per-message drop/delay). `None` keeps the chaos layer entirely
@@ -189,7 +172,6 @@ impl ExperimentConfig {
             seed,
             predictor: PredictorChoice::Trained(ModelKind::RepTree),
             autoscale: AutoscaleConfig::default(),
-            link_faults: Vec::new(),
             fault_plan: None,
             degradation: DegradationConfig::default(),
             scenario: Scenario::none(),
@@ -233,7 +215,6 @@ impl ExperimentConfig {
             seed,
             predictor: PredictorChoice::Trained(ModelKind::RepTree),
             autoscale: AutoscaleConfig::default(),
-            link_faults: Vec::new(),
             fault_plan: None,
             degradation: DegradationConfig::default(),
             scenario: Scenario::none(),
@@ -243,25 +224,6 @@ impl ExperimentConfig {
             drift: DriftConfig::default(),
             lifecycle: LifecycleConfig::default(),
         }
-    }
-
-    /// The timeline the control loop runs: `link_faults` lowered into
-    /// `FailLink` / `RecoverLink` actions, ahead of the scripted actions
-    /// that share their instant.
-    pub(crate) fn lowered_scenario(&self) -> Scenario {
-        let at = |at, action| ScheduledAction { at, action };
-        let lowered = self.link_faults.iter().flat_map(|f| {
-            let (a, b) = (f.a, f.b);
-            [
-                at(f.fail_at, ScenarioAction::FailLink { a, b }),
-                at(f.recover_at, ScenarioAction::RecoverLink { a, b }),
-            ]
-        });
-        Scenario::new(
-            lowered
-                .chain(self.scenario.pending().iter().copied())
-                .collect(),
-        )
     }
 
     /// Overlay node id of region `i` (regions map 1:1 onto overlay nodes).
@@ -291,17 +253,10 @@ impl ExperimentConfig {
                 return Err(format!("latency endpoint out of range: ({a},{b})"));
             }
         }
-        for f in &self.link_faults {
-            if f.a >= self.regions.len() || f.b >= self.regions.len() {
-                return Err("fault endpoint out of range".into());
-            }
-            if f.recover_at <= f.fail_at {
-                return Err("fault must recover after it fails".into());
-            }
-        }
         if let Some(plan) = &self.fault_plan {
             plan.validate_in_era(self.regions.len() as u32, self.era)?;
         }
+        self.autoscale.validate()?;
         self.degradation.validate()?;
         for spec in &self.regions {
             spec.region.flavor.validate()?;
@@ -320,6 +275,7 @@ impl ExperimentConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acm_sim::time::SimTime;
 
     #[test]
     fn paper_deployments_validate() {
@@ -371,14 +327,19 @@ mod tests {
         cfg.latencies = vec![(0, 7, Duration::from_millis(1))];
         assert!(cfg.validate().is_err());
 
-        let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::SensibleRouting, 1);
-        cfg.link_faults = vec![LinkFault {
-            a: 0,
-            b: 1,
-            fail_at: SimTime::from_secs(100),
-            recover_at: SimTime::from_secs(50),
-        }];
-        assert!(cfg.validate().is_err());
+        // Autoscale thresholds: inverted RMTTF marks, a NaN threshold, no
+        // room to grow.
+        let bad_autoscale: [fn(&mut AutoscaleConfig); 4] = [
+            |a| a.rmttf_low_s = a.rmttf_high_s,
+            |a| a.response_threshold_s = f64::NAN,
+            |a| a.rmttf_high_s = f64::INFINITY,
+            |a| a.max_vms = 0,
+        ];
+        for breaks in bad_autoscale {
+            let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::SensibleRouting, 1);
+            breaks(&mut cfg.autoscale);
+            assert!(cfg.validate().is_err(), "{:?}", cfg.autoscale);
+        }
 
         // A non-positive SLA bound would fail every healthy VM at t = 0.
         let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::SensibleRouting, 1);

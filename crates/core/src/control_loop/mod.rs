@@ -106,7 +106,7 @@ pub struct ControlLoop {
     /// Leader-side degradation knobs (quarantine, retries, hysteresis).
     degradation: DegradationConfig,
     leader: LeaderState,
-    /// Runtime reconfigurations still to come, `cfg.link_faults` included.
+    /// Runtime reconfigurations still to come.
     scenario: Scenario,
     /// Request-routing data plane kept in lock-step with the installed
     /// plan: every install (fresh or frozen-with-quarantine) rebuilds the
@@ -182,7 +182,7 @@ impl ControlLoop {
             net: ControlPlane::new(cfg, &obs),
             degradation: cfg.degradation.clone(),
             leader,
-            scenario: cfg.lowered_scenario(),
+            scenario: cfg.scenario.clone(),
             router,
             causes: Causes::new(&obs, n, slo.len()),
             slo,
@@ -247,7 +247,7 @@ impl ControlLoop {
         &self.leader.fractions
     }
 
-    /// Switches the leader's policy at runtime, keeping the tuning knobs
+    /// Switches the leader's policy at runtime, keeping the policy knobs
     /// (k, jitter, region costs). The paper's framework "offers the
     /// possibility to modify the deploy at runtime in case the workload
     /// conditions change during the lifetime of the system" (Sec. II) —

@@ -1,7 +1,7 @@
 use super::monitor::MONITOR_SHARDS_MAX;
 use super::*;
-use crate::config::LinkFault;
 use crate::policy::PolicyKind;
+use crate::scenario::ScenarioAction;
 use acm_pcam::RttfSource;
 
 /// Builds a loop with oracle predictors (fast: no training phase).
@@ -331,12 +331,14 @@ fn response_time_stays_under_the_sla() {
 #[test]
 fn link_fault_suspends_plan_updates_for_the_cut_region() {
     let mut cfg = fig3_cfg(PolicyKind::AvailableResources);
-    cfg.link_faults = vec![LinkFault {
-        a: 0,
-        b: 1,
-        fail_at: SimTime::from_secs(300),
-        recover_at: SimTime::from_secs(600),
-    }];
+    cfg.scenario.push(
+        SimTime::from_secs(300),
+        ScenarioAction::FailLink { a: 0, b: 1 },
+    );
+    cfg.scenario.push(
+        SimTime::from_secs(600),
+        ScenarioAction::RecoverLink { a: 0, b: 1 },
+    );
     let mut cl = oracle_loop(&cfg);
     cl.run(40);
     // The run must survive the partition and keep serving.
@@ -461,12 +463,14 @@ fn decision_log_covers_plans_ewma_and_phase_timers() {
 #[test]
 fn policy_switch_and_partition_reach_the_decision_log() {
     let mut cfg = fig3_cfg(PolicyKind::SensibleRouting);
-    cfg.link_faults = vec![LinkFault {
-        a: 0,
-        b: 1,
-        fail_at: SimTime::from_secs(60),
-        recover_at: SimTime::from_secs(120),
-    }];
+    cfg.scenario.push(
+        SimTime::from_secs(60),
+        ScenarioAction::FailLink { a: 0, b: 1 },
+    );
+    cfg.scenario.push(
+        SimTime::from_secs(120),
+        ScenarioAction::RecoverLink { a: 0, b: 1 },
+    );
     let mut cl = oracle_loop(&cfg);
     cl.run(3);
     cl.set_policy(PolicyKind::AvailableResources);

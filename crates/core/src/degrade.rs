@@ -222,13 +222,6 @@ impl HealthTracker {
     pub fn quarantine_count(&self, j: usize) -> u32 {
         self.quarantines[j]
     }
-
-    /// Lifetime re-admissions for region `j`. Invariant checkers compare
-    /// this against [`HealthTracker::quarantine_count`]: more readmits
-    /// than quarantines means the hysteresis oscillated.
-    pub fn readmit_count(&self, j: usize) -> u32 {
-        self.readmits[j]
-    }
 }
 
 #[cfg(test)]

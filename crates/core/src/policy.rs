@@ -124,7 +124,7 @@ impl LoadBalancingPolicy {
         self.step_timer = obs.timer("acm.core.policy.step_ns");
     }
 
-    /// Replaces the policy kind, keeping every tuning knob (runtime policy
+    /// Replaces the policy kind, keeping every policy knob (runtime policy
     /// switching).
     pub fn with_kind(mut self, kind: PolicyKind) -> Self {
         self.kind = kind;

@@ -5,9 +5,8 @@
 //! the system" (paper Sec. II). [`Scenario`] makes such modifications
 //! first-class experiment inputs: a timeline of actions — policy switches,
 //! overlay faults, capacity changes — that the control loop applies as
-//! their instants pass. A [`crate::config::LinkFault`] list is shorthand
-//! for a `FailLink` / `RecoverLink` pair per fault and is lowered into
-//! them when the loop is built.
+//! their instants pass. Actions that share an instant apply in the order
+//! they were given.
 
 use crate::policy::PolicyKind;
 use acm_sim::time::SimTime;

@@ -233,15 +233,6 @@ impl LassoRegression {
     }
 }
 
-impl crate::model::Regressor for LassoRegression {
-    fn predict_one(&self, x: &[f64]) -> f64 {
-        LassoRegression::predict_one(self, x)
-    }
-    fn name(&self) -> &'static str {
-        "lasso"
-    }
-}
-
 /// Soft-thresholding operator `S(z, g) = sign(z)·max(|z| − g, 0)`.
 fn soft_threshold(z: f64, gamma: f64) -> f64 {
     if z > gamma {

@@ -27,10 +27,9 @@
 //! * [`m5p`] — M5 model tree: linear models at the leaves with smoothing.
 //! * [`svr`] — linear ε-insensitive SVR trained by averaged SGD.
 //! * [`lssvm`] — least-squares SVM with RBF kernel (direct solve).
-//! * [`model`] — the common [`Regressor`] interface and
-//!   the [`ModelKind`] menu.
-//! * [`tuning`] — cross-validated hyper-parameter grid search.
-//! * [`validate`] — holdout and k-fold evaluation.
+//! * [`model`] — the [`ModelKind`] menu and [`AnyModel`], the one
+//!   dispatch over a trained model of any family.
+//! * [`validate`] — model scoring and k-fold cross-validation.
 //! * [`toolchain`] — the end-to-end F2PM pipeline used by the controllers.
 
 #![warn(missing_docs)]
@@ -49,9 +48,8 @@ pub mod ridge;
 pub mod scaler;
 pub mod svr;
 pub mod toolchain;
-pub mod tuning;
 pub mod validate;
 
 pub use dataset::Dataset;
-pub use model::{AnyModel, ModelKind, Regressor};
+pub use model::{AnyModel, ModelKind};
 pub use toolchain::{F2pmReport, F2pmToolchain, RttfPredictor};

@@ -54,15 +54,6 @@ impl LinearRegression {
     }
 }
 
-impl crate::model::Regressor for LinearRegression {
-    fn predict_one(&self, x: &[f64]) -> f64 {
-        LinearRegression::predict_one(self, x)
-    }
-    fn name(&self) -> &'static str {
-        "linear"
-    }
-}
-
 /// Shared L2-regularised normal-equation solver used by OLS (tiny jitter)
 /// and Ridge (real `lambda`). Returns weights and intercept in the original
 /// feature space. `lambda` applies on the standardised scale.

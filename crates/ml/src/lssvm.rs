@@ -124,23 +124,9 @@ impl LsSvm {
         self.y_scaler.inverse(f)
     }
 
-    /// Number of support points retained.
-    pub fn support_count(&self) -> usize {
-        self.support.len()
-    }
-
     /// RBF bandwidth actually used.
     pub fn sigma(&self) -> f64 {
         self.sigma
-    }
-}
-
-impl crate::model::Regressor for LsSvm {
-    fn predict_one(&self, x: &[f64]) -> f64 {
-        LsSvm::predict_one(self, x)
-    }
-    fn name(&self) -> &'static str {
-        "ls-svm"
     }
 }
 
@@ -224,7 +210,7 @@ mod tests {
             ..Default::default()
         };
         let m = LsSvm::fit(&ds, &cfg, &mut SimRng::new(4));
-        assert_eq!(m.support_count(), 100);
+        assert_eq!(m.support.len(), 100);
         assert!((m.predict_one(&[0.5]) - 1.0).abs() < 0.1);
     }
 

@@ -154,15 +154,6 @@ impl M5Prime {
     }
 }
 
-impl crate::model::Regressor for M5Prime {
-    fn predict_one(&self, x: &[f64]) -> f64 {
-        M5Prime::predict_one(self, x)
-    }
-    fn name(&self) -> &'static str {
-        "m5p"
-    }
-}
-
 struct M5Builder<'a> {
     nodes: Vec<M5Node>,
     cfg: &'a M5Config,

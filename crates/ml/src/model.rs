@@ -1,4 +1,4 @@
-//! Common model interface and the F2PM model menu.
+//! The F2PM model menu and its one dispatch, [`AnyModel`].
 
 use crate::dataset::Dataset;
 use crate::lasso::LassoRegression;
@@ -9,20 +9,6 @@ use crate::rep_tree::RepTree;
 use crate::ridge::RidgeRegression;
 use crate::svr::LinearSvr;
 use acm_sim::rng::SimRng;
-
-/// A trained regression model.
-pub trait Regressor: Send + Sync {
-    /// Predicts the target for one feature row.
-    fn predict_one(&self, x: &[f64]) -> f64;
-
-    /// Predicts many rows.
-    fn predict(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        rows.iter().map(|r| self.predict_one(r)).collect()
-    }
-
-    /// Stable display name of the model family.
-    fn name(&self) -> &'static str;
-}
 
 /// The model families F2PM supports (paper Sec. III): "Linear regression,
 /// M5P, REP-Tree, Lasso as a predictor, Support-Vector Machine, and
@@ -127,10 +113,9 @@ impl AnyModel {
             AnyModel::LsSvm(_) => ModelKind::LsSvm,
         }
     }
-}
 
-impl Regressor for AnyModel {
-    fn predict_one(&self, x: &[f64]) -> f64 {
+    /// Predicts the target for one feature row.
+    pub fn predict_one(&self, x: &[f64]) -> f64 {
         match self {
             AnyModel::Linear(m) => m.predict_one(x),
             AnyModel::Ridge(m) => m.predict_one(x),
@@ -142,21 +127,17 @@ impl Regressor for AnyModel {
         }
     }
 
-    fn predict(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        // Dispatch the enum once per batch, not once per row; the tree
-        // additionally gets its compact-arena batch walk.
+    /// Predicts many rows.
+    pub fn predict(&self, rows: &[Vec<f64>]) -> Vec<f64> {
         match self {
-            AnyModel::Linear(m) => m.predict(rows),
-            AnyModel::Ridge(m) => m.predict(rows),
-            AnyModel::Lasso(m) => m.predict(rows),
+            // The tree has its compact-arena batch walk.
             AnyModel::RepTree(m) => m.predict_batch(rows),
-            AnyModel::M5P(m) => m.predict(rows),
-            AnyModel::Svr(m) => m.predict(rows),
-            AnyModel::LsSvm(m) => m.predict(rows),
+            _ => rows.iter().map(|r| self.predict_one(r)).collect(),
         }
     }
 
-    fn name(&self) -> &'static str {
+    /// Stable display name of the model family.
+    pub fn name(&self) -> &'static str {
         self.kind().name()
     }
 }
@@ -204,11 +185,19 @@ mod tests {
     fn batch_predict_matches_single() {
         let ds = linear_ds(100, 3);
         let mut rng = SimRng::new(4);
-        let model = ModelKind::Linear.fit(&ds, &mut rng);
-        let rows = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        let batch = model.predict(&rows);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0], model.predict_one(&rows[0]));
-        assert_eq!(batch[1], model.predict_one(&rows[1]));
+        let rows = vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![9.5, 0.5]];
+        for kind in ModelKind::ALL {
+            let model = kind.fit(&ds, &mut rng);
+            assert_eq!(model.name(), kind.name());
+            let batch = model.predict(&rows);
+            assert_eq!(batch.len(), rows.len());
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(
+                    batch[i].to_bits(),
+                    model.predict_one(row).to_bits(),
+                    "{kind} row {i}"
+                );
+            }
+        }
     }
 }

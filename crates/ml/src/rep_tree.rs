@@ -201,9 +201,6 @@ impl RepTree {
 
     /// Predicts one row.
     pub fn predict_one(&self, x: &[f64]) -> f64 {
-        if self.flat_feature.is_empty() {
-            return self.predict_one_nodes(x);
-        }
         let feat = self.flat_feature.as_slice();
         let vals = self.flat_threshold.as_slice();
         let right = self.flat_right.as_slice();
@@ -222,29 +219,6 @@ impl RepTree {
         }
     }
 
-    /// Enum-arena walk, used before `compact()` builds the flat arena.
-    fn predict_one_nodes(&self, x: &[f64]) -> f64 {
-        let mut idx = self.root;
-        loop {
-            match &self.nodes[idx] {
-                Node::Leaf { value } => return *value,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                    ..
-                } => {
-                    idx = if x[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
-        }
-    }
-
     /// Predicts many rows in one pass over the compact arena, appending one
     /// prediction per row to `out` (which is cleared first). Accepts any
     /// iterator of feature slices so callers can feed packed scratch
@@ -258,10 +232,6 @@ impl RepTree {
         I: IntoIterator<Item = &'a [f64]>,
     {
         out.clear();
-        if self.flat_feature.is_empty() {
-            out.extend(rows.into_iter().map(|x| self.predict_one_nodes(x)));
-            return;
-        }
         let feat = self.flat_feature.as_slice();
         let vals = self.flat_threshold.as_slice();
         let right = self.flat_right.as_slice();
@@ -437,18 +407,6 @@ impl RepTree {
         } else {
             subtree_err
         }
-    }
-}
-
-impl crate::model::Regressor for RepTree {
-    fn predict_one(&self, x: &[f64]) -> f64 {
-        RepTree::predict_one(self, x)
-    }
-    fn predict(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        self.predict_batch(rows)
-    }
-    fn name(&self) -> &'static str {
-        "rep-tree"
     }
 }
 

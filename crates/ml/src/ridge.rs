@@ -50,15 +50,6 @@ impl RidgeRegression {
     }
 }
 
-impl crate::model::Regressor for RidgeRegression {
-    fn predict_one(&self, x: &[f64]) -> f64 {
-        RidgeRegression::predict_one(self, x)
-    }
-    fn name(&self) -> &'static str {
-        "ridge"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

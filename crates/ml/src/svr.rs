@@ -129,15 +129,6 @@ impl LinearSvr {
     }
 }
 
-impl crate::model::Regressor for LinearSvr {
-    fn predict_one(&self, x: &[f64]) -> f64 {
-        LinearSvr::predict_one(self, x)
-    }
-    fn name(&self) -> &'static str {
-        "svr"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,7 @@
 use crate::dataset::Dataset;
 use crate::lasso::LassoRegression;
 use crate::metrics::RegressionMetrics;
-use crate::model::{AnyModel, ModelKind, Regressor};
+use crate::model::{AnyModel, ModelKind};
 use crate::validate::evaluate;
 use acm_obs::{Obs, Timer};
 use acm_sim::rng::SimRng;

@@ -1,4 +1,4 @@
-//! Model validation: holdout and k-fold evaluation.
+//! Model validation: scoring a trained model and k-fold cross-validation.
 //!
 //! k-fold CV runs its folds in parallel on the exec pool
 //! (`acm_exec::map_collect`) with one RNG stream pre-split per fold **in
@@ -7,7 +7,7 @@
 
 use crate::dataset::Dataset;
 use crate::metrics::RegressionMetrics;
-use crate::model::{AnyModel, ModelKind, Regressor};
+use crate::model::{AnyModel, ModelKind};
 use acm_sim::rng::SimRng;
 
 /// Why a k-fold request cannot be evaluated.
@@ -25,9 +25,6 @@ pub enum CvError {
         /// The requested fold count.
         k: usize,
     },
-    /// Every tuning candidate scored a non-finite RMSE (degenerate data
-    /// or a broken `fit_predict`), so no winner can be declared.
-    NoFiniteScore,
 }
 
 impl std::fmt::Display for CvError {
@@ -41,9 +38,6 @@ impl std::fmt::Display for CvError {
                     f,
                     "k-fold CV needs at least k rows (got {rows} rows for k = {k})"
                 )
-            }
-            CvError::NoFiniteScore => {
-                write!(f, "every candidate scored a non-finite RMSE; no winner")
             }
         }
     }
@@ -67,19 +61,6 @@ pub fn check_folds(k: usize, rows: usize) -> Result<(), CvError> {
 pub fn evaluate(model: &AnyModel, ds: &Dataset) -> RegressionMetrics {
     let preds = model.predict(ds.rows());
     RegressionMetrics::compute(ds.targets(), &preds)
-}
-
-/// Trains `kind` on a shuffled `train_frac` split and scores it on the rest.
-pub fn holdout_eval(
-    kind: ModelKind,
-    ds: &Dataset,
-    train_frac: f64,
-    rng: &mut SimRng,
-) -> (AnyModel, RegressionMetrics) {
-    let (train, test) = ds.split(train_frac, rng);
-    let model = kind.fit(&train, rng);
-    let metrics = evaluate(&model, &test);
-    (model, metrics)
 }
 
 /// Per-fold and aggregate results of a k-fold cross-validation.
@@ -139,42 +120,6 @@ impl CvResult {
     }
 }
 
-/// One point of a learning curve.
-#[derive(Debug, Clone, Copy)]
-pub struct LearningPoint {
-    /// Training rows used.
-    pub train_rows: usize,
-    /// Holdout metrics at that training size.
-    pub metrics: RegressionMetrics,
-}
-
-/// Learning curve: trains `kind` on growing prefixes of a shuffled training
-/// split and scores each on a fixed holdout — how much feature data the
-/// F2PM initial phase actually needs.
-pub fn learning_curve(
-    kind: ModelKind,
-    ds: &Dataset,
-    fractions: &[f64],
-    rng: &mut SimRng,
-) -> Vec<LearningPoint> {
-    assert!(!fractions.is_empty(), "need at least one training fraction");
-    let (train, test) = ds.split(0.75, rng);
-    fractions
-        .iter()
-        .map(|&frac| {
-            assert!((0.0..=1.0).contains(&frac), "fraction out of range");
-            let rows = ((train.len() as f64 * frac).round() as usize).max(2);
-            let subset: Vec<usize> = (0..rows.min(train.len())).collect();
-            let slice = train.subset(&subset);
-            let model = kind.fit(&slice, rng);
-            LearningPoint {
-                train_rows: slice.len(),
-                metrics: evaluate(&model, &test),
-            }
-        })
-        .collect()
-}
-
 /// k-fold cross-validation of one model family, folds evaluated in
 /// parallel on the exec pool. Validates the fold request up front
 /// instead of returning NaN aggregates (or panicking inside
@@ -220,15 +165,6 @@ mod tests {
             ds.push(vec![a, b], 2.0 * a + b + rng.normal(0.0, 0.05));
         }
         ds
-    }
-
-    #[test]
-    fn holdout_eval_scores_well_on_learnable_data() {
-        let ds = linear_ds(400, 1);
-        let mut rng = SimRng::new(2);
-        let (_, metrics) = holdout_eval(ModelKind::Linear, &ds, 0.75, &mut rng);
-        assert!(metrics.r2 > 0.98, "{metrics}");
-        assert_eq!(metrics.n, 100);
     }
 
     #[test]
@@ -297,23 +233,6 @@ mod tests {
         let a = cross_validate(ModelKind::RepTree, &ds, 4, &mut SimRng::new(18));
         let b = cross_validate(ModelKind::RepTree, &ds, 4, &mut SimRng::new(18));
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
-
-    #[test]
-    fn learning_curve_improves_with_data() {
-        let ds = linear_ds(600, 7);
-        let mut rng = SimRng::new(8);
-        let curve = learning_curve(ModelKind::Linear, &ds, &[0.05, 0.3, 1.0], &mut rng);
-        assert_eq!(curve.len(), 3);
-        assert!(curve[0].train_rows < curve[2].train_rows);
-        // More data never hurts a well-specified linear model (big margin
-        // to absorb noise).
-        assert!(
-            curve[2].metrics.rmse <= curve[0].metrics.rmse * 1.5,
-            "rmse {} -> {}",
-            curve[0].metrics.rmse,
-            curve[2].metrics.rmse
-        );
     }
 
     #[test]

@@ -318,11 +318,6 @@ impl Obs {
         self.tracer.as_ref().map(|t| t.span(t_us, name, None))
     }
 
-    /// The ambient trace context (None without tracing or when unset).
-    pub fn trace_ambient(&self) -> Option<TraceContext> {
-        self.tracer.as_ref().and_then(|t| t.ambient())
-    }
-
     /// Sets the ambient trace context annotating subsequent plain emits.
     /// No-op without tracing.
     pub fn set_trace_ambient(&self, ctx: Option<TraceContext>) {

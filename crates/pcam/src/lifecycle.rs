@@ -301,15 +301,6 @@ impl ModelLifecycle {
         &self.labeler
     }
 
-    /// Current phase, for gauges/debugging.
-    pub fn phase_name(&self) -> &'static str {
-        match self.phase {
-            Phase::Idle => "idle",
-            Phase::Loading(_) => "loading",
-            Phase::Shadowing(_) => "shadowing",
-        }
-    }
-
     /// `(candidate, incumbent)` mean shadow errors, when shadowing and
     /// both models have scored at least one row.
     pub fn shadow_errs(&self) -> Option<(f64, f64)> {
@@ -628,14 +619,14 @@ mod tests {
                 rows: 24
             }]
         );
-        assert_eq!(lc.phase_name(), "loading");
+        assert!(matches!(lc.phase, Phase::Loading(_)));
 
         // Not due yet at era 6; due at era 7 = 5 + refit_eras.
         assert!(lc.begin_era(6).is_empty());
-        assert_eq!(lc.phase_name(), "loading");
+        assert!(matches!(lc.phase, Phase::Loading(_)));
         let ev = lc.begin_era(7);
         assert_eq!(ev, vec![LifecycleEvent::RefitDone { version: 2 }]);
-        assert_eq!(lc.phase_name(), "shadowing");
+        assert!(matches!(lc.phase, Phase::Shadowing(_)));
         // Still serving version 1 while shadowing.
         assert_eq!(lc.version(), 1);
     }
@@ -651,7 +642,7 @@ mod tests {
         let mut source = RttfSource::Model(quick_predictor(7));
         feed_rows(&mut lc, (MIN_REFIT_ROWS - 1) as u32, 500);
         assert!(lc.end_era(0, true, &mut source).is_empty());
-        assert_eq!(lc.phase_name(), "idle");
+        assert!(matches!(lc.phase, Phase::Idle));
     }
 
     #[test]
@@ -676,7 +667,7 @@ mod tests {
         feed_rows(&mut lc, 24, 100);
         assert!(!lc.end_era(0, true, &mut source).is_empty());
         lc.begin_era(1);
-        assert_eq!(lc.phase_name(), "shadowing");
+        assert!(matches!(lc.phase, Phase::Shadowing(_)));
 
         for i in 0..4u64 {
             let f = feature_vec(300 + i);
@@ -694,7 +685,7 @@ mod tests {
             "worthless candidate must be rejected, got {ev:?}"
         );
         assert_eq!(lc.version(), 1);
-        assert_eq!(lc.phase_name(), "idle");
+        assert!(matches!(lc.phase, Phase::Idle));
         // The incumbent kept serving, untouched.
         let RttfSource::Model(m) = &source else {
             panic!("model source")

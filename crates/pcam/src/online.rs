@@ -152,11 +152,6 @@ impl OnlineLabeler {
     pub fn dropped_non_finite(&self) -> u64 {
         self.dropped_non_finite
     }
-
-    /// Snapshots still awaiting an outcome.
-    pub fn pending_snapshots(&self) -> usize {
-        self.pending.values().map(Vec::len).sum()
-    }
 }
 
 /// Configuration of the per-region [`DriftMonitor`], lifted out of the
@@ -324,7 +319,7 @@ mod tests {
         );
         labeler.observe(vm_id, t(0), snapshot(&vm, t(0), 10.0));
         labeler.observe(vm_id, t(30), snapshot(&vm, t(30), 10.0));
-        assert_eq!(labeler.pending_snapshots(), 2);
+        assert_eq!(labeler.pending.values().map(Vec::len).sum::<usize>(), 2);
         let labelled = labeler.on_failure(vm_id, t(100));
         assert_eq!(labelled, 2);
         assert_eq!(labeler.labelled_rows(), 2);

@@ -265,18 +265,10 @@ impl Vmc {
         self.reactive_total
     }
 
-    /// Estimated MTTF of one VM: predicted remaining time plus the lifetime
-    /// already survived (exact for the fluid anomaly model, and the natural
-    /// estimator a deployed VMC computes from its rejuvenation log).
-    pub fn vm_mttf_estimate(&self, vm: &Vm, now: SimTime, lambda: f64) -> f64 {
-        let rttf = self.rttf_source.predict(vm, now, lambda);
-        rttf + vm.age(now).as_secs_f64()
-    }
-
     /// The region's current RMTTF estimate: the average MTTF estimate over
     /// ACTIVE VMs ("calculated as the average MTTF of all active VMs in the
     /// region", paper Sec. IV). Returns 0 when nothing is active.
-    pub fn region_mttf(&self, now: SimTime, region_lambda: f64) -> f64 {
+    fn region_mttf(&self, now: SimTime, region_lambda: f64) -> f64 {
         let pairs: Vec<(&Vm, f64)> = {
             let active: Vec<&Vm> = self.pool.vms().iter().filter(|v| v.is_active()).collect();
             if active.is_empty() {
@@ -678,9 +670,10 @@ mod tests {
     #[test]
     fn mttf_estimate_adds_age_to_rttf() {
         let vmc = mk_vmc(2, 1, RttfSource::Oracle);
-        let vm = &vmc.pool().vms()[0];
+        // One ACTIVE VM: the region's estimate is that VM's MTTF.
+        let vm = vmc.pool().vms().iter().find(|v| v.is_active()).unwrap();
         let now = SimTime::from_secs(100);
-        let est = vmc.vm_mttf_estimate(vm, now, 10.0);
+        let est = vmc.region_mttf(now, 10.0);
         let rttf = vm.true_rttf(10.0);
         assert!((est - (rttf + 100.0)).abs() < 1e-9);
     }

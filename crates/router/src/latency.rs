@@ -169,11 +169,6 @@ impl LatencyScorer {
         self.count[region]
     }
 
-    /// Whether the region has enough measurements to be judged.
-    pub fn eligible(&self, region: usize) -> bool {
-        self.count[region] >= self.cfg.minimum_measurements
-    }
-
     /// Whether the region is currently excluded (eligible and beyond the
     /// exclusion cutoff as of the last refresh).
     pub fn excluded(&self, region: usize) -> bool {
@@ -207,7 +202,7 @@ mod tests {
         let s = LatencyScorer::new(3, LatencyAwareness::default());
         assert_eq!(s.keys(), &[0.0, 0.0, 0.0]);
         assert!(!s.excluded(0));
-        assert!(!s.eligible(0));
+        assert_eq!(s.count(0), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   resolution stored in `u64` so event ordering is exact (no float drift).
 //! * [`rng`] — a small, fast, splittable PRNG (xoshiro256++) plus the
 //!   distribution samplers the workload and anomaly models need
-//!   (exponential, normal, log-normal, Pareto, Zipf, Bernoulli).
+//!   (exponential, normal, log-normal, Poisson, Bernoulli).
 //! * [`event`] — the pending-event set: an implicit 4-ary min-heap over a
 //!   generation-tagged slot arena, with a monotonic sequence tie-breaker so
 //!   simultaneous events fire in schedule order and O(1) hash-free

@@ -225,78 +225,12 @@ impl SimRng {
         }
     }
 
-    /// Pareto variate with scale `x_min > 0` and shape `alpha > 0`.
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
-        assert!(
-            x_min > 0.0 && alpha > 0.0,
-            "pareto parameters must be positive"
-        );
-        x_min / (1.0 - self.f64()).powf(1.0 / alpha)
-    }
-
-    /// Zipf-distributed rank in `[0, n)` with exponent `s >= 0`, via inverse
-    /// transform on the precomputed CDF held by [`ZipfTable`]. For repeated
-    /// draws build the table once.
-    pub fn zipf(&mut self, table: &ZipfTable) -> usize {
-        table.sample(self)
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
             let j = self.index(i + 1);
             xs.swap(i, j);
         }
-    }
-
-    /// Picks a uniformly random element of a non-empty slice.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        &xs[self.index(xs.len())]
-    }
-}
-
-/// Precomputed CDF for Zipf sampling over `n` ranks with exponent `s`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ZipfTable {
-    cdf: Vec<f64>,
-}
-
-impl ZipfTable {
-    /// Builds the table. Panics if `n == 0` or `s < 0`.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "zipf support must be non-empty");
-        assert!(
-            s >= 0.0 && s.is_finite(),
-            "zipf exponent must be non-negative"
-        );
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
-        }
-        ZipfTable { cdf }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True when the table has a single rank.
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.f64();
-        self.cdf
-            .partition_point(|c| *c <= u)
-            .min(self.cdf.len() - 1)
     }
 }
 
@@ -428,28 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_respects_scale() {
-        let mut rng = SimRng::new(10);
-        for _ in 0..1_000 {
-            assert!(rng.pareto(1.5, 2.0) >= 1.5);
-        }
-    }
-
-    #[test]
-    fn zipf_is_monotone_in_rank() {
-        let mut rng = SimRng::new(11);
-        let table = ZipfTable::new(10, 1.0);
-        let mut counts = [0usize; 10];
-        for _ in 0..100_000 {
-            counts[rng.zipf(&table)] += 1;
-        }
-        // Rank 0 must dominate rank 9 by roughly 10x for s=1.
-        assert!(counts[0] > counts[9] * 5, "{counts:?}");
-        // All ranks hit.
-        assert!(counts.iter().all(|c| *c > 0));
-    }
-
-    #[test]
     fn shuffle_is_a_permutation() {
         let mut rng = SimRng::new(13);
         let mut xs: Vec<u32> = (0..50).collect();
@@ -457,15 +369,6 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_returns_member() {
-        let mut rng = SimRng::new(14);
-        let xs = [10, 20, 30];
-        for _ in 0..100 {
-            assert!(xs.contains(rng.choose(&xs)));
-        }
     }
 
     #[test]

@@ -87,13 +87,6 @@ impl ShardLayout {
         self.bounds[s]..self.bounds[s + 1]
     }
 
-    /// The shard owning item `i`.
-    pub fn shard_of(&self, i: usize) -> usize {
-        assert!(i < self.items(), "item {i} outside the layout");
-        // bounds is sorted; find the last bound <= i.
-        self.bounds.partition_point(|b| *b <= i) - 1
-    }
-
     /// Iterates `(shard, range)` pairs in index order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
         (0..self.shards()).map(|s| (s, self.range(s)))
@@ -218,10 +211,6 @@ mod tests {
                     next = r.end;
                 }
                 assert_eq!(next, items);
-                for i in 0..items {
-                    let s = l.shard_of(i);
-                    assert!(l.range(s).contains(&i));
-                }
             }
         }
     }

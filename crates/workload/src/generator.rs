@@ -145,17 +145,6 @@ impl RegionWorkload {
     }
 }
 
-/// Total offered rate over a set of per-region workloads — the global `λ`
-/// of paper Eq. 3.
-pub fn global_rate(workloads: &[RegionWorkload], now: SimTime, responses: &[f64]) -> f64 {
-    assert_eq!(workloads.len(), responses.len(), "one response per region");
-    workloads
-        .iter()
-        .zip(responses)
-        .map(|(w, r)| w.offered_rate(now, *r))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,16 +221,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_think_time_panics() {
         let _ = RegionWorkload::with_think_time(ClientSchedule::Constant(1), 0.0);
-    }
-
-    #[test]
-    fn global_rate_sums_regions() {
-        let ws = vec![
-            RegionWorkload::new(ClientSchedule::Constant(70)),
-            RegionWorkload::new(ClientSchedule::Constant(140)),
-        ];
-        let total = global_rate(&ws, t(0), &[0.0, 0.0]);
-        assert!((total - 30.0).abs() < 1e-9);
     }
 
     #[test]

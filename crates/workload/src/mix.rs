@@ -42,14 +42,6 @@ impl InteractionClass {
             InteractionClass::OrderStatus => 1.1,
         }
     }
-
-    /// True for the order-side categories of the TPC-W spec.
-    pub fn is_order_side(self) -> bool {
-        matches!(
-            self,
-            InteractionClass::Cart | InteractionClass::Buy | InteractionClass::OrderStatus
-        )
-    }
 }
 
 /// One of the three canonical TPC-W mixes.
@@ -73,17 +65,6 @@ impl TpcwMix {
             TpcwMix::Shopping => [0.55, 0.25, 0.10, 0.05, 0.05],
             TpcwMix::Ordering => [0.30, 0.20, 0.20, 0.20, 0.10],
         }
-    }
-
-    /// Fraction of order-side interactions (sanity metric: ~0.05 / ~0.20 /
-    /// ~0.50 for the three mixes).
-    pub fn order_fraction(self) -> f64 {
-        InteractionClass::ALL
-            .iter()
-            .zip(self.class_weights())
-            .filter(|(c, _)| c.is_order_side())
-            .map(|(_, w)| w)
-            .sum()
     }
 
     /// Mean service-demand multiplier of the mix (weights the per-request
@@ -111,9 +92,11 @@ mod tests {
 
     #[test]
     fn order_fractions_match_the_spec_ratios() {
-        assert!((TpcwMix::Browsing.order_fraction() - 0.05).abs() < 1e-12);
-        assert!((TpcwMix::Shopping.order_fraction() - 0.20).abs() < 1e-12);
-        assert!((TpcwMix::Ordering.order_fraction() - 0.50).abs() < 1e-12);
+        // Cart, buy and order-status are the spec's order side.
+        let order = |mix: TpcwMix| mix.class_weights()[2..].iter().sum::<f64>();
+        assert!((order(TpcwMix::Browsing) - 0.05).abs() < 1e-12);
+        assert!((order(TpcwMix::Shopping) - 0.20).abs() < 1e-12);
+        assert!((order(TpcwMix::Ordering) - 0.50).abs() < 1e-12);
     }
 
     #[test]

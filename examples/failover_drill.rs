@@ -7,9 +7,10 @@
 //! cargo run --release --example failover_drill
 //! ```
 
-use acm::core::config::{ExperimentConfig, LinkFault, PredictorChoice};
+use acm::core::config::{ExperimentConfig, PredictorChoice};
 use acm::core::framework::run_experiment;
 use acm::core::policy::PolicyKind;
+use acm::core::scenario::ScenarioAction;
 use acm::overlay::{election, NodeId, OverlayGraph};
 use acm::sim::{Duration, SimTime};
 
@@ -52,12 +53,14 @@ fn main() {
     let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 42);
     cfg.predictor = PredictorChoice::Oracle;
     cfg.eras = 60;
-    cfg.link_faults = vec![LinkFault {
-        a: 0,
-        b: 1,
-        fail_at: SimTime::from_secs(600),
-        recover_at: SimTime::from_secs(900),
-    }];
+    cfg.scenario.push(
+        SimTime::from_secs(600),
+        ScenarioAction::FailLink { a: 0, b: 1 },
+    );
+    cfg.scenario.push(
+        SimTime::from_secs(900),
+        ScenarioAction::RecoverLink { a: 0, b: 1 },
+    );
     let tel = run_experiment(&cfg);
 
     println!(

@@ -13,7 +13,7 @@
 
 mod common;
 
-use acm::core::config::{ExperimentConfig, LinkFault, PredictorChoice, RegionSpec};
+use acm::core::config::{ExperimentConfig, PredictorChoice, RegionSpec};
 use acm::core::control_loop::ControlLoop;
 use acm::core::framework::build_vmcs;
 use acm::core::policy::PolicyKind;
@@ -76,14 +76,12 @@ fn check(name: &str, mut cl: ControlLoop, kinds: &[&str], golden: [u64; 3]) {
 fn scripted_fig4_world() {
     let mut cfg = ExperimentConfig::three_region_fig4(PolicyKind::Exploration, 2016);
     cfg.predictor = PredictorChoice::Oracle;
-    cfg.link_faults = vec![LinkFault {
-        a: 0,
-        b: 2,
-        fail_at: t(300),
-        recover_at: t(600),
-    }];
     let at = |s, action| ScheduledAction { at: t(s), action };
     cfg.scenario = Scenario::new(vec![
+        // The scripted link fault leads the vector so it applies ahead of
+        // the actions that share its instants.
+        at(300, ScenarioAction::FailLink { a: 0, b: 2 }),
+        at(600, ScenarioAction::RecoverLink { a: 0, b: 2 }),
         // With 0–2 down, cutting 1–2 partitions region 2 for six eras.
         at(360, ScenarioAction::FailLink { a: 1, b: 2 }),
         at(540, ScenarioAction::RecoverLink { a: 1, b: 2 }),
@@ -112,18 +110,16 @@ fn scripted_fig4_world() {
     );
 }
 
-/// (a') The legacy `link_faults` route on a traced hub: the fault opens a
+/// (a') A scripted link fault on a traced hub: the fault opens a
 /// `fault.scripted` root that the losses and the re-election chain off.
 #[test]
 fn traced_link_fault_world() {
     let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 2016);
     cfg.predictor = PredictorChoice::Oracle;
-    cfg.link_faults = vec![LinkFault {
-        a: 0,
-        b: 1,
-        fail_at: t(300),
-        recover_at: t(600),
-    }];
+    cfg.scenario
+        .push(t(300), ScenarioAction::FailLink { a: 0, b: 1 });
+    cfg.scenario
+        .push(t(600), ScenarioAction::RecoverLink { a: 0, b: 1 });
     cfg.obs = ObsConfig::traced(9);
     check(
         "traced link fault",

@@ -1,9 +1,10 @@
 //! Integration: overlay fault tolerance — partitions, rerouting, leader
 //! election — exercised through the whole stack.
 
-use acm::core::config::{ExperimentConfig, LinkFault, PredictorChoice};
+use acm::core::config::{ExperimentConfig, PredictorChoice};
 use acm::core::framework::run_experiment;
 use acm::core::policy::PolicyKind;
+use acm::core::scenario::ScenarioAction;
 use acm::overlay::{election, NodeId, OverlayGraph, Transport};
 use acm::sim::{Duration, SimTime};
 
@@ -19,12 +20,14 @@ fn control_loop_survives_a_mid_run_partition() {
         2016,
     ));
     cfg.eras = 60;
-    cfg.link_faults = vec![LinkFault {
-        a: 0,
-        b: 1,
-        fail_at: SimTime::from_secs(600),
-        recover_at: SimTime::from_secs(1200),
-    }];
+    cfg.scenario.push(
+        SimTime::from_secs(600),
+        ScenarioAction::FailLink { a: 0, b: 1 },
+    );
+    cfg.scenario.push(
+        SimTime::from_secs(1200),
+        ScenarioAction::RecoverLink { a: 0, b: 1 },
+    );
     let tel = run_experiment(&cfg);
     assert_eq!(tel.eras(), 60);
     // Clients keep being served throughout.
@@ -48,12 +51,14 @@ fn partition_freezes_fractions_for_the_cut_region() {
     ));
     cfg.eras = 40;
     // Permanent partition from era 10 on.
-    cfg.link_faults = vec![LinkFault {
-        a: 0,
-        b: 1,
-        fail_at: SimTime::from_secs(300),
-        recover_at: SimTime::from_secs(1_000_000),
-    }];
+    cfg.scenario.push(
+        SimTime::from_secs(300),
+        ScenarioAction::FailLink { a: 0, b: 1 },
+    );
+    cfg.scenario.push(
+        SimTime::from_secs(1_000_000),
+        ScenarioAction::RecoverLink { a: 0, b: 1 },
+    );
     let tel = run_experiment(&cfg);
     // Fractions recorded after the cut stay frozen at the last agreed
     // value: the leader cannot install plans on the unreachable region.
@@ -73,20 +78,16 @@ fn repeated_faults_heal_repeatedly() {
         2016,
     ));
     cfg.eras = 80;
-    cfg.link_faults = vec![
-        LinkFault {
-            a: 0,
-            b: 2,
-            fail_at: SimTime::from_secs(300),
-            recover_at: SimTime::from_secs(600),
-        },
-        LinkFault {
-            a: 1,
-            b: 2,
-            fail_at: SimTime::from_secs(900),
-            recover_at: SimTime::from_secs(1200),
-        },
-    ];
+    for (a, b, fail_s) in [(0, 2, 300), (1, 2, 900)] {
+        cfg.scenario.push(
+            SimTime::from_secs(fail_s),
+            ScenarioAction::FailLink { a, b },
+        );
+        cfg.scenario.push(
+            SimTime::from_secs(fail_s + 300),
+            ScenarioAction::RecoverLink { a, b },
+        );
+    }
     let tel = run_experiment(&cfg);
     assert_eq!(tel.eras(), 80);
     // In the 3-region mesh a single link failure never partitions: the

@@ -1,10 +1,9 @@
 //! Integration: scripted runtime scenarios through the whole framework.
 
 use acm::core::config::{ExperimentConfig, PredictorChoice};
-use acm::core::framework::{run_experiment, run_experiment_with_obs};
+use acm::core::framework::run_experiment;
 use acm::core::policy::PolicyKind;
 use acm::core::scenario::{Scenario, ScenarioAction, ScheduledAction};
-use acm::obs::{Obs, ObsConfig};
 use acm::sim::SimTime;
 
 fn base(policy: PolicyKind) -> ExperimentConfig {
@@ -71,44 +70,6 @@ fn scripted_capacity_change_is_applied() {
         f_after > f_before * 1.2,
         "fractions should follow capacity: {f_before} -> {f_after}"
     );
-}
-
-#[test]
-fn scripted_link_fault_matches_link_fault_config() {
-    // `link_faults` is an input format lowered into the scenario
-    // mechanism: both spellings leave the same telemetry, the same event
-    // log and — on a traced hub, where a scripted fault opens a
-    // `fault.scripted` root — the same span tree.
-    let run = |cfg: &ExperimentConfig| {
-        let obs = Obs::new(ObsConfig::traced(2016));
-        let tel = run_experiment_with_obs(cfg, obs.clone());
-        (tel.to_csv(), obs.events_jsonl(), obs.spans_jsonl())
-    };
-    let mut via_faults = base(PolicyKind::AvailableResources);
-    via_faults.eras = 40;
-    via_faults.link_faults = vec![acm::core::config::LinkFault {
-        a: 0,
-        b: 1,
-        fail_at: t(300),
-        recover_at: t(600),
-    }];
-
-    let mut via_scenario = base(PolicyKind::AvailableResources);
-    via_scenario.eras = 40;
-    via_scenario.scenario = Scenario::new(vec![
-        ScheduledAction {
-            at: t(300),
-            action: ScenarioAction::FailLink { a: 0, b: 1 },
-        },
-        ScheduledAction {
-            at: t(600),
-            action: ScenarioAction::RecoverLink { a: 0, b: 1 },
-        },
-    ]);
-
-    let (faults, scenario) = (run(&via_faults), run(&via_scenario));
-    assert!(faults.1.contains("fault.scripted"));
-    assert_eq!(faults, scenario);
 }
 
 #[test]
