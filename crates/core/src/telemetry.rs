@@ -464,7 +464,10 @@ impl ExperimentTelemetry {
     /// Renders the full telemetry as one CSV table (figure regeneration):
     /// a `time_s` column, then each row in column order.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("time_s");
+        // `,` plus a `{:.6}` value is ~12 bytes a column.
+        let columns = GROUPS.len() * self.region_names.len() + GLOBALS.len();
+        let mut out = String::with_capacity((self.rows.len() + 1) * (12 + 12 * columns));
+        out.push_str("time_s");
         for suffix in GROUPS {
             for name in &self.region_names {
                 let _ = write!(out, ",{name}_{suffix}");

@@ -24,8 +24,16 @@
 //! Readers ([`EventLog::tail`], [`EventLog::to_jsonl`]) merge all kinds
 //! back into one stream ordered by global sequence number. Capacity 0
 //! makes the log inert (used by the no-op hub).
+//!
+//! ## Export
+//!
+//! [`EventLog::to_jsonl`] merges the kinds by reference — each kind's
+//! head and tail are already in sequence order — and writes every record
+//! with `EventRecord::write_json` into one pre-sized buffer, under the
+//! lock: nothing is cloned, and no field gets a `String` of its own. Only
+//! [`EventLog::tail`], which hands records out, clones them (the last `n`).
 
-use crate::json::{push_escaped, push_f64, JsonObject};
+use crate::json::{push_escaped, push_f64, push_i64, push_key, push_u64};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -115,8 +123,8 @@ impl From<Arc<[f64]>> for Value {
 impl Value {
     fn push_json(&self, out: &mut String) {
         match self {
-            Value::U64(v) => out.push_str(&v.to_string()),
-            Value::I64(v) => out.push_str(&v.to_string()),
+            Value::U64(v) => push_u64(out, *v),
+            Value::I64(v) => push_i64(out, *v),
             Value::F64(v) => push_f64(out, *v),
             Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
             Value::Str(v) => push_escaped(out, v),
@@ -152,16 +160,24 @@ pub struct EventRecord {
 impl EventRecord {
     /// The record as one JSON object (`{"seq":…,"t_us":…,"kind":…,…fields}`).
     pub fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
-        o.field_u64("seq", self.seq)
-            .field_u64("t_us", self.t_us)
-            .field_str("kind", self.kind);
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`EventRecord::to_json`]'s text to `out`.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        push_key(out, '{', "seq");
+        push_u64(out, self.seq);
+        push_key(out, ',', "t_us");
+        push_u64(out, self.t_us);
+        push_key(out, ',', "kind");
+        push_escaped(out, self.kind);
         for (k, v) in &self.fields {
-            let mut raw = String::new();
-            v.push_json(&mut raw);
-            o.field_raw(k, &raw);
+            push_key(out, ',', k);
+            v.push_json(out);
         }
-        o.finish()
+        out.push('}');
     }
 }
 
@@ -272,12 +288,14 @@ impl EventLog {
         }
     }
 
-    /// All retained records across kinds, ordered by sequence number.
-    fn merged(stores: &Stores) -> Vec<EventRecord> {
-        let mut out: Vec<EventRecord> = stores
+    /// All retained records across kinds, by reference, ordered by
+    /// sequence number. Each kind's head + tail is one ascending run, so
+    /// the stable sort only merges those runs.
+    fn ordered(stores: &Stores) -> Vec<&EventRecord> {
+        let mut out: Vec<&EventRecord> = stores
             .kinds
             .values()
-            .flat_map(|s| s.head.iter().chain(s.tail.iter()).cloned())
+            .flat_map(|s| s.head.iter().chain(&s.tail))
             .collect();
         out.sort_by_key(|r| r.seq);
         out
@@ -287,10 +305,9 @@ impl EventLog {
     /// all kinds), oldest first.
     pub fn tail(&self, n: usize) -> Vec<EventRecord> {
         let stores = self.stores.lock().unwrap();
-        let mut all = Self::merged(&stores);
+        let all = Self::ordered(&stores);
         let skip = all.len().saturating_sub(n);
-        all.drain(..skip);
-        all
+        all[skip..].iter().map(|&r| r.clone()).collect()
     }
 
     /// Records currently retained (all kinds).
@@ -330,9 +347,13 @@ impl EventLog {
     /// (empty string when nothing is retained).
     pub fn to_jsonl(&self) -> String {
         let stores = self.stores.lock().unwrap();
-        let mut out = String::new();
-        for rec in Self::merged(&stores) {
-            out.push_str(&rec.to_json());
+        let records = Self::ordered(&stores);
+        // ~66 bytes of seq / t_us / kind, ~32 per field: one reservation
+        // covers a typical log.
+        let hint = records.iter().map(|r| 64 + 32 * r.fields.len()).sum();
+        let mut out = String::with_capacity(hint);
+        for rec in records {
+            rec.write_json(&mut out);
             out.push('\n');
         }
         out

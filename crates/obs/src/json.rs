@@ -2,27 +2,50 @@
 //!
 //! Every exporter in the repo writes JSON by hand. This module
 //! centralises the things they all need — string escaping, deterministic
-//! `f64` formatting, and an object builder — so the event log,
+//! number formatting, and an object builder — so the event log,
 //! `ExperimentTelemetry::to_jsonl` and the bench binaries share one
 //! implementation.
 //!
-//! `f64` values use Rust's `Display` (shortest round-trip
-//! representation), which is deterministic across runs and platforms;
-//! non-finite values map to `null` since JSON has no NaN/infinity.
+//! The writer half is a set of `push_*` primitives that append to a
+//! caller's `String` in place: [`push_escaped`], [`push_f64`],
+//! [`push_u64`], [`push_i64`]. [`JsonObject`] is built on them; the
+//! JSONL exporters (event log, metrics registry, span tracer) call them
+//! directly, writing every record by reference into one pre-sized
+//! buffer — no per-record or per-field `String`.
+//!
+//! Numbers use Rust's `Display` through `write!` — for `f64` the
+//! shortest round-trip representation — which is deterministic across
+//! runs and platforms; non-finite floats map to `null` since JSON has no
+//! NaN/infinity.
 //!
 //! The reader half ([`parse`] → [`JsonValue`]) exists for the artifacts
 //! the workspace must load back — fault-plan reproducers in the chaos
-//! corpus, replayed scenario files. Numbers keep their raw token text
-//! ([`JsonValue::Num`]) so `u64` seeds survive the round trip exactly
-//! instead of being squeezed through an `f64`.
+//! corpus, replayed scenario files. It accepts only the number grammar
+//! of RFC 8259 (no `+1`, `01`, `.5` or `1.`). Numbers keep their raw
+//! token text ([`JsonValue::Num`]) so `u64` seeds survive the round trip
+//! exactly instead of being squeezed through an `f64`.
+
+use std::fmt::Write as _;
+
+/// Whether byte `b` of a UTF-8 string must be escaped: `"`, `\`, C0
+/// controls and DEL. Bytes of multi-byte characters are all ≥ 0x80, so
+/// this never splits a character.
+#[inline]
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\' || b == 0x7f
+}
 
 /// Appends `s` to `out` as a JSON string literal (with surrounding
 /// quotes), escaping `"`, `\`, every C0 control character and DEL
 /// (`\u{7f}`) — DEL is legal unescaped JSON but breaks line-oriented
-/// consumers, so it gets the `\uXXXX` treatment too.
+/// consumers, so it gets the `\uXXXX` treatment too. Everything before
+/// the first byte that needs escaping is copied whole — for the names and
+/// labels the exporters write, that is the entire string.
 pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
+    let clean = s.bytes().position(needs_escape).unwrap_or(s.len());
+    out.push_str(&s[..clean]);
+    for c in s[clean..].chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
@@ -32,12 +55,20 @@ pub fn push_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 || c == '\u{7f}' => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// Appends `sep` (`{` or `,`) and `"key":` — the opening of one field of
+/// an object being written in place.
+pub(crate) fn push_key(out: &mut String, sep: char, key: &str) {
+    out.push(sep);
+    push_escaped(out, key);
+    out.push(':');
 }
 
 /// `s` as a JSON string literal.
@@ -51,10 +82,20 @@ pub fn escape(s: &str) -> String {
 /// non-finite values become `null`.
 pub fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
     }
+}
+
+/// Appends `v` to `out` as a JSON number.
+pub fn push_u64(out: &mut String, v: u64) {
+    let _ = write!(out, "{v}");
+}
+
+/// Appends `v` to `out` as a JSON number.
+pub fn push_i64(out: &mut String, v: i64) {
+    let _ = write!(out, "{v}");
 }
 
 /// `v` as JSON number text (`null` when non-finite).
@@ -107,15 +148,13 @@ impl JsonObject {
 
     /// Adds an unsigned integer field.
     pub fn field_u64(&mut self, key: &str, v: u64) -> &mut Self {
-        let buf = self.key(key);
-        buf.push_str(&v.to_string());
+        push_u64(self.key(key), v);
         self
     }
 
     /// Adds a signed integer field.
     pub fn field_i64(&mut self, key: &str, v: i64) -> &mut Self {
-        let buf = self.key(key);
-        buf.push_str(&v.to_string());
+        push_i64(self.key(key), v);
         self
     }
 
@@ -438,12 +477,46 @@ impl Reader<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        // Validate the token parses; keep the raw text for exact ints.
-        text.parse::<f64>()
-            .map(|_| JsonValue::Num(text.to_string()))
-            .map_err(|_| self.error("bad number"))
+        let token = &self.bytes[start..self.pos];
+        if !is_json_number(token) {
+            return Err(self.error("bad number"));
+        }
+        // Keep the raw text for exact ints.
+        let text = std::str::from_utf8(token).expect("number tokens are ASCII");
+        Ok(JsonValue::Num(text.to_string()))
     }
+}
+
+/// Whether `t` is a JSON number token,
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?` — which Rust's `f64`
+/// parser alone would widen with `+1`, `01`, `.5` and `1.`.
+fn is_json_number(t: &[u8]) -> bool {
+    let digits = |i: usize| t[i..].iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut i = usize::from(t.first() == Some(&b'-'));
+    match t.get(i) {
+        Some(b'0') => i += 1,
+        Some(b'1'..=b'9') => i += digits(i),
+        _ => return false,
+    }
+    if t.get(i) == Some(&b'.') {
+        let n = digits(i + 1);
+        if n == 0 {
+            return false;
+        }
+        i += 1 + n;
+    }
+    if matches!(t.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(t.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        let n = digits(i);
+        if n == 0 {
+            return false;
+        }
+        i += n;
+    }
+    i == t.len()
 }
 
 #[cfg(test)]
@@ -545,8 +618,28 @@ mod tests {
             r#"{"a":"\q"}"#,
             "[1,2",
             "",
+            // Numbers Rust's f64 parser takes but JSON forbids.
+            r#"{"seed":+7}"#,
+            r#"{"seed":007}"#,
+            "+1",
+            "01",
+            "-01",
+            ".5",
+            "-.5",
+            "1.",
+            "1.e5",
+            "1e",
+            "1e+",
+            "-",
+            "--1",
+            "1-2",
+            "inf",
+            "1.5.2",
         ] {
             assert!(parse(bad).is_err(), "accepted: {bad:?}");
+        }
+        for good in ["0", "-0", "0.5", "-0.5e-3", "10", "1E9", "1e+2", "123.456"] {
+            assert!(parse(good).is_ok(), "rejected: {good:?}");
         }
         // Recursion guard trips instead of blowing the stack.
         let deep = "[".repeat(200) + &"]".repeat(200);

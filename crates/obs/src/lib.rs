@@ -15,7 +15,8 @@
 //!   STANDBY activations, leader changes, plan installs, EWMA updates)
 //!   with a JSONL exporter;
 //! * [`json`] — the tiny hand-rolled JSON writer the event log and the
-//!   bench/telemetry exporters share.
+//!   bench/telemetry exporters share; the JSONL exports write through its
+//!   in-place `push_*` primitives into one buffer.
 //!
 //! Everything hangs off an [`Obs`] handle created from an [`ObsConfig`].
 //! The default configuration is **on-but-cheap**: metrics are relaxed

@@ -167,24 +167,25 @@ impl Hist {
 
     /// Point-in-time snapshot (empty for inert handles).
     pub fn snapshot(&self) -> HistogramSnapshot {
-        match &self.core {
-            None => HistogramSnapshot::default(),
-            Some(c) => {
-                let mut s = HistogramSnapshot {
-                    count: c.count.load(Ordering::Relaxed),
-                    sum: c.sum.load(Ordering::Relaxed),
-                    min: c.min.load(Ordering::Relaxed),
-                    max: c.max.load(Ordering::Relaxed),
-                    buckets: [0; BUCKETS],
-                };
-                if s.count == 0 {
-                    s.min = 0;
-                }
-                for (i, b) in c.buckets.iter().enumerate() {
-                    s.buckets[i] = b.load(Ordering::Relaxed);
-                }
-                s
-            }
+        self.core
+            .as_ref()
+            .map_or_else(HistogramSnapshot::default, |c| c.snapshot())
+    }
+}
+
+impl HistCore {
+    fn snapshot(&self) -> HistogramSnapshot {
+        let count = self.count.load(Ordering::Relaxed);
+        HistogramSnapshot {
+            count,
+            sum: self.sum.load(Ordering::Relaxed),
+            min: if count == 0 {
+                0
+            } else {
+                self.min.load(Ordering::Relaxed)
+            },
+            max: self.max.load(Ordering::Relaxed),
+            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
         }
     }
 }
@@ -417,34 +418,50 @@ impl MetricsRegistry {
     /// gauges: `{"name","type":"gauge","value"}` (`null` when non-finite);
     /// histograms carry `count/sum/min/max/mean/p50/p90/p99`. One call =
     /// one registry snapshot, suitable for writing alongside the event
-    /// log so sweeps can diff instrument values mechanically.
+    /// log so sweeps can diff instrument values mechanically. Written
+    /// straight from the map under its lock (one consistent pass, nothing
+    /// cloned; a histogram's snapshot lives on the stack).
     pub fn to_jsonl(&self) -> String {
-        use crate::json::JsonObject;
-        let mut out = String::new();
-        for m in self.snapshot() {
-            let mut o = JsonObject::new();
-            o.field_str("name", &m.name);
-            match m.value {
-                MetricValue::Counter(v) => {
-                    o.field_str("type", "counter").field_u64("value", v);
+        use crate::json::{push_escaped, push_f64, push_key, push_u64};
+        let map = self.inner.lock().expect("metrics registry poisoned");
+        let mut out = String::with_capacity(160 * map.len());
+        for (name, entry) in map.iter() {
+            push_key(&mut out, '{', "name");
+            push_escaped(&mut out, name);
+            push_key(&mut out, ',', "type");
+            match entry {
+                Entry::Counter(c) => {
+                    push_escaped(&mut out, "counter");
+                    push_key(&mut out, ',', "value");
+                    push_u64(&mut out, c.value.load(Ordering::Relaxed));
                 }
-                MetricValue::Gauge(v) => {
-                    o.field_str("type", "gauge").field_f64("value", v);
+                Entry::Gauge(g) => {
+                    push_escaped(&mut out, "gauge");
+                    push_key(&mut out, ',', "value");
+                    push_f64(&mut out, f64::from_bits(g.bits.load(Ordering::Relaxed)));
                 }
-                MetricValue::Histogram(h) => {
-                    o.field_str("type", "histogram")
-                        .field_u64("count", h.count)
-                        .field_u64("sum", h.sum)
-                        .field_u64("min", h.min)
-                        .field_u64("max", h.max)
-                        .field_f64("mean", h.mean())
-                        .field_u64("p50", h.p50())
-                        .field_u64("p90", h.p90())
-                        .field_u64("p99", h.p99());
+                Entry::Hist(h) => {
+                    let s = h.snapshot();
+                    push_escaped(&mut out, "histogram");
+                    let totals = [
+                        ("count", s.count),
+                        ("sum", s.sum),
+                        ("min", s.min),
+                        ("max", s.max),
+                    ];
+                    for (key, v) in totals {
+                        push_key(&mut out, ',', key);
+                        push_u64(&mut out, v);
+                    }
+                    push_key(&mut out, ',', "mean");
+                    push_f64(&mut out, s.mean());
+                    for (key, v) in [("p50", s.p50()), ("p90", s.p90()), ("p99", s.p99())] {
+                        push_key(&mut out, ',', key);
+                        push_u64(&mut out, v);
+                    }
                 }
             }
-            out.push_str(&o.finish());
-            out.push('\n');
+            out.push_str("}\n");
         }
         out
     }
@@ -460,12 +477,7 @@ impl MetricsRegistry {
                     Entry::Gauge(g) => {
                         MetricValue::Gauge(f64::from_bits(g.bits.load(Ordering::Relaxed)))
                     }
-                    Entry::Hist(h) => MetricValue::Histogram(Box::new(
-                        Hist {
-                            core: Some(h.clone()),
-                        }
-                        .snapshot(),
-                    )),
+                    Entry::Hist(h) => MetricValue::Histogram(Box::new(h.snapshot())),
                 },
             })
             .collect()
@@ -576,6 +588,45 @@ mod tests {
         let st = two.snapshot();
         assert_eq!(st.p50(), 80, "64 + 63/4 ≈ 80");
         assert_eq!(st.quantile(1.0), 111, "64 + 63·3/4 ≈ 111, within range");
+    }
+
+    proptest::proptest! {
+        /// The quantile error bound the module docs state: every estimate
+        /// lies in the observed `[min, max]` and in the log₂ bucket of the
+        /// exact nearest-rank quantile, so within a factor of two of it.
+        #[test]
+        fn quantile_error_is_bounded_by_the_winning_bucket(
+            draws in proptest::collection::vec((0u64..=u64::MAX, 0usize..64), 1..300),
+        ) {
+            let (_reg, h) = hist();
+            let mut sorted: Vec<u64> = draws.iter().map(|&(v, shift)| v >> shift).collect();
+            for &v in &sorted {
+                h.record(v);
+            }
+            sorted.sort_unstable();
+            let s = h.snapshot();
+            for q in [0.50, 0.90, 0.99] {
+                let est = s.quantile(q);
+                let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
+                let exact = sorted[rank - 1];
+                proptest::prop_assert!(
+                    (s.min..=s.max).contains(&est),
+                    "q{q}: {est} outside [{}, {}]",
+                    s.min,
+                    s.max
+                );
+                proptest::prop_assert_eq!(
+                    bucket_of(est),
+                    bucket_of(exact),
+                    "q{q}: {est} vs exact {exact}"
+                );
+                let (e, x) = (u128::from(est), u128::from(exact));
+                proptest::prop_assert!(
+                    e <= 2 * x && x <= 2 * e,
+                    "q{q}: {est} vs exact {exact}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! `(trace, span)` pair that piggybacks on overlay messages (including
 //! through `ShardOutbox` staging) and annotates emitted events.
 
-use crate::json::JsonObject;
+use crate::json::{push_escaped, push_key, push_u64};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -90,13 +90,24 @@ pub struct SpanRecord {
 impl SpanRecord {
     /// The record as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
-        o.field_u64("id", self.id)
-            .field_u64("trace", self.trace)
-            .field_u64("parent", self.parent)
-            .field_u64("t_us", self.t_us)
-            .field_str("name", self.name);
-        o.finish()
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`SpanRecord::to_json`]'s text to `out`.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        push_key(out, '{', "id");
+        push_u64(out, self.id);
+        push_key(out, ',', "trace");
+        push_u64(out, self.trace);
+        push_key(out, ',', "parent");
+        push_u64(out, self.parent);
+        push_key(out, ',', "t_us");
+        push_u64(out, self.t_us);
+        push_key(out, ',', "name");
+        push_escaped(out, self.name);
+        out.push('}');
     }
 }
 
@@ -195,12 +206,14 @@ impl Tracer {
         self.inner.lock().unwrap().dropped
     }
 
-    /// Retained spans as JSON Lines, in allocation order.
+    /// Retained spans as JSON Lines, in allocation order, written by
+    /// reference into one pre-sized buffer.
     pub fn to_jsonl(&self) -> String {
         let inner = self.inner.lock().unwrap();
-        let mut out = String::new();
+        // Four ids of up to 20 digits, a name, the keys: ~130 bytes.
+        let mut out = String::with_capacity(128 * inner.spans.len());
         for rec in &inner.spans {
-            out.push_str(&rec.to_json());
+            rec.write_json(&mut out);
             out.push('\n');
         }
         out

@@ -1,25 +1,31 @@
 //! Characterisation: what `ControlLoop::step_era` leaves behind, pinned.
 //!
-//! Three ≤ 40-era worlds that between them walk every branch of the era —
+//! ≤ 40-era worlds that between them walk every branch of the era —
 //! scripted link faults and scenario actions, the sharded MONITOR with
 //! child hubs, message chaos with retries, quarantine → probation →
 //! readmit, a leader kill, frozen plans, SLO windows, and the model
-//! lifecycle's refit → promote / reject chain. Each pins the FNV-1a-64
-//! of the telemetry CSV, the event log and the span tree. The constants
-//! were generated at a70fc62, before `step_era` was decomposed: a
-//! mismatch means the era's behaviour (event kinds, fields or order,
-//! span ids, RNG draws) moved — regenerate them only for a change that
-//! means to move it.
+//! lifecycle's refit → promote / reject chain — plus three chaos-campaign
+//! cases in the shape of the repo benchmark's `fault-storm`. Each pins
+//! the FNV-1a-64 of the telemetry CSV, the event log and the span tree.
+//! The first four worlds' constants were generated at a70fc62, before
+//! `step_era` was decomposed; the campaign cases' before the JSONL
+//! exporters began writing by reference. A mismatch means the era's
+//! behaviour (event kinds, fields or order, span ids, RNG draws) or the
+//! export bytes moved — regenerate them only for a change that means to
+//! move them.
 
 mod common;
 
+use acm::chaos::{build_case, CampaignConfig};
 use acm::core::config::{ExperimentConfig, PredictorChoice, RegionSpec};
 use acm::core::control_loop::ControlLoop;
 use acm::core::framework::build_vmcs;
 use acm::core::policy::PolicyKind;
 use acm::core::scenario::{Scenario, ScenarioAction, ScheduledAction};
 use acm::core::DegradationConfig;
-use acm::obs::ObsConfig;
+use acm::obs::json::{self, JsonValue};
+use acm::obs::{MetricValue, ObsConfig};
+use acm::overlay::fault::FaultAction;
 use acm::overlay::{FaultPlan, NodeId};
 use acm::sim::rng::SimRng;
 use acm::sim::{Duration, SimTime};
@@ -48,7 +54,8 @@ fn framework_loop(cfg: &ExperimentConfig) -> ControlLoop {
 /// Runs the loop and checks its three artefacts against the pinned
 /// `[csv, events, spans]` hashes; `kinds` must all appear in the event
 /// log (a world that stops producing a branch pins nothing about it).
-fn check(name: &str, mut cl: ControlLoop, kinds: &[&str], golden: [u64; 3]) {
+/// Returns the finished loop.
+fn check(name: &str, mut cl: ControlLoop, kinds: &[&str], golden: [u64; 3]) -> ControlLoop {
     cl.run(ERAS);
     let events = cl.obs().events_jsonl();
     for kind in kinds {
@@ -67,6 +74,7 @@ fn check(name: &str, mut cl: ControlLoop, kinds: &[&str], golden: [u64; 3]) {
         "{name}: [csv, events, spans] = [{:#018x}, {:#018x}, {:#018x}]",
         got[0], got[1], got[2]
     );
+    cl
 }
 
 /// (a) fig-4 × Policy 3, default observability: a scripted link fault and
@@ -218,4 +226,94 @@ fn drifted_lifecycle_world() {
             0x836a_b624_72d7_5d4c,
         ],
     );
+}
+
+/// A kill and a revival in the same era: the checker's known false
+/// positive, which the repo benchmark's `fault-storm` never issues.
+fn kill_meets_revival(plan: &FaultPlan, era_us: u64) -> bool {
+    let eras_of = |want: fn(&FaultAction) -> bool| -> Vec<u64> {
+        plan.events
+            .iter()
+            .filter(|e| want(&e.action))
+            .map(|e| e.at.as_micros().div_ceil(era_us))
+            .collect()
+    };
+    let revivals = eras_of(|a| matches!(a, FaultAction::RecoverNode(_)));
+    eras_of(|a| matches!(a, FaultAction::KillLeader))
+        .iter()
+        .any(|k| revivals.contains(k))
+}
+
+/// (d) `fault-storm`'s shape: cases of the default chaos campaign, traced
+/// with their case seed — a three-region partition, three-region message
+/// chaos, and a two-region leader kill under message chaos with crash
+/// windows. The metrics export is wall-clock, so only its line names and
+/// types are pinned: one line per `Obs::metrics` entry, in that order.
+#[test]
+fn campaign_case_worlds() {
+    let cc = CampaignConfig::default();
+    let cases: [(usize, &[&str], [u64; 3]); 3] = [
+        (
+            2,
+            &["chaos.partition", "chaos.heal", "plan.freeze", "slo.burn"],
+            [
+                0xd336_ee86_7d8c_c50b,
+                0x119d_f032_ed4d_1a52,
+                0x1967_5b9e_50db_13e3,
+            ],
+        ),
+        (
+            5,
+            &["chaos.msg.drop", "report.retry"],
+            [
+                0xb2b9_7fe0_31f3_871a,
+                0xd317_5ea2_c3d5_c216,
+                0xbe57_bd07_ec06_58fa,
+            ],
+        ),
+        (
+            15,
+            &[
+                "chaos.leader.kill",
+                "leader.change",
+                "chaos.msg.drop",
+                "region.quarantine",
+                "region.readmit",
+            ],
+            [
+                0xd67b_bb06_d4a4_bc04,
+                0x3e5b_3c3d_3d92_2ed0,
+                0x73c3_3f0d_e027_fe9f,
+            ],
+        ),
+    ];
+    for (index, kinds, golden) in cases {
+        let case = build_case(&cc, index);
+        let mut cfg = case.cfg;
+        let plan = cfg
+            .fault_plan
+            .as_ref()
+            .expect("campaign cases carry a plan");
+        assert!(!kill_meets_revival(plan, cfg.era.as_micros()));
+        cfg.obs = ObsConfig::traced(case.case_seed);
+        let cl = check(
+            &format!("campaign case {index}"),
+            framework_loop(&cfg),
+            kinds,
+            golden,
+        );
+        let metrics = cl.obs().metrics();
+        let jsonl = cl.obs().metrics_jsonl();
+        assert_eq!(jsonl.lines().count(), metrics.len());
+        for (line, m) in jsonl.lines().zip(&metrics) {
+            let v = json::parse(line).expect("metrics line parses");
+            let kind = match m.value {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge(_) => "gauge",
+                MetricValue::Histogram(_) => "histogram",
+            };
+            assert_eq!(v.get("name").and_then(JsonValue::as_str), Some(&*m.name));
+            assert_eq!(v.get("type").and_then(JsonValue::as_str), Some(kind));
+        }
+    }
 }
