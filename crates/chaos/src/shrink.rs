@@ -2,15 +2,14 @@
 //!
 //! Given a plan whose run violates some invariant, [`shrink_plan`]
 //! greedily minimizes it while re-running the (deterministic) checker
-//! after every candidate cut. Three move families, tried strongest
-//! first each round:
+//! after every candidate cut. Each round walks one stream of candidate
+//! plans, [`candidates`], strongest moves first, and takes the first
+//! that still violates:
 //!
 //! 1. **Drop a component** — a matched fault/recovery window or lone
 //!    event ([`FaultPlan::components`]); removes whole faults.
-//! 2. **Narrow a window** — halve a surviving window's duration
-//!    ([`FaultPlan::narrow_component`]).
-//! 3. **Weaken message chaos** — quantized halving with snap-to-zero
-//!    ([`FaultPlan::weaken_message`]).
+//! 2. **Narrow a window** — halve a surviving window's duration.
+//! 3. **Weaken message chaos** — quantized halving with snap-to-zero.
 //!
 //! Termination is well-founded: every *accepted* move strictly
 //! decreases the measure `(event count, total window length in µs,
@@ -19,7 +18,8 @@
 //! plan (same seed → same verdict), so shrinking is deterministic and
 //! the final plan still violates — both properties are proptested.
 
-use acm_overlay::FaultPlan;
+use acm_overlay::{FaultPlan, PlanComponent};
+use acm_sim::time::{Duration, SimTime};
 
 /// The result of a shrink.
 #[derive(Debug, Clone)]
@@ -48,72 +48,92 @@ where
     let mut steps = 0u32;
     let mut attempts = 0u32;
     loop {
-        let mut progressed = false;
-
-        // 1. Try dropping each component, first-fit.
-        for c in current.components() {
-            if attempts >= MAX_ATTEMPTS {
-                return ShrinkOutcome {
-                    plan: current,
-                    steps,
-                    attempts,
-                };
-            }
-            let candidate = current.without_component(&c);
+        let budget = (MAX_ATTEMPTS - attempts) as usize;
+        let next = candidates(&current).take(budget).find(|candidate| {
             attempts += 1;
-            if still_violates(&candidate) {
-                current = candidate;
-                steps += 1;
-                progressed = true;
-                break;
-            }
-        }
-        if progressed {
-            continue;
-        }
-
-        // 2. Try narrowing each surviving window, first-fit.
-        for c in current.components() {
-            let Some(candidate) = current.narrow_component(&c) else {
-                continue;
+            still_violates(candidate)
+        });
+        let Some(next) = next else {
+            return ShrinkOutcome {
+                plan: current,
+                steps,
+                attempts,
             };
-            if attempts >= MAX_ATTEMPTS {
-                return ShrinkOutcome {
-                    plan: current,
-                    steps,
-                    attempts,
-                };
-            }
-            attempts += 1;
-            if still_violates(&candidate) {
-                current = candidate;
-                steps += 1;
-                progressed = true;
-                break;
-            }
-        }
-        if progressed {
-            continue;
-        }
-
-        // 3. Try weakening message chaos one quantized step.
-        if let Some(candidate) = current.weaken_message() {
-            if attempts < MAX_ATTEMPTS {
-                attempts += 1;
-                if still_violates(&candidate) {
-                    current = candidate;
-                    steps += 1;
-                    continue;
-                }
-            }
-        }
-
-        return ShrinkOutcome {
-            plan: current,
-            steps,
-            attempts,
         };
+        current = next;
+        steps += 1;
     }
+}
+
+/// Every one-move shrink of `plan`, in the order [`shrink_plan`] tries
+/// them: each component dropped, then each window that still narrows
+/// narrowed, then message chaos weakened (if it is not inert yet). Built
+/// lazily, so a first-fit search stops paying at its first hit.
+pub fn candidates(plan: &FaultPlan) -> impl Iterator<Item = FaultPlan> + '_ {
+    let components = plan.components();
+    let narrows = components.clone();
+    let drops = components
+        .into_iter()
+        .map(move |c| without_component(plan, &c));
+    let narrows = narrows
+        .into_iter()
+        .filter_map(move |c| narrow_component(plan, &c));
+    let weaken = std::iter::once_with(move || weaken_message(plan)).flatten();
+    drops.chain(narrows).chain(weaken)
+}
+
+/// The plan with every event of `component` removed. Strictly smaller
+/// (fewer events) whenever the component is non-empty.
+fn without_component(plan: &FaultPlan, component: &PlanComponent) -> FaultPlan {
+    let events = plan
+        .events
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !component.indices.contains(i))
+        .map(|(_, ev)| ev.clone())
+        .collect();
+    FaultPlan { events, ..*plan }
+}
+
+/// Halves a matched window's duration (recovery pulled toward the
+/// fault, floor 1µs so the result stays valid). `None` for lone events
+/// or windows already at the floor — so repeated narrowing terminates
+/// (duration strictly decreases).
+fn narrow_component(plan: &FaultPlan, component: &PlanComponent) -> Option<FaultPlan> {
+    let [start, end] = component.indices[..] else {
+        return None;
+    };
+    let at = plan.events[start].at.as_micros();
+    let len = plan.events[end].at.as_micros().checked_sub(at)?;
+    let new_len = (len / 2).max(1);
+    if new_len >= len {
+        return None;
+    }
+    let mut out = plan.clone();
+    out.events[end].at = SimTime::from_micros(at + new_len);
+    Some(out)
+}
+
+/// Weakens message chaos one quantized step: halves `drop_prob`
+/// (snapping to 0 below 1e-3) and halves the extra-delay bound
+/// (snapping to zero below 1ms). `None` when already inert, so repeated
+/// weakening terminates.
+fn weaken_message(plan: &FaultPlan) -> Option<FaultPlan> {
+    if plan.message.is_inert() {
+        return None;
+    }
+    let mut out = plan.clone();
+    out.message.drop_prob = match plan.message.drop_prob / 2.0 {
+        p if p < 1e-3 => 0.0,
+        p => p,
+    };
+    let delay_us = plan.message.extra_delay_max.as_micros() / 2;
+    out.message.extra_delay_max = if delay_us < 1_000 {
+        Duration::ZERO
+    } else {
+        Duration::from_micros(delay_us)
+    };
+    Some(out)
 }
 
 #[cfg(test)]
@@ -154,6 +174,54 @@ mod tests {
             1,
             "window narrowed to the 1µs floor"
         );
+    }
+
+    #[test]
+    fn candidates_drop_then_narrow_then_weaken_and_each_move_terminates() {
+        let plan = FaultPlan::scripted(7, Vec::new())
+            .link_flap(n(0), n(1), t(10), t(30))
+            .crash_window(n(2), t(5), t(25))
+            .kill_leader_at(t(50))
+            .with_message_chaos(0.2, Duration::from_secs(2));
+        let comps = plan.components();
+        let all: Vec<FaultPlan> = candidates(&plan).collect();
+        // Three drops, two narrows (the kill is a lone event), one weaken.
+        assert_eq!(all.len(), 6);
+        for (drop, c) in all.iter().zip(&comps) {
+            assert_eq!(drop.events.len(), plan.events.len() - c.indices.len());
+            assert!(drop.validate(3, Duration::ZERO).is_ok());
+        }
+        // The crash window (first component) narrows 20s -> 10s.
+        let narrowed = &all[3];
+        let [s, e] = narrowed.components()[0].indices[..] else {
+            panic!("the crash window stays paired");
+        };
+        assert_eq!(
+            narrowed.events[e].at.as_micros() - narrowed.events[s].at.as_micros(),
+            t(10).as_micros(),
+            "20s window halves to 10s"
+        );
+        assert_eq!(all[5].events, plan.events);
+        assert_eq!(all[5].message.drop_prob, 0.1);
+
+        // Narrowing terminates: duration strictly decreases to the 1µs floor.
+        let mut cur = plan.clone();
+        let mut steps = 0usize;
+        while let Some(next) = narrow_component(&cur, &cur.components()[0]) {
+            cur = next;
+            steps += 1;
+            assert!(steps < 64, "narrowing must terminate");
+        }
+        // Message weakening terminates at inert.
+        let mut m = plan.clone();
+        let mut steps = 0usize;
+        while let Some(next) = weaken_message(&m) {
+            m = next;
+            steps += 1;
+            assert!(steps < 64, "weakening must terminate");
+        }
+        assert!(m.message.is_inert());
+        assert_eq!(candidates(&FaultPlan::default()).count(), 0);
     }
 
     #[test]

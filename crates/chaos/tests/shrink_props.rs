@@ -2,6 +2,7 @@
 //! contract, driving *real* experiment runs (Oracle predictor keeps a
 //! 40-era case around ten milliseconds in debug).
 
+use acm_chaos::shrink::candidates;
 use acm_chaos::{
     build_case, case_from_parts, run_campaign, run_case, shrink_plan, CampaignConfig, Injection,
 };
@@ -28,9 +29,9 @@ fn verdict_line(case_seed: u64, regions: usize, eras: usize, plan: &FaultPlan) -
 }
 
 proptest! {
-    /// Every candidate a shrink step can propose (drop a component,
-    /// narrow a window, weaken message chaos) evaluates to the same
-    /// verdict when replayed — the delta-debugging loop never acts on a
+    /// Every candidate a shrink step can propose (`candidates`: each
+    /// component dropped, each window narrowed, message chaos weakened)
+    /// evaluates to the same verdict when replayed — the delta-debugging loop never acts on a
     /// flaky signal.
     #[test]
     fn shrink_step_evaluation_is_deterministic(
@@ -45,14 +46,7 @@ proptest! {
         let case = build_case(&cc, index);
         let regions = case.cfg.regions.len();
         let plan = case.cfg.fault_plan.clone().expect("chaos case has a plan");
-        let mut candidates = vec![plan.clone()];
-        let components = plan.components();
-        if let Some(c) = components.first() {
-            candidates.push(plan.without_component(c));
-            candidates.extend(plan.narrow_component(c));
-        }
-        candidates.extend(plan.weaken_message());
-        for candidate in candidates {
+        for candidate in std::iter::once(plan.clone()).chain(candidates(&plan)) {
             let first = verdict_line(case.case_seed, regions, cc.eras, &candidate);
             let again = verdict_line(case.case_seed, regions, cc.eras, &candidate);
             prop_assert_eq!(first, again, "seed {:#x} index {}", seed, index);

@@ -254,7 +254,7 @@ impl ExperimentConfig {
             }
         }
         if let Some(plan) = &self.fault_plan {
-            plan.validate_in_era(self.regions.len() as u32, self.era)?;
+            plan.validate(self.regions.len() as u32, self.era)?;
         }
         self.autoscale.validate()?;
         self.degradation.validate()?;

@@ -728,6 +728,7 @@ fn shard_count_never_shows_in_the_results() {
     assert!(timeline.contains(r#""name":"monitor.shard""#));
     assert!(timeline.contains("shard 0") && !timeline.contains("shard 1"));
 
+    let _width = crate::POOL_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
     let before = acm_exec::current_threads();
     for width in [1, 2, 4] {
         acm_exec::configure_threads(width);

@@ -248,6 +248,7 @@ mod tests {
 
     #[test]
     fn experiment_hub_carries_exec_and_training_instruments() {
+        let _width = crate::POOL_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
         let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 17);
         cfg.eras = 5; // trained predictor: training dominates, loop is short
         let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());

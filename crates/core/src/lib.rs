@@ -49,3 +49,9 @@ pub use framework::{run_experiment, run_experiment_with_obs};
 pub use plan::ForwardPlan;
 pub use policy::{LoadBalancingPolicy, PolicyKind};
 pub use telemetry::ExperimentTelemetry;
+
+/// Held by this crate's tests that swap the global exec pool
+/// (`acm_exec::configure_threads`) or read its counters: a swap mid-run
+/// resets the counters a reader's baseline was taken against.
+#[cfg(test)]
+pub(crate) static POOL_WIDTH: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -6,7 +6,7 @@
 //!
 //! * [`span`] — lightweight wall-clock span timers ([`Timer`] /
 //!   [`Span`]) for the Monitor → Analyze → Plan → Execute phases of every
-//!   control era, with nesting-depth tracking;
+//!   control era;
 //! * [`metrics`] — a global-free [`MetricsRegistry`] of named
 //!   [`Counter`]s, [`Gauge`]s and log₂-bucketed [`Hist`]ograms
 //!   (p50/p90/p99/max) for hot-path statistics;
@@ -70,7 +70,6 @@ pub use span::{Span, Timer};
 pub use timeline::{TimelineRecorder, TimelineSlice};
 pub use trace::{SpanRecord, TraceContext, Tracer};
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// How much observability a run carries.
@@ -154,7 +153,6 @@ pub struct Obs {
     /// Shared with this hub's shard hubs ([`Obs::shard_child`]).
     registry: Arc<MetricsRegistry>,
     events: EventLog,
-    span_depth: Arc<AtomicUsize>,
     tracer: Option<Tracer>,
     timeline: Option<Arc<TimelineRecorder>>,
 }
@@ -168,7 +166,6 @@ impl Obs {
             enabled: cfg.enabled,
             registry: Arc::new(MetricsRegistry::new(cfg.enabled)),
             events: EventLog::new(if cfg.enabled { cfg.event_capacity } else { 0 }),
-            span_depth: Arc::new(AtomicUsize::new(0)),
             tracer: trace_on.then(|| Tracer::new(cfg.trace_seed)),
             timeline: trace_on.then(|| Arc::new(TimelineRecorder::new())),
         })
@@ -204,7 +201,6 @@ impl Obs {
             // Ample per-era headroom: a shard must never evict within one
             // era, or this hub would see another stream than one shard's.
             events: EventLog::new(self.events.capacity().max(4096)),
-            span_depth: self.span_depth.clone(),
             tracer,
             timeline: self.timeline.clone(),
         })
@@ -241,18 +237,13 @@ impl Obs {
     /// by convention the name ends in `_ns`). Resolve once, then
     /// [`Timer::start`] per measurement.
     pub fn timer(&self, name: &str) -> Timer {
-        Timer::new(self.histogram(name), self.span_depth.clone())
+        Timer::new(self.histogram(name))
     }
 
     /// Opens a one-shot span over the named histogram (resolves the timer
     /// each call; pre-resolve with [`Obs::timer`] on hot paths).
     pub fn span(&self, name: &str) -> Span {
         self.timer(name).start()
-    }
-
-    /// Current span nesting depth (0 outside all spans).
-    pub fn span_depth(&self) -> usize {
-        self.span_depth.load(Ordering::Relaxed)
     }
 
     /// Appends a structured event at simulated time `t_us` (microseconds).

@@ -1,18 +1,14 @@
-//! Span timers: scoped wall-clock measurements with nesting depth.
+//! Span timers: scoped wall-clock measurements.
 //!
 //! A [`Timer`] is a pre-resolved handle over one histogram (elapsed
 //! nanoseconds); [`Timer::start`] opens a [`Span`] guard that records on
-//! drop. Spans track a shared nesting depth so a run report can tell
-//! phase-level spans (level 0/1) from inner hot-loop spans; the depth is
-//! a plain counter, so even out-of-order guard drops (moved guards,
-//! early `drop()`) return it to zero.
+//! drop. Guards share no state, so they may drop in any order (moved
+//! guards, early `drop()`) and spans on different threads never contend.
 //!
 //! Wall-clock readings never enter the event log or the simulation, so
 //! spans cannot perturb seed determinism.
 
 use crate::metrics::Hist;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A reusable span timer bound to one histogram. Cheap to clone and store
@@ -20,37 +16,22 @@ use std::time::Instant;
 #[derive(Debug, Clone, Default)]
 pub struct Timer {
     hist: Hist,
-    depth: Option<Arc<AtomicUsize>>,
 }
 
 impl Timer {
-    pub(crate) fn new(hist: Hist, depth: Arc<AtomicUsize>) -> Self {
-        if hist.core.is_none() {
-            return Timer::default(); // disabled hub: fully inert
-        }
-        Timer {
-            hist,
-            depth: Some(depth),
-        }
+    pub(crate) fn new(hist: Hist) -> Self {
+        Timer { hist }
     }
 
     /// Opens a measurement; the returned guard records elapsed nanoseconds
     /// into the timer's histogram when dropped.
     #[inline]
     pub fn start(&self) -> Span {
-        match (&self.hist.core, &self.depth) {
-            (Some(_), Some(depth)) => {
-                let level = depth.fetch_add(1, Ordering::Relaxed);
-                Span {
-                    inner: Some(SpanInner {
-                        start: Instant::now(),
-                        hist: self.hist.clone(),
-                        depth: depth.clone(),
-                        level,
-                    }),
-                }
-            }
-            _ => Span { inner: None },
+        Span {
+            inner: self.hist.core.is_some().then(|| SpanInner {
+                start: Instant::now(),
+                hist: self.hist.clone(),
+            }),
         }
     }
 }
@@ -59,8 +40,6 @@ impl Timer {
 struct SpanInner {
     start: Instant,
     hist: Hist,
-    depth: Arc<AtomicUsize>,
-    level: usize,
 }
 
 /// An open span; records its elapsed wall time on drop.
@@ -75,11 +54,6 @@ impl Span {
     pub fn is_active(&self) -> bool {
         self.inner.is_some()
     }
-
-    /// Nesting level at open time (0 = outermost), `None` when inert.
-    pub fn level(&self) -> Option<usize> {
-        self.inner.as_ref().map(|i| i.level)
-    }
 }
 
 impl Drop for Span {
@@ -87,7 +61,6 @@ impl Drop for Span {
         if let Some(inner) = self.inner.take() {
             let ns = inner.start.elapsed().as_nanos();
             inner.hist.record(ns.min(u64::MAX as u128) as u64);
-            inner.depth.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
@@ -111,34 +84,13 @@ mod tests {
     }
 
     #[test]
-    fn nesting_levels_and_depth() {
-        let obs = Obs::new(ObsConfig::default());
-        assert_eq!(obs.span_depth(), 0);
-        let outer = obs.span("acm.test.span.outer_ns");
-        assert_eq!(outer.level(), Some(0));
-        assert_eq!(obs.span_depth(), 1);
-        {
-            let inner = obs.span("acm.test.span.inner_ns");
-            assert_eq!(inner.level(), Some(1));
-            assert_eq!(obs.span_depth(), 2);
-        }
-        assert_eq!(obs.span_depth(), 1);
-        drop(outer);
-        assert_eq!(obs.span_depth(), 0);
-    }
-
-    #[test]
-    fn out_of_order_drop_still_returns_depth_to_zero() {
+    fn out_of_order_drop_records_each_span_once() {
         let obs = Obs::new(ObsConfig::default());
         let a = obs.span("acm.test.span.a_ns");
         let b = obs.span("acm.test.span.b_ns");
-        assert_eq!((a.level(), b.level()), (Some(0), Some(1)));
         // Drop the outer guard first (moved-guard scenario).
         drop(a);
-        assert_eq!(obs.span_depth(), 1);
         drop(b);
-        assert_eq!(obs.span_depth(), 0);
-        // Both histograms recorded exactly once.
         assert_eq!(obs.histogram("acm.test.span.a_ns").snapshot().count, 1);
         assert_eq!(obs.histogram("acm.test.span.b_ns").snapshot().count, 1);
     }
@@ -149,9 +101,6 @@ mod tests {
         let timer = obs.timer("acm.test.span.noop_ns");
         let s = timer.start();
         assert!(!s.is_active());
-        assert_eq!(s.level(), None);
-        assert_eq!(obs.span_depth(), 0);
         drop(s);
-        assert_eq!(obs.span_depth(), 0);
     }
 }

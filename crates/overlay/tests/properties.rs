@@ -1,9 +1,9 @@
 //! Property-based tests for the overlay.
 
 use acm_overlay::election::elect;
-use acm_overlay::graph::{NodeId, OverlayGraph};
+use acm_overlay::graph::{LinkId, NodeId, OverlayGraph};
 use acm_overlay::routing::{dijkstra, Route, Router};
-use acm_overlay::{ChaosLayer, FaultPlan, Transport};
+use acm_overlay::{ChaosLayer, FaultAction, FaultEvent, FaultPlan, Transport};
 use acm_sim::rng::SimRng;
 use acm_sim::time::{Duration, SimTime};
 use proptest::prelude::*;
@@ -133,6 +133,150 @@ fn random_graph(seed: u64, n: u32, fail_prob: f64) -> OverlayGraph {
         }
     }
     g
+}
+
+/// The schedule check `FaultPlan::validate` replaced, kept as the
+/// oracle: its own open-window lists, matched the way `components()`
+/// pairs them, with a kill's batch `⌈at / era⌉` (`era == 0`: its
+/// instant). `true` when the schedule is well-formed.
+fn schedule_is_well_formed(plan: &FaultPlan, era: Duration) -> bool {
+    let mut schedule: Vec<&FaultEvent> = plan.events.iter().collect();
+    schedule.sort_by_key(|ev| ev.at);
+    let mut open_links: Vec<(LinkId, SimTime)> = Vec::new();
+    let mut open_nodes: Vec<(NodeId, SimTime)> = Vec::new();
+    let mut open_groups: Vec<Vec<NodeId>> = Vec::new();
+    let batch = |at: SimTime| match era.as_micros() {
+        0 => at.as_micros(),
+        e => at.as_micros().div_ceil(e),
+    };
+    let mut last_kill: Option<u64> = None;
+    for ev in schedule {
+        match &ev.action {
+            FaultAction::FailLink(a, b) => open_links.push((LinkId::new(*a, *b), ev.at)),
+            FaultAction::RecoverLink(a, b) => {
+                let id = LinkId::new(*a, *b);
+                if let Some(i) = open_links.iter().position(|(l, _)| *l == id) {
+                    if open_links.remove(i).1 == ev.at {
+                        return false;
+                    }
+                }
+            }
+            FaultAction::CrashNode(n) => open_nodes.push((*n, ev.at)),
+            FaultAction::RecoverNode(n) => {
+                if let Some(i) = open_nodes.iter().position(|(m, _)| m == n) {
+                    if open_nodes.remove(i).1 == ev.at {
+                        return false;
+                    }
+                }
+            }
+            FaultAction::Partition(group) => {
+                let mut key = group.clone();
+                key.sort_unstable();
+                open_groups.push(key);
+            }
+            FaultAction::Heal(group) => {
+                let mut key = group.clone();
+                key.sort_unstable();
+                match open_groups.iter().position(|g| *g == key) {
+                    Some(i) => {
+                        open_groups.remove(i);
+                    }
+                    None => return false,
+                }
+            }
+            FaultAction::KillLeader => {
+                if last_kill == Some(batch(ev.at)) {
+                    return false;
+                }
+                last_kill = Some(batch(ev.at));
+            }
+        }
+    }
+    true
+}
+
+/// A random in-bounds plan over four controllers: a `randomized` storm
+/// plus random kills, partitions, heals, flaps and crashes on a coarse
+/// grid of instants (so windows collapse, heals land before, at and after
+/// their cuts, and kills share batches), then shuffled out of time order.
+fn random_schedule(seed: u64) -> FaultPlan {
+    const NODES: u32 = 4;
+    let mut rng = SimRng::new(seed);
+    let nodes: Vec<NodeId> = (0..NODES).map(NodeId).collect();
+    let links: Vec<(NodeId, NodeId)> = (0..NODES)
+        .flat_map(|a| ((a + 1)..NODES).map(move |b| (NodeId(a), NodeId(b))))
+        .collect();
+    // Grid step: 1µs makes every era a fine batch, 15s straddles 30s eras.
+    let step = [1, 15_000_000][rng.index(2)];
+    let horizon = SimTime::from_micros(8 * step.max(8));
+    let mut plan = FaultPlan::randomized(rng.next_u64(), &nodes, &links, horizon, rng.f64());
+    let at = |rng: &mut SimRng| SimTime::from_micros(rng.index(9) as u64 * step);
+    let node = |rng: &mut SimRng| NodeId(rng.index(NODES as usize) as u32);
+    for _ in 0..rng.index(8) {
+        let action = match rng.index(7) {
+            0 => FaultAction::KillLeader,
+            1 | 2 => {
+                let mut group: Vec<NodeId> = nodes
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.bernoulli(0.5))
+                    .collect();
+                if group.is_empty() {
+                    group.push(node(&mut rng));
+                }
+                if rng.bernoulli(0.5) {
+                    group.reverse();
+                }
+                if rng.bernoulli(0.5) {
+                    FaultAction::Partition(group)
+                } else {
+                    FaultAction::Heal(group)
+                }
+            }
+            3 => FaultAction::CrashNode(node(&mut rng)),
+            4 => FaultAction::RecoverNode(node(&mut rng)),
+            k => {
+                let (a, b) = links[rng.index(links.len())];
+                if k == 5 {
+                    FaultAction::FailLink(a, b)
+                } else {
+                    FaultAction::RecoverLink(b, a)
+                }
+            }
+        };
+        let at = at(&mut rng);
+        plan.events.push(FaultEvent { at, action });
+    }
+    // Zero-length windows at a grid instant.
+    if rng.bernoulli(0.2) {
+        let t = at(&mut rng);
+        let (a, b) = links[rng.index(links.len())];
+        plan = plan.link_flap(a, b, t, t);
+    }
+    if rng.bernoulli(0.2) {
+        let t = at(&mut rng);
+        plan = plan.crash_window(node(&mut rng), t, t);
+    }
+    rng.shuffle(&mut plan.events);
+    plan
+}
+
+/// Eras the schedule check is exercised under: same-instant only, one
+/// microsecond, and the paper's 30 s control era.
+const ERAS: [Duration; 3] = [
+    Duration::ZERO,
+    Duration::from_micros(1),
+    Duration::from_secs(30),
+];
+
+#[test]
+fn schedule_oracle_sees_both_verdicts_under_every_era() {
+    for era in ERAS {
+        let ok = (0..400)
+            .filter(|&seed| schedule_is_well_formed(&random_schedule(seed), era))
+            .count();
+        assert!(ok > 40 && ok < 360, "era {era:?}: {ok} of 400 well-formed");
+    }
 }
 
 proptest! {
@@ -302,6 +446,20 @@ proptest! {
                     prop_assert!(leader <= other, "{node}: {other} < leader {leader}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn validate_agrees_with_the_schedule_oracle(seed in any::<u64>()) {
+        let plan = random_schedule(seed);
+        for era in ERAS {
+            prop_assert_eq!(
+                plan.validate(4, era).is_ok(),
+                schedule_is_well_formed(&plan, era),
+                "era {:?}: {:?}",
+                era,
+                plan
+            );
         }
     }
 }
