@@ -161,7 +161,7 @@ impl FailureDetector {
 mod tests {
     use super::*;
     use crate::graph::OverlayGraph;
-    use crate::transport::{send, Transport};
+    use crate::transport::Transport;
     use acm_sim::sim::Simulator;
 
     fn n(i: u32) -> NodeId {
@@ -297,13 +297,12 @@ mod tests {
                     continue;
                 }
                 let (from, to) = (n(me), n(peer));
-                // Borrow dance: take the transport out to schedule delivery.
-                let mut transport = std::mem::take(&mut sim.world.transport);
-                send(sim, &mut transport, from, to, move |s| {
-                    let now = s.now();
-                    s.world.detectors[peer as usize].record_heartbeat(from, now);
-                });
-                sim.world.transport = transport;
+                if let Some(delay) = sim.world.transport.prepare_send(from, to) {
+                    sim.schedule_in(delay, move |s| {
+                        let now = s.now();
+                        s.world.detectors[peer as usize].record_heartbeat(from, now);
+                    });
+                }
             }
             // Check suspicions; node 1 re-elects if it suspects the leader.
             let newly = sim.world.detectors[me as usize].check(now);

@@ -18,8 +18,8 @@
 //!   membership change),
 //! * [`heartbeat`] — the eventually-perfect failure detector that tells the
 //!   election when to re-run,
-//! * [`transport`] — latency-faithful message delivery for the control
-//!   loop, scheduled on the discrete-event simulator,
+//! * [`transport`] — latency-faithful message pricing for the control
+//!   loop: route latency per send, drops to unreachable nodes,
 //! * [`fault`] — seeded deterministic fault injection (link flaps, node
 //!   crashes, partitions with scheduled heals, leader kills, per-message
 //!   drop/delay chaos) replayed against the transport,

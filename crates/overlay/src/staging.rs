@@ -109,7 +109,7 @@ pub fn drain_in_shard_order<P>(outboxes: &mut [ShardOutbox<P>]) -> Vec<StagedMes
 mod tests {
     use super::*;
     use crate::graph::OverlayGraph;
-    use crate::transport::{send, Transport};
+    use crate::transport::Transport;
     use acm_sim::sim::Simulator;
 
     fn n(i: u32) -> NodeId {
@@ -144,9 +144,10 @@ mod tests {
         let mut tr = mesh();
         for (k, &from) in senders.iter().enumerate() {
             let tag = from.0 * 100 + k as u32;
-            assert!(send(&mut sim, &mut tr, from, leader, move |s| {
+            let delay = tr.prepare_send(from, leader).expect("routable");
+            sim.schedule_in(delay, move |s| {
                 s.world.push((s.now().as_micros(), tag));
-            }));
+            });
         }
         sim.run_to_completion(100);
         let sequential = sim.world;

@@ -1,9 +1,9 @@
 //! Latency-faithful message delivery between controllers.
 //!
 //! [`Transport`] wraps the topology and the router's per-source
-//! shortest-path trees, tracks sent/dropped counters, and schedules
-//! deliveries on the discrete-event simulator after the route latency.
-//! Messages to unreachable nodes are dropped (the control loop tolerates
+//! shortest-path trees, tracks sent/dropped counters, and prices each
+//! send: [`Transport::prepare_send`] returns the route latency the caller
+//! delivers after (`None` when the message is dropped). Messages to unreachable nodes are dropped (the control loop tolerates
 //! this: a slave whose report is lost simply keeps its previous plan for
 //! one era — the same behaviour a lost TCP connection would produce in the
 //! real deployment).
@@ -11,7 +11,6 @@
 use crate::graph::{NodeId, OverlayGraph};
 use crate::routing::{PathTree, Router};
 use acm_obs::{Counter, Hist, ObsHandle, Timer};
-use acm_sim::sim::Simulator;
 use acm_sim::time::Duration;
 
 /// Message-passing facade over the overlay.
@@ -162,27 +161,10 @@ impl Transport {
     }
 }
 
-/// Sends a message on the simulator: `handler` runs after the route latency.
-/// Returns `false` (message dropped) when `to` is unreachable from `from`.
-pub fn send<W>(
-    sim: &mut Simulator<W>,
-    transport: &mut Transport,
-    from: NodeId,
-    to: NodeId,
-    handler: impl FnOnce(&mut Simulator<W>) + Send + 'static,
-) -> bool {
-    match transport.prepare_send(from, to) {
-        Some(delay) => {
-            sim.schedule_in(delay, handler);
-            true
-        }
-        None => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acm_sim::sim::Simulator;
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
@@ -204,10 +186,11 @@ mod tests {
     fn delivers_after_route_latency() {
         let mut t = transport();
         let mut sim = Simulator::new(Vec::<u64>::new());
-        assert!(send(&mut sim, &mut t, n(0), n(2), |s| {
+        let delay = t.prepare_send(n(0), n(2)).expect("routable");
+        sim.schedule_in(delay, |s| {
             let now = s.now().as_micros();
             s.world.push(now);
-        }));
+        });
         sim.run_to_completion(10);
         // Best route 0-1-2 = 50ms.
         assert_eq!(sim.world, vec![ms(50).as_micros()]);
@@ -221,7 +204,9 @@ mod tests {
         t.fail_node(n(1));
         t.fail_link(n(0), n(2));
         let mut sim = Simulator::new(0u32);
-        assert!(!send(&mut sim, &mut t, n(0), n(2), |s| s.world += 1));
+        if let Some(delay) = t.prepare_send(n(0), n(2)) {
+            sim.schedule_in(delay, |s| s.world += 1);
+        }
         sim.run_to_completion(10);
         assert_eq!(sim.world, 0);
         assert_eq!(t.dropped(), 1);

@@ -3,8 +3,8 @@
 //! The paper's figures are time series (RMTTF, workload fraction `f_i`, mean
 //! response time per control-loop era). [`TimeSeries`] stores `(t, value)`
 //! points, supports windowed summaries used by the convergence detectors in
-//! the integration tests, and renders the CSV emitted by the `fig3`/`fig4`
-//! binaries.
+//! the integration tests, and renders the CSV that `repro fig3` / `repro
+//! fig4` write.
 
 use crate::stats::OnlineStats;
 use crate::time::SimTime;

@@ -1,5 +1,5 @@
 //! Golden bytes: the committed `results/fig{3,4}-<policy>.csv` are what
-//! `run_experiment` produces at seed 2016 — the `fig3` / `fig4` binaries
+//! `run_experiment` produces at seed 2016 — `repro fig3` / `repro fig4`
 //! write exactly `to_csv()` under `cfg.name`. Any change to training, the
 //! control loop or the simulators that moves a single byte of the paper's
 //! figures fails here, without having to regenerate `results/` by hand.
