@@ -244,14 +244,17 @@ impl ChaosLayer {
         }
         if self.message.drop_prob > 0.0 && self.rng.bernoulli(self.message.drop_prob) {
             self.ctr_msg_drops.inc();
-            self.hub.emit(
-                now.as_micros(),
-                "chaos.msg.drop",
-                vec![
-                    ("from", Value::U64(u64::from(from.0))),
-                    ("to", Value::U64(u64::from(to.0))),
-                ],
-            );
+            // An inert hub discards the event: skip building its fields.
+            if self.hub.enabled() {
+                self.hub.emit(
+                    now.as_micros(),
+                    "chaos.msg.drop",
+                    vec![
+                        ("from", Value::U64(u64::from(from.0))),
+                        ("to", Value::U64(u64::from(to.0))),
+                    ],
+                );
+            }
             return MessageFate::Drop;
         }
         let max_us = self.message.extra_delay_max.as_micros();

@@ -19,6 +19,7 @@ use crate::router::RequestRouter;
 use acm_overlay::{ChaosLayer, FaultPlan, MessageFate, NodeId};
 use acm_sim::rng::SimRng;
 use acm_sim::shard::{ShardLayout, ShardedWorld};
+use acm_sim::sim::{Event, Simulator};
 use acm_sim::time::{Duration, SimTime};
 use acm_workload::{OpenLoopArrivals, RateProfile, THINK_TIME_MEAN_S};
 use std::time::Instant;
@@ -176,6 +177,23 @@ struct PlaneWorld {
     chaos_delay_us: u64,
 }
 
+/// A request finishing service: the plane's one queued event, plain data.
+#[derive(Debug, Clone, Copy)]
+struct Completion {
+    region: usize,
+    latency: Duration,
+}
+
+impl Event<PlaneWorld> for Completion {
+    #[inline]
+    fn fire(self, s: &mut Simulator<PlaneWorld, Completion>) {
+        s.world.completed += 1;
+        if s.world.latency_feedback {
+            s.world.router.record_latency(self.region, self.latency);
+        }
+    }
+}
+
 /// Runs the routed plane once on the current `acm-exec` pool width.
 pub fn run_routed_plane(cfg: &RoutedPlaneConfig) -> PlaneOutcome {
     assert_eq!(
@@ -221,7 +239,7 @@ pub fn run_routed_plane(cfg: &RoutedPlaneConfig) -> PlaneOutcome {
             })
         })
         .collect();
-    let mut world = ShardedWorld::new(
+    let mut world = ShardedWorld::<_, Completion>::typed(
         ShardLayout::balanced(cfg.shards, cfg.shards),
         &mut rng,
         |s, _| worlds[s].take().expect("one world per shard"),
@@ -270,12 +288,7 @@ pub fn run_routed_plane(cfg: &RoutedPlaneConfig) -> PlaneOutcome {
                         let mean = s.world.service_mean_s[region];
                         let svc = Duration::from_secs_f64(s.world.service.exponential(1.0 / mean));
                         let latency = svc + extra_delay;
-                        s.schedule_at(s.now() + latency, move |s| {
-                            s.world.completed += 1;
-                            if s.world.latency_feedback {
-                                s.world.router.record_latency(region, latency);
-                            }
-                        });
+                        s.schedule_event_at(s.now() + latency, Completion { region, latency });
                     }
                 }
             });

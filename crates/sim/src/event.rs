@@ -1,27 +1,37 @@
 //! The pending-event set.
 //!
-//! An implicit **4-ary min-heap** keyed by `(SimTime, sequence)` over a
-//! generation-tagged **slot arena**. The monotonic sequence number
+//! A **calendar queue** (Brown, CACM 1988) keyed by `(SimTime, sequence)`
+//! over a generation-tagged **slot arena**. The monotonic sequence number
 //! guarantees that events scheduled for the same instant fire in the order
-//! they were scheduled — a requirement for reproducibility that a bare heap
-//! ordered by time alone cannot provide (order among equal keys is
-//! unspecified). Cancellation is O(1): the event's slot is invalidated by
-//! bumping its generation, and the orphaned heap entry is skipped lazily on
-//! pop. No hashing happens anywhere on the schedule/cancel/pop path: slots
-//! are indexed directly.
+//! they were scheduled — a requirement for reproducibility that ordering by
+//! time alone cannot provide. Both halves of the key are packed into one
+//! `u128`, and every ordering decision in this module is one compare of
+//! those keys, so the firing order is exactly the key order, whatever
+//! container an event waits in.
 //!
-//! The 4-ary layout halves the tree depth of a binary heap, and the heap is
-//! stored struct-of-arrays with `(time, seq)` packed into one 16-byte
-//! integer key: the four children a sift step compares share a single cache
-//! line, which benches measurably faster for the push/pop mix the simulator
-//! produces.
+//! The calendar is a ring of `BUCKETS` time buckets, each `2^BUCKET_SHIFT`
+//! µs wide, covering the span that starts at the *current* bucket. Each
+//! bucket holds a circular doubly-linked chain sorted by key, threaded
+//! through the arena slots themselves: a schedule walks back from the
+//! chain's tail to its place, a pop unlinks the head of the first occupied
+//! bucket (found through an occupancy bitmap), and a cancel unlinks its
+//! slot in O(1). Nothing is allocated per event once the arena has grown.
+//! An event beyond the ring's span waits in the **far set**, a 4-ary
+//! min-heap of packed keys, and joins the ring as soon as the calendar
+//! moves close enough; a cancelled far event leaves a tombstone there,
+//! recognised by its slot's generation and dropped on the way in.
 //!
-//! A heap is the wrong container for input that is already sorted, so the
-//! queue also lets a caller *merge* such a stream with it instead of
-//! scheduling it: [`EventQueue::reserve_seqs`] hands the stream a block of
-//! sequence numbers and [`EventQueue::pop_before`] pops only what orders
-//! ahead of the stream's next entry. [`crate::sim`] builds its run loop on
-//! the pair.
+//! The calendar only moves forward, and never past the key it was asked
+//! about, so an event scheduled at or after the last popped (or bounded)
+//! instant lands at or after the current bucket. Scheduling earlier is
+//! allowed and stays correct: such an event joins the current bucket's
+//! chain, whose key order puts it at the head.
+//!
+//! The queue also lets a caller *merge* an already-sorted stream with it
+//! instead of scheduling it: [`EventQueue::reserve_seqs`] hands the stream
+//! a block of sequence numbers and [`EventQueue::pop_before`] pops only
+//! what orders ahead of the stream's next entry. [`crate::sim`] builds its
+//! run loop on the pair.
 
 use crate::time::SimTime;
 
@@ -36,20 +46,35 @@ pub struct EventId {
     gen: u32,
 }
 
-/// Sentinel terminating the free list.
+/// Sentinel terminating the free list and marking an empty bucket.
 const NIL: u32 = u32::MAX;
 
+/// `Slot::bucket` of an event waiting in the far set.
+const FAR: u32 = u32::MAX;
+
+/// Width of one bucket: `2^10` µs ≈ 1 ms. See DESIGN.md §3, rule 1, for
+/// the traffic these two constants are sized from.
+const BUCKET_SHIFT: u32 = 10;
+
+/// Buckets in the ring: a span of `4 096 × 1.024` ms ≈ 4.2 s.
+const BUCKETS: usize = 1 << 12;
+
 /// One arena slot. `payload` is `Some` exactly while the event is live
-/// (scheduled, not yet fired or cancelled); `next_free` threads the free
-/// list through vacant slots.
+/// (scheduled, not yet fired or cancelled). While live, `next`/`prev` link
+/// the slot into its bucket's chain; while vacant, `next` threads the free
+/// list.
 struct Slot<T> {
+    key: u128,
     gen: u32,
+    next: u32,
+    prev: u32,
+    /// Ring index of the bucket whose chain holds the slot, or `FAR`.
+    bucket: u32,
     payload: Option<T>,
-    next_free: u32,
 }
 
-/// Slot reference carried alongside each heap key: the arena slot plus its
-/// generation at schedule time, so tombstones of cancelled events are
+/// Slot reference carried alongside each far-set key: the arena slot plus
+/// its generation at schedule time, so tombstones of cancelled events are
 /// recognisable.
 #[derive(Clone, Copy)]
 struct HeapMeta {
@@ -71,227 +96,48 @@ fn key_time(key: u128) -> SimTime {
     SimTime::from_micros((key >> 64) as u64)
 }
 
-/// A cancellable, deterministic future-event list.
-///
-/// The heap is stored struct-of-arrays: `keys` carries only the 16-byte
-/// packed ordering keys, so the four children a sift step compares fit in a
-/// single cache line; the slot references travel in the parallel `meta`
-/// array and are touched only when an entry actually moves.
-pub struct EventQueue<T> {
-    /// Implicit 4-ary min-heap of packed `(time, seq)` keys.
+/// Absolute calendar bucket (`time >> BUCKET_SHIFT`) of a packed key.
+#[inline]
+fn key_bucket(key: u128) -> u64 {
+    ((key >> 64) as u64) >> BUCKET_SHIFT
+}
+
+/// The far set: an implicit 4-ary min-heap stored struct-of-arrays, so the
+/// four children a sift step compares share one cache line; the slot
+/// references travel in the parallel `meta` array.
+#[derive(Default)]
+struct FarSet {
     keys: Vec<u128>,
-    /// Slot reference of each heap entry, index-aligned with `keys`.
     meta: Vec<HeapMeta>,
-    /// Slot arena holding payloads, indexed by `HeapMeta::slot`.
-    slots: Vec<Slot<T>>,
-    /// Head of the vacant-slot free list (`NIL` when every slot is in use).
-    free_head: u32,
-    next_seq: u64,
-    /// Count of live (scheduled, not cancelled) events.
-    live: usize,
-    /// Cumulative count of schedules that reused a vacant arena slot
-    /// instead of growing the arena — each one is an allocation the
-    /// clear-and-reuse discipline saved.
-    reused_slots: u64,
 }
 
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> EventQueue<T> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            keys: Vec::new(),
-            meta: Vec::new(),
-            slots: Vec::new(),
-            free_head: NIL,
-            next_seq: 0,
-            live: 0,
-            reused_slots: 0,
-        }
+impl FarSet {
+    fn min_key(&self) -> Option<u128> {
+        self.keys.first().copied()
     }
 
-    /// Creates an empty queue with room for `capacity` events before any
-    /// reallocation.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            keys: Vec::with_capacity(capacity),
-            meta: Vec::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
-            free_head: NIL,
-            next_seq: 0,
-            live: 0,
-            reused_slots: 0,
-        }
-    }
-
-    /// Schedules `payload` to fire at `at`. Returns a handle for cancellation.
-    pub fn schedule(&mut self, at: SimTime, payload: T) -> EventId {
-        let slot = match self.free_head {
-            NIL => {
-                let idx = self.slots.len() as u32;
-                assert!(idx != NIL, "event queue slot arena exhausted");
-                self.slots.push(Slot {
-                    gen: 0,
-                    payload: Some(payload),
-                    next_free: NIL,
-                });
-                idx
-            }
-            idx => {
-                let s = &mut self.slots[idx as usize];
-                self.free_head = s.next_free;
-                s.next_free = NIL;
-                s.payload = Some(payload);
-                self.reused_slots += 1;
-                idx
-            }
-        };
-        let gen = self.slots[slot as usize].gen;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.keys.push(pack_key(at, seq));
-        self.meta.push(HeapMeta { slot, gen });
+    fn push(&mut self, key: u128, meta: HeapMeta) {
+        self.keys.push(key);
+        self.meta.push(meta);
         self.sift_up(self.keys.len() - 1);
-        self.live += 1;
-        EventId { slot, gen }
     }
 
-    /// Cancels a previously scheduled event in O(1). Returns `true` if the
-    /// event was still pending (it will not be delivered), `false` if it
-    /// already fired or was already cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.slots.get_mut(id.slot as usize) {
-            Some(s) if s.gen == id.gen && s.payload.is_some() => {
-                s.payload = None;
-                s.gen = s.gen.wrapping_add(1); // stale-proof the handle
-                s.next_free = self.free_head;
-                self.free_head = id.slot;
-                self.live -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Removes and returns the earliest live event as `(time, payload)`.
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        // No real key reaches the bound: sequence numbers never get to
-        // `u64::MAX`.
-        self.pop_below(u128::MAX)
-    }
-
-    /// Removes and returns the earliest live event only if it orders
-    /// strictly before `(at, seq)`; a later head stays pending. Tombstones
-    /// of cancelled events ahead of the bound are discarded on the way,
-    /// as [`peek_time`] does. This is the merge step of a run loop that
-    /// interleaves the queue with a sorted stream whose entries hold
-    /// reserved sequence numbers ([`reserve_seqs`]).
-    ///
-    /// [`peek_time`]: EventQueue::peek_time
-    /// [`reserve_seqs`]: EventQueue::reserve_seqs
-    pub fn pop_before(&mut self, at: SimTime, seq: u64) -> Option<(SimTime, T)> {
-        self.pop_below(pack_key(at, seq))
-    }
-
-    /// Reserves `n` consecutive sequence numbers and returns the first.
-    /// An entry of a sorted stream that is merged with the queue instead
-    /// of scheduled into it takes one of these, so it ties with queued
-    /// events exactly as if it had been scheduled at the moment of the
-    /// reservation: after everything scheduled before, ahead of
-    /// everything scheduled later.
-    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
-        let first = self.next_seq;
-        self.next_seq += n;
-        first
-    }
-
-    /// Pops the earliest live event whose packed key is below `bound`.
-    #[inline]
-    fn pop_below(&mut self, bound: u128) -> Option<(SimTime, T)> {
-        while self.keys.first().is_some_and(|&key| key < bound) {
-            let (key, meta) = self.pop_min().expect("the heap has a head");
-            let s = &mut self.slots[meta.slot as usize];
-            if s.gen != meta.gen {
-                continue; // tombstone of a cancelled event
-            }
-            let payload = s.payload.take().expect("live slot holds a payload");
-            s.gen = s.gen.wrapping_add(1);
-            s.next_free = self.free_head;
-            self.free_head = meta.slot;
-            self.live -= 1;
-            return Some((key_time(key), payload));
-        }
-        None
-    }
-
-    /// Timestamp of the earliest live event, if any, without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(&key) = self.keys.first() {
-            let meta = self.meta[0];
-            if self.slots[meta.slot as usize].gen == meta.gen {
-                return Some(key_time(key));
-            }
-            self.pop_min(); // discard the cancelled head
-        }
-        None
-    }
-
-    /// Number of live (not cancelled) pending events.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True when no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Cumulative number of schedules that reused a vacant arena slot
-    /// rather than growing the arena. [`clear`] keeps the arena (and this
-    /// counter), so across-era reuse shows up here as saved allocations —
-    /// the simulator surfaces the tally as `acm.sim.queue.arena_reuse`.
-    ///
-    /// [`clear`]: EventQueue::clear
-    pub fn reused_slots(&self) -> u64 {
-        self.reused_slots
-    }
-
-    /// Discards all pending events.
-    pub fn clear(&mut self) {
-        self.keys.clear();
-        self.meta.clear();
-        self.free_head = NIL;
-        for (idx, s) in self.slots.iter_mut().enumerate() {
-            if s.payload.take().is_some() {
-                s.gen = s.gen.wrapping_add(1);
-            }
-            s.next_free = self.free_head;
-            self.free_head = idx as u32;
-        }
-        self.live = 0;
-    }
-
-    /// Removes and returns the root heap entry (live or tombstone).
-    #[inline]
-    fn pop_min(&mut self) -> Option<(u128, HeapMeta)> {
-        if self.keys.is_empty() {
-            return None;
-        }
-        let min_key = self.keys.swap_remove(0);
+    /// Removes the root entry (live or tombstone); the heap is non-empty.
+    fn pop_min(&mut self) -> HeapMeta {
+        self.keys.swap_remove(0);
         let min_meta = self.meta.swap_remove(0);
         if !self.keys.is_empty() {
             self.sift_down(0);
         }
-        Some((min_key, min_meta))
+        min_meta
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.meta.clear();
     }
 
     /// Restores the heap property upward from `idx`.
-    #[inline]
     fn sift_up(&mut self, mut idx: usize) {
         let key = self.keys[idx];
         let meta = self.meta[idx];
@@ -310,7 +156,6 @@ impl<T> EventQueue<T> {
     }
 
     /// Restores the heap property downward from `idx`.
-    #[inline]
     fn sift_down(&mut self, mut idx: usize) {
         let len = self.keys.len();
         let key = self.keys[idx];
@@ -339,6 +184,339 @@ impl<T> EventQueue<T> {
         }
         self.keys[idx] = key;
         self.meta[idx] = meta;
+    }
+}
+
+/// A cancellable, deterministic future-event list.
+pub struct EventQueue<T> {
+    /// Slot arena holding keys, chain links and payloads.
+    slots: Vec<Slot<T>>,
+    /// Head (lowest key) of each bucket's chain; `NIL` when empty.
+    heads: Vec<u32>,
+    /// One bit per bucket, set while its chain is non-empty.
+    occupied: Vec<u64>,
+    /// Absolute index of the current bucket. The ring holds the buckets
+    /// `cur..cur + BUCKETS` (and events scheduled before `cur`, in the
+    /// current bucket); the far set holds every later one.
+    cur: u64,
+    far: FarSet,
+    /// Head of the vacant-slot free list (`NIL` when every slot is in use).
+    free_head: u32,
+    next_seq: u64,
+    /// Count of live (scheduled, not cancelled) events.
+    live: usize,
+    /// Cumulative count of schedules that reused a vacant arena slot
+    /// instead of growing the arena — each one is an allocation the
+    /// clear-and-reuse discipline saved.
+    reused_slots: u64,
+}
+
+impl<T> Default for EventQueue<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> EventQueue<T> {
+    /// Creates an empty queue.
+    pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty queue with room for `capacity` events before any
+    /// reallocation.
+    pub fn with_capacity(capacity: usize) -> Self {
+        EventQueue {
+            slots: Vec::with_capacity(capacity),
+            heads: vec![NIL; BUCKETS],
+            occupied: vec![0; BUCKETS / 64],
+            cur: 0,
+            far: FarSet::default(),
+            free_head: NIL,
+            next_seq: 0,
+            live: 0,
+            reused_slots: 0,
+        }
+    }
+
+    /// Schedules `payload` to fire at `at`. Returns a handle for cancellation.
+    pub fn schedule(&mut self, at: SimTime, payload: T) -> EventId {
+        let key = pack_key(at, self.next_seq);
+        self.next_seq += 1;
+        let slot = match self.free_head {
+            NIL => {
+                let idx = self.slots.len() as u32;
+                assert!(idx != NIL, "event queue slot arena exhausted");
+                self.slots.push(Slot {
+                    key,
+                    gen: 0,
+                    next: NIL,
+                    prev: NIL,
+                    bucket: FAR,
+                    payload: Some(payload),
+                });
+                idx
+            }
+            idx => {
+                let s = &mut self.slots[idx as usize];
+                self.free_head = s.next;
+                s.key = key;
+                s.payload = Some(payload);
+                self.reused_slots += 1;
+                idx
+            }
+        };
+        let gen = self.slots[slot as usize].gen;
+        let bucket = key_bucket(key);
+        if bucket >= self.cur + BUCKETS as u64 {
+            self.slots[slot as usize].bucket = FAR;
+            self.far.push(key, HeapMeta { slot, gen });
+        } else {
+            // An instant before the current bucket joins the current one.
+            self.link(slot, bucket.max(self.cur));
+        }
+        self.live += 1;
+        EventId { slot, gen }
+    }
+
+    /// Cancels a previously scheduled event in O(1). Returns `true` if the
+    /// event was still pending (it will not be delivered), `false` if it
+    /// already fired or was already cancelled.
+    pub fn cancel(&mut self, id: EventId) -> bool {
+        match self.slots.get(id.slot as usize) {
+            Some(s) if s.gen == id.gen && s.payload.is_some() => {
+                if s.bucket != FAR {
+                    self.unlink(id.slot);
+                }
+                self.release(id.slot);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Removes and returns the earliest live event as `(time, payload)`.
+    pub fn pop(&mut self) -> Option<(SimTime, T)> {
+        // No real key reaches the bound: sequence numbers never get to
+        // `u64::MAX`.
+        self.pop_below(u128::MAX)
+    }
+
+    /// Removes and returns the earliest live event only if it orders
+    /// strictly before `(at, seq)`; a later head stays pending. This is
+    /// the merge step of a run loop that interleaves the queue with a
+    /// sorted stream whose entries hold reserved sequence numbers
+    /// ([`reserve_seqs`]).
+    ///
+    /// [`reserve_seqs`]: EventQueue::reserve_seqs
+    pub fn pop_before(&mut self, at: SimTime, seq: u64) -> Option<(SimTime, T)> {
+        self.pop_below(pack_key(at, seq))
+    }
+
+    /// Reserves `n` consecutive sequence numbers and returns the first.
+    /// An entry of a sorted stream that is merged with the queue instead
+    /// of scheduled into it takes one of these, so it ties with queued
+    /// events exactly as if it had been scheduled at the moment of the
+    /// reservation: after everything scheduled before, ahead of
+    /// everything scheduled later.
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    /// Pops the earliest live event whose packed key is below `bound`.
+    #[inline]
+    fn pop_below(&mut self, bound: u128) -> Option<(SimTime, T)> {
+        let b = self.first_bucket(key_bucket(bound))?;
+        let head = self.heads[b];
+        let key = self.slots[head as usize].key;
+        if key >= bound {
+            return None;
+        }
+        self.unlink(head);
+        Some((key_time(key), self.release(head)))
+    }
+
+    /// Timestamp of the earliest live event, if any, without removing it.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        let b = self.first_bucket(u64::MAX)?;
+        Some(key_time(self.slots[self.heads[b] as usize].key))
+    }
+
+    /// Number of live (not cancelled) pending events.
+    pub fn len(&self) -> usize {
+        self.live
+    }
+
+    /// True when no live events remain.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Cumulative number of schedules that reused a vacant arena slot
+    /// rather than growing the arena. [`clear`] keeps the arena (and this
+    /// counter), so across-era reuse shows up here as saved allocations —
+    /// the simulator surfaces the tally as `acm.sim.queue.arena_reuse`.
+    ///
+    /// [`clear`]: EventQueue::clear
+    pub fn reused_slots(&self) -> u64 {
+        self.reused_slots
+    }
+
+    /// Discards all pending events. The calendar starts over at the epoch,
+    /// as in a new queue.
+    pub fn clear(&mut self) {
+        self.heads.fill(NIL);
+        self.occupied.fill(0);
+        self.cur = 0;
+        self.far.clear();
+        self.free_head = NIL;
+        for (idx, s) in self.slots.iter_mut().enumerate() {
+            if s.payload.take().is_some() {
+                s.gen = s.gen.wrapping_add(1);
+            }
+            s.next = self.free_head;
+            self.free_head = idx as u32;
+        }
+        self.live = 0;
+    }
+
+    /// Ring index of the earliest occupied bucket, moving the calendar up
+    /// to it — but never past `limit`, the absolute bucket of the key the
+    /// caller asks about. `None` when no event is pending at or before
+    /// `limit`'s bucket.
+    #[inline]
+    fn first_bucket(&mut self, limit: u64) -> Option<usize> {
+        if self.live == 0 {
+            return None;
+        }
+        // The current bucket may hold events from before `limit`.
+        let limit = limit.max(self.cur);
+        loop {
+            let next = match self.next_occupied() {
+                Some(bucket) => bucket,
+                // The ring is empty: the far set's head comes next (it may
+                // be a tombstone, which the move drops).
+                None => key_bucket(self.far.min_key()?),
+            };
+            if next > limit {
+                self.advance(limit);
+                return None;
+            }
+            self.advance(next);
+            let b = (next % BUCKETS as u64) as usize;
+            if self.heads[b] != NIL {
+                return Some(b);
+            }
+        }
+    }
+
+    /// Absolute index of the first occupied bucket in the ring, searching
+    /// the occupancy bitmap from the current bucket round once.
+    #[inline]
+    fn next_occupied(&self) -> Option<u64> {
+        let start = (self.cur % BUCKETS as u64) as usize;
+        let (w0, bit) = (start / 64, start % 64);
+        let words = self.occupied.len();
+        (0..=words).find_map(|i| {
+            let w = (w0 + i) % words;
+            let word = match i {
+                0 => self.occupied[w] & (!0 << bit),
+                _ if i == words => self.occupied[w] & !(!0 << bit),
+                _ => self.occupied[w],
+            };
+            (word != 0).then(|| {
+                let idx = (w * 64) as u64 + u64::from(word.trailing_zeros());
+                self.cur + (idx.wrapping_sub(start as u64) % BUCKETS as u64)
+            })
+        })
+    }
+
+    /// Moves the calendar forward to the absolute bucket `to` and brings
+    /// every far event that now fits in the ring's span into its bucket.
+    #[inline]
+    fn advance(&mut self, to: u64) {
+        if to <= self.cur {
+            return;
+        }
+        self.cur = to;
+        let end = to + BUCKETS as u64;
+        while let Some(key) = self.far.min_key() {
+            if key_bucket(key) >= end {
+                break;
+            }
+            let meta = self.far.pop_min();
+            if self.slots[meta.slot as usize].gen == meta.gen {
+                self.link(meta.slot, key_bucket(key));
+            }
+        }
+    }
+
+    /// Links `slot` into the chain of absolute bucket `bucket` (inside the
+    /// ring's span), in key order.
+    #[inline]
+    fn link(&mut self, slot: u32, bucket: u64) {
+        let b = (bucket % BUCKETS as u64) as usize;
+        let key = self.slots[slot as usize].key;
+        self.slots[slot as usize].bucket = b as u32;
+        let head = self.heads[b];
+        if head == NIL {
+            self.heads[b] = slot;
+            let s = &mut self.slots[slot as usize];
+            (s.next, s.prev) = (slot, slot);
+            self.occupied[b / 64] |= 1 << (b % 64);
+            return;
+        }
+        // Walk back from the tail to the last entry ordering before `key`;
+        // an event ordering before the whole chain becomes its head.
+        let tail = self.slots[head as usize].prev;
+        let mut after = tail;
+        while self.slots[after as usize].key > key {
+            if after == head {
+                self.heads[b] = slot;
+                after = tail;
+                break;
+            }
+            after = self.slots[after as usize].prev;
+        }
+        let next = self.slots[after as usize].next;
+        let s = &mut self.slots[slot as usize];
+        (s.next, s.prev) = (next, after);
+        self.slots[after as usize].next = slot;
+        self.slots[next as usize].prev = slot;
+    }
+
+    /// Unlinks `slot` from its bucket's chain.
+    #[inline]
+    fn unlink(&mut self, slot: u32) {
+        let Slot {
+            next, prev, bucket, ..
+        } = self.slots[slot as usize];
+        let b = bucket as usize;
+        if next == slot {
+            self.heads[b] = NIL;
+            self.occupied[b / 64] &= !(1 << (b % 64));
+        } else {
+            self.slots[prev as usize].next = next;
+            self.slots[next as usize].prev = prev;
+            if self.heads[b] == slot {
+                self.heads[b] = next;
+            }
+        }
+    }
+
+    /// Retires a live slot (already out of any chain): takes its payload,
+    /// stales its handles and returns it to the free list.
+    #[inline]
+    fn release(&mut self, slot: u32) -> T {
+        let s = &mut self.slots[slot as usize];
+        let payload = s.payload.take().expect("live slot holds a payload");
+        s.gen = s.gen.wrapping_add(1);
+        s.next = self.free_head;
+        self.free_head = slot;
+        self.live -= 1;
+        payload
     }
 }
 

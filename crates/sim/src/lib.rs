@@ -16,15 +16,16 @@
 //! * [`rng`] — a small, fast, splittable PRNG (xoshiro256++) plus the
 //!   distribution samplers the workload and anomaly models need
 //!   (exponential, normal, log-normal, Poisson, Bernoulli).
-//! * [`event`] — the pending-event set: an implicit 4-ary min-heap over a
-//!   generation-tagged slot arena, with a monotonic sequence tie-breaker so
-//!   simultaneous events fire in schedule order and O(1) hash-free
-//!   cancellation.
-//! * [`sim`] — the [`Simulator`] driver: schedule closures, run until
-//!   quiescence or a deadline. The one run loop merges the queue with a
-//!   sorted stream of arrival instants
-//!   ([`Simulator::run_until_with_arrivals`]), so an open-loop source
-//!   never boxes a window of requests into the heap.
+//! * [`event`] — the pending-event set: a calendar queue whose key-sorted
+//!   bucket chains are threaded through a generation-tagged slot arena
+//!   (a 4-ary min-heap holds what lies beyond the ring's span), with a
+//!   monotonic sequence tie-breaker so simultaneous events fire in
+//!   schedule order and O(1) hash-free cancellation.
+//! * [`sim`] — the [`Simulator`] driver: schedule events (boxed closures
+//!   by default, or the model's own [`Event`] type), run until quiescence
+//!   or a deadline. The one run loop merges the queue with a sorted stream
+//!   of arrival instants ([`Simulator::run_until_with_arrivals`]), so an
+//!   open-loop source never schedules a window of requests into the queue.
 //! * [`shard`] — era-synchronized sharded execution: the world split into
 //!   contiguous [`Shard`]s (private event queue + pre-split RNG each)
 //!   advanced concurrently on the `acm-exec` pool and merged in index
@@ -53,7 +54,7 @@ pub use event::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use series::{SeriesPoint, SeriesTable, TimeSeries};
 pub use shard::{merge_in_shard_order, Shard, ShardLayout, ShardedWorld};
-pub use sim::Simulator;
+pub use sim::{Boxed, Event, Simulator};
 pub use stats::OnlineStats;
 pub use time::{Duration, SimTime};
 pub use weights::WeightTable;

@@ -25,7 +25,7 @@
 //! bit for bit at any thread width.
 
 use crate::rng::SimRng;
-use crate::sim::Simulator;
+use crate::sim::{Boxed, Simulator};
 use std::ops::Range;
 
 /// Deterministic partition of `0..items` into contiguous shard ranges.
@@ -99,13 +99,13 @@ impl ShardLayout {
 /// The simulator's queue lives for the whole run — eras schedule into and
 /// drain from the same arena, so event-slot allocations are recycled
 /// across eras (surfaced as `acm.sim.queue.arena_reuse`).
-pub struct Shard<W> {
+pub struct Shard<W, E = Boxed<W>> {
     /// Shard index within the layout.
     pub index: usize,
     /// Item range this shard owns.
     pub items: Range<usize>,
     /// The shard-local discrete-event simulator.
-    pub sim: Simulator<W>,
+    pub sim: Simulator<W, E>,
     /// Pre-split RNG stream, private to this shard.
     pub rng: SimRng,
 }
@@ -118,16 +118,28 @@ pub struct Shard<W> {
 /// whatever the shards staged.
 ///
 /// [`step_era`]: ShardedWorld::step_era
-pub struct ShardedWorld<W> {
+pub struct ShardedWorld<W, E = Boxed<W>> {
     layout: ShardLayout,
-    shards: Vec<Shard<W>>,
+    shards: Vec<Shard<W, E>>,
 }
 
 impl<W> ShardedWorld<W> {
-    /// Builds the shards: worlds come from `make_world(shard, range)` in
-    /// index order, and each shard's RNG is split off `rng` in the same
-    /// order — construction order is the determinism anchor.
+    /// Builds the shards, whose events are boxed closures: worlds come
+    /// from `make_world(shard, range)` in index order, and each shard's
+    /// RNG is split off `rng` in the same order — construction order is
+    /// the determinism anchor.
     pub fn new(
+        layout: ShardLayout,
+        rng: &mut SimRng,
+        make_world: impl FnMut(usize, Range<usize>) -> W,
+    ) -> Self {
+        Self::typed(layout, rng, make_world)
+    }
+}
+
+impl<W, E> ShardedWorld<W, E> {
+    /// [`ShardedWorld::new`] for shards whose events are of type `E`.
+    pub fn typed(
         layout: ShardLayout,
         rng: &mut SimRng,
         mut make_world: impl FnMut(usize, Range<usize>) -> W,
@@ -137,7 +149,7 @@ impl<W> ShardedWorld<W> {
             .map(|(s, range)| Shard {
                 index: s,
                 items: range.clone(),
-                sim: Simulator::new(make_world(s, range)),
+                sim: Simulator::typed(make_world(s, range)),
                 rng: rng.split(),
             })
             .collect();
@@ -150,13 +162,13 @@ impl<W> ShardedWorld<W> {
     }
 
     /// Shared access to the shards, in index order.
-    pub fn shards(&self) -> &[Shard<W>] {
+    pub fn shards(&self) -> &[Shard<W, E>] {
         &self.shards
     }
 
     /// Mutable access to the shards, in index order (barrier-phase state
     /// exchange).
-    pub fn shards_mut(&mut self) -> &mut [Shard<W>] {
+    pub fn shards_mut(&mut self) -> &mut [Shard<W, E>] {
         &mut self.shards
     }
 
@@ -167,7 +179,8 @@ impl<W> ShardedWorld<W> {
     pub fn step_era<F>(&mut self, advance: F)
     where
         W: Send,
-        F: Fn(&mut Shard<W>) + Sync,
+        E: Send,
+        F: Fn(&mut Shard<W, E>) + Sync,
     {
         acm_exec::for_each_mut(&mut self.shards, |_, shard| advance(shard));
     }

@@ -1,10 +1,15 @@
 //! The simulation driver.
 //!
-//! [`Simulator<W>`] owns a user-supplied *world* `W` (the mutable model
-//! state) and a queue of boxed event handlers. Handlers receive `&mut
-//! Simulator<W>` so they can both mutate the world and schedule follow-up
-//! events; this is the classic event-oriented style (each handler is one
-//! state transition at one instant).
+//! [`Simulator<W, E>`] owns a user-supplied *world* `W` (the mutable model
+//! state) and a queue of pending events of type `E`. Firing an event hands
+//! it `&mut Simulator<W, E>` ([`Event::fire`]), so it can both mutate the
+//! world and schedule follow-up events; this is the classic event-oriented
+//! style (each event is one state transition at one instant). `E` defaults
+//! to [`Boxed`], a boxed closure, which is what [`Simulator::schedule_at`]
+//! and [`Simulator::schedule_in`] take; a model with a hot event path names
+//! its own plain-data event type instead ([`Simulator::typed`],
+//! [`Simulator::schedule_event_at`]), so an event costs its bytes in the
+//! queue's arena rather than an allocation and an indirect call.
 //!
 //! Execution is strictly deterministic: time never goes backwards, and
 //! simultaneous events run in scheduling order (see [`crate::event`]).
@@ -12,17 +17,32 @@
 //! There is one run loop, [`Simulator::run_until_with_arrivals`]: it merges
 //! the queue with a sorted slice of arrival instants that share one
 //! handler, so an open-loop source feeds the simulator a window of
-//! requests without a boxed closure, an arena slot or a heap entry per
-//! request. [`Simulator::run_until`] is the same loop over an empty slice.
+//! requests without an event, an arena slot or a queue entry per request.
+//! [`Simulator::run_until`] is the same loop over an empty slice.
 
 use crate::event::{EventId, EventQueue};
 use crate::time::{Duration, SimTime};
 use acm_obs::{Counter, ObsHandle};
 
-/// Handlers are `Send` so a whole `Simulator` (with its pending-event
-/// queue) can migrate between worker threads of the sharded era loop —
-/// see [`crate::shard`].
-type Handler<W> = Box<dyn FnOnce(&mut Simulator<W>) + Send>;
+/// A pending event: what happens when the clock reaches its instant.
+pub trait Event<W>: Sized {
+    /// Runs the event at `sim.now()`.
+    fn fire(self, sim: &mut Simulator<W, Self>);
+}
+
+/// The default event type: a boxed closure. `Send`, so a whole
+/// `Simulator` (with its pending-event queue) can migrate between worker
+/// threads of the sharded era loop — see [`crate::shard`].
+pub struct Boxed<W>(Box<Handler<W>>);
+
+type Handler<W> = dyn FnOnce(&mut Simulator<W>) + Send;
+
+impl<W> Event<W> for Boxed<W> {
+    #[inline]
+    fn fire(self, sim: &mut Simulator<W>) {
+        (self.0)(sim)
+    }
+}
 
 /// Outcome of a bounded run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,9 +68,9 @@ pub enum RunOutcome {
 /// assert_eq!(sim.world, 11);
 /// assert_eq!(sim.now(), SimTime::from_secs(7));
 /// ```
-pub struct Simulator<W> {
+pub struct Simulator<W, E = Boxed<W>> {
     now: SimTime,
-    queue: EventQueue<Handler<W>>,
+    queue: EventQueue<E>,
     /// The model state. Public so event handlers can reach it directly.
     pub world: W,
     executed: u64,
@@ -78,8 +98,37 @@ pub struct Simulator<W> {
 }
 
 impl<W> Simulator<W> {
-    /// Creates a simulator at the epoch with the given world.
+    /// Creates a simulator at the epoch with the given world, whose events
+    /// are boxed closures.
     pub fn new(world: W) -> Self {
+        Self::typed(world)
+    }
+
+    /// Schedules `handler` to run at the absolute instant `at`.
+    ///
+    /// Panics if `at` is in the past — the model must never rewind time.
+    pub fn schedule_at(
+        &mut self,
+        at: SimTime,
+        handler: impl FnOnce(&mut Simulator<W>) + Send + 'static,
+    ) -> EventId {
+        self.schedule_event_at(at, Boxed(Box::new(handler)))
+    }
+
+    /// Schedules `handler` to run after `delay`.
+    pub fn schedule_in(
+        &mut self,
+        delay: Duration,
+        handler: impl FnOnce(&mut Simulator<W>) + Send + 'static,
+    ) -> EventId {
+        self.schedule_at(self.now + delay, handler)
+    }
+}
+
+impl<W, E> Simulator<W, E> {
+    /// Creates a simulator at the epoch with the given world, whose events
+    /// are of type `E`.
+    pub fn typed(world: W) -> Self {
         Simulator {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
@@ -155,35 +204,18 @@ impl<W> Simulator<W> {
         self.peak_pending
     }
 
-    /// Schedules `handler` to run at the absolute instant `at`.
+    /// Schedules `event` to fire at the absolute instant `at`.
     ///
     /// Panics if `at` is in the past — the model must never rewind time.
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        handler: impl FnOnce(&mut Simulator<W>) + Send + 'static,
-    ) -> EventId {
+    #[inline]
+    pub fn schedule_event_at(&mut self, at: SimTime, event: E) -> EventId {
         assert!(
             at >= self.now,
             "cannot schedule into the past ({at} < {})",
             self.now
         );
-        self.push(at, Box::new(handler))
-    }
-
-    /// Schedules `handler` to run after `delay`.
-    pub fn schedule_in(
-        &mut self,
-        delay: Duration,
-        handler: impl FnOnce(&mut Simulator<W>) + Send + 'static,
-    ) -> EventId {
-        self.push(self.now + delay, Box::new(handler))
-    }
-
-    #[inline]
-    fn push(&mut self, at: SimTime, handler: Handler<W>) -> EventId {
         self.pending_push += 1;
-        let id = self.queue.schedule(at, handler);
+        let id = self.queue.schedule(at, event);
         self.peak_pending = self.peak_pending.max(self.queue.len());
         id
     }
@@ -192,7 +224,9 @@ impl<W> Simulator<W> {
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
     }
+}
 
+impl<W, E: Event<W>> Simulator<W, E> {
     /// Executes the single earliest pending event. Returns `false` when the
     /// queue is empty.
     pub fn step(&mut self) -> bool {
@@ -205,8 +239,8 @@ impl<W> Simulator<W> {
     #[inline]
     fn step_inner(&mut self) -> bool {
         match self.queue.pop() {
-            Some((at, handler)) => {
-                self.fire(at, handler);
+            Some((at, event)) => {
+                self.fire(at, event);
                 true
             }
             None => false,
@@ -215,19 +249,19 @@ impl<W> Simulator<W> {
 
     /// Executes one popped event.
     #[inline]
-    fn fire(&mut self, at: SimTime, handler: Handler<W>) {
+    fn fire(&mut self, at: SimTime, event: E) {
         debug_assert!(at >= self.now);
         self.now = at;
         self.executed += 1;
         self.pending_pop += 1;
-        handler(self);
+        event.fire(self);
     }
 
     /// Executes every pending event that orders before `(at, seq)`.
     #[inline]
     fn run_before(&mut self, at: SimTime, seq: u64) {
-        while let Some((t, handler)) = self.queue.pop_before(at, seq) {
-            self.fire(t, handler);
+        while let Some((t, event)) = self.queue.pop_before(at, seq) {
+            self.fire(t, event);
         }
     }
 
@@ -265,7 +299,7 @@ impl<W> Simulator<W> {
         &mut self,
         arrivals: &[SimTime],
         deadline: SimTime,
-        mut on_arrival: impl FnMut(&mut Simulator<W>),
+        mut on_arrival: impl FnMut(&mut Simulator<W, E>),
     ) -> RunOutcome {
         let first_seq = self.queue.reserve_seqs(arrivals.len() as u64);
         for (seq, &at) in (first_seq..).zip(arrivals) {
@@ -479,6 +513,57 @@ mod tests {
         }
         assert_eq!(obs.counter("acm.sim.queue.arena_reuse").value(), 24);
         assert_eq!(obs.counter("acm.sim.queue.push").value(), 32);
+    }
+
+    /// A two-kind typed event: a `Ping` schedules a `Pong`.
+    #[derive(Debug, Clone, Copy)]
+    enum Beat {
+        Ping(u32),
+        Pong(u32),
+    }
+
+    impl Event<Vec<(u64, &'static str, u32)>> for Beat {
+        fn fire(self, s: &mut Simulator<Vec<(u64, &'static str, u32)>, Beat>) {
+            let now = s.now().as_micros();
+            match self {
+                Beat::Ping(n) => {
+                    s.world.push((now, "ping", n));
+                    s.schedule_event_at(
+                        s.now() + Duration::from_micros(u64::from(n)),
+                        Beat::Pong(n),
+                    );
+                }
+                Beat::Pong(n) => s.world.push((now, "pong", n)),
+            }
+        }
+    }
+
+    #[test]
+    fn typed_events_fire_in_time_then_schedule_order() {
+        let mut sim = Simulator::<_, Beat>::typed(Vec::new());
+        // Pongs land n µs after their ping. At 12, ping 1 (scheduled up
+        // front) fires before pong 2 (scheduled at 10); at 13, pong 3
+        // (scheduled at 10) before pong 1 (scheduled at 12).
+        sim.schedule_event_at(us(10), Beat::Ping(3));
+        sim.schedule_event_at(us(10), Beat::Ping(2));
+        sim.schedule_event_at(us(12), Beat::Ping(1));
+        assert_eq!(sim.run_until(us(100)), RunOutcome::Quiescent);
+        assert_eq!(
+            sim.world,
+            [
+                (10, "ping", 3),
+                (10, "ping", 2),
+                (12, "ping", 1),
+                (12, "pong", 2),
+                (13, "pong", 3),
+                (13, "pong", 1),
+            ]
+        );
+        assert_eq!(sim.executed(), 6);
+    }
+
+    fn us(micros: u64) -> SimTime {
+        SimTime::from_micros(micros)
     }
 
     #[test]

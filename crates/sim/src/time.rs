@@ -35,16 +35,24 @@ impl Duration {
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
-    /// microsecond. Negative or non-finite inputs clamp to zero.
+    /// microsecond with ties away from zero. NaN, negative values, `-0.0`
+    /// and `-∞` map to zero; `+∞` and anything that rounds to 2⁶⁴ µs or
+    /// more saturate to `u64::MAX` µs.
     pub fn from_secs_f64(secs: f64) -> Self {
         if secs.is_nan() || secs <= 0.0 {
             return Duration::ZERO;
         }
-        if secs.is_infinite() {
-            return Duration(u64::MAX);
+        let ticks = secs * TICKS_PER_SECOND as f64;
+        // Round half away from zero without libm. Below 2⁵³ a double can
+        // carry a fraction: truncate, then add one when the remainder is at
+        // least a half. The remainder is exact: `whole` is 0, or
+        // `whole ≤ ticks < 2·whole` (Sterbenz).
+        if ticks < (1u64 << 53) as f64 {
+            let whole = ticks as i64;
+            return Duration((whole + i64::from(ticks - whole as f64 >= 0.5)) as u64);
         }
-        // Saturate rather than wrap on absurdly large spans.
-        let ticks = (secs * TICKS_PER_SECOND as f64).round();
+        // From 2⁵³ up every double is an integer. 2⁶⁴ is exact as a
+        // double, and `+∞` saturates too.
         if ticks >= u64::MAX as f64 {
             Duration(u64::MAX)
         } else {
@@ -207,15 +215,45 @@ mod tests {
 
     #[test]
     fn duration_from_negative_seconds_clamps_to_zero() {
-        assert_eq!(Duration::from_secs_f64(-3.0), Duration::ZERO);
-        assert_eq!(Duration::from_secs_f64(f64::NAN), Duration::ZERO);
-        assert_eq!(Duration::from_secs_f64(f64::NEG_INFINITY), Duration::ZERO);
+        for secs in [
+            -3.0,
+            f64::NAN,
+            -0.0,
+            0.0,
+            f64::NEG_INFINITY,
+            -f64::MIN_POSITIVE,
+        ] {
+            assert_eq!(Duration::from_secs_f64(secs), Duration::ZERO, "{secs}");
+            assert_eq!(SimTime::from_secs_f64(secs), SimTime::ZERO, "{secs}");
+        }
     }
 
     #[test]
     fn duration_from_huge_seconds_saturates() {
-        assert_eq!(Duration::from_secs_f64(f64::INFINITY).as_micros(), u64::MAX);
-        assert_eq!(Duration::from_secs_f64(1e30).as_micros(), u64::MAX);
+        // 2⁶⁴ µs and up saturate; 1.8 · 10¹⁹ µs, just below, converts.
+        let two_64_us = 2f64.powi(64) / 1e6;
+        for secs in [f64::INFINITY, 1e30, two_64_us, f64::MAX] {
+            assert_eq!(
+                Duration::from_secs_f64(secs).as_micros(),
+                u64::MAX,
+                "{secs}"
+            );
+            assert_eq!(SimTime::from_secs_f64(secs), SimTime::MAX, "{secs}");
+        }
+        assert_eq!(
+            Duration::from_secs_f64(1.8e13).as_micros(),
+            18_000_000_000_000_000_000
+        );
+    }
+
+    #[test]
+    fn duration_rounds_half_away_from_zero() {
+        // 0.5 µs, 2.5 µs and 1.5 s + 0.5 µs are exact products of `× 1e6`.
+        assert_eq!(Duration::from_secs_f64(0.5e-6).as_micros(), 1);
+        assert_eq!(Duration::from_secs_f64(2.5e-6).as_micros(), 3);
+        assert_eq!(Duration::from_secs_f64(1.500_000_5).as_micros(), 1_500_001);
+        assert_eq!(Duration::from_secs_f64(0.499_999e-6).as_micros(), 0);
+        assert_eq!(Duration::from_secs_f64(5e-324).as_micros(), 0);
     }
 
     #[test]

@@ -167,31 +167,127 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Exact rounding: the libm-free conversion against the expression it
+// replaced.
+// ---------------------------------------------------------------------------
+
+/// `Duration::from_secs_f64` as it was when it called libm's `round`, kept
+/// as the oracle.
+fn micros_by_libm_round(secs: f64) -> u64 {
+    if secs.is_nan() || secs <= 0.0 {
+        return 0;
+    }
+    if secs.is_infinite() {
+        return u64::MAX;
+    }
+    let ticks = (secs * 1e6).round();
+    if ticks >= u64::MAX as f64 {
+        u64::MAX
+    } else {
+        ticks as u64
+    }
+}
+
+/// The positive double `x` and its neighbours up to two ulps either side.
+fn within_two_ulps(x: f64) -> impl Iterator<Item = f64> {
+    let bits = x.to_bits();
+    (bits - 2..=bits + 2).map(f64::from_bits)
+}
+
+proptest! {
+    #[test]
+    fn from_secs_f64_rounds_as_f64_round(
+        bits in any::<u64>(),
+        exp in -24i32..46,
+        k in 0u64..1 << 52,
+    ) {
+        // Any double at all (NaN, ±∞, subnormals, both signs), and one
+        // whose product with 10⁶ lands between ¼ µs and 2⁶⁵ µs.
+        let mantissa = bits & ((1 << 52) - 1);
+        let mut secs = vec![
+            f64::from_bits(bits),
+            f64::from_bits(((1023 + exp) as u64) << 52 | mantissa),
+            0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY,
+            5e-324, f64::MIN_POSITIVE, f64::from_bits(mantissa),
+        ];
+        // Edges in microseconds, reached through seconds: halves (large
+        // and small) with their ulp neighbours, where spacing reaches 1
+        // (2⁵²) and 2 (2⁵³), 2⁶³, the largest double below 2⁶⁴ and 2⁶⁴.
+        let half = k as f64 + 0.5;
+        let small_half = (k >> (k % 52)) as f64 + 0.5;
+        let mut micros = vec![half, small_half, 2f64.powi(52), 2f64.powi(63), 2f64.powi(64)];
+        micros.extend(ulp_neighbours(half));
+        micros.extend(ulp_neighbours(2f64.powi(53)));
+        micros.push(ulp_neighbours(2f64.powi(64))[0]);
+        for us in micros {
+            secs.extend(within_two_ulps(us / 1e6));
+        }
+        for s in secs {
+            let want = micros_by_libm_round(s);
+            prop_assert_eq!(Duration::from_secs_f64(s).as_micros(), want, "secs {:e} ({:#x})", s, s.to_bits());
+            prop_assert_eq!(SimTime::from_secs_f64(s).as_micros(), want, "secs {:e}", s);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Differential property: the arena event queue vs an independent model.
 // ---------------------------------------------------------------------------
+
+/// The calendar's bucket width and ring span, µs. The queue keeps both
+/// private; the workload below only needs them to aim at bucket edges, ring
+/// wrap-around and the far set.
+const BUCKET_US: u64 = 1 << 10;
+const SPAN_US: u64 = BUCKET_US << 12;
 
 /// One step of a random event-queue workload.
 #[derive(Debug, Clone, Copy)]
 enum QueueOp {
     /// Schedule at the given microsecond timestamp.
     Schedule(u64),
+    /// Schedule this many µs before the last popped instant (saturating).
+    ScheduleBack(u64),
     /// Cancel the k-th oldest still-held handle (no-op when none are held).
     Cancel(usize),
     /// Pop the earliest live event.
     Pop,
+    /// Pop the earliest live event if it orders before `(at, next_seq - k)`.
+    PopBefore(u64, u64),
+    /// Reserve this many sequence numbers.
+    ReserveSeqs(u64),
+    /// Read the earliest live instant.
+    PeekTime,
     /// Drop every pending event.
     Clear,
 }
 
 fn op_strategy() -> impl Strategy<Value = QueueOp> {
     // Weights: scheduling dominates, clears are rare — the mix the
-    // simulator actually produces.
-    (0u32..100, 0u64..50_000, 0usize..64).prop_map(|(sel, at, k)| match sel {
-        0..=49 => QueueOp::Schedule(at),
-        50..=69 => QueueOp::Cancel(k),
-        70..=97 => QueueOp::Pop,
-        _ => QueueOp::Clear,
-    })
+    // simulator actually produces. Instants come from five ring spans,
+    // from a grid of bucket edges in those spans (so many events share one
+    // µs, one bucket, or one ring position a span apart), from just below
+    // `u64::MAX`, and from before the last pop.
+    (
+        (0u32..100, 0u64..5 * SPAN_US, 0usize..64),
+        (0u64..5, 0usize..3, 0usize..3),
+    )
+        .prop_map(|((sel, at, k), (span, edge, tick))| {
+            let grid = span * SPAN_US
+                + [0, 1, (SPAN_US / BUCKET_US) - 1][edge] * BUCKET_US
+                + [0, 1, BUCKET_US - 1][tick];
+            match sel {
+                0..=17 => QueueOp::Schedule(at),
+                18..=31 => QueueOp::Schedule(grid),
+                32..=35 => QueueOp::Schedule(u64::MAX - at % (2 * SPAN_US)),
+                36..=43 => QueueOp::ScheduleBack(at % (2 * SPAN_US)),
+                44..=55 => QueueOp::Cancel(k),
+                56..=73 => QueueOp::Pop,
+                74..=83 => QueueOp::PopBefore(if k % 2 == 0 { grid } else { at }, k as u64 % 4),
+                84..=88 => QueueOp::ReserveSeqs(k as u64 % 3),
+                89..=97 => QueueOp::PeekTime,
+                _ => QueueOp::Clear,
+            }
+        })
 }
 
 /// A naive but obviously-correct pending-event model: a Vec of
@@ -220,66 +316,103 @@ impl NaiveQueue {
         }
     }
 
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
+    fn peek(&self) -> Option<(SimTime, u64)> {
+        self.entries.iter().map(|e| (e.0, e.1)).min()
+    }
+
+    fn pop_before(&mut self, bound: (SimTime, u64)) -> Option<(SimTime, u64)> {
         let min = self
             .entries
             .iter()
             .enumerate()
             .min_by_key(|(_, e)| (e.0, e.1))
+            .filter(|(_, e)| (e.0, e.1) < bound)
             .map(|(i, _)| i)?;
         let (at, _, payload) = self.entries.remove(min);
         Some((at, payload))
     }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        self.pop_before((SimTime::MAX, u64::MAX))
+    }
 }
 
 proptest! {
+    /// Two queues take the same ops: `eager` is peeked after every op, so
+    /// its calendar always sits on the earliest event's bucket; `lazy`
+    /// moves only on its own ops, as a simulator's queue does.
     #[test]
     fn arena_queue_matches_naive_model(
         ops in proptest::collection::vec(op_strategy(), 1..400),
     ) {
-        let mut arena = EventQueue::new();
+        let (mut eager, mut lazy) = (EventQueue::new(), EventQueue::new());
         let mut naive = NaiveQueue::default();
         // Handles held for future cancellation, oldest first.
-        let mut handles: Vec<(acm_sim::EventId, u64)> = Vec::new();
+        let mut handles: Vec<(acm_sim::EventId, acm_sim::EventId, u64)> = Vec::new();
         let mut payload = 0u64;
+        let mut last_pop = SimTime::ZERO;
         for op in ops {
             match op {
-                QueueOp::Schedule(at) => {
-                    let at = SimTime::from_micros(at);
-                    let id = arena.schedule(at, payload);
-                    let seq = naive.schedule(at, payload);
-                    handles.push((id, seq));
+                QueueOp::Schedule(_) | QueueOp::ScheduleBack(_) => {
+                    let at = SimTime::from_micros(match op {
+                        QueueOp::ScheduleBack(back) => last_pop.as_micros().saturating_sub(back),
+                        QueueOp::Schedule(at) => at,
+                        _ => unreachable!(),
+                    });
+                    let (a, b) = (eager.schedule(at, payload), lazy.schedule(at, payload));
+                    handles.push((a, b, naive.schedule(at, payload)));
                     payload += 1;
                 }
                 QueueOp::Cancel(k) => {
                     if !handles.is_empty() {
-                        let (id, seq) = handles.remove(k % handles.len());
-                        let a = arena.cancel(id);
-                        let b = naive.cancel(seq);
-                        prop_assert_eq!(a, b, "cancel outcome diverged");
+                        let (a, b, seq) = handles.remove(k % handles.len());
+                        let want = naive.cancel(seq);
+                        prop_assert_eq!(eager.cancel(a), want, "cancel outcome diverged");
+                        prop_assert_eq!(lazy.cancel(b), want, "cancel outcome diverged");
                     }
                 }
-                QueueOp::Pop => {
-                    let a = arena.pop();
-                    let b = naive.pop();
+                QueueOp::Pop | QueueOp::PopBefore(..) => {
+                    let bound = match op {
+                        QueueOp::PopBefore(at, back) => {
+                            (SimTime::from_micros(at), naive.next_seq.saturating_sub(back))
+                        }
+                        _ => (SimTime::MAX, u64::MAX),
+                    };
+                    let want = naive.pop_before(bound);
                     // Handles of fired events stay held, so later
-                    // cancels also try stale ones (both must refuse).
-                    prop_assert_eq!(a, b, "pop diverged");
+                    // cancels also try stale ones (all must refuse).
+                    prop_assert_eq!(eager.pop_before(bound.0, bound.1), want, "pop diverged");
+                    prop_assert_eq!(lazy.pop_before(bound.0, bound.1), want, "pop diverged");
+                    if let Some((at, _)) = want {
+                        last_pop = at;
+                    }
+                }
+                QueueOp::ReserveSeqs(n) => {
+                    let first = naive.next_seq;
+                    naive.next_seq += n;
+                    prop_assert_eq!(eager.reserve_seqs(n), first);
+                    prop_assert_eq!(lazy.reserve_seqs(n), first);
+                }
+                QueueOp::PeekTime => {
+                    prop_assert_eq!(lazy.peek_time(), naive.peek().map(|(at, _)| at));
                 }
                 QueueOp::Clear => {
-                    arena.clear();
+                    eager.clear();
+                    lazy.clear();
                     naive.entries.clear();
                     handles.clear();
                 }
             }
-            prop_assert_eq!(arena.len(), naive.entries.len());
-            prop_assert_eq!(arena.peek_time(), naive.entries.iter().map(|e| (e.0, e.1)).min().map(|(at, _)| at));
+            prop_assert_eq!(eager.len(), naive.entries.len());
+            prop_assert_eq!(lazy.len(), naive.entries.len());
+            prop_assert_eq!(eager.peek_time(), naive.peek().map(|(at, _)| at));
         }
-        // Drain both: every remaining event must match, in order.
+        // Drain all three: every remaining event must match, in order.
         loop {
-            let (a, b) = (arena.pop(), naive.pop());
-            prop_assert_eq!(a, b, "drain diverged");
-            if a.is_none() {
+            let want = naive.pop();
+            prop_assert_eq!(eager.pop(), want, "drain diverged");
+            prop_assert_eq!(lazy.pop(), want, "drain diverged");
+            if want.is_none() {
                 break;
             }
         }
