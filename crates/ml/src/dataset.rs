@@ -8,10 +8,14 @@
 use acm_sim::rng::SimRng;
 
 /// A supervised regression dataset: rows of features with an RTTF target.
+///
+/// The features live in one row-major buffer, so building, projecting or
+/// splitting a dataset costs one allocation per buffer, not one per row.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     feature_names: Vec<String>,
-    x: Vec<Vec<f64>>,
+    /// Row `i` is `x[i * width..(i + 1) * width]`.
+    x: Vec<f64>,
     y: Vec<f64>,
 }
 
@@ -32,7 +36,8 @@ impl Dataset {
     /// Appends one labelled observation. Panics on width mismatch or
     /// non-finite values — a corrupt training row would silently poison
     /// every downstream model.
-    pub fn push(&mut self, features: Vec<f64>, target: f64) {
+    pub fn push(&mut self, features: impl AsRef<[f64]>, target: f64) {
+        let features = features.as_ref();
         assert_eq!(
             features.len(),
             self.feature_names.len(),
@@ -42,7 +47,7 @@ impl Dataset {
             features.iter().all(|v| v.is_finite()) && target.is_finite(),
             "non-finite observation"
         );
-        self.x.push(features);
+        self.x.extend_from_slice(features);
         self.y.push(target);
     }
 
@@ -66,9 +71,9 @@ impl Dataset {
         &self.feature_names
     }
 
-    /// Feature rows.
-    pub fn rows(&self) -> &[Vec<f64>] {
-        &self.x
+    /// Feature rows, in order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[f64]> + Clone + '_ {
+        (0..self.len()).map(|i| self.row(i))
     }
 
     /// Targets.
@@ -78,7 +83,8 @@ impl Dataset {
 
     /// One feature row.
     pub fn row(&self, i: usize) -> &[f64] {
-        &self.x[i]
+        let w = self.width();
+        &self.x[i * w..(i + 1) * w]
     }
 
     /// Target of row `i`.
@@ -97,40 +103,56 @@ impl Dataset {
 
     /// Returns a dataset containing only the rows at `indices` (cloned).
     pub fn subset(&self, indices: &[usize]) -> Dataset {
+        let mut x = Vec::with_capacity(indices.len() * self.width());
+        for &i in indices {
+            x.extend_from_slice(self.row(i));
+        }
         Dataset {
             feature_names: self.feature_names.clone(),
-            x: indices.iter().map(|&i| self.x[i].clone()).collect(),
+            x,
             y: indices.iter().map(|&i| self.y[i]).collect(),
         }
     }
 
     /// Projects the dataset onto the feature columns at `keep` (in order).
     pub fn project(&self, keep: &[usize]) -> Dataset {
+        self.gather(0..self.len(), keep)
+    }
+
+    /// The rows at `rows`, projected onto the feature columns at `keep`
+    /// (both in order): [`Dataset::subset`] then [`Dataset::project`]
+    /// without the intermediate copy.
+    pub(crate) fn select(&self, rows: &[usize], keep: &[usize]) -> Dataset {
+        self.gather(rows.iter().copied(), keep)
+    }
+
+    fn gather<I>(&self, rows: I, keep: &[usize]) -> Dataset
+    where
+        I: ExactSizeIterator<Item = usize> + Clone,
+    {
         for &j in keep {
             assert!(j < self.width(), "feature index {j} out of range");
+        }
+        let mut x = Vec::with_capacity(rows.len() * keep.len());
+        for i in rows.clone() {
+            let row = self.row(i);
+            x.extend(keep.iter().map(|&j| row[j]));
         }
         Dataset {
             feature_names: keep
                 .iter()
                 .map(|&j| self.feature_names[j].clone())
                 .collect(),
-            x: self
-                .x
-                .iter()
-                .map(|row| keep.iter().map(|&j| row[j]).collect())
-                .collect(),
-            y: self.y.clone(),
+            x,
+            y: rows.map(|i| self.y[i]).collect(),
         }
     }
 
     /// Deterministic shuffled split into `(train, test)` with the given
     /// train fraction.
     pub fn split(&self, train_frac: f64, rng: &mut SimRng) -> (Dataset, Dataset) {
-        assert!((0.0..=1.0).contains(&train_frac), "bad train fraction");
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        rng.shuffle(&mut idx);
-        let cut = (self.len() as f64 * train_frac).round() as usize;
-        (self.subset(&idx[..cut]), self.subset(&idx[cut..]))
+        let (order, cut) = split_order(self.len(), train_frac, rng);
+        (self.subset(&order[..cut]), self.subset(&order[cut..]))
     }
 
     /// Deterministic k-fold partition: returns `k` (train, validation)
@@ -165,9 +187,20 @@ impl Dataset {
             self.feature_names, other.feature_names,
             "incompatible feature spaces"
         );
-        self.x.extend(other.x.iter().cloned());
+        self.x.extend_from_slice(&other.x);
         self.y.extend_from_slice(&other.y);
     }
+}
+
+/// The row order [`Dataset::split`] draws for `len` rows — shuffled, train
+/// rows first — and the cut between train and test. Callers that split an
+/// index list instead of a dataset consume the same `rng` draws.
+pub(crate) fn split_order(len: usize, train_frac: f64, rng: &mut SimRng) -> (Vec<usize>, usize) {
+    assert!((0.0..=1.0).contains(&train_frac), "bad train fraction");
+    let mut order: Vec<usize> = (0..len).collect();
+    rng.shuffle(&mut order);
+    let cut = (len as f64 * train_frac).round() as usize;
+    (order, cut)
 }
 
 #[cfg(test)]
@@ -223,6 +256,17 @@ mod tests {
         assert_eq!(p.feature_names(), &["b".to_string()]);
         assert_eq!(p.row(4), &[8.0]);
         assert_eq!(p.targets(), ds.targets());
+    }
+
+    #[test]
+    fn select_is_subset_then_project() {
+        let ds = toy();
+        let mut rng = SimRng::new(3);
+        for _ in 0..50 {
+            let rows: Vec<usize> = (0..rng.index(15)).map(|_| rng.index(ds.len())).collect();
+            let keep: Vec<usize> = (0..rng.index(4)).map(|_| rng.index(ds.width())).collect();
+            assert_eq!(ds.select(&rows, &keep), ds.subset(&rows).project(&keep));
+        }
     }
 
     #[test]

@@ -16,6 +16,16 @@
 //! and `MAX_SWEEPS` are those of the residual form, so the iterates are the
 //! same in exact arithmetic and differ only in their last bits in floating
 //! point.
+//!
+//! The descent is latency-bound: each coordinate waits on the one before
+//! it through `q` (`q_j → rho → soft threshold → / col_sq → delta →
+//! q_{j+1}`). So it runs on the non-constant columns only, with their Gram
+//! rows packed at a stride padded to a multiple of [`LANES`] (each `q`
+//! update is a fixed number of whole lane groups, no remainder loop), and
+//! carries the next two `q` entries in registers, so no coordinate waits
+//! on a store of `q` to come back from memory. Every `q` entry a
+//! coordinate reads sees the same operations in the same order as on the
+//! full p×p matrix, so none of this changes a bit of the result.
 
 use crate::dataset::Dataset;
 use crate::linalg::dot;
@@ -27,6 +37,8 @@ const TOL: f64 = 1e-7;
 const MAX_SWEEPS: usize = 10_000;
 /// [`LassoRegression::default_alpha`] as a share of `alpha_max`.
 const DEFAULT_ALPHA_SHARE: f64 = 0.01;
+/// Width of one lane group of the descent's `q` update: one SSE2 register.
+const LANES: usize = 2;
 
 /// A trained Lasso model.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,7 +75,7 @@ impl Moments {
         let mut gram = vec![0.0; p * p];
         let mut xty = vec![0.0; p];
         let mut z = vec![0.0; p];
-        for (row, y) in ds.rows().iter().zip(ds.targets()) {
+        for (row, y) in ds.rows().zip(ds.targets()) {
             for ((zj, v), (m, s)) in z
                 .iter_mut()
                 .zip(row)
@@ -73,19 +85,14 @@ impl Moments {
             }
             let yc = y - y_mean;
             // Every entry sums its n products in row order, like a plain
-            // dot product of two columns; only the upper triangle is kept
-            // up to date here.
-            for j in 0..p {
-                let zj = z[j];
-                xty[j] += zj * yc;
-                for (g, zk) in gram[j * p + j..(j + 1) * p].iter_mut().zip(&z[j..]) {
+            // dot product of two columns. Both triangles accumulate:
+            // `z_j·z_k` and `z_k·z_j` are the same product, so the matrix
+            // comes out symmetric bit for bit.
+            for ((gram_j, xty_j), &zj) in gram.chunks_exact_mut(p.max(1)).zip(&mut xty).zip(&z) {
+                *xty_j += zj * yc;
+                for (g, zk) in gram_j.iter_mut().zip(&z) {
                     *g += zj * zk;
                 }
-            }
-        }
-        for j in 1..p {
-            for k in 0..j {
-                gram[j * p + k] = gram[k * p + j];
             }
         }
         Moments {
@@ -107,38 +114,76 @@ impl Moments {
         assert!(alpha >= 0.0, "alpha must be non-negative");
         let p = self.xty.len();
         let gamma = alpha * self.n as f64;
-        let mut w = vec![0.0; p];
-        // q_j = x_j · (y − Xw), kept current through the Gram matrix.
-        let mut q = self.xty;
+        // Column squared norms (≈ n after standardisation); constant
+        // columns map to all-zero and never move off zero.
+        let active: Vec<usize> = (0..p).filter(|&j| self.gram[j * p + j] != 0.0).collect();
+        let a = active.len();
+        // At least two lanes past the last active column, so `q[r + 2]`
+        // exists for every `r`.
+        let stride = (a + 2).next_multiple_of(LANES);
+        let col_sq: Vec<f64> = active.iter().map(|&j| self.gram[j * p + j]).collect();
+        let mut gram = vec![0.0; a * stride];
+        for (row, &j) in gram.chunks_exact_mut(stride).zip(&active) {
+            for (g, &k) in row.iter_mut().zip(&active) {
+                *g = self.gram[j * p + k];
+            }
+        }
+        let mut w = vec![0.0; a];
+        // q_j = x_j · (y − Xw), kept current through the Gram matrix; the
+        // padding lanes stay zero.
+        let mut q = vec![0.0; stride];
+        for (q, &j) in q.iter_mut().zip(&active) {
+            *q = self.xty[j];
+        }
         let mut sweeps = 0;
         let mut converged = false;
         while sweeps < MAX_SWEEPS && !converged {
             sweeps += 1;
             let mut max_delta: f64 = 0.0;
-            for j in 0..p {
-                let gram_j = &self.gram[j * p..(j + 1) * p];
-                // Column squared norm (≈ n after standardisation; constant
-                // columns map to all-zero and are skipped).
-                let col_sq = gram_j[j];
-                if col_sq == 0.0 {
-                    continue;
-                }
+            // `q[r]` and `q[r + 1]` as of coordinate `r`, carried in
+            // registers: each coordinate waits on the one before it only,
+            // and never on a round trip of `q` through memory. The lane
+            // update stores the same values.
+            let (mut q_r, mut q_next) = (q[0], q[1]);
+            for (r, gram_r) in gram.chunks_exact(stride).enumerate() {
                 // rho = x_j · (residual + w_j x_j)
-                let rho = q[j] + w[j] * col_sq;
-                let new_w = soft_threshold(rho, gamma) / col_sq;
-                let delta = new_w - w[j];
+                let rho = q_r + w[r] * col_sq[r];
+                let new_w = soft_threshold(rho, gamma) / col_sq[r];
+                let delta = new_w - w[r];
                 if delta != 0.0 {
-                    for (q, g) in q.iter_mut().zip(gram_j) {
-                        *q -= delta * g;
+                    q_r = q_next - delta * gram_r[r + 1];
+                    q_next = q[r + 2] - delta * gram_r[r + 2];
+                    for (q, g) in q.chunks_exact_mut(LANES).zip(gram_r.chunks_exact(LANES)) {
+                        for l in 0..LANES {
+                            q[l] -= delta * g[l];
+                        }
                     }
-                    w[j] = new_w;
+                    w[r] = new_w;
                     max_delta = max_delta.max(delta.abs());
+                } else {
+                    q_r = q_next;
+                    q_next = q[r + 2];
                 }
             }
             converged = max_delta < TOL;
         }
 
-        let weights: Vec<f64> = w
+        let mut std_weights = vec![0.0; p];
+        for (&j, w) in active.iter().zip(w) {
+            std_weights[j] = w;
+        }
+        self.finish(alpha, std_weights, sweeps, converged)
+    }
+
+    /// Maps the standardised weights back to feature units.
+    fn finish(
+        &self,
+        alpha: f64,
+        std_weights: Vec<f64>,
+        sweeps: usize,
+        converged: bool,
+    ) -> LassoRegression {
+        let weights: Vec<f64> = std_weights
             .iter()
             .zip(self.scaler.stds())
             .map(|(w, s)| w / s)
@@ -147,7 +192,7 @@ impl Moments {
         LassoRegression {
             weights,
             intercept,
-            std_weights: w,
+            std_weights,
             alpha,
             sweeps,
             converged,
@@ -305,10 +350,89 @@ mod tests {
         (w, MAX_SWEEPS)
     }
 
+    /// The descent this module used before the packed active-column Gram
+    /// rows — every column, constant ones skipped in the loop, with a
+    /// full-width `q` update — kept as the model the packed descent is
+    /// checked against, bit for bit.
+    fn full_gram_descent(m: &Moments, alpha: f64) -> LassoRegression {
+        let p = m.xty.len();
+        let gamma = alpha * m.n as f64;
+        let mut w = vec![0.0; p];
+        let mut q = m.xty.clone();
+        let mut sweeps = 0;
+        let mut converged = false;
+        while sweeps < MAX_SWEEPS && !converged {
+            sweeps += 1;
+            let mut max_delta: f64 = 0.0;
+            for j in 0..p {
+                let gram_j = &m.gram[j * p..(j + 1) * p];
+                let col_sq = gram_j[j];
+                if col_sq == 0.0 {
+                    continue;
+                }
+                let rho = q[j] + w[j] * col_sq;
+                let new_w = soft_threshold(rho, gamma) / col_sq;
+                let delta = new_w - w[j];
+                if delta != 0.0 {
+                    for (q, g) in q.iter_mut().zip(gram_j) {
+                        *q -= delta * g;
+                    }
+                    w[j] = new_w;
+                    max_delta = max_delta.max(delta.abs());
+                }
+            }
+            converged = max_delta < TOL;
+        }
+        m.finish(alpha, w, sweeps, converged)
+    }
+
+    /// The Gram accumulation this module used before both triangles were
+    /// summed — the upper triangle row by row, mirrored at the end — kept
+    /// as the model [`Moments::new`] is checked against. Returns `(XᵀX,
+    /// Xᵀy)`.
+    fn upper_triangle_moments(ds: &Dataset) -> (Vec<f64>, Vec<f64>) {
+        let p = ds.width();
+        let scaler = StandardScaler::fit(ds.rows());
+        let y_mean = ds.target_mean();
+        let mut gram = vec![0.0; p * p];
+        let mut xty = vec![0.0; p];
+        for (row, y) in ds.rows().zip(ds.targets()) {
+            let z = scaler.transform_row(row);
+            for j in 0..p {
+                xty[j] += z[j] * (y - y_mean);
+                for k in j..p {
+                    gram[j * p + k] += z[j] * z[k];
+                }
+            }
+        }
+        for j in 1..p {
+            for k in 0..j {
+                gram[j * p + k] = gram[k * p + j];
+            }
+        }
+        (gram, xty)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every float of a fit, as bits.
+    fn fit_bits(m: &LassoRegression) -> (Vec<u64>, Vec<u64>, u64, usize, bool) {
+        (
+            bits(m.weights()),
+            bits(m.std_weights()),
+            m.intercept().to_bits(),
+            m.sweeps(),
+            m.converged(),
+        )
+    }
+
     /// Leak-like collinear design: every column is a mix of two shared
     /// latent trends plus a little private noise, on very different scales;
-    /// optionally one column is constant.
-    fn collinear_ds(seed: u64, n: usize, p: usize, noise: f64, constant: bool) -> Dataset {
+    /// `constant` draws pick columns to hold constant (a repeat draw adds
+    /// none).
+    fn collinear_ds(seed: u64, n: usize, p: usize, noise: f64, constant: usize) -> Dataset {
         let mut rng = SimRng::new(seed);
         let mix: Vec<(f64, f64, f64)> = (0..p)
             .map(|_| {
@@ -319,7 +443,7 @@ mod tests {
                 )
             })
             .collect();
-        let const_col = constant.then(|| rng.index(p));
+        let const_cols: Vec<usize> = (0..constant).map(|_| rng.index(p)).collect();
         let beta: Vec<f64> = (0..p).map(|_| rng.uniform(-3.0, 3.0)).collect();
         let mut ds = Dataset::new((0..p).map(|j| format!("f{j}")));
         for i in 0..n {
@@ -329,7 +453,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(j, &(a, b, scale))| {
-                    if const_col == Some(j) {
+                    if const_cols.contains(&j) {
                         7.5
                     } else {
                         scale * (a * t + b * u + rng.normal(0.0, noise))
@@ -357,7 +481,7 @@ mod tests {
             noise in 0.01f64..0.3,
             share in 0.0f64..0.3,
         ) {
-            let ds = collinear_ds(seed, n, p, noise, seed % 3 == 0);
+            let ds = collinear_ds(seed, n, p, noise, usize::from(seed % 3 == 0));
             // A fifth of the cases run unregularised.
             let alpha = if seed % 5 == 0 {
                 0.0
@@ -377,6 +501,33 @@ mod tests {
                 (0..w.len()).filter(|&j| w[j].abs() > cut).collect()
             };
             prop_assert_eq!(select(model.std_weights()), select(&w));
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn moments_and_packed_descent_match_their_oracles(
+            seed in 0u64..1_000_000,
+            n in 20usize..600,
+            p in 1usize..21,
+            constant in 0usize..4,
+            noise in 0.001f64..0.3,
+            share in 0.0f64..0.3,
+        ) {
+            let ds = collinear_ds(seed, n, p, noise, constant);
+            // A fifth of the cases run unregularised.
+            let alpha = if seed % 5 == 0 {
+                0.0
+            } else {
+                share * LassoRegression::alpha_max(&ds)
+            };
+            let moments = Moments::new(&ds);
+            let (gram, xty) = upper_triangle_moments(&ds);
+            prop_assert_eq!(bits(&moments.gram), bits(&gram));
+            prop_assert_eq!(bits(&moments.xty), bits(&xty));
+            let expect = full_gram_descent(&moments, alpha);
+            let got = LassoRegression::fit(&ds, alpha);
+            prop_assert_eq!(fit_bits(&got), fit_bits(&expect), "n={} p={} alpha={}", n, p, alpha);
         }
     }
 

@@ -128,11 +128,18 @@ impl AnyModel {
     }
 
     /// Predicts many rows.
-    pub fn predict(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+    pub fn predict<'a, I>(&self, rows: I) -> Vec<f64>
+    where
+        I: IntoIterator<Item = &'a [f64]>,
+    {
         match self {
             // The tree has its compact-arena batch walk.
-            AnyModel::RepTree(m) => m.predict_batch(rows),
-            _ => rows.iter().map(|r| self.predict_one(r)).collect(),
+            AnyModel::RepTree(m) => {
+                let mut out = Vec::new();
+                m.predict_batch_into(rows, &mut out);
+                out
+            }
+            _ => rows.into_iter().map(|r| self.predict_one(r)).collect(),
         }
     }
 
@@ -185,11 +192,11 @@ mod tests {
     fn batch_predict_matches_single() {
         let ds = linear_ds(100, 3);
         let mut rng = SimRng::new(4);
-        let rows = vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![9.5, 0.5]];
+        let rows = [vec![1.0, 2.0], vec![3.0, 4.0], vec![9.5, 0.5]];
         for kind in ModelKind::ALL {
             let model = kind.fit(&ds, &mut rng);
             assert_eq!(model.name(), kind.name());
-            let batch = model.predict(&rows);
+            let batch = model.predict(rows.iter().map(Vec::as_slice));
             assert_eq!(batch.len(), rows.len());
             for (i, row) in rows.iter().enumerate() {
                 assert_eq!(

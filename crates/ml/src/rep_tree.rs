@@ -7,7 +7,7 @@
 //! hold out a fraction of the training data, then collapse any internal
 //! node whose subtree does not beat its own leaf-mean on the holdout.
 
-use crate::dataset::Dataset;
+use crate::dataset::{split_order, Dataset};
 use acm_sim::rng::SimRng;
 
 /// Growth and pruning hyper-parameters.
@@ -80,30 +80,25 @@ impl RepTree {
     /// Fits a tree. `rng` draws the grow/prune split, so training is
     /// deterministic per seed.
     pub fn fit(ds: &Dataset, cfg: &RepTreeConfig, rng: &mut SimRng) -> Self {
-        let (grow, prune) = Self::grow_prune_sets(ds, cfg, rng);
-        let (nodes, root) = Builder::grow(&grow, cfg);
-        Self::finish(nodes, root, &prune)
-    }
-
-    /// Splits off the reduced-error-pruning holdout (empty when pruning is
-    /// off or the dataset too small to spare one).
-    fn grow_prune_sets(ds: &Dataset, cfg: &RepTreeConfig, rng: &mut SimRng) -> (Dataset, Dataset) {
         assert!(!ds.is_empty(), "cannot fit on empty dataset");
         assert!(
             (0.0..1.0).contains(&cfg.prune_fraction),
             "prune fraction must be in [0,1)"
         );
-        if cfg.prune_fraction > 0.0 && ds.len() >= 8 {
-            let (g, p) = ds.split(1.0 - cfg.prune_fraction, rng);
-            if !g.is_empty() {
-                return (g, p);
-            }
+        let (mut order, mut cut) = if cfg.prune_fraction > 0.0 && ds.len() >= 8 {
+            split_order(ds.len(), 1.0 - cfg.prune_fraction, rng)
+        } else {
+            (Vec::new(), 0)
+        };
+        if cut == 0 {
+            // No reduced-error-pruning holdout: pruning is off, or the
+            // dataset is too small to spare one. The tree grows on every
+            // row in dataset order.
+            order = (0..ds.len()).collect();
+            cut = ds.len();
         }
-        (ds.clone(), Dataset::new(ds.feature_names().to_vec()))
-    }
-
-    /// Prunes a grown arena against the holdout and compacts it.
-    fn finish(nodes: Vec<Node>, root: usize, prune: &Dataset) -> Self {
+        let (grow, prune) = order.split_at_mut(cut);
+        let (nodes, root) = Builder::grow(ds, grow, cfg);
         let mut tree = RepTree {
             nodes,
             root,
@@ -112,7 +107,7 @@ impl RepTree {
             flat_right: Vec::new(),
         };
         if !prune.is_empty() {
-            tree.reduced_error_prune(prune);
+            tree.reduced_error_prune(ds, prune);
         }
         tree.compact();
         tree
@@ -290,14 +285,6 @@ impl RepTree {
         }
     }
 
-    /// Predicts many rows. Equivalent to mapping [`RepTree::predict_one`],
-    /// but dispatches once and walks the compact arena back to back.
-    pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.predict_batch_into(rows.iter().map(|r| r.as_slice()), &mut out);
-        out
-    }
-
     /// Number of leaves.
     pub fn leaf_count(&self) -> usize {
         self.count_leaves(self.root)
@@ -356,27 +343,35 @@ impl RepTree {
         }
     }
 
-    /// Reduced-error pruning against a holdout set: bottom-up, replace any
-    /// split whose collapsed-leaf squared error on the holdout is no worse
-    /// than its subtree's.
-    fn reduced_error_prune(&mut self, holdout: &Dataset) {
-        let indices: Vec<usize> = (0..holdout.len()).collect();
-        self.prune_node(self.root, &indices, holdout);
+    /// Reduced-error pruning against the holdout rows `holdout` of `ds`:
+    /// bottom-up, replace any split whose collapsed-leaf squared error on
+    /// the holdout is no worse than its subtree's. Reorders `holdout`.
+    fn reduced_error_prune(&mut self, ds: &Dataset, holdout: &mut [usize]) {
+        let mut scratch = vec![0; holdout.len()];
+        self.prune_node(self.root, ds, holdout, &mut scratch);
     }
 
-    /// Returns the subtree's squared error on `indices` after pruning it.
-    fn prune_node(&mut self, idx: usize, indices: &[usize], holdout: &Dataset) -> f64 {
+    /// Returns the subtree's squared error on `rows` (the node's holdout
+    /// rows, in holdout order) after pruning it. The children's rows are
+    /// stable-partitioned in place, so every node sums its errors in the
+    /// order a fresh per-node list would hold them.
+    fn prune_node(
+        &mut self,
+        idx: usize,
+        ds: &Dataset,
+        rows: &mut [usize],
+        scratch: &mut [usize],
+    ) -> f64 {
+        let sq_err = |rows: &[usize], v: f64| -> f64 {
+            rows.iter()
+                .map(|&i| {
+                    let d = ds.target(i) - v;
+                    d * d
+                })
+                .sum()
+        };
         let (feature, threshold, mean, left, right) = match &self.nodes[idx] {
-            Node::Leaf { value } => {
-                let v = *value;
-                return indices
-                    .iter()
-                    .map(|&i| {
-                        let d = holdout.target(i) - v;
-                        d * d
-                    })
-                    .sum();
-            }
+            Node::Leaf { value } => return sq_err(rows, *value),
             Node::Split {
                 feature,
                 threshold,
@@ -387,21 +382,16 @@ impl RepTree {
             } => (*feature, *threshold, *mean, *left, *right),
         };
 
-        let (li, ri): (Vec<usize>, Vec<usize>) = indices
-            .iter()
-            .partition(|&&i| holdout.row(i)[feature] <= threshold);
+        // Summed before the children reorder `rows`.
+        let leaf_err = sq_err(rows, mean);
+        let seen = !rows.is_empty();
+        let mid = stable_partition(rows, scratch, |i| ds.row(i)[feature] <= threshold);
+        let (li, ri) = rows.split_at_mut(mid);
         let subtree_err =
-            self.prune_node(left, &li, holdout) + self.prune_node(right, &ri, holdout);
-        let leaf_err: f64 = indices
-            .iter()
-            .map(|&i| {
-                let d = holdout.target(i) - mean;
-                d * d
-            })
-            .sum();
+            self.prune_node(left, ds, li, scratch) + self.prune_node(right, ds, ri, scratch);
         // Collapse when the leaf is at least as good on held-out data. Nodes
         // that see no holdout rows keep their structure (no evidence).
-        if !indices.is_empty() && leaf_err <= subtree_err {
+        if seen && leaf_err <= subtree_err {
             self.nodes[idx] = Node::Leaf { value: mean };
             leaf_err
         } else {
@@ -411,7 +401,8 @@ impl RepTree {
 }
 
 /// Grows the tree over per-feature row orders sorted **once**, at the
-/// root. A node is a range `lo..hi` shared by all the order arrays; applying
+/// root, each by one packed integer key per row ([`presort_column`]). A
+/// node is a range `lo..hi` shared by all the order arrays; applying
 /// a split stable-partitions that range of every array, so each child again
 /// sees its rows by ascending feature value with ties by ascending row id —
 /// exactly what a stable per-node sort of the ascending row ids yields. The
@@ -422,9 +413,10 @@ struct Builder<'a> {
     cfg: &'a RepTreeConfig,
     n: usize,
     width: usize,
-    /// Column-major copy of the grow set: `cols[f * n + i]`.
+    /// Column-major copy of the grow set: `cols[f * n + i]`, row id `i`
+    /// being the row's position in the grow set.
     cols: Vec<f64>,
-    y: &'a [f64],
+    y: Vec<f64>,
     /// `width + 1` arrays of `n` row ids: array `f < width` by ascending
     /// value of feature `f`, array `width` by ascending row id.
     orders: Vec<u32>,
@@ -435,27 +427,29 @@ struct Builder<'a> {
 }
 
 impl<'a> Builder<'a> {
-    /// Grows the unpruned arena for `ds`; returns it with its root index.
-    fn grow(ds: &'a Dataset, cfg: &'a RepTreeConfig) -> (Vec<Node>, usize) {
-        let mut builder = Builder::new(ds, cfg);
-        let root = builder.build(0, ds.len(), 0);
+    /// Grows the unpruned arena on the rows `grow` of `ds` (in that order);
+    /// returns it with its root index.
+    fn grow(ds: &Dataset, grow: &[usize], cfg: &'a RepTreeConfig) -> (Vec<Node>, usize) {
+        let mut builder = Builder::new(ds, grow, cfg);
+        let root = builder.build(0, grow.len(), 0);
         (builder.nodes, root)
     }
 
-    fn new(ds: &'a Dataset, cfg: &'a RepTreeConfig) -> Self {
-        let (n, width) = (ds.len(), ds.width());
+    fn new(ds: &Dataset, grow: &[usize], cfg: &'a RepTreeConfig) -> Self {
+        let (n, width) = (grow.len(), ds.width());
         let ids = 0..u32::try_from(n).expect("grow set has fewer than 2^32 rows");
-        let mut cols = Vec::with_capacity(width * n);
+        let mut cols = vec![0.0; width * n];
+        for (k, &i) in grow.iter().enumerate() {
+            for (f, v) in ds.row(i).iter().enumerate() {
+                // `+ 0.0` turns -0.0 into 0.0, so the total order of the
+                // presort ranks the values exactly as `<` and `==` do.
+                cols[f * n + k] = v + 0.0;
+            }
+        }
         let mut orders = Vec::with_capacity((width + 1) * n);
+        let mut keys = Vec::with_capacity(n);
         for f in 0..width {
-            // `+ 0.0` turns -0.0 into 0.0, so the total order below ranks
-            // the values exactly as `<` and `==` do.
-            cols.extend(ds.rows().iter().map(|row| row[f] + 0.0));
-            let col = &cols[f * n..];
-            orders.extend(ids.clone());
-            orders[f * n..].sort_unstable_by(|&a, &b| {
-                col[a as usize].total_cmp(&col[b as usize]).then(a.cmp(&b))
-            });
+            presort_column(&cols[f * n..(f + 1) * n], &mut keys, &mut orders);
         }
         orders.extend(ids);
         Builder {
@@ -464,10 +458,10 @@ impl<'a> Builder<'a> {
             n,
             width,
             cols,
-            y: ds.targets(),
+            y: grow.iter().map(|&i| ds.target(i)).collect(),
             orders,
             goes_left: vec![false; n],
-            scratch: Vec::with_capacity(n),
+            scratch: vec![0; n],
         }
     }
 
@@ -530,19 +524,10 @@ impl<'a> Builder<'a> {
             mid += left as usize;
         }
         for order in self.orders.chunks_exact_mut(self.n) {
-            let order = &mut order[lo..hi];
-            self.scratch.clear();
-            let mut kept = 0;
-            for k in 0..order.len() {
-                let i = order[k];
-                if self.goes_left[i as usize] {
-                    order[kept] = i;
-                    kept += 1;
-                } else {
-                    self.scratch.push(i);
-                }
-            }
-            order[kept..].copy_from_slice(&self.scratch);
+            let goes_left = &self.goes_left;
+            stable_partition(&mut order[lo..hi], &mut self.scratch, |i| {
+                goes_left[i as usize]
+            });
         }
         mid
     }
@@ -598,6 +583,58 @@ impl<'a> Builder<'a> {
             _ => None,
         }
     }
+}
+
+/// Appends the row ids `0..col.len()` to `out`, sorted by ascending value
+/// in `col` and ties by ascending id — the order of
+/// `col[a].total_cmp(&col[b]).then(a.cmp(&b))` — by sorting one integer
+/// key per row: the value's total-order bits above the row id. `keys` is
+/// scratch.
+fn presort_column(col: &[f64], keys: &mut Vec<u128>, out: &mut Vec<u32>) {
+    keys.clear();
+    keys.extend(
+        col.iter()
+            .zip(0u32..)
+            .map(|(&v, id)| (u128::from(total_order_bits(v)) << 32) | u128::from(id)),
+    );
+    keys.sort_unstable();
+    // The low 32 bits are the row id.
+    out.extend(keys.iter().map(|&k| k as u32));
+}
+
+/// `v`'s bits, remapped so that unsigned integer order is
+/// [`f64::total_cmp`] order: negative values have every bit flipped (a
+/// larger magnitude sorts lower), the others only the sign bit (above
+/// every negative value).
+fn total_order_bits(v: f64) -> u64 {
+    let bits = v.to_bits();
+    let sign_mask = ((bits as i64) >> 63) as u64;
+    bits ^ (sign_mask | (1 << 63))
+}
+
+/// Stable-partitions `rows` into the ones `goes_left` accepts followed by
+/// the rest, both in their original relative order; returns the boundary.
+/// `scratch` holds the rest on the way (at least `rows.len()` long). Each
+/// row is written to both sides and only one side's cursor advances, so
+/// the loop has no data-dependent branch.
+fn stable_partition<T: Copy>(
+    rows: &mut [T],
+    scratch: &mut [T],
+    goes_left: impl Fn(T) -> bool,
+) -> usize {
+    let len = rows.len();
+    let scratch = &mut scratch[..len];
+    let mut kept = 0;
+    for k in 0..len {
+        let i = rows[k];
+        let left = goes_left(i);
+        // `kept <= k`: the slot written was already read.
+        rows[kept] = i;
+        scratch[k - kept] = i;
+        kept += usize::from(left);
+    }
+    rows[kept..].copy_from_slice(&scratch[..len - kept]);
+    kept
 }
 
 #[cfg(test)]
@@ -695,16 +732,82 @@ mod tests {
         }
     }
 
-    /// [`RepTree::fit`] with the growth step swapped for the model.
+    /// The reduced-error prune this module used before it partitioned one
+    /// index buffer in place: two fresh `Vec`s per node, over a holdout
+    /// copied out into its own dataset.
+    fn prune_by_copies(
+        tree: &mut RepTree,
+        idx: usize,
+        indices: &[usize],
+        holdout: &Dataset,
+    ) -> f64 {
+        let sq_err = |v: f64| -> f64 {
+            indices
+                .iter()
+                .map(|&i| {
+                    let d = holdout.target(i) - v;
+                    d * d
+                })
+                .sum()
+        };
+        let (feature, threshold, mean, left, right) = match &tree.nodes[idx] {
+            Node::Leaf { value } => return sq_err(*value),
+            Node::Split {
+                feature,
+                threshold,
+                mean,
+                left,
+                right,
+                ..
+            } => (*feature, *threshold, *mean, *left, *right),
+        };
+        let (li, ri): (Vec<usize>, Vec<usize>) = indices
+            .iter()
+            .partition(|&&i| holdout.row(i)[feature] <= threshold);
+        let subtree_err =
+            prune_by_copies(tree, left, &li, holdout) + prune_by_copies(tree, right, &ri, holdout);
+        let leaf_err = sq_err(mean);
+        if !indices.is_empty() && leaf_err <= subtree_err {
+            tree.nodes[idx] = Node::Leaf { value: mean };
+            leaf_err
+        } else {
+            subtree_err
+        }
+    }
+
+    /// [`RepTree::fit`] as it was before the flat grow/prune index split,
+    /// the presort and the in-place prune: the grow and prune sets copied
+    /// out by [`Dataset::split`], every node re-sorted, every prune node
+    /// partitioned into fresh lists.
     fn fit_by_sorting(ds: &Dataset, cfg: &RepTreeConfig, rng: &mut SimRng) -> RepTree {
-        let (grow, prune) = RepTree::grow_prune_sets(ds, cfg, rng);
+        let (grow, prune) = match cfg.prune_fraction > 0.0 && ds.len() >= 8 {
+            true => ds.split(1.0 - cfg.prune_fraction, rng),
+            false => (Dataset::default(), Dataset::default()),
+        };
+        let (grow, prune) = if grow.is_empty() {
+            (ds.clone(), Dataset::default())
+        } else {
+            (grow, prune)
+        };
         let mut builder = SortingBuilder {
             nodes: Vec::new(),
             cfg,
             ds: &grow,
         };
         let root = builder.build(&(0..grow.len()).collect::<Vec<_>>(), 0);
-        RepTree::finish(builder.nodes, root, &prune)
+        let mut tree = RepTree {
+            nodes: builder.nodes,
+            root,
+            flat_feature: Vec::new(),
+            flat_threshold: Vec::new(),
+            flat_right: Vec::new(),
+        };
+        if !prune.is_empty() {
+            let indices: Vec<usize> = (0..prune.len()).collect();
+            prune_by_copies(&mut tree, root, &indices, &prune);
+        }
+        tree.compact();
+        tree
     }
 
     /// A dataset built to stress tie handling: features drawn from a few
@@ -720,7 +823,8 @@ mod tests {
                 } else {
                     rng.normal(0.0, 3.0)
                 };
-                ds.push(ds.row(i).to_vec(), y);
+                let repeat = ds.row(i).to_vec();
+                ds.push(repeat, y);
                 continue;
             }
             let row: Vec<f64> = (0..width)
@@ -773,6 +877,62 @@ mod tests {
                     RepTree::fit(&ds, &cfg, &mut SimRng::new(s))
                 });
                 prop_assert_eq!(&got, &expect, "threads={}", threads);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn packed_key_presort_matches_total_cmp_then_id(
+            seed in 0u64..1_000_000,
+            n in 1usize..150,
+            levels in 1usize..6,
+        ) {
+            // The refit's shape (~75 rows × 5 features) and around it:
+            // ±0.0, few levels (heavy ties), repeated rows, and wide values
+            // of both signs.
+            let mut rng = SimRng::new(seed);
+            let ds = tied_ds(&mut rng, n, 5, levels);
+            let mut keys = Vec::new();
+            for f in 0..ds.width() {
+                let mut col: Vec<f64> = ds.rows().map(|row| row[f] + 0.0).collect();
+                if seed % 4 == 0 {
+                    for v in &mut col {
+                        *v *= 10f64.powi(rng.index(600) as i32 - 300);
+                    }
+                }
+                let mut expect: Vec<u32> = (0..n as u32).collect();
+                expect.sort_unstable_by(|&a, &b| {
+                    col[a as usize].total_cmp(&col[b as usize]).then(a.cmp(&b))
+                });
+                let mut got = Vec::new();
+                presort_column(&col, &mut keys, &mut got);
+                prop_assert_eq!(got, expect, "feature {}", f);
+            }
+        }
+    }
+
+    #[test]
+    fn total_order_bits_rank_like_total_cmp() {
+        let vals = [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for a in vals {
+            for b in vals {
+                assert_eq!(
+                    total_order_bits(a).cmp(&total_order_bits(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
             }
         }
     }
@@ -945,15 +1105,13 @@ mod tests {
         let tree = RepTree::fit(&ds, &RepTreeConfig::default(), &mut SimRng::new(42));
         let mut rng = SimRng::new(43);
         let rows: Vec<Vec<f64>> = (0..257).map(|_| vec![rng.uniform(-0.5, 1.5)]).collect();
-        let batch = tree.predict_batch(&rows);
+        // The entry point clears and refills its output.
+        let mut batch = vec![f64::NAN; 3];
+        tree.predict_batch_into(rows.iter().map(|r| r.as_slice()), &mut batch);
         assert_eq!(batch.len(), rows.len());
         for (row, b) in rows.iter().zip(&batch) {
             assert_eq!(*b, tree.predict_one(row), "row {row:?}");
         }
-        // The scratch-reusing entry point clears and refills.
-        let mut out = vec![f64::NAN; 3];
-        tree.predict_batch_into(rows.iter().map(|r| r.as_slice()), &mut out);
-        assert_eq!(out, batch);
     }
 
     #[test]

@@ -13,24 +13,36 @@ pub struct StandardScaler {
 }
 
 impl StandardScaler {
-    /// Fits per-column statistics on `rows`. Constant columns get unit
-    /// scale so transformation stays well-defined.
-    pub fn fit(rows: &[Vec<f64>]) -> Self {
-        assert!(!rows.is_empty(), "cannot fit scaler on empty data");
-        let width = rows[0].len();
-        let n = rows.len() as f64;
+    /// Fits per-column statistics on `rows` (anything that yields the
+    /// rows twice: a `&[Vec<f64>]`, [`crate::dataset::Dataset::rows`]).
+    /// Constant columns get unit scale so transformation stays
+    /// well-defined.
+    pub fn fit<I>(rows: I) -> Self
+    where
+        I: IntoIterator + Clone,
+        I::Item: AsRef<[f64]>,
+    {
+        let mut it = rows.clone().into_iter().peekable();
+        let width = it
+            .peek()
+            .expect("cannot fit scaler on empty data")
+            .as_ref()
+            .len();
+        let mut count = 0usize;
         let mut means = vec![0.0; width];
-        for row in rows {
-            for (m, v) in means.iter_mut().zip(row) {
+        for row in it {
+            count += 1;
+            for (m, v) in means.iter_mut().zip(row.as_ref()) {
                 *m += v;
             }
         }
+        let n = count as f64;
         for m in &mut means {
             *m /= n;
         }
         let mut vars = vec![0.0; width];
         for row in rows {
-            for ((s, v), m) in vars.iter_mut().zip(row).zip(&means) {
+            for ((s, v), m) in vars.iter_mut().zip(row.as_ref()).zip(&means) {
                 let d = v - m;
                 *s += d * d;
             }
@@ -64,8 +76,14 @@ impl StandardScaler {
     }
 
     /// Standardises many rows.
-    pub fn transform(&self, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        rows.iter().map(|r| self.transform_row(r)).collect()
+    pub fn transform<I>(&self, rows: I) -> Vec<Vec<f64>>
+    where
+        I: IntoIterator,
+        I::Item: AsRef<[f64]>,
+    {
+        rows.into_iter()
+            .map(|r| self.transform_row(r.as_ref()))
+            .collect()
     }
 
     /// Per-column means.
@@ -155,6 +173,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty")]
     fn empty_fit_panics() {
-        let _ = StandardScaler::fit(&[]);
+        let _ = StandardScaler::fit(&[] as &[Vec<f64>]);
     }
 }

@@ -166,7 +166,7 @@ mod tests {
             if rng.bernoulli(0.05) {
                 y += 100.0;
             }
-            contaminated.push(ds.row(i).to_vec(), y);
+            contaminated.push(ds.row(i), y);
         }
         ds = contaminated;
         let svr = LinearSvr::fit(&ds, &SvrConfig::default(), &mut SimRng::new(5));

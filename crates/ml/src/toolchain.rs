@@ -14,7 +14,7 @@
 //! 4. return the winner wrapped as an [`RttfPredictor`] that accepts the
 //!    *full* feature vector at runtime and projects internally.
 
-use crate::dataset::Dataset;
+use crate::dataset::{split_order, Dataset};
 use crate::lasso::LassoRegression;
 use crate::metrics::RegressionMetrics;
 use crate::model::{AnyModel, ModelKind};
@@ -106,6 +106,9 @@ impl F2pmReport {
     }
 }
 
+/// Widest feature projection [`RttfPredictor::predict`] builds on the stack.
+const PROJECT_ON_STACK: usize = 16;
+
 /// A deployable RTTF predictor: the winning model plus the feature
 /// projection chosen by Lasso. Predictions are clamped to be non-negative —
 /// a remaining time to failure below zero is meaningless to the controller.
@@ -122,9 +125,22 @@ impl RttfPredictor {
     }
 
     /// Predicts RTTF (seconds, ≥ 0) from the full runtime feature vector.
+    /// Projections up to [`PROJECT_ON_STACK`] features wide (every
+    /// deployment's: the VM model monitors 12) are built on the stack.
     pub fn predict(&self, full_features: &[f64]) -> f64 {
-        let projected: Vec<f64> = self.selected.iter().map(|&j| full_features[j]).collect();
-        self.model.predict_one(&projected).max(0.0)
+        let width = self.selected.len();
+        let mut stack = [0.0; PROJECT_ON_STACK];
+        let mut heap = Vec::new();
+        let projected = if width <= PROJECT_ON_STACK {
+            &mut stack[..width]
+        } else {
+            heap.resize(width, 0.0);
+            &mut heap[..]
+        };
+        for (p, &j) in projected.iter_mut().zip(&self.selected) {
+            *p = full_features[j];
+        }
+        self.model.predict_one(projected).max(0.0)
     }
 
     /// Batch variant of [`RttfPredictor::predict`]: projects every full
@@ -227,10 +243,13 @@ impl F2pmToolchain {
             .record(lasso.sweeps() as u64);
         obs.counter("acm.ml.toolchain.lasso_unconverged")
             .add(u64::from(!lasso.converged()));
-        let projected = db.project(&selected);
 
-        // 2. Split once; every family sees the same split.
-        let (train, holdout) = projected.split(self.train_frac, rng);
+        // 2. Split once; every family sees the same split. The projected
+        //    train and holdout sets are gathered straight from `db`, with
+        //    the draws `db.project(&selected).split(..)` would make.
+        let (order, cut) = split_order(db.len(), self.train_frac, rng);
+        let train = db.select(&order[..cut], &selected);
+        let holdout = db.select(&order[cut..], &selected);
 
         // 3. Train the menu in parallel, each family with its own
         //    deterministic RNG stream and fit timer (resolved here, off
@@ -258,12 +277,7 @@ impl F2pmToolchain {
             });
 
         // 4. Rank by holdout RMSE.
-        results.sort_by(|a, b| {
-            a.1.metrics
-                .rmse
-                .partial_cmp(&b.1.metrics.rmse)
-                .expect("finite RMSE")
-        });
+        results.sort_by(|a, b| rank_rmse(a.1.metrics.rmse, b.1.metrics.rmse));
 
         let report = F2pmReport {
             selected_names: selected
@@ -277,6 +291,17 @@ impl F2pmToolchain {
         };
         let best_model = results.swap_remove(0).0;
         (RttfPredictor::new(best_model, selected), report)
+    }
+}
+
+/// Ranking order of two holdout RMSEs: ascending, with NaN (of either
+/// sign) after every number, so a family whose score overflowed never
+/// wins; two NaNs tie. A bare `total_cmp` would rank a negative NaN —
+/// what x86 produces for `inf - inf` — first.
+fn rank_rmse(a: f64, b: f64) -> std::cmp::Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => a.partial_cmp(&b).expect("neither is NaN"),
+        (a_nan, b_nan) => a_nan.cmp(&b_nan),
     }
 }
 
@@ -445,6 +470,39 @@ mod tests {
         // Instrumentation must not change the result.
         let (_, bare) = tc.run(&db, &mut SimRng::new(21));
         assert_eq!(format!("{report:?}"), format!("{bare:?}"));
+    }
+
+    #[test]
+    fn nan_rmse_ranks_after_every_number() {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        // `-f64::NAN` carries the sign bit, like x86's default NaN.
+        for nan in [f64::NAN, -f64::NAN] {
+            for x in [0.0, 1.0, f64::MAX, f64::INFINITY] {
+                assert_eq!(rank_rmse(nan, x), Greater, "{nan} vs {x}");
+                assert_eq!(rank_rmse(x, nan), Less, "{x} vs {nan}");
+            }
+            assert_eq!(rank_rmse(nan, -nan), Equal);
+        }
+        assert_eq!(rank_rmse(0.0, -0.0), Equal);
+        assert_eq!(rank_rmse(1.0, f64::INFINITY), Less);
+
+        // Targets near f64::MAX overflow some families' holdout errors.
+        let mut rng = SimRng::new(30);
+        let mut db = Dataset::new(["x"]);
+        for _ in 0..60 {
+            let x = rng.uniform(0.0, 1e154);
+            db.push(vec![x], x * 1e154);
+        }
+        let (_, report) = F2pmToolchain::default().run(&db, &mut rng);
+        let rmses: Vec<f64> = report.outcomes.iter().map(|o| o.metrics.rmse).collect();
+        let nans = rmses.iter().filter(|r| r.is_nan()).count();
+        assert!(nans > 0, "no NaN family: {rmses:?}");
+        assert!(nans < rmses.len(), "every family NaN: {rmses:?}");
+        assert!(
+            rmses[..rmses.len() - nans].iter().all(|r| !r.is_nan()),
+            "{rmses:?}"
+        );
+        assert!(!report.outcomes[0].metrics.rmse.is_nan());
     }
 
     #[test]

@@ -97,4 +97,85 @@ proptest! {
         let expect: Vec<f64> = (0..n).map(|i| i as f64).collect();
         prop_assert_eq!(all, expect);
     }
+
+    #[test]
+    fn flat_rows_match_row_vectors(
+        seed in 0u64..1_000_000,
+        n in 0usize..150,
+        width in 1usize..17,
+        frac in 0.0f64..1.0,
+    ) {
+        let mut rng = SimRng::new(seed);
+        let names: Vec<String> = (0..width).map(|j| format!("f{j}")).collect();
+        let old = RowVectors {
+            x: (0..n).map(|_| (0..width).map(|_| rng.uniform(-1e3, 1e3)).collect()).collect(),
+            y: (0..n).map(|_| rng.normal(0.0, 10.0)).collect(),
+        };
+        let mut ds = Dataset::new(names.iter().cloned());
+        for (row, &y) in old.x.iter().zip(&old.y) {
+            ds.push(row, y);
+        }
+        prop_assert_eq!(RowVectors::of(&ds), old.clone());
+
+        let keep: Vec<usize> = (0..rng.index(width + 1)).map(|_| rng.index(width)).collect();
+        let projected = ds.project(&keep);
+        prop_assert_eq!(RowVectors::of(&projected), old.project(&keep));
+        let kept_names: Vec<String> = keep.iter().map(|&j| names[j].clone()).collect();
+        prop_assert_eq!(projected.feature_names(), &kept_names[..]);
+
+        // Any rows, repeats included (none of an empty dataset).
+        let picks = if n == 0 { 0 } else { rng.index(2 * n) };
+        let rows: Vec<usize> = (0..picks).map(|_| rng.index(n)).collect();
+        prop_assert_eq!(RowVectors::of(&ds.subset(&rows)), old.subset(&rows));
+
+        let split_seed = rng.next_u64();
+        let (train, test) = ds.split(frac, &mut SimRng::new(split_seed));
+        let (old_train, old_test) = old.split(frac, &mut SimRng::new(split_seed));
+        prop_assert_eq!(RowVectors::of(&train), old_train);
+        prop_assert_eq!(RowVectors::of(&test), old_test);
+    }
+}
+
+/// A dataset stored the way [`Dataset`] stored it before its rows were
+/// flattened into one buffer — one `Vec` per row — with the row
+/// operations of that layout, kept as the model the flat ones are checked
+/// against.
+#[derive(Debug, Clone, PartialEq)]
+struct RowVectors {
+    x: Vec<Vec<f64>>,
+    y: Vec<f64>,
+}
+
+impl RowVectors {
+    fn of(ds: &Dataset) -> Self {
+        RowVectors {
+            x: ds.rows().map(<[f64]>::to_vec).collect(),
+            y: ds.targets().to_vec(),
+        }
+    }
+
+    fn subset(&self, indices: &[usize]) -> Self {
+        RowVectors {
+            x: indices.iter().map(|&i| self.x[i].clone()).collect(),
+            y: indices.iter().map(|&i| self.y[i]).collect(),
+        }
+    }
+
+    fn project(&self, keep: &[usize]) -> Self {
+        RowVectors {
+            x: self
+                .x
+                .iter()
+                .map(|row| keep.iter().map(|&j| row[j]).collect())
+                .collect(),
+            y: self.y.clone(),
+        }
+    }
+
+    fn split(&self, train_frac: f64, rng: &mut SimRng) -> (Self, Self) {
+        let mut idx: Vec<usize> = (0..self.y.len()).collect();
+        rng.shuffle(&mut idx);
+        let cut = (self.y.len() as f64 * train_frac).round() as usize;
+        (self.subset(&idx[..cut]), self.subset(&idx[cut..]))
+    }
 }

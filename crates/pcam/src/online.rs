@@ -93,7 +93,7 @@ impl OnlineLabeler {
                 continue;
             }
             let rttf = at.since(t).as_secs_f64();
-            self.db.push(features.as_slice().to_vec(), rttf);
+            self.db.push(features.as_slice(), rttf);
             rows.push((features, rttf));
         }
         rows

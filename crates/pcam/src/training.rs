@@ -71,8 +71,8 @@ pub fn collect_database(
         collect_run(flavor, anomaly, failure_spec, cfg, lambda, run_rng)
     });
     let mut db = Dataset::new(FEATURE_NAMES);
-    for (features, rttf) in batches.into_iter().flatten() {
-        db.push(features, rttf);
+    for batch in &batches {
+        db.extend(batch);
     }
     db
 }
@@ -86,13 +86,14 @@ pub fn shuffle_targets(db: &Dataset, rng: &mut SimRng) -> Dataset {
     let mut targets: Vec<f64> = db.targets().to_vec();
     rng.shuffle(&mut targets);
     let mut out = Dataset::new(db.feature_names().iter().cloned());
-    for (row, target) in db.rows().iter().zip(targets) {
-        out.push(row.clone(), target);
+    for (row, target) in db.rows().zip(targets) {
+        out.push(row, target);
     }
     out
 }
 
-/// One instrumented run-to-failure at a fixed arrival rate.
+/// One instrumented run-to-failure at a fixed arrival rate: its labelled
+/// rows.
 fn collect_run(
     flavor: &VmFlavor,
     anomaly: &AnomalyConfig,
@@ -100,7 +101,7 @@ fn collect_run(
     cfg: &CollectionConfig,
     lambda: f64,
     run_rng: SimRng,
-) -> Vec<(Vec<f64>, f64)> {
+) -> Dataset {
     let mut vm = Vm::new(
         VmId(0),
         flavor.clone(),
@@ -109,7 +110,7 @@ fn collect_run(
         VmState::Active,
         run_rng,
     );
-    let mut rows = Vec::new();
+    let mut rows = Dataset::new(FEATURE_NAMES);
     let mut now = SimTime::ZERO;
     for _ in 0..cfg.max_eras_per_run {
         let features: FeatureVec = vm.features(now, lambda);
@@ -119,7 +120,7 @@ fn collect_run(
         if !rttf.is_finite() {
             break; // this load level never fails the VM
         }
-        rows.push((features.as_slice().to_vec(), rttf));
+        rows.push(features.as_slice(), rttf);
         now += cfg.era;
         if !vm.is_active() {
             break; // reached the failure point
@@ -185,7 +186,6 @@ mod tests {
         );
         let hash = db
             .rows()
-            .iter()
             .zip(db.targets())
             .flat_map(|(row, target)| row.iter().chain(std::iter::once(target)))
             .flat_map(|v| v.to_bits().to_le_bytes())

@@ -6,7 +6,10 @@
 //! shape of the benchmark's `mega-control`, with small pools and client
 //! populations so it runs in seconds — to bound the live heap an era adds,
 //! and checks on a fig-4 run that storing telemetry and plan vectors
-//! compactly left the three exports byte for byte where they were.
+//! compactly left the three exports byte for byte where they were. It also
+//! counts the allocation calls one model refit makes: the lifecycle refits
+//! on every drift signal, so a refit that allocates per training row is a
+//! per-row cost of serving.
 
 use acm::core::config::{ExperimentConfig, PredictorChoice, RegionSpec};
 use acm::core::control_loop::ControlLoop;
@@ -14,20 +17,36 @@ use acm::core::framework::{build_vmcs, run_experiment_with_obs};
 use acm::core::policy::PolicyKind;
 use acm::core::telemetry::ExperimentTelemetry;
 use acm::core::DegradationConfig;
+use acm::ml::dataset::Dataset;
+use acm::ml::model::ModelKind;
+use acm::ml::toolchain::F2pmToolchain;
 use acm::obs::json::{self, JsonObject};
 use acm::obs::{Obs, ObsConfig, Value};
 use acm::overlay::FaultPlan;
 use acm::sim::rng::SimRng;
 use acm::sim::series::SeriesTable;
 use acm::sim::{Duration, SimTime};
+use acm::vm::FEATURE_NAMES;
 use acm::workload::ClientSchedule;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Bytes currently allocated by the whole process.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+thread_local! {
+    /// Allocation calls (`alloc` and `realloc`) made by this thread.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_call() {
+    // A const-initialised `Cell` has no destructor, so the slot is live
+    // for the thread's whole life; `try_with` only guards the principle.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
 
 struct Counting;
 
@@ -36,6 +55,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        count_call();
         System.alloc(layout)
     }
 
@@ -49,6 +69,7 @@ unsafe impl GlobalAlloc for Counting {
             new_size as isize - layout.size() as isize,
             Ordering::Relaxed,
         );
+        count_call();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -175,6 +196,39 @@ fn an_era_of_the_200_region_world_retains_at_most_10_5_kb() {
         builds >= REGIONS as u64 && builds <= REGIONS as u64 * (invalidations + 1),
         "{builds} tree builds over {invalidations} invalidations"
     );
+}
+
+/// The refit the model lifecycle submits — `F2pmToolchain { models:
+/// [RepTree] }.run`, Lasso selection then a REP-Tree on the projected
+/// split — on a fixed 132 x 12 labelled database (the lifecycle's average
+/// refit size), counted in allocation calls on the calling thread (the
+/// one-family menu trains inline). Reads 62 calls. Before the training
+/// rows were one flat buffer — `project`, `split` and the tree's grow /
+/// prune split copying a `Vec` per row, the prune two `Vec`s per node —
+/// the same refit made 476, and one row copy coming back anywhere on the
+/// path costs ~100 calls, so 80 fails if any of them returns.
+#[test]
+fn a_refit_allocates_per_table_not_per_row() {
+    let mut rng = SimRng::new(5);
+    let mut db = Dataset::new(FEATURE_NAMES);
+    for _ in 0..132 {
+        let row: Vec<f64> = (0..FEATURE_NAMES.len())
+            .map(|j| rng.uniform(0.0, 100.0 * (j + 1) as f64))
+            .collect();
+        let rttf = 5_000.0 - 3.0 * row[0] - row[3] + rng.normal(0.0, 50.0);
+        db.push(row, rttf);
+    }
+    let toolchain = F2pmToolchain {
+        models: vec![ModelKind::RepTree],
+        ..Default::default()
+    };
+    // The first run starts the pool; the count is of the one after.
+    drop(toolchain.run(&db, &mut SimRng::new(6)));
+    let before = CALLS.with(Cell::get);
+    let refit = toolchain.run(&db, &mut SimRng::new(7));
+    let calls = CALLS.with(Cell::get) - before;
+    drop(refit);
+    assert!(calls <= 80, "one refit made {calls} allocation calls");
 }
 
 /// End instant of era `e`: the clock the telemetry stores once per row.
