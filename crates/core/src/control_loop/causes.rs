@@ -205,15 +205,18 @@ impl Causes {
         let region = || ("region", Value::from(name.to_string()));
         for ev in events {
             match *ev {
-                LifecycleEvent::RefitStarted { version, rows } => {
-                    self.emit(t, Link::RefitStart(j), || {
-                        vec![
-                            region(),
-                            ("version", Value::from(version)),
-                            ("rows", Value::from(rows)),
-                        ]
-                    })
-                }
+                LifecycleEvent::RefitStarted {
+                    version,
+                    rows,
+                    holdout_r2,
+                } => self.emit(t, Link::RefitStart(j), || {
+                    vec![
+                        region(),
+                        ("version", Value::from(version)),
+                        ("rows", Value::from(rows)),
+                        ("holdout_r2", Value::from(holdout_r2)),
+                    ]
+                }),
                 LifecycleEvent::RefitDone { version } => self.emit(t, Link::RefitDone(j), || {
                     vec![region(), ("version", Value::from(version))]
                 }),

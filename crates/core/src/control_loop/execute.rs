@@ -9,6 +9,7 @@ use super::{ControlLoop, Decided, Heard, Monitored};
 use crate::config::ExperimentConfig;
 use crate::telemetry::RegionEraRecord;
 use acm_obs::{SloTransition, Value};
+use acm_pcam::LifecycleEvent;
 use acm_sim::time::Duration;
 use std::sync::Arc;
 
@@ -107,6 +108,7 @@ impl ControlLoop {
     /// hubs). The verdicts come after the feed so a flip detected this era
     /// can trigger its refit in the same era, and after the install so
     /// shadow scores include everything the region processed this era.
+    /// A promotion or rollback clears its region's window.
     /// A refit trains here, on the control thread, closing EXECUTE — it is
     /// never Plan-phase latency.
     fn close_model_era(&mut self, seen: &Monitored) {
@@ -126,8 +128,13 @@ impl ControlLoop {
         }
         if self.lifecycle_on {
             let era_no = self.era_index as u64;
-            for (j, (vmc, drift)) in self.vmcs.iter_mut().zip(&self.drift).enumerate() {
+            for (j, (vmc, drift)) in self.vmcs.iter_mut().zip(&mut self.drift).enumerate() {
                 let events = vmc.lifecycle_end_era(era_no, drift.drifted());
+                // A swap starts the window over: it judges the model
+                // serving now, with `min_samples` as the warm-up.
+                if events.iter().any(LifecycleEvent::swaps_model) {
+                    drift.reset();
+                }
                 self.causes.lifecycle(seen.t_end, j, vmc.name(), &events);
             }
             self.ins.publish_models(&self.vmcs);

@@ -51,6 +51,12 @@ fn drifted_cfg(policy: PolicyKind) -> ExperimentConfig {
 /// are guaranteed to appear; with `stale = false` the models are
 /// trained on the config's own (drifted) profile and are competent.
 fn model_loop(cfg: &ExperimentConfig, stale: bool) -> ControlLoop {
+    serving_loop(cfg, &region_models(cfg, stale))
+}
+
+/// `model_loop`'s predictors, one per region. They are trained from a
+/// fixed seed, so one set serves a loop at any `cfg.seed`.
+fn region_models(cfg: &ExperimentConfig, stale: bool) -> Vec<acm_ml::toolchain::RttfPredictor> {
     use acm_ml::model::ModelKind;
     use acm_ml::toolchain::F2pmToolchain;
     use acm_pcam::training::{collect_database, CollectionConfig};
@@ -60,9 +66,7 @@ fn model_loop(cfg: &ExperimentConfig, stale: bool) -> ControlLoop {
         runs_per_lambda: 3,
         ..Default::default()
     };
-    let mut rng = SimRng::new(cfg.seed);
-    let vmcs: Vec<Vmc> = cfg
-        .regions
+    cfg.regions
         .iter()
         .map(|spec| {
             let anomaly = if stale {
@@ -77,12 +81,32 @@ fn model_loop(cfg: &ExperimentConfig, stale: bool) -> ControlLoop {
                 &quick,
                 &mut train_rng,
             );
-            let (model, _) = F2pmToolchain {
+            F2pmToolchain {
                 models: vec![ModelKind::RepTree],
                 ..Default::default()
             }
-            .run(&db, &mut train_rng);
-            Vmc::new(spec.region.clone(), RttfSource::Model(model), rng.split())
+            .run(&db, &mut train_rng)
+            .0
+        })
+        .collect()
+}
+
+/// The loop over `cfg` with `models` serving, one per region.
+fn serving_loop(
+    cfg: &ExperimentConfig,
+    models: &[acm_ml::toolchain::RttfPredictor],
+) -> ControlLoop {
+    let mut rng = SimRng::new(cfg.seed);
+    let vmcs: Vec<Vmc> = cfg
+        .regions
+        .iter()
+        .zip(models)
+        .map(|(spec, m)| {
+            Vmc::new(
+                spec.region.clone(),
+                RttfSource::Model(m.clone()),
+                rng.split(),
+            )
         })
         .collect();
     ControlLoop::new(cfg, vmcs, rng)
@@ -167,6 +191,82 @@ fn poisoned_refits_are_never_promoted_by_the_loop() {
         assert!(after <= before, "version advanced without a promotion");
     }
     assert!(cl.telemetry().total_completed() > 0);
+}
+
+/// `poisoned_refits_are_never_promoted_by_the_loop`'s scenario over
+/// seeds 1–40: 30 honest eras, the poison flip, 10 drain eras, 40 more.
+/// A seed counts when any candidate submitted after the flip — trained
+/// on label-shuffled rows — is ever promoted; a promotion is attributed
+/// to the era of its `model.refit.start` by (region, version). With the
+/// Lasso re-run in every refit and no skill gate, 31 of 40 seeds did.
+#[test]
+fn poisoned_refits_are_promoted_in_at_most_5_of_40_seeds() {
+    let mut cfg = drifted_cfg(PolicyKind::AvailableResources);
+    cfg.drift = acm_pcam::DriftConfig {
+        window: 8,
+        miss_bound: 0.01,
+        min_samples: 1,
+    };
+    let models = region_models(&cfg, true);
+    let candidate = |e: &acm_obs::EventRecord| {
+        let field = |k: &str| e.fields.iter().find(|(n, _)| *n == k).map(|(_, v)| v);
+        match (field("region"), field("version")) {
+            (Some(Value::Str(r)), Some(Value::U64(v))) => (r.clone(), *v),
+            other => panic!("{}: no region/version: {other:?}", e.kind),
+        }
+    };
+    let mut promoted_seeds = Vec::new();
+    for seed in 1..=40 {
+        cfg.seed = seed;
+        let mut cl = serving_loop(&cfg, &models);
+        cl.run(30);
+        cl.set_lifecycle_poison(true);
+        let flip_us = cl.now().as_micros();
+        cl.run(50);
+        let events = cl.obs().events_tail(usize::MAX);
+        let poisoned: std::collections::BTreeSet<(String, u64)> = events
+            .iter()
+            .filter(|e| e.kind == "model.refit.start" && e.t_us > flip_us)
+            .map(candidate)
+            .collect();
+        assert!(!poisoned.is_empty(), "seed {seed}: no poisoned refit");
+        if events
+            .iter()
+            .any(|e| e.kind == "model.promote" && poisoned.contains(&candidate(e)))
+        {
+            promoted_seeds.push(seed);
+        }
+    }
+    assert!(
+        promoted_seeds.len() <= 5,
+        "poisoned candidates promoted in seeds {promoted_seeds:?}"
+    );
+}
+
+#[test]
+fn a_lifecycle_swap_clears_its_regions_drift_window() {
+    let cfg = drifted_cfg(PolicyKind::AvailableResources);
+    let mut cl = model_loop(&cfg, true);
+    let versions = |cl: &ControlLoop| -> Vec<u64> {
+        cl.vmcs()
+            .iter()
+            .map(|v| v.lifecycle().expect("lifecycle enabled").version())
+            .collect()
+    };
+    let fresh = format!("{:?}", cfg.drift.monitor());
+    let mut swaps = 0;
+    for _ in 0..40 {
+        let before = versions(&cl);
+        cl.step_era();
+        for (j, (b, a)) in before.iter().zip(versions(&cl)).enumerate() {
+            if *b != a {
+                swaps += 1;
+                let window = format!("{:?}", cl.drift[j]);
+                assert_eq!(window, fresh, "region {j}: v{b} -> v{a} kept its window");
+            }
+        }
+    }
+    assert!(swaps > 0, "the world never swapped a model");
 }
 
 #[test]

@@ -13,6 +13,10 @@
 //! 3. score each on the holdout and rank by RMSE,
 //! 4. return the winner wrapped as an [`RttfPredictor`] that accepts the
 //!    *full* feature vector at runtime and projects internally.
+//!
+//! Steps 2–4 on a selection made earlier are [`F2pmToolchain::fit_on`]:
+//! the model lifecycle refits on the serving model's selection, and
+//! `run` is the selection followed by `fit_on`'s code — one training path.
 
 use crate::dataset::{split_order, Dataset};
 use crate::lasso::LassoRegression;
@@ -215,14 +219,13 @@ impl F2pmToolchain {
         rng: &mut SimRng,
         obs: &Obs,
     ) -> (RttfPredictor, F2pmReport) {
-        assert!(
-            db.len() >= 20,
-            "feature database too small ({} rows)",
-            db.len()
-        );
-        assert!(!self.models.is_empty(), "no model families configured");
+        assert_trainable(db);
+        let selected = self.select(db, obs);
+        self.fit_with_obs(db, &selected, rng, obs)
+    }
 
-        // 1. Lasso feature selection on the full database.
+    /// Step 1: Lasso feature selection on the full database.
+    fn select(&self, db: &Dataset, obs: &Obs) -> Vec<usize> {
         let lasso_span = obs.timer("acm.ml.toolchain.lasso_ns").start();
         let lasso = match self.lasso_alpha {
             Some(alpha) => LassoRegression::fit(db, alpha),
@@ -243,13 +246,39 @@ impl F2pmToolchain {
             .record(lasso.sweeps() as u64);
         obs.counter("acm.ml.toolchain.lasso_unconverged")
             .add(u64::from(!lasso.converged()));
+        selected
+    }
+
+    /// Steps 2–4 on a feature selection made earlier: split, train the
+    /// menu on the `selected` columns, rank by holdout RMSE. This is the
+    /// model lifecycle's refit — it keeps the serving model's selection,
+    /// as the paper selects once, offline — and the second half of
+    /// [`F2pmToolchain::run`], which draws `rng` identically.
+    pub fn fit_on(
+        &self,
+        db: &Dataset,
+        selected: &[usize],
+        rng: &mut SimRng,
+    ) -> (RttfPredictor, F2pmReport) {
+        self.fit_with_obs(db, selected, rng, &Obs::noop())
+    }
+
+    fn fit_with_obs(
+        &self,
+        db: &Dataset,
+        selected: &[usize],
+        rng: &mut SimRng,
+        obs: &Obs,
+    ) -> (RttfPredictor, F2pmReport) {
+        assert_trainable(db);
+        assert!(!self.models.is_empty(), "no model families configured");
 
         // 2. Split once; every family sees the same split. The projected
         //    train and holdout sets are gathered straight from `db`, with
-        //    the draws `db.project(&selected).split(..)` would make.
+        //    the draws `db.project(selected).split(..)` would make.
         let (order, cut) = split_order(db.len(), self.train_frac, rng);
-        let train = db.select(&order[..cut], &selected);
-        let holdout = db.select(&order[cut..], &selected);
+        let train = db.select(&order[..cut], selected);
+        let holdout = db.select(&order[cut..], selected);
 
         // 3. Train the menu in parallel, each family with its own
         //    deterministic RNG stream and fit timer (resolved here, off
@@ -284,14 +313,24 @@ impl F2pmToolchain {
                 .iter()
                 .map(|&j| db.feature_names()[j].clone())
                 .collect(),
-            selected_features: selected.clone(),
+            selected_features: selected.to_vec(),
             outcomes: results.iter().map(|(_, o)| o.clone()).collect(),
             train_rows: train.len(),
             holdout_rows: holdout.len(),
         };
         let best_model = results.swap_remove(0).0;
-        (RttfPredictor::new(best_model, selected), report)
+        (RttfPredictor::new(best_model, selected.to_vec()), report)
     }
+}
+
+/// The toolchain's floor: a database of fewer than 20 rows is refused
+/// before any model (or the selection Lasso) sees it.
+fn assert_trainable(db: &Dataset) {
+    assert!(
+        db.len() >= 20,
+        "feature database too small ({} rows)",
+        db.len()
+    );
 }
 
 /// Ranking order of two holdout RMSEs: ascending, with NaN (of either
@@ -407,6 +446,22 @@ mod tests {
         let k1: Vec<ModelKind> = r1.outcomes.iter().map(|o| o.kind).collect();
         let k2: Vec<ModelKind> = r2.outcomes.iter().map(|o| o.kind).collect();
         assert_eq!(k1, k2);
+    }
+
+    #[test]
+    fn run_is_selection_then_fit_on() {
+        let db = rttf_db(300, 22);
+        let tc = F2pmToolchain::default();
+        let (p1, r1) = tc.run(&db, &mut SimRng::new(23));
+        let (p2, r2) = tc.fit_on(&db, &r1.selected_features, &mut SimRng::new(23));
+        assert_eq!(format!("{r1:?}"), format!("{r2:?}"));
+        assert_eq!(p1.selected_features(), p2.selected_features());
+        let probe = [1000.0, 100.0, 200.0, 0.5, 0.5];
+        assert_eq!(p1.predict(&probe), p2.predict(&probe));
+        // Another selection is honoured as given, noise columns and all.
+        let (p3, r3) = tc.fit_on(&db, &[4, 0], &mut SimRng::new(23));
+        assert_eq!(p3.selected_features(), [4, 0]);
+        assert_eq!(r3.selected_names, ["noise2", "resident"]);
     }
 
     #[test]

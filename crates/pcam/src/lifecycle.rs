@@ -10,11 +10,15 @@
 //!   fires, the candidate is trained on the labelled dataset as it stands
 //!   and then held for `refit_eras` eras, through which the loop keeps
 //!   planning on the incumbent; it is handed over at the fixed era
-//!   boundary `submitted_era + refit_eras`. On the host the fit runs
-//!   where it is snapshotted, on the control thread, with an RNG split
-//!   from the lifecycle stream: a REP-Tree refit is ~215 µs, and handing
-//!   it to another thread cost two wakes of a parked worker per refit —
-//!   more than the fit (`lifecycle-drift` ran faster at pool width 1).
+//!   boundary `submitted_era + refit_eras`. A refit is one REP-Tree fit
+//!   on the serving model's feature selection
+//!   ([`F2pmToolchain::fit_on`]): the paper selects features once,
+//!   offline, and the lifecycle never re-runs the Lasso. On the host
+//!   the fit runs where it is snapshotted, on the control thread, with
+//!   an RNG split from the lifecycle stream: a refit is ~62 µs, and
+//!   handing it to another thread cost two wakes of a parked worker per
+//!   refit — more than the fit (`lifecycle-drift` ran faster at pool
+//!   width 1).
 //! * **Shadow evaluation** — the candidate enters `Loading → Shadowing`:
 //!   it scores the live feature stream alongside the incumbent without
 //!   influencing any decision. The error is **censored-aware**: rows from
@@ -23,11 +27,14 @@
 //!   model predicts failure *before* the censor point — a provable
 //!   misprediction of at least `bound − prediction` seconds.
 //! * **Promote / rollback** — the candidate is promoted (an atomic swap
-//!   of the VMC's predictor) only if its shadow error beats the
-//!   incumbent's over at least `shadow_min_samples` rows for *both*
-//!   models; the displaced version is retained, and a post-promotion
-//!   regression (live error exceeding the displaced model's shadow error
-//!   by `rollback_factor`) rolls the registry back to it.
+//!   of the VMC's predictor) only if it showed skill on its refit's
+//!   holdout split (R² > 0: it beats predicting the mean out of sample)
+//!   and its shadow error beats the incumbent's over at least
+//!   `shadow_min_samples` rows for *both* models; the displaced version
+//!   is retained, and a post-promotion regression (live error exceeding
+//!   the displaced model's shadow error by `rollback_factor`) rolls the
+//!   registry back to it. An era that swaps the serving model submits no
+//!   refit, and the control loop clears the region's drift window.
 
 use crate::online::OnlineLabeler;
 use crate::vmc::RttfSource;
@@ -66,10 +73,11 @@ pub struct LifecycleConfig {
     /// Minimum eras between consecutive refit submissions.
     pub cooldown_eras: u64,
     /// Test hook: train refit candidates on label-shuffled data, making
-    /// them provably worthless. The shadow gate must reject every one.
+    /// them provably worthless. The verdict must reject every one.
     pub poison_refits: bool,
-    /// Test hook: skip the shadow comparison and promote the candidate
-    /// as soon as one sample per model exists (exercises rollback).
+    /// Test hook: skip the shadow comparison and the skill gate and
+    /// promote the candidate as soon as one sample per model exists
+    /// (exercises rollback).
     pub force_promote: bool,
 }
 
@@ -158,6 +166,8 @@ struct PendingRefit {
     version: u64,
     submitted_era: u64,
     predictor: RttfPredictor,
+    /// R² of the candidate on its refit's holdout split.
+    holdout_r2: f64,
 }
 
 /// A candidate scoring the live stream next to the incumbent.
@@ -165,6 +175,7 @@ struct PendingRefit {
 struct ShadowCandidate {
     version: u64,
     predictor: RttfPredictor,
+    holdout_r2: f64,
     cand: ShadowScore,
     incumbent: ShadowScore,
 }
@@ -199,6 +210,9 @@ pub enum LifecycleEvent {
         version: u64,
         /// Labelled rows in the snapshotted training set.
         rows: usize,
+        /// The candidate's R² on its refit's holdout split; it is never
+        /// promoted unless this is above 0 (unless `force_promote`).
+        holdout_r2: f64,
     },
     /// The refit's candidate was handed over and starts shadowing.
     RefitDone {
@@ -239,6 +253,18 @@ pub enum LifecycleEvent {
         /// uphold, seconds.
         baseline_err: f64,
     },
+}
+
+impl LifecycleEvent {
+    /// Whether the event swapped the serving predictor (`Promoted`,
+    /// `RolledBack`): the region's drift window then judged a model that
+    /// no longer serves, and the control loop clears it.
+    pub fn swaps_model(&self) -> bool {
+        matches!(
+            self,
+            LifecycleEvent::Promoted { .. } | LifecycleEvent::RolledBack { .. }
+        )
+    }
 }
 
 /// The per-region versioned model registry. Owned by the [`crate::Vmc`];
@@ -284,9 +310,9 @@ impl ModelLifecycle {
     }
 
     /// Flips the poison-refits chaos hook at runtime. Test support: a
-    /// poisoned phase after an honest warm-up exercises the shadow gate
-    /// against an incumbent fitted to the live distribution, which is the
-    /// regression the gate exists to stop.
+    /// poisoned phase after an honest warm-up exercises the promotion
+    /// gate against an incumbent fitted to the live distribution, which is
+    /// the regression the gate exists to stop.
     pub fn set_poison_refits(&mut self, on: bool) {
         self.cfg.poison_refits = on;
     }
@@ -367,6 +393,7 @@ impl ModelLifecycle {
             self.phase = Phase::Shadowing(ShadowCandidate {
                 version: p.version,
                 predictor: p.predictor,
+                holdout_r2: p.holdout_r2,
                 cand: ShadowScore::default(),
                 incumbent: ShadowScore::default(),
             });
@@ -377,7 +404,9 @@ impl ModelLifecycle {
     /// Era epilogue: evaluate the regression watch, deliver the shadow
     /// verdict, and maybe submit a new refit off the drift signal.
     /// `Promoted`/`RolledBack` swap the serving predictor in `source`
-    /// in place — the VMC's next prediction uses the new version.
+    /// in place — the VMC's next prediction uses the new version — and
+    /// an era that swapped submits no refit: the drift signal it was
+    /// given judged the model that just stopped serving.
     pub fn end_era(
         &mut self,
         era_index: u64,
@@ -426,7 +455,11 @@ impl ModelLifecycle {
             };
             let cand_err = s.cand.mean().expect("samples >= 1");
             let incumbent_err = s.incumbent.mean().expect("samples >= 1");
-            let promote = self.cfg.force_promote || cand_err < incumbent_err;
+            // Skill gate: a constant predictor's holdout R² is ≤ 0 by
+            // construction (SSE = SST + n·(train mean − holdout mean)²),
+            // so R² > 0 is exactly "beats the mean out of sample".
+            let skilled = s.holdout_r2 > 0.0;
+            let promote = self.cfg.force_promote || (skilled && cand_err < incumbent_err);
             match (promote, &mut *source) {
                 (true, RttfSource::Model(incumbent)) => {
                     let old_version = self.version;
@@ -459,14 +492,21 @@ impl ModelLifecycle {
         }
 
         // (3) Maybe submit a refit: idle, drifted, enough labels, out of
-        // cooldown. The candidate is trained here, on the rows labelled
-        // so far; `begin_era` deploys it `refit_eras` eras later.
+        // cooldown, no swap this era. The candidate is trained here, on
+        // the rows labelled so far and the serving model's feature
+        // selection (the lifecycle never re-selects); `begin_era` deploys
+        // it `refit_eras` eras later.
         let cooled = self
             .last_refit_era
             .is_none_or(|e| era_index.saturating_sub(e) >= self.cfg.cooldown_eras);
+        // `Vmc::enable_lifecycle` attaches a registry to model sources only.
+        let RttfSource::Model(serving) = &*source else {
+            return events;
+        };
         if matches!(self.phase, Phase::Idle)
             && drifted
             && cooled
+            && !events.iter().any(LifecycleEvent::swaps_model)
             && self.labeler.labelled_rows() >= self.cfg.min_labelled_rows.max(MIN_REFIT_ROWS)
         {
             let rows = self.labeler.labelled_rows();
@@ -484,14 +524,21 @@ impl ModelLifecycle {
             } else {
                 self.labeler.database()
             };
-            let predictor = toolchain.run(db, &mut job_rng).0;
+            let (predictor, report) =
+                toolchain.fit_on(db, serving.selected_features(), &mut job_rng);
+            let holdout_r2 = report.outcomes[0].metrics.r2;
             self.phase = Phase::Loading(PendingRefit {
                 version,
                 submitted_era: era_index,
                 predictor,
+                holdout_r2,
             });
             self.last_refit_era = Some(era_index);
-            events.push(LifecycleEvent::RefitStarted { version, rows });
+            events.push(LifecycleEvent::RefitStarted {
+                version,
+                rows,
+                holdout_r2,
+            });
         }
 
         events
@@ -612,12 +659,16 @@ mod tests {
         assert_eq!(lc.labeler().labelled_rows(), 24);
 
         let ev = lc.end_era(5, true, &mut source);
-        assert_eq!(
-            ev,
-            vec![LifecycleEvent::RefitStarted {
-                version: 2,
-                rows: 24
-            }]
+        assert!(
+            matches!(
+                ev.as_slice(),
+                [LifecycleEvent::RefitStarted {
+                    version: 2,
+                    rows: 24,
+                    ..
+                }]
+            ),
+            "{ev:?}"
         );
         assert!(matches!(lc.phase, Phase::Loading(_)));
 
@@ -791,6 +842,174 @@ mod tests {
                 "rollback must restore the prior version's predictions"
             );
         }
+    }
+
+    /// The serving predictor of `source`.
+    fn serving(source: &RttfSource) -> &RttfPredictor {
+        match source {
+            RttfSource::Model(m) => m,
+            RttfSource::Oracle => unreachable!("lifecycles serve models"),
+        }
+    }
+
+    #[test]
+    fn a_refit_keeps_the_serving_selection() {
+        let cfg = LifecycleConfig {
+            enabled: true,
+            min_labelled_rows: 20,
+            ..Default::default()
+        };
+        let mut lc = ModelLifecycle::new(cfg, SimRng::new(4));
+        let mut source = RttfSource::Model(quick_predictor(7));
+        feed_rows(&mut lc, 40, 700);
+        let ev = lc.end_era(0, true, &mut source);
+        let [LifecycleEvent::RefitStarted { holdout_r2, .. }] = ev.as_slice() else {
+            panic!("{ev:?}");
+        };
+        let Phase::Loading(p) = &lc.phase else {
+            panic!("no candidate loading");
+        };
+        assert_eq!(p.holdout_r2, *holdout_r2);
+        assert_eq!(
+            p.predictor.selected_features(),
+            serving(&source).selected_features()
+        );
+    }
+
+    /// A lifecycle with one candidate shadowing, whose holdout R² is
+    /// overwritten with `r2`, and six failure rows labelled at the
+    /// candidate's own predictions rounded to whole seconds, on rows
+    /// where the incumbent's prediction rounds differently: the
+    /// candidate's shadow error is the lower one.
+    fn shadowing_with_r2(r2: f64, force_promote: bool) -> (ModelLifecycle, RttfSource) {
+        let cfg = LifecycleConfig {
+            enabled: true,
+            min_labelled_rows: 20,
+            refit_eras: 1,
+            shadow_min_samples: 6,
+            cooldown_eras: 100,
+            force_promote,
+            ..Default::default()
+        };
+        let mut lc = ModelLifecycle::new(cfg, SimRng::new(6));
+        let mut source = RttfSource::Model(quick_predictor(7));
+        feed_rows(&mut lc, 40, 800);
+        assert!(!lc.end_era(0, true, &mut source).is_empty());
+        lc.begin_era(1);
+        let Phase::Shadowing(s) = &mut lc.phase else {
+            panic!("no candidate shadowing");
+        };
+        s.holdout_r2 = r2;
+        let cand = s.predictor.clone();
+        let incumbent = serving(&source).clone();
+        let scored = |lc: &ModelLifecycle| match &lc.phase {
+            Phase::Shadowing(s) => s.cand.samples().min(s.incumbent.samples()),
+            _ => unreachable!("still shadowing"),
+        };
+        let mut i = 0u64;
+        while scored(&lc) < 6 {
+            i += 1;
+            assert!(i < 1_000, "no probe rows where the models disagree");
+            let f = feature_vec(900 + i);
+            let actual = cand.predict(f.as_slice()).round();
+            if actual < 1.0 || actual == incumbent.predict(f.as_slice()).round() {
+                continue;
+            }
+            let vm = VmId(900 + i as u32);
+            lc.observe(vm, t(2_000), f);
+            lc.on_failure(
+                vm,
+                t(2_000) + Duration::from_secs(actual as u64),
+                Some(&incumbent),
+            );
+        }
+        let (cand_err, incumbent_err) = lc.shadow_errs().expect("both scored");
+        assert!(cand_err < incumbent_err, "{cand_err} vs {incumbent_err}");
+        (lc, source)
+    }
+
+    #[test]
+    fn a_candidate_without_holdout_skill_is_never_promoted() {
+        for r2 in [0.0, -0.4, f64::NAN] {
+            let (mut lc, mut source) = shadowing_with_r2(r2, false);
+            let ev = lc.end_era(2, false, &mut source);
+            assert!(
+                matches!(ev.as_slice(), [LifecycleEvent::Rejected { version: 2, .. }]),
+                "R² {r2}: {ev:?}"
+            );
+            assert_eq!(lc.version(), 1);
+        }
+        // The same candidate with skill wins on its lower shadow error ...
+        let (mut lc, mut source) = shadowing_with_r2(0.3, false);
+        let ev = lc.end_era(2, false, &mut source);
+        assert!(
+            matches!(ev.as_slice(), [LifecycleEvent::Promoted { version: 2, .. }]),
+            "{ev:?}"
+        );
+        // ... and `force_promote` overrides the gate.
+        let (mut lc, mut source) = shadowing_with_r2(-0.4, true);
+        let ev = lc.end_era(2, false, &mut source);
+        assert!(
+            matches!(ev.as_slice(), [LifecycleEvent::Promoted { version: 2, .. }]),
+            "{ev:?}"
+        );
+    }
+
+    #[test]
+    fn an_era_that_swaps_the_model_submits_no_refit() {
+        // Promotion: drifted, idle after the verdict, rows and cooldown
+        // allow a refit — and none is submitted in the swapping era.
+        let (mut lc, mut source) = shadowing_with_r2(0.3, false);
+        lc.cfg.cooldown_eras = 0;
+        let ev = lc.end_era(2, true, &mut source);
+        assert!(
+            matches!(ev.as_slice(), [LifecycleEvent::Promoted { .. }]),
+            "{ev:?}"
+        );
+        assert!(ev.iter().all(LifecycleEvent::swaps_model));
+        assert!(matches!(lc.phase, Phase::Idle));
+        // The next era refits on the new model's selection.
+        let ev = lc.end_era(3, true, &mut source);
+        assert!(
+            matches!(
+                ev.as_slice(),
+                [LifecycleEvent::RefitStarted { version: 3, .. }]
+            ),
+            "{ev:?}"
+        );
+
+        // Rollback: the promoted model regresses live.
+        let (mut lc, mut source) = shadowing_with_r2(0.3, false);
+        lc.cfg.cooldown_eras = 0;
+        lc.cfg.rollback_window = 1;
+        assert!(lc.end_era(2, false, &mut source)[0].swaps_model());
+        let promoted = serving(&source).clone();
+        let f = feature_vec(77);
+        let shortfall = promoted.predict(f.as_slice()) + 10_000.0;
+        lc.observe(VmId(77), t(5_000), f);
+        lc.on_failure(
+            VmId(77),
+            t(5_000) + Duration::from_secs(shortfall as u64),
+            Some(&promoted),
+        );
+        let ev = lc.end_era(3, true, &mut source);
+        assert!(
+            matches!(
+                ev.as_slice(),
+                [LifecycleEvent::RolledBack {
+                    from_version: 2,
+                    to_version: 1,
+                    ..
+                }]
+            ),
+            "{ev:?}"
+        );
+        assert!(matches!(lc.phase, Phase::Idle));
+        let ev = lc.end_era(4, true, &mut source);
+        assert!(
+            matches!(ev.as_slice(), [LifecycleEvent::RefitStarted { .. }]),
+            "{ev:?}"
+        );
     }
 
     #[test]

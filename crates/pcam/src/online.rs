@@ -243,6 +243,15 @@ impl DriftMonitor {
         self.filled = (self.filled + 1).min(self.capacity);
     }
 
+    /// Forgets every recorded outcome, as a fresh monitor would. Called
+    /// when the serving model is swapped: the window then judges only the
+    /// model that serves, and `min_samples` is its warm-up.
+    pub fn reset(&mut self) {
+        self.window.fill(false);
+        self.next = 0;
+        self.filled = 0;
+    }
+
     /// Fraction of recent end-of-life events the predictor missed.
     pub fn miss_rate(&self) -> f64 {
         if self.filled == 0 {
@@ -426,6 +435,34 @@ mod tests {
         }
         assert!(!m.drifted());
         assert_eq!(m.miss_rate(), 0.0);
+    }
+
+    #[test]
+    fn reset_empties_the_window() {
+        let mut m = DriftMonitor::new(4, 0.5, 2);
+        for _ in 0..6 {
+            m.record(true);
+        }
+        assert!(m.drifted());
+        m.reset();
+        assert_eq!(m.miss_rate(), 0.0);
+        assert!(!m.drifted());
+        // The warm-up starts over: one miss is below min_samples, and the
+        // window holds only what was recorded since the reset.
+        m.record(true);
+        assert!(!m.drifted());
+        m.record(false);
+        assert_eq!(m.miss_rate(), 0.5);
+        assert!(!m.drifted(), "1/2 is not above the bound");
+        assert_eq!(
+            format!("{m:?}"),
+            format!("{:?}", {
+                let mut fresh = DriftMonitor::new(4, 0.5, 2);
+                fresh.record(true);
+                fresh.record(false);
+                fresh
+            })
+        );
     }
 
     /// The end-to-end drift story: a predictor trained on the original

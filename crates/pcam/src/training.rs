@@ -81,7 +81,7 @@ pub fn collect_database(
 /// keep their joint distribution but carry no information about the
 /// label, so any model trained on the result is provably worthless.
 /// Used to manufacture poisoned refit candidates when exercising the
-/// lifecycle shadow gate (a promotion of such a candidate is a bug).
+/// lifecycle's promotion gate (a promotion of such a candidate is a bug).
 pub fn shuffle_targets(db: &Dataset, rng: &mut SimRng) -> Dataset {
     let mut targets: Vec<f64> = db.targets().to_vec();
     rng.shuffle(&mut targets);

@@ -120,7 +120,7 @@ fn cross_validation_is_byte_identical_across_thread_widths() {
 /// Widening the pool must never lose on a paper-sized world. Fig-4: its
 /// MONITOR work (22 VMs) is smaller than one fan-out, so the loop must
 /// not fan it out (a fan-out per era roughly doubles this run). The
-/// drifted lifecycle world: a ~215 µs refit is smaller than one hand-off
+/// drifted lifecycle world: a ~62 µs refit is smaller than one hand-off
 /// to a parked worker, so refits must not cross threads. A wall-clock
 /// gate, so it is `#[ignore]`d out of tier-1; CI runs it alone in release.
 #[test]

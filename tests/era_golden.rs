@@ -4,12 +4,15 @@
 //! scripted link faults and scenario actions, the sharded MONITOR with
 //! child hubs, message chaos with retries, quarantine → probation →
 //! readmit, a leader kill, frozen plans, SLO windows, and the model
-//! lifecycle's refit → promote / reject chain — plus three chaos-campaign
-//! cases in the shape of the repo benchmark's `fault-storm`. Each pins
-//! the FNV-1a-64 of the telemetry CSV, the event log and the span tree.
-//! The first four worlds' constants were generated at a70fc62, before
-//! `step_era` was decomposed; the campaign cases' before the JSONL
-//! exporters began writing by reference. A mismatch means the era's
+//! lifecycle's refit → promote / reject chain and its rollback — plus
+//! three chaos-campaign cases in the shape of the repo benchmark's
+//! `fault-storm`. Each pins the FNV-1a-64 of the telemetry CSV, the event
+//! log and the span tree. The first three worlds' constants were
+//! generated at a70fc62, before `step_era` was decomposed; the campaign
+//! cases' before the JSONL exporters began writing by reference; the two
+//! lifecycle worlds' when refits began keeping the serving model's
+//! feature selection and promoting only candidates with holdout skill.
+//! A mismatch means the era's
 //! behaviour (event kinds, fields or order, span ids, RNG draws) or the
 //! export bytes moved — regenerate them only for a change that means to
 //! move them.
@@ -218,12 +221,41 @@ fn drifted_lifecycle_world() {
             "model.refit.done",
             "model.promote",
             "model.reject",
+        ],
+        [
+            0xd9c5_2ea9_c13c_f130,
+            0x59ef_5f90_e97a_6cb5,
+            0x38f3_8e75_03e7_dcca,
+        ],
+    );
+}
+
+/// (c') The drifted world with the lifecycle's two test hooks on: every
+/// candidate is trained on label-shuffled rows (`poison_refits`) and
+/// promoted without the shadow comparison or the skill gate
+/// (`force_promote`), so the regression watch has a worthless model to
+/// roll back — traced.
+#[test]
+fn forced_rollback_world() {
+    let mut cfg = common::drifted_lifecycle_cfg();
+    cfg.lifecycle.poison_refits = true;
+    cfg.lifecycle.force_promote = true;
+    cfg.obs = ObsConfig::traced(2026);
+    let models = common::stale_models(&cfg);
+    check(
+        "forced rollback",
+        common::lifecycle_loop(&cfg, &models),
+        &[
+            "drift.signal",
+            "model.refit.start",
+            "model.refit.done",
+            "model.promote",
             "model.rollback",
         ],
         [
-            0xd74b_0d45_3cec_5a0d,
-            0xa5b0_ba48_ef70_3245,
-            0x836a_b624_72d7_5d4c,
+            0xaf94_5729_a6c9_de58,
+            0xa05c_43f6_8ecb_0f23,
+            0x1101_ad6e_0885_1072,
         ],
     );
 }

@@ -7,9 +7,9 @@
 //! populations so it runs in seconds — to bound the live heap an era adds,
 //! and checks on a fig-4 run that storing telemetry and plan vectors
 //! compactly left the three exports byte for byte where they were. It also
-//! counts the allocation calls one model refit makes: the lifecycle refits
-//! on every drift signal, so a refit that allocates per training row is a
-//! per-row cost of serving.
+//! counts the allocation calls one model fit makes, with and without the
+//! selection Lasso: the lifecycle refits on every drift signal, so a refit
+//! that allocates per training row is a per-row cost of serving.
 
 use acm::core::config::{ExperimentConfig, PredictorChoice, RegionSpec};
 use acm::core::control_loop::ControlLoop;
@@ -198,17 +198,9 @@ fn an_era_of_the_200_region_world_retains_at_most_10_5_kb() {
     );
 }
 
-/// The refit the model lifecycle submits — `F2pmToolchain { models:
-/// [RepTree] }.run`, Lasso selection then a REP-Tree on the projected
-/// split — on a fixed 132 x 12 labelled database (the lifecycle's average
-/// refit size), counted in allocation calls on the calling thread (the
-/// one-family menu trains inline). Reads 62 calls. Before the training
-/// rows were one flat buffer — `project`, `split` and the tree's grow /
-/// prune split copying a `Vec` per row, the prune two `Vec`s per node —
-/// the same refit made 476, and one row copy coming back anywhere on the
-/// path costs ~100 calls, so 80 fails if any of them returns.
-#[test]
-fn a_refit_allocates_per_table_not_per_row() {
+/// A fixed 132 x 12 labelled database (the lifecycle's average refit
+/// size) and the one-family REP-Tree toolchain the lifecycle trains with.
+fn refit_db() -> (Dataset, F2pmToolchain) {
     let mut rng = SimRng::new(5);
     let mut db = Dataset::new(FEATURE_NAMES);
     for _ in 0..132 {
@@ -222,13 +214,50 @@ fn a_refit_allocates_per_table_not_per_row() {
         models: vec![ModelKind::RepTree],
         ..Default::default()
     };
-    // The first run starts the pool; the count is of the one after.
-    drop(toolchain.run(&db, &mut SimRng::new(6)));
+    (db, toolchain)
+}
+
+/// Allocation calls `train` makes on the calling thread (the one-family
+/// menu trains inline), counted on its second call: the first starts
+/// the pool.
+fn calls_of<T>(mut train: impl FnMut(u64) -> T) -> u64 {
+    drop(train(6));
     let before = CALLS.with(Cell::get);
-    let refit = toolchain.run(&db, &mut SimRng::new(7));
+    let model = train(7);
     let calls = CALLS.with(Cell::get) - before;
-    drop(refit);
+    drop(model);
+    calls
+}
+
+/// A full toolchain fit — `F2pmToolchain { models: [RepTree] }.run`,
+/// Lasso selection then a REP-Tree on the projected split, what figure
+/// training runs — on `refit_db`, counted in allocation calls. Reads 62
+/// calls. Before the training rows were one flat buffer — `project`,
+/// `split` and the tree's grow / prune split copying a `Vec` per row, the
+/// prune two `Vec`s per node — the same fit made 476, and one row copy
+/// coming back anywhere on the path costs ~100 calls, so 80 fails if any
+/// of them returns.
+#[test]
+fn a_refit_allocates_per_table_not_per_row() {
+    let (db, toolchain) = refit_db();
+    let calls = calls_of(|seed| toolchain.run(&db, &mut SimRng::new(seed)));
     assert!(calls <= 80, "one refit made {calls} allocation calls");
+}
+
+/// The refit the model lifecycle submits: `fit_on` the serving model's
+/// selection, no Lasso. Reads 46 calls on `refit_db` with the selection
+/// `run` makes there; the lifecycle's refit was `run` itself (62 calls,
+/// the 16 between them the selection Lasso's) until it stopped
+/// re-selecting.
+#[test]
+fn a_lifecycle_refit_allocates_only_for_its_fit() {
+    let (db, toolchain) = refit_db();
+    let selected = toolchain.run(&db, &mut SimRng::new(5)).1.selected_features;
+    let calls = calls_of(|seed| toolchain.fit_on(&db, &selected, &mut SimRng::new(seed)));
+    assert!(
+        calls <= 46,
+        "one lifecycle refit made {calls} allocation calls"
+    );
 }
 
 /// End instant of era `e`: the clock the telemetry stores once per row.
