@@ -398,29 +398,11 @@ impl RunTrace {
         let mut node_marks: Vec<Vec<(usize, bool)>> = vec![Vec::new(); n];
 
         let field_u64 = |ev: &acm_obs::EventRecord, key: &str| -> Option<u64> {
-            ev.fields.iter().find_map(|(k, v)| {
-                if *k == key {
-                    match v {
-                        Value::U64(x) => Some(*x),
-                        Value::I64(x) => u64::try_from(*x).ok(),
-                        _ => None,
-                    }
-                } else {
-                    None
-                }
-            })
-        };
-        let field_str = |ev: &acm_obs::EventRecord, key: &str| -> Option<String> {
-            ev.fields.iter().find_map(|(k, v)| {
-                if *k == key {
-                    match v {
-                        Value::Str(s) => Some(s.clone()),
-                        _ => None,
-                    }
-                } else {
-                    None
-                }
-            })
+            match ev.field(key)? {
+                Value::U64(x) => Some(*x),
+                Value::I64(x) => u64::try_from(*x).ok(),
+                _ => None,
+            }
         };
 
         for ev in obs.events_tail(usize::MAX) {
@@ -436,10 +418,10 @@ impl RunTrace {
                     let Some(e) = field_u64(&ev, "era") else {
                         continue;
                     };
-                    let Some(name) = field_str(&ev, "region") else {
+                    let Some(Value::Str(name)) = ev.field("region") else {
                         continue;
                     };
-                    let Some(j) = names.iter().position(|r| *r == name) else {
+                    let Some(j) = names.iter().position(|r| r == name) else {
                         continue;
                     };
                     let outage = field_u64(&ev, "outage").unwrap_or(0) as u32;

@@ -208,12 +208,9 @@ fn poisoned_refits_are_promoted_in_at_most_5_of_40_seeds() {
         min_samples: 1,
     };
     let models = region_models(&cfg, true);
-    let candidate = |e: &acm_obs::EventRecord| {
-        let field = |k: &str| e.fields.iter().find(|(n, _)| *n == k).map(|(_, v)| v);
-        match (field("region"), field("version")) {
-            (Some(Value::Str(r)), Some(Value::U64(v))) => (r.clone(), *v),
-            other => panic!("{}: no region/version: {other:?}", e.kind),
-        }
+    let candidate = |e: &acm_obs::EventRecord| match (e.field("region"), e.field("version")) {
+        (Some(Value::Str(r)), Some(Value::U64(v))) => (r.clone(), *v),
+        other => panic!("{}: no region/version: {other:?}", e.kind),
     };
     let mut promoted_seeds = Vec::new();
     for seed in 1..=40 {
@@ -302,11 +299,9 @@ fn model_events_chain_drift_to_refit_to_promotion() {
     let mut cl = model_loop(&cfg, true);
     cl.run(40);
     let events = cl.obs().events_tail(usize::MAX);
-    let field = |e: &acm_obs::EventRecord, k: &str| -> Option<u64> {
-        e.fields.iter().find_map(|(n, v)| match (n, v) {
-            (name, Value::U64(u)) if *name == k => Some(*u),
-            _ => None,
-        })
+    let field = |e: &acm_obs::EventRecord, k: &str| match e.field(k) {
+        Some(Value::U64(u)) => Some(*u),
+        _ => None,
     };
     let spans_of = |kind: &str| -> Vec<u64> {
         events
@@ -683,11 +678,10 @@ fn router_replan_events_carry_trace_context() {
         .collect();
     assert_eq!(replans.len(), 3);
     for e in replans {
-        let field = |k: &str| e.fields.iter().find(|(n, _)| *n == k);
-        assert!(field("trace").is_some(), "replan missing trace id");
+        assert!(e.field("trace").is_some(), "replan missing trace id");
         // Each replan chains off the plan.install that triggered it.
-        match field("cause") {
-            Some((_, Value::U64(cause))) => assert_ne!(*cause, 0, "replan has no cause"),
+        match e.field("cause") {
+            Some(Value::U64(cause)) => assert_ne!(*cause, 0, "replan has no cause"),
             other => panic!("unexpected cause field: {other:?}"),
         }
     }

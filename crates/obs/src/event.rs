@@ -143,6 +143,11 @@ impl Value {
     }
 }
 
+/// The value of `key` among an event's payload fields.
+pub(crate) fn field<'a>(fields: &'a [(&'static str, Value)], key: &str) -> Option<&'a Value> {
+    fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+}
+
 /// One recorded decision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
@@ -158,6 +163,11 @@ pub struct EventRecord {
 }
 
 impl EventRecord {
+    /// The value of payload field `key`, if the record carries one.
+    pub fn field(&self, key: &str) -> Option<&Value> {
+        field(&self.fields, key)
+    }
+
     /// The record as one JSON object (`{"seq":…,"t_us":…,"kind":…,…fields}`).
     pub fn to_json(&self) -> String {
         let mut out = String::new();

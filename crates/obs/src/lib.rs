@@ -258,7 +258,7 @@ impl Obs {
         }
         if let Some(tr) = &self.tracer {
             if let Some(amb) = tr.ambient() {
-                if !fields.iter().any(|(k, _)| *k == "trace") {
+                if event::field(&fields, "trace").is_none() {
                     fields.push(("trace", Value::U64(amb.trace)));
                     fields.push(("cause", Value::U64(amb.span)));
                 }
@@ -590,15 +590,9 @@ mod tests {
         assert_eq!(spans[1].parent, fault.span);
         // Event fields carry the identity.
         let tail = obs.events_tail(2);
-        let get = |rec: &EventRecord, key: &str| {
-            rec.fields
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| v.clone())
-        };
-        assert_eq!(get(&tail[0], "cause"), Some(Value::U64(0)));
-        assert_eq!(get(&tail[1], "cause"), Some(Value::U64(fault.span)));
-        assert_eq!(get(&tail[1], "trace"), Some(Value::U64(fault.trace)));
+        assert_eq!(tail[0].field("cause"), Some(&Value::U64(0)));
+        assert_eq!(tail[1].field("cause"), Some(&Value::U64(fault.span)));
+        assert_eq!(tail[1].field("trace"), Some(&Value::U64(fault.trace)));
         assert!(obs.timeline_recorder().is_some());
     }
 
@@ -611,14 +605,8 @@ mod tests {
         // An event already carrying a trace field is left alone.
         let fault = obs.emit_caused(6, "chaos.heal", vec![], None).unwrap();
         let tail = obs.events_tail(2);
-        let trace_of = |rec: &EventRecord| {
-            rec.fields
-                .iter()
-                .find(|(k, _)| *k == "trace")
-                .map(|(_, v)| v.clone())
-        };
-        assert_eq!(trace_of(&tail[0]), Some(Value::U64(era.trace)));
-        assert_eq!(trace_of(&tail[1]), Some(Value::U64(fault.trace)));
+        assert_eq!(tail[0].field("trace"), Some(&Value::U64(era.trace)));
+        assert_eq!(tail[1].field("trace"), Some(&Value::U64(fault.trace)));
         assert_ne!(fault.trace, era.trace, "explicit root ignores ambient");
         obs.set_trace_ambient(None);
         obs.emit(7, "ewma.update", vec![]);

@@ -243,11 +243,9 @@ fn traced_faults_open_root_spans_and_retain_the_last_context() {
     // Every chaos event carries its span id.
     for ev in obs.events_tail(10) {
         let span = ev
-            .fields
-            .iter()
-            .find(|(k, _)| *k == "span")
+            .field("span")
             .expect("traced fault events carry a span field");
-        assert!(matches!(span.1, Value::U64(v) if v != 0));
+        assert!(matches!(span, Value::U64(v) if *v != 0));
     }
 }
 

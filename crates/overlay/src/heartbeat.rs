@@ -162,7 +162,7 @@ mod tests {
     use super::*;
     use crate::graph::OverlayGraph;
     use crate::transport::Transport;
-    use acm_sim::sim::Simulator;
+    use acm_sim::sim::{Event, Simulator};
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -283,10 +283,29 @@ mod tests {
             leader_seen_by_1: n(0),
             suspected_at: None,
         };
-        let mut sim = Simulator::new(world);
+        /// The scenario's events: a node's periodic tick, a heartbeat
+        /// arriving at a peer, and the leader's death.
+        enum Beat {
+            Tick(u32),
+            Arrive { from: NodeId, at_peer: u32 },
+            Kill(u32),
+        }
+
+        impl Event<World> for Beat {
+            fn fire(self, sim: &mut Simulator<World, Beat>) {
+                let now = sim.now();
+                match self {
+                    Beat::Tick(me) => tick(sim, me),
+                    Beat::Arrive { from, at_peer } => {
+                        sim.world.detectors[at_peer as usize].record_heartbeat(from, now);
+                    }
+                    Beat::Kill(node) => sim.world.dead[node as usize] = true,
+                }
+            }
+        }
 
         // Heartbeat + check loop per node, every period.
-        fn tick(sim: &mut Simulator<World>, me: u32) {
+        fn tick(sim: &mut Simulator<World, Beat>, me: u32) {
             let now = sim.now();
             if sim.world.dead[me as usize] {
                 return;
@@ -298,10 +317,13 @@ mod tests {
                 }
                 let (from, to) = (n(me), n(peer));
                 if let Some(delay) = sim.world.transport.prepare_send(from, to) {
-                    sim.schedule_in(delay, move |s| {
-                        let now = s.now();
-                        s.world.detectors[peer as usize].record_heartbeat(from, now);
-                    });
+                    sim.schedule_at(
+                        now + delay,
+                        Beat::Arrive {
+                            from,
+                            at_peer: peer,
+                        },
+                    );
                 }
             }
             // Check suspicions; node 1 re-elects if it suspects the leader.
@@ -310,13 +332,15 @@ mod tests {
                 sim.world.leader_seen_by_1 = n(1); // next-smallest trusted id
                 sim.world.suspected_at = Some(now);
             }
-            sim.schedule_in(Duration::from_secs(5), move |s| tick(s, me));
+            sim.schedule_at(now + Duration::from_secs(5), Beat::Tick(me));
         }
+
+        let mut sim = Simulator::new(world);
         for me in 0..3 {
-            sim.schedule_at(SimTime::ZERO, move |s| tick(s, me));
+            sim.schedule_at(SimTime::ZERO, Beat::Tick(me));
         }
         // Kill the leader at t = 60.
-        sim.schedule_at(t(60), |s| s.world.dead[0] = true);
+        sim.schedule_at(t(60), Beat::Kill(0));
 
         sim.run_until(t(200));
 

@@ -110,7 +110,7 @@ mod tests {
     use super::*;
     use crate::graph::OverlayGraph;
     use crate::transport::Transport;
-    use acm_sim::sim::Simulator;
+    use acm_sim::event::EventQueue;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -140,22 +140,18 @@ mod tests {
         let senders = [n(1), n(2), n(3), n(1), n(2), n(3)];
 
         // Unsharded path: sequential sweep, immediate schedule.
-        let mut sim = Simulator::new(Vec::<(u64, u32)>::new());
+        let mut queue = EventQueue::new();
         let mut tr = mesh();
         for (k, &from) in senders.iter().enumerate() {
             let tag = from.0 * 100 + k as u32;
             let delay = tr.prepare_send(from, leader).expect("routable");
-            sim.schedule_in(delay, move |s| {
-                s.world.push((s.now().as_micros(), tag));
-            });
+            queue.schedule(SimTime::ZERO + delay, tag);
         }
-        sim.run_to_completion(100);
-        let sequential = sim.world;
+        let sequential: Vec<(SimTime, u32)> = std::iter::from_fn(|| queue.pop()).collect();
 
         // Sharded path: senders split over two shards (contiguous in the
         // sweep order), each staging into its outbox; barrier drains in
         // shard order and schedules the deliveries.
-        let mut sim = Simulator::new(Vec::<(u64, u32)>::new());
         let mut tr = mesh();
         let mut outboxes = [ShardOutbox::new(0), ShardOutbox::new(1)];
         for (k, &from) in senders.iter().enumerate() {
@@ -164,21 +160,18 @@ mod tests {
             outboxes[shard].push(StagedMessage {
                 from,
                 to: leader,
-                sent_at: sim.now(),
+                sent_at: SimTime::ZERO,
                 delay,
                 ctx: None,
                 payload: from.0 * 100 + k as u32,
             });
         }
         for msg in drain_in_shard_order(&mut outboxes) {
-            let tag = msg.payload;
-            sim.schedule_at(msg.deliver_at(), move |s| {
-                s.world.push((s.now().as_micros(), tag));
-            });
+            queue.schedule(msg.deliver_at(), msg.payload);
         }
-        sim.run_to_completion(100);
+        let staged: Vec<(SimTime, u32)> = std::iter::from_fn(|| queue.pop()).collect();
 
-        assert_eq!(sim.world, sequential, "staging must not reorder delivery");
+        assert_eq!(staged, sequential, "staging must not reorder delivery");
         assert!(outboxes.iter().all(|o| o.is_empty()), "drain empties all");
     }
 

@@ -164,7 +164,8 @@ impl Transport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acm_sim::sim::Simulator;
+    use acm_sim::event::EventQueue;
+    use acm_sim::time::SimTime;
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
@@ -185,15 +186,12 @@ mod tests {
     #[test]
     fn delivers_after_route_latency() {
         let mut t = transport();
-        let mut sim = Simulator::new(Vec::<u64>::new());
+        let mut queue = EventQueue::new();
         let delay = t.prepare_send(n(0), n(2)).expect("routable");
-        sim.schedule_in(delay, |s| {
-            let now = s.now().as_micros();
-            s.world.push(now);
-        });
-        sim.run_to_completion(10);
+        queue.schedule(SimTime::ZERO + delay, "delivered");
         // Best route 0-1-2 = 50ms.
-        assert_eq!(sim.world, vec![ms(50).as_micros()]);
+        assert_eq!(queue.pop(), Some((SimTime::ZERO + ms(50), "delivered")));
+        assert!(queue.is_empty());
         assert_eq!(t.sent(), 1);
         assert_eq!(t.dropped(), 0);
     }
@@ -203,12 +201,7 @@ mod tests {
         let mut t = transport();
         t.fail_node(n(1));
         t.fail_link(n(0), n(2));
-        let mut sim = Simulator::new(0u32);
-        if let Some(delay) = t.prepare_send(n(0), n(2)) {
-            sim.schedule_in(delay, |s| s.world += 1);
-        }
-        sim.run_to_completion(10);
-        assert_eq!(sim.world, 0);
+        assert_eq!(t.prepare_send(n(0), n(2)), None, "nothing to deliver");
         assert_eq!(t.dropped(), 1);
     }
 

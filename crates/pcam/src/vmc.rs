@@ -127,6 +127,29 @@ pub struct RegionEraReport {
     pub utilization: f64,
 }
 
+/// Promotes standbys up to the ACTIVE target at `at` and logs any
+/// promotion as one `standby.activate` event carrying `reason`.
+fn activate_standbys(
+    pool: &mut VmPool,
+    obs: &ObsHandle,
+    region: &str,
+    at: SimTime,
+    reason: &'static str,
+) {
+    let activated = pool.replenish_active(at);
+    if activated > 0 && obs.enabled() {
+        obs.emit(
+            at.as_micros(),
+            "standby.activate",
+            vec![
+                ("region", Value::from(region)),
+                ("count", Value::from(activated)),
+                ("reason", Value::from(reason)),
+            ],
+        );
+    }
+}
+
 /// The per-region controller.
 #[derive(Debug)]
 pub struct Vmc {
@@ -306,18 +329,13 @@ impl Vmc {
     ) -> RegionEraReport {
         // (1) housekeeping.
         self.pool.poll_rejuvenations(now);
-        let activated = self.pool.replenish_active(now);
-        if activated > 0 && self.obs.enabled() {
-            self.obs.emit(
-                now.as_micros(),
-                "standby.activate",
-                vec![
-                    ("region", Value::from(self.config.name.as_str())),
-                    ("count", Value::from(activated)),
-                    ("reason", Value::from("housekeeping")),
-                ],
-            );
-        }
+        activate_standbys(
+            &mut self.pool,
+            &self.obs,
+            &self.config.name,
+            now,
+            "housekeeping",
+        );
         self.pool.demote_excess_active(now);
 
         // (2) balance.
@@ -401,18 +419,7 @@ impl Vmc {
                 }
             }
         }
-        let activated = self.pool.replenish_active(end);
-        if activated > 0 && self.obs.enabled() {
-            self.obs.emit(
-                end.as_micros(),
-                "standby.activate",
-                vec![
-                    ("region", Value::from(self.config.name.as_str())),
-                    ("count", Value::from(activated)),
-                    ("reason", Value::from("reactive")),
-                ],
-            );
-        }
+        activate_standbys(&mut self.pool, obs, region_name, end, "reactive");
 
         // (5) proactive rejuvenation. Candidates come only from this era's
         // serving set (`vm_lambdas`) and their predictions are fixed at
@@ -478,18 +485,13 @@ impl Vmc {
                         ],
                     );
                 }
-                let activated = self.pool.replenish_active(end);
-                if activated > 0 && self.obs.enabled() {
-                    self.obs.emit(
-                        end.as_micros(),
-                        "standby.activate",
-                        vec![
-                            ("region", Value::from(self.config.name.as_str())),
-                            ("count", Value::from(activated)),
-                            ("reason", Value::from("takeover")),
-                        ],
-                    );
-                }
+                activate_standbys(
+                    &mut self.pool,
+                    &self.obs,
+                    &self.config.name,
+                    end,
+                    "takeover",
+                );
             }
         }
 
@@ -633,11 +635,8 @@ mod tests {
         let threshold = vmc.config().rttf_threshold.as_secs_f64();
         for e in &rejuv {
             let get = |k: &str| {
-                e.fields
-                    .iter()
-                    .find(|(name, _)| *name == k)
+                e.field(k)
                     .unwrap_or_else(|| panic!("missing field {k}"))
-                    .1
                     .clone()
             };
             assert_eq!(get("region"), acm_obs::Value::from("test-region"));

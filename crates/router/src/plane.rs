@@ -239,7 +239,7 @@ pub fn run_routed_plane(cfg: &RoutedPlaneConfig) -> PlaneOutcome {
             })
         })
         .collect();
-    let mut world = ShardedWorld::<_, Completion>::typed(
+    let mut world = ShardedWorld::<_, Completion>::new(
         ShardLayout::balanced(cfg.shards, cfg.shards),
         &mut rng,
         |s, _| worlds[s].take().expect("one world per shard"),
@@ -288,7 +288,7 @@ pub fn run_routed_plane(cfg: &RoutedPlaneConfig) -> PlaneOutcome {
                         let mean = s.world.service_mean_s[region];
                         let svc = Duration::from_secs_f64(s.world.service.exponential(1.0 / mean));
                         let latency = svc + extra_delay;
-                        s.schedule_event_at(s.now() + latency, Completion { region, latency });
+                        s.schedule_at(s.now() + latency, Completion { region, latency });
                     }
                 }
             });

@@ -3,11 +3,14 @@
 //!
 //! The paper's evaluation ran on a physical hybrid cloud (two Amazon EC2
 //! regions plus a private VMware host). This crate provides the substitute
-//! substrate: a deterministic, seedable discrete-event simulator on which the
-//! VM models, the overlay network, the PCAM controllers and the ACM control
-//! loop all execute. Determinism is a feature the original testbed lacked —
-//! every figure regenerated by the bench harness is exactly reproducible from
-//! its seed.
+//! substrate's deterministic pieces: a microsecond clock, a seedable RNG,
+//! the weighted-selection primitive, and a discrete-event kernel. The ACM
+//! loop acts once per control era, so the VM models, the overlay, PCAM and
+//! the control loop advance era by era on the clock and the RNG; the one
+//! model that runs on the event kernel is the routed request plane
+//! (`acm_router::run_routed_plane`). Determinism is a feature the original
+//! testbed lacked — every figure regenerated by the bench harness is
+//! exactly reproducible from its seed.
 //!
 //! # Layout
 //!
@@ -17,22 +20,23 @@
 //!   distribution samplers the workload and anomaly models need
 //!   (exponential, normal, log-normal, Poisson, Bernoulli).
 //! * [`event`] — the pending-event set: a calendar queue whose key-sorted
-//!   bucket chains are threaded through a generation-tagged slot arena
-//!   (a 4-ary min-heap holds what lies beyond the ring's span), with a
-//!   monotonic sequence tie-breaker so simultaneous events fire in
-//!   schedule order and O(1) hash-free cancellation.
-//! * [`sim`] — the [`Simulator`] driver: schedule events (boxed closures
-//!   by default, or the model's own [`Event`] type), run until quiescence
-//!   or a deadline. The one run loop merges the queue with a sorted stream
-//!   of arrival instants ([`Simulator::run_until_with_arrivals`]), so an
-//!   open-loop source never schedules a window of requests into the queue.
+//!   bucket chains are threaded through a slot arena (a 4-ary min-heap
+//!   holds what lies beyond the ring's span), with a monotonic sequence
+//!   tie-breaker so simultaneous events fire in schedule order.
+//! * [`sim`] — the [`Simulator`] driver over the model's own [`Event`]
+//!   type: schedule events, run until a deadline. The one run loop merges
+//!   the queue with a sorted stream of arrival instants
+//!   ([`Simulator::run_until_with_arrivals`]), so an open-loop source never
+//!   schedules a window of requests into the queue.
 //! * [`shard`] — era-synchronized sharded execution: the world split into
 //!   contiguous [`Shard`]s (private event queue + pre-split RNG each)
-//!   advanced concurrently on the `acm-exec` pool and merged in index
-//!   order at era barriers, byte-identical at any thread width.
+//!   advanced concurrently on the `acm-exec` pool, byte-identical at any
+//!   thread width; [`ShardLayout`] is also the partition the control
+//!   loop's MONITOR fan-out and the chaos campaign use.
 //! * [`stats`] — online statistics (Welford mean/variance with min/max)
 //!   used by telemetry.
-//! * [`series`] — time-series recording used to emit the figure CSVs.
+//! * [`series`] — time-series recording, kept as a test oracle for the
+//!   era-major telemetry table.
 //! * [`weights`] — the shared weighted-selection primitive
 //!   ([`WeightTable`]): share normalisation plus O(1) alias sampling with
 //!   exact zero-weight exclusion, used by the pcam balancer and the
@@ -50,11 +54,11 @@ pub mod stats;
 pub mod time;
 pub mod weights;
 
-pub use event::{EventId, EventQueue};
+pub use event::EventQueue;
 pub use rng::SimRng;
 pub use series::{SeriesPoint, SeriesTable, TimeSeries};
-pub use shard::{merge_in_shard_order, Shard, ShardLayout, ShardedWorld};
-pub use sim::{Boxed, Event, Simulator};
+pub use shard::{Shard, ShardLayout, ShardedWorld};
+pub use sim::{Event, Simulator};
 pub use stats::OnlineStats;
 pub use time::{Duration, SimTime};
 pub use weights::WeightTable;

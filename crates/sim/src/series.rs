@@ -2,9 +2,9 @@
 //!
 //! The paper's figures are time series (RMTTF, workload fraction `f_i`, mean
 //! response time per control-loop era). [`TimeSeries`] stores `(t, value)`
-//! points, supports windowed summaries used by the convergence detectors in
-//! the integration tests, and renders the CSV that `repro fig3` / `repro
-//! fig4` write.
+//! points, supports windowed summaries and renders CSV. The figure CSVs
+//! now come from the era-major telemetry table in `acm-core`; this module
+//! is kept as the test oracle that table's rendering is checked against.
 
 use crate::stats::OnlineStats;
 use crate::time::SimTime;

@@ -25,7 +25,7 @@
 //! bit for bit at any thread width.
 
 use crate::rng::SimRng;
-use crate::sim::{Boxed, Simulator};
+use crate::sim::Simulator;
 use std::ops::Range;
 
 /// Deterministic partition of `0..items` into contiguous shard ranges.
@@ -99,11 +99,9 @@ impl ShardLayout {
 /// The simulator's queue lives for the whole run — eras schedule into and
 /// drain from the same arena, so event-slot allocations are recycled
 /// across eras (surfaced as `acm.sim.queue.arena_reuse`).
-pub struct Shard<W, E = Boxed<W>> {
+pub struct Shard<W, E> {
     /// Shard index within the layout.
     pub index: usize,
-    /// Item range this shard owns.
-    pub items: Range<usize>,
     /// The shard-local discrete-event simulator.
     pub sim: Simulator<W, E>,
     /// Pre-split RNG stream, private to this shard.
@@ -118,28 +116,16 @@ pub struct Shard<W, E = Boxed<W>> {
 /// whatever the shards staged.
 ///
 /// [`step_era`]: ShardedWorld::step_era
-pub struct ShardedWorld<W, E = Boxed<W>> {
-    layout: ShardLayout,
+pub struct ShardedWorld<W, E> {
     shards: Vec<Shard<W, E>>,
 }
 
-impl<W> ShardedWorld<W> {
-    /// Builds the shards, whose events are boxed closures: worlds come
-    /// from `make_world(shard, range)` in index order, and each shard's
-    /// RNG is split off `rng` in the same order — construction order is
-    /// the determinism anchor.
-    pub fn new(
-        layout: ShardLayout,
-        rng: &mut SimRng,
-        make_world: impl FnMut(usize, Range<usize>) -> W,
-    ) -> Self {
-        Self::typed(layout, rng, make_world)
-    }
-}
-
 impl<W, E> ShardedWorld<W, E> {
-    /// [`ShardedWorld::new`] for shards whose events are of type `E`.
-    pub fn typed(
+    /// Builds the shards, whose events are of type `E`: worlds come from
+    /// `make_world(shard, range)` in index order, and each shard's RNG is
+    /// split off `rng` in the same order — construction order is the
+    /// determinism anchor.
+    pub fn new(
         layout: ShardLayout,
         rng: &mut SimRng,
         mut make_world: impl FnMut(usize, Range<usize>) -> W,
@@ -148,17 +134,11 @@ impl<W, E> ShardedWorld<W, E> {
             .iter()
             .map(|(s, range)| Shard {
                 index: s,
-                items: range.clone(),
-                sim: Simulator::typed(make_world(s, range)),
+                sim: Simulator::new(make_world(s, range)),
                 rng: rng.split(),
             })
             .collect();
-        ShardedWorld { layout, shards }
-    }
-
-    /// The partition driving this world.
-    pub fn layout(&self) -> &ShardLayout {
-        &self.layout
+        ShardedWorld { shards }
     }
 
     /// Shared access to the shards, in index order.
@@ -191,23 +171,29 @@ impl<W, E> ShardedWorld<W, E> {
     }
 }
 
-/// Index-ordered merge: flattens per-shard staged values in shard order,
-/// preserving each shard's internal order — the canonical barrier merge.
-/// For contiguous shard layouts this equals the order a sequential sweep
-/// over the items would have produced.
-pub fn merge_in_shard_order<T>(staged: Vec<Vec<T>>) -> Vec<T> {
-    let total = staged.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for batch in staged {
-        out.extend(batch);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Event;
     use crate::time::{Duration, SimTime};
+
+    /// Logs `(now µs, draw)` into the shard's world.
+    struct LogDraw(u64);
+
+    impl Event<Vec<(u64, u64)>> for LogDraw {
+        fn fire(self, s: &mut Simulator<Vec<(u64, u64)>, LogDraw>) {
+            s.world.push((s.now().as_micros(), self.0));
+        }
+    }
+
+    /// Counts itself into the shard's world.
+    struct Bump;
+
+    impl Event<u64> for Bump {
+        fn fire(self, s: &mut Simulator<u64, Bump>) {
+            s.world += 1;
+        }
+    }
 
     #[test]
     fn balanced_layout_covers_all_items_contiguously() {
@@ -303,9 +289,10 @@ mod tests {
             let before = acm_exec::current_threads();
             acm_exec::configure_threads(threads);
             let mut rng = SimRng::new(42);
-            let mut world = ShardedWorld::new(ShardLayout::balanced(8, 4), &mut rng, |_, _| {
-                Vec::<(u64, u64)>::new()
-            });
+            let mut world =
+                ShardedWorld::<_, LogDraw>::new(ShardLayout::balanced(8, 4), &mut rng, |_, _| {
+                    Vec::<(u64, u64)>::new()
+                });
             for era in 0..5u64 {
                 let era_end = SimTime::from_secs((era + 1) * 10);
                 world.step_era(|shard| {
@@ -313,9 +300,7 @@ mod tests {
                         let at = shard.sim.now()
                             + Duration::from_millis(1 + (k * 97 + shard.index as u64) % 9000);
                         let draw = shard.rng.next_u64();
-                        shard.sim.schedule_at(at, move |s| {
-                            s.world.push((s.now().as_micros(), draw));
-                        });
+                        shard.sim.schedule_at(at, LogDraw(draw));
                     }
                     shard.sim.run_until(era_end);
                 });
@@ -331,16 +316,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_preserves_shard_then_emission_order() {
-        let merged = merge_in_shard_order(vec![vec![1, 2], vec![], vec![3], vec![4, 5]]);
-        assert_eq!(merged, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
     fn shard_queues_recycle_arena_slots_across_eras() {
         let mut rng = SimRng::new(7);
         let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
-        let mut world = ShardedWorld::new(ShardLayout::balanced(2, 2), &mut rng, |_, _| 0u64);
+        let mut world =
+            ShardedWorld::<_, Bump>::new(ShardLayout::balanced(2, 2), &mut rng, |_, _| 0u64);
         for shard in world.shards_mut() {
             shard.sim.set_obs(&obs);
         }
@@ -348,9 +328,8 @@ mod tests {
             let era_end = SimTime::from_secs((era + 1) * 10);
             world.step_era(|shard| {
                 for _ in 0..16 {
-                    shard
-                        .sim
-                        .schedule_in(Duration::from_secs(1), |s| s.world += 1);
+                    let at = shard.sim.now() + Duration::from_secs(1);
+                    shard.sim.schedule_at(at, Bump);
                 }
                 shard.sim.run_until(era_end);
             });

@@ -1,15 +1,12 @@
 //! The simulation driver.
 //!
 //! [`Simulator<W, E>`] owns a user-supplied *world* `W` (the mutable model
-//! state) and a queue of pending events of type `E`. Firing an event hands
-//! it `&mut Simulator<W, E>` ([`Event::fire`]), so it can both mutate the
-//! world and schedule follow-up events; this is the classic event-oriented
-//! style (each event is one state transition at one instant). `E` defaults
-//! to [`Boxed`], a boxed closure, which is what [`Simulator::schedule_at`]
-//! and [`Simulator::schedule_in`] take; a model with a hot event path names
-//! its own plain-data event type instead ([`Simulator::typed`],
-//! [`Simulator::schedule_event_at`]), so an event costs its bytes in the
-//! queue's arena rather than an allocation and an indirect call.
+//! state) and a queue of pending events of the model's own plain-data type
+//! `E`. Firing an event hands it `&mut Simulator<W, E>` ([`Event::fire`]),
+//! so it can both mutate the world and schedule follow-up events; this is
+//! the classic event-oriented style (each event is one state transition
+//! at one instant). An event costs its bytes in the queue's arena — no
+//! allocation and no indirect call.
 //!
 //! Execution is strictly deterministic: time never goes backwards, and
 //! simultaneous events run in scheduling order (see [`crate::event`]).
@@ -20,8 +17,8 @@
 //! requests without an event, an arena slot or a queue entry per request.
 //! [`Simulator::run_until`] is the same loop over an empty slice.
 
-use crate::event::{EventId, EventQueue};
-use crate::time::{Duration, SimTime};
+use crate::event::EventQueue;
+use crate::time::SimTime;
 use acm_obs::{Counter, ObsHandle};
 
 /// A pending event: what happens when the clock reaches its instant.
@@ -30,45 +27,37 @@ pub trait Event<W>: Sized {
     fn fire(self, sim: &mut Simulator<W, Self>);
 }
 
-/// The default event type: a boxed closure. `Send`, so a whole
-/// `Simulator` (with its pending-event queue) can migrate between worker
-/// threads of the sharded era loop — see [`crate::shard`].
-pub struct Boxed<W>(Box<Handler<W>>);
-
-type Handler<W> = dyn FnOnce(&mut Simulator<W>) + Send;
-
-impl<W> Event<W> for Boxed<W> {
-    #[inline]
-    fn fire(self, sim: &mut Simulator<W>) {
-        (self.0)(sim)
-    }
-}
-
-/// Outcome of a bounded run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The event queue drained before the limit was reached.
-    Quiescent,
-    /// The time deadline was reached with events still pending.
-    DeadlineReached,
-    /// The step budget was exhausted with events still pending.
-    StepBudgetExhausted,
-}
-
-/// A discrete-event simulator owning the model state `W`.
+/// A discrete-event simulator owning the model state `W`, whose events
+/// are of type `E`.
 ///
 /// ```
-/// use acm_sim::{Duration, SimTime, Simulator};
+/// use acm_sim::{Duration, Event, SimTime, Simulator};
+///
+/// /// Adds `n` to the world; `Twice` also adds `n` again two seconds on.
+/// enum Add {
+///     Once(u32),
+///     Twice(u32),
+/// }
+///
+/// impl Event<u32> for Add {
+///     fn fire(self, s: &mut Simulator<u32, Add>) {
+///         match self {
+///             Add::Once(n) => s.world += n,
+///             Add::Twice(n) => {
+///                 s.world += n;
+///                 s.schedule_at(s.now() + Duration::from_secs(2), Add::Once(n));
+///             }
+///         }
+///     }
+/// }
+///
 /// let mut sim = Simulator::new(0u32);
-/// sim.schedule_at(SimTime::from_secs(5), |s| {
-///     s.world += 1;
-///     s.schedule_in(Duration::from_secs(2), |s| s.world += 10);
-/// });
-/// sim.run_to_completion(100);
-/// assert_eq!(sim.world, 11);
-/// assert_eq!(sim.now(), SimTime::from_secs(7));
+/// sim.schedule_at(SimTime::from_secs(5), Add::Twice(3));
+/// sim.run_until(SimTime::from_secs(7));
+/// assert_eq!(sim.world, 6);
+/// assert_eq!((sim.now(), sim.executed(), sim.pending()), (SimTime::from_secs(7), 2, 0));
 /// ```
-pub struct Simulator<W, E = Boxed<W>> {
+pub struct Simulator<W, E> {
     now: SimTime,
     queue: EventQueue<E>,
     /// The model state. Public so event handlers can reach it directly.
@@ -84,7 +73,7 @@ pub struct Simulator<W, E = Boxed<W>> {
     /// ([`Simulator::run_until_with_arrivals`]): executed events that were
     /// never pushed or popped.
     pending_streamed: u64,
-    /// High-water mark of live pending events.
+    /// High-water mark of pending events.
     peak_pending: usize,
     /// Queue instrumentation; inert until [`Simulator::set_obs`] resolves
     /// live handles. Values lag the hot path until the next flush.
@@ -97,38 +86,9 @@ pub struct Simulator<W, E = Boxed<W>> {
     ctr_arena_reuse: Counter,
 }
 
-impl<W> Simulator<W> {
-    /// Creates a simulator at the epoch with the given world, whose events
-    /// are boxed closures.
-    pub fn new(world: W) -> Self {
-        Self::typed(world)
-    }
-
-    /// Schedules `handler` to run at the absolute instant `at`.
-    ///
-    /// Panics if `at` is in the past — the model must never rewind time.
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        handler: impl FnOnce(&mut Simulator<W>) + Send + 'static,
-    ) -> EventId {
-        self.schedule_event_at(at, Boxed(Box::new(handler)))
-    }
-
-    /// Schedules `handler` to run after `delay`.
-    pub fn schedule_in(
-        &mut self,
-        delay: Duration,
-        handler: impl FnOnce(&mut Simulator<W>) + Send + 'static,
-    ) -> EventId {
-        self.schedule_at(self.now + delay, handler)
-    }
-}
-
 impl<W, E> Simulator<W, E> {
-    /// Creates a simulator at the epoch with the given world, whose events
-    /// are of type `E`.
-    pub fn typed(world: W) -> Self {
+    /// Creates a simulator at the epoch with the given world.
+    pub fn new(world: W) -> Self {
         Simulator {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
@@ -164,9 +124,8 @@ impl<W, E> Simulator<W, E> {
     }
 
     /// Publishes the batched push/pop/streamed tallies to the attached
-    /// counters. Runs automatically when [`Simulator::step`] or any of the
-    /// run methods returns; call it manually only if counters are read
-    /// while handlers are mid-flight.
+    /// counters. Runs automatically when a run method returns; call it
+    /// manually only if counters are read while handlers are mid-flight.
     pub fn flush_obs(&mut self) {
         fn publish(ctr: &Counter, pending: &mut u64) {
             if *pending > 0 {
@@ -193,12 +152,12 @@ impl<W, E> Simulator<W, E> {
         self.executed
     }
 
-    /// Live events currently pending.
+    /// Events currently pending.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
 
-    /// The most live events that were ever pending at once — how deep the
+    /// The most events that were ever pending at once — how deep the
     /// queue really got, whatever the wall clock says.
     pub fn peak_pending(&self) -> usize {
         self.peak_pending
@@ -208,45 +167,19 @@ impl<W, E> Simulator<W, E> {
     ///
     /// Panics if `at` is in the past — the model must never rewind time.
     #[inline]
-    pub fn schedule_event_at(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past ({at} < {})",
             self.now
         );
         self.pending_push += 1;
-        let id = self.queue.schedule(at, event);
+        self.queue.schedule(at, event);
         self.peak_pending = self.peak_pending.max(self.queue.len());
-        id
-    }
-
-    /// Cancels a pending event. Returns `true` if it had not yet fired.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
     }
 }
 
 impl<W, E: Event<W>> Simulator<W, E> {
-    /// Executes the single earliest pending event. Returns `false` when the
-    /// queue is empty.
-    pub fn step(&mut self) -> bool {
-        let advanced = self.step_inner();
-        self.flush_obs();
-        advanced
-    }
-
-    /// The un-flushed step used by the run loops.
-    #[inline]
-    fn step_inner(&mut self) -> bool {
-        match self.queue.pop() {
-            Some((at, event)) => {
-                self.fire(at, event);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Executes one popped event.
     #[inline]
     fn fire(&mut self, at: SimTime, event: E) {
@@ -265,27 +198,26 @@ impl<W, E: Event<W>> Simulator<W, E> {
         }
     }
 
-    /// Runs until the queue drains or simulated time would pass `deadline`.
-    ///
-    /// Events stamped exactly at `deadline` are executed; the first event
-    /// strictly after it is left pending and the clock is advanced to
-    /// `deadline` so a subsequent `run_until` resumes cleanly.
-    pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        self.run_until_with_arrivals(&[], deadline, |_| {})
+    /// Runs every event stamped at or before `deadline`, then moves the
+    /// clock to `deadline` so a subsequent `run_until` resumes cleanly.
+    /// The first event strictly after it is left pending. A deadline the
+    /// clock has already passed runs nothing and leaves the clock where
+    /// it is: time never moves back.
+    pub fn run_until(&mut self, deadline: SimTime) {
+        self.run_until_with_arrivals(&[], deadline, |_| {});
     }
 
     /// [`run_until`] with a window of arrivals merged in: `on_arrival`
     /// fires once at each instant of `arrivals`, interleaved with the
     /// pending events in time order.
     ///
-    /// Observably identical to `for &at in arrivals { self.schedule_at(at,
-    /// on_arrival) }` followed by `self.run_until(deadline)` — same firing
-    /// order, same [`executed`], same clock — but nothing is boxed or
-    /// queued per arrival. Arrival `k` holds the sequence number that
-    /// `schedule_at` would have given it, so every tie breaks the same
-    /// way: at one instant, events pending before the call fire first,
-    /// then the arrivals in slice order, then events scheduled during the
-    /// call.
+    /// Observably identical to scheduling one event per arrival that runs
+    /// `on_arrival`, followed by `self.run_until(deadline)` — same firing
+    /// order, same [`executed`], same clock — but nothing is queued per
+    /// arrival. Arrival `k` holds the sequence number that `schedule_at`
+    /// would have given it, so every tie breaks the same way: at one
+    /// instant, events pending before the call fire first, then the
+    /// arrivals in slice order, then events scheduled during the call.
     ///
     /// `arrivals` must ascend from no earlier than [`now`] to no later
     /// than `deadline` (an arrival at `deadline` fires). Panics otherwise:
@@ -300,7 +232,7 @@ impl<W, E: Event<W>> Simulator<W, E> {
         arrivals: &[SimTime],
         deadline: SimTime,
         mut on_arrival: impl FnMut(&mut Simulator<W, E>),
-    ) -> RunOutcome {
+    ) {
         let first_seq = self.queue.reserve_seqs(arrivals.len() as u64);
         for (seq, &at) in (first_seq..).zip(arrivals) {
             assert!(
@@ -320,42 +252,52 @@ impl<W, E: Event<W>> Simulator<W, E> {
         }
         // Every sequence number in use orders before `u64::MAX`.
         self.run_before(deadline, u64::MAX);
-        let outcome = if self.queue.is_empty() {
-            self.now = self.now.max(deadline);
-            RunOutcome::Quiescent
-        } else {
-            self.now = deadline;
-            RunOutcome::DeadlineReached
-        };
+        self.now = self.now.max(deadline);
         self.flush_obs();
-        outcome
-    }
-
-    /// Runs until the queue drains, or at most `max_steps` events.
-    pub fn run_to_completion(&mut self, max_steps: u64) -> RunOutcome {
-        let mut outcome = RunOutcome::Quiescent;
-        for _ in 0..max_steps {
-            if !self.step_inner() {
-                self.flush_obs();
-                return outcome;
-            }
-        }
-        if !self.queue.is_empty() {
-            outcome = RunOutcome::StepBudgetExhausted;
-        }
-        self.flush_obs();
-        outcome
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::Duration;
 
     #[derive(Default)]
     struct World {
         log: Vec<(u64, &'static str)>,
         counter: u32,
+    }
+
+    /// The test events: each is one small state transition.
+    #[derive(Debug, Clone, Copy)]
+    enum Ev {
+        /// Logs `(now µs, tag)`.
+        Log(&'static str),
+        /// Adds to the counter.
+        Add(u32),
+        /// Adds 1 now and schedules `Add(10)` one second later.
+        AddThenFollow,
+        /// Schedules a no-op at 1 s, which is in the past once the clock
+        /// has passed it.
+        ScheduleBack,
+    }
+
+    impl Event<World> for Ev {
+        fn fire(self, s: &mut Simulator<World, Ev>) {
+            match self {
+                Ev::Log(tag) => s.world.log.push((s.now().as_micros(), tag)),
+                Ev::Add(n) => s.world.counter += n,
+                Ev::AddThenFollow => {
+                    s.world.counter += 1;
+                    s.schedule_at(s.now() + Duration::from_secs(1), Ev::Add(10));
+                }
+                Ev::ScheduleBack => s.schedule_at(t(1), Ev::Add(0)),
+            }
+        }
+    }
+
+    fn sim() -> Simulator<World, Ev> {
+        Simulator::new(World::default())
     }
 
     fn t(s: u64) -> SimTime {
@@ -364,10 +306,10 @@ mod tests {
 
     #[test]
     fn events_fire_in_time_order_and_advance_clock() {
-        let mut sim = Simulator::new(World::default());
-        sim.schedule_at(t(5), |s| s.world.log.push((s.now().as_micros(), "b")));
-        sim.schedule_at(t(2), |s| s.world.log.push((s.now().as_micros(), "a")));
-        assert_eq!(sim.run_to_completion(100), RunOutcome::Quiescent);
+        let mut sim = sim();
+        sim.schedule_at(t(5), Ev::Log("b"));
+        sim.schedule_at(t(2), Ev::Log("a"));
+        sim.run_until(t(5));
         assert_eq!(
             sim.world.log,
             vec![(t(2).as_micros(), "a"), (t(5).as_micros(), "b")]
@@ -378,90 +320,75 @@ mod tests {
 
     #[test]
     fn handlers_can_schedule_follow_ups() {
-        let mut sim = Simulator::new(World::default());
-        sim.schedule_at(t(1), |s| {
-            s.world.counter += 1;
-            s.schedule_in(Duration::from_secs(1), |s2| {
-                s2.world.counter += 10;
-            });
-        });
-        sim.run_to_completion(100);
+        let mut sim = sim();
+        sim.schedule_at(t(1), Ev::AddThenFollow);
+        sim.run_until(t(2));
         assert_eq!(sim.world.counter, 11);
-        assert_eq!(sim.now(), t(2));
+        assert_eq!((sim.now(), sim.pending()), (t(2), 0));
     }
 
     #[test]
     fn run_until_stops_at_deadline_and_resumes() {
-        let mut sim = Simulator::new(World::default());
+        let mut sim = sim();
         for i in 1..=10 {
-            sim.schedule_at(t(i), move |s| s.world.counter += 1);
+            sim.schedule_at(t(i), Ev::Add(1));
         }
-        assert_eq!(sim.run_until(t(4)), RunOutcome::DeadlineReached);
+        sim.run_until(t(4));
         assert_eq!(sim.world.counter, 4);
-        assert_eq!(sim.now(), t(4));
-        assert_eq!(sim.run_until(t(20)), RunOutcome::Quiescent);
+        assert_eq!((sim.now(), sim.pending()), (t(4), 6));
+        sim.run_until(t(20));
         assert_eq!(sim.world.counter, 10);
-        // Quiescent run advances the clock to the deadline.
-        assert_eq!(sim.now(), t(20));
+        // A run that drains the queue still advances the clock to the
+        // deadline.
+        assert_eq!((sim.now(), sim.pending()), (t(20), 0));
+    }
+
+    #[test]
+    fn run_until_never_moves_the_clock_back() {
+        let mut sim = sim();
+        sim.schedule_at(t(20), Ev::Add(1));
+        sim.run_until(t(10));
+        // An earlier deadline, with and without an event pending.
+        sim.run_until(t(5));
+        assert_eq!((sim.now(), sim.pending()), (t(10), 1));
+        sim.run_until(t(30));
+        sim.run_until(t(25));
+        assert_eq!((sim.now(), sim.pending()), (t(30), 0));
+        assert_eq!(sim.world.counter, 1);
     }
 
     #[test]
     fn deadline_inclusive_of_events_at_deadline() {
-        let mut sim = Simulator::new(World::default());
-        sim.schedule_at(t(3), |s| s.world.counter += 1);
+        let mut sim = sim();
+        sim.schedule_at(t(3), Ev::Add(1));
         sim.run_until(t(3));
         assert_eq!(sim.world.counter, 1);
     }
 
     #[test]
-    fn cancelled_events_do_not_run() {
-        let mut sim = Simulator::new(World::default());
-        let id = sim.schedule_at(t(1), |s| s.world.counter += 1);
-        sim.schedule_at(t(2), |s| s.world.counter += 100);
-        assert!(sim.cancel(id));
-        sim.run_to_completion(10);
-        assert_eq!(sim.world.counter, 100);
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_the_past_panics() {
-        let mut sim = Simulator::new(World::default());
-        sim.schedule_at(t(5), |s| {
-            s.schedule_at(t(1), |_| {});
-        });
-        sim.run_to_completion(10);
-    }
-
-    #[test]
-    fn step_budget_reports_exhaustion() {
-        let mut sim = Simulator::new(World::default());
-        // Self-perpetuating event chain.
-        fn again(s: &mut Simulator<World>) {
-            s.world.counter += 1;
-            s.schedule_in(Duration::from_secs(1), again);
-        }
-        sim.schedule_at(t(0), again);
-        assert_eq!(sim.run_to_completion(50), RunOutcome::StepBudgetExhausted);
-        assert_eq!(sim.world.counter, 50);
+        let mut sim = sim();
+        sim.schedule_at(t(5), Ev::ScheduleBack);
+        sim.run_until(t(10));
     }
 
     #[test]
     fn queue_counters_track_pushes_and_pops() {
         let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
-        let mut sim = Simulator::new(World::default());
+        let mut sim = sim();
         sim.set_obs(&obs);
         for i in 1..=5 {
-            sim.schedule_at(t(i), |s| s.world.counter += 1);
+            sim.schedule_at(t(i), Ev::Add(1));
         }
-        sim.run_to_completion(100);
+        sim.run_until(t(5));
         assert_eq!(obs.counter("acm.sim.queue.push").value(), 5);
         assert_eq!(obs.counter("acm.sim.queue.pop").value(), 5);
         assert_eq!(obs.counter("acm.sim.arrivals.streamed").value(), 0);
         // Streamed arrivals are executed without a push or a pop; the
         // follow-up each one schedules goes through the queue as usual.
         sim.run_until_with_arrivals(&[t(6), t(7), t(7)], t(9), |s| {
-            s.schedule_in(Duration::from_secs(1), |s| s.world.counter += 1);
+            s.schedule_at(s.now() + Duration::from_secs(1), Ev::Add(1));
         });
         let pops = obs.counter("acm.sim.queue.pop").value();
         let streamed = obs.counter("acm.sim.arrivals.streamed").value();
@@ -473,41 +400,41 @@ mod tests {
 
     #[test]
     fn peak_pending_is_the_high_water_of_live_events() {
-        let mut sim = Simulator::new(World::default());
-        let a = sim.schedule_at(t(1), |_| {});
-        sim.schedule_at(t(2), |_| {});
-        sim.cancel(a);
-        sim.schedule_at(t(3), |_| {});
-        assert_eq!(sim.peak_pending(), 2, "a cancelled event is not live");
-        sim.run_to_completion(10);
-        sim.schedule_at(t(4), |_| {});
+        let mut sim = sim();
+        sim.schedule_at(t(1), Ev::Add(1));
+        sim.schedule_at(t(2), Ev::Add(1));
+        sim.run_until(t(1));
+        sim.schedule_at(t(3), Ev::Add(1));
+        assert_eq!(sim.peak_pending(), 2, "a fired event is not pending");
+        sim.run_until(t(10));
+        sim.schedule_at(t(11), Ev::Add(1));
         assert_eq!(sim.peak_pending(), 2, "the mark never falls");
     }
 
     #[test]
     fn batched_counters_flush_at_run_boundaries() {
         let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
-        let mut sim = Simulator::new(World::default());
+        let mut sim = sim();
         sim.set_obs(&obs);
-        sim.schedule_at(t(1), |s| s.world.counter += 1);
+        sim.schedule_at(t(1), Ev::Add(1));
         // Batched on the hot path: not yet published…
         assert_eq!(obs.counter("acm.sim.queue.push").value(), 0);
         sim.flush_obs();
         // …until an explicit or boundary flush.
         assert_eq!(obs.counter("acm.sim.queue.push").value(), 1);
-        assert!(sim.step());
+        sim.run_until(t(1));
         assert_eq!(obs.counter("acm.sim.queue.pop").value(), 1);
     }
 
     #[test]
     fn arena_reuse_counter_reports_saved_allocations() {
         let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
-        let mut sim = Simulator::new(World::default());
+        let mut sim = sim();
         sim.set_obs(&obs);
         // Era 1 grows the arena; eras 2..4 recycle it slot for slot.
         for era in 0..4u64 {
             for i in 0..8u64 {
-                sim.schedule_at(t(era * 100 + i), |s| s.world.counter += 1);
+                sim.schedule_at(t(era * 100 + i), Ev::Add(1));
             }
             sim.run_until(t(era * 100 + 50));
         }
@@ -528,10 +455,7 @@ mod tests {
             match self {
                 Beat::Ping(n) => {
                     s.world.push((now, "ping", n));
-                    s.schedule_event_at(
-                        s.now() + Duration::from_micros(u64::from(n)),
-                        Beat::Pong(n),
-                    );
+                    s.schedule_at(s.now() + Duration::from_micros(u64::from(n)), Beat::Pong(n));
                 }
                 Beat::Pong(n) => s.world.push((now, "pong", n)),
             }
@@ -540,14 +464,14 @@ mod tests {
 
     #[test]
     fn typed_events_fire_in_time_then_schedule_order() {
-        let mut sim = Simulator::<_, Beat>::typed(Vec::new());
+        let mut sim = Simulator::<_, Beat>::new(Vec::new());
         // Pongs land n µs after their ping. At 12, ping 1 (scheduled up
         // front) fires before pong 2 (scheduled at 10); at 13, pong 3
         // (scheduled at 10) before pong 1 (scheduled at 12).
-        sim.schedule_event_at(us(10), Beat::Ping(3));
-        sim.schedule_event_at(us(10), Beat::Ping(2));
-        sim.schedule_event_at(us(12), Beat::Ping(1));
-        assert_eq!(sim.run_until(us(100)), RunOutcome::Quiescent);
+        sim.schedule_at(us(10), Beat::Ping(3));
+        sim.schedule_at(us(10), Beat::Ping(2));
+        sim.schedule_at(us(12), Beat::Ping(1));
+        sim.run_until(us(100));
         assert_eq!(
             sim.world,
             [
@@ -559,7 +483,7 @@ mod tests {
                 (13, "pong", 1),
             ]
         );
-        assert_eq!(sim.executed(), 6);
+        assert_eq!((sim.executed(), sim.pending()), (6, 0));
     }
 
     fn us(micros: u64) -> SimTime {
@@ -568,11 +492,11 @@ mod tests {
 
     #[test]
     fn simultaneous_events_run_in_schedule_order() {
-        let mut sim = Simulator::new(World::default());
-        sim.schedule_at(t(1), |s| s.world.log.push((0, "first")));
-        sim.schedule_at(t(1), |s| s.world.log.push((0, "second")));
-        sim.schedule_at(t(1), |s| s.world.log.push((0, "third")));
-        sim.run_to_completion(10);
+        let mut sim = sim();
+        sim.schedule_at(t(1), Ev::Log("first"));
+        sim.schedule_at(t(1), Ev::Log("second"));
+        sim.schedule_at(t(1), Ev::Log("third"));
+        sim.run_until(t(1));
         let names: Vec<_> = sim.world.log.iter().map(|(_, n)| *n).collect();
         assert_eq!(names, vec!["first", "second", "third"]);
     }

@@ -35,34 +35,6 @@ proptest! {
     }
 
     #[test]
-    fn event_queue_cancellation_preserves_survivors(
-        times in proptest::collection::vec(0u64..10_000, 1..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.schedule(SimTime::from_micros(t), i))
-            .collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                prop_assert!(q.cancel(*id));
-            } else {
-                expected.push(i);
-            }
-        }
-        prop_assert_eq!(q.len(), expected.len());
-        let mut delivered: Vec<usize> = Vec::new();
-        while let Some((_, payload)) = q.pop() {
-            delivered.push(payload);
-        }
-        delivered.sort_unstable();
-        prop_assert_eq!(delivered, expected);
-    }
-
-    #[test]
     fn uniform_draws_respect_bounds(
         seed in 0u64..1_000,
         lo in -100.0f64..100.0,
@@ -247,26 +219,19 @@ enum QueueOp {
     Schedule(u64),
     /// Schedule this many µs before the last popped instant (saturating).
     ScheduleBack(u64),
-    /// Cancel the k-th oldest still-held handle (no-op when none are held).
-    Cancel(usize),
-    /// Pop the earliest live event.
+    /// Pop the earliest pending event.
     Pop,
-    /// Pop the earliest live event if it orders before `(at, next_seq - k)`.
+    /// Pop the earliest pending event if it orders before `(at, next_seq - k)`.
     PopBefore(u64, u64),
     /// Reserve this many sequence numbers.
     ReserveSeqs(u64),
-    /// Read the earliest live instant.
-    PeekTime,
-    /// Drop every pending event.
-    Clear,
 }
 
 fn op_strategy() -> impl Strategy<Value = QueueOp> {
-    // Weights: scheduling dominates, clears are rare — the mix the
-    // simulator actually produces. Instants come from five ring spans,
-    // from a grid of bucket edges in those spans (so many events share one
-    // µs, one bucket, or one ring position a span apart), from just below
-    // `u64::MAX`, and from before the last pop.
+    // Weights: scheduling dominates, as in the simulator. Instants come
+    // from five ring spans, from a grid of bucket edges in those spans (so
+    // many events share one µs, one bucket, or one ring position a span
+    // apart), from just below `u64::MAX`, and from before the last pop.
     (
         (0u32..100, 0u64..5 * SPAN_US, 0usize..64),
         (0u64..5, 0usize..3, 0usize..3),
@@ -276,16 +241,13 @@ fn op_strategy() -> impl Strategy<Value = QueueOp> {
                 + [0, 1, (SPAN_US / BUCKET_US) - 1][edge] * BUCKET_US
                 + [0, 1, BUCKET_US - 1][tick];
             match sel {
-                0..=17 => QueueOp::Schedule(at),
-                18..=31 => QueueOp::Schedule(grid),
-                32..=35 => QueueOp::Schedule(u64::MAX - at % (2 * SPAN_US)),
-                36..=43 => QueueOp::ScheduleBack(at % (2 * SPAN_US)),
-                44..=55 => QueueOp::Cancel(k),
-                56..=73 => QueueOp::Pop,
-                74..=83 => QueueOp::PopBefore(if k % 2 == 0 { grid } else { at }, k as u64 % 4),
-                84..=88 => QueueOp::ReserveSeqs(k as u64 % 3),
-                89..=97 => QueueOp::PeekTime,
-                _ => QueueOp::Clear,
+                0..=19 => QueueOp::Schedule(at),
+                20..=35 => QueueOp::Schedule(grid),
+                36..=40 => QueueOp::Schedule(u64::MAX - at % (2 * SPAN_US)),
+                41..=50 => QueueOp::ScheduleBack(at % (2 * SPAN_US)),
+                51..=76 => QueueOp::Pop,
+                77..=93 => QueueOp::PopBefore(if k % 2 == 0 { grid } else { at }, k as u64 % 4),
+                _ => QueueOp::ReserveSeqs(k as u64 % 3),
             }
         })
 }
@@ -299,23 +261,12 @@ struct NaiveQueue {
 }
 
 impl NaiveQueue {
-    fn schedule(&mut self, at: SimTime, payload: u64) -> u64 {
-        let seq = self.next_seq;
+    fn schedule(&mut self, at: SimTime, payload: u64) {
+        self.entries.push((at, self.next_seq, payload));
         self.next_seq += 1;
-        self.entries.push((at, seq, payload));
-        seq
     }
 
-    fn cancel(&mut self, seq: u64) -> bool {
-        match self.entries.iter().position(|e| e.1 == seq) {
-            Some(i) => {
-                self.entries.remove(i);
-                true
-            }
-            None => false,
-        }
-    }
-
+    /// The earliest pending key.
     fn peek(&self) -> Option<(SimTime, u64)> {
         self.entries.iter().map(|e| (e.0, e.1)).min()
     }
@@ -338,17 +289,16 @@ impl NaiveQueue {
 }
 
 proptest! {
-    /// Two queues take the same ops: `eager` is peeked after every op, so
-    /// its calendar always sits on the earliest event's bucket; `lazy`
-    /// moves only on its own ops, as a simulator's queue does.
+    /// Two queues take the same ops: after every op, `eager` is asked to
+    /// pop before the earliest pending key — which pops nothing but moves
+    /// its calendar onto that key's bucket; `lazy` moves only on its own
+    /// ops, as a simulator's queue does.
     #[test]
     fn arena_queue_matches_naive_model(
         ops in proptest::collection::vec(op_strategy(), 1..400),
     ) {
         let (mut eager, mut lazy) = (EventQueue::new(), EventQueue::new());
         let mut naive = NaiveQueue::default();
-        // Handles held for future cancellation, oldest first.
-        let mut handles: Vec<(acm_sim::EventId, acm_sim::EventId, u64)> = Vec::new();
         let mut payload = 0u64;
         let mut last_pop = SimTime::ZERO;
         for op in ops {
@@ -359,17 +309,10 @@ proptest! {
                         QueueOp::Schedule(at) => at,
                         _ => unreachable!(),
                     });
-                    let (a, b) = (eager.schedule(at, payload), lazy.schedule(at, payload));
-                    handles.push((a, b, naive.schedule(at, payload)));
+                    eager.schedule(at, payload);
+                    lazy.schedule(at, payload);
+                    naive.schedule(at, payload);
                     payload += 1;
-                }
-                QueueOp::Cancel(k) => {
-                    if !handles.is_empty() {
-                        let (a, b, seq) = handles.remove(k % handles.len());
-                        let want = naive.cancel(seq);
-                        prop_assert_eq!(eager.cancel(a), want, "cancel outcome diverged");
-                        prop_assert_eq!(lazy.cancel(b), want, "cancel outcome diverged");
-                    }
                 }
                 QueueOp::Pop | QueueOp::PopBefore(..) => {
                     let bound = match op {
@@ -379,8 +322,6 @@ proptest! {
                         _ => (SimTime::MAX, u64::MAX),
                     };
                     let want = naive.pop_before(bound);
-                    // Handles of fired events stay held, so later
-                    // cancels also try stale ones (all must refuse).
                     prop_assert_eq!(eager.pop_before(bound.0, bound.1), want, "pop diverged");
                     prop_assert_eq!(lazy.pop_before(bound.0, bound.1), want, "pop diverged");
                     if let Some((at, _)) = want {
@@ -393,19 +334,12 @@ proptest! {
                     prop_assert_eq!(eager.reserve_seqs(n), first);
                     prop_assert_eq!(lazy.reserve_seqs(n), first);
                 }
-                QueueOp::PeekTime => {
-                    prop_assert_eq!(lazy.peek_time(), naive.peek().map(|(at, _)| at));
-                }
-                QueueOp::Clear => {
-                    eager.clear();
-                    lazy.clear();
-                    naive.entries.clear();
-                    handles.clear();
-                }
             }
             prop_assert_eq!(eager.len(), naive.entries.len());
             prop_assert_eq!(lazy.len(), naive.entries.len());
-            prop_assert_eq!(eager.peek_time(), naive.peek().map(|(at, _)| at));
+            if let Some((at, seq)) = naive.peek() {
+                prop_assert_eq!(eager.pop_before(at, seq), None, "the bound is exclusive");
+            }
         }
         // Drain all three: every remaining event must match, in order.
         loop {
@@ -421,12 +355,11 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Differential property: streamed arrivals vs the same arrivals scheduled
-// one boxed closure at a time (the form `run_until_with_arrivals` replaced,
-// kept here as the oracle).
+// one event at a time (the form `run_until_with_arrivals` replaced, kept
+// here as the oracle).
 // ---------------------------------------------------------------------------
 
-use acm_sim::sim::RunOutcome;
-use acm_sim::{EventId, Simulator};
+use acm_sim::{Event, Simulator};
 
 /// Arrival instants, follow-up delays and era bounds are all multiples of
 /// this, so equal-instant ties are the common case, not the corner case.
@@ -434,63 +367,73 @@ const GRID_US: u64 = 250;
 /// Grid steps per era.
 const ERA_STEPS: u64 = 10;
 
-/// What fired: `(now µs, is_arrival, tag)`; cancellations log their target
-/// and outcome the same way.
+/// What fired: `(now µs, is_arrival, tag)`.
 type Log = Vec<(u64, bool, u64)>;
 
 struct EraWorld {
     rng: SimRng,
     log: Log,
-    /// Handles of follow-ups, fired or not, for later cancellation.
-    held: Vec<EventId>,
     next_tag: u64,
 }
 
-/// One handler body for arrivals and follow-ups alike: log, maybe cancel a
-/// held event, schedule up to two follow-ups 0–12 grid steps ahead (same
-/// instant, a later arrival's instant, or a later era). Every choice comes
-/// from the world's RNG, so any difference in firing order also derails
-/// everything after it.
-fn act(s: &mut Simulator<EraWorld>, is_arrival: bool, tag: u64, depth: u32) {
-    let now = s.now().as_micros();
-    s.world.log.push((now, is_arrival, tag));
-    if !s.world.held.is_empty() && s.world.rng.bernoulli(0.3) {
-        let k = s.world.rng.index(s.world.held.len());
-        let id = s.world.held.swap_remove(k);
-        let hit = s.cancel(id);
-        s.world.log.push((now, hit, u64::MAX));
+/// An arrival (the oracle schedules these) or a follow-up of one.
+enum Act {
+    Arrival(u64),
+    FollowUp { tag: u64, depth: u32 },
+}
+
+impl Event<EraWorld> for Act {
+    fn fire(self, s: &mut Simulator<EraWorld, Act>) {
+        match self {
+            Act::Arrival(tag) => act(s, true, tag, 0),
+            Act::FollowUp { tag, depth } => act(s, false, tag, depth),
+        }
     }
+}
+
+/// One handler body for arrivals and follow-ups alike: log, then schedule
+/// up to two follow-ups 0–12 grid steps ahead (same instant, a later
+/// arrival's instant, or a later era). Every choice comes from the world's
+/// RNG, so any difference in firing order also derails everything after
+/// it.
+fn act(s: &mut Simulator<EraWorld, Act>, is_arrival: bool, tag: u64, depth: u32) {
+    let now = s.now();
+    s.world.log.push((now.as_micros(), is_arrival, tag));
     if depth < 3 {
         for _ in 0..s.world.rng.index(3) {
             let delay = Duration::from_micros(GRID_US * s.world.rng.index(13) as u64);
             let tag = s.world.next_tag;
             s.world.next_tag += 1;
-            let id = s.schedule_in(delay, move |s| act(s, false, tag, depth + 1));
-            s.world.held.push(id);
+            s.schedule_at(
+                now + delay,
+                Act::FollowUp {
+                    tag,
+                    depth: depth + 1,
+                },
+            );
         }
     }
 }
 
-/// What is compared after every era.
-type EraState = (RunOutcome, u64, SimTime, usize, Log);
+/// What is compared after every era: executed, clock, pending, log.
+type EraState = (u64, SimTime, usize, Log);
 
 /// Runs the eras (each a list of grid offsets into the era, deadline
 /// included) and a final drain, feeding each window through `feed`.
 fn run_eras(
     seed: u64,
     eras: &[Vec<u64>],
-    feed: impl Fn(&mut Simulator<EraWorld>, &[SimTime], SimTime, u64) -> RunOutcome,
+    feed: impl Fn(&mut Simulator<EraWorld, Act>, &[SimTime], SimTime, u64),
 ) -> Vec<EraState> {
     let mut sim = Simulator::new(EraWorld {
         rng: SimRng::new(seed),
         log: Vec::new(),
-        held: Vec::new(),
         next_tag: 0,
     });
     let era_us = GRID_US * ERA_STEPS;
-    let snapshot = |sim: &mut Simulator<EraWorld>, outcome| {
+    let snapshot = |sim: &mut Simulator<EraWorld, Act>| {
         let log = std::mem::take(&mut sim.world.log);
-        (outcome, sim.executed(), sim.now(), sim.pending(), log)
+        (sim.executed(), sim.now(), sim.pending(), log)
     };
     let mut states = Vec::new();
     let mut first_tag = 0;
@@ -502,12 +445,12 @@ fn run_eras(
             .collect();
         window.sort();
         let deadline = SimTime::from_micros(start + era_us);
-        let outcome = feed(&mut sim, &window, deadline, first_tag);
+        feed(&mut sim, &window, deadline, first_tag);
         first_tag += window.len() as u64;
-        states.push(snapshot(&mut sim, outcome));
+        states.push(snapshot(&mut sim));
     }
-    let outcome = sim.run_until(SimTime::from_micros((eras.len() as u64 + 4) * era_us));
-    states.push(snapshot(&mut sim, outcome));
+    sim.run_until(SimTime::from_micros((eras.len() as u64 + 4) * era_us));
+    states.push(snapshot(&mut sim));
     states
 }
 
@@ -522,17 +465,16 @@ proptest! {
     ) {
         let scheduled = run_eras(seed, &eras, |sim, window, deadline, first_tag| {
             for (k, &at) in window.iter().enumerate() {
-                let tag = first_tag + k as u64;
-                sim.schedule_at(at, move |s| act(s, true, tag, 0));
+                sim.schedule_at(at, Act::Arrival(first_tag + k as u64));
             }
-            sim.run_until(deadline)
+            sim.run_until(deadline);
         });
         let streamed = run_eras(seed, &eras, |sim, window, deadline, first_tag| {
             let mut tag = first_tag;
             sim.run_until_with_arrivals(window, deadline, |s| {
                 act(s, true, tag, 0);
                 tag += 1;
-            })
+            });
         });
         for (era, (a, b)) in scheduled.iter().zip(&streamed).enumerate() {
             prop_assert_eq!(a, b, "era {} diverged:\n scheduled {:?}\n streamed  {:?}", era, a, b);
@@ -540,8 +482,17 @@ proptest! {
     }
 }
 
+/// Pushes its value onto the world when it fires.
+struct Push<T>(T);
+
+impl<T> Event<Vec<T>> for Push<T> {
+    fn fire(self, s: &mut Simulator<Vec<T>, Push<T>>) {
+        s.world.push(self.0);
+    }
+}
+
 /// A world that logs tags in firing order.
-fn tag_sim() -> Simulator<Vec<&'static str>> {
+fn tag_sim() -> Simulator<Vec<&'static str>, Push<&'static str>> {
     Simulator::new(Vec::new())
 }
 
@@ -553,7 +504,7 @@ fn us(micros: u64) -> SimTime {
 fn event_pending_from_an_earlier_call_fires_before_the_arrival_at_its_instant() {
     let mut sim = tag_sim();
     sim.run_until_with_arrivals(&[us(10)], us(50), |s| {
-        s.schedule_at(us(70), |s| s.world.push("carried over"));
+        s.schedule_at(us(70), Push("carried over"));
     });
     sim.run_until_with_arrivals(&[us(70)], us(100), |s| s.world.push("arrival"));
     assert_eq!(sim.world, ["carried over", "arrival"]);
@@ -566,7 +517,7 @@ fn event_scheduled_during_the_call_fires_after_the_arrival_at_its_instant() {
     sim.run_until_with_arrivals(&[us(10), us(20)], us(50), |s| {
         k += 1;
         if k == 1 {
-            s.schedule_at(us(20), |s| s.world.push("follow-up"));
+            s.schedule_at(us(20), Push("follow-up"));
         } else {
             s.world.push("second arrival");
         }
@@ -582,7 +533,7 @@ fn equal_instant_arrivals_fire_in_slice_order_ahead_of_their_follow_ups() {
         let me = k;
         k += 1;
         s.world.push(me);
-        s.schedule_in(Duration::ZERO, move |s| s.world.push(10 + me));
+        s.schedule_at(s.now(), Push(10 + me));
     });
     assert_eq!(sim.world, [0, 1, 2, 10, 11, 12]);
     assert_eq!(sim.executed(), 6);
@@ -591,9 +542,9 @@ fn equal_instant_arrivals_fire_in_slice_order_ahead_of_their_follow_ups() {
 #[test]
 fn arrival_at_the_deadline_fires() {
     let mut sim = tag_sim();
-    let outcome = sim.run_until_with_arrivals(&[us(50)], us(50), |s| s.world.push("edge"));
+    sim.run_until_with_arrivals(&[us(50)], us(50), |s| s.world.push("edge"));
     assert_eq!(sim.world, ["edge"]);
-    assert_eq!((outcome, sim.now()), (RunOutcome::Quiescent, us(50)));
+    assert_eq!((sim.now(), sim.pending()), (us(50), 0));
 }
 
 #[test]
@@ -620,18 +571,15 @@ fn stale_arrivals_panic() {
 fn empty_slice_is_run_until() {
     let build = || {
         let mut sim = tag_sim();
-        sim.schedule_at(us(10), |s| s.world.push("a"));
-        let gone = sim.schedule_at(us(20), |s| s.world.push("cancelled"));
-        sim.schedule_at(us(30), |s| s.world.push("b"));
-        sim.schedule_at(us(31), |s| s.world.push("late"));
-        sim.cancel(gone);
+        sim.schedule_at(us(10), Push("a"));
+        sim.schedule_at(us(30), Push("b"));
+        sim.schedule_at(us(31), Push("late"));
         sim
     };
     let (mut plain, mut streamed) = (build(), build());
     for deadline in [us(30), us(100)] {
-        let a = plain.run_until(deadline);
-        let b = streamed.run_until_with_arrivals(&[], deadline, |_| unreachable!());
-        assert_eq!(a, b);
+        plain.run_until(deadline);
+        streamed.run_until_with_arrivals(&[], deadline, |_| unreachable!());
         assert_eq!(plain.world, streamed.world);
         assert_eq!(
             (plain.now(), plain.executed(), plain.pending()),

@@ -75,12 +75,7 @@ fn leader_kill_triggers_reelection_and_quarantines_the_dead_region() {
         .iter()
         .find(|e| e.kind == "leader.change")
         .expect("re-election after the leader kill");
-    match change
-        .fields
-        .iter()
-        .find(|(k, _)| *k == "leader")
-        .map(|(_, v)| v)
-    {
+    match change.field("leader") {
         Some(acm::obs::Value::U64(id)) => assert_ne!(*id, 0, "node 0 is dead; it cannot lead"),
         other => panic!("leader.change carries the new leader id, got {other:?}"),
     }

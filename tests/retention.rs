@@ -165,8 +165,8 @@ fn an_era_of_the_200_region_world_retains_at_most_10_5_kb() {
         .into_iter()
         .filter(|rec| rec.kind == "plan.install")
         .map(|rec| {
-            let field = |key| rec.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
-            let (Some(Value::U64(era)), Some(Value::F64s(new))) = (field("era"), field("new"))
+            let (Some(Value::U64(era)), Some(Value::F64s(new))) =
+                (rec.field("era"), rec.field("new"))
             else {
                 panic!("plan.install carries era and new: {rec:?}")
             };

@@ -11,7 +11,7 @@ use acm::obs::{Obs, ObsConfig};
 use acm::overlay::{ChaosLayer, FaultPlan, MessageFate, NodeId};
 use acm::sim::rng::SimRng;
 use acm::sim::shard::{ShardLayout, ShardedWorld};
-use acm::sim::{Duration, SimTime};
+use acm::sim::{Duration, Event, SimTime, Simulator};
 use acm::workload::{ClientSchedule, OpenLoopArrivals, RateProfile};
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -167,6 +167,13 @@ fn data_plane_digest(shards: usize) -> Vec<(u64, u64, u64)> {
         dropped: u64,
         completed: u64,
     }
+    /// A request finishing service.
+    struct Completion;
+    impl Event<World> for Completion {
+        fn fire(self, s: &mut Simulator<World, Completion>) {
+            s.world.completed += 1;
+        }
+    }
     let profile = RateProfile::Burst {
         base: 40.0,
         peak: 120.0,
@@ -179,15 +186,14 @@ fn data_plane_digest(shards: usize) -> Vec<(u64, u64, u64)> {
         FaultPlan::scripted(9, Vec::new()).with_message_chaos(0.05, Duration::from_millis(10));
     let mut lenses = ChaosLayer::new(&plan).pre_split(shards);
     let mut services: Vec<SimRng> = (0..shards).map(|_| rng.split()).collect();
-    let mut world = ShardedWorld::new(ShardLayout::balanced(shards, shards), &mut rng, |_, _| {
-        World {
-            arrivals: arrivals.remove(0),
-            chaos: lenses.remove(0),
-            service: services.remove(0),
-            accepted: 0,
-            dropped: 0,
-            completed: 0,
-        }
+    let layout = ShardLayout::balanced(shards, shards);
+    let mut world = ShardedWorld::<_, Completion>::new(layout, &mut rng, |_, _| World {
+        arrivals: arrivals.remove(0),
+        chaos: lenses.remove(0),
+        service: services.remove(0),
+        accepted: 0,
+        dropped: 0,
+        completed: 0,
     });
     for era in 0..4u64 {
         let era_start = SimTime::from_secs(era * 10);
@@ -207,9 +213,7 @@ fn data_plane_digest(shards: usize) -> Vec<(u64, u64, u64)> {
                     MessageFate::Drop => s.world.dropped += 1,
                     MessageFate::Deliver { extra_delay } => {
                         let svc = Duration::from_secs_f64(s.world.service.exponential(0.3));
-                        s.schedule_at(s.now() + svc + extra_delay, |s| {
-                            s.world.completed += 1;
-                        });
+                        s.schedule_at(s.now() + svc + extra_delay, Completion);
                     }
                 }
             });

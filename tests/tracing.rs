@@ -161,10 +161,10 @@ fn chain_to_root(spans: &BTreeMap<u64, &SpanRecord>, mut id: u64) -> Vec<&'stati
 
 /// The `u64` field `key` of an event (span and cause ids).
 fn field_u64(e: &EventRecord, key: &str) -> Option<u64> {
-    e.fields.iter().find_map(|(k, v)| match v {
-        Value::U64(id) if *k == key => Some(*id),
+    match e.field(key) {
+        Some(Value::U64(id)) => Some(*id),
         _ => None,
-    })
+    }
 }
 
 /// Every decision event of a traced run resolves its `span` (or `cause`)
