@@ -37,18 +37,10 @@ fn region_with_mix(cfg: &ExperimentConfig, region: &RegionConfig) -> RegionConfi
 /// The F2PM toolchain normally ranks the whole model menu; here the family
 /// is fixed by the experiment config (the paper deploys REP-Tree after its
 /// own earlier comparison), so the toolchain is restricted to that family.
+/// The run's observability hub is threaded through to the toolchain, so
+/// per-family fit timers (`acm.ml.toolchain.*`) land in the same registry
+/// as the control-loop instruments; pass [`Obs::noop`] for none.
 pub fn train_predictors(
-    cfg: &ExperimentConfig,
-    family: ModelKind,
-    rng: &mut SimRng,
-) -> BTreeMap<String, RttfPredictor> {
-    train_predictors_with_obs(cfg, family, rng, &Obs::noop())
-}
-
-/// [`train_predictors`] with the run's observability hub threaded through
-/// to the toolchain, so per-family fit timers (`acm.ml.toolchain.*`) land
-/// in the same registry as the control-loop instruments.
-pub fn train_predictors_with_obs(
     cfg: &ExperimentConfig,
     family: ModelKind,
     rng: &mut SimRng,
@@ -88,7 +80,7 @@ pub fn build_vmcs(cfg: &ExperimentConfig, rng: &mut SimRng) -> Vec<Vmc> {
 pub fn build_vmcs_with_obs(cfg: &ExperimentConfig, rng: &mut SimRng, obs: &Obs) -> Vec<Vmc> {
     let trained = match cfg.predictor {
         PredictorChoice::Oracle => None,
-        PredictorChoice::Trained(family) => Some(train_predictors_with_obs(cfg, family, rng, obs)),
+        PredictorChoice::Trained(family) => Some(train_predictors(cfg, family, rng, obs)),
     };
     cfg.regions
         .iter()
@@ -157,7 +149,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentTelemetry {
 /// Like [`run_experiment`] but records spans, metrics and the decision log
 /// into the caller's [`acm_obs::Obs`] instance, which outlives the run.
 /// The hub also receives the ML training timers (predictor training runs
-/// through [`train_predictors_with_obs`]) and, on exit, the `acm.exec.*`
+/// through [`train_predictors`]) and, on exit, the `acm.exec.*`
 /// execution-pool counters covering the whole experiment
 /// ([`publish_exec_stats`]).
 pub fn run_experiment_with_obs(
@@ -216,7 +208,7 @@ mod tests {
     fn predictors_are_shared_per_flavor() {
         let cfg = ExperimentConfig::three_region_fig4(PolicyKind::SensibleRouting, 3);
         let mut rng = SimRng::new(3);
-        let map = train_predictors(&cfg, ModelKind::RepTree, &mut rng);
+        let map = train_predictors(&cfg, ModelKind::RepTree, &mut rng, &Obs::noop());
         // Three regions, three distinct flavors.
         assert_eq!(map.len(), 3);
         assert!(map.contains_key("m3.medium"));

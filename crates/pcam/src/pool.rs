@@ -109,18 +109,13 @@ impl VmPool {
     /// (`acm.pcam.pool.activations` / `.demotions` /
     /// `.rejuvenations_completed`) and live pool-state gauges
     /// (`acm.pcam.pool.active` / `.standby` / `.rejuvenating` / `.failed`).
-    /// The gauges are seeded with the current census so they read
-    /// correctly before the first control era.
-    pub fn set_obs(&mut self, obs: &ObsHandle) {
-        self.set_obs_scoped(obs, None);
-    }
-
-    /// Like [`VmPool::set_obs`], but qualifies the pool-state gauges with a
-    /// region name (`acm.pcam.pool.<region>.active`, …) so multi-region
-    /// deployments expose one live census per pool instead of last-writer-
-    /// wins on a shared gauge. Counters stay unqualified: they aggregate
-    /// meaningfully across regions.
-    pub fn set_obs_scoped(&mut self, obs: &ObsHandle, region: Option<&str>) {
+    /// A `region` name qualifies the gauges (`acm.pcam.pool.<region>.active`,
+    /// …) so multi-region deployments expose one live census per pool
+    /// instead of last-writer-wins on a shared gauge; counters stay
+    /// unqualified, since they aggregate meaningfully across regions. The
+    /// gauges are seeded with the current census so they read correctly
+    /// before the first control era.
+    pub fn set_obs(&mut self, obs: &ObsHandle, region: Option<&str>) {
         self.ctr_activations = obs.counter("acm.pcam.pool.activations");
         self.ctr_demotions = obs.counter("acm.pcam.pool.demotions");
         self.ctr_rejuv_completed = obs.counter("acm.pcam.pool.rejuvenations_completed");
@@ -466,7 +461,7 @@ mod tests {
     fn pool_metrics_count_lifecycle_transitions() {
         let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
         let mut p = pool(4, 2);
-        p.set_obs(&obs);
+        p.set_obs(&obs, None);
         let id = p.active_ids()[0];
         p.vm_mut(id)
             .unwrap()
@@ -487,7 +482,7 @@ mod tests {
     fn pool_gauges_track_census() {
         let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
         let mut p = pool(5, 3);
-        p.set_obs(&obs);
+        p.set_obs(&obs, None);
         // Seeded at attach time.
         assert_eq!(obs.gauge("acm.pcam.pool.active").value(), 3.0);
         assert_eq!(obs.gauge("acm.pcam.pool.standby").value(), 2.0);

@@ -248,7 +248,7 @@ impl Vmc {
         if !obs.shares_registry(&self.obs) {
             self.balancer_timer = obs.timer("acm.pcam.balancer.shares_ns");
             self.rejuv_scan_timer = obs.timer("acm.pcam.vmc.rejuvenation_scan_ns");
-            self.pool.set_obs_scoped(&obs, Some(&self.config.name));
+            self.pool.set_obs(&obs, Some(&self.config.name));
         }
         self.obs = obs;
     }

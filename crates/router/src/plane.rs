@@ -1,24 +1,25 @@
 //! The routed data plane: open-loop arrivals × per-shard router lenses.
 //!
-//! [`run_routed_plane`] drives a sharded discrete-event world in which
-//! every arriving request is individually routed to a region by a
+//! [`run_routed_plane`] steps one discrete-event [`Simulator`] per shard,
+//! in which every arriving request is individually routed to a region by a
 //! per-shard [`RequestRouter`] lens, passed through a per-shard
 //! [`ChaosLayer`] lens, serviced with a region-dependent latency, and —
 //! when feedback is on — its completion latency folded back into the
-//! shard's latency scorer. Plan swaps happen at era barriers, applied to
-//! every lens in shard-index order.
+//! shard's latency scorer. Each era the shards advance concurrently on the
+//! `acm-exec` pool ([`acm_exec::for_each_mut`]); plan swaps happen at the
+//! era barriers, applied to every lens in shard-index order.
 //!
 //! The harness exists once so the repo benchmark's `routed-plane`
-//! workload and the byte-identity tests all exercise the *same* plane: per-shard outcome digests (including per-region routed
-//! counts) must be identical at any `ACM_THREADS`, because every source
-//! of randomness — arrivals, chaos, routing, service times — is a
-//! pre-split stream and every barrier merge runs in shard-index order.
+//! workload and the byte-identity tests all exercise the *same* plane:
+//! per-shard outcome digests (including per-region routed counts) must be
+//! identical at any `ACM_THREADS`, because every source of randomness —
+//! arrivals, chaos, routing, service times — is a pre-split stream and
+//! every barrier merge runs in shard-index order.
 
 use crate::latency::LatencyAwareness;
 use crate::router::RequestRouter;
 use acm_overlay::{ChaosLayer, FaultPlan, MessageFate, NodeId};
 use acm_sim::rng::SimRng;
-use acm_sim::shard::{ShardLayout, ShardedWorld};
 use acm_sim::sim::{Event, Simulator};
 use acm_sim::time::{Duration, SimTime};
 use acm_workload::{OpenLoopArrivals, RateProfile, THINK_TIME_MEAN_S};
@@ -65,15 +66,18 @@ pub struct RoutedPlaneConfig {
     /// Plans installed at era barriers, cycled (`plans[era % len]`).
     /// Empty keeps the initial uniform table for the whole run.
     pub plans: Vec<PlanStep>,
-    /// Mean service time per region, seconds (length `regions`). Distinct
-    /// means give the latency scorer real signal.
-    pub service_mean_s: Vec<f64>,
+    /// Service rate per region, completions per second (length
+    /// `regions`): region `r`'s service times are exponential with mean
+    /// `1 / service_rate[r]` seconds. Distinct rates give the latency
+    /// scorer real signal.
+    pub service_rate: Vec<f64>,
 }
 
 impl RoutedPlaneConfig {
     /// A plane with the defaults the benches use: chaos and latency
-    /// feedback on, region `r` serving at mean `1 + r/2` seconds, no
-    /// plan schedule (callers push [`PlanStep`]s as needed).
+    /// feedback on, region `r` serving `1 + r/2` completions per second
+    /// (mean service time `1 / (1 + r/2)` seconds), no plan schedule
+    /// (callers push [`PlanStep`]s as needed).
     pub fn new(regions: usize, shards: usize, browsers: u64, eras: u64, seed: u64) -> Self {
         RoutedPlaneConfig {
             regions,
@@ -86,13 +90,13 @@ impl RoutedPlaneConfig {
             chaos: true,
             latency_feedback: true,
             plans: Vec::new(),
-            service_mean_s: (0..regions).map(|r| 1.0 + r as f64 * 0.5).collect(),
+            service_rate: (0..regions).map(|r| 1.0 + r as f64 * 0.5).collect(),
         }
     }
 }
 
 /// One shard's width-independence digest.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardDigest {
     /// Requests that arrived on this shard.
     pub accepted: u64,
@@ -151,13 +155,7 @@ impl PlaneOutcome {
         let total = self.decisions();
         self.routed_totals()
             .iter()
-            .map(|&n| {
-                if total == 0 {
-                    0.0
-                } else {
-                    n as f64 / total as f64
-                }
-            })
+            .map(|&n| n as f64 / total.max(1) as f64)
             .collect()
     }
 }
@@ -168,13 +166,11 @@ struct PlaneWorld {
     chaos: ChaosLayer,
     router: RequestRouter,
     service: SimRng,
-    service_mean_s: Vec<f64>,
+    service_rate: Vec<f64>,
     latency_feedback: bool,
     buf: Vec<SimTime>,
-    accepted: u64,
-    dropped: u64,
-    completed: u64,
-    chaos_delay_us: u64,
+    /// The shard's counts; `routed` is read off the router at the end.
+    digest: ShardDigest,
 }
 
 /// A request finishing service: the plane's one queued event, plain data.
@@ -187,7 +183,7 @@ struct Completion {
 impl Event<PlaneWorld> for Completion {
     #[inline]
     fn fire(self, s: &mut Simulator<PlaneWorld, Completion>) {
-        s.world.completed += 1;
+        s.world.digest.completed += 1;
         if s.world.latency_feedback {
             s.world.router.record_latency(self.region, self.latency);
         }
@@ -195,11 +191,19 @@ impl Event<PlaneWorld> for Completion {
 }
 
 /// Runs the routed plane once on the current `acm-exec` pool width.
+///
+/// Panics unless there is at least one shard, one-second eras and one
+/// service rate per region.
 pub fn run_routed_plane(cfg: &RoutedPlaneConfig) -> PlaneOutcome {
+    assert!(cfg.shards >= 1, "the routed plane needs at least one shard");
+    assert!(
+        cfg.era_s >= 1,
+        "a routed-plane era lasts at least one second"
+    );
     assert_eq!(
-        cfg.service_mean_s.len(),
+        cfg.service_rate.len(),
         cfg.regions,
-        "one service mean per region"
+        "one service rate per region"
     );
     // Closed-loop equivalence: browsers / think-time arrivals per second,
     // split evenly over the shards as a flash-crowd profile.
@@ -211,43 +215,35 @@ pub fn run_routed_plane(cfg: &RoutedPlaneConfig) -> PlaneOutcome {
         burst_len: Duration::from_secs(2),
     };
     let mut rng = SimRng::new(cfg.seed);
-    let mut arrivals = OpenLoopArrivals::pre_split(&profile, cfg.shards, &mut rng);
+    let arrivals = OpenLoopArrivals::pre_split(&profile, cfg.shards, &mut rng);
     let plan = if cfg.chaos {
         FaultPlan::scripted(13, Vec::new()).with_message_chaos(0.02, Duration::from_millis(5))
     } else {
         FaultPlan::scripted(13, Vec::new())
     };
-    let mut chaos_lenses = ChaosLayer::new(&plan).pre_split(cfg.shards);
-    let mut parent = RequestRouter::new(cfg.regions, cfg.awareness, rng.split());
-    let mut router_lenses = parent.pre_split(cfg.shards);
-    let mut services: Vec<SimRng> = (0..cfg.shards).map(|_| rng.split()).collect();
+    let chaos_lenses = ChaosLayer::new(&plan).pre_split(cfg.shards);
+    let router_lenses =
+        RequestRouter::new(cfg.regions, cfg.awareness, rng.split()).pre_split(cfg.shards);
+    let services: Vec<SimRng> = (0..cfg.shards).map(|_| rng.split()).collect();
 
-    let mut worlds: Vec<Option<PlaneWorld>> = (0..cfg.shards)
-        .map(|_| {
-            Some(PlaneWorld {
-                arrivals: arrivals.remove(0),
-                chaos: chaos_lenses.remove(0),
-                router: router_lenses.remove(0),
-                service: services.remove(0),
-                service_mean_s: cfg.service_mean_s.clone(),
+    let mut shards: Vec<Simulator<PlaneWorld, Completion>> = arrivals
+        .into_iter()
+        .zip(chaos_lenses)
+        .zip(router_lenses)
+        .zip(services)
+        .map(|(((arrivals, chaos), router), service)| {
+            Simulator::new(PlaneWorld {
+                arrivals,
+                chaos,
+                router,
+                service,
+                service_rate: cfg.service_rate.clone(),
                 latency_feedback: cfg.latency_feedback,
                 buf: Vec::new(),
-                accepted: 0,
-                dropped: 0,
-                completed: 0,
-                chaos_delay_us: 0,
+                digest: ShardDigest::default(),
             })
         })
         .collect();
-    let mut world = ShardedWorld::<_, Completion>::new(
-        ShardLayout::balanced(cfg.shards, cfg.shards),
-        &mut rng,
-        |s, _| worlds[s].take().expect("one world per shard"),
-    );
-    let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
-    for shard in world.shards_mut() {
-        shard.sim.set_obs(&obs);
-    }
 
     let start = Instant::now();
     for era in 0..cfg.eras {
@@ -255,80 +251,59 @@ pub fn run_routed_plane(cfg: &RoutedPlaneConfig) -> PlaneOutcome {
         // shard-index order (the same table everywhere).
         if !cfg.plans.is_empty() {
             let step = &cfg.plans[(era as usize) % cfg.plans.len()];
-            for shard in world.shards_mut() {
-                shard
-                    .sim
-                    .world
-                    .router
-                    .install(&step.fractions, Some(&step.live));
+            for sim in &mut shards {
+                sim.world.router.install(&step.fractions, Some(&step.live));
             }
         }
         let era_start = SimTime::from_secs(era * cfg.era_s);
         let era_end = SimTime::from_secs((era + 1) * cfg.era_s);
-        world.step_era(|shard| {
-            let from = NodeId(shard.index as u32);
-            let mut buf = std::mem::take(&mut shard.sim.world.buf);
-            shard
-                .sim
-                .world
-                .arrivals
-                .fill_window(era_start, era_end, &mut buf);
+        acm_exec::for_each_mut(&mut shards, |index, sim| {
+            let from = NodeId(index as u32);
+            let mut buf = std::mem::take(&mut sim.world.buf);
+            sim.world.arrivals.fill_window(era_start, era_end, &mut buf);
             // The window is already sorted: it is merged with the
             // queue, which then holds in-flight completions only.
-            shard.sim.run_until_with_arrivals(&buf, era_end, |s| {
-                s.world.accepted += 1;
-                // The tentpole path: this request — not a bulk
+            sim.run_until_with_arrivals(&buf, era_end, |s| {
+                s.world.digest.accepted += 1;
+                // The per-request path: this request — not a bulk
                 // era-grain share — picks its region right now.
                 let region = s.world.router.route();
                 let to = NodeId(1_000_000 + region as u32);
                 match s.world.chaos.message_fate(s.now(), from, to) {
-                    MessageFate::Drop => s.world.dropped += 1,
+                    MessageFate::Drop => s.world.digest.dropped += 1,
                     MessageFate::Deliver { extra_delay } => {
-                        s.world.chaos_delay_us += extra_delay.as_micros();
-                        let mean = s.world.service_mean_s[region];
-                        let svc = Duration::from_secs_f64(s.world.service.exponential(1.0 / mean));
+                        s.world.digest.chaos_delay_us += extra_delay.as_micros();
+                        let rate = s.world.service_rate[region];
+                        let svc = Duration::from_secs_f64(s.world.service.exponential(1.0 / rate));
                         let latency = svc + extra_delay;
                         s.schedule_at(s.now() + latency, Completion { region, latency });
                     }
                 }
             });
-            shard.sim.world.buf = buf;
+            sim.world.buf = buf;
         });
     }
     // Drain stragglers (completions scheduled past the last era end).
     let horizon = SimTime::from_secs(cfg.eras * cfg.era_s) + Duration::from_secs(60);
-    world.step_era(|shard| {
-        shard.sim.run_until(horizon);
-    });
+    acm_exec::for_each_mut(&mut shards, |_, sim| sim.run_until(horizon));
     let wall_s = start.elapsed().as_secs_f64();
 
-    for shard in world.shards_mut() {
-        shard.sim.flush_obs();
-    }
     PlaneOutcome {
-        executed: world.total_executed(),
+        executed: shards.iter().map(Simulator::executed).sum(),
         wall_s,
-        arena_reuse: obs.counter("acm.sim.queue.arena_reuse").value(),
-        queue_pops: obs.counter("acm.sim.queue.pop").value(),
-        arrivals_streamed: obs.counter("acm.sim.arrivals.streamed").value(),
-        peak_pending: world
-            .shards()
+        arena_reuse: shards.iter().map(Simulator::reused_slots).sum(),
+        queue_pops: shards.iter().map(Simulator::popped).sum(),
+        arrivals_streamed: shards.iter().map(Simulator::streamed).sum(),
+        peak_pending: shards
             .iter()
-            .map(|s| s.sim.peak_pending())
+            .map(Simulator::peak_pending)
             .max()
             .unwrap_or(0),
-        digests: world
-            .shards()
-            .iter()
-            .map(|s| {
-                let w = &s.sim.world;
-                ShardDigest {
-                    accepted: w.accepted,
-                    dropped: w.dropped,
-                    completed: w.completed,
-                    chaos_delay_us: w.chaos_delay_us,
-                    routed: w.router.stats().routed.clone(),
-                }
+        digests: shards
+            .into_iter()
+            .map(|sim| ShardDigest {
+                routed: sim.world.router.stats().routed.clone(),
+                ..sim.world.digest
             })
             .collect(),
     }
@@ -384,6 +359,22 @@ mod tests {
         assert_eq!(out.arrivals_streamed, out.decisions());
         assert_eq!(out.queue_pops, completed);
         assert_eq!(out.queue_pops + out.arrivals_streamed, out.executed);
+    }
+
+    #[test]
+    #[should_panic(expected = "the routed plane needs at least one shard")]
+    fn zero_shards_panics() {
+        let mut cfg = small_cfg();
+        cfg.shards = 0;
+        run_routed_plane(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "a routed-plane era lasts at least one second")]
+    fn zero_second_eras_panic() {
+        let mut cfg = small_cfg();
+        cfg.era_s = 0;
+        run_routed_plane(&cfg);
     }
 
     #[test]

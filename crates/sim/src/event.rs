@@ -296,7 +296,8 @@ impl<T> EventQueue<T> {
     /// Cumulative number of schedules that reused a vacant arena slot
     /// rather than growing the arena. The arena lives as long as the
     /// queue, so across-era reuse shows up here as saved allocations —
-    /// the simulator surfaces the tally as `acm.sim.queue.arena_reuse`.
+    /// [`Simulator::reused_slots`](crate::Simulator::reused_slots)
+    /// forwards the tally.
     pub fn reused_slots(&self) -> u64 {
         self.reused_slots
     }

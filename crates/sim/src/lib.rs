@@ -8,9 +8,12 @@
 //! loop acts once per control era, so the VM models, the overlay, PCAM and
 //! the control loop advance era by era on the clock and the RNG; the one
 //! model that runs on the event kernel is the routed request plane
-//! (`acm_router::run_routed_plane`). Determinism is a feature the original
-//! testbed lacked — every figure regenerated by the bench harness is
-//! exactly reproducible from its seed.
+//! (`acm_router::run_routed_plane`), which steps one [`Simulator`] per
+//! shard on its own pool. The crate depends on nothing: it knows no
+//! thread pool and no metrics hub, and counts what it does in plain
+//! integers that its caller reads back. Determinism is a feature the
+//! original testbed lacked — every figure regenerated by the bench
+//! harness is exactly reproducible from its seed.
 //!
 //! # Layout
 //!
@@ -28,11 +31,10 @@
 //!   the queue with a sorted stream of arrival instants
 //!   ([`Simulator::run_until_with_arrivals`]), so an open-loop source never
 //!   schedules a window of requests into the queue.
-//! * [`shard`] — era-synchronized sharded execution: the world split into
-//!   contiguous [`Shard`]s (private event queue + pre-split RNG each)
-//!   advanced concurrently on the `acm-exec` pool, byte-identical at any
-//!   thread width; [`ShardLayout`] is also the partition the control
-//!   loop's MONITOR fan-out and the chaos campaign use.
+//! * [`shard`] — [`ShardLayout`], the deterministic contiguous partition
+//!   behind every sharded fan-out (the control loop's MONITOR, the chaos
+//!   campaign's batches): a pure function of the configuration, never of
+//!   the thread count, so a sharded run is byte-identical at any width.
 //! * [`stats`] — online statistics (Welford mean/variance with min/max)
 //!   used by telemetry.
 //! * [`series`] — time-series recording, kept as a test oracle for the
@@ -57,7 +59,7 @@ pub mod weights;
 pub use event::EventQueue;
 pub use rng::SimRng;
 pub use series::{SeriesPoint, SeriesTable, TimeSeries};
-pub use shard::{Shard, ShardLayout, ShardedWorld};
+pub use shard::ShardLayout;
 pub use sim::{Event, Simulator};
 pub use stats::OnlineStats;
 pub use time::{Duration, SimTime};

@@ -1,21 +1,22 @@
-//! Era-synchronized sharded world execution.
+//! The deterministic partition behind every sharded fan-out.
 //!
-//! The world — any indexed set of model entities (regions, overlay
-//! endpoints, …) — is partitioned into **shards**: contiguous index
-//! ranges, each owning a private [`Simulator`] (its own event queue) and a
-//! pre-split [`SimRng`] stream. Within an **era** every shard advances
+//! A world — any indexed set of model entities (regions, pool VMs,
+//! chaos-campaign plans) — is split into **shards**: contiguous index
+//! ranges ([`ShardLayout`]). Within an era every shard advances
 //! independently, so shards can run on separate threads of the `acm-exec`
 //! pool; at the era **barrier** cross-shard effects are exchanged in
-//! shard-index order.
+//! shard-index order. The control loop's MONITOR fan-out and the chaos
+//! campaign's batches are laid out here; the routed request plane keeps
+//! the same discipline with one simulator per shard.
 //!
 //! Determinism discipline (the whole point of the design):
 //!
 //! 1. **Shard count is a function of the configuration, never of the
 //!    thread count.** The same layout runs at `ACM_THREADS=1` and
 //!    `ACM_THREADS=64`; threads only change *where* a shard executes.
-//! 2. **Pre-split RNG.** Each shard's stream is split off the parent in
-//!    index order at construction; no draw ever crosses a shard boundary
-//!    mid-era.
+//! 2. **Pre-split RNG.** Each shard's streams are split off the parent in
+//!    index order before the first era; no draw ever crosses a shard
+//!    boundary mid-era.
 //! 3. **Index-ordered merge.** Everything a shard exports at the barrier
 //!    (messages, reports, child obs hubs) is merged in shard-index order,
 //!    and entries within one shard keep their emission order — the merged
@@ -24,8 +25,6 @@
 //! Together these make a sharded run reproduce the unsharded event stream
 //! bit for bit at any thread width.
 
-use crate::rng::SimRng;
-use crate::sim::Simulator;
 use std::ops::Range;
 
 /// Deterministic partition of `0..items` into contiguous shard ranges.
@@ -93,107 +92,9 @@ impl ShardLayout {
     }
 }
 
-/// One shard: a contiguous slice of the world with its private event
-/// queue and RNG stream.
-///
-/// The simulator's queue lives for the whole run — eras schedule into and
-/// drain from the same arena, so event-slot allocations are recycled
-/// across eras (surfaced as `acm.sim.queue.arena_reuse`).
-pub struct Shard<W, E> {
-    /// Shard index within the layout.
-    pub index: usize,
-    /// The shard-local discrete-event simulator.
-    pub sim: Simulator<W, E>,
-    /// Pre-split RNG stream, private to this shard.
-    pub rng: SimRng,
-}
-
-/// A world partitioned into era-synchronized shards.
-///
-/// [`step_era`] advances every shard concurrently on the global
-/// `acm-exec` pool (exact sequential path at one thread), then returns so
-/// the caller can run its barrier exchange — index-ordered merges of
-/// whatever the shards staged.
-///
-/// [`step_era`]: ShardedWorld::step_era
-pub struct ShardedWorld<W, E> {
-    shards: Vec<Shard<W, E>>,
-}
-
-impl<W, E> ShardedWorld<W, E> {
-    /// Builds the shards, whose events are of type `E`: worlds come from
-    /// `make_world(shard, range)` in index order, and each shard's RNG is
-    /// split off `rng` in the same order — construction order is the
-    /// determinism anchor.
-    pub fn new(
-        layout: ShardLayout,
-        rng: &mut SimRng,
-        mut make_world: impl FnMut(usize, Range<usize>) -> W,
-    ) -> Self {
-        let shards = layout
-            .iter()
-            .map(|(s, range)| Shard {
-                index: s,
-                sim: Simulator::new(make_world(s, range)),
-                rng: rng.split(),
-            })
-            .collect();
-        ShardedWorld { shards }
-    }
-
-    /// Shared access to the shards, in index order.
-    pub fn shards(&self) -> &[Shard<W, E>] {
-        &self.shards
-    }
-
-    /// Mutable access to the shards, in index order (barrier-phase state
-    /// exchange).
-    pub fn shards_mut(&mut self) -> &mut [Shard<W, E>] {
-        &mut self.shards
-    }
-
-    /// Advances every shard through one era by calling `advance` on each,
-    /// concurrently on the global `acm-exec` pool. Returns once all
-    /// shards hit the barrier. With one participant the shards run
-    /// inline in index order — the exact sequential path.
-    pub fn step_era<F>(&mut self, advance: F)
-    where
-        W: Send,
-        E: Send,
-        F: Fn(&mut Shard<W, E>) + Sync,
-    {
-        acm_exec::for_each_mut(&mut self.shards, |_, shard| advance(shard));
-    }
-
-    /// Total events executed across all shards.
-    pub fn total_executed(&self) -> u64 {
-        self.shards.iter().map(|s| s.sim.executed()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Event;
-    use crate::time::{Duration, SimTime};
-
-    /// Logs `(now µs, draw)` into the shard's world.
-    struct LogDraw(u64);
-
-    impl Event<Vec<(u64, u64)>> for LogDraw {
-        fn fire(self, s: &mut Simulator<Vec<(u64, u64)>, LogDraw>) {
-            s.world.push((s.now().as_micros(), self.0));
-        }
-    }
-
-    /// Counts itself into the shard's world.
-    struct Bump;
-
-    impl Event<u64> for Bump {
-        fn fire(self, s: &mut Simulator<u64, Bump>) {
-            s.world += 1;
-        }
-    }
 
     #[test]
     fn balanced_layout_covers_all_items_contiguously() {
@@ -278,63 +179,5 @@ mod tests {
         );
         // No empty shards: 3 items over 8 requested shards -> 3 shards.
         assert_eq!(ShardLayout::balanced(3, 8).shards(), 3);
-    }
-
-    #[test]
-    fn sharded_era_is_byte_identical_across_widths() {
-        // Each shard schedules deterministic events per era and logs
-        // (time, draw) pairs; the merged logs must match exactly no
-        // matter how many pool threads execute the shards.
-        let run = |threads: usize| -> Vec<Vec<(u64, u64)>> {
-            let before = acm_exec::current_threads();
-            acm_exec::configure_threads(threads);
-            let mut rng = SimRng::new(42);
-            let mut world =
-                ShardedWorld::<_, LogDraw>::new(ShardLayout::balanced(8, 4), &mut rng, |_, _| {
-                    Vec::<(u64, u64)>::new()
-                });
-            for era in 0..5u64 {
-                let era_end = SimTime::from_secs((era + 1) * 10);
-                world.step_era(|shard| {
-                    for k in 0..20u64 {
-                        let at = shard.sim.now()
-                            + Duration::from_millis(1 + (k * 97 + shard.index as u64) % 9000);
-                        let draw = shard.rng.next_u64();
-                        shard.sim.schedule_at(at, LogDraw(draw));
-                    }
-                    shard.sim.run_until(era_end);
-                });
-            }
-            let logs = world.shards().iter().map(|s| s.sim.world.clone()).collect();
-            acm_exec::configure_threads(before);
-            logs
-        };
-        let one = run(1);
-        let four = run(4);
-        assert_eq!(one, four, "sharded eras must not depend on thread width");
-        assert!(one.iter().all(|log| !log.is_empty()));
-    }
-
-    #[test]
-    fn shard_queues_recycle_arena_slots_across_eras() {
-        let mut rng = SimRng::new(7);
-        let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
-        let mut world =
-            ShardedWorld::<_, Bump>::new(ShardLayout::balanced(2, 2), &mut rng, |_, _| 0u64);
-        for shard in world.shards_mut() {
-            shard.sim.set_obs(&obs);
-        }
-        for era in 0..3u64 {
-            let era_end = SimTime::from_secs((era + 1) * 10);
-            world.step_era(|shard| {
-                for _ in 0..16 {
-                    let at = shard.sim.now() + Duration::from_secs(1);
-                    shard.sim.schedule_at(at, Bump);
-                }
-                shard.sim.run_until(era_end);
-            });
-        }
-        // Era 1 grows each arena to 16 slots; eras 2-3 reuse them all.
-        assert_eq!(obs.counter("acm.sim.queue.arena_reuse").value(), 2 * 32);
     }
 }

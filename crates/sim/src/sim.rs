@@ -19,7 +19,6 @@
 
 use crate::event::EventQueue;
 use crate::time::SimTime;
-use acm_obs::{Counter, ObsHandle};
 
 /// A pending event: what happens when the clock reaches its instant.
 pub trait Event<W>: Sized {
@@ -62,28 +61,10 @@ pub struct Simulator<W, E> {
     queue: EventQueue<E>,
     /// The model state. Public so event handlers can reach it directly.
     pub world: W,
-    executed: u64,
-    /// Push/pop tallies batched as plain integers on the hot path and
-    /// published to the counters below only at run boundaries
-    /// ([`Simulator::flush_obs`]) — enabled observability costs the event
-    /// chain a register increment, not an atomic RMW per event.
-    pending_push: u64,
-    pending_pop: u64,
-    /// Arrivals fired straight from a caller's slice
-    /// ([`Simulator::run_until_with_arrivals`]): executed events that were
-    /// never pushed or popped.
-    pending_streamed: u64,
+    popped: u64,
+    streamed: u64,
     /// High-water mark of pending events.
     peak_pending: usize,
-    /// Queue instrumentation; inert until [`Simulator::set_obs`] resolves
-    /// live handles. Values lag the hot path until the next flush.
-    ctr_push: Counter,
-    ctr_pop: Counter,
-    ctr_streamed: Counter,
-    /// Arena-reuse tally already published, so flushes emit deltas of the
-    /// queue's cumulative [`EventQueue::reused_slots`] figure.
-    reuse_flushed: u64,
-    ctr_arena_reuse: Counter,
 }
 
 impl<W, E> Simulator<W, E> {
@@ -93,52 +74,9 @@ impl<W, E> Simulator<W, E> {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             world,
-            executed: 0,
-            pending_push: 0,
-            pending_pop: 0,
-            pending_streamed: 0,
+            popped: 0,
+            streamed: 0,
             peak_pending: 0,
-            ctr_push: Counter::default(),
-            ctr_pop: Counter::default(),
-            ctr_streamed: Counter::default(),
-            reuse_flushed: 0,
-            ctr_arena_reuse: Counter::default(),
-        }
-    }
-
-    /// Attaches observability: counts queue pushes (`acm.sim.queue.push`),
-    /// pops (`acm.sim.queue.pop`), arrivals streamed past the queue
-    /// (`acm.sim.arrivals.streamed`; pops + streamed = [`executed`]) and
-    /// arena-slot reuse (`acm.sim.queue.arena_reuse` — allocations the
-    /// clear-and-reuse arena saved). Metrics never feed back into the
-    /// model, so attaching this cannot perturb determinism. Tallies
-    /// batched before the call are flushed to the previous handles first.
-    ///
-    /// [`executed`]: Simulator::executed
-    pub fn set_obs(&mut self, obs: &ObsHandle) {
-        self.flush_obs();
-        self.ctr_push = obs.counter("acm.sim.queue.push");
-        self.ctr_pop = obs.counter("acm.sim.queue.pop");
-        self.ctr_streamed = obs.counter("acm.sim.arrivals.streamed");
-        self.ctr_arena_reuse = obs.counter("acm.sim.queue.arena_reuse");
-    }
-
-    /// Publishes the batched push/pop/streamed tallies to the attached
-    /// counters. Runs automatically when a run method returns; call it
-    /// manually only if counters are read while handlers are mid-flight.
-    pub fn flush_obs(&mut self) {
-        fn publish(ctr: &Counter, pending: &mut u64) {
-            if *pending > 0 {
-                ctr.add(std::mem::take(pending));
-            }
-        }
-        publish(&self.ctr_push, &mut self.pending_push);
-        publish(&self.ctr_pop, &mut self.pending_pop);
-        publish(&self.ctr_streamed, &mut self.pending_streamed);
-        let reused = self.queue.reused_slots();
-        if reused > self.reuse_flushed {
-            self.ctr_arena_reuse.add(reused - self.reuse_flushed);
-            self.reuse_flushed = reused;
         }
     }
 
@@ -147,9 +85,26 @@ impl<W, E> Simulator<W, E> {
         self.now
     }
 
-    /// Total events executed so far.
+    /// Total events executed so far: `popped() + streamed()`.
     pub fn executed(&self) -> u64 {
-        self.executed
+        self.popped + self.streamed
+    }
+
+    /// Events popped off the queue and fired.
+    pub fn popped(&self) -> u64 {
+        self.popped
+    }
+
+    /// Arrivals fired straight from a caller's slice
+    /// ([`Simulator::run_until_with_arrivals`]), never queued.
+    pub fn streamed(&self) -> u64 {
+        self.streamed
+    }
+
+    /// Schedules that reused a vacant arena slot instead of growing the
+    /// arena ([`EventQueue::reused_slots`]).
+    pub fn reused_slots(&self) -> u64 {
+        self.queue.reused_slots()
     }
 
     /// Events currently pending.
@@ -173,7 +128,6 @@ impl<W, E> Simulator<W, E> {
             "cannot schedule into the past ({at} < {})",
             self.now
         );
-        self.pending_push += 1;
         self.queue.schedule(at, event);
         self.peak_pending = self.peak_pending.max(self.queue.len());
     }
@@ -185,8 +139,7 @@ impl<W, E: Event<W>> Simulator<W, E> {
     fn fire(&mut self, at: SimTime, event: E) {
         debug_assert!(at >= self.now);
         self.now = at;
-        self.executed += 1;
-        self.pending_pop += 1;
+        self.popped += 1;
         event.fire(self);
     }
 
@@ -246,14 +199,12 @@ impl<W, E: Event<W>> Simulator<W, E> {
             );
             self.run_before(at, seq);
             self.now = at;
-            self.executed += 1;
-            self.pending_streamed += 1;
+            self.streamed += 1;
             on_arrival(self);
         }
         // Every sequence number in use orders before `u64::MAX`.
         self.run_before(deadline, u64::MAX);
         self.now = self.now.max(deadline);
-        self.flush_obs();
     }
 }
 
@@ -375,26 +326,20 @@ mod tests {
 
     #[test]
     fn queue_counters_track_pushes_and_pops() {
-        let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
         let mut sim = sim();
-        sim.set_obs(&obs);
         for i in 1..=5 {
             sim.schedule_at(t(i), Ev::Add(1));
         }
         sim.run_until(t(5));
-        assert_eq!(obs.counter("acm.sim.queue.push").value(), 5);
-        assert_eq!(obs.counter("acm.sim.queue.pop").value(), 5);
-        assert_eq!(obs.counter("acm.sim.arrivals.streamed").value(), 0);
+        assert_eq!((sim.popped(), sim.streamed(), sim.pending()), (5, 0, 0));
         // Streamed arrivals are executed without a push or a pop; the
         // follow-up each one schedules goes through the queue as usual.
         sim.run_until_with_arrivals(&[t(6), t(7), t(7)], t(9), |s| {
             s.schedule_at(s.now() + Duration::from_secs(1), Ev::Add(1));
         });
-        let pops = obs.counter("acm.sim.queue.pop").value();
-        let streamed = obs.counter("acm.sim.arrivals.streamed").value();
-        assert_eq!(obs.counter("acm.sim.queue.push").value(), 8);
-        assert_eq!((pops, streamed), (8, 3));
-        assert_eq!(pops + streamed, sim.executed());
+        // Eight pushes, all popped, plus three streamed arrivals.
+        assert_eq!((sim.popped(), sim.streamed(), sim.pending()), (8, 3, 0));
+        assert_eq!(sim.popped() + sim.streamed(), sim.executed());
         assert_eq!(sim.world.counter, 8);
     }
 
@@ -412,25 +357,8 @@ mod tests {
     }
 
     #[test]
-    fn batched_counters_flush_at_run_boundaries() {
-        let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
-        let mut sim = sim();
-        sim.set_obs(&obs);
-        sim.schedule_at(t(1), Ev::Add(1));
-        // Batched on the hot path: not yet published…
-        assert_eq!(obs.counter("acm.sim.queue.push").value(), 0);
-        sim.flush_obs();
-        // …until an explicit or boundary flush.
-        assert_eq!(obs.counter("acm.sim.queue.push").value(), 1);
-        sim.run_until(t(1));
-        assert_eq!(obs.counter("acm.sim.queue.pop").value(), 1);
-    }
-
-    #[test]
     fn arena_reuse_counter_reports_saved_allocations() {
-        let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
         let mut sim = sim();
-        sim.set_obs(&obs);
         // Era 1 grows the arena; eras 2..4 recycle it slot for slot.
         for era in 0..4u64 {
             for i in 0..8u64 {
@@ -438,8 +366,8 @@ mod tests {
             }
             sim.run_until(t(era * 100 + 50));
         }
-        assert_eq!(obs.counter("acm.sim.queue.arena_reuse").value(), 24);
-        assert_eq!(obs.counter("acm.sim.queue.push").value(), 32);
+        // 24 of the 32 schedules reused a slot.
+        assert_eq!((sim.reused_slots(), sim.popped()), (24, 32));
     }
 
     /// A two-kind typed event: a `Ping` schedules a `Pong`.

@@ -7,6 +7,7 @@ use acm::core::framework::{run_experiment, train_predictors};
 use acm::core::policy::PolicyKind;
 use acm::ml::model::ModelKind;
 use acm::ml::toolchain::F2pmToolchain;
+use acm::obs::Obs;
 use acm::pcam::training::{collect_database, CollectionConfig};
 use acm::sim::{SimRng, SimTime};
 use acm::vm::{AnomalyConfig, FailureSpec, Vm, VmFlavor, VmId, VmState};
@@ -117,7 +118,7 @@ fn one_predictor_is_trained_per_distinct_flavor() {
     // Make both regions the same flavor: only one training run should occur.
     cfg.regions[1].region.flavor = cfg.regions[0].region.flavor.clone();
     let mut rng = SimRng::new(4);
-    let map = train_predictors(&cfg, ModelKind::RepTree, &mut rng);
+    let map = train_predictors(&cfg, ModelKind::RepTree, &mut rng, &Obs::noop());
     assert_eq!(map.len(), 1);
 }
 

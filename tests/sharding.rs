@@ -10,7 +10,6 @@ use acm::core::DegradationConfig;
 use acm::obs::{Obs, ObsConfig};
 use acm::overlay::{ChaosLayer, FaultPlan, MessageFate, NodeId};
 use acm::sim::rng::SimRng;
-use acm::sim::shard::{ShardLayout, ShardedWorld};
 use acm::sim::{Duration, Event, SimTime, Simulator};
 use acm::workload::{ClientSchedule, OpenLoopArrivals, RateProfile};
 use proptest::prelude::*;
@@ -181,33 +180,35 @@ fn data_plane_digest(shards: usize) -> Vec<(u64, u64, u64)> {
         burst_len: Duration::from_secs(1),
     };
     let mut rng = SimRng::new(4242);
-    let mut arrivals = OpenLoopArrivals::pre_split(&profile, shards, &mut rng);
+    let arrivals = OpenLoopArrivals::pre_split(&profile, shards, &mut rng);
     let plan =
         FaultPlan::scripted(9, Vec::new()).with_message_chaos(0.05, Duration::from_millis(10));
-    let mut lenses = ChaosLayer::new(&plan).pre_split(shards);
-    let mut services: Vec<SimRng> = (0..shards).map(|_| rng.split()).collect();
-    let layout = ShardLayout::balanced(shards, shards);
-    let mut world = ShardedWorld::<_, Completion>::new(layout, &mut rng, |_, _| World {
-        arrivals: arrivals.remove(0),
-        chaos: lenses.remove(0),
-        service: services.remove(0),
-        accepted: 0,
-        dropped: 0,
-        completed: 0,
-    });
+    let lenses = ChaosLayer::new(&plan).pre_split(shards);
+    let services: Vec<SimRng> = (0..shards).map(|_| rng.split()).collect();
+    let mut sims: Vec<Simulator<World, Completion>> = arrivals
+        .into_iter()
+        .zip(lenses)
+        .zip(services)
+        .map(|((arrivals, chaos), service)| {
+            Simulator::new(World {
+                arrivals,
+                chaos,
+                service,
+                accepted: 0,
+                dropped: 0,
+                completed: 0,
+            })
+        })
+        .collect();
     for era in 0..4u64 {
         let era_start = SimTime::from_secs(era * 10);
         let era_end = SimTime::from_secs((era + 1) * 10);
-        world.step_era(|shard| {
-            let from = NodeId(shard.index as u32);
-            let to = NodeId(shard.index as u32 + 1000);
+        acm::exec::for_each_mut(&mut sims, |index, sim| {
+            let from = NodeId(index as u32);
+            let to = NodeId(index as u32 + 1000);
             let mut buf = Vec::new();
-            shard
-                .sim
-                .world
-                .arrivals
-                .fill_window(era_start, era_end, &mut buf);
-            shard.sim.run_until_with_arrivals(&buf, era_end, |s| {
+            sim.world.arrivals.fill_window(era_start, era_end, &mut buf);
+            sim.run_until_with_arrivals(&buf, era_end, |s| {
                 s.world.accepted += 1;
                 match s.world.chaos.message_fate(s.now(), from, to) {
                     MessageFate::Drop => s.world.dropped += 1,
@@ -219,16 +220,8 @@ fn data_plane_digest(shards: usize) -> Vec<(u64, u64, u64)> {
             });
         });
     }
-    world
-        .shards()
-        .iter()
-        .map(|s| {
-            (
-                s.sim.world.accepted,
-                s.sim.world.dropped,
-                s.sim.world.completed,
-            )
-        })
+    sims.iter()
+        .map(|s| (s.world.accepted, s.world.dropped, s.world.completed))
         .collect()
 }
 
