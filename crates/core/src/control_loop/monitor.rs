@@ -7,7 +7,7 @@ use crate::config::ExperimentConfig;
 use crate::plan::ForwardPlan;
 use crate::policy::uniform_fractions;
 use crate::scenario::ScenarioAction;
-use acm_obs::{ObsHandle, Value};
+use acm_obs::Value;
 use acm_pcam::{RegionEraReport, Vmc};
 use acm_sim::shard::ShardLayout;
 use acm_sim::time::SimTime;
@@ -152,35 +152,28 @@ impl ControlLoop {
     /// work pays for (see [`ControlLoop::monitor_layout`]).
     ///
     /// Each shard owns a contiguous slice of the regions and runs their
-    /// [`Vmc::process_era`] in place; every VMC owns its RNG, so shards
-    /// never share mutable state. A lone shard runs inline on the leader
-    /// (`for_each_mut` never dispatches a single slot) and its VMCs record
-    /// into the loop's hub as they do between eras. Several shards run on
-    /// the exec pool, each over a shard hub of the loop's
-    /// ([`acm_obs::Obs::shard_child`]): metrics go straight into the shared
-    /// registry, whose folds are all commutative, and only events are
-    /// staged. At the barrier each shard's events move into the loop's hub
-    /// in shard-index order (= region order for contiguous shards), and
-    /// swapping the VMCs' handles back resolves nothing. Either way the
-    /// hub sees the regions' records in region order, which makes event
-    /// sequence numbers, region-qualified gauges and histogram counts
-    /// identical at any shard count and any thread width. A disabled hub
-    /// gets no shard hubs, so un-observed runs stay allocation-free
-    /// (observability never perturbs the run).
+    /// [`Vmc::process_era`] in place; every VMC owns its RNG and stages its
+    /// decision events in a buffer of its own, so shards share nothing but
+    /// the loop's metrics registry, whose instruments are integer atomics
+    /// with commutative folds (add, bucket count, min, max). A lone shard
+    /// runs inline on the leader (`for_each_mut` never dispatches a single
+    /// slot), several run on the exec pool. At the barrier every VMC's
+    /// staged events are emitted on the loop's hub in region order, under
+    /// the era's ambient trace context, so event sequence numbers,
+    /// region-qualified gauges and histogram counts are identical at any
+    /// shard count and any thread width. A disabled hub stages nothing, so
+    /// un-observed runs stay allocation-free (observability never perturbs
+    /// the run).
     fn process_regions(&mut self, lambdas: &[f64], t_start: SimTime) -> Vec<RegionEraReport> {
         let layout = self.monitor_layout();
         self.ins.monitor_shards.set(layout.shards() as f64);
         let era = self.era;
-        let shard_hubs = self.obs.enabled() && layout.shards() > 1;
         let timeline = self.obs.timeline_recorder().cloned();
         let era_no = self.era_index as u64;
 
         struct MonitorShard<'a> {
             vmcs: &'a mut [Vmc],
             lambdas: &'a [f64],
-            /// The hub this shard's VMCs stage their events in for the
-            /// era; `None` when they record into the loop's.
-            hub: Option<ObsHandle>,
             reports: Vec<RegionEraReport>,
         }
         // Timeline track of shard `s` (track 0 is the leader's).
@@ -191,13 +184,6 @@ impl ControlLoop {
         for (s, range) in layout.iter() {
             let (vmcs, rest) = vmcs_left.split_at_mut(range.len());
             vmcs_left = rest;
-            let hub = shard_hubs.then(|| {
-                let hub = self.obs.shard_child(era_no);
-                for vmc in vmcs.iter_mut() {
-                    vmc.set_obs(hub.clone());
-                }
-                hub
-            });
             if let Some(tl) = &timeline {
                 tl.name_track(track(s), || format!("shard {s}"));
             }
@@ -205,7 +191,6 @@ impl ControlLoop {
                 vmcs,
                 reports: Vec::with_capacity(range.len()),
                 lambdas: &lambdas[range],
-                hub,
             });
         }
 
@@ -225,20 +210,14 @@ impl ControlLoop {
             }
         });
 
-        // Era barrier: gather the reports and move the staged events into
-        // the loop's hub, all in shard-index order.
+        // Era barrier: the reports and the regions' decision events, both
+        // in region order.
         let mut reports = Vec::with_capacity(lambdas.len());
-        for mut shard in shards {
-            if let Some(hub) = shard.hub {
-                self.obs.absorb(&hub);
-                // Swap the handles back so post-barrier phases (autoscaling,
-                // scenario actions) and an unsharded later era emit
-                // straight into the loop's hub.
-                for vmc in shard.vmcs.iter_mut() {
-                    vmc.set_obs(self.obs.clone());
-                }
-            }
-            reports.append(&mut shard.reports);
+        for shard in shards {
+            reports.extend(shard.reports);
+        }
+        for vmc in &mut self.vmcs {
+            vmc.flush_events();
         }
         reports
     }

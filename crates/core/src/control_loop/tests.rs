@@ -793,21 +793,20 @@ fn monitor_layout_follows_the_pools_vm_count() {
 
 #[test]
 fn shard_count_never_shows_in_the_results() {
-    // "The loop's hub when alone" and "shard hubs over its registry,
-    // events moved in shard order" must be the same function: force the
-    // same scaled world onto one shard and onto one shard per region —
-    // the latter at pool widths 1, 2 and 4, so the shared instruments are
-    // written from one thread and from several — and compare everything a
-    // run leaves behind.
+    // The MONITOR layout must never show: force the same scaled world
+    // onto one shard and onto one shard per region — the latter at pool
+    // widths 1, 2 and 4, so the shared instruments are written from one
+    // thread and from several — and compare everything a run leaves
+    // behind.
     let cfg = scaled_chaos_cfg();
-    let run = |shards: usize| {
-        let mut cl = oracle_loop(&cfg);
+    let run = |cfg: &ExperimentConfig, shards: usize| {
+        let mut cl = oracle_loop(cfg);
         cl.monitor_shards_override = Some(shards);
         cl.run(25);
         assert_eq!(cl.ins.monitor_shards.value(), shards as f64);
         cl
     };
-    let alone = run(1);
+    let alone = run(&cfg, 1);
     let log = alone.obs().events_jsonl();
     for kind in [
         "rejuvenation.proactive",
@@ -822,11 +821,19 @@ fn shard_count_never_shows_in_the_results() {
     assert!(timeline.contains(r#""name":"monitor.shard""#));
     assert!(timeline.contains("shard 0") && !timeline.contains("shard 1"));
 
+    // The same world on a log too small for it: kinds evict mid-run, and
+    // the regions' staged events must evict alike on every layout.
+    let mut tiny = cfg.clone();
+    tiny.obs.event_capacity = 8;
+    let evicting = run(&tiny, 1);
+    assert!(evicting.obs().events_dropped() > 0, "nothing was evicted");
+
     let _width = crate::POOL_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
     let before = acm_exec::current_threads();
     for width in [1, 2, 4] {
         acm_exec::configure_threads(width);
-        let sharded = run(cfg.regions.len().min(MONITOR_SHARDS_MAX));
+        let shards = cfg.regions.len().min(MONITOR_SHARDS_MAX);
+        let sharded = run(&cfg, shards);
         let at = format!("{width} threads");
         assert_eq!(
             alone.telemetry().to_csv(),
@@ -840,6 +847,12 @@ fn shard_count_never_shows_in_the_results() {
             "{at}"
         );
         assert_same_metrics(alone.obs(), sharded.obs(), &at);
+
+        let sharded = run(&tiny, shards);
+        let (a, b) = (evicting.obs(), sharded.obs());
+        assert_eq!(a.events_jsonl(), b.events_jsonl(), "{at}, evicting");
+        assert_eq!(a.events_kind_stats(), b.events_kind_stats(), "{at}");
+        assert_eq!(a.events_dropped(), b.events_dropped(), "{at}");
     }
     acm_exec::configure_threads(before);
 }

@@ -231,53 +231,10 @@ impl EventLog {
     /// Appends one record; once its kind's store is full the oldest
     /// *unpinned* record of that kind is evicted.
     pub fn push(&self, t_us: u64, kind: &'static str, fields: Vec<(&'static str, Value)>) {
-        if self.capacity() == 0 {
+        if self.head_cap + self.tail_cap == 0 {
             return;
         }
         let mut stores = self.stores.lock().expect("event log poisoned");
-        self.push_locked(&mut stores, t_us, kind, fields);
-    }
-
-    /// Moves every record of `other` into this log, in `other`'s sequence
-    /// order, as if each were pushed here now (fresh sequence numbers,
-    /// original timestamps and fields, nothing cloned), and leaves `other`
-    /// empty.
-    pub(crate) fn append(&self, other: &EventLog) {
-        let records = other.drain();
-        if self.capacity() == 0 {
-            return;
-        }
-        let mut stores = self.stores.lock().expect("event log poisoned");
-        for rec in records {
-            self.push_locked(&mut stores, rec.t_us, rec.kind, rec.fields);
-        }
-    }
-
-    /// Takes every retained record out, ordered by sequence number, and
-    /// leaves the log as new (sequence and drop counts back at 0).
-    fn drain(&self) -> Vec<EventRecord> {
-        let stores = std::mem::take(&mut *self.stores.lock().expect("event log poisoned"));
-        let mut out: Vec<EventRecord> = stores
-            .kinds
-            .into_values()
-            .flat_map(|s| s.head.into_iter().chain(s.tail))
-            .collect();
-        out.sort_by_key(|r| r.seq);
-        out
-    }
-
-    /// Records retained per kind at most (0 = inert).
-    pub(crate) fn capacity(&self) -> usize {
-        self.head_cap + self.tail_cap
-    }
-
-    fn push_locked(
-        &self,
-        stores: &mut Stores,
-        t_us: u64,
-        kind: &'static str,
-        fields: Vec<(&'static str, Value)>,
-    ) {
         let seq = stores.seq;
         stores.seq += 1;
         let rec = EventRecord {

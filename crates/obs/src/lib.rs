@@ -39,7 +39,7 @@
 //! let activations = obs.counter("acm.pcam.pool.activations");
 //! activations.inc();
 //! {
-//!     let _era = obs.span("acm.core.control_loop.era_ns");
+//!     let _era = obs.timer("acm.core.control_loop.era_ns").start();
 //!     // ... timed work ...
 //! }
 //! obs.emit(30_000_000, "rejuvenation.proactive", vec![
@@ -150,8 +150,7 @@ pub type ObsHandle = Arc<Obs>;
 #[derive(Debug)]
 pub struct Obs {
     enabled: bool,
-    /// Shared with this hub's shard hubs ([`Obs::shard_child`]).
-    registry: Arc<MetricsRegistry>,
+    registry: MetricsRegistry,
     events: EventLog,
     tracer: Option<Tracer>,
     timeline: Option<Arc<TimelineRecorder>>,
@@ -164,7 +163,7 @@ impl Obs {
         let trace_on = cfg.enabled && cfg.trace;
         Arc::new(Obs {
             enabled: cfg.enabled,
-            registry: Arc::new(MetricsRegistry::new(cfg.enabled)),
+            registry: MetricsRegistry::new(cfg.enabled),
             events: EventLog::new(if cfg.enabled { cfg.event_capacity } else { 0 }),
             tracer: trace_on.then(|| Tracer::new(cfg.trace_seed)),
             timeline: trace_on.then(|| Arc::new(TimelineRecorder::new())),
@@ -177,40 +176,6 @@ impl Obs {
     pub fn noop() -> ObsHandle {
         static NOOP: OnceLock<ObsHandle> = OnceLock::new();
         NOOP.get_or_init(|| Obs::new(ObsConfig::noop())).clone()
-    }
-
-    /// A hub for one shard of a parallel phase of this one. It records
-    /// metrics straight into this hub's registry — instruments are `Arc`'d
-    /// integer atomics and every fold of them (add, bucket count, min, max)
-    /// is commutative, so shards on different threads leave the same
-    /// totals in any interleaving — and stages only its events, in a log
-    /// of its own that [`Obs::absorb`] moves into this one at the barrier.
-    /// It annotates plain emits with this hub's current ambient trace
-    /// context but never allocates a span (all span ids come from the
-    /// leader's tracer, in order); its tracer's seed, `mix(seed, salt)`,
-    /// would only matter if that were relaxed.
-    pub fn shard_child(&self, salt: u64) -> ObsHandle {
-        let tracer = self.tracer.as_ref().map(|tr| {
-            let child = Tracer::new(trace::mix(tr.seed(), salt));
-            child.set_ambient(tr.ambient());
-            child
-        });
-        Arc::new(Obs {
-            enabled: self.enabled,
-            registry: self.registry.clone(),
-            // Ample per-era headroom: a shard must never evict within one
-            // era, or this hub would see another stream than one shard's.
-            events: EventLog::new(self.events.capacity().max(4096)),
-            tracer,
-            timeline: self.timeline.clone(),
-        })
-    }
-
-    /// Whether `other` records its metrics into this hub's registry (it is
-    /// this hub, one of its shard hubs, or their parent): instruments
-    /// resolved from one are then the other's, too.
-    pub fn shares_registry(&self, other: &Obs) -> bool {
-        Arc::ptr_eq(&self.registry, &other.registry)
     }
 
     /// Whether this hub records anything.
@@ -238,12 +203,6 @@ impl Obs {
     /// [`Timer::start`] per measurement.
     pub fn timer(&self, name: &str) -> Timer {
         Timer::new(self.histogram(name))
-    }
-
-    /// Opens a one-shot span over the named histogram (resolves the timer
-    /// each call; pre-resolve with [`Obs::timer`] on hot paths).
-    pub fn span(&self, name: &str) -> Span {
-        self.timer(name).start()
     }
 
     /// Appends a structured event at simulated time `t_us` (microseconds).
@@ -349,12 +308,11 @@ impl Obs {
     /// Folds an independent child hub into this one: counters add, gauges
     /// take the child's last value, histograms merge bucket-wise, and the
     /// child's retained events are re-appended (fresh sequence numbers,
-    /// original simulated timestamps). The intended shape is one child
-    /// `Obs` per parallel work item (`seed_sweep`'s runs), merged **in
-    /// input-index order** after an order-stable collect — then the parent
-    /// rollup is deterministic at any thread count. A shard hub of this one
-    /// goes through [`Obs::absorb`] instead. No-op when this hub is
-    /// disabled.
+    /// original simulated timestamps), and so are its retained spans. The
+    /// intended shape is one child `Obs` per parallel work item (`repro
+    /// seeds`' runs), merged **in input-index order** after an order-stable
+    /// collect — then the parent rollup is deterministic at any thread
+    /// count. No-op when this hub is disabled.
     pub fn merge_from(&self, child: &Obs) {
         if !self.enabled {
             return;
@@ -363,27 +321,6 @@ impl Obs {
         for rec in child.events.tail(usize::MAX) {
             self.events.push(rec.t_us, rec.kind, rec.fields);
         }
-        self.merge_spans(child);
-    }
-
-    /// The barrier of a [`Obs::shard_child`]: its staged events move into
-    /// this log (fresh sequence numbers, original simulated timestamps),
-    /// leaving the shard's empty. Its metrics are already here. Absorbing
-    /// shards in shard-index order gives the stream one hub would have
-    /// recorded walking the shards in that order. No-op when this hub is
-    /// disabled.
-    pub fn absorb(&self, shard: &Obs) {
-        debug_assert!(self.shares_registry(shard), "not a shard hub of this one");
-        if !self.enabled {
-            return;
-        }
-        self.events.append(&shard.events);
-        self.merge_spans(shard);
-    }
-
-    /// Appends a child's retained spans (child hubs normally allocate
-    /// none, but a fold must not lose them if one ever does).
-    fn merge_spans(&self, child: &Obs) {
         if let (Some(tr), Some(child_tr)) = (&self.tracer, &child.tracer) {
             tr.merge_from(child_tr);
         }
@@ -445,7 +382,7 @@ mod tests {
         obs.gauge("acm.test.noop.gauge").set(3.5);
         obs.histogram("acm.test.noop.hist").record(7);
         {
-            let s = obs.span("acm.test.noop.span_ns");
+            let s = obs.timer("acm.test.noop.span_ns").start();
             assert!(!s.is_active());
         }
         obs.emit(1, "decision", vec![("x", Value::from(1u64))]);
@@ -513,23 +450,6 @@ mod tests {
         let tail = parent.events_tail(1);
         assert_eq!(tail[0].kind, "child.event");
         assert_eq!(tail[0].t_us, 42);
-
-        // A shard hub records metrics into the parent's registry as it
-        // goes and stages only its events; absorbing moves those.
-        let shard = parent.shard_child(1);
-        assert!(shard.shares_registry(&parent) && !child.shares_registry(&parent));
-        shard.counter("acm.t.merge.c").add(4);
-        shard.emit(43, "shard.event", vec![]);
-        assert_eq!(parent.counter("acm.t.merge.c").value(), 7);
-        assert_eq!(parent.events_tail(1)[0].kind, "child.event");
-        parent.absorb(&shard);
-        assert_eq!(
-            parent.counter("acm.t.merge.c").value(),
-            7,
-            "not folded twice"
-        );
-        assert_eq!(parent.events_tail(1)[0].kind, "shard.event");
-        assert_eq!(shard.events_len(), 0);
 
         // Merging into a disabled hub is a no-op.
         let off = Obs::noop();

@@ -86,8 +86,8 @@ mod tests {
     #[test]
     fn out_of_order_drop_records_each_span_once() {
         let obs = Obs::new(ObsConfig::default());
-        let a = obs.span("acm.test.span.a_ns");
-        let b = obs.span("acm.test.span.b_ns");
+        let a = obs.timer("acm.test.span.a_ns").start();
+        let b = obs.timer("acm.test.span.b_ns").start();
         // Drop the outer guard first (moved-guard scenario).
         drop(a);
         drop(b);

@@ -15,9 +15,10 @@
 //! (forced non-zero; 0 is the reserved "no parent" sentinel). The control
 //! loop allocates spans only on the leader path in era order, so the
 //! counter — and with it every ID, parent link and record position — is a
-//! pure function of the seed and the configuration. MONITOR's shard hubs
-//! (`Obs::shard_child`) carry the ambient context for event annotation
-//! but never allocate spans, so no ID is ever minted on a pool thread.
+//! pure function of the seed and the configuration. MONITOR's shards
+//! stage their regions' decision events and the leader emits them at the
+//! barrier, under the era's ambient context, so no ID is ever minted and
+//! no event annotated on a pool thread.
 //!
 //! A root span's `trace` ID equals its own span ID and its parent is 0;
 //! children inherit the trace ID, which groups a whole causal chain under
@@ -43,8 +44,8 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Mixes two words into a derived seed (used to give per-shard child
-/// hubs distinct — but deterministic — trace seeds).
+/// Mixes two words into a derived seed (distinct — but deterministic —
+/// seeds for child runs, e.g. the chaos campaign's cases).
 pub fn mix(seed: u64, salt: u64) -> u64 {
     splitmix64(seed ^ salt.wrapping_mul(GOLDEN))
 }
@@ -186,7 +187,7 @@ impl Tracer {
 
     /// The ambient context: the chain in effect for events emitted
     /// without an explicit cause (the control loop sets it to the era's
-    /// root span, and its MONITOR shard hubs start from it).
+    /// root span; MONITOR's staged region events are emitted under it).
     pub fn ambient(&self) -> Option<TraceContext> {
         *self.ambient.lock().unwrap()
     }
@@ -219,9 +220,8 @@ impl Tracer {
         out
     }
 
-    /// Appends a child tracer's retained spans (shard-order rollups; shard
-    /// hubs normally allocate nothing, but the fold must not lose records
-    /// if one ever does). The ambient context is local state and is not
+    /// Appends a child tracer's retained spans (input-order rollups of
+    /// independent runs). The ambient context is local state and is not
     /// merged.
     pub fn merge_from(&self, child: &Tracer) {
         let child_inner = child.inner.lock().unwrap();

@@ -108,21 +108,18 @@ impl VmPool {
     /// Attaches observability: lifecycle transition counters
     /// (`acm.pcam.pool.activations` / `.demotions` /
     /// `.rejuvenations_completed`) and live pool-state gauges
-    /// (`acm.pcam.pool.active` / `.standby` / `.rejuvenating` / `.failed`).
-    /// A `region` name qualifies the gauges (`acm.pcam.pool.<region>.active`,
-    /// …) so multi-region deployments expose one live census per pool
-    /// instead of last-writer-wins on a shared gauge; counters stay
-    /// unqualified, since they aggregate meaningfully across regions. The
-    /// gauges are seeded with the current census so they read correctly
-    /// before the first control era.
-    pub fn set_obs(&mut self, obs: &ObsHandle, region: Option<&str>) {
+    /// (`acm.pcam.pool.<region>.active` / `.standby` / `.rejuvenating` /
+    /// `.failed`). The gauges are qualified by `region`, so multi-region
+    /// deployments expose one live census per pool instead of
+    /// last-writer-wins on a shared gauge; counters stay unqualified, since
+    /// they aggregate meaningfully across regions. The gauges are seeded
+    /// with the current census so they read correctly before the first
+    /// control era.
+    pub fn set_obs(&mut self, obs: &ObsHandle, region: &str) {
         self.ctr_activations = obs.counter("acm.pcam.pool.activations");
         self.ctr_demotions = obs.counter("acm.pcam.pool.demotions");
         self.ctr_rejuv_completed = obs.counter("acm.pcam.pool.rejuvenations_completed");
-        let gauge = |metric: &str| match region {
-            Some(r) => obs.gauge(&format!("acm.pcam.pool.{r}.{metric}")),
-            None => obs.gauge(&format!("acm.pcam.pool.{metric}")),
-        };
+        let gauge = |metric: &str| obs.gauge(&format!("acm.pcam.pool.{region}.{metric}"));
         self.g_active = gauge("active");
         self.g_standby = gauge("standby");
         self.g_rejuvenating = gauge("rejuvenating");
@@ -461,7 +458,7 @@ mod tests {
     fn pool_metrics_count_lifecycle_transitions() {
         let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
         let mut p = pool(4, 2);
-        p.set_obs(&obs, None);
+        p.set_obs(&obs, "r");
         let id = p.active_ids()[0];
         p.vm_mut(id)
             .unwrap()
@@ -482,10 +479,10 @@ mod tests {
     fn pool_gauges_track_census() {
         let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
         let mut p = pool(5, 3);
-        p.set_obs(&obs, None);
+        p.set_obs(&obs, "r");
         // Seeded at attach time.
-        assert_eq!(obs.gauge("acm.pcam.pool.active").value(), 3.0);
-        assert_eq!(obs.gauge("acm.pcam.pool.standby").value(), 2.0);
+        assert_eq!(obs.gauge("acm.pcam.pool.r.active").value(), 3.0);
+        assert_eq!(obs.gauge("acm.pcam.pool.r.standby").value(), 2.0);
         // A transition followed by publish refreshes every gauge to the
         // live census.
         let id = p.active_ids()[0];
@@ -495,12 +492,15 @@ mod tests {
         p.replenish_active(t(0));
         p.publish_gauges();
         let c = p.counts();
-        assert_eq!(obs.gauge("acm.pcam.pool.active").value(), c.active as f64);
-        assert_eq!(obs.gauge("acm.pcam.pool.standby").value(), c.standby as f64);
+        assert_eq!(obs.gauge("acm.pcam.pool.r.active").value(), c.active as f64);
         assert_eq!(
-            obs.gauge("acm.pcam.pool.rejuvenating").value(),
+            obs.gauge("acm.pcam.pool.r.standby").value(),
+            c.standby as f64
+        );
+        assert_eq!(
+            obs.gauge("acm.pcam.pool.r.rejuvenating").value(),
             c.rejuvenating as f64
         );
-        assert_eq!(obs.gauge("acm.pcam.pool.failed").value(), c.failed as f64);
+        assert_eq!(obs.gauge("acm.pcam.pool.r.failed").value(), c.failed as f64);
     }
 }

@@ -127,26 +127,44 @@ pub struct RegionEraReport {
     pub utilization: f64,
 }
 
-/// Promotes standbys up to the ACTIVE target at `at` and logs any
+/// An event's payload, as [`Obs::emit`] takes it.
+type Fields = Vec<(&'static str, Value)>;
+
+/// A VMC's hub and the decision events [`Vmc::process_era`] took since
+/// the last [`Vmc::flush_events`], in a buffer reused across eras. Stages
+/// nothing on a disabled hub.
+#[derive(Debug)]
+struct StagedEvents {
+    obs: ObsHandle,
+    events: Vec<(u64, &'static str, Fields)>,
+}
+
+impl StagedEvents {
+    fn push(&mut self, at: SimTime, kind: &'static str, fields: impl FnOnce() -> Fields) {
+        if self.obs.enabled() {
+            self.events.push((at.as_micros(), kind, fields()));
+        }
+    }
+}
+
+/// Promotes standbys up to the ACTIVE target at `at` and stages any
 /// promotion as one `standby.activate` event carrying `reason`.
 fn activate_standbys(
     pool: &mut VmPool,
-    obs: &ObsHandle,
+    staged: &mut StagedEvents,
     region: &str,
     at: SimTime,
     reason: &'static str,
 ) {
     let activated = pool.replenish_active(at);
-    if activated > 0 && obs.enabled() {
-        obs.emit(
-            at.as_micros(),
-            "standby.activate",
+    if activated > 0 {
+        staged.push(at, "standby.activate", || {
             vec![
                 ("region", Value::from(region)),
                 ("count", Value::from(activated)),
                 ("reason", Value::from(reason)),
-            ],
-        );
+            ]
+        });
     }
 }
 
@@ -161,9 +179,10 @@ pub struct Vmc {
     /// Lifetime counters.
     proactive_total: u64,
     reactive_total: u64,
-    /// Observability hub (the shared no-op by default) plus pre-resolved
-    /// timers for the balancer and the proactive rejuvenation scan.
-    obs: ObsHandle,
+    /// Observability hub (the shared no-op by default) with the staged
+    /// decision events, and pre-resolved timers for the balancer and the
+    /// proactive rejuvenation scan.
+    staged: StagedEvents,
     balancer_timer: Timer,
     rejuv_scan_timer: Timer,
 }
@@ -186,7 +205,10 @@ impl Vmc {
             lifecycle: None,
             proactive_total: 0,
             reactive_total: 0,
-            obs: Obs::noop(),
+            staged: StagedEvents {
+                obs: Obs::noop(),
+                events: Vec::new(),
+            },
             balancer_timer: Timer::default(),
             rejuv_scan_timer: Timer::default(),
         }
@@ -237,20 +259,30 @@ impl Vmc {
         }
     }
 
-    /// Attaches observability to this controller and its pool: balancer /
-    /// rejuvenation-scan timers (`acm.pcam.balancer.shares_ns`,
-    /// `acm.pcam.vmc.rejuvenation_scan_ns`) and the decision events
-    /// (`rejuvenation.proactive`, `rejuvenation.reactive`,
-    /// `standby.activate`). Onto a hub over the registry the instruments
-    /// already live in — a MONITOR shard hub of the current one, or back —
-    /// this is a handle swap that resolves nothing.
+    /// Attaches observability to this controller and its pool, once, at
+    /// wiring time: balancer / rejuvenation-scan timers
+    /// (`acm.pcam.balancer.shares_ns`, `acm.pcam.vmc.rejuvenation_scan_ns`),
+    /// the pool's instruments, and the hub that receives the decision
+    /// events (`rejuvenation.proactive`, `rejuvenation.reactive`,
+    /// `standby.activate`) when [`Vmc::flush_events`] emits them.
     pub fn set_obs(&mut self, obs: ObsHandle) {
-        if !obs.shares_registry(&self.obs) {
-            self.balancer_timer = obs.timer("acm.pcam.balancer.shares_ns");
-            self.rejuv_scan_timer = obs.timer("acm.pcam.vmc.rejuvenation_scan_ns");
-            self.pool.set_obs(&obs, Some(&self.config.name));
+        self.balancer_timer = obs.timer("acm.pcam.balancer.shares_ns");
+        self.rejuv_scan_timer = obs.timer("acm.pcam.vmc.rejuvenation_scan_ns");
+        self.pool.set_obs(&obs, &self.config.name);
+        self.staged.obs = obs;
+    }
+
+    /// Emits the decision events staged since the last flush on the
+    /// attached hub, in the order [`Vmc::process_era`] took them, and
+    /// empties the buffer. Staging keeps `process_era` off the hub's log,
+    /// so regions may run on any thread and still reach the log in a fixed
+    /// order: the control loop flushes every region, in region order, at
+    /// MONITOR's barrier.
+    pub fn flush_events(&mut self) {
+        let StagedEvents { obs, events } = &mut self.staged;
+        for (t_us, kind, fields) in events.drain(..) {
+            obs.emit(t_us, kind, fields);
         }
-        self.obs = obs;
     }
 
     /// Region name.
@@ -321,6 +353,9 @@ impl Vmc {
     /// 5. proactively rejuvenate any VM whose predicted RTTF is below the
     ///    threshold, if a standby can take its place,
     /// 6. report the era, including `lastRMTTF`.
+    ///
+    /// Its decision events are staged, not emitted: they reach the hub at
+    /// the next [`Vmc::flush_events`].
     pub fn process_era(
         &mut self,
         now: SimTime,
@@ -331,7 +366,7 @@ impl Vmc {
         self.pool.poll_rejuvenations(now);
         activate_standbys(
             &mut self.pool,
-            &self.obs,
+            &mut self.staged,
             &self.config.name,
             now,
             "housekeeping",
@@ -393,7 +428,6 @@ impl Vmc {
 
         // (4) reactive recovery.
         let mut reactive = 0;
-        let obs = &self.obs;
         let region_name = self.config.name.as_str();
         let incumbent = match &self.rttf_source {
             RttfSource::Model(m) => Some(m),
@@ -407,19 +441,21 @@ impl Vmc {
                 }
                 vm.start_rejuvenation(end, self.config.rejuvenation_time);
                 reactive += 1;
-                if obs.enabled() {
-                    obs.emit(
-                        end.as_micros(),
-                        "rejuvenation.reactive",
-                        vec![
-                            ("region", Value::from(region_name)),
-                            ("vm", Value::from(vm.id().0)),
-                        ],
-                    );
-                }
+                self.staged.push(end, "rejuvenation.reactive", || {
+                    vec![
+                        ("region", Value::from(region_name)),
+                        ("vm", Value::from(vm.id().0)),
+                    ]
+                });
             }
         }
-        activate_standbys(&mut self.pool, obs, region_name, end, "reactive");
+        activate_standbys(
+            &mut self.pool,
+            &mut self.staged,
+            region_name,
+            end,
+            "reactive",
+        );
 
         // (5) proactive rejuvenation. Candidates come only from this era's
         // serving set (`vm_lambdas`) and their predictions are fixed at
@@ -473,22 +509,18 @@ impl Vmc {
                     .start_rejuvenation(end, self.config.rejuvenation_time);
                 proactive += 1;
                 spares -= 1;
-                if self.obs.enabled() {
-                    self.obs.emit(
-                        end.as_micros(),
-                        "rejuvenation.proactive",
-                        vec![
-                            ("region", Value::from(self.config.name.as_str())),
-                            ("vm", Value::from(id.0)),
-                            ("predicted_rttf_s", Value::from(rttf)),
-                            ("threshold_s", Value::from(threshold)),
-                        ],
-                    );
-                }
+                self.staged.push(end, "rejuvenation.proactive", || {
+                    vec![
+                        ("region", Value::from(region_name)),
+                        ("vm", Value::from(id.0)),
+                        ("predicted_rttf_s", Value::from(rttf)),
+                        ("threshold_s", Value::from(threshold)),
+                    ]
+                });
                 activate_standbys(
                     &mut self.pool,
-                    &self.obs,
-                    &self.config.name,
+                    &mut self.staged,
+                    region_name,
                     end,
                     "takeover",
                 );
@@ -625,6 +657,7 @@ mod tests {
         let mut vmc = mk_vmc(6, 4, RttfSource::Oracle);
         vmc.set_obs(obs.clone());
         run_eras(&mut vmc, 60, 40.0);
+        vmc.flush_events();
         assert!(vmc.proactive_total() > 0, "scenario must rejuvenate");
         let rejuv: Vec<_> = obs
             .events_tail(usize::MAX)

@@ -267,8 +267,7 @@ impl RequestRouter {
     /// discipline as `ChaosLayer::pre_split`): each lens gets its own
     /// child RNG stream, a copy of the live table, and fresh stats — so
     /// shards route concurrently yet byte-identically at any thread
-    /// width. The parent keeps its stream untouched afterwards; merge
-    /// lens stats back with [`RequestRouter::absorb`].
+    /// width. The parent keeps its stream untouched afterwards.
     pub fn pre_split(&mut self, shards: usize) -> Vec<RequestRouter> {
         (0..shards)
             .map(|_| RequestRouter {
@@ -283,18 +282,6 @@ impl RequestRouter {
                 obs: None,
             })
             .collect()
-    }
-
-    /// Folds a lens's stats back into the parent (shard-index order at
-    /// the era barrier). Latency state stays with the lens — per-shard
-    /// scorers are intentionally independent streams.
-    pub fn absorb(&mut self, lens: &RequestRouter) {
-        self.stats.decisions += lens.stats.decisions;
-        self.stats.distinct_pairs += lens.stats.distinct_pairs;
-        self.stats.latency_overrides += lens.stats.latency_overrides;
-        for i in 0..self.regions {
-            self.stats.routed[i] += lens.stats.routed[i];
-        }
     }
 }
 
@@ -397,7 +384,7 @@ mod tests {
     }
 
     #[test]
-    fn lenses_split_in_order_are_deterministic_and_absorb_back() {
+    fn lenses_split_in_order_are_deterministic() {
         let mk_lenses = || {
             let mut parent = mk(3, 99);
             parent.install(&[0.6, 0.3, 0.1], None);
@@ -412,24 +399,6 @@ mod tests {
         let mut a = mk_lenses();
         let mut b = mk_lenses();
         assert_eq!(picks(&mut a), picks(&mut b));
-
-        let mut parent = mk(3, 99);
-        parent.install(&[0.6, 0.3, 0.1], None);
-        let mut lenses = parent.pre_split(2);
-        for l in lenses.iter_mut() {
-            for _ in 0..100 {
-                l.route();
-            }
-        }
-        for l in &lenses {
-            parent.absorb(l);
-        }
-        assert_eq!(parent.stats().decisions, 200);
-        assert_eq!(
-            parent.stats().routed.iter().sum::<u64>(),
-            200,
-            "absorbed routed counts cover every decision"
-        );
     }
 
     #[test]
