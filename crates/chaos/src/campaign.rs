@@ -5,11 +5,11 @@
 //! fig-4 shape, degradation enabled in the tolerant TTL regime) plus a
 //! [`FaultPlan`] mixing flap storms, partitions, crash windows, leader
 //! kills, and per-message chaos under [`Intensity`] knobs. Cases run on
-//! the exec pool via the panic-isolating deterministic collect
-//! ([`acm_exec::try_map_collect`]) in bounded batches
-//! ([`ShardLayout::chunks`]), so one crashing run is a *finding*, not the
-//! end of the sweep, and verdict order is always index order — the
-//! campaign fingerprint is byte-identical at every `ACM_THREADS` width.
+//! the exec pool via one panic-isolating deterministic collect over every
+//! plan index ([`acm_exec::try_map_collect`]; the pool width bounds how
+//! many run at once), so one crashing run is a *finding*, not the end of
+//! the sweep, and verdict order is always index order — the campaign
+//! fingerprint is byte-identical at every `ACM_THREADS` width.
 //!
 //! The observation channel is strictly what production emits: each run's
 //! telemetry and obs event log are reconstructed into per-era
@@ -29,7 +29,6 @@ use acm_core::{DegradationConfig, ExperimentConfig};
 use acm_obs::{Obs, ObsConfig, Value};
 use acm_overlay::{FaultPlan, HeartbeatConfig, NodeId};
 use acm_sim::rng::SimRng;
-use acm_sim::shard::ShardLayout;
 use acm_sim::time::{Duration, SimTime};
 
 /// Probability knobs scaling how much of each fault family a generated
@@ -73,8 +72,6 @@ pub struct CampaignConfig {
     /// Test-only trace perturbation (always [`Injection::None`] in
     /// production sweeps).
     pub injection: Injection,
-    /// Max cases per parallel batch (bounds peak memory).
-    pub batch: usize,
 }
 
 impl Default for CampaignConfig {
@@ -85,7 +82,6 @@ impl Default for CampaignConfig {
             eras: 40,
             intensity: Intensity::default(),
             injection: Injection::None,
-            batch: 64,
         }
     }
 }
@@ -317,39 +313,36 @@ pub fn run_case(case: &ChaosCase) -> Verdict {
     }
 }
 
-/// Runs the whole campaign on the exec pool: bounded batches, panic
-/// isolation, verdicts in index order. Campaign counters land on
-/// `obs` under `acm.chaos.campaign.*`.
+/// Runs the whole campaign on the exec pool: panic isolation, verdicts
+/// in index order. Campaign counters land on `obs` under
+/// `acm.chaos.campaign.*`.
 pub fn run_campaign(cc: &CampaignConfig, obs: &Obs) -> CampaignReport {
     let ctr_plans = obs.counter("acm.chaos.campaign.plans");
     let ctr_violations = obs.counter("acm.chaos.campaign.violations");
     let ctr_crashes = obs.counter("acm.chaos.campaign.crashes");
     let ctr_eras = obs.counter("acm.chaos.campaign.eras_checked");
-    let layout = ShardLayout::chunks(cc.plans, cc.batch.max(1));
+    let outcomes =
+        acm_exec::try_map_collect((0..cc.plans).collect(), |i| run_case(&build_case(cc, i)));
     let mut verdicts = Vec::with_capacity(cc.plans);
-    for (_, range) in layout.iter() {
-        let indices: Vec<usize> = range.collect();
-        let batch = acm_exec::try_map_collect(indices.clone(), |i| run_case(&build_case(cc, i)));
-        for (slot, outcome) in indices.into_iter().zip(batch) {
-            let verdict = match outcome {
-                Ok(v) => v,
-                Err(msg) => Verdict {
-                    index: slot,
-                    case_seed: acm_obs::trace::mix(cc.seed, slot as u64),
-                    violations: Vec::new(),
-                    crashed: Some(msg),
-                },
-            };
-            ctr_plans.inc();
-            if !verdict.violations.is_empty() {
-                ctr_violations.add(verdict.violations.len() as u64);
-            }
-            if verdict.crashed.is_some() {
-                ctr_crashes.inc();
-            }
-            ctr_eras.add(cc.eras as u64);
-            verdicts.push(verdict);
+    for (slot, outcome) in outcomes.into_iter().enumerate() {
+        let verdict = match outcome {
+            Ok(v) => v,
+            Err(msg) => Verdict {
+                index: slot,
+                case_seed: acm_obs::trace::mix(cc.seed, slot as u64),
+                violations: Vec::new(),
+                crashed: Some(msg),
+            },
+        };
+        ctr_plans.inc();
+        if !verdict.violations.is_empty() {
+            ctr_violations.add(verdict.violations.len() as u64);
         }
+        if verdict.crashed.is_some() {
+            ctr_crashes.inc();
+        }
+        ctr_eras.add(cc.eras as u64);
+        verdicts.push(verdict);
     }
     let fingerprint = verdicts
         .iter()

@@ -2,7 +2,7 @@
 //!
 //! The crate turns the PR 5 fault layer and degradation machinery into
 //! machine-checked territory: hundreds of seed-randomized [`FaultPlan`]s
-//! run against the sharded world on the exec pool, a pluggable
+//! run against the control loop on the exec pool, a pluggable
 //! [`Invariant`] catalogue is evaluated every era over the run's
 //! *observable* trace (telemetry + obs events), violations are shrunk by
 //! a delta-debugging [`shrink_plan`] loop to minimal reproducers, and

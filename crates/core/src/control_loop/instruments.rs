@@ -97,8 +97,6 @@ pub(super) struct Instruments {
     pub(super) clock: PhaseClock,
     pub(super) report_retries: Counter,
     pub(super) quarantined: Gauge,
-    /// MONITOR shards the latest era ran on.
-    pub(super) monitor_shards: Gauge,
     /// Per-era exec-pool sampling (continuous `acm.exec.era.*` series).
     exec_prev: PoolStatsSnapshot,
     exec_items: Hist,
@@ -134,7 +132,6 @@ impl Instruments {
             clock: PhaseClock::new(obs),
             report_retries: obs.counter("acm.core.report.retries"),
             quarantined: obs.gauge("acm.core.quarantined_regions"),
-            monitor_shards: obs.gauge("acm.core.control_loop.monitor_shards"),
             exec_prev: acm_exec::global_stats(),
             exec_items: obs.histogram("acm.exec.era.items"),
             exec_queue: obs.histogram("acm.exec.era.queue_depth_peak"),

@@ -8,9 +8,10 @@
 //!   faults among them) and chaos-plan faults are applied and the leader
 //!   re-elected; refit candidates due this era start shadowing; the
 //!   client populations offer load per the interactive response-time
-//!   law; the forward plan in force splits it; every region's VMC advances one era on the
-//!   MONITOR shards — collecting features, predicting its RMTTF and
-//!   actuating PCAM locally (Alg. 1's region half).
+//!   law; the forward plan in force splits it; every region's VMC advances one era —
+//!   on the exec pool once the pools are large enough — collecting
+//!   features, predicting its RMTTF and actuating PCAM locally (Alg. 1's
+//!   region half).
 //! * **Analyze** (`analyze`) — slaves ship `lastRMTTF_i` to the leader
 //!   over the overlay, with retries under degradation (reports are lost
 //!   when the overlay cannot route — the leader then keeps the stale
@@ -118,9 +119,6 @@ pub struct ControlLoop {
     causes: Causes,
     ins: Instruments,
     obs: ObsHandle,
-    /// Forces the MONITOR shard count (shard-count identity tests).
-    #[cfg(test)]
-    monitor_shards_override: Option<usize>,
 }
 
 impl ControlLoop {
@@ -191,8 +189,6 @@ impl ControlLoop {
             ),
             ins: Instruments::new(cfg, &obs),
             obs,
-            #[cfg(test)]
-            monitor_shards_override: None,
         }
     }
 

@@ -9,26 +9,25 @@ use crate::policy::uniform_fractions;
 use crate::scenario::ScenarioAction;
 use acm_obs::Value;
 use acm_pcam::{RegionEraReport, Vmc};
-use acm_sim::shard::ShardLayout;
 use acm_sim::time::SimTime;
 
-/// Upper bound on MONITOR shards. The shard count is
-/// `min(regions, MONITOR_SHARDS_MAX, pool VMs / MONITOR_MIN_VMS_PER_SHARD)`,
-/// at least 1 — a pure function of the work the configuration puts on
-/// offer, never of the thread width, so the shard partition (and with it
-/// every merge order) is identical at any `ACM_THREADS`.
-pub(super) const MONITOR_SHARDS_MAX: usize = 32;
-
-/// VMs a MONITOR shard must carry before fanning out pays. One VM-era is
-/// ~1.2 µs of `Vm::process_era` (`vm.process_era_ns`) and ~2 µs of its
-/// VMC's era all told (`pcam.vmc.process_era_us` ≈ 147 µs over a mega
-/// region's ~74 VMs). A fan-out costs ~1.5 µs with the workers awake
+/// Pool VMs from which MONITOR's region map runs on the exec pool. One
+/// VM-era is ~1.2 µs of `Vm::process_era` (`vm.process_era_ns`) and ~2 µs
+/// of its VMC's era all told (`pcam.vmc.process_era_us` ≈ 147 µs over a
+/// mega region's ~74 VMs). A fan-out costs ~1.5 µs with the workers awake
 /// (`exec.barrier_ns`) and tens of µs when a parked worker must be woken,
-/// which is the case that matters between eras, so 64 VMs ≈ 130 µs of
-/// work per shard keeps the hand-off a small share of it: the paper's
-/// worlds (10 and 22 VMs) run on one shard, the 200-region mega world
-/// (≈ 14 700 VMs) keeps all 32.
-const MONITOR_MIN_VMS_PER_SHARD: usize = 64;
+/// which is the case that matters between eras, so below ~250 µs of
+/// region work the hand-off is not worth it: the paper's worlds (10 and
+/// 22 VMs) run inline at every width, the 200-region mega world
+/// (≈ 14 700 VMs) fans out.
+const MONITOR_FAN_OUT_VMS: usize = 128;
+
+/// Whether an era over pools of `pool_vms` VMs maps its regions on the
+/// exec pool — a pure function of the work on offer, never of the thread
+/// width.
+pub(super) fn fans_out(pool_vms: usize) -> bool {
+    pool_vms >= MONITOR_FAN_OUT_VMS
+}
 
 impl ControlLoop {
     pub(super) fn monitor(&mut self) -> Monitored {
@@ -135,87 +134,29 @@ impl ControlLoop {
         }
     }
 
-    /// The era's MONITOR partition: one shard per
-    /// [`MONITOR_MIN_VMS_PER_SHARD`] VMs in the region pools, at most
-    /// [`MONITOR_SHARDS_MAX`] (or one per region), at least one.
-    pub(super) fn monitor_layout(&self) -> ShardLayout {
-        let n = self.vmcs.len();
-        #[cfg(test)]
-        if let Some(shards) = self.monitor_shards_override {
-            return ShardLayout::balanced(n, shards);
-        }
-        let vms = self.vmcs.iter().map(|v| v.pool().vms().len()).sum();
-        ShardLayout::sized(n, vms, MONITOR_MIN_VMS_PER_SHARD, MONITOR_SHARDS_MAX)
-    }
-
-    /// Advances every region through one era, on as many shards as the
-    /// work pays for (see [`ControlLoop::monitor_layout`]).
+    /// Advances every region through one era, on the exec pool when the
+    /// pools are large enough to pay for it (see [`fans_out`]).
     ///
-    /// Each shard owns a contiguous slice of the regions and runs their
-    /// [`Vmc::process_era`] in place; every VMC owns its RNG and stages its
-    /// decision events in a buffer of its own, so shards share nothing but
-    /// the loop's metrics registry, whose instruments are integer atomics
-    /// with commutative folds (add, bucket count, min, max). A lone shard
-    /// runs inline on the leader (`for_each_mut` never dispatches a single
-    /// slot), several run on the exec pool. At the barrier every VMC's
-    /// staged events are emitted on the loop's hub in region order, under
-    /// the era's ambient trace context, so event sequence numbers,
-    /// region-qualified gauges and histogram counts are identical at any
-    /// shard count and any thread width. A disabled hub stages nothing, so
-    /// un-observed runs stay allocation-free (observability never perturbs
-    /// the run).
+    /// Every VMC owns its RNG and stages its decision events in a buffer of
+    /// its own, so the regions share nothing but the loop's metrics
+    /// registry, whose instruments are integer atomics with commutative
+    /// folds (add, bucket count, min, max), and the map collects the
+    /// reports in region order. At the barrier every VMC's staged events
+    /// are emitted on the loop's hub in region order, under the era's
+    /// ambient trace context, so event sequence numbers, region-qualified
+    /// gauges and histogram counts are identical at any thread width. A
+    /// disabled hub stages nothing, so un-observed runs stay
+    /// allocation-free (observability never perturbs the run).
     fn process_regions(&mut self, lambdas: &[f64], t_start: SimTime) -> Vec<RegionEraReport> {
-        let layout = self.monitor_layout();
-        self.ins.monitor_shards.set(layout.shards() as f64);
         let era = self.era;
-        let timeline = self.obs.timeline_recorder().cloned();
-        let era_no = self.era_index as u64;
-
-        struct MonitorShard<'a> {
-            vmcs: &'a mut [Vmc],
-            lambdas: &'a [f64],
-            reports: Vec<RegionEraReport>,
-        }
-        // Timeline track of shard `s` (track 0 is the leader's).
-        let track = |s: usize| 1 + s as u32;
-
-        let mut shards: Vec<MonitorShard<'_>> = Vec::with_capacity(layout.shards());
-        let mut vmcs_left = self.vmcs.as_mut_slice();
-        for (s, range) in layout.iter() {
-            let (vmcs, rest) = vmcs_left.split_at_mut(range.len());
-            vmcs_left = rest;
-            if let Some(tl) = &timeline {
-                tl.name_track(track(s), || format!("shard {s}"));
-            }
-            shards.push(MonitorShard {
-                vmcs,
-                reports: Vec::with_capacity(range.len()),
-                lambdas: &lambdas[range],
-            });
-        }
-
-        acm_exec::for_each_mut(&mut shards, |s, shard| {
-            let t0 = timeline.as_ref().map(|tl| tl.now_us());
-            for (vmc, &lambda) in shard.vmcs.iter_mut().zip(shard.lambdas) {
-                shard.reports.push(vmc.process_era(t_start, era, lambda));
-            }
-            if let (Some(tl), Some(t0)) = (&timeline, t0) {
-                tl.record(
-                    track(s),
-                    "monitor.shard",
-                    t0,
-                    tl.now_us().saturating_sub(t0),
-                    era_no,
-                );
-            }
-        });
-
-        // Era barrier: the reports and the regions' decision events, both
-        // in region order.
-        let mut reports = Vec::with_capacity(lambdas.len());
-        for shard in shards {
-            reports.extend(shard.reports);
-        }
+        let vms = self.vmcs.iter().map(|v| v.pool().vms().len()).sum();
+        let step = |(vmc, &lambda): (&mut Vmc, &f64)| vmc.process_era(t_start, era, lambda);
+        let regions = self.vmcs.iter_mut().zip(lambdas);
+        let reports = if fans_out(vms) {
+            acm_exec::map_collect(regions.collect(), step)
+        } else {
+            regions.map(step).collect()
+        };
         for vmc in &mut self.vmcs {
             vmc.flush_events();
         }

@@ -1,4 +1,4 @@
-use super::monitor::MONITOR_SHARDS_MAX;
+use super::monitor::fans_out;
 use super::*;
 use crate::policy::PolicyKind;
 use crate::scenario::ScenarioAction;
@@ -776,37 +776,62 @@ fn scaled_chaos_cfg() -> ExperimentConfig {
     cfg
 }
 
-#[test]
-fn monitor_layout_follows_the_pools_vm_count() {
-    // Paper-sized worlds (10 VMs here) never fan out ...
-    let mut small = oracle_loop(&fig3_cfg(PolicyKind::AvailableResources));
-    assert_eq!(small.monitor_layout().shards(), 1);
-    small.run(2);
-    assert_eq!(small.ins.monitor_shards.value(), 1.0);
-    // ... a world past the grain gets one shard per 64 VMs, capped by
-    // its region count.
-    let mut scaled = oracle_loop(&scaled_chaos_cfg());
-    assert_eq!(scaled.monitor_layout().shards(), 5);
-    scaled.run(2);
-    assert_eq!(scaled.ins.monitor_shards.value(), 5.0);
+/// The VMs a world's pools start with.
+fn pool_vms(cfg: &ExperimentConfig) -> usize {
+    cfg.regions.iter().map(|r| r.region.total_vms).sum()
+}
+
+/// `n` regions cycling the three paper flavors, pools scaled by `scale`.
+fn cycled_vms(n: usize, scale: usize) -> usize {
+    let flavors = [
+        ExperimentConfig::region1_ireland(),
+        ExperimentConfig::region2_frankfurt(),
+        ExperimentConfig::region3_munich(),
+    ];
+    (0..n).map(|i| flavors[i % 3].total_vms * scale).sum()
 }
 
 #[test]
-fn shard_count_never_shows_in_the_results() {
-    // The MONITOR layout must never show: force the same scaled world
-    // onto one shard and onto one shard per region — the latter at pool
-    // widths 1, 2 and 4, so the shared instruments are written from one
-    // thread and from several — and compare everything a run leaves
-    // behind.
+fn monitor_fans_out_only_past_128_pool_vms() {
+    let fig3 = fig3_cfg(PolicyKind::AvailableResources);
+    let fig4 = ExperimentConfig::three_region_fig4(PolicyKind::AvailableResources, 42);
+    for (vms, expected, wide) in [
+        // Paper-sized worlds stay inline at every width: fig3, fig4 and
+        // the largest paper-scale randomized world (5 regions).
+        (pool_vms(&fig3), 10, false),
+        (pool_vms(&fig4), 22, false),
+        (cycled_vms(5, 1), 40, false),
+        // Worlds past the threshold map on the pool: this module's scaled
+        // chaos world, the smallest x8 randomized world (2 regions) and
+        // the 200-region mega world.
+        (pool_vms(&scaled_chaos_cfg()), 320, true),
+        (cycled_vms(2, 8), 144, true),
+        (cycled_vms(200, 10), 14_700, true),
+        (127, 127, false),
+        (128, 128, true),
+    ] {
+        assert_eq!(vms, expected);
+        assert_eq!(fans_out(vms), wide, "{vms} VMs");
+    }
+}
+
+#[test]
+fn pool_width_never_shows_in_the_results() {
+    // The same scaled world (past the fan-out threshold) at pool widths
+    // 1, 2 and 4 against width 1, so the regions' shared instruments are
+    // written from one thread and from several: everything a run leaves
+    // behind must agree.
     let cfg = scaled_chaos_cfg();
-    let run = |cfg: &ExperimentConfig, shards: usize| {
+    assert!(fans_out(pool_vms(&cfg)));
+    let run = |cfg: &ExperimentConfig| {
         let mut cl = oracle_loop(cfg);
-        cl.monitor_shards_override = Some(shards);
         cl.run(25);
-        assert_eq!(cl.ins.monitor_shards.value(), shards as f64);
         cl
     };
-    let alone = run(&cfg, 1);
+    let _width = crate::POOL_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
+    let before = acm_exec::current_threads();
+    acm_exec::configure_threads(1);
+    let alone = run(&cfg);
     let log = alone.obs().events_jsonl();
     for kind in [
         "rejuvenation.proactive",
@@ -815,41 +840,33 @@ fn shard_count_never_shows_in_the_results() {
     ] {
         assert!(log.contains(kind), "the world never produced {kind}");
     }
-    // The Perfetto export keeps its MONITOR row when nothing fans out.
+    // The Perfetto export's MONITOR row is the leader's phase slice.
     let timeline = alone.obs().timeline_recorder().expect("traced run");
     let timeline = timeline.to_chrome_json();
-    assert!(timeline.contains(r#""name":"monitor.shard""#));
-    assert!(timeline.contains("shard 0") && !timeline.contains("shard 1"));
+    assert!(timeline.contains(r#""name":"monitor""#) && !timeline.contains("shard"));
 
     // The same world on a log too small for it: kinds evict mid-run, and
-    // the regions' staged events must evict alike on every layout.
+    // the regions' staged events must evict alike at every width.
     let mut tiny = cfg.clone();
     tiny.obs.event_capacity = 8;
-    let evicting = run(&tiny, 1);
+    let evicting = run(&tiny);
     assert!(evicting.obs().events_dropped() > 0, "nothing was evicted");
 
-    let _width = crate::POOL_WIDTH.lock().unwrap_or_else(|e| e.into_inner());
-    let before = acm_exec::current_threads();
     for width in [1, 2, 4] {
         acm_exec::configure_threads(width);
-        let shards = cfg.regions.len().min(MONITOR_SHARDS_MAX);
-        let sharded = run(&cfg, shards);
+        let wide = run(&cfg);
         let at = format!("{width} threads");
         assert_eq!(
             alone.telemetry().to_csv(),
-            sharded.telemetry().to_csv(),
+            wide.telemetry().to_csv(),
             "{at}"
         );
-        assert_eq!(log, sharded.obs().events_jsonl(), "{at}");
-        assert_eq!(
-            alone.obs().spans_jsonl(),
-            sharded.obs().spans_jsonl(),
-            "{at}"
-        );
-        assert_same_metrics(alone.obs(), sharded.obs(), &at);
+        assert_eq!(log, wide.obs().events_jsonl(), "{at}");
+        assert_eq!(alone.obs().spans_jsonl(), wide.obs().spans_jsonl(), "{at}");
+        assert_same_metrics(alone.obs(), wide.obs(), &at);
 
-        let sharded = run(&tiny, shards);
-        let (a, b) = (evicting.obs(), sharded.obs());
+        let wide = run(&tiny);
+        let (a, b) = (evicting.obs(), wide.obs());
         assert_eq!(a.events_jsonl(), b.events_jsonl(), "{at}, evicting");
         assert_eq!(a.events_kind_stats(), b.events_kind_stats(), "{at}");
         assert_eq!(a.events_dropped(), b.events_dropped(), "{at}");
@@ -865,13 +882,13 @@ fn assert_same_metrics(a: &acm_obs::Obs, b: &acm_obs::Obs, at: &str) {
     assert_eq!(
         a.iter().map(|m| &m.name).collect::<Vec<_>>(),
         b.iter().map(|m| &m.name).collect::<Vec<_>>(),
-        "the two layouts registered different metrics ({at})"
+        "the two runs registered different metrics ({at})"
     );
     for (ma, mb) in a.iter().zip(&b) {
         let name = ma.name.as_str();
-        // The layout itself, and the pool's own per-era sampling
-        // (one run dispatches MONITOR tasks, the other none).
-        if name == "acm.core.control_loop.monitor_shards" || name.starts_with("acm.exec.") {
+        // The pool's own per-era sampling (one width dispatches MONITOR
+        // tasks, the other none).
+        if name.starts_with("acm.exec.") {
             continue;
         }
         match (&ma.value, &mb.value) {

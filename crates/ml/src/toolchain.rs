@@ -81,11 +81,6 @@ impl F2pmReport {
         self.outcomes[0].kind
     }
 
-    /// Outcome of a specific family, if it was trained.
-    pub fn outcome_of(&self, kind: ModelKind) -> Option<&ModelOutcome> {
-        self.outcomes.iter().find(|o| o.kind == kind)
-    }
-
     /// Renders the ranking as an aligned text table (model-selection bench).
     pub fn to_table(&self) -> String {
         use std::fmt::Write as _;
@@ -176,13 +171,6 @@ impl RttfPredictor {
         for v in out.iter_mut() {
             *v = v.max(0.0);
         }
-    }
-
-    /// Batch variant of [`RttfPredictor::predict`] returning a fresh vector.
-    pub fn predict_batch(&self, full_rows: &[Vec<f64>]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.predict_batch_into(full_rows.iter().map(|r| r.as_slice()), &mut out);
-        out
     }
 
     /// Which family the deployed model belongs to.
@@ -417,7 +405,9 @@ mod tests {
                 ]
             })
             .collect();
-        let batch = predictor.predict_batch(&rows);
+        // `out` is cleared first: stale contents never leak through.
+        let mut batch = vec![-1.0; 7];
+        predictor.predict_batch_into(rows.iter().map(Vec::as_slice), &mut batch);
         assert_eq!(batch.len(), rows.len());
         for (row, b) in rows.iter().zip(&batch) {
             assert_eq!(*b, predictor.predict(row));
@@ -473,8 +463,9 @@ mod tests {
         };
         let (_, report) = tc.run(&db, &mut SimRng::new(10));
         assert_eq!(report.outcomes.len(), 2);
-        assert!(report.outcome_of(ModelKind::Svr).is_none());
-        assert!(report.outcome_of(ModelKind::RepTree).is_some());
+        let trained = |kind| report.outcomes.iter().any(|o| o.kind == kind);
+        assert!(!trained(ModelKind::Svr));
+        assert!(trained(ModelKind::RepTree));
     }
 
     #[test]

@@ -85,15 +85,6 @@ impl CvResult {
         self.folds.iter().map(|m| m.rmse).sum::<f64>() / self.folds.len() as f64
     }
 
-    /// Mean MAE across folds (`f64::INFINITY` when fold-less; see
-    /// [`CvResult::mean_rmse`]).
-    pub fn mean_mae(&self) -> f64 {
-        if self.folds.is_empty() {
-            return f64::INFINITY;
-        }
-        self.folds.iter().map(|m| m.mae).sum::<f64>() / self.folds.len() as f64
-    }
-
     /// Mean R² across folds (`f64::NEG_INFINITY` — the worst possible R²
     /// — when fold-less; see [`CvResult::mean_rmse`]).
     pub fn mean_r2(&self) -> f64 {
@@ -176,7 +167,7 @@ mod tests {
         assert!(cv.mean_r2() > 0.95);
         assert!(cv.mean_rmse() < 0.2);
         assert!(cv.rmse_std() < cv.mean_rmse());
-        assert!(cv.mean_mae() <= cv.mean_rmse());
+        assert!(cv.folds.iter().all(|m| m.mae <= m.rmse));
     }
 
     #[test]
@@ -217,7 +208,6 @@ mod tests {
             folds: vec![],
         };
         assert_eq!(empty.mean_rmse(), f64::INFINITY);
-        assert_eq!(empty.mean_mae(), f64::INFINITY);
         assert_eq!(empty.mean_r2(), f64::NEG_INFINITY);
         assert_eq!(empty.rmse_std(), 0.0);
         assert!(!empty.mean_rmse().is_nan());

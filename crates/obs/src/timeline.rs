@@ -158,8 +158,8 @@ mod tests {
     fn export_is_loadable_chrome_trace_shape() {
         let tl = TimelineRecorder::new();
         tl.set_track_name(0, "leader");
-        tl.set_track_name(1, "shard 0");
-        tl.record(1, "monitor.shard", 50, 20, 0);
+        tl.set_track_name(100, "worker 0");
+        tl.record(100, "exec.busy", 50, 20, 0);
         tl.record(0, "MONITOR", 0, 100, 0);
         tl.record(0, "ANALYZE", 100, 40, 0);
         let json = tl.to_chrome_json();
@@ -170,9 +170,9 @@ mod tests {
         assert!(json.contains(r#""ph":"X","name":"MONITOR","pid":1,"tid":0,"ts":0,"dur":100"#));
         // Slices are sorted by start time regardless of push order.
         let monitor = json.find(r#""name":"MONITOR""#).unwrap();
-        let shard = json.find(r#""name":"monitor.shard""#).unwrap();
+        let busy = json.find(r#""name":"exec.busy""#).unwrap();
         let analyze = json.find(r#""name":"ANALYZE""#).unwrap();
-        assert!(monitor < shard && shard < analyze);
+        assert!(monitor < busy && busy < analyze);
         assert_eq!(tl.len(), 3);
     }
 

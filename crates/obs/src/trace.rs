@@ -23,8 +23,8 @@
 //! A root span's `trace` ID equals its own span ID and its parent is 0;
 //! children inherit the trace ID, which groups a whole causal chain under
 //! the observation that opened it. [`TraceContext`] is the two-word
-//! `(trace, span)` pair that piggybacks on overlay messages (including
-//! through `ShardOutbox` staging) and annotates emitted events.
+//! `(trace, span)` pair that piggybacks on overlay messages and annotates
+//! emitted events.
 
 use crate::json::{push_escaped, push_key, push_u64};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -344,7 +344,7 @@ impl ModelLifecycle {
     /// A VM failed at `at`: label its snapshots and score the newly
     /// labelled rows for whatever is shadowing / under regression watch.
     pub fn on_failure(&mut self, vm: VmId, at: SimTime, incumbent: Option<&RttfPredictor>) {
-        let rows = self.labeler.on_failure_rows(vm, at);
+        let rows = self.labeler.on_failure(vm, at);
         for (features, rttf) in &rows {
             let f = features.as_slice();
             if let Phase::Shadowing(s) = &mut self.phase {

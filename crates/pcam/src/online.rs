@@ -25,10 +25,6 @@ use std::collections::BTreeMap;
 pub struct OnlineLabeler {
     pending: BTreeMap<VmId, Vec<(SimTime, FeatureVec)>>,
     db: Dataset,
-    /// Censored lower-bound rows: the VM survived at least `bound` seconds
-    /// past the snapshot (it was rejuvenated then, so the true RTTF was
-    /// never observed but is provably ≥ the bound).
-    censored: Vec<(FeatureVec, f64)>,
     censored_snapshots: u64,
     dropped_out_of_order: u64,
     dropped_non_finite: u64,
@@ -46,7 +42,6 @@ impl OnlineLabeler {
         OnlineLabeler {
             pending: BTreeMap::new(),
             db: Dataset::new(FEATURE_NAMES),
-            censored: Vec::new(),
             censored_snapshots: 0,
             dropped_out_of_order: 0,
             dropped_non_finite: 0,
@@ -74,16 +69,10 @@ impl OnlineLabeler {
     }
 
     /// The VM reached its failure point at `at`: every pending snapshot
-    /// becomes a labelled row with `RTTF = at − t_snapshot`. Returns how
-    /// many rows were labelled.
-    pub fn on_failure(&mut self, vm: VmId, at: SimTime) -> usize {
-        self.on_failure_rows(vm, at).len()
-    }
-
-    /// [`OnlineLabeler::on_failure`], additionally returning the freshly
-    /// labelled `(features, rttf)` rows so shadow evaluation can score
-    /// live models on exactly the rows this failure produced.
-    pub fn on_failure_rows(&mut self, vm: VmId, at: SimTime) -> Vec<(FeatureVec, f64)> {
+    /// becomes a labelled row with `RTTF = at − t_snapshot`. Returns the
+    /// freshly labelled `(features, rttf)` rows, so shadow evaluation can
+    /// score live models on exactly the rows this failure produced.
+    pub fn on_failure(&mut self, vm: VmId, at: SimTime) -> Vec<(FeatureVec, f64)> {
         let Some(snapshots) = self.pending.remove(&vm) else {
             return Vec::new();
         };
@@ -101,8 +90,9 @@ impl OnlineLabeler {
 
     /// The VM was proactively rejuvenated at `at`: its pending snapshots
     /// are censored — the true failure time was never observed, but the VM
-    /// provably survived `at − t_snapshot`, so each snapshot is retained
-    /// as a censored lower-bound row. Returns the newly retained rows.
+    /// provably survived `at − t_snapshot`. Returns one censored
+    /// lower-bound row `(features, survived_at_least_s)` per admitted
+    /// snapshot; nothing is stored.
     pub fn on_rejuvenation(&mut self, vm: VmId, at: SimTime) -> Vec<(FeatureVec, f64)> {
         let Some(snapshots) = self.pending.remove(&vm) else {
             return Vec::new();
@@ -113,9 +103,7 @@ impl OnlineLabeler {
             if !self.admit(t, &features, at) {
                 continue;
             }
-            let bound = at.since(t).as_secs_f64();
-            self.censored.push((features, bound));
-            rows.push((features, bound));
+            rows.push((features, at.since(t).as_secs_f64()));
         }
         rows
     }
@@ -130,15 +118,8 @@ impl OnlineLabeler {
         self.db.len()
     }
 
-    /// Censored lower-bound rows `(features, survived_at_least_s)`
-    /// retained from proactive rejuvenations.
-    pub fn censored_rows(&self) -> &[(FeatureVec, f64)] {
-        &self.censored
-    }
-
-    /// Snapshots whose VM was rejuvenated before failing (counter kept
-    /// from before censored rows were retained: every censored snapshot
-    /// counts, including ones the admission filter then drops).
+    /// Snapshots whose VM was rejuvenated before failing (every censored
+    /// snapshot counts, including ones the admission filter then drops).
     pub fn censored_snapshots(&self) -> u64 {
         self.censored_snapshots
     }
@@ -330,7 +311,7 @@ mod tests {
         labeler.observe(vm_id, t(30), snapshot(&vm, t(30), 10.0));
         assert_eq!(labeler.pending.values().map(Vec::len).sum::<usize>(), 2);
         let labelled = labeler.on_failure(vm_id, t(100));
-        assert_eq!(labelled, 2);
+        assert_eq!(labelled.len(), 2);
         assert_eq!(labeler.labelled_rows(), 2);
         // Labels are the true remaining times.
         let mut targets = labeler.database().targets().to_vec();
@@ -346,13 +327,13 @@ mod tests {
         let rows = labeler.on_rejuvenation(vm, t(40));
         assert_eq!(labeler.labelled_rows(), 0);
         assert_eq!(labeler.censored_snapshots(), 1);
-        // The snapshot is retained as a censored lower bound, not dropped:
+        // The snapshot comes back as a censored lower bound, not dropped:
         // the VM provably survived 30 s past the snapshot.
         assert_eq!(rows.len(), 1);
-        assert_eq!(labeler.censored_rows().len(), 1);
-        assert_eq!(labeler.censored_rows()[0].1, 30.0);
+        assert_eq!(rows[0].0.as_slice(), &[1.0; acm_vm::FEATURE_COUNT]);
+        assert_eq!(rows[0].1, 30.0);
         // A later failure report for the same VM labels nothing.
-        assert_eq!(labeler.on_failure(vm, t(50)), 0);
+        assert!(labeler.on_failure(vm, t(50)).is_empty());
     }
 
     #[test]
@@ -363,7 +344,9 @@ mod tests {
         labeler.observe(vm, t(0), FeatureVec::new([1.0; acm_vm::FEATURE_COUNT]));
         labeler.observe(vm, t(200), FeatureVec::new([1.0; acm_vm::FEATURE_COUNT]));
         labeler.observe(vm, t(1), FeatureVec::new([f64::NAN; acm_vm::FEATURE_COUNT]));
-        assert_eq!(labeler.on_failure(vm, t(100)), 1);
+        let rows = labeler.on_failure(vm, t(100));
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].1, 100.0);
         assert_eq!(labeler.dropped_out_of_order(), 1);
         assert_eq!(labeler.dropped_non_finite(), 1);
 
@@ -381,7 +364,6 @@ mod tests {
         assert_eq!(labeler.censored_snapshots(), 2);
         assert_eq!(labeler.dropped_out_of_order(), 2);
         assert_eq!(labeler.dropped_non_finite(), 2);
-        assert!(labeler.censored_rows().is_empty());
     }
 
     #[test]

@@ -31,10 +31,6 @@
 //!   the queue with a sorted stream of arrival instants
 //!   ([`Simulator::run_until_with_arrivals`]), so an open-loop source never
 //!   schedules a window of requests into the queue.
-//! * [`shard`] — [`ShardLayout`], the deterministic contiguous partition
-//!   behind every sharded fan-out (the control loop's MONITOR, the chaos
-//!   campaign's batches): a pure function of the configuration, never of
-//!   the thread count, so a sharded run is byte-identical at any width.
 //! * [`stats`] — online statistics (Welford mean/variance with min/max)
 //!   used by telemetry.
 //! * [`series`] — time-series recording, kept as a test oracle for the
@@ -50,7 +46,6 @@
 pub mod event;
 pub mod rng;
 pub mod series;
-pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod time;
@@ -59,7 +54,6 @@ pub mod weights;
 pub use event::EventQueue;
 pub use rng::SimRng;
 pub use series::{SeriesPoint, SeriesTable, TimeSeries};
-pub use shard::ShardLayout;
 pub use sim::{Event, Simulator};
 pub use stats::OnlineStats;
 pub use time::{Duration, SimTime};

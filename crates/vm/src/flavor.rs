@@ -105,11 +105,6 @@ impl VmFlavor {
         self.compute_capacity() / self.base_request_demand_s
     }
 
-    /// Memory headroom available before swapping starts, MiB.
-    pub fn ram_headroom_mb(&self) -> f64 {
-        (self.ram_mb - self.baseline_resident_mb).max(0.0)
-    }
-
     /// Memory headroom available before the VM is out of memory, MiB.
     pub fn oom_headroom_mb(&self) -> f64 {
         (self.ram_mb + self.swap_mb - self.baseline_resident_mb).max(0.0)
@@ -210,8 +205,8 @@ mod tests {
             VmFlavor::m3_small(),
             VmFlavor::private_munich(),
         ] {
-            assert!(f.ram_headroom_mb() > 0.0);
-            assert!(f.oom_headroom_mb() > f.ram_headroom_mb());
+            // RAM left before swapping, then all of swap on top.
+            assert!(f.oom_headroom_mb() > f.swap_mb);
             assert!(f.thread_headroom() > 0);
         }
     }

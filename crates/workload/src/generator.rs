@@ -103,25 +103,13 @@ impl ClientSchedule {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionWorkload {
     schedule: ClientSchedule,
-    think_time_s: f64,
 }
 
 impl RegionWorkload {
-    /// Creates a workload with the standard TPC-W think time.
+    /// Creates a workload with the standard TPC-W think time
+    /// ([`THINK_TIME_MEAN_S`]).
     pub fn new(schedule: ClientSchedule) -> Self {
-        RegionWorkload {
-            schedule,
-            think_time_s: THINK_TIME_MEAN_S,
-        }
-    }
-
-    /// Creates a workload with a custom mean think time (seconds).
-    pub fn with_think_time(schedule: ClientSchedule, think_time_s: f64) -> Self {
-        assert!(think_time_s > 0.0, "think time must be positive");
-        RegionWorkload {
-            schedule,
-            think_time_s,
-        }
+        RegionWorkload { schedule }
     }
 
     /// Client population at `now`.
@@ -136,7 +124,7 @@ impl RegionWorkload {
     pub fn offered_rate(&self, now: SimTime, observed_response_s: f64) -> f64 {
         let n = self.population(now) as f64;
         let r = observed_response_s.max(0.0);
-        n / (self.think_time_s + r)
+        n / (THINK_TIME_MEAN_S + r)
     }
 
     /// The schedule driving this workload.
@@ -209,18 +197,6 @@ mod tests {
         let slow = w.offered_rate(t(0), 1.0);
         assert!((slow - 8.75).abs() < 1e-9);
         assert!(slow < fast);
-    }
-
-    #[test]
-    fn custom_think_time() {
-        let w = RegionWorkload::with_think_time(ClientSchedule::Constant(10), 1.0);
-        assert!((w.offered_rate(t(0), 0.0) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_think_time_panics() {
-        let _ = RegionWorkload::with_think_time(ClientSchedule::Constant(1), 0.0);
     }
 
     #[test]

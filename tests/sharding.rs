@@ -1,4 +1,4 @@
-//! Integration: era-synchronized sharded execution is invisible to the
+//! Integration: era-synchronized parallel execution is invisible to the
 //! results. A randomized world — regions x faults x arrivals — must
 //! produce byte-identical telemetry and decision logs at any
 //! `ACM_THREADS`, and the open-loop data plane must reach the same
@@ -19,8 +19,8 @@ use proptest::TestCaseError;
 /// seed-derived client schedules, a full-mesh overlay, a randomized fault
 /// plan with message chaos, and degradation enabled. `scale` multiplies
 /// every pool and client population: at 1 the world is paper-sized and
-/// MONITOR runs on one shard, at 8 every such world is past the grain
-/// (>= 144 VMs) and MONITOR really fans out.
+/// MONITOR runs inline, at 8 every such world is past the fan-out
+/// threshold (>= 144 VMs) and MONITOR really maps on the pool.
 fn randomized_config(seed: u64, scale: u32) -> ExperimentConfig {
     let mut gen = SimRng::new(seed ^ 0x5eed_5eed);
     let n = 2 + gen.index(4);
@@ -74,15 +74,13 @@ fn randomized_config(seed: u64, scale: u32) -> ExperimentConfig {
     cfg
 }
 
-/// Runs the world at pool widths 1 / 2 / 4, checks telemetry CSV and
-/// decision log for byte identity, and returns the MONITOR shard count
-/// the world ran on.
-fn assert_width_identity(cfg: &ExperimentConfig) -> Result<f64, TestCaseError> {
+/// Runs the world at pool widths 1 / 2 / 4 and checks telemetry CSV and
+/// decision log for byte identity.
+fn assert_width_identity(cfg: &ExperimentConfig) -> Result<(), TestCaseError> {
     let run = || {
         let obs = Obs::new(ObsConfig::default());
         let tel = acm::core::framework::run_experiment_with_obs(cfg, obs.clone());
-        let shards = obs.gauge("acm.core.control_loop.monitor_shards").value();
-        (tel.to_csv(), obs.events_jsonl(), shards)
+        (tel.to_csv(), obs.events_jsonl())
     };
     let before = acm::exec::current_threads();
     acm::exec::configure_threads(1);
@@ -96,62 +94,27 @@ fn assert_width_identity(cfg: &ExperimentConfig) -> Result<f64, TestCaseError> {
     prop_assert_eq!(&one.1, &two.1, "decision log diverged at 2 threads");
     prop_assert_eq!(&one.0, &four.0, "telemetry diverged at 4 threads");
     prop_assert_eq!(&one.1, &four.1, "decision log diverged at 4 threads");
-    prop_assert_eq!(one.2, four.2, "the shard count followed the thread width");
     prop_assert!(!one.1.is_empty(), "the run logged no decisions");
-    Ok(one.2)
+    Ok(())
 }
 
 proptest! {
     /// A randomized paper-sized world (regions x faults x arrivals) runs
     /// byte-identically — telemetry CSV and decision log, chaos plans
-    /// included — at `ACM_THREADS` in {1, 2, 4}. Worlds this small run
-    /// MONITOR on one shard, recording straight into the parent hub.
+    /// included — at `ACM_THREADS` in {1, 2, 4}. Worlds this small (<= 40
+    /// VMs) run MONITOR inline on the leader.
     #[test]
     fn randomized_worlds_shard_byte_identically_across_widths(seed in 0u64..16) {
-        let shards = assert_width_identity(&randomized_config(seed, 1))?;
-        prop_assert_eq!(shards, 1.0, "a paper-sized world must not fan out");
+        assert_width_identity(&randomized_config(seed, 1))?;
     }
 
-    /// The same worlds scaled past the grain: MONITOR fans out over child
-    /// hubs merged in shard order, and must still be width-independent.
+    /// The same worlds scaled past the fan-out threshold (>= 144 VMs):
+    /// MONITOR maps its regions on the exec pool, and must still be
+    /// width-independent.
     #[test]
     fn scaled_worlds_shard_byte_identically_across_widths(seed in 0u64..16) {
-        let shards = assert_width_identity(&randomized_config(seed, 8))?;
-        prop_assert!(shards >= 2.0, "scaled world ran on {shards} MONITOR shard(s)");
+        assert_width_identity(&randomized_config(seed, 8))?;
     }
-}
-
-/// The other end of the work-based layout: a 200-region world with pools
-/// provisioned for 5 120 browsers each (~14 700 VMs) is far past
-/// 32 shards x 64 VMs, so it keeps the full 32-shard fan-out.
-#[test]
-fn mega_world_keeps_its_32_monitor_shards() {
-    let mut cfg = ExperimentConfig::two_region_fig3(PolicyKind::AvailableResources, 2026);
-    cfg.predictor = PredictorChoice::Oracle;
-    cfg.eras = 1;
-    cfg.regions = (0..200)
-        .map(|i| {
-            let mut region = match i % 3 {
-                0 => ExperimentConfig::region1_ireland(),
-                1 => ExperimentConfig::region2_frankfurt(),
-                _ => ExperimentConfig::region3_munich(),
-            };
-            region.name = format!("r{i:03}-{}", region.name);
-            region.total_vms *= 10;
-            region.target_active *= 10;
-            RegionSpec {
-                region,
-                clients: ClientSchedule::Constant(5120),
-            }
-        })
-        .collect();
-    cfg.latencies = (1..200)
-        .map(|j| (0, j, Duration::from_millis(8 + (j as u64 * 7) % 40)))
-        .collect();
-    let obs = Obs::new(ObsConfig::default());
-    acm::core::framework::run_experiment_with_obs(&cfg, obs.clone());
-    let shards = obs.gauge("acm.core.control_loop.monitor_shards").value();
-    assert_eq!(shards, 32.0);
 }
 
 /// Per-shard outcome digest of a small open-loop data plane: arrivals

@@ -30,8 +30,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Same shape as the sharding suite's randomized world: 2-5 regions on
 /// the paper flavors, full-mesh overlay, randomized faults with message
 /// chaos, degradation on. `scale` multiplies every pool and client
-/// population: 1 is paper-sized (MONITOR on one shard), 8 puts every
-/// such world past the grain so MONITOR fans out over child hubs.
+/// population: 1 is paper-sized (MONITOR inline), 8 puts every such
+/// world past the fan-out threshold so MONITOR maps on the exec pool.
 fn randomized_config(seed: u64, scale: u32) -> ExperimentConfig {
     let mut gen = SimRng::new(seed ^ 0x7ace_7ace);
     let n = 2 + gen.index(4);
@@ -72,18 +72,15 @@ fn randomized_config(seed: u64, scale: u32) -> ExperimentConfig {
     cfg
 }
 
-/// One traced run: telemetry CSV, event log, span tree and the MONITOR
-/// shard count of the last era.
-fn traced_run(cfg: &ExperimentConfig, trace_seed: u64) -> (String, String, String, f64) {
+/// One traced run: telemetry CSV, event log and span tree.
+fn traced_run(cfg: &ExperimentConfig, trace_seed: u64) -> (String, String, String) {
     let obs = Obs::new(ObsConfig::traced(trace_seed));
     let tel = acm::core::framework::run_experiment_with_obs(cfg, obs.clone());
-    let shards = obs.gauge("acm.core.control_loop.monitor_shards").value();
-    (tel.to_csv(), obs.events_jsonl(), obs.spans_jsonl(), shards)
+    (tel.to_csv(), obs.events_jsonl(), obs.spans_jsonl())
 }
 
 /// Contract 1 on one world: widths 1, 2 and 4 agree byte for byte.
-/// Returns the MONITOR shard count the world ran on.
-fn assert_traced_width_identity(cfg: &ExperimentConfig, seed: u64) -> Result<f64, TestCaseError> {
+fn assert_traced_width_identity(cfg: &ExperimentConfig, seed: u64) -> Result<(), TestCaseError> {
     let before = acm::exec::current_threads();
     acm::exec::configure_threads(1);
     let one = traced_run(cfg, seed);
@@ -99,28 +96,24 @@ fn assert_traced_width_identity(cfg: &ExperimentConfig, seed: u64) -> Result<f64
     prop_assert_eq!(&one.0, &four.0, "telemetry diverged at 4 threads");
     prop_assert_eq!(&one.1, &four.1, "event log diverged at 4 threads");
     prop_assert_eq!(&one.2, &four.2, "span tree diverged at 4 threads");
-    prop_assert_eq!(one.3, four.3, "the shard count followed the thread width");
-    Ok(one.3)
+    Ok(())
 }
 
 proptest! {
     /// Contract 1: full span tree + event log + telemetry are
     /// byte-identical at widths 1, 2 and 4 with tracing enabled, under a
-    /// randomized fault plan. Paper-sized worlds run MONITOR on one
-    /// shard, straight into the parent hub.
+    /// randomized fault plan. Paper-sized worlds run MONITOR inline.
     #[test]
     fn traced_randomized_worlds_are_byte_identical_across_widths(seed in 0u64..8) {
-        let shards = assert_traced_width_identity(&randomized_config(seed, 1), seed)?;
-        prop_assert_eq!(shards, 1.0, "a paper-sized world must not fan out");
+        assert_traced_width_identity(&randomized_config(seed, 1), seed)?;
     }
 
-    /// Contract 1 past the grain: the scaled worlds fan MONITOR out over
-    /// child hubs (which annotate with the era's ambient context but
-    /// never allocate spans) and merge them in shard order.
+    /// Contract 1 past the fan-out threshold: the scaled worlds map
+    /// MONITOR's regions on the exec pool (each VMC stages its decision
+    /// events, emitted on the leader in region order at the barrier).
     #[test]
     fn traced_scaled_worlds_are_byte_identical_across_widths(seed in 0u64..8) {
-        let shards = assert_traced_width_identity(&randomized_config(seed, 8), seed)?;
-        prop_assert!(shards >= 2.0, "scaled world ran on {shards} MONITOR shard(s)");
+        assert_traced_width_identity(&randomized_config(seed, 8), seed)?;
     }
 
     /// Contract 2: with tracing off, the event stream is byte-identical
