@@ -8,9 +8,9 @@
 //! convergence/stability statistics the assessment in Sec. VI-B is based
 //! on.
 
+use acm_obs::json::{push_escaped, push_f64, push_fixed, push_key, push_u64};
 use acm_sim::stats::OnlineStats;
 use acm_sim::time::SimTime;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Everything one region reported in one era (its fraction is the
@@ -462,28 +462,35 @@ impl ExperimentTelemetry {
     }
 
     /// Renders the full telemetry as one CSV table (figure regeneration):
-    /// a `time_s` column, then each row in column order.
+    /// a `time_s` column (3 decimals), then each row in column order (6
+    /// decimals), written by [`push_fixed`]: the bytes `format!` writes at
+    /// those precisions, without `core::fmt`.
     pub fn to_csv(&self) -> String {
-        // `,` plus a `{:.6}` value is ~12 bytes a column.
+        // `,` plus a 6-decimal value is ~12 bytes a column.
         let columns = GROUPS.len() * self.region_names.len() + GLOBALS.len();
         let mut out = String::with_capacity((self.rows.len() + 1) * (12 + 12 * columns));
         out.push_str("time_s");
         for suffix in GROUPS {
             for name in &self.region_names {
-                let _ = write!(out, ",{name}_{suffix}");
+                out.push(',');
+                out.push_str(name);
+                out.push('_');
+                out.push_str(suffix);
             }
         }
         for name in GLOBALS {
-            let _ = write!(out, ",{name}");
+            out.push(',');
+            out.push_str(name);
         }
         out.push('\n');
         for (t, row) in self.clock.iter().zip(&self.rows) {
-            let _ = write!(out, "{:.3}", t.as_secs_f64());
+            push_fixed(&mut out, t.as_secs_f64(), 3);
             let (rmttf, response, globals) = row.runs();
             let active = row.active.iter().map(|&a| f64::from(a));
             let floats = rmttf.iter().chain(&*row.fractions).chain(response);
             for v in floats.copied().chain(active).chain(globals.iter().copied()) {
-                let _ = write!(out, ",{v:.6}");
+                out.push(',');
+                push_fixed(&mut out, v, 6);
             }
             out.push('\n');
         }
@@ -492,32 +499,50 @@ impl ExperimentTelemetry {
 
     /// Renders the telemetry as JSON Lines, one object per era. Shares the
     /// JSON writer with the observability decision log, so the two streams
-    /// can be concatenated and post-processed by the same tooling.
+    /// can be concatenated and post-processed by the same tooling; every
+    /// era is written in place into one buffer.
     pub fn to_jsonl(&self) -> String {
-        use acm_obs::json::{self, JsonObject};
-        let n = self.region_names.len();
-        let mut out = String::new();
+        let mut out =
+            String::with_capacity(self.rows.len() * (160 + 120 * self.region_names.len()));
         for (e, (t, row)) in self.clock.iter().zip(&self.rows).enumerate() {
             let (rmttf, response, globals) = row.runs();
-            let regions = json::array((0..n).map(|i| {
-                let mut o = JsonObject::new();
-                o.field_str("name", &self.region_names[i])
-                    .field_f64("rmttf_s", rmttf[i])
-                    .field_f64("fraction", row.fractions[i])
-                    .field_f64("response_s", response[i])
-                    .field_u64("active_vms", u64::from(row.active[i]));
-                o.finish()
-            }));
-            let mut o = JsonObject::new();
-            o.field_u64("era", e as u64)
-                .field_u64("t_us", t.as_micros())
-                .field_raw("regions", &regions)
-                .field_f64("global_response_s", globals[0])
-                .field_f64("lambda", globals[1])
-                .field_f64("plan_churn", globals[2])
-                .field_f64("remote_fraction", globals[3]);
-            out.push_str(&o.finish());
-            out.push('\n');
+            push_key(&mut out, '{', "era");
+            push_u64(&mut out, e as u64);
+            push_key(&mut out, ',', "t_us");
+            push_u64(&mut out, t.as_micros());
+            push_key(&mut out, ',', "regions");
+            out.push('[');
+            for (i, name) in self.region_names.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_key(&mut out, '{', "name");
+                push_escaped(&mut out, name);
+                let region = [
+                    ("rmttf_s", rmttf[i]),
+                    ("fraction", row.fractions[i]),
+                    ("response_s", response[i]),
+                ];
+                for (key, v) in region {
+                    push_key(&mut out, ',', key);
+                    push_f64(&mut out, v);
+                }
+                push_key(&mut out, ',', "active_vms");
+                push_u64(&mut out, u64::from(row.active[i]));
+                out.push('}');
+            }
+            out.push(']');
+            let keys = [
+                "global_response_s",
+                "lambda",
+                "plan_churn",
+                "remote_fraction",
+            ];
+            for (key, &v) in keys.iter().zip(globals) {
+                push_key(&mut out, ',', key);
+                push_f64(&mut out, v);
+            }
+            out.push_str("}\n");
         }
         out
     }

@@ -34,7 +34,7 @@
 //! [`EventLog::tail`], which hands records out, clones them (the last `n`).
 
 use crate::json::{push_escaped, push_f64, push_i64, push_key, push_u64};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// A typed event-field value.
@@ -202,8 +202,34 @@ struct KindStore {
 
 #[derive(Debug, Default)]
 struct Stores {
-    kinds: BTreeMap<&'static str, KindStore>,
+    /// One store per kind, in first-push order. The set of kinds is small
+    /// and closed, so a scan beats a map probe on every push.
+    kinds: Vec<(&'static str, KindStore)>,
     seq: u64,
+}
+
+impl Stores {
+    /// `kind`'s store, made on its first push. Emitters pass the same
+    /// `&'static str` every time, so the pointer scan nearly always
+    /// answers; the by-value scan covers a tag whose text is
+    /// duplicated at another address.
+    fn store(&mut self, kind: &'static str) -> &mut KindStore {
+        let found = self
+            .kinds
+            .iter()
+            .position(|(k, _)| std::ptr::eq(*k, kind))
+            .or_else(|| self.kinds.iter().position(|(k, _)| *k == kind));
+        let i = found.unwrap_or_else(|| {
+            self.kinds.push((kind, KindStore::default()));
+            self.kinds.len() - 1
+        });
+        &mut self.kinds[i].1
+    }
+
+    /// Every kind's store.
+    fn stores(&self) -> impl Iterator<Item = &KindStore> {
+        self.kinds.iter().map(|(_, s)| s)
+    }
 }
 
 /// Bounded, per-kind retention store of [`EventRecord`]s (see the module
@@ -243,7 +269,7 @@ impl EventLog {
             kind,
             fields,
         };
-        let store = stores.kinds.entry(kind).or_default();
+        let store = stores.store(kind);
         if store.head.len() < self.head_cap {
             store.head.push(rec);
         } else {
@@ -260,8 +286,7 @@ impl EventLog {
     /// the stable sort only merges those runs.
     fn ordered(stores: &Stores) -> Vec<&EventRecord> {
         let mut out: Vec<&EventRecord> = stores
-            .kinds
-            .values()
+            .stores()
             .flat_map(|s| s.head.iter().chain(&s.tail))
             .collect();
         out.sort_by_key(|r| r.seq);
@@ -280,11 +305,7 @@ impl EventLog {
     /// Records currently retained (all kinds).
     pub fn len(&self) -> usize {
         let stores = self.stores.lock().unwrap();
-        stores
-            .kinds
-            .values()
-            .map(|s| s.head.len() + s.tail.len())
-            .sum()
+        stores.stores().map(|s| s.head.len() + s.tail.len()).sum()
     }
 
     /// True when nothing is retained.
@@ -295,7 +316,7 @@ impl EventLog {
     /// Records evicted after a kind's store filled (all kinds).
     pub fn dropped(&self) -> u64 {
         let stores = self.stores.lock().unwrap();
-        stores.kinds.values().map(|s| s.dropped).sum()
+        stores.stores().map(|s| s.dropped).sum()
     }
 
     /// Per-kind retention pressure: `(kind, retained, dropped)` rows in
@@ -303,11 +324,13 @@ impl EventLog {
     /// history is silently thinning — without dumping the log.
     pub fn kind_stats(&self) -> Vec<(&'static str, usize, u64)> {
         let stores = self.stores.lock().unwrap();
-        stores
+        let mut rows: Vec<_> = stores
             .kinds
             .iter()
             .map(|(kind, s)| (*kind, s.head.len() + s.tail.len(), s.dropped))
-            .collect()
+            .collect();
+        rows.sort_unstable_by_key(|r| r.0);
+        rows
     }
 
     /// All retained records as JSON Lines, ordered by sequence number

@@ -7,16 +7,22 @@
 //! implementation.
 //!
 //! The writer half is a set of `push_*` primitives that append to a
-//! caller's `String` in place: [`push_escaped`], [`push_f64`],
-//! [`push_u64`], [`push_i64`]. [`JsonObject`] is built on them; the
-//! JSONL exporters (event log, metrics registry, span tracer) call them
-//! directly, writing every record by reference into one pre-sized
-//! buffer — no per-record or per-field `String`.
+//! caller's `String` in place: [`push_key`], [`push_escaped`],
+//! [`push_f64`], [`push_u64`], [`push_i64`], [`push_fixed`].
+//! [`JsonObject`] is built on them; the JSONL exporters (event log,
+//! metrics registry, span tracer, `ExperimentTelemetry::to_jsonl`) and the
+//! telemetry CSV call them directly, writing every record by reference
+//! into one pre-sized buffer — no per-record or per-field `String`.
 //!
-//! Numbers use Rust's `Display` through `write!` — for `f64` the
-//! shortest round-trip representation — which is deterministic across
-//! runs and platforms; non-finite floats map to `null` since JSON has no
-//! NaN/infinity.
+//! Numbers are written as digits, not through `core::fmt`: integers
+//! ([`push_u64`], [`push_i64`]) from a two-digit lookup table, and fixed-point floats ([`push_fixed`], the telemetry CSV's
+//! `{:.3}`/`{:.6}` columns) by exact integer arithmetic on the binary
+//! mantissa, rounding half-to-even on exact ties as `format!` does.
+//! [`push_f64`] keeps `Display`'s shortest round-trip text for
+//! fractional values — integral ones below 2⁵³ take the integer writer —
+//! and writes `null` for non-finite ones, since JSON has no
+//! NaN/infinity. Every writer's bytes equal `format!`'s; the oracle is
+//! `tests/number_writers.rs`.
 //!
 //! The reader half ([`parse`] → [`JsonValue`]) exists for the artifacts
 //! the workspace must load back — fault-plan reproducers in the chaos
@@ -27,23 +33,33 @@
 
 use std::fmt::Write as _;
 
-/// Whether byte `b` of a UTF-8 string must be escaped: `"`, `\`, C0
-/// controls and DEL. Bytes of multi-byte characters are all ≥ 0x80, so
-/// this never splits a character.
-#[inline]
-fn needs_escape(b: u8) -> bool {
-    b < 0x20 || b == b'"' || b == b'\\' || b == 0x7f
-}
+/// Which bytes of a UTF-8 string must be escaped: `"`, `\`, C0 controls
+/// and DEL. Bytes of multi-byte characters are all ≥ 0x80, so escaping
+/// never splits a character. A table: one load a byte.
+const NEEDS_ESCAPE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = b < 0x20 || b == b'"' as usize || b == b'\\' as usize || b == 0x7f;
+        b += 1;
+    }
+    table
+};
 
 /// Appends `s` to `out` as a JSON string literal (with surrounding
 /// quotes), escaping `"`, `\`, every C0 control character and DEL
 /// (`\u{7f}`) — DEL is legal unescaped JSON but breaks line-oriented
-/// consumers, so it gets the `\uXXXX` treatment too. Everything before
-/// the first byte that needs escaping is copied whole — for the names and
-/// labels the exporters write, that is the entire string.
+/// consumers, so it gets the `\uXXXX` treatment too. Reserves once;
+/// everything before the first byte that needs escaping is copied whole —
+/// for the names and labels the exporters write, that is the entire
+/// string.
 pub fn push_escaped(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    let clean = s.bytes().position(needs_escape).unwrap_or(s.len());
+    let clean = s
+        .bytes()
+        .position(|b| NEEDS_ESCAPE[usize::from(b)])
+        .unwrap_or(s.len());
     out.push_str(&s[..clean]);
     for c in s[clean..].chars() {
         match c {
@@ -55,7 +71,10 @@ pub fn push_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 || c == '\u{7f}' => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[c as usize >> 4]));
+                out.push(char::from(HEX[c as usize & 0xf]));
             }
             c => out.push(c),
         }
@@ -65,7 +84,7 @@ pub fn push_escaped(out: &mut String, s: &str) {
 
 /// Appends `sep` (`{` or `,`) and `"key":` — the opening of one field of
 /// an object being written in place.
-pub(crate) fn push_key(out: &mut String, sep: char, key: &str) {
+pub fn push_key(out: &mut String, sep: char, key: &str) {
     out.push(sep);
     push_escaped(out, key);
     out.push(':');
@@ -78,9 +97,80 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Appends `v` to `out` as a JSON number (shortest round-trip form);
-/// non-finite values become `null`.
+/// `"00" "01" … "99"`: the two-digit pairs the integer writer copies.
+const PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// `10^places` for the places [`push_fixed`] writes itself.
+const POW10: [u64; 10] = [
+    1,
+    10,
+    100,
+    1_000,
+    10_000,
+    100_000,
+    1_000_000,
+    10_000_000,
+    100_000_000,
+    1_000_000_000,
+];
+
+/// Writes `v`'s decimal digits to the end of `buf[..end]`, four at a
+/// time while more than four remain (two table pairs a division), and
+/// returns the index of the first one.
+fn digits_before(buf: &mut [u8], end: usize, mut v: u64) -> usize {
+    let mut i = end;
+    while v >= 10_000 {
+        let four = (v % 10_000) as usize;
+        v /= 10_000;
+        let (hi, lo) = (four / 100 * 2, four % 100 * 2);
+        i -= 4;
+        buf[i..i + 2].copy_from_slice(&PAIRS[hi..hi + 2]);
+        buf[i + 2..i + 4].copy_from_slice(&PAIRS[lo..lo + 2]);
+    }
+    let mut v = v as usize;
+    if v >= 100 {
+        let d = v % 100 * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&PAIRS[d..d + 2]);
+    }
+    if v >= 10 {
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&PAIRS[v * 2..v * 2 + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    i
+}
+
+/// Appends the bytes a number writer produced: digits, `.` and `-`.
+/// Validating them as UTF-8 would cost as much as writing them.
+fn push_ascii(out: &mut String, bytes: &[u8]) {
+    debug_assert!(bytes.is_ascii());
+    // SAFETY: every caller passes bytes it wrote from `PAIRS`, `b'0'..=b'9'`,
+    // `b'.'` and `b'-'` only — ASCII, hence valid UTF-8.
+    out.push_str(unsafe { std::str::from_utf8_unchecked(bytes) });
+}
+
+/// Appends `v` to `out` as a JSON number (shortest round-trip form, as
+/// `Display` writes it); non-finite values become `null`. Integral values
+/// below 2⁵³ in magnitude — exactly the `i64`s an `f64` holds, whose
+/// `Display` text is their integer text — go through [`push_i64`];
+/// `-0.0` keeps `Display`'s `-0`.
 pub fn push_f64(out: &mut String, v: f64) {
+    if v.abs() < (1u64 << 53) as f64 {
+        let i = v as i64;
+        if i as f64 == v && (i != 0 || v.is_sign_positive()) {
+            push_i64(out, i);
+            return;
+        }
+    }
     if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {
@@ -90,12 +180,83 @@ pub fn push_f64(out: &mut String, v: f64) {
 
 /// Appends `v` to `out` as a JSON number.
 pub fn push_u64(out: &mut String, v: u64) {
-    let _ = write!(out, "{v}");
+    let mut buf = [0u8; 20];
+    let start = digits_before(&mut buf, 20, v);
+    push_ascii(out, &buf[start..]);
 }
 
 /// Appends `v` to `out` as a JSON number.
 pub fn push_i64(out: &mut String, v: i64) {
-    let _ = write!(out, "{v}");
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// Appends `v` with exactly `places` decimals — the bytes of
+/// `format!("{v:.places$}")`. `|v|·10^places` is computed exactly from the
+/// binary mantissa and rounded half-to-even on an exact tie, as `format!`
+/// rounds; the sign is `v`'s sign bit, so `-0.0` and negatives that round
+/// to zero keep their `-`. Non-finite and subnormal values, magnitudes
+/// below 2⁻⁷³ or whose scaled value passes `u64`, and more than nine
+/// places go through `format!` itself.
+pub fn push_fixed(out: &mut String, v: f64, places: usize) {
+    let Some(scaled) = POW10.get(places).and_then(|&p| scaled_half_even(v, p)) else {
+        let _ = write!(out, "{v:.places$}");
+        return;
+    };
+    // A sign, 20 integer digits, `.` and up to 9 decimals.
+    let mut buf = [0u8; 32];
+    let pow = POW10[places];
+    let mut i = buf.len();
+    if places > 0 {
+        let first = i - places;
+        let start = digits_before(&mut buf, i, scaled % pow);
+        buf[first..start].fill(b'0');
+        i = first - 1;
+        buf[i] = b'.';
+    }
+    i = digits_before(&mut buf, i, scaled / pow);
+    if v.is_sign_negative() {
+        i -= 1;
+        buf[i] = b'-';
+    }
+    push_ascii(out, &buf[i..]);
+}
+
+/// `|v|·pow` rounded to an integer, half-to-even, when `v` is zero or a
+/// normal float with `|v| < 2^64 / pow`; `None` otherwise. `v = m·2^e`
+/// with `m < 2^53`, so `m·pow < 2^83` and the quotient and remainder of
+/// the `2^-e` division are exact in `u128`.
+fn scaled_half_even(v: f64, pow: u64) -> Option<u64> {
+    let bits = v.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    let (m, e) = match biased {
+        0 if fraction == 0 => return Some(0),
+        // Subnormals, NaN and the infinities.
+        0 | 0x7ff => return None,
+        _ => (fraction | 1 << 52, biased - 1075),
+    };
+    let x = u128::from(m) * u128::from(pow);
+    if e >= 0 {
+        // m ≥ 2^52, so past e = 11 the product already overflows u64.
+        return if e <= 11 {
+            u64::try_from(x << e).ok()
+        } else {
+            None
+        };
+    }
+    let shift = -e as u32;
+    if shift > 126 {
+        // |v| < 2^-73: left to `format!` (it prints zeros).
+        return None;
+    }
+    let q = x >> shift;
+    let rem = x & ((1u128 << shift) - 1);
+    let half = 1u128 << (shift - 1);
+    let up = rem > half || (rem == half && q & 1 == 1);
+    u64::try_from(q + u128::from(up)).ok()
 }
 
 /// `v` as JSON number text (`null` when non-finite).

@@ -33,10 +33,11 @@ pub(crate) struct GaugeCore {
     bits: AtomicU64,
 }
 
+/// A histogram's shared cells. The count is not a cell of its own: it is
+/// the sum of the buckets, taken at snapshot time.
 #[derive(Debug)]
 pub(crate) struct HistCore {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -46,7 +47,6 @@ impl Default for HistCore {
     fn default() -> Self {
         HistCore {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -135,15 +135,14 @@ pub struct Hist {
 }
 
 impl Hist {
-    /// Records one observation.
+    /// Records one observation: two read-modify-writes (its bucket and
+    /// the sum); `min` / `max` take one only when `v` extends them.
     #[inline]
     pub fn record(&self, v: u64) {
         let Some(c) = &self.core else { return };
         c.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        c.count.fetch_add(1, Ordering::Relaxed);
         c.sum.fetch_add(v, Ordering::Relaxed);
-        c.min.fetch_min(v, Ordering::Relaxed);
-        c.max.fetch_max(v, Ordering::Relaxed);
+        c.extend_range(v, v);
     }
 
     /// Folds a finished snapshot into this live histogram (used when
@@ -159,10 +158,8 @@ impl Hist {
                 c.buckets[i].fetch_add(n, Ordering::Relaxed);
             }
         }
-        c.count.fetch_add(s.count, Ordering::Relaxed);
         c.sum.fetch_add(s.sum, Ordering::Relaxed);
-        c.min.fetch_min(s.min, Ordering::Relaxed);
-        c.max.fetch_max(s.max, Ordering::Relaxed);
+        c.extend_range(s.min, s.max);
     }
 
     /// Point-in-time snapshot (empty for inert handles).
@@ -174,8 +171,24 @@ impl Hist {
 }
 
 impl HistCore {
+    /// Widens `[min, max]` to cover `[lo, hi]`. The plain loads filter:
+    /// once the range has settled, a record writes neither cell. A racing
+    /// writer that passes the filter still lands through the atomic
+    /// `fetch_min` / `fetch_max`, so no extreme is lost.
+    #[inline]
+    fn extend_range(&self, lo: u64, hi: u64) {
+        if lo < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(lo, Ordering::Relaxed);
+        }
+        if hi > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(hi, Ordering::Relaxed);
+        }
+    }
+
     fn snapshot(&self) -> HistogramSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
+        let buckets: [u64; BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        let count = buckets.iter().sum();
         HistogramSnapshot {
             count,
             sum: self.sum.load(Ordering::Relaxed),
@@ -185,7 +198,7 @@ impl HistCore {
                 self.min.load(Ordering::Relaxed)
             },
             max: self.max.load(Ordering::Relaxed),
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            buckets,
         }
     }
 }

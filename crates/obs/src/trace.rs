@@ -23,8 +23,8 @@
 //! A root span's `trace` ID equals its own span ID and its parent is 0;
 //! children inherit the trace ID, which groups a whole causal chain under
 //! the observation that opened it. [`TraceContext`] is the two-word
-//! `(trace, span)` pair that piggybacks on overlay messages and annotates
-//! emitted events.
+//! `(trace, span)` pair that annotates emitted events and links a
+//! decision to its cause.
 
 use crate::json::{push_escaped, push_key, push_u64};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,9 +61,8 @@ fn derive_id(seed: u64, n: u64) -> u64 {
     }
 }
 
-/// The propagated causal identity: which trace a message/event belongs
-/// to, and which span directly caused it. Two words — cheap to copy onto
-/// staged overlay messages.
+/// The propagated causal identity: which trace an event belongs to, and
+/// which span directly caused it. Two words, cheap to copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceContext {
     /// The root span's ID, shared by every span of the causal chain.

@@ -25,7 +25,6 @@ use std::collections::BTreeMap;
 pub struct OnlineLabeler {
     pending: BTreeMap<VmId, Vec<(SimTime, FeatureVec)>>,
     db: Dataset,
-    censored_snapshots: u64,
     dropped_out_of_order: u64,
     dropped_non_finite: u64,
 }
@@ -42,7 +41,6 @@ impl OnlineLabeler {
         OnlineLabeler {
             pending: BTreeMap::new(),
             db: Dataset::new(FEATURE_NAMES),
-            censored_snapshots: 0,
             dropped_out_of_order: 0,
             dropped_non_finite: 0,
         }
@@ -97,7 +95,6 @@ impl OnlineLabeler {
         let Some(snapshots) = self.pending.remove(&vm) else {
             return Vec::new();
         };
-        self.censored_snapshots += snapshots.len() as u64;
         let mut rows = Vec::new();
         for (t, features) in snapshots {
             if !self.admit(t, &features, at) {
@@ -116,12 +113,6 @@ impl OnlineLabeler {
     /// Labelled rows available for retraining.
     pub fn labelled_rows(&self) -> usize {
         self.db.len()
-    }
-
-    /// Snapshots whose VM was rejuvenated before failing (every censored
-    /// snapshot counts, including ones the admission filter then drops).
-    pub fn censored_snapshots(&self) -> u64 {
-        self.censored_snapshots
     }
 
     /// Snapshots dropped because they post-dated their VM's outcome.
@@ -326,7 +317,6 @@ mod tests {
         labeler.observe(vm, t(10), FeatureVec::new([1.0; acm_vm::FEATURE_COUNT]));
         let rows = labeler.on_rejuvenation(vm, t(40));
         assert_eq!(labeler.labelled_rows(), 0);
-        assert_eq!(labeler.censored_snapshots(), 1);
         // The snapshot comes back as a censored lower bound, not dropped:
         // the VM provably survived 30 s past the snapshot.
         assert_eq!(rows.len(), 1);
@@ -350,8 +340,9 @@ mod tests {
         assert_eq!(labeler.dropped_out_of_order(), 1);
         assert_eq!(labeler.dropped_non_finite(), 1);
 
-        // The same admission filter guards censored rows; the historical
-        // censored_snapshots counter still counts every censored snapshot.
+        // The same admission filter guards censored rows: both snapshots
+        // are censored, both are dropped and counted, and neither is
+        // labelled.
         let vm2 = VmId(4);
         labeler.observe(vm2, t(300), FeatureVec::new([1.0; acm_vm::FEATURE_COUNT]));
         labeler.observe(
@@ -361,7 +352,8 @@ mod tests {
         );
         let rows = labeler.on_rejuvenation(vm2, t(250));
         assert!(rows.is_empty());
-        assert_eq!(labeler.censored_snapshots(), 2);
+        assert_eq!(labeler.labelled_rows(), 1);
+        assert!(labeler.on_failure(vm2, t(400)).is_empty());
         assert_eq!(labeler.dropped_out_of_order(), 2);
         assert_eq!(labeler.dropped_non_finite(), 2);
     }

@@ -15,9 +15,9 @@
 //!   rates (`λ = N / (Z + R)`) and population schedules (constant, step,
 //!   ramp) for the load-surge experiments.
 //! * [`trace`] — open-loop rate profiles (constant, steps, diurnal,
-//!   burst) with Poisson arrival-trace materialisation for the benches,
-//!   plus the incremental per-era [`OpenLoopArrivals`] generator (with
-//!   deterministic per-shard pre-split streams) for mega-scale runs.
+//!   burst) and the incremental per-era [`OpenLoopArrivals`] Poisson
+//!   generator (with deterministic per-shard pre-split streams) for
+//!   mega-scale runs.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -28,7 +28,7 @@ pub mod trace;
 
 pub use generator::{ClientSchedule, RegionWorkload};
 pub use mix::{InteractionClass, TpcwMix};
-pub use trace::{ArrivalTrace, OpenLoopArrivals, RateProfile};
+pub use trace::{OpenLoopArrivals, RateProfile};
 
 /// Mean think time of a TPC-W emulated browser, seconds (TPC-W clause
 /// 5.3.2.1 prescribes a negative-exponential distribution with a 7-second

@@ -3,12 +3,12 @@
 //! The closed-loop generator ([`crate::generator`]) is the paper-faithful
 //! client model; the benches additionally need *open-loop* traffic — fixed
 //! request-per-second profiles that do not react to the system — to stress
-//! specific rates reproducibly. [`RateProfile`] describes λ(t);
-//! [`ArrivalTrace`] materialises Poisson arrivals from it up front, and
-//! [`OpenLoopArrivals`] generates the same process incrementally, one era
-//! window at a time, so sharded mega-scale runs never hold a whole
+//! specific rates reproducibly. [`RateProfile`] describes λ(t), and
+//! [`OpenLoopArrivals`] generates its Poisson arrivals incrementally, one
+//! era window at a time, so sharded mega-scale runs never hold a whole
 //! horizon of arrivals in memory (use [`OpenLoopArrivals::pre_split`] for
-//! one deterministic stream per shard).
+//! one deterministic stream per shard). The unit tests keep the
+//! materialised whole-horizon generator, `ArrivalTrace`, as its oracle.
 
 use acm_sim::rng::SimRng;
 use acm_sim::time::{Duration, SimTime};
@@ -158,71 +158,15 @@ impl RateProfile {
     }
 }
 
-/// A materialised sequence of arrival instants.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArrivalTrace {
-    arrivals: Vec<SimTime>,
-}
-
-impl ArrivalTrace {
-    /// Generates Poisson arrivals following `profile` over `[0, horizon)`
-    /// by thinning against the profile's peak rate.
-    pub fn generate(profile: &RateProfile, horizon: Duration, rng: &mut SimRng) -> Self {
-        profile.validate().expect("invalid rate profile");
-        // Peak rate for the thinning envelope.
-        let peak = profile.peak_rate();
-        let mut arrivals = Vec::new();
-        if peak <= 0.0 {
-            return ArrivalTrace { arrivals };
-        }
-        let mut t = 0.0;
-        let horizon_s = horizon.as_secs_f64();
-        loop {
-            t += rng.exponential(1.0 / peak);
-            if t >= horizon_s {
-                break;
-            }
-            let at = SimTime::from_secs_f64(t);
-            // Thin: accept with probability λ(t)/peak.
-            if rng.bernoulli(profile.rate_at(at) / peak) {
-                arrivals.push(at);
-            }
-        }
-        ArrivalTrace { arrivals }
-    }
-
-    /// The arrival instants, ascending.
-    pub fn arrivals(&self) -> &[SimTime] {
-        &self.arrivals
-    }
-
-    /// Number of arrivals.
-    pub fn len(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    /// True when no arrivals were generated.
-    pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
-    }
-
-    /// Arrivals inside `[from, to)`.
-    pub fn count_between(&self, from: SimTime, to: SimTime) -> usize {
-        let lo = self.arrivals.partition_point(|t| *t < from);
-        let hi = self.arrivals.partition_point(|t| *t < to);
-        hi - lo
-    }
-}
-
-/// Incremental open-loop Poisson generator: the same thinned process as
-/// [`ArrivalTrace::generate`], produced one window at a time instead of a
-/// whole horizon up front.
+/// Incremental open-loop Poisson generator: arrivals thinned against the
+/// profile's peak rate, produced one window at a time instead of a whole
+/// horizon up front.
 ///
 /// The draw sequence depends only on how far the candidate cursor has
 /// advanced, never on where the window boundaries fall, so any contiguous
 /// partition of `[0, horizon)` into windows yields byte-identical
-/// arrivals — including the single-window partition, which reproduces
-/// [`ArrivalTrace::generate`] exactly. That property is what lets the
+/// arrivals — including the single-window partition, which reproduces the
+/// whole-horizon generator (the tests' `ArrivalTrace`) exactly. That property is what lets the
 /// era-sharded simulator pull one era of arrivals per barrier interval
 /// and still match an unsharded run.
 #[derive(Debug, Clone)]
@@ -300,6 +244,62 @@ impl OpenLoopArrivals {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The oracle: the whole horizon of arrivals materialised up front, as
+    /// Poisson arrivals thinned against the profile's peak rate.
+    #[derive(Debug, PartialEq)]
+    struct ArrivalTrace {
+        arrivals: Vec<SimTime>,
+    }
+
+    impl ArrivalTrace {
+        /// The arrivals following `profile` over `[0, horizon)`.
+        fn generate(profile: &RateProfile, horizon: Duration, rng: &mut SimRng) -> Self {
+            profile.validate().expect("invalid rate profile");
+            // Peak rate for the thinning envelope.
+            let peak = profile.peak_rate();
+            let mut arrivals = Vec::new();
+            if peak <= 0.0 {
+                return ArrivalTrace { arrivals };
+            }
+            let mut t = 0.0;
+            let horizon_s = horizon.as_secs_f64();
+            loop {
+                t += rng.exponential(1.0 / peak);
+                if t >= horizon_s {
+                    break;
+                }
+                let at = SimTime::from_secs_f64(t);
+                // Thin: accept with probability λ(t)/peak.
+                if rng.bernoulli(profile.rate_at(at) / peak) {
+                    arrivals.push(at);
+                }
+            }
+            ArrivalTrace { arrivals }
+        }
+
+        /// The arrival instants, ascending.
+        fn arrivals(&self) -> &[SimTime] {
+            &self.arrivals
+        }
+
+        /// Number of arrivals.
+        fn len(&self) -> usize {
+            self.arrivals.len()
+        }
+
+        /// True when no arrivals were generated.
+        fn is_empty(&self) -> bool {
+            self.arrivals.is_empty()
+        }
+
+        /// Arrivals inside `[from, to)`.
+        fn count_between(&self, from: SimTime, to: SimTime) -> usize {
+            let lo = self.arrivals.partition_point(|t| *t < from);
+            let hi = self.arrivals.partition_point(|t| *t < to);
+            hi - lo
+        }
+    }
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
