@@ -27,7 +27,7 @@ use acm_core::policy::PolicyKind;
 use acm_core::telemetry::ExperimentTelemetry;
 use acm_core::{DegradationConfig, ExperimentConfig};
 use acm_obs::{Obs, ObsConfig, Value};
-use acm_overlay::{FaultPlan, HeartbeatConfig, NodeId};
+use acm_overlay::{FaultPlan, NodeId};
 use acm_sim::rng::SimRng;
 use acm_sim::time::{Duration, SimTime};
 
@@ -212,13 +212,10 @@ pub fn build_case(cc: &CampaignConfig, index: usize) -> ChaosCase {
     // Oracle predictor: no model training inside the campaign inner loop.
     cfg.predictor = PredictorChoice::Oracle;
     // Tolerant TTL regime: quarantine decisions come from report-age
-    // staleness, with the suspicion detector slack enough (5 eras of
+    // staleness, with the suspicion timeout slack enough (5 eras of
     // silence) that probabilistic message chaos cannot trip it.
     cfg.degradation = DegradationConfig::enabled();
-    cfg.degradation.heartbeat = HeartbeatConfig {
-        period: Duration::from_secs(10),
-        timeout: Duration::from_micros(cfg.era.as_micros() * 5),
-    };
+    cfg.degradation.suspicion_timeout = Duration::from_micros(cfg.era.as_micros() * 5);
     cfg.fault_plan = Some(build_plan(cc, case_seed, regions, cfg.era));
     ChaosCase {
         index,
@@ -247,10 +244,7 @@ pub fn case_from_parts(
     cfg.eras = eras;
     cfg.predictor = PredictorChoice::Oracle;
     cfg.degradation = DegradationConfig::enabled();
-    cfg.degradation.heartbeat = HeartbeatConfig {
-        period: Duration::from_secs(10),
-        timeout: Duration::from_micros(cfg.era.as_micros() * 5),
-    };
+    cfg.degradation.suspicion_timeout = Duration::from_micros(cfg.era.as_micros() * 5);
     cfg.fault_plan = Some(plan);
     ChaosCase {
         index: 0,

@@ -100,12 +100,11 @@ impl CorpusEntry {
                 return Err(format!("corpus entry: unknown injection kind {other:?}"));
             }
         };
-        let plan_raw = doc
-            .get("plan")
-            .ok_or_else(|| "corpus entry: missing plan".to_string())?;
-        // Round-trip the sub-object through text: FaultPlan owns its
-        // parsing, this module owns only the envelope.
-        let plan = FaultPlan::from_json(&render(plan_raw))?;
+        // FaultPlan owns its fields, this module only the envelope.
+        let plan = FaultPlan::from_json_value(
+            doc.get("plan")
+                .ok_or_else(|| "corpus entry: missing plan".to_string())?,
+        )?;
         Ok(CorpusEntry {
             name: str_field("name")?,
             invariant: str_field("invariant")?,
@@ -178,36 +177,6 @@ impl CorpusEntry {
             ));
         }
         Ok(())
-    }
-}
-
-/// Renders a parsed [`JsonValue`] back to text (for nested sub-object
-/// hand-off between parsers).
-fn render(v: &JsonValue) -> String {
-    match v {
-        JsonValue::Null => "null".to_string(),
-        JsonValue::Bool(b) => b.to_string(),
-        JsonValue::Num(t) => t.clone(),
-        JsonValue::Str(s) => {
-            let mut out = String::new();
-            json::push_escaped(&mut out, s);
-            out
-        }
-        JsonValue::Arr(items) => {
-            let inner: Vec<String> = items.iter().map(render).collect();
-            format!("[{}]", inner.join(","))
-        }
-        JsonValue::Obj(fields) => {
-            let inner: Vec<String> = fields
-                .iter()
-                .map(|(k, val)| {
-                    let mut key = String::new();
-                    json::push_escaped(&mut key, k);
-                    format!("{key}:{}", render(val))
-                })
-                .collect();
-            format!("{{{}}}", inner.join(","))
-        }
     }
 }
 

@@ -19,8 +19,8 @@
 //!   chaos is inert, outages with enough horizon left must also readmit
 //!   *exactly* once.
 //! - [`ReelectionBound`]: after a leader kill, a new leader appears
-//!   within the heartbeat-derived era bound (as long as anyone is alive
-//!   to elect).
+//!   within one era — re-election is synchronous with fault application
+//!   (as long as anyone is alive to elect).
 //! - [`ConvergenceAfterHeal`]: within N eras of the last scheduled fault
 //!   activity, every region that can recover (not permanently dead) is
 //!   live again. Armed only when message chaos is inert — under ongoing

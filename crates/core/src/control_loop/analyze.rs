@@ -1,6 +1,6 @@
 //! ANALYZE (Alg. 1's reporting half): every slave ships `lastRMTTF_i` to
-//! the leader over the overlay; the leader's detector turns silence into
-//! suspicion.
+//! the leader over the overlay; a region whose report has been missing
+//! longer than the suspicion timeout is suspected.
 
 use super::causes::Link;
 use super::leader::SendOutcome;
@@ -8,7 +8,7 @@ use super::{ControlLoop, Heard, Monitored};
 use crate::config::ExperimentConfig;
 use acm_obs::Value;
 use acm_overlay::NodeId;
-use acm_sim::time::{Duration, SimTime};
+use acm_sim::time::SimTime;
 
 impl ControlLoop {
     pub(super) fn analyze(&mut self, seen: &Monitored) -> Heard {
@@ -21,10 +21,6 @@ impl ControlLoop {
                 self.leader.received_rmttf[j] = report.last_rmttf;
                 delivered[j] = true;
                 self.causes.delivered(j);
-                // A delivered report doubles as a heartbeat.
-                if let Some(det) = &mut self.leader.detector {
-                    det.record_heartbeat(node, t_end);
-                }
             } else {
                 // Report lost; the leader keeps the stale value.
                 let vmc = &self.vmcs[j];
@@ -33,19 +29,34 @@ impl ControlLoop {
                 });
             }
         }
-        if let Some(det) = &mut self.leader.detector {
-            for node in det.check(t_end) {
-                self.causes
-                    .emit(t_end, Link::Suspicion(node.0 as usize), || {
-                        let silent = det.silent_for(node, t_end).unwrap_or(Duration::ZERO);
+        // Report age is the silence clock; the era its silence first
+        // passes the timeout logs the suspicion once.
+        let mut suspected = vec![false; delivered.len()];
+        if let Some(tracker) = &self.leader.tracker {
+            let timeout = self.degradation.suspicion_timeout;
+            for (j, (sus, &fresh)) in suspected.iter_mut().zip(&delivered).enumerate() {
+                if fresh {
+                    continue;
+                }
+                let Some(s) = tracker.suspicion(j, self.era, timeout) else {
+                    continue;
+                };
+                *sus = true;
+                if s.first {
+                    self.causes.emit(t_end, Link::Suspicion(j), || {
                         vec![
-                            ("node", Value::from(node.0)),
-                            ("silent_us", Value::from(silent.as_micros())),
+                            ("node", Value::from(ExperimentConfig::node_of(j).0)),
+                            ("silent_us", Value::from(s.silent.as_micros())),
                         ]
                     });
+                }
             }
         }
-        Heard { leader, delivered }
+        Heard {
+            leader,
+            delivered,
+            suspected,
+        }
     }
 
     /// A control-plane send with the degradation policy's retry budget:

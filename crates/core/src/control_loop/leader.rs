@@ -6,9 +6,7 @@ use crate::ewma::RmttfEwma;
 use crate::plan::ForwardPlan;
 use crate::policy::{uniform_fractions, LoadBalancingPolicy};
 use acm_obs::ObsHandle;
-use acm_overlay::{
-    ChaosLayer, Elector, FailureDetector, MessageFate, NodeId, OverlayGraph, Transport,
-};
+use acm_overlay::{ChaosLayer, Elector, MessageFate, NodeId, OverlayGraph, Transport};
 use acm_sim::rng::SimRng;
 use acm_sim::time::SimTime;
 use std::sync::Arc;
@@ -27,11 +25,10 @@ pub(super) struct LeaderState {
     pub(super) fractions: Arc<[f64]>,
     /// Last forward plan (for churn accounting).
     pub(super) plan: Option<ForwardPlan>,
-    /// Report-age / quarantine state machine with its outage ordinals;
-    /// present iff degradation is enabled, like the detector.
+    /// Report-age / quarantine state machine with its outage ordinals —
+    /// report age is also the suspicion clock; present iff degradation is
+    /// enabled.
     pub(super) tracker: Option<HealthTracker>,
-    /// Heartbeat suspicion, fed by report deliveries.
-    pub(super) detector: Option<FailureDetector>,
     pub(super) policy: LoadBalancingPolicy,
     /// Per-region VM-hour prices (for re-costing subset policies).
     region_costs: Vec<f64>,
@@ -48,21 +45,15 @@ impl LeaderState {
             .with_noise(cfg.exploration_noise)
             .with_region_costs(region_costs.clone());
         policy.set_obs(obs);
-        let detector = cfg.degradation.enabled.then(|| {
-            let nodes = (0..n).map(ExperimentConfig::node_of);
-            let mut det = FailureDetector::new(cfg.degradation.heartbeat, nodes, SimTime::ZERO);
-            det.set_obs(obs);
-            det
-        });
         LeaderState {
             estimators: vec![RmttfEwma::new(cfg.beta); n],
             received_rmttf: vec![0.0; n],
             fractions: uniform_fractions(n).into(),
             plan: None,
-            tracker: detector
-                .is_some()
+            tracker: cfg
+                .degradation
+                .enabled
                 .then(|| HealthTracker::new(&cfg.degradation, n)),
-            detector,
             policy,
             region_costs,
             rng,

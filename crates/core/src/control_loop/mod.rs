@@ -15,7 +15,7 @@
 //! * **Analyze** (`analyze`) — slaves ship `lastRMTTF_i` to the leader
 //!   over the overlay, with retries under degradation (reports are lost
 //!   when the overlay cannot route — the leader then keeps the stale
-//!   value); the heartbeat detector turns silence into suspicion.
+//!   value); a region silent past the suspicion timeout is suspected.
 //! * **Plan** (`plan`, Alg. 2, leader only) — quarantine state machine,
 //!   Eq. 1 EWMA per region, then the configured `POLICY()` computes the
 //!   next fractions `f_i^t`. Nothing else: `plan_ns` is decision latency.
@@ -73,10 +73,12 @@ struct Monitored {
     reports: Vec<RegionEraReport>,
 }
 
-/// What ANALYZE heard: who leads, and whose report reached them.
+/// What ANALYZE heard: who leads, whose report reached them, and whose
+/// silence has outlasted the suspicion timeout.
 struct Heard {
     leader: NodeId,
     delivered: Vec<bool>,
+    suspected: Vec<bool>,
 }
 
 /// What PLAN decided: who takes part, the smoothed RMTTFs, the next

@@ -3,7 +3,6 @@
 
 use super::causes::Link;
 use super::{ControlLoop, Decided, Heard, Monitored};
-use crate::config::ExperimentConfig;
 use crate::degrade::HealthEvent;
 use crate::ewma::RmttfEwma;
 use acm_obs::Value;
@@ -12,7 +11,7 @@ use acm_sim::time::SimTime;
 impl ControlLoop {
     pub(super) fn plan(&mut self, seen: &Monitored, heard: &Heard) -> Decided {
         let t_end = seen.t_end;
-        let live_mask = self.update_region_health(&heard.delivered, t_end);
+        let live_mask = self.update_region_health(heard, t_end);
         let rmttf_now = self.leader.smooth(&heard.delivered);
         if self.obs.enabled() {
             for (j, &smoothed) in rmttf_now.iter().enumerate() {
@@ -44,18 +43,14 @@ impl ControlLoop {
     /// and returns the plan-participation mask (all-true when degradation
     /// is disabled). Re-admitted regions get a fresh EWMA so the stale
     /// pre-outage estimate cannot linger.
-    fn update_region_health(&mut self, delivered: &[bool], t_end: SimTime) -> Vec<bool> {
+    fn update_region_health(&mut self, heard: &Heard, t_end: SimTime) -> Vec<bool> {
+        let n = heard.delivered.len();
         let Some(tracker) = &mut self.leader.tracker else {
-            return vec![true; delivered.len()];
+            return vec![true; n];
         };
-        for (j, &was_delivered) in delivered.iter().enumerate() {
-            let node = ExperimentConfig::node_of(j);
-            let suspected = self
-                .leader
-                .detector
-                .as_ref()
-                .is_some_and(|d| d.is_suspected(node));
-            let Some(ev) = tracker.observe(j, was_delivered, suspected) else {
+        let outcomes = heard.delivered.iter().zip(&heard.suspected);
+        for (j, (&delivered, &suspected)) in outcomes.enumerate() {
+            let Some(ev) = tracker.observe(j, delivered, suspected) else {
                 continue;
             };
             let link = match ev {
@@ -88,6 +83,6 @@ impl ControlLoop {
             });
         }
         self.ins.quarantined.set(tracker.excluded_count() as f64);
-        (0..delivered.len()).map(|j| tracker.is_live(j)).collect()
+        (0..n).map(|j| tracker.is_live(j)).collect()
     }
 }

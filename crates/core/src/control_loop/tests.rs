@@ -688,6 +688,43 @@ fn router_replan_events_carry_trace_context() {
 }
 
 #[test]
+fn one_suspicion_per_silence_and_none_on_a_delivering_era() {
+    let mut cfg = fig3_cfg(PolicyKind::AvailableResources);
+    cfg.obs = acm_obs::ObsConfig::traced(2026); // heartbeat.timeout is trace-only
+    cfg.degradation = crate::degrade::DegradationConfig::enabled();
+    // 30 s eras: the second missed report (60 s of silence) crosses 50 s.
+    cfg.degradation.suspicion_timeout = Duration::from_secs(50);
+    let t = SimTime::from_secs;
+    cfg.fault_plan = Some(
+        acm_overlay::FaultPlan::scripted(5, Vec::new())
+            .partition_window(vec![NodeId(1)], t(300), t(600))
+            .partition_window(vec![NodeId(1)], t(900), t(1200)),
+    );
+    let mut cl = oracle_loop(&cfg);
+    cl.run(45);
+    let events = cl.obs().events_tail(usize::MAX);
+    let lost: Vec<u64> = events
+        .iter()
+        .filter(|e| e.kind == "report.lost")
+        .map(|e| e.t_us)
+        .collect();
+    let timeouts: Vec<_> = events
+        .iter()
+        .filter(|e| e.kind == "heartbeat.timeout")
+        .collect();
+    assert_eq!(timeouts.len(), 2, "one per silence");
+    for e in &timeouts {
+        assert!(lost.contains(&e.t_us), "suspected while delivering");
+        assert!(
+            lost.contains(&(e.t_us - 30_000_000)),
+            "reported on the silence's second missed era"
+        );
+        assert_eq!(e.field("node"), Some(&Value::U64(1)));
+        assert_eq!(e.field("silent_us"), Some(&Value::U64(60_000_000)));
+    }
+}
+
+#[test]
 fn healed_region_is_readmitted_with_hysteresis() {
     let mut cfg = fig3_cfg(PolicyKind::AvailableResources);
     cfg.degradation = crate::degrade::DegradationConfig::enabled();

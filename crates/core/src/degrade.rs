@@ -4,12 +4,15 @@
 //! region keeps its stale value and therefore its old flow fraction for
 //! as long as the partition lasts. With degradation enabled the leader
 //! tracks how old every region's report is, quarantines regions whose
-//! reports age past a TTL (or whose VMC the heartbeat detector suspects),
-//! redistributes their flow across the live regions, and re-admits a
-//! healed region only after a hysteresis of consecutive fresh reports —
-//! so a flapping region cannot oscillate the plan.
+//! reports age past a TTL (or whose silence outlasts the suspicion
+//! timeout), redistributes their flow across the live regions, and
+//! re-admits a healed region only after a hysteresis of consecutive fresh
+//! reports — so a flapping region cannot oscillate the plan.
+//!
+//! Report age is the leader's one silence clock: counted in eras it is the
+//! staleness TTL's input, times the era length it is the suspicion
+//! timeout's ([`HealthTracker::suspicion`]).
 
-use acm_overlay::HeartbeatConfig;
 use acm_sim::time::Duration;
 
 /// Knobs for the leader's degradation behaviour. Disabled by default:
@@ -30,9 +33,10 @@ pub struct DegradationConfig {
     /// Base backoff between retries; doubles per attempt, capped so the
     /// whole retry budget stays inside one era.
     pub retry_backoff: Duration,
-    /// Heartbeat cadence/timeout for the leader's suspicion detector
-    /// (slave reports double as heartbeats).
-    pub heartbeat: HeartbeatConfig,
+    /// Silence after which the leader suspects a region's VMC. Silence is
+    /// report age times the era length, so a timeout below one era
+    /// suspects a region on its first missed report.
+    pub suspicion_timeout: Duration,
 }
 
 impl Default for DegradationConfig {
@@ -43,7 +47,7 @@ impl Default for DegradationConfig {
             readmit_hysteresis_eras: 3,
             report_retries: 2,
             retry_backoff: Duration::from_secs(2),
-            heartbeat: HeartbeatConfig::default(),
+            suspicion_timeout: Duration::from_secs(16),
         }
     }
 }
@@ -57,11 +61,12 @@ impl DegradationConfig {
         }
     }
 
-    /// Sanity-checks the knobs (the heartbeat config is checked even when
-    /// degradation is off, so a bad timeout is a config error, not a
-    /// construction-time panic).
+    /// Sanity-checks the knobs (the suspicion timeout is checked even when
+    /// degradation is off).
     pub fn validate(&self) -> Result<(), String> {
-        self.heartbeat.validate()?;
+        if self.suspicion_timeout.is_zero() {
+            return Err("suspicion timeout must be positive".into());
+        }
         if self.enabled {
             if self.staleness_ttl_eras == 0 {
                 return Err("staleness TTL must be at least one era".into());
@@ -93,13 +98,24 @@ pub enum HealthEvent {
     Quarantined {
         /// The report aged past the TTL.
         stale: bool,
-        /// The heartbeat detector suspects the VMC.
+        /// The VMC has been silent past the suspicion timeout.
         suspected: bool,
     },
     /// Quarantined → Probation (first fresh report after the outage).
     ProbationStarted,
     /// Probation → Live (hysteresis satisfied).
     Readmitted,
+}
+
+/// A silent region's standing on the leader's silence clock (see
+/// [`HealthTracker::suspicion`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Suspicion {
+    /// How long the region has been silent at the era's end.
+    pub silent: Duration,
+    /// Whether this era is the one on which the silence first passed the
+    /// timeout (the era that logs `heartbeat.timeout`).
+    pub first: bool,
 }
 
 /// Per-region report-age tracking and the quarantine/re-admission state
@@ -135,7 +151,7 @@ impl HealthTracker {
     }
 
     /// Feeds one era's outcome for region `j`: whether its report was
-    /// delivered and whether the detector currently suspects its VMC.
+    /// delivered and whether the leader suspects its VMC.
     /// Returns the transition, if any.
     pub fn observe(&mut self, j: usize, delivered: bool, suspected: bool) -> Option<HealthEvent> {
         if delivered {
@@ -200,21 +216,31 @@ impl HealthTracker {
         self.age[j]
     }
 
+    /// Region `j`'s standing on the silence clock when its report missed
+    /// the era that just ended: silent for the missed eras the tracker
+    /// already counts plus this one, `(age + 1) × era` (from time 0 if it
+    /// never reported). `None` until the silence strictly exceeds
+    /// `timeout`. Read before [`HealthTracker::observe`] counts the era.
+    pub fn suspicion(&self, j: usize, era: Duration, timeout: Duration) -> Option<Suspicion> {
+        let missed = u64::from(self.age[j]) + 1;
+        let silent = Duration::from_micros(era.as_micros().saturating_mul(missed));
+        (silent > timeout).then(|| Suspicion {
+            silent,
+            first: silent.saturating_sub(era) <= timeout,
+        })
+    }
+
     /// Whether region `j` participates in the plan.
     pub fn is_live(&self, j: usize) -> bool {
         self.health[j] == RegionHealth::Live
     }
 
-    /// Indices of plan-participating regions, ascending.
-    pub fn live_indices(&self) -> Vec<usize> {
-        (0..self.health.len())
-            .filter(|&j| self.is_live(j))
-            .collect()
-    }
-
     /// Number of quarantined or probationary regions.
     pub fn excluded_count(&self) -> usize {
-        self.health.len() - self.live_indices().len()
+        self.health
+            .iter()
+            .filter(|&&h| h != RegionHealth::Live)
+            .count()
     }
 
     /// Lifetime Live → Quarantined transitions for region `j` — the
@@ -227,6 +253,8 @@ impl HealthTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn tracker(ttl: u32, hysteresis: u32) -> HealthTracker {
         let cfg = DegradationConfig {
@@ -251,7 +279,7 @@ mod tests {
             })
         );
         assert!(!t.is_live(1));
-        assert_eq!(t.live_indices(), vec![0]);
+        assert!(t.is_live(0));
         assert_eq!(t.excluded_count(), 1);
     }
 
@@ -336,11 +364,74 @@ mod tests {
         let mut bad = DegradationConfig::enabled();
         bad.readmit_hysteresis_eras = 0;
         assert!(bad.validate().is_err());
-        let mut bad = DegradationConfig::default();
-        bad.heartbeat.timeout = Duration::from_secs(1);
-        assert!(
-            bad.validate().is_err(),
-            "timeout <= period is a config error"
-        );
+        let mut short = DegradationConfig::enabled();
+        short.suspicion_timeout = Duration::from_secs(1);
+        assert!(short.validate().is_ok(), "a timeout below one era is fine");
+        let bad = DegradationConfig {
+            suspicion_timeout: Duration::ZERO,
+            ..Default::default()
+        };
+        assert!(bad.validate().is_err(), "a zero timeout is a config error");
+    }
+
+    /// The timestamp rule the report-age clock replaced, kept as the
+    /// oracle: a region last heard at `last_us` (0 before its first
+    /// delivery) is suspected at `t_end` once `t_end − last_us > timeout`,
+    /// reported once per silence, and trusted again on its next delivery.
+    struct TimestampOracle {
+        timeout_us: u64,
+        last_us: u64,
+        suspected: bool,
+    }
+
+    impl TimestampOracle {
+        /// The era ending at `t_end_us`: whether the region is suspected,
+        /// and its silence if this is the era the suspicion is reported.
+        fn era(&mut self, t_end_us: u64, delivered: bool) -> (bool, Option<u64>) {
+            if delivered {
+                self.last_us = t_end_us;
+                self.suspected = false;
+            }
+            let silent = t_end_us - self.last_us;
+            let crossed = !self.suspected && silent > self.timeout_us;
+            self.suspected |= crossed;
+            (self.suspected, crossed.then_some(silent))
+        }
+    }
+
+    proptest! {
+        /// Report-age suspicion, and the eras on which it is reported,
+        /// equal the timestamp rule over random delivery patterns, era
+        /// lengths and timeouts: exact multiples of the era (the
+        /// comparison is strict), at most one era, and anything up to
+        /// eight eras.
+        #[test]
+        fn age_suspicion_matches_the_timestamp_rule(
+            draws in collection::vec(0u8..10, 1..80),
+            delivery_tenths in 1u8..6,
+            era_us in 1u64..120_000_000,
+            shape in 0u8..3,
+            k in 1u64..9,
+            jitter in any::<u64>(),
+        ) {
+            let timeout_us = match shape {
+                0 => era_us * k,
+                1 => 1 + jitter % era_us,
+                _ => 1 + jitter % (era_us * k),
+            };
+            let era = Duration::from_micros(era_us);
+            let timeout = Duration::from_micros(timeout_us);
+            let mut t = tracker(2, 3);
+            let mut oracle = TimestampOracle { timeout_us, last_us: 0, suspected: false };
+            for (e, &draw) in draws.iter().enumerate() {
+                let delivered = draw < delivery_tenths;
+                let s = if delivered { None } else { t.suspicion(0, era, timeout) };
+                let (suspected, reported) = oracle.era((e as u64 + 1) * era_us, delivered);
+                prop_assert_eq!(s.is_some(), suspected, "era {}: suspicion", e);
+                let first = s.filter(|s| s.first).map(|s| s.silent.as_micros());
+                prop_assert_eq!(first, reported, "era {}: reported crossing", e);
+                t.observe(0, delivered, s.is_some());
+            }
+        }
     }
 }

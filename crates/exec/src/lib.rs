@@ -763,7 +763,7 @@ pub fn available_threads() -> usize {
 
 /// Parses an `ACM_THREADS` value: positive integer = that many
 /// participants; `0`, empty or malformed = all available cores.
-pub fn parse_thread_env(value: Option<&str>) -> usize {
+fn parse_thread_env(value: Option<&str>) -> usize {
     match value.map(str::trim).and_then(|v| v.parse::<usize>().ok()) {
         Some(n) if n > 0 => n,
         _ => available_threads(),

@@ -313,12 +313,6 @@ impl JsonObject {
         self
     }
 
-    /// Adds a signed integer field.
-    pub fn field_i64(&mut self, key: &str, v: i64) -> &mut Self {
-        push_i64(self.key(key), v);
-        self
-    }
-
     /// Adds a float field (`null` when non-finite).
     pub fn field_f64(&mut self, key: &str, v: f64) -> &mut Self {
         let buf = self.key(key);
@@ -393,14 +387,6 @@ impl JsonValue {
 
     /// The value as an exact `u64`, when it is an integral number token.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(t) => t.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as an exact `i64`, when it is an integral number token.
-    pub fn as_i64(&self) -> Option<i64> {
         match self {
             JsonValue::Num(t) => t.parse().ok(),
             _ => None,
@@ -719,7 +705,7 @@ mod tests {
         let mut o = JsonObject::new();
         o.field_str("kind", "plan.install")
             .field_u64("era", 12)
-            .field_i64("delta", -3)
+            .field_f64("delta", -3.0)
             .field_f64("frac", 0.6)
             .field_bool("ok", true)
             .field_raw("xs", &array([fmt_f64(0.5), fmt_f64(0.5)]));
@@ -740,7 +726,7 @@ mod tests {
         let mut o = JsonObject::new();
         o.field_str("kind", "chaos.corpus")
             .field_u64("seed", u64::MAX)
-            .field_i64("delta", -42)
+            .field_f64("delta", -42.0)
             .field_f64("frac", 0.125)
             .field_bool("ok", true)
             .field_raw("xs", &array([fmt_f64(0.5), "null".into()]));
@@ -753,7 +739,7 @@ mod tests {
         // u64::MAX survives exactly — this is why Num keeps raw text.
         assert_eq!(v.get("seed").and_then(JsonValue::as_u64), Some(u64::MAX));
         assert_eq!(v.get("seed").unwrap().as_f64(), Some(u64::MAX as f64));
-        assert_eq!(v.get("delta").and_then(JsonValue::as_i64), Some(-42));
+        assert_eq!(v.get("delta").and_then(JsonValue::as_f64), Some(-42.0));
         assert_eq!(v.get("frac").and_then(JsonValue::as_f64), Some(0.125));
         assert_eq!(v.get("ok").and_then(JsonValue::as_bool), Some(true));
         let xs = v.get("xs").and_then(JsonValue::as_array).unwrap();

@@ -264,11 +264,6 @@ impl Obs {
         self.tracer.as_ref().map_or(0, |t| t.seed())
     }
 
-    /// Opens a root span at simulated time `t_us` (None without tracing).
-    pub fn trace_root(&self, t_us: u64, name: &'static str) -> Option<TraceContext> {
-        self.tracer.as_ref().map(|t| t.span(t_us, name, None))
-    }
-
     /// Sets the ambient trace context annotating subsequent plain emits.
     /// No-op without tracing.
     pub fn set_trace_ambient(&self, ctx: Option<TraceContext>) {
@@ -483,7 +478,6 @@ mod tests {
     fn non_traced_hub_emits_without_annotation() {
         let obs = Obs::new(ObsConfig::default());
         assert!(!obs.trace_enabled());
-        assert_eq!(obs.trace_root(0, "era"), None);
         assert_eq!(obs.emit_caused(5, "plan.install", vec![], None), None);
         let tail = obs.events_tail(1);
         assert!(tail[0].fields.is_empty(), "no trace fields without tracing");
@@ -519,7 +513,7 @@ mod tests {
     #[test]
     fn ambient_context_annotates_plain_emits_once() {
         let obs = Obs::new(ObsConfig::traced(7));
-        let era = obs.trace_root(0, "era").unwrap();
+        let era = obs.emit_caused(0, "era", vec![], None).unwrap();
         obs.set_trace_ambient(Some(era));
         obs.emit(5, "ewma.update", vec![("raw_s", Value::from(1.5))]);
         // An event already carrying a trace field is left alone.
@@ -536,12 +530,12 @@ mod tests {
     #[test]
     fn merge_from_folds_child_spans() {
         let parent = Obs::new(ObsConfig::traced(1));
-        parent.trace_root(0, "era");
+        parent.emit_caused(0, "era", vec![], None);
         let child = Obs::new(ObsConfig {
             trace_seed: trace::mix(1, 42),
             ..ObsConfig::traced(1)
         });
-        child.trace_root(5, "rejuvenation.proactive");
+        child.emit_caused(5, "rejuvenation.proactive", vec![], None);
         parent.merge_from(&child);
         assert_eq!(parent.spans().len(), 2);
         assert_eq!(parent.spans()[1].name, "rejuvenation.proactive");

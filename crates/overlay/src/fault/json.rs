@@ -3,6 +3,7 @@
 
 use super::{FaultAction, FaultEvent, FaultPlan, MessageChaos};
 use crate::graph::NodeId;
+use acm_obs::json::JsonValue;
 use acm_sim::time::{Duration, SimTime};
 
 impl FaultPlan {
@@ -61,8 +62,12 @@ impl FaultPlan {
     /// round-trip: `f64` text uses Rust's shortest-round-trip display
     /// and `u64` fields are parsed from the raw token.
     pub fn from_json(s: &str) -> Result<FaultPlan, String> {
-        use acm_obs::json::JsonValue;
-        let doc = acm_obs::json::parse(s)?;
+        FaultPlan::from_json_value(&acm_obs::json::parse(s)?)
+    }
+
+    /// Reads a plan out of an already-parsed [`FaultPlan::to_json`]
+    /// document (a corpus entry's `plan` field).
+    pub fn from_json_value(doc: &JsonValue) -> Result<FaultPlan, String> {
         let want_u64 = |v: &JsonValue, key: &str| -> Result<u64, String> {
             v.get(key)
                 .and_then(|f| f.as_u64())
@@ -87,7 +92,7 @@ impl FaultPlan {
                 })
                 .collect()
         };
-        let seed = want_u64(&doc, "seed")?;
+        let seed = want_u64(doc, "seed")?;
         let msg = doc
             .get("message")
             .ok_or_else(|| "fault plan JSON: missing message".to_string())?;

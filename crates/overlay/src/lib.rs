@@ -16,8 +16,6 @@
 //! * [`election`] — leader election that tolerates multiple node and link
 //!   failures (per-partition minimum-id convergecast, re-run on any
 //!   membership change),
-//! * [`heartbeat`] — the eventually-perfect failure detector that tells the
-//!   election when to re-run,
 //! * [`transport`] — latency-faithful message pricing for the control
 //!   loop: route latency per send, drops to unreachable nodes,
 //! * [`fault`] — seeded deterministic fault injection (link flaps, node
@@ -33,7 +31,6 @@
 pub mod election;
 pub mod fault;
 pub mod graph;
-pub mod heartbeat;
 pub mod routing;
 pub mod staging;
 pub mod transport;
@@ -43,7 +40,6 @@ pub use fault::{
     ChaosLayer, FaultAction, FaultEvent, FaultPlan, MessageChaos, MessageFate, PlanComponent,
 };
 pub use graph::{LinkId, NodeId, OverlayGraph};
-pub use heartbeat::{FailureDetector, HeartbeatConfig};
 pub use routing::{PathTree, Route, Router};
 pub use staging::{drain_in_shard_order, ShardOutbox, StagedMessage};
 pub use transport::Transport;

@@ -9,9 +9,9 @@
 //! * [`router`] — [`RequestRouter`]: weighted power-of-two-choices over
 //!   the planned fractions. Two candidates drawn from a prebuilt
 //!   alias-method [`WeightTable`], the latency score picks the winner.
-//!   Allocation-free after warm-up; plans swap in atomically via a
-//!   double-buffered table; quarantined regions carry zero weight and
-//!   are *structurally* unsampleable.
+//!   Allocation-free after warm-up; a plan install rebuilds the table in
+//!   place; quarantined regions carry zero weight and are
+//!   *structurally* unsampleable.
 //! * [`latency`] — [`LatencyScorer`]: decaying per-region latency
 //!   estimates with minimum-measurement eligibility and an exclusion
 //!   threshold relative to the fastest region (the scyllapy

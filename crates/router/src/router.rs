@@ -12,9 +12,8 @@
 //! After warm-up the per-request path allocates nothing and touches no
 //! atomics: two alias samples, two `f64` key reads, a handful of plain
 //! `u64` counter bumps. Everything heap-shaped happens at **plan
-//! install** time ([`RequestRouter::install`]), which double-buffers the
-//! weight table (build into the spare, swap) so a routing call never
-//! observes a half-built table.
+//! install** time ([`RequestRouter::install`]), which rebuilds the
+//! weight table in place, reusing its allocations.
 
 use crate::latency::{LatencyAwareness, LatencyScorer};
 use acm_sim::rng::SimRng;
@@ -79,8 +78,6 @@ struct RouterObs {
 pub struct RequestRouter {
     regions: usize,
     table: WeightTable,
-    /// Double buffer: `install` builds here, then swaps with `table`.
-    spare: WeightTable,
     /// Reused masked-weight staging for installs (no per-install alloc).
     scratch: Vec<f64>,
     scorer: LatencyScorer,
@@ -102,7 +99,6 @@ impl RequestRouter {
         RequestRouter {
             regions,
             table: WeightTable::build(&uniform),
-            spare: WeightTable::build(&uniform),
             scratch: Vec::with_capacity(regions),
             scorer: LatencyScorer::new(regions, awareness),
             rng,
@@ -139,8 +135,8 @@ impl RequestRouter {
 
     /// Installs a new plan: region weights are `fractions[i]`, masked to
     /// zero wherever `live` says the region is quarantined. The table is
-    /// built into the spare buffer and swapped in whole, so a concurrent
-    /// reader of `shares()` never sees a half-built plan. Returns `false`
+    /// rebuilt in place; `&mut self` keeps every reader out until the
+    /// rebuild is whole. Returns `false`
     /// (keeping the previous table) when no live region has positive
     /// weight *and* no region is live at all; if regions are live but all
     /// their planned fractions are zero, falls back to uniform-over-live
@@ -174,8 +170,7 @@ impl RequestRouter {
                 return false;
             }
         }
-        self.spare.rebuild(&self.scratch);
-        std::mem::swap(&mut self.table, &mut self.spare);
+        self.table.rebuild(&self.scratch);
         self.epoch += 1;
         self.stats.replans += 1;
         // Plan swaps change which regions matter; recompute the exclusion
@@ -273,7 +268,6 @@ impl RequestRouter {
             .map(|_| RequestRouter {
                 regions: self.regions,
                 table: self.table.clone(),
-                spare: self.spare.clone(),
                 scratch: Vec::with_capacity(self.regions),
                 scorer: self.scorer.clone(),
                 rng: self.rng.split(),

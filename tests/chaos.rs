@@ -10,7 +10,7 @@ use acm::core::policy::PolicyKind;
 use acm::core::telemetry::ExperimentTelemetry;
 use acm::core::DegradationConfig;
 use acm::obs::{Obs, ObsConfig, Value};
-use acm::overlay::{FaultPlan, HeartbeatConfig, NodeId};
+use acm::overlay::{FaultPlan, NodeId};
 use acm::sim::{Duration, SimTime};
 use proptest::prelude::*;
 
@@ -25,13 +25,10 @@ fn oracle(mut cfg: ExperimentConfig) -> ExperimentConfig {
     cfg
 }
 
-/// The tolerant detector: heartbeat timeout past the staleness TTL, so
-/// report age rather than suspicion is what trips a quarantine.
-fn ttl_heartbeat() -> HeartbeatConfig {
-    HeartbeatConfig {
-        period: Duration::from_secs(30),
-        timeout: Duration::from_secs(150),
-    }
+/// The tolerant regime: suspicion timeout past the staleness TTL, so
+/// report age in eras rather than suspicion is what trips a quarantine.
+fn ttl_suspicion_timeout() -> Duration {
+    Duration::from_secs(150)
 }
 
 /// First era at or after `from` where the trailing-5-era mean RMTTFs of
@@ -104,11 +101,11 @@ fn leader_kill_triggers_reelection_and_quarantines_the_dead_region() {
 #[test]
 fn readmission_hysteresis_prevents_plan_oscillation() {
     let (fail_era, heal_era) = (10, 20);
-    // Both detector regimes: suspicion (default heartbeat, the first
+    // Both quarantine regimes: suspicion (default timeout, the first
     // fully-missed era trips) and the staleness TTL.
-    for (heartbeat, reason) in [
-        (HeartbeatConfig::default(), "suspected"),
-        (ttl_heartbeat(), "stale"),
+    for (suspicion_timeout, reason) in [
+        (DegradationConfig::default().suspicion_timeout, "suspected"),
+        (ttl_suspicion_timeout(), "stale"),
     ] {
         let mut cfg = oracle(ExperimentConfig::two_region_fig3(
             PolicyKind::AvailableResources,
@@ -127,7 +124,7 @@ fn readmission_hysteresis_prevents_plan_oscillation() {
                 .with_message_chaos(0.05, Duration::from_millis(40)),
         );
         cfg.degradation = DegradationConfig {
-            heartbeat,
+            suspicion_timeout,
             ..DegradationConfig::enabled()
         };
         let obs = Obs::new(ObsConfig::default());
@@ -181,7 +178,7 @@ fn readmission_hysteresis_prevents_plan_oscillation() {
 }
 
 /// Two single-era link flaps plus 10 % message drop under the tolerant
-/// (TTL) detector: the retry path and the staleness TTL absorb all of it
+/// (TTL) regime: the retry path and the staleness TTL absorb all of it
 /// without one spurious quarantine, and the run ends balanced.
 #[test]
 fn flap_storm_rides_on_retries_without_a_quarantine() {
@@ -198,7 +195,7 @@ fn flap_storm_rides_on_retries_without_a_quarantine() {
             .with_message_chaos(0.10, Duration::from_millis(25)),
     );
     cfg.degradation = DegradationConfig {
-        heartbeat: ttl_heartbeat(),
+        suspicion_timeout: ttl_suspicion_timeout(),
         ..DegradationConfig::enabled()
     };
     let obs = Obs::new(ObsConfig::default());

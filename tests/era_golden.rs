@@ -171,7 +171,7 @@ fn sharded_chaos_world() {
         .map(|j| (0, j, Duration::from_millis(10 + 5 * j as u64)))
         .collect();
     cfg.degradation = DegradationConfig::enabled();
-    cfg.degradation.heartbeat.timeout = Duration::from_secs(50);
+    cfg.degradation.suspicion_timeout = Duration::from_secs(50);
     cfg.fault_plan = Some(
         FaultPlan::scripted(5, Vec::new())
             .partition_window(vec![NodeId(3), NodeId(4)], t(150), t(360))

@@ -19,7 +19,7 @@ use acm::core::config::{ExperimentConfig, PredictorChoice, RegionSpec};
 use acm::core::policy::PolicyKind;
 use acm::core::DegradationConfig;
 use acm::obs::{EventRecord, Obs, ObsConfig, ObsHandle, SpanRecord, Value};
-use acm::overlay::{FaultPlan, HeartbeatConfig, NodeId};
+use acm::overlay::{FaultPlan, NodeId};
 use acm::sim::rng::SimRng;
 use acm::sim::{Duration, SimTime};
 use acm::workload::ClientSchedule;
@@ -294,10 +294,7 @@ fn leader_change_after_a_kill_chains_to_the_kill() {
             .link_flap(NodeId(0), NodeId(1), at(1050), at(1080))
             .with_message_chaos(0.10, Duration::from_millis(25)),
     );
-    flaps.degradation.heartbeat = HeartbeatConfig {
-        period: Duration::from_secs(30),
-        timeout: Duration::from_secs(150),
-    };
+    flaps.degradation.suspicion_timeout = Duration::from_secs(150);
     for (mut cfg, kills) in [(kill, 1), (flaps, 0)] {
         cfg.predictor = PredictorChoice::Oracle;
         cfg.degradation.enabled = true;
