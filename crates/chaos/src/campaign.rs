@@ -405,10 +405,10 @@ impl RunTrace {
                     let Some(e) = field_u64(&ev, "era") else {
                         continue;
                     };
-                    let Some(Value::Str(name)) = ev.field("region") else {
+                    let Some(name) = ev.field("region").and_then(Value::as_str) else {
                         continue;
                     };
-                    let Some(j) = names.iter().position(|r| r == name) else {
+                    let Some(j) = names.iter().position(|r| *r == name) else {
                         continue;
                     };
                     let outage = field_u64(&ev, "outage").unwrap_or(0) as u32;

@@ -11,10 +11,17 @@ use acm_overlay::NodeId;
 use acm_sim::time::SimTime;
 
 impl ControlLoop {
-    pub(super) fn analyze(&mut self, seen: &Monitored) -> Heard {
+    pub(super) fn analyze(&mut self, seen: &Monitored, heard: &mut Heard) {
         let t_end = seen.t_end;
         let leader = self.net.leader_node();
-        let mut delivered = vec![false; seen.reports.len()];
+        let n = seen.reports.len();
+        let Heard {
+            delivered,
+            suspected,
+            ..
+        } = heard;
+        delivered.clear();
+        delivered.resize(n, false);
         for (j, report) in seen.reports.iter().enumerate() {
             let node = ExperimentConfig::node_of(j);
             if self.send_with_retries(t_end, node, leader) == SendOutcome::Delivered {
@@ -25,16 +32,17 @@ impl ControlLoop {
                 // Report lost; the leader keeps the stale value.
                 let vmc = &self.vmcs[j];
                 self.causes.emit(t_end, Link::ReportLost(j), || {
-                    vec![("region", Value::from(vmc.name().to_string()))]
+                    vec![("region", Value::from(vmc.shared_name()))]
                 });
             }
         }
         // Report age is the silence clock; the era its silence first
         // passes the timeout logs the suspicion once.
-        let mut suspected = vec![false; delivered.len()];
+        suspected.clear();
+        suspected.resize(n, false);
         if let Some(tracker) = &self.leader.tracker {
             let timeout = self.degradation.suspicion_timeout;
-            for (j, (sus, &fresh)) in suspected.iter_mut().zip(&delivered).enumerate() {
+            for (j, (sus, &fresh)) in suspected.iter_mut().zip(delivered.iter()).enumerate() {
                 if fresh {
                     continue;
                 }
@@ -52,11 +60,7 @@ impl ControlLoop {
                 }
             }
         }
-        Heard {
-            leader,
-            delivered,
-            suspected,
-        }
+        heard.leader = leader;
     }
 
     /// A control-plane send with the degradation policy's retry budget:

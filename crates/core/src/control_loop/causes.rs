@@ -9,6 +9,7 @@
 use acm_obs::{ObsHandle, TraceContext, Value};
 use acm_pcam::LifecycleEvent;
 use acm_sim::time::SimTime;
+use std::sync::Arc;
 
 /// A decision event's place in the cause chain (region / SLO index inside).
 #[derive(Debug, Clone, Copy)]
@@ -199,10 +200,10 @@ impl Causes {
         &mut self,
         t: SimTime,
         j: usize,
-        name: &str,
+        name: &Arc<str>,
         events: &[LifecycleEvent],
     ) {
-        let region = || ("region", Value::from(name.to_string()));
+        let region = || ("region", Value::from(name));
         for ev in events {
             match *ev {
                 LifecycleEvent::RefitStarted {

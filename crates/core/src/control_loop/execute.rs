@@ -5,8 +5,9 @@
 
 use super::causes::Link;
 use super::leader::SendOutcome;
-use super::{ControlLoop, Decided, Heard, Monitored};
+use super::{ControlLoop, EraValues, Heard, Monitored};
 use crate::config::ExperimentConfig;
+use crate::plan::ForwardPlan;
 use crate::telemetry::RegionEraRecord;
 use acm_obs::{SloTransition, Value};
 use acm_pcam::LifecycleEvent;
@@ -14,20 +15,29 @@ use acm_sim::time::Duration;
 use std::sync::Arc;
 
 impl ControlLoop {
-    pub(super) fn execute(&mut self, seen: Monitored, heard: &Heard, decided: Decided) {
-        self.install(&seen, heard, &decided.live_mask, decided.target);
+    pub(super) fn execute(&mut self, v: &mut EraValues) {
+        let EraValues {
+            seen,
+            heard,
+            decided,
+            records,
+        } = v;
+        self.install(seen, heard, &decided.live_mask, &decided.target);
         // Autoscaling (Alg. 3 lines 6–8).
         for (j, vmc) in self.vmcs.iter_mut().enumerate() {
             let (response, rmttf) = (seen.reports[j].mean_response_s, decided.rmttf_now[j]);
             self.autoscalers[j].step(&self.autoscale_cfg, vmc, seen.t_end, response, rmttf);
         }
-        self.close_model_era(&seen);
-        let global_response = self.observe_clients(&seen);
-        self.record_telemetry(&seen, &decided.rmttf_now, global_response);
-        self.observe_slos(&seen, heard);
+        self.close_model_era(seen);
+        let global_response = self.observe_clients(seen);
+        self.record_telemetry(seen, &decided.rmttf_now, global_response, records);
+        self.observe_slos(seen, heard);
         self.ins.sample_pool();
 
-        self.leader.plan = Some(seen.plan);
+        // This era's plan becomes the churn baseline; the previous one's
+        // buffers hold the next era's plan.
+        let prev = self.leader.plan.get_or_insert_with(ForwardPlan::default);
+        std::mem::swap(prev, &mut seen.plan);
         self.now = seen.t_end;
         self.era_index += 1;
     }
@@ -38,24 +48,23 @@ impl ControlLoop {
     /// sum to one across the regions actually applying them), so the
     /// leader freezes the previous plan until connectivity returns. Then
     /// brings the data plane in step.
-    fn install(&mut self, seen: &Monitored, heard: &Heard, live_mask: &[bool], target: Vec<f64>) {
+    fn install(&mut self, seen: &Monitored, heard: &Heard, live_mask: &[bool], target: &[f64]) {
         let (t_end, n) = (seen.t_end, live_mask.len());
         let degraded = self.degradation.enabled;
         // The mask is all-true without degradation. Short-circuits on the
         // first unreachable balancer, exactly like the pre-degradation
         // all-regions gate.
-        let targets: Vec<usize> = (0..n).filter(|&j| live_mask[j]).collect();
-        let installable = !targets.is_empty()
-            && targets.iter().all(|&j| {
+        let live = live_mask.iter().filter(|&&l| l).count();
+        let installable = live > 0
+            && (0..n).filter(|&j| live_mask[j]).all(|j| {
                 let to = ExperimentConfig::node_of(j);
                 self.send_with_retries(t_end, heard.leader, to) == SendOutcome::Delivered
             });
-        let live = targets.len();
         let era_index = self.era_index;
         if installable {
             // One allocation per install: the leader, this event's `new`
             // and the next install's `old` all point to it.
-            let target: Arc<[f64]> = target.into();
+            let target: Arc<[f64]> = Arc::from(target);
             let old = &self.leader.fractions;
             self.causes.emit(t_end, Link::PlanInstall, || {
                 vec![
@@ -75,11 +84,12 @@ impl ControlLoop {
             });
         }
 
-        // Data-plane sync: rebuild the router's weight table from the
-        // fractions now in force — the freshly installed plan, or the
-        // frozen one with this era's quarantine mask applied — in one
-        // atomic double-buffered swap. Quarantined regions carry zero
-        // weight and become structurally unsampleable.
+        // Data-plane sync: rebuild the router's weight table, in place,
+        // from the fractions now in force — the freshly installed plan, or
+        // the frozen one with this era's quarantine mask applied — before
+        // any request can see it. Quarantined regions carry zero weight and
+        // become structurally unsampleable. The rebuild reuses the table's
+        // buffers: `tests/retention.rs` counts it inside an era's calls.
         let router = &mut self.router;
         if router.install(&self.leader.fractions, degraded.then_some(live_mask)) {
             self.causes.emit(t_end, Link::RouterReplan, || {
@@ -120,7 +130,8 @@ impl ControlLoop {
                 (false, r.proactive_rejuvenations),
             ] {
                 for _ in 0..count {
-                    if let Some(ctx) = drift.record_with_obs(missed, &self.obs, t_us, vmc.name()) {
+                    let region = vmc.shared_name();
+                    if let Some(ctx) = drift.record_with_obs(missed, &self.obs, t_us, region) {
                         self.causes.drifted(j, ctx);
                     }
                 }
@@ -135,7 +146,8 @@ impl ControlLoop {
                 if events.iter().any(LifecycleEvent::swaps_model) {
                     drift.reset();
                 }
-                self.causes.lifecycle(seen.t_end, j, vmc.name(), &events);
+                self.causes
+                    .lifecycle(seen.t_end, j, vmc.shared_name(), &events);
             }
             self.ins.publish_models(&self.vmcs);
         }
@@ -173,23 +185,30 @@ impl ControlLoop {
     /// The era's telemetry row. Its fractions are the leader's vector in
     /// force — the one this era's `plan.install` (if any) carries as `new`
     /// — shared, not copied.
-    fn record_telemetry(&mut self, seen: &Monitored, rmttf_now: &[f64], global_response: f64) {
-        let records: Vec<RegionEraRecord> = seen
-            .reports
-            .iter()
-            .zip(rmttf_now)
-            .map(|(r, &rmttf)| RegionEraRecord {
-                rmttf,
-                response_s: r.mean_response_s,
-                active_vms: r.active_vms,
-                proactive: r.proactive_rejuvenations,
-                reactive: r.reactive_failures,
-                completed: r.completed,
-            })
-            .collect();
+    fn record_telemetry(
+        &mut self,
+        seen: &Monitored,
+        rmttf_now: &[f64],
+        global_response: f64,
+        records: &mut Vec<RegionEraRecord>,
+    ) {
+        records.clear();
+        records.extend(
+            seen.reports
+                .iter()
+                .zip(rmttf_now)
+                .map(|(r, &rmttf)| RegionEraRecord {
+                    rmttf,
+                    response_s: r.mean_response_s,
+                    active_vms: r.active_vms,
+                    proactive: r.proactive_rejuvenations,
+                    reactive: r.reactive_failures,
+                    completed: r.completed,
+                }),
+        );
         self.telemetry.record_era(
             seen.t_end,
-            &records,
+            records,
             self.leader.fractions.clone(),
             [
                 global_response,
@@ -226,7 +245,7 @@ impl ControlLoop {
                     slow_burn,
                 }) => self.causes.emit(seen.t_end, Link::SloBurn(i), || {
                     vec![
-                        ("slo", Value::from(name)),
+                        ("slo", Value::Static(name)),
                         ("fast_burn", Value::from(fast_burn)),
                         ("slow_burn", Value::from(slow_burn)),
                     ]
@@ -234,7 +253,7 @@ impl ControlLoop {
                 Some(SloTransition::Recovered { fast_burn }) => {
                     self.causes.emit(seen.t_end, Link::SloRecovered(i), || {
                         vec![
-                            ("slo", Value::from(name)),
+                            ("slo", Value::Static(name)),
                             ("fast_burn", Value::from(fast_burn)),
                         ]
                     })

@@ -97,8 +97,12 @@ pub(super) struct Instruments {
     pub(super) clock: PhaseClock,
     pub(super) report_retries: Counter,
     pub(super) quarantined: Gauge,
-    /// Per-era exec-pool sampling (continuous `acm.exec.era.*` series).
+    /// Per-era exec-pool sampling (continuous `acm.exec.era.*` series):
+    /// the previous sample, this era's, and their difference, refilled in
+    /// place every era.
     exec_prev: PoolStatsSnapshot,
+    exec_now: PoolStatsSnapshot,
+    exec_delta: PoolStatsSnapshot,
     exec_items: Hist,
     exec_queue: Hist,
     exec_busy: Hist,
@@ -133,6 +137,8 @@ impl Instruments {
             report_retries: obs.counter("acm.core.report.retries"),
             quarantined: obs.gauge("acm.core.quarantined_regions"),
             exec_prev: acm_exec::global_stats(),
+            exec_now: PoolStatsSnapshot::default(),
+            exec_delta: PoolStatsSnapshot::default(),
             exec_items: obs.histogram("acm.exec.era.items"),
             exec_queue: obs.histogram("acm.exec.era.queue_depth_peak"),
             exec_busy: obs.histogram("acm.exec.era.busy_ns"),
@@ -180,8 +186,9 @@ impl Instruments {
         let Some((era_start, _)) = self.clock.open else {
             return;
         };
-        let now_stats = acm_exec::global_stats();
-        let delta = now_stats.delta_since(&self.exec_prev);
+        acm_exec::global_stats_into(&mut self.exec_now);
+        let delta = &mut self.exec_delta;
+        self.exec_now.delta_since_into(&self.exec_prev, delta);
         self.exec_items.record(delta.items);
         self.exec_queue.record(delta.queue_depth_peak);
         self.exec_busy.record(delta.total_busy_ns());
@@ -195,6 +202,6 @@ impl Instruments {
                 }
             }
         }
-        self.exec_prev = now_stats;
+        std::mem::swap(&mut self.exec_prev, &mut self.exec_now);
     }
 }

@@ -34,6 +34,9 @@ pub(super) struct LeaderState {
     region_costs: Vec<f64>,
     /// The policy's exploration stream.
     rng: SimRng,
+    /// A quarantine plan's live-subset views — previous fractions, RMTTFs,
+    /// prices, and the policy's answer — refilled when one is planned.
+    subset: [Vec<f64>; 4],
 }
 
 impl LeaderState {
@@ -57,68 +60,84 @@ impl LeaderState {
             policy,
             region_costs,
             rng,
+            subset: Default::default(),
         }
     }
 
-    /// Eq. 1 over this era's reports. The baseline smooths whatever the
-    /// leader holds (stale on loss); degradation smooths fresh data only.
-    pub(super) fn smooth(&mut self, delivered: &[bool]) -> Vec<f64> {
+    /// Eq. 1 over this era's reports, into `rmttf_now`. The baseline
+    /// smooths whatever the leader holds (stale on loss); degradation
+    /// smooths fresh data only.
+    pub(super) fn smooth(&mut self, delivered: &[bool], rmttf_now: &mut Vec<f64>) {
         let fresh_only = self.tracker.is_some();
         let held = self.received_rmttf.iter().zip(delivered);
-        self.estimators
-            .iter_mut()
-            .zip(held)
-            .map(|(est, (&raw, &fresh))| {
-                if fresh || !fresh_only {
-                    est.update(raw)
-                } else {
-                    est.value_or_zero()
-                }
-            })
-            .collect()
+        rmttf_now.clear();
+        rmttf_now.extend(
+            self.estimators
+                .iter_mut()
+                .zip(held)
+                .map(|(est, (&raw, &fresh))| {
+                    if fresh || !fresh_only {
+                        est.update(raw)
+                    } else {
+                        est.value_or_zero()
+                    }
+                }),
+        );
     }
 
-    /// Runs the policy over the plan-participating regions. With every
-    /// region live this is exactly the baseline call; with a strict subset
-    /// the previous fractions are renormalised over the live regions, the
-    /// policy plans in that subspace (re-costed for the cost-aware kind),
-    /// and quarantined regions are pinned to zero flow. With nobody live
-    /// the previous fractions are kept (the plan freezes anyway).
+    /// Runs the policy over the plan-participating regions, into `target`.
+    /// With every region live this is exactly the baseline call; with a
+    /// strict subset the previous fractions are renormalised over the live
+    /// regions, the policy plans in that subspace (re-costed for the
+    /// cost-aware kind), and quarantined regions are pinned to zero flow.
+    /// With nobody live the previous fractions are kept (the plan freezes
+    /// anyway).
     pub(super) fn plan_fractions(
         &mut self,
         live_mask: &[bool],
         rmttf_now: &[f64],
         lambda_total: f64,
-    ) -> Vec<f64> {
+        target: &mut Vec<f64>,
+    ) {
         let n = live_mask.len();
-        let live: Vec<usize> = (0..n).filter(|&j| live_mask[j]).collect();
-        if live.len() == n {
-            return self.policy.next_fractions(
-                &self.fractions,
-                rmttf_now,
-                lambda_total,
-                &mut self.rng,
-            );
+        let live_count = live_mask.iter().filter(|&&l| l).count();
+        if live_count == n {
+            let (prev, costs) = (&self.fractions, Some(&self.region_costs[..]));
+            let rng = &mut self.rng;
+            self.policy
+                .next_fractions_into(prev, rmttf_now, costs, lambda_total, rng, target);
+            return;
         }
-        if live.is_empty() {
-            return self.fractions.to_vec();
+        target.clear();
+        if live_count == 0 {
+            target.extend_from_slice(&self.fractions);
+            return;
         }
-        let prev_sum: f64 = live.iter().map(|&j| self.fractions[j]).sum();
-        let prev_live: Vec<f64> = if prev_sum > 0.0 {
-            live.iter().map(|&j| self.fractions[j] / prev_sum).collect()
+        let live = || (0..n).filter(|&j| live_mask[j]);
+        let [prev_live, rmttf_live, costs_live, target_live] = &mut self.subset;
+        let prev_sum: f64 = live().map(|j| self.fractions[j]).sum();
+        prev_live.clear();
+        if prev_sum > 0.0 {
+            prev_live.extend(live().map(|j| self.fractions[j] / prev_sum));
         } else {
-            uniform_fractions(live.len())
-        };
-        let rmttf_live: Vec<f64> = live.iter().map(|&j| rmttf_now[j]).collect();
-        let costs_live: Vec<f64> = live.iter().map(|&j| self.region_costs[j]).collect();
-        let sub_policy = self.policy.clone().with_region_costs(costs_live);
-        let target_live =
-            sub_policy.next_fractions(&prev_live, &rmttf_live, lambda_total, &mut self.rng);
-        let mut target = vec![0.0; n];
-        for (k, &j) in live.iter().enumerate() {
-            target[j] = target_live[k];
+            prev_live.resize(live_count, 1.0 / live_count as f64);
         }
-        target
+        rmttf_live.clear();
+        rmttf_live.extend(live().map(|j| rmttf_now[j]));
+        costs_live.clear();
+        costs_live.extend(live().map(|j| self.region_costs[j]));
+        self.policy.next_fractions_into(
+            prev_live,
+            rmttf_live,
+            Some(costs_live),
+            lambda_total,
+            &mut self.rng,
+            target_live,
+        );
+        target.resize(n, 0.0);
+        for (&f, j) in target_live.iter().zip(live()) {
+            target[j] = f;
+        }
     }
 }
 
@@ -176,8 +195,8 @@ impl ControlPlane {
     pub(super) fn leader_node(&self) -> NodeId {
         // Leader of the partition containing the lowest alive node; if all
         // nodes are dead fall back to node 0 (nothing routes anyway).
-        let alive = self.transport.graph().alive_nodes();
-        let probe = alive.first().copied().unwrap_or(NodeId(0));
+        let mut alive = self.transport.graph().alive_nodes();
+        let probe = alive.next().unwrap_or(NodeId(0));
         let election = self.elector.current().expect("elected at construction");
         election.leader(probe).unwrap_or(probe)
     }

@@ -47,7 +47,7 @@ use crate::degrade::DegradationConfig;
 use crate::plan::ForwardPlan;
 use crate::policy::PolicyKind;
 use crate::scenario::Scenario;
-use crate::telemetry::ExperimentTelemetry;
+use crate::telemetry::{ExperimentTelemetry, RegionEraRecord};
 use acm_obs::{BurnRateMonitor, Obs, ObsHandle, SloSpec, Value};
 use acm_overlay::{ElectionOutcome, NodeId};
 use acm_pcam::{DriftMonitor, RegionEraReport, Vmc};
@@ -61,6 +61,7 @@ use leader::{ControlPlane, LeaderState};
 
 /// What MONITOR saw: the era's end instant, the load the clients offered
 /// and where the plan in force sent it, and every region's report.
+#[derive(Default)]
 struct Monitored {
     t_end: SimTime,
     /// Share of the global request rate entering at each region.
@@ -68,6 +69,8 @@ struct Monitored {
     lambda_total: f64,
     /// The forward plan realising the fractions in force this era.
     plan: ForwardPlan,
+    /// Each region's arrival rate once the plan has forwarded the ingress.
+    lambdas: Vec<f64>,
     /// Its churn against last era's plan.
     churn: f64,
     reports: Vec<RegionEraReport>,
@@ -75,6 +78,7 @@ struct Monitored {
 
 /// What ANALYZE heard: who leads, whose report reached them, and whose
 /// silence has outlasted the suspicion timeout.
+#[derive(Default)]
 struct Heard {
     leader: NodeId,
     delivered: Vec<bool>,
@@ -83,10 +87,24 @@ struct Heard {
 
 /// What PLAN decided: who takes part, the smoothed RMTTFs, the next
 /// fractions.
+#[derive(Default)]
 struct Decided {
     live_mask: Vec<bool>,
     rmttf_now: Vec<f64>,
     target: Vec<f64>,
+}
+
+/// One era's phase values. The loop keeps them from era to era for their
+/// buffers — each phase clears and refills what it writes — so a
+/// steady-state era allocates only what it retains (`tests/retention.rs`
+/// counts the calls).
+#[derive(Default)]
+struct EraValues {
+    seen: Monitored,
+    heard: Heard,
+    decided: Decided,
+    /// The telemetry row's per-region records.
+    records: Vec<RegionEraRecord>,
 }
 
 /// The running multi-region control loop.
@@ -121,6 +139,7 @@ pub struct ControlLoop {
     causes: Causes,
     ins: Instruments,
     obs: ObsHandle,
+    values: EraValues,
 }
 
 impl ControlLoop {
@@ -191,6 +210,7 @@ impl ControlLoop {
             ),
             ins: Instruments::new(cfg, &obs),
             obs,
+            values: EraValues::default(),
         }
     }
 
@@ -271,15 +291,17 @@ impl ControlLoop {
     /// Runs one full era of the closed loop: Fig. 2's walk, each phase
     /// closed by the clock reading that opens the next.
     pub fn step_era(&mut self) {
+        let mut v = std::mem::take(&mut self.values);
         self.ins.clock.start(self.era_index);
-        let seen = self.monitor();
+        self.monitor(&mut v.seen);
         self.ins.clock.end(Phase::Monitor);
-        let heard = self.analyze(&seen);
+        self.analyze(&v.seen, &mut v.heard);
         self.ins.clock.end(Phase::Analyze);
-        let decided = self.plan(&seen, &heard);
+        self.plan(&v.seen, &v.heard, &mut v.decided);
         self.ins.clock.end(Phase::Plan);
-        self.execute(seen, &heard, decided);
+        self.execute(&mut v);
         self.ins.clock.end(Phase::Execute);
+        self.values = v;
     }
 
     /// Runs `eras` control eras.

@@ -4,8 +4,6 @@
 use super::causes::Link;
 use super::{ControlLoop, Monitored};
 use crate::config::ExperimentConfig;
-use crate::plan::ForwardPlan;
-use crate::policy::uniform_fractions;
 use crate::scenario::ScenarioAction;
 use acm_obs::Value;
 use acm_pcam::{RegionEraReport, Vmc};
@@ -30,7 +28,7 @@ pub(super) fn fans_out(pool_vms: usize) -> bool {
 }
 
 impl ControlLoop {
-    pub(super) fn monitor(&mut self) -> Monitored {
+    pub(super) fn monitor(&mut self, seen: &mut Monitored) {
         let t_start = self.now;
         let era_index = self.era_index;
         // Era root span: every causal chain this era bottoms out here (or
@@ -43,44 +41,40 @@ impl ControlLoop {
         if self.lifecycle_on {
             for (j, vmc) in self.vmcs.iter_mut().enumerate() {
                 let events = vmc.lifecycle_begin_era(era_index as u64);
-                self.causes.lifecycle(t_start, j, vmc.name(), &events);
+                self.causes
+                    .lifecycle(t_start, j, vmc.shared_name(), &events);
             }
         }
 
-        // Client ingress under the interactive response-time law.
-        let lambda_in: Vec<f64> = self
-            .workloads
-            .iter()
-            .zip(&self.observed_response)
-            .map(|(w, &response)| w.offered_rate(t_start, response))
-            .collect();
-        let lambda_total: f64 = lambda_in.iter().sum();
-        let ingress: Vec<f64> = if lambda_total > 0.0 {
-            lambda_in.iter().map(|l| l / lambda_total).collect()
+        // Client ingress under the interactive response-time law: each
+        // region's offered rate, then its share of the total.
+        let n = self.workloads.len();
+        let ingress = &mut seen.ingress;
+        ingress.clear();
+        let offered = self.workloads.iter().zip(&self.observed_response);
+        ingress.extend(offered.map(|(w, &response)| w.offered_rate(t_start, response)));
+        let lambda_total: f64 = ingress.iter().sum();
+        if lambda_total > 0.0 {
+            for share in ingress.iter_mut() {
+                *share /= lambda_total;
+            }
         } else {
-            uniform_fractions(lambda_in.len())
-        };
+            ingress.clear();
+            ingress.resize(n, 1.0 / n as f64);
+        }
         // The forward plan realising the fractions in force.
-        let plan = ForwardPlan::build(&ingress, &self.leader.fractions);
-        let churn = self
-            .leader
-            .plan
-            .as_ref()
-            .map_or(0.0, |prev| plan.churn_from(prev));
+        let plan = &mut seen.plan;
+        plan.rebuild(&seen.ingress, &self.leader.fractions);
+        let prev = self.leader.plan.as_ref();
+        seen.churn = prev.map_or(0.0, |prev| plan.churn_from(prev));
 
         // Region era processing (the "application data" plane).
-        let lambdas: Vec<f64> = (0..lambda_in.len())
-            .map(|j| plan.realised_share(j) * lambda_total)
-            .collect();
-        let reports = self.process_regions(&lambdas, t_start);
-        Monitored {
-            t_end: t_start + self.era,
-            ingress,
-            lambda_total,
-            plan,
-            churn,
-            reports,
-        }
+        let lambdas = &mut seen.lambdas;
+        lambdas.clear();
+        lambdas.extend((0..n).map(|j| plan.realised_share(j) * lambda_total));
+        self.process_regions(lambdas, t_start, &mut seen.reports);
+        seen.t_end = t_start + self.era;
+        seen.lambda_total = lambda_total;
     }
 
     /// Applies every scenario action (Sec. II's runtime reconfiguration,
@@ -145,21 +139,28 @@ impl ControlLoop {
     /// are emitted on the loop's hub in region order, under the era's
     /// ambient trace context, so event sequence numbers, region-qualified
     /// gauges and histogram counts are identical at any thread width. A
-    /// disabled hub stages nothing, so un-observed runs stay
-    /// allocation-free (observability never perturbs the run).
-    fn process_regions(&mut self, lambdas: &[f64], t_start: SimTime) -> Vec<RegionEraReport> {
+    /// disabled hub stages nothing (observability never perturbs the run),
+    /// and an inline era refills `reports` and the VMCs' own buffers:
+    /// `tests/retention.rs` pins an un-observed fig-4 era at a few
+    /// allocation calls, all of them the telemetry row and the plan.
+    fn process_regions(
+        &mut self,
+        lambdas: &[f64],
+        t_start: SimTime,
+        reports: &mut Vec<RegionEraReport>,
+    ) {
         let era = self.era;
         let vms = self.vmcs.iter().map(|v| v.pool().vms().len()).sum();
         let step = |(vmc, &lambda): (&mut Vmc, &f64)| vmc.process_era(t_start, era, lambda);
         let regions = self.vmcs.iter_mut().zip(lambdas);
-        let reports = if fans_out(vms) {
-            acm_exec::map_collect(regions.collect(), step)
+        if fans_out(vms) {
+            *reports = acm_exec::map_collect(regions.collect(), step);
         } else {
-            regions.map(step).collect()
-        };
+            reports.clear();
+            reports.extend(regions.map(step));
+        }
         for vmc in &mut self.vmcs {
             vmc.flush_events();
         }
-        reports
     }
 }

@@ -9,10 +9,15 @@ use acm_obs::Value;
 use acm_sim::time::SimTime;
 
 impl ControlLoop {
-    pub(super) fn plan(&mut self, seen: &Monitored, heard: &Heard) -> Decided {
+    pub(super) fn plan(&mut self, seen: &Monitored, heard: &Heard, decided: &mut Decided) {
         let t_end = seen.t_end;
-        let live_mask = self.update_region_health(heard, t_end);
-        let rmttf_now = self.leader.smooth(&heard.delivered);
+        let Decided {
+            live_mask,
+            rmttf_now,
+            target,
+        } = decided;
+        self.update_region_health(heard, t_end, live_mask);
+        self.leader.smooth(&heard.delivered, rmttf_now);
         if self.obs.enabled() {
             for (j, &smoothed) in rmttf_now.iter().enumerate() {
                 if self.degradation.enabled && !heard.delivered[j] {
@@ -22,31 +27,27 @@ impl ControlLoop {
                     t_end.as_micros(),
                     "ewma.update",
                     vec![
-                        ("region", Value::from(self.vmcs[j].name().to_string())),
+                        ("region", Value::from(self.vmcs[j].shared_name())),
                         ("raw_s", Value::from(self.leader.received_rmttf[j])),
                         ("smoothed_s", Value::from(smoothed)),
                     ],
                 );
             }
         }
-        let target = self
-            .leader
-            .plan_fractions(&live_mask, &rmttf_now, seen.lambda_total);
-        Decided {
-            live_mask,
-            rmttf_now,
-            target,
-        }
+        self.leader
+            .plan_fractions(live_mask, rmttf_now, seen.lambda_total, target);
     }
 
     /// Feeds this era's report outcomes into the quarantine state machine
-    /// and returns the plan-participation mask (all-true when degradation
-    /// is disabled). Re-admitted regions get a fresh EWMA so the stale
-    /// pre-outage estimate cannot linger.
-    fn update_region_health(&mut self, heard: &Heard, t_end: SimTime) -> Vec<bool> {
+    /// and writes the plan-participation mask into `live_mask` (all-true
+    /// when degradation is disabled). Re-admitted regions get a fresh EWMA
+    /// so the stale pre-outage estimate cannot linger.
+    fn update_region_health(&mut self, heard: &Heard, t_end: SimTime, live_mask: &mut Vec<bool>) {
         let n = heard.delivered.len();
+        live_mask.clear();
         let Some(tracker) = &mut self.leader.tracker else {
-            return vec![true; n];
+            live_mask.resize(n, true);
+            return;
         };
         let outcomes = heard.delivered.iter().zip(&heard.suspected);
         for (j, (&delivered, &suspected)) in outcomes.enumerate() {
@@ -67,7 +68,7 @@ impl ControlLoop {
             };
             let (vmc, era_index, tracker) = (&self.vmcs[j], self.era_index, &*tracker);
             self.causes.emit(t_end, link, || {
-                let mut fields = vec![("region", Value::from(vmc.name().to_string()))];
+                let mut fields = vec![("region", Value::from(vmc.shared_name()))];
                 if let HealthEvent::Quarantined { stale, suspected } = ev {
                     fields.push(("stale", Value::from(stale)));
                     fields.push(("suspected", Value::from(suspected)));
@@ -83,6 +84,6 @@ impl ControlLoop {
             });
         }
         self.ins.quarantined.set(tracker.excluded_count() as f64);
-        (0..n).map(|j| tracker.is_live(j)).collect()
+        live_mask.extend((0..n).map(|j| tracker.is_live(j)));
     }
 }

@@ -208,9 +208,12 @@ fn poisoned_refits_are_promoted_in_at_most_5_of_40_seeds() {
         min_samples: 1,
     };
     let models = region_models(&cfg, true);
-    let candidate = |e: &acm_obs::EventRecord| match (e.field("region"), e.field("version")) {
-        (Some(Value::Str(r)), Some(Value::U64(v))) => (r.clone(), *v),
-        other => panic!("{}: no region/version: {other:?}", e.kind),
+    let candidate = |e: &acm_obs::EventRecord| {
+        let region = e.field("region").and_then(Value::as_str);
+        match (region, e.field("version")) {
+            (Some(r), Some(Value::U64(v))) => (r.to_string(), *v),
+            other => panic!("{}: no region/version: {other:?}", e.kind),
+        }
     };
     let mut promoted_seeds = Vec::new();
     for seed in 1..=40 {

@@ -23,10 +23,11 @@
 /// assert!((plan.fraction(1, 0) - 0.6).abs() < 1e-9); // region 1 forwards 60 %
 /// assert!((plan.realised_share(0) - 0.8).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ForwardPlan {
-    /// `rows[i][j]` = fraction of region *i*'s ingress forwarded to *j*.
-    rows: Vec<Vec<f64>>,
+    /// Row-major: `rows[i * n + j]` = fraction of region *i*'s ingress
+    /// forwarded to *j*.
+    rows: Vec<f64>,
     /// The ingress shares the plan was built for.
     ingress: Vec<f64>,
     /// The processing shares the plan realises.
@@ -37,6 +38,14 @@ impl ForwardPlan {
     /// Builds the plan mapping ingress shares `a` onto target fractions
     /// `f`. Both must be probability vectors of equal length.
     pub fn build(ingress: &[f64], target: &[f64]) -> Self {
+        let mut plan = ForwardPlan::default();
+        plan.rebuild(ingress, target);
+        plan
+    }
+
+    /// [`ForwardPlan::build`] into this plan's buffers: a plan rebuilt
+    /// era after era over the same regions allocates nothing.
+    pub fn rebuild(&mut self, ingress: &[f64], target: &[f64]) {
         assert_eq!(ingress.len(), target.len(), "shape mismatch");
         assert!(!ingress.is_empty(), "need at least one region");
         for v in [ingress, target] {
@@ -45,55 +54,54 @@ impl ForwardPlan {
             assert!(v.iter().all(|x| *x >= 0.0), "shares must be non-negative");
         }
         let n = ingress.len();
-        let mut rows = vec![vec![0.0; n]; n];
+        let rows = &mut self.rows;
+        rows.clear();
+        rows.resize(n * n, 0.0);
 
         // Unmet processing demand per region.
-        let deficit: Vec<f64> = ingress
-            .iter()
-            .zip(target)
-            .map(|(a, f)| (f - a).max(0.0))
-            .collect();
-        let total_deficit: f64 = deficit.iter().sum();
+        let deficit = |j: usize| (target[j] - ingress[j]).max(0.0);
+        let total_deficit: f64 = (0..n).map(deficit).sum();
 
         for i in 0..n {
+            let row = &mut rows[i * n..(i + 1) * n];
             if ingress[i] == 0.0 {
                 // No ingress here: row is irrelevant, keep it local by
                 // convention so the matrix stays row-stochastic.
-                rows[i][i] = 1.0;
+                row[i] = 1.0;
                 continue;
             }
             let keep = ingress[i].min(target[i]);
-            rows[i][i] = keep / ingress[i];
+            row[i] = keep / ingress[i];
             let surplus = ingress[i] - keep;
             if surplus > 0.0 && total_deficit > 0.0 {
                 // Export the surplus proportionally to global deficits.
-                for j in 0..n {
-                    if deficit[j] > 0.0 {
-                        rows[i][j] = (surplus * deficit[j] / total_deficit) / ingress[i];
+                for (j, cell) in row.iter_mut().enumerate() {
+                    let d = deficit(j);
+                    if d > 0.0 {
+                        *cell = (surplus * d / total_deficit) / ingress[i];
                     }
                 }
             }
         }
-        ForwardPlan {
-            rows,
-            ingress: ingress.to_vec(),
-            target: target.to_vec(),
-        }
+        self.ingress.clear();
+        self.ingress.extend_from_slice(ingress);
+        self.target.clear();
+        self.target.extend_from_slice(target);
     }
 
     /// Number of regions.
     pub fn regions(&self) -> usize {
-        self.rows.len()
+        self.ingress.len()
     }
 
     /// Fraction of region `i`'s ingress forwarded to region `j`.
     pub fn fraction(&self, i: usize, j: usize) -> f64 {
-        self.rows[i][j]
+        self.rows[i * self.regions() + j]
     }
 
-    /// The full matrix.
-    pub fn matrix(&self) -> &[Vec<f64>] {
-        &self.rows
+    /// The matrix, one row per ingress region.
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.rows.chunks_exact(self.regions())
     }
 
     /// Effective processing share of region `j` under this plan:
@@ -101,7 +109,7 @@ impl ForwardPlan {
     pub fn realised_share(&self, j: usize) -> f64 {
         self.ingress
             .iter()
-            .zip(&self.rows)
+            .zip(self.rows())
             .map(|(a, row)| a * row[j])
             .sum()
     }
@@ -114,7 +122,7 @@ impl ForwardPlan {
         self.ingress
             .iter()
             .enumerate()
-            .map(|(i, a)| a * (1.0 - self.rows[i][i]))
+            .map(|(i, a)| a * (1.0 - self.fraction(i, i)))
             .sum()
     }
 
@@ -125,7 +133,7 @@ impl ForwardPlan {
         self.rows
             .iter()
             .zip(&prev.rows)
-            .flat_map(|(a, b)| a.iter().zip(b).map(|(x, y)| (x - y).abs()))
+            .map(|(x, y)| (x - y).abs())
             .sum()
     }
 }
@@ -136,7 +144,7 @@ mod tests {
 
     fn assert_plan_valid(p: &ForwardPlan, ingress: &[f64], target: &[f64]) {
         // Rows stochastic.
-        for (i, row) in p.matrix().iter().enumerate() {
+        for (i, row) in p.rows().enumerate() {
             let s: f64 = row.iter().sum();
             assert!((s - 1.0).abs() < 1e-9, "row {i} sums to {s}");
             assert!(row.iter().all(|x| (0.0..=1.0 + 1e-12).contains(x)));

@@ -182,41 +182,61 @@ impl LoadBalancingPolicy {
         lambda: f64,
         rng: &mut SimRng,
     ) -> Vec<f64> {
+        let mut next = Vec::new();
+        let costs = self.region_costs.as_deref();
+        self.next_fractions_into(prev, rmttf, costs, lambda, rng, &mut next);
+        next
+    }
+
+    /// [`LoadBalancingPolicy::next_fractions`] into `out` (cleared first),
+    /// computed in `out`'s own slots, with the cost-aware kind's prices
+    /// for exactly these regions given (the leader passes a live subset's):
+    /// a leader that keeps `out` allocates nothing per step.
+    pub(crate) fn next_fractions_into(
+        &self,
+        prev: &[f64],
+        rmttf: &[f64],
+        costs: Option<&[f64]>,
+        lambda: f64,
+        rng: &mut SimRng,
+        out: &mut Vec<f64>,
+    ) {
         assert_eq!(prev.len(), rmttf.len(), "one RMTTF per region");
         assert!(!prev.is_empty(), "need at least one region");
         let _span = self.step_timer.start();
         self.steps.inc();
-        let raw = match self.kind {
-            PolicyKind::SensibleRouting => sensible_routing(rmttf),
-            PolicyKind::AvailableResources => available_resources(prev, rmttf, lambda),
-            PolicyKind::Exploration => self.exploration(prev, rmttf, rng),
+        out.clear();
+        match self.kind {
+            PolicyKind::SensibleRouting => sensible_routing(rmttf, out),
+            PolicyKind::AvailableResources => available_resources(prev, rmttf, lambda, out),
+            PolicyKind::Exploration => self.exploration(prev, rmttf, rng, out),
             PolicyKind::CostAwareResources => {
-                let q = available_resources(prev, rmttf, lambda);
-                match &self.region_costs {
-                    None => q,
-                    Some(costs) => {
-                        assert_eq!(costs.len(), q.len(), "one cost per region");
-                        // Discount each region's resource estimate by its
-                        // price, then renormalise: cheap capacity wins ties.
-                        let weighted: Vec<f64> =
-                            q.iter().zip(costs).map(|(qi, c)| qi / c).collect();
-                        let total: f64 = weighted.iter().sum();
-                        weighted.iter().map(|w| w / total).collect()
+                available_resources(prev, rmttf, lambda, out);
+                if let Some(costs) = costs {
+                    assert_eq!(costs.len(), out.len(), "one cost per region");
+                    // Discount each region's resource estimate by its
+                    // price, then renormalise: cheap capacity wins ties.
+                    for (q, c) in out.iter_mut().zip(costs) {
+                        *q /= c;
+                    }
+                    let total: f64 = out.iter().sum();
+                    for w in out.iter_mut() {
+                        *w /= total;
                     }
                 }
             }
-        };
-        floor_and_normalise(&raw)
+        }
+        floor_and_normalise(out);
     }
 
-    /// Policy 3 (Eq. 5–9).
-    fn exploration(&self, prev: &[f64], rmttf: &[f64], rng: &mut SimRng) -> Vec<f64> {
+    /// Policy 3 (Eq. 5–9), into `next`.
+    fn exploration(&self, prev: &[f64], rmttf: &[f64], rng: &mut SimRng, next: &mut Vec<f64>) {
         let n = rmttf.len();
+        next.extend_from_slice(prev);
         let armttf: f64 = rmttf.iter().sum::<f64>() / n as f64; // Eq. 5
         if armttf <= 0.0 {
-            return prev.to_vec();
+            return;
         }
-        let mut next = prev.to_vec();
         // Overloaded set OL = { i : RMTTF_i < ARMTTF } sheds flow (Eq. 6),
         // interpolated by the step factor k so k=1 reproduces the equation
         // exactly and smaller k takes a partial hill-climbing step.
@@ -245,54 +265,52 @@ impl LoadBalancingPolicy {
         }
         // Intrinsic exploration randomness.
         if self.exploration_noise > 0.0 {
-            for f in &mut next {
+            for f in next.iter_mut() {
                 *f *= (1.0 + rng.normal(0.0, self.exploration_noise)).max(0.1);
             }
         }
-        next
     }
 }
 
-/// Policy 1 (Eq. 2).
-fn sensible_routing(rmttf: &[f64]) -> Vec<f64> {
+/// Policy 1 (Eq. 2), into `out`.
+fn sensible_routing(rmttf: &[f64], out: &mut Vec<f64>) {
     let total: f64 = rmttf.iter().sum();
     if total <= 0.0 {
-        return vec![1.0 / rmttf.len() as f64; rmttf.len()];
+        out.resize(rmttf.len(), 1.0 / rmttf.len() as f64);
+        return;
     }
-    rmttf.iter().map(|r| r / total).collect()
+    out.extend(rmttf.iter().map(|r| r / total));
 }
 
-/// Policy 2 (Eq. 3–4).
-fn available_resources(prev: &[f64], rmttf: &[f64], lambda: f64) -> Vec<f64> {
-    let q: Vec<f64> = prev
-        .iter()
-        .zip(rmttf)
-        .map(|(f, r)| r * f * lambda.max(0.0)) // Eq. 3
-        .collect();
-    let total: f64 = q.iter().sum();
+/// Policy 2 (Eq. 3–4), into `out`.
+fn available_resources(prev: &[f64], rmttf: &[f64], lambda: f64, out: &mut Vec<f64>) {
+    out.extend(
+        prev.iter().zip(rmttf).map(|(f, r)| r * f * lambda.max(0.0)), // Eq. 3
+    );
+    let total: f64 = out.iter().sum();
     if total <= 0.0 {
-        return vec![1.0 / prev.len() as f64; prev.len()];
+        out.clear();
+        out.resize(prev.len(), 1.0 / prev.len() as f64);
+        return;
     }
-    q.iter().map(|qi| qi / total).collect() // Eq. 4
+    for q in out.iter_mut() {
+        *q /= total; // Eq. 4
+    }
 }
 
 /// Floors every fraction at [`MIN_FRACTION`] and renormalises to sum 1.
-fn floor_and_normalise(raw: &[f64]) -> Vec<f64> {
-    let mut out: Vec<f64> = raw
-        .iter()
-        .map(|f| {
-            if f.is_finite() {
-                f.max(MIN_FRACTION)
-            } else {
-                MIN_FRACTION
-            }
-        })
-        .collect();
-    let total: f64 = out.iter().sum();
-    for f in &mut out {
+fn floor_and_normalise(fractions: &mut [f64]) {
+    for f in fractions.iter_mut() {
+        *f = if f.is_finite() {
+            f.max(MIN_FRACTION)
+        } else {
+            MIN_FRACTION
+        };
+    }
+    let total: f64 = fractions.iter().sum();
+    for f in fractions.iter_mut() {
         *f /= total;
     }
-    out
 }
 
 /// Uniform initial fractions (the system boots knowing nothing).

@@ -266,28 +266,26 @@ impl PoolStats {
         })
     }
 
-    fn snapshot(&self, threads: usize) -> PoolStatsSnapshot {
-        PoolStatsSnapshot {
-            threads,
-            par_maps: self.par_maps.load(Ordering::Relaxed),
-            seq_maps: self.seq_maps.load(Ordering::Relaxed),
-            items: self.items.load(Ordering::Relaxed),
-            chunks_popped: self.chunks_popped.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
-            helpers_inlined: self.helpers_inlined.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-            worker_busy_ns: self
-                .workers
+    /// Overwrites `out` with the counters, reusing its per-worker buffers.
+    fn snapshot_into(&self, threads: usize, out: &mut PoolStatsSnapshot) {
+        out.threads = threads;
+        out.par_maps = self.par_maps.load(Ordering::Relaxed);
+        out.seq_maps = self.seq_maps.load(Ordering::Relaxed);
+        out.items = self.items.load(Ordering::Relaxed);
+        out.chunks_popped = self.chunks_popped.load(Ordering::Relaxed);
+        out.steals = self.steals.load(Ordering::Relaxed);
+        out.jobs_submitted = self.jobs_submitted.load(Ordering::Relaxed);
+        out.helpers_inlined = self.helpers_inlined.load(Ordering::Relaxed);
+        out.queue_depth_peak = self.queue_depth_peak.load(Ordering::Relaxed);
+        out.worker_busy_ns.clear();
+        out.worker_busy_ns.extend(
+            self.workers
                 .iter()
-                .map(|w| w.busy_ns.load(Ordering::Relaxed))
-                .collect(),
-            worker_spans: self
-                .workers
-                .iter()
-                .map(|w| w.spans.load(Ordering::Relaxed))
-                .collect(),
-        }
+                .map(|w| w.busy_ns.load(Ordering::Relaxed)),
+        );
+        out.worker_spans.clear();
+        out.worker_spans
+            .extend(self.workers.iter().map(|w| w.spans.load(Ordering::Relaxed)));
     }
 }
 
@@ -335,25 +333,41 @@ impl PoolStatsSnapshot {
     /// `queue_depth_peak` are level values, not counters, and are taken
     /// from `self` unchanged.
     pub fn delta_since(&self, earlier: &PoolStatsSnapshot) -> PoolStatsSnapshot {
-        let vec_delta = |now: &[u64], then: &[u64]| -> Vec<u64> {
-            now.iter()
-                .enumerate()
-                .map(|(i, v)| v.saturating_sub(then.get(i).copied().unwrap_or(0)))
-                .collect()
+        let mut delta = PoolStatsSnapshot::default();
+        self.delta_since_into(earlier, &mut delta);
+        delta
+    }
+
+    /// [`PoolStatsSnapshot::delta_since`] into `out`, reusing its
+    /// per-worker buffers.
+    pub fn delta_since_into(&self, earlier: &PoolStatsSnapshot, out: &mut PoolStatsSnapshot) {
+        let vec_delta = |out: &mut Vec<u64>, now: &[u64], then: &[u64]| {
+            out.clear();
+            out.extend(
+                now.iter()
+                    .enumerate()
+                    .map(|(i, v)| v.saturating_sub(then.get(i).copied().unwrap_or(0))),
+            );
         };
-        PoolStatsSnapshot {
-            threads: self.threads,
-            par_maps: self.par_maps.saturating_sub(earlier.par_maps),
-            seq_maps: self.seq_maps.saturating_sub(earlier.seq_maps),
-            items: self.items.saturating_sub(earlier.items),
-            chunks_popped: self.chunks_popped.saturating_sub(earlier.chunks_popped),
-            steals: self.steals.saturating_sub(earlier.steals),
-            jobs_submitted: self.jobs_submitted.saturating_sub(earlier.jobs_submitted),
-            helpers_inlined: self.helpers_inlined.saturating_sub(earlier.helpers_inlined),
-            queue_depth_peak: self.queue_depth_peak,
-            worker_busy_ns: vec_delta(&self.worker_busy_ns, &earlier.worker_busy_ns),
-            worker_spans: vec_delta(&self.worker_spans, &earlier.worker_spans),
-        }
+        out.threads = self.threads;
+        out.par_maps = self.par_maps.saturating_sub(earlier.par_maps);
+        out.seq_maps = self.seq_maps.saturating_sub(earlier.seq_maps);
+        out.items = self.items.saturating_sub(earlier.items);
+        out.chunks_popped = self.chunks_popped.saturating_sub(earlier.chunks_popped);
+        out.steals = self.steals.saturating_sub(earlier.steals);
+        out.jobs_submitted = self.jobs_submitted.saturating_sub(earlier.jobs_submitted);
+        out.helpers_inlined = self.helpers_inlined.saturating_sub(earlier.helpers_inlined);
+        out.queue_depth_peak = self.queue_depth_peak;
+        vec_delta(
+            &mut out.worker_busy_ns,
+            &self.worker_busy_ns,
+            &earlier.worker_busy_ns,
+        );
+        vec_delta(
+            &mut out.worker_spans,
+            &self.worker_spans,
+            &earlier.worker_spans,
+        );
     }
 
     /// Sum of all participants' busy time.
@@ -542,7 +556,14 @@ impl ThreadPool {
 
     /// Activity counters accumulated since the pool was created.
     pub fn stats(&self) -> PoolStatsSnapshot {
-        self.stats.snapshot(self.threads)
+        let mut out = PoolStatsSnapshot::default();
+        self.stats_into(&mut out);
+        out
+    }
+
+    /// [`ThreadPool::stats`] into `out`, reusing its per-worker buffers.
+    fn stats_into(&self, out: &mut PoolStatsSnapshot) {
+        self.stats.snapshot_into(self.threads, out);
     }
 
     fn submit(&self, job: Job) {
@@ -822,6 +843,11 @@ pub fn current_threads() -> usize {
 /// counts rather than garbage.
 pub fn global_stats() -> PoolStatsSnapshot {
     global().stats()
+}
+
+/// [`global_stats`] into `out`, reusing its per-worker buffers.
+pub fn global_stats_into(out: &mut PoolStatsSnapshot) {
+    global().stats_into(out);
 }
 
 /// [`ThreadPool::map_collect`] on the global pool.

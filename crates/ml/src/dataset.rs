@@ -6,14 +6,16 @@
 //! (so Lasso selection can be reported by name).
 
 use acm_sim::rng::SimRng;
+use std::sync::Arc;
 
 /// A supervised regression dataset: rows of features with an RTTF target.
 ///
 /// The features live in one row-major buffer, so building, projecting or
 /// splitting a dataset costs one allocation per buffer, not one per row.
+/// Feature names are shared: a projection copies pointers, not text.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
-    feature_names: Vec<String>,
+    feature_names: Vec<Arc<str>>,
     /// Row `i` is `x[i * width..(i + 1) * width]`.
     x: Vec<f64>,
     y: Vec<f64>,
@@ -24,7 +26,7 @@ impl Dataset {
     pub fn new<I, S>(feature_names: I) -> Self
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: Into<Arc<str>>,
     {
         Dataset {
             feature_names: feature_names.into_iter().map(Into::into).collect(),
@@ -67,7 +69,7 @@ impl Dataset {
     }
 
     /// Feature names.
-    pub fn feature_names(&self) -> &[String] {
+    pub fn feature_names(&self) -> &[Arc<str>] {
         &self.feature_names
     }
 
@@ -116,42 +118,45 @@ impl Dataset {
 
     /// Projects the dataset onto the feature columns at `keep` (in order).
     pub fn project(&self, keep: &[usize]) -> Dataset {
-        self.gather(0..self.len(), keep)
+        let mut out = Dataset::default();
+        self.gather(0..self.len(), keep, &mut out);
+        out
     }
 
     /// The rows at `rows`, projected onto the feature columns at `keep`
     /// (both in order): [`Dataset::subset`] then [`Dataset::project`]
-    /// without the intermediate copy.
-    pub(crate) fn select(&self, rows: &[usize], keep: &[usize]) -> Dataset {
-        self.gather(rows.iter().copied(), keep)
+    /// without the intermediate copy, into `out`'s buffers, which a caller
+    /// that selects again and again keeps: no larger a selection than the
+    /// last allocates nothing.
+    pub(crate) fn select_into(&self, rows: &[usize], keep: &[usize], out: &mut Dataset) {
+        self.gather(rows.iter().copied(), keep, out);
     }
 
-    fn gather<I>(&self, rows: I, keep: &[usize]) -> Dataset
+    fn gather<I>(&self, rows: I, keep: &[usize], out: &mut Dataset)
     where
         I: ExactSizeIterator<Item = usize> + Clone,
     {
         for &j in keep {
             assert!(j < self.width(), "feature index {j} out of range");
         }
-        let mut x = Vec::with_capacity(rows.len() * keep.len());
+        out.x.clear();
+        out.x.reserve(rows.len() * keep.len());
         for i in rows.clone() {
             let row = self.row(i);
-            x.extend(keep.iter().map(|&j| row[j]));
+            out.x.extend(keep.iter().map(|&j| row[j]));
         }
-        Dataset {
-            feature_names: keep
-                .iter()
-                .map(|&j| self.feature_names[j].clone())
-                .collect(),
-            x,
-            y: rows.map(|i| self.y[i]).collect(),
-        }
+        out.feature_names.clear();
+        out.feature_names
+            .extend(keep.iter().map(|&j| self.feature_names[j].clone()));
+        out.y.clear();
+        out.y.extend(rows.map(|i| self.y[i]));
     }
 
     /// Deterministic shuffled split into `(train, test)` with the given
     /// train fraction.
     pub fn split(&self, train_frac: f64, rng: &mut SimRng) -> (Dataset, Dataset) {
-        let (order, cut) = split_order(self.len(), train_frac, rng);
+        let mut order = Vec::new();
+        let cut = split_order(self.len(), train_frac, rng, &mut order);
         (self.subset(&order[..cut]), self.subset(&order[cut..]))
     }
 
@@ -192,15 +197,21 @@ impl Dataset {
     }
 }
 
-/// The row order [`Dataset::split`] draws for `len` rows — shuffled, train
-/// rows first — and the cut between train and test. Callers that split an
-/// index list instead of a dataset consume the same `rng` draws.
-pub(crate) fn split_order(len: usize, train_frac: f64, rng: &mut SimRng) -> (Vec<usize>, usize) {
+/// Writes into `order` the row order [`Dataset::split`] draws for `len`
+/// rows — shuffled, train rows first — and returns the cut between train
+/// and test. Callers that split an index list instead of a dataset
+/// consume the same `rng` draws.
+pub(crate) fn split_order(
+    len: usize,
+    train_frac: f64,
+    rng: &mut SimRng,
+    order: &mut Vec<usize>,
+) -> usize {
     assert!((0.0..=1.0).contains(&train_frac), "bad train fraction");
-    let mut order: Vec<usize> = (0..len).collect();
-    rng.shuffle(&mut order);
-    let cut = (len as f64 * train_frac).round() as usize;
-    (order, cut)
+    order.clear();
+    order.extend(0..len);
+    rng.shuffle(order);
+    (len as f64 * train_frac).round() as usize
 }
 
 #[cfg(test)]
@@ -222,7 +233,7 @@ mod tests {
         assert_eq!(ds.width(), 2);
         assert_eq!(ds.row(3), &[3.0, 6.0]);
         assert_eq!(ds.target(3), 30.0);
-        assert_eq!(ds.feature_names(), &["a".to_string(), "b".to_string()]);
+        assert_eq!(ds.feature_names(), [Arc::from("a"), Arc::from("b")]);
         assert!((ds.target_mean() - 45.0).abs() < 1e-12);
     }
 
@@ -253,7 +264,7 @@ mod tests {
         let ds = toy();
         let p = ds.project(&[1]);
         assert_eq!(p.width(), 1);
-        assert_eq!(p.feature_names(), &["b".to_string()]);
+        assert_eq!(p.feature_names(), [Arc::from("b")]);
         assert_eq!(p.row(4), &[8.0]);
         assert_eq!(p.targets(), ds.targets());
     }
@@ -262,10 +273,13 @@ mod tests {
     fn select_is_subset_then_project() {
         let ds = toy();
         let mut rng = SimRng::new(3);
+        // One buffer throughout: every selection overwrites the last.
+        let mut selected = Dataset::default();
         for _ in 0..50 {
             let rows: Vec<usize> = (0..rng.index(15)).map(|_| rng.index(ds.len())).collect();
             let keep: Vec<usize> = (0..rng.index(4)).map(|_| rng.index(ds.width())).collect();
-            assert_eq!(ds.select(&rows, &keep), ds.subset(&rows).project(&keep));
+            ds.select_into(&rows, &keep, &mut selected);
+            assert_eq!(selected, ds.subset(&rows).project(&keep));
         }
     }
 

@@ -76,40 +76,71 @@ pub struct RepTree {
     flat_right: Vec<u32>,
 }
 
+/// The buffers a REP-Tree fit grows and prunes in: the grow / prune row
+/// order, the grown arena, the builder's columns, presort keys, row orders
+/// and partition scratch, and the prune's. A caller that fits again and
+/// again (the model lifecycle's refits) keeps one, so a fit allocates only
+/// the tree it returns once the buffers have grown to the data.
+#[derive(Debug, Default)]
+pub struct TreeBuffers {
+    order: Vec<usize>,
+    nodes: Vec<Node>,
+    cols: Vec<f64>,
+    keys: Vec<u128>,
+    y: Vec<f64>,
+    orders: Vec<u32>,
+    goes_left: Vec<bool>,
+    scratch: Vec<u32>,
+    prune: Vec<usize>,
+}
+
 impl RepTree {
     /// Fits a tree. `rng` draws the grow/prune split, so training is
     /// deterministic per seed.
     pub fn fit(ds: &Dataset, cfg: &RepTreeConfig, rng: &mut SimRng) -> Self {
+        Self::fit_with(ds, cfg, rng, &mut TreeBuffers::default())
+    }
+
+    /// [`RepTree::fit`] in `buf`'s buffers.
+    pub fn fit_with(
+        ds: &Dataset,
+        cfg: &RepTreeConfig,
+        rng: &mut SimRng,
+        buf: &mut TreeBuffers,
+    ) -> Self {
         assert!(!ds.is_empty(), "cannot fit on empty dataset");
         assert!(
             (0.0..1.0).contains(&cfg.prune_fraction),
             "prune fraction must be in [0,1)"
         );
-        let (mut order, mut cut) = if cfg.prune_fraction > 0.0 && ds.len() >= 8 {
-            split_order(ds.len(), 1.0 - cfg.prune_fraction, rng)
+        let mut order = std::mem::take(&mut buf.order);
+        let mut cut = if cfg.prune_fraction > 0.0 && ds.len() >= 8 {
+            split_order(ds.len(), 1.0 - cfg.prune_fraction, rng, &mut order)
         } else {
-            (Vec::new(), 0)
+            0
         };
         if cut == 0 {
             // No reduced-error-pruning holdout: pruning is off, or the
             // dataset is too small to spare one. The tree grows on every
             // row in dataset order.
-            order = (0..ds.len()).collect();
+            order.clear();
+            order.extend(0..ds.len());
             cut = ds.len();
         }
         let (grow, prune) = order.split_at_mut(cut);
-        let (nodes, root) = Builder::grow(ds, grow, cfg);
+        let root = Builder::grow(ds, grow, cfg, buf);
         let mut tree = RepTree {
-            nodes,
+            nodes: std::mem::take(&mut buf.nodes),
             root,
             flat_feature: Vec::new(),
             flat_threshold: Vec::new(),
             flat_right: Vec::new(),
         };
         if !prune.is_empty() {
-            tree.reduced_error_prune(ds, prune);
+            tree.reduced_error_prune(ds, prune, &mut buf.prune);
         }
-        tree.compact();
+        buf.nodes = tree.compact();
+        buf.order = order;
         tree
     }
 
@@ -117,8 +148,9 @@ impl RepTree {
     /// a node's left child is always the next slot, subtrees are
     /// contiguous, and the orphan nodes left behind by pruning are dropped.
     /// Prediction walks then move mostly forward through one cache-resident
-    /// array instead of hopping across the build-order arena.
-    fn compact(&mut self) {
+    /// array instead of hopping across the build-order arena. Returns the
+    /// arena it replaced.
+    fn compact(&mut self) -> Vec<Node> {
         fn copy(nodes: &[Node], idx: usize, out: &mut Vec<Node>) -> usize {
             let slot = out.len();
             match &nodes[idx] {
@@ -150,9 +182,10 @@ impl RepTree {
         }
         let mut out = Vec::with_capacity(self.nodes.len());
         let root = copy(&self.nodes, self.root, &mut out);
-        self.nodes = out;
+        let grown = std::mem::replace(&mut self.nodes, out);
         self.root = root;
         self.rebuild_flat();
+        grown
     }
 
     /// Regenerates the flat prediction arena from the compact node arena.
@@ -346,9 +379,15 @@ impl RepTree {
     /// Reduced-error pruning against the holdout rows `holdout` of `ds`:
     /// bottom-up, replace any split whose collapsed-leaf squared error on
     /// the holdout is no worse than its subtree's. Reorders `holdout`.
-    fn reduced_error_prune(&mut self, ds: &Dataset, holdout: &mut [usize]) {
-        let mut scratch = vec![0; holdout.len()];
-        self.prune_node(self.root, ds, holdout, &mut scratch);
+    fn reduced_error_prune(
+        &mut self,
+        ds: &Dataset,
+        holdout: &mut [usize],
+        scratch: &mut Vec<usize>,
+    ) {
+        scratch.clear();
+        scratch.resize(holdout.len(), 0);
+        self.prune_node(self.root, ds, holdout, scratch);
     }
 
     /// Returns the subtree's squared error on `rows` (the node's holdout
@@ -427,18 +466,29 @@ struct Builder<'a> {
 }
 
 impl<'a> Builder<'a> {
-    /// Grows the unpruned arena on the rows `grow` of `ds` (in that order);
-    /// returns it with its root index.
-    fn grow(ds: &Dataset, grow: &[usize], cfg: &'a RepTreeConfig) -> (Vec<Node>, usize) {
-        let mut builder = Builder::new(ds, grow, cfg);
+    /// Grows the unpruned arena on the rows `grow` of `ds` (in that order)
+    /// into `buf.nodes`, in `buf`'s buffers; returns its root index.
+    fn grow(ds: &Dataset, grow: &[usize], cfg: &'a RepTreeConfig, buf: &mut TreeBuffers) -> usize {
+        let mut builder = Builder::new(ds, grow, cfg, buf);
         let root = builder.build(0, grow.len(), 0);
-        (builder.nodes, root)
+        let Builder {
+            nodes,
+            cols,
+            y,
+            orders,
+            goes_left,
+            scratch,
+            ..
+        } = builder;
+        (buf.nodes, buf.cols, buf.y) = (nodes, cols, y);
+        (buf.orders, buf.goes_left, buf.scratch) = (orders, goes_left, scratch);
+        root
     }
 
-    fn new(ds: &Dataset, grow: &[usize], cfg: &'a RepTreeConfig) -> Self {
+    fn new(ds: &Dataset, grow: &[usize], cfg: &'a RepTreeConfig, buf: &mut TreeBuffers) -> Self {
         let (n, width) = (grow.len(), ds.width());
         let ids = 0..u32::try_from(n).expect("grow set has fewer than 2^32 rows");
-        let mut cols = vec![0.0; width * n];
+        let mut cols = refilled(&mut buf.cols, width * n, 0.0);
         for (k, &i) in grow.iter().enumerate() {
             for (f, v) in ds.row(i).iter().enumerate() {
                 // `+ 0.0` turns -0.0 into 0.0, so the total order of the
@@ -446,22 +496,28 @@ impl<'a> Builder<'a> {
                 cols[f * n + k] = v + 0.0;
             }
         }
-        let mut orders = Vec::with_capacity((width + 1) * n);
-        let mut keys = Vec::with_capacity(n);
+        let mut orders = std::mem::take(&mut buf.orders);
+        orders.clear();
+        orders.reserve((width + 1) * n);
         for f in 0..width {
-            presort_column(&cols[f * n..(f + 1) * n], &mut keys, &mut orders);
+            presort_column(&cols[f * n..(f + 1) * n], &mut buf.keys, &mut orders);
         }
         orders.extend(ids);
+        let mut y = std::mem::take(&mut buf.y);
+        y.clear();
+        y.extend(grow.iter().map(|&i| ds.target(i)));
+        let mut nodes = std::mem::take(&mut buf.nodes);
+        nodes.clear();
         Builder {
-            nodes: Vec::new(),
+            nodes,
             cfg,
             n,
             width,
             cols,
-            y: grow.iter().map(|&i| ds.target(i)).collect(),
+            y,
             orders,
-            goes_left: vec![false; n],
-            scratch: vec![0; n],
+            goes_left: refilled(&mut buf.goes_left, n, false),
+            scratch: refilled(&mut buf.scratch, n, 0),
         }
     }
 
@@ -583,6 +639,14 @@ impl<'a> Builder<'a> {
             _ => None,
         }
     }
+}
+
+/// The buffer in `slot`, taken out and refilled with `len` copies of `x`.
+fn refilled<T: Clone>(slot: &mut Vec<T>, len: usize, x: T) -> Vec<T> {
+    let mut v = std::mem::take(slot);
+    v.clear();
+    v.resize(len, x);
+    v
 }
 
 /// Appends the row ids `0..col.len()` to `out`, sorted by ascending value

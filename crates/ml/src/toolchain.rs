@@ -22,9 +22,11 @@ use crate::dataset::{split_order, Dataset};
 use crate::lasso::LassoRegression;
 use crate::metrics::RegressionMetrics;
 use crate::model::{AnyModel, ModelKind};
+use crate::rep_tree::{RepTree, TreeBuffers};
 use crate::validate::evaluate;
 use acm_obs::{Obs, Timer};
 use acm_sim::rng::SimRng;
+use std::sync::Arc;
 
 /// Toolchain configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +68,7 @@ pub struct F2pmReport {
     /// Indices (into the full feature vector) of the selected features.
     pub selected_features: Vec<usize>,
     /// Names of the selected features.
-    pub selected_names: Vec<String>,
+    pub selected_names: Vec<Arc<str>>,
     /// Per-family holdout outcomes, best (lowest RMSE) first.
     pub outcomes: Vec<ModelOutcome>,
     /// Rows used for training / holdout.
@@ -102,6 +104,33 @@ impl F2pmReport {
             );
         }
         out
+    }
+}
+
+/// What a fit works in, kept by a caller that fits again and again (the
+/// model lifecycle, one per region): the split's row order, the projected
+/// train and holdout sets, and the REP-Tree's buffers. Once they have
+/// grown to the data, a fit allocates the model and report it returns and
+/// little else (`tests/retention.rs` counts the calls).
+#[derive(Debug, Default)]
+pub struct FitBuffers {
+    order: Vec<usize>,
+    train: Dataset,
+    holdout: Dataset,
+    tree: TreeBuffers,
+}
+
+/// `acm.ml.toolchain.fit_ns.<family>`, spelled out so resolving a fit
+/// timer formats nothing.
+fn fit_timer_name(kind: ModelKind) -> &'static str {
+    match kind {
+        ModelKind::Linear => "acm.ml.toolchain.fit_ns.linear",
+        ModelKind::Ridge => "acm.ml.toolchain.fit_ns.ridge",
+        ModelKind::LassoPredictor => "acm.ml.toolchain.fit_ns.lasso",
+        ModelKind::RepTree => "acm.ml.toolchain.fit_ns.rep-tree",
+        ModelKind::M5P => "acm.ml.toolchain.fit_ns.m5p",
+        ModelKind::Svr => "acm.ml.toolchain.fit_ns.svr",
+        ModelKind::LsSvm => "acm.ml.toolchain.fit_ns.ls-svm",
     }
 }
 
@@ -151,10 +180,24 @@ impl RttfPredictor {
     where
         I: IntoIterator<Item = &'a [f64]>,
     {
+        self.predict_packed(full_rows, &mut Vec::new(), out);
+    }
+
+    /// [`RttfPredictor::predict_batch_into`] with the caller's packing
+    /// buffer: a caller that predicts every era keeps `packed` and `out`,
+    /// and a batch no larger than the last allocates nothing. Rows are
+    /// anything that views as a full feature slice: borrowed slices, or
+    /// feature vectors built on the fly.
+    pub fn predict_packed<R, I>(&self, full_rows: I, packed: &mut Vec<f64>, out: &mut Vec<f64>)
+    where
+        R: AsRef<[f64]>,
+        I: IntoIterator<Item = R>,
+    {
         let width = self.selected.len();
         let mut rows = 0usize;
-        let mut packed: Vec<f64> = Vec::new();
+        packed.clear();
         for row in full_rows {
+            let row = row.as_ref();
             packed.extend(self.selected.iter().map(|&j| row[j]));
             rows += 1;
         }
@@ -209,7 +252,7 @@ impl F2pmToolchain {
     ) -> (RttfPredictor, F2pmReport) {
         assert_trainable(db);
         let selected = self.select(db, obs);
-        self.fit_with_obs(db, &selected, rng, obs)
+        self.fit_with_obs(db, &selected, rng, obs, &mut FitBuffers::default())
     }
 
     /// Step 1: Lasso feature selection on the full database.
@@ -240,15 +283,17 @@ impl F2pmToolchain {
     /// Steps 2–4 on a feature selection made earlier: split, train the
     /// menu on the `selected` columns, rank by holdout RMSE. This is the
     /// model lifecycle's refit — it keeps the serving model's selection,
-    /// as the paper selects once, offline — and the second half of
-    /// [`F2pmToolchain::run`], which draws `rng` identically.
+    /// as the paper selects once, offline, and its [`FitBuffers`] from
+    /// refit to refit — and the second half of [`F2pmToolchain::run`],
+    /// which draws `rng` identically.
     pub fn fit_on(
         &self,
         db: &Dataset,
         selected: &[usize],
         rng: &mut SimRng,
+        buf: &mut FitBuffers,
     ) -> (RttfPredictor, F2pmReport) {
-        self.fit_with_obs(db, selected, rng, &Obs::noop())
+        self.fit_with_obs(db, selected, rng, &Obs::noop(), buf)
     }
 
     fn fit_with_obs(
@@ -257,6 +302,7 @@ impl F2pmToolchain {
         selected: &[usize],
         rng: &mut SimRng,
         obs: &Obs,
+        buf: &mut FitBuffers,
     ) -> (RttfPredictor, F2pmReport) {
         assert_trainable(db);
         assert!(!self.models.is_empty(), "no model families configured");
@@ -264,34 +310,52 @@ impl F2pmToolchain {
         // 2. Split once; every family sees the same split. The projected
         //    train and holdout sets are gathered straight from `db`, with
         //    the draws `db.project(selected).split(..)` would make.
-        let (order, cut) = split_order(db.len(), self.train_frac, rng);
-        let train = db.select(&order[..cut], selected);
-        let holdout = db.select(&order[cut..], selected);
+        let FitBuffers {
+            order,
+            train,
+            holdout,
+            tree,
+        } = buf;
+        let cut = split_order(db.len(), self.train_frac, rng, order);
+        db.select_into(&order[..cut], selected, train);
+        db.select_into(&order[cut..], selected, holdout);
+        let (train, holdout) = (&*train, &*holdout);
 
         // 3. Train the menu in parallel, each family with its own
         //    deterministic RNG stream and fit timer (resolved here, off
-        //    the parallel path — registry resolution takes a lock).
+        //    the parallel path — registry resolution takes a lock). The
+        //    first family borrows the tree buffers and hands them back.
         let score_timer = obs.timer("acm.ml.toolchain.score_ns");
-        let jobs: Vec<(ModelKind, SimRng, Timer)> = self
+        let mut tree = Some(std::mem::take(tree));
+        let jobs: Vec<(ModelKind, SimRng, Timer, TreeBuffers)> = self
             .models
             .iter()
             .map(|&kind| {
-                let timer = obs.timer(&format!("acm.ml.toolchain.fit_ns.{}", kind.name()));
-                (kind, rng.split(), timer)
+                let timer = obs.timer(fit_timer_name(kind));
+                (kind, rng.split(), timer, tree.take().unwrap_or_default())
             })
             .collect();
-        let mut results: Vec<(AnyModel, ModelOutcome)> =
-            acm_exec::map_collect(jobs, |(kind, mut model_rng, fit_timer)| {
+        let mut results: Vec<(AnyModel, ModelOutcome, TreeBuffers)> =
+            acm_exec::map_collect(jobs, |(kind, mut model_rng, fit_timer, mut tree)| {
                 let model = {
                     let _fit = fit_timer.start();
-                    kind.fit(&train, &mut model_rng)
+                    match kind {
+                        ModelKind::RepTree => AnyModel::RepTree(RepTree::fit_with(
+                            train,
+                            &Default::default(),
+                            &mut model_rng,
+                            &mut tree,
+                        )),
+                        _ => kind.fit(train, &mut model_rng),
+                    }
                 };
                 let metrics = {
                     let _score = score_timer.start();
-                    evaluate(&model, &holdout)
+                    evaluate(&model, holdout)
                 };
-                (model, ModelOutcome { kind, metrics })
+                (model, ModelOutcome { kind, metrics }, tree)
             });
+        buf.tree = std::mem::take(&mut results[0].2);
 
         // 4. Rank by holdout RMSE.
         results.sort_by(|a, b| rank_rmse(a.1.metrics.rmse, b.1.metrics.rmse));
@@ -302,7 +366,7 @@ impl F2pmToolchain {
                 .map(|&j| db.feature_names()[j].clone())
                 .collect(),
             selected_features: selected.to_vec(),
-            outcomes: results.iter().map(|(_, o)| o.clone()).collect(),
+            outcomes: results.iter().map(|(_, o, _)| o.clone()).collect(),
             train_rows: train.len(),
             holdout_rows: holdout.len(),
         };
@@ -361,9 +425,10 @@ mod tests {
         let mut rng = SimRng::new(2);
         let (predictor, report) = tc.run(&db, &mut rng);
         // Noise features must be dropped.
-        assert!(report.selected_names.contains(&"resident".to_string()));
-        assert!(report.selected_names.contains(&"threads".to_string()));
-        assert!(!report.selected_names.contains(&"noise1".to_string()));
+        let selected = |name: &str| report.selected_names.iter().any(|n| &**n == name);
+        assert!(selected("resident"));
+        assert!(selected("threads"));
+        assert!(!selected("noise1"));
         // The winner must explain the target well.
         assert!(report.outcomes[0].metrics.r2 > 0.9, "{}", report.to_table());
         // The deployed predictor consumes the FULL feature vector.
@@ -439,19 +504,32 @@ mod tests {
     }
 
     #[test]
+    fn fit_timer_names_are_the_family_names() {
+        for kind in ModelKind::ALL {
+            let name = format!("acm.ml.toolchain.fit_ns.{}", kind.name());
+            assert_eq!(fit_timer_name(kind), name);
+        }
+    }
+
+    #[test]
     fn run_is_selection_then_fit_on() {
         let db = rttf_db(300, 22);
         let tc = F2pmToolchain::default();
         let (p1, r1) = tc.run(&db, &mut SimRng::new(23));
-        let (p2, r2) = tc.fit_on(&db, &r1.selected_features, &mut SimRng::new(23));
+        // One set of buffers for both refits, as the model lifecycle keeps.
+        let mut buf = FitBuffers::default();
+        let (p2, r2) = tc.fit_on(&db, &r1.selected_features, &mut SimRng::new(23), &mut buf);
         assert_eq!(format!("{r1:?}"), format!("{r2:?}"));
         assert_eq!(p1.selected_features(), p2.selected_features());
         let probe = [1000.0, 100.0, 200.0, 0.5, 0.5];
         assert_eq!(p1.predict(&probe), p2.predict(&probe));
         // Another selection is honoured as given, noise columns and all.
-        let (p3, r3) = tc.fit_on(&db, &[4, 0], &mut SimRng::new(23));
+        let (p3, r3) = tc.fit_on(&db, &[4, 0], &mut SimRng::new(23), &mut buf);
         assert_eq!(p3.selected_features(), [4, 0]);
-        assert_eq!(r3.selected_names, ["noise2", "resident"]);
+        assert_eq!(
+            r3.selected_names,
+            [Arc::from("noise2"), Arc::from("resident")]
+        );
     }
 
     #[test]

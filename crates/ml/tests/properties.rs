@@ -120,8 +120,9 @@ proptest! {
         let keep: Vec<usize> = (0..rng.index(width + 1)).map(|_| rng.index(width)).collect();
         let projected = ds.project(&keep);
         prop_assert_eq!(RowVectors::of(&projected), old.project(&keep));
-        let kept_names: Vec<String> = keep.iter().map(|&j| names[j].clone()).collect();
-        prop_assert_eq!(projected.feature_names(), &kept_names[..]);
+        let kept_names: Vec<&str> = keep.iter().map(|&j| names[j].as_str()).collect();
+        let projected_names: Vec<&str> = projected.feature_names().iter().map(|n| &**n).collect();
+        prop_assert_eq!(projected_names, kept_names);
 
         // Any rows, repeats included (none of an empty dataset).
         let picks = if n == 0 { 0 } else { rng.index(2 * n) };

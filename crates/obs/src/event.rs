@@ -30,15 +30,19 @@
 //! [`EventLog::to_jsonl`] merges the kinds by reference — each kind's
 //! head and tail are already in sequence order — and writes every record
 //! with `EventRecord::write_json` into one pre-sized buffer, under the
-//! lock: nothing is cloned, and no field gets a `String` of its own. Only
-//! [`EventLog::tail`], which hands records out, clones them (the last `n`).
+//! lock: nothing is cloned, and no field gets a `String` of its own. A
+//! float vector that several records share (an install's `old` is the
+//! previous install's `new`) is rendered once per export and copied after.
+//! Only [`EventLog::tail`], which hands records out, clones them (the last
+//! `n`).
 
 use crate::json::{push_escaped, push_f64, push_i64, push_key, push_u64};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// A typed event-field value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// Unsigned integer (ids, counts, thresholds in integral units).
     U64(u64),
@@ -50,6 +54,14 @@ pub enum Value {
     Bool(bool),
     /// Short label (policy/strategy names).
     Str(String),
+    /// A label compiled into the program (a reason tag, an SLO name). It,
+    /// and [`Value::Shared`], are written exactly like [`Value::Str`] and
+    /// equal the `Str` of the same text; neither allocates, and neither is
+    /// wider than `Str`, so a retained field costs what it did.
+    Static(&'static str),
+    /// A label the emitter holds behind an `Arc` (a region's name, kept
+    /// once by its controller), shared rather than copied.
+    Shared(Arc<str>),
     /// Float vector (a plan's fractions). Kept as numbers while retained;
     /// exported as the JSON *string* of the array text — `"[0.5,0.5]"`,
     /// elements formatted like [`Value::F64`] — which is the form such
@@ -108,6 +120,12 @@ impl From<String> for Value {
     }
 }
 
+impl From<&Arc<str>> for Value {
+    fn from(v: &Arc<str>) -> Self {
+        Value::Shared(v.clone())
+    }
+}
+
 impl From<&[f64]> for Value {
     fn from(v: &[f64]) -> Self {
         Value::F64s(v.into())
@@ -121,6 +139,17 @@ impl From<Arc<[f64]>> for Value {
 }
 
 impl Value {
+    /// The text of a [`Value::Str`], [`Value::Static`] or
+    /// [`Value::Shared`].
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            Value::Static(s) => Some(s),
+            Value::Shared(s) => Some(s),
+            _ => None,
+        }
+    }
+
     fn push_json(&self, out: &mut String) {
         match self {
             Value::U64(v) => push_u64(out, *v),
@@ -128,18 +157,62 @@ impl Value {
             Value::F64(v) => push_f64(out, *v),
             Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
             Value::Str(v) => push_escaped(out, v),
-            // Digits, signs, `.`, `,`, brackets and `null`: nothing to escape.
-            Value::F64s(vs) => {
-                out.push_str("\"[");
-                for (i, v) in vs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_f64(out, *v);
-                }
-                out.push_str("]\"");
-            }
+            Value::Static(v) => push_escaped(out, v),
+            Value::Shared(v) => push_escaped(out, v),
+            Value::F64s(vs) => push_f64s(out, vs),
         }
+    }
+}
+
+/// Values compare as they export: text equals text whichever variant
+/// holds it.
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Value::U64(a), Value::U64(b)) => a == b,
+            (Value::I64(a), Value::I64(b)) => a == b,
+            (Value::F64(a), Value::F64(b)) => a == b,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::F64s(a), Value::F64s(b)) => a == b,
+            _ => matches!((self.as_str(), other.as_str()), (Some(a), Some(b)) if a == b),
+        }
+    }
+}
+
+/// A float vector as the JSON string of its array text. Digits, signs,
+/// `.`, `,`, brackets and `null`: nothing to escape.
+fn push_f64s(out: &mut String, vs: &[f64]) {
+    out.push_str("\"[");
+    for (i, v) in vs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_f64(out, *v);
+    }
+    out.push_str("]\"");
+}
+
+/// Every float vector one export has written, each rendered once: records
+/// that share a vector (one `Arc`) copy its text instead of formatting
+/// the floats again.
+#[derive(Default)]
+struct RenderedVectors {
+    text: String,
+    /// A vector's data pointer → its text in `text`. Every vector named
+    /// here is alive (retained by a record) for the whole export, so no
+    /// address is reused under it.
+    spans: HashMap<*const f64, Range<usize>>,
+}
+
+impl RenderedVectors {
+    fn push(&mut self, out: &mut String, vs: &Arc<[f64]>) {
+        let text = &mut self.text;
+        let span = self.spans.entry(Arc::as_ptr(vs).cast()).or_insert_with(|| {
+            let start = text.len();
+            push_f64s(text, vs);
+            start..text.len()
+        });
+        out.push_str(&self.text[span.clone()]);
     }
 }
 
@@ -171,12 +244,13 @@ impl EventRecord {
     /// The record as one JSON object (`{"seq":…,"t_us":…,"kind":…,…fields}`).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write_json(&mut out);
+        self.write_json(&mut out, &mut RenderedVectors::default());
         out
     }
 
-    /// Appends [`EventRecord::to_json`]'s text to `out`.
-    pub(crate) fn write_json(&self, out: &mut String) {
+    /// Appends [`EventRecord::to_json`]'s text to `out`, its float
+    /// vectors through the export's `vectors`.
+    fn write_json(&self, out: &mut String, vectors: &mut RenderedVectors) {
         push_key(out, '{', "seq");
         push_u64(out, self.seq);
         push_key(out, ',', "t_us");
@@ -185,7 +259,10 @@ impl EventRecord {
         push_escaped(out, self.kind);
         for (k, v) in &self.fields {
             push_key(out, ',', k);
-            v.push_json(out);
+            match v {
+                Value::F64s(vs) => vectors.push(out, vs),
+                v => v.push_json(out),
+            }
         }
         out.push('}');
     }
@@ -342,8 +419,9 @@ impl EventLog {
         // covers a typical log.
         let hint = records.iter().map(|r| 64 + 32 * r.fields.len()).sum();
         let mut out = String::with_capacity(hint);
+        let mut vectors = RenderedVectors::default();
         for rec in records {
-            rec.write_json(&mut out);
+            rec.write_json(&mut out, &mut vectors);
             out.push('\n');
         }
         out
@@ -505,6 +583,85 @@ mod tests {
         log.push(1, "plan.install", vec![("old", Value::from(plan.clone()))]);
         assert_eq!(Arc::strong_count(&plan), 3);
         assert_eq!(Value::from(plan.clone()), Value::from(&plan[..]));
+    }
+
+    #[test]
+    fn shared_vectors_render_like_each_value_alone() {
+        // A chain of installs: each one's `old` is the previous one's
+        // `new`, one `Arc` between them, with an equal-valued copy, an
+        // empty vector and a vector repeated in one record mixed in.
+        let plans: Vec<Arc<[f64]>> = (0..6)
+            .map(|i| {
+                let f = 0.1 + 0.13 * i as f64;
+                Arc::from(&[f, 1.0 - f, f64::NAN][..i.min(3)])
+            })
+            .collect();
+        let log = EventLog::new(64);
+        for (era, w) in plans.windows(2).enumerate() {
+            log.push(
+                era as u64,
+                "plan.install",
+                vec![
+                    ("era", Value::from(era)),
+                    ("old", Value::from(w[0].clone())),
+                    ("new", Value::from(w[1].clone())),
+                ],
+            );
+            log.push(
+                era as u64,
+                "ewma.update",
+                vec![("region", Value::Static("r0"))],
+            );
+        }
+        let copy: Arc<[f64]> = Arc::from(&plans[3][..]);
+        let last = plans[5].clone();
+        log.push(
+            9,
+            "plan.install",
+            vec![("old", copy.into()), ("new", last.clone().into())],
+        );
+        log.push(
+            10,
+            "x",
+            vec![("a", last.clone().into()), ("b", last.into())],
+        );
+
+        // Oracle: every field rendered on its own, nothing shared.
+        let mut expected = String::new();
+        for rec in log.tail(usize::MAX) {
+            push_key(&mut expected, '{', "seq");
+            push_u64(&mut expected, rec.seq);
+            push_key(&mut expected, ',', "t_us");
+            push_u64(&mut expected, rec.t_us);
+            push_key(&mut expected, ',', "kind");
+            push_escaped(&mut expected, rec.kind);
+            for (k, v) in &rec.fields {
+                push_key(&mut expected, ',', k);
+                v.push_json(&mut expected);
+            }
+            expected.push_str("}\n");
+        }
+        assert_eq!(log.to_jsonl(), expected);
+        assert_eq!(expected.matches("null]").count(), 2 * 3 + 1 + 2);
+    }
+
+    #[test]
+    fn shared_and_static_text_export_and_compare_like_strings() {
+        let name: Arc<str> = Arc::from("eu-west \"1\"");
+        let (shared, tag) = (Value::from(&name), Value::Static("takeover"));
+        assert_eq!(shared, Value::from("eu-west \"1\""));
+        assert_eq!(tag, Value::from("takeover".to_string()));
+        assert_ne!(tag, Value::from("takeove"));
+        assert_ne!(tag, Value::from(1u64));
+        assert_eq!(shared.as_str(), Some("eu-west \"1\""));
+        let (mut a, mut b) = (String::new(), String::new());
+        shared.push_json(&mut a);
+        Value::from(&*name).push_json(&mut b);
+        assert_eq!(a, b);
+        assert_eq!(Arc::strong_count(&name), 2, "shared, not copied");
+        // No wider than `Str`, the widest variant before them: a
+        // retained field costs what it did.
+        assert_eq!(std::mem::size_of::<Value>(), 24);
     }
 
     #[test]

@@ -98,6 +98,8 @@ fn old_value(v: &Value) -> String {
         Value::F64(v) => old_f64(*v),
         Value::Bool(v) => v.to_string(),
         Value::Str(v) => old_escape(v),
+        Value::Static(v) => old_escape(v),
+        Value::Shared(v) => old_escape(v),
         Value::F64s(vs) => {
             let items: Vec<String> = vs.iter().map(|v| old_f64(*v)).collect();
             format!("\"[{}]\"", items.join(","))

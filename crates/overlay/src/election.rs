@@ -45,7 +45,7 @@ impl ElectionOutcome {
 
 /// Runs the flooding election on the current topology.
 pub fn elect(g: &OverlayGraph) -> ElectionOutcome {
-    let alive = g.alive_nodes();
+    let alive: Vec<NodeId> = g.alive_nodes().collect();
     // Every node starts by nominating itself.
     let mut belief: BTreeMap<NodeId, NodeId> = alive.iter().map(|&n| (n, n)).collect();
     let mut rounds = 0;

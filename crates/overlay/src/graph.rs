@@ -5,7 +5,7 @@ use acm_sim::time::Duration;
 use std::collections::BTreeMap;
 
 /// Identifier of an overlay node (a VM controller).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub u32);
 
 impl std::fmt::Display for NodeId {
@@ -134,9 +134,9 @@ impl OverlayGraph {
             .map(|(m, d)| (*m, *d))
     }
 
-    /// All alive nodes.
-    pub fn alive_nodes(&self) -> Vec<NodeId> {
-        self.nodes().filter(|n| self.is_alive(*n)).collect()
+    /// All alive nodes, ascending.
+    pub fn alive_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.nodes().filter(|n| self.is_alive(*n))
     }
 
     /// Raw latency of the direct link `x`–`y`, regardless of failure
@@ -207,7 +207,7 @@ mod tests {
         assert!(!g.is_alive(n(1)));
         assert!(!g.link_usable(n(0), n(1)));
         assert_eq!(g.usable_neighbors(n(0)).count(), 0);
-        assert_eq!(g.alive_nodes(), vec![n(0), n(2)]);
+        assert_eq!(g.alive_nodes().collect::<Vec<_>>(), vec![n(0), n(2)]);
         g.recover_node(n(1));
         assert!(g.link_usable(n(0), n(1)));
     }

@@ -6,7 +6,6 @@
 //! state" (paper Sec. III). At the era grain, balancing assigns each ACTIVE
 //! VM a share of the region's arrival rate.
 
-use acm_sim::time::SimTime;
 use acm_sim::weights::WeightTable;
 use acm_vm::Vm;
 
@@ -35,7 +34,8 @@ impl BalancerStrategy {
         }
     }
 
-    /// Computes per-VM shares (summing to 1) for the given active VMs.
+    /// Writes one share per VM of `vms` into `out` (cleared first; the
+    /// shares sum to 1, and `out` stays empty when `vms` is).
     ///
     /// `rttf_of` supplies the health signal for [`BalancerStrategy::HealthWeighted`]; it is a
     /// closure so callers can plug either the ground truth or the ML
@@ -43,34 +43,30 @@ impl BalancerStrategy {
     /// through [`WeightTable::normalize`] — the same audited primitive the
     /// request router samples from — so balancer shares and routed flow
     /// agree on weight arithmetic.
-    pub fn shares<F>(self, vms: &[&Vm], now: SimTime, lambda_hint: f64, rttf_of: F) -> Vec<f64>
+    pub fn shares<'a, I, F>(self, vms: I, rttf_of: F, out: &mut Vec<f64>)
     where
+        I: IntoIterator<Item = &'a Vm>,
         F: Fn(&Vm) -> f64,
     {
-        let n = vms.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let raw: Vec<f64> = match self {
-            BalancerStrategy::EqualShare => vec![1.0; n],
+        out.clear();
+        let vms = vms.into_iter();
+        match self {
+            BalancerStrategy::EqualShare => out.extend(vms.map(|_| 1.0)),
             BalancerStrategy::HealthWeighted => {
-                vms.iter().map(|vm| rttf_of(vm).clamp(1e-6, 1e9)).collect()
+                out.extend(vms.map(|vm| rttf_of(vm).clamp(1e-6, 1e9)))
             }
-            BalancerStrategy::CapacityWeighted => vms
-                .iter()
-                .map(|vm| {
-                    let _ = now;
-                    let _ = lambda_hint;
-                    acm_vm::service::effective_service_rate(
-                        vm.flavor(),
-                        vm.anomaly_config(),
-                        vm.anomaly(),
-                    )
-                    .max(1e-6)
-                })
-                .collect(),
-        };
-        WeightTable::normalize(&raw)
+            BalancerStrategy::CapacityWeighted => out.extend(vms.map(|vm| {
+                acm_vm::service::effective_service_rate(
+                    vm.flavor(),
+                    vm.anomaly_config(),
+                    vm.anomaly(),
+                )
+                .max(1e-6)
+            })),
+        }
+        if !out.is_empty() {
+            WeightTable::normalize(out);
+        }
     }
 }
 
@@ -96,11 +92,17 @@ mod tests {
         SimTime::ZERO
     }
 
+    fn shares_of(strat: BalancerStrategy, vms: &[&Vm], rttf_of: impl Fn(&Vm) -> f64) -> Vec<f64> {
+        let mut out = vec![f64::NAN; 7];
+        strat.shares(vms.iter().copied(), rttf_of, &mut out);
+        out
+    }
+
     #[test]
     fn equal_share_is_uniform() {
         let vms = [mk_vm(0, 1), mk_vm(1, 2), mk_vm(2, 3)];
         let refs: Vec<&Vm> = vms.iter().collect();
-        let s = BalancerStrategy::EqualShare.shares(&refs, t0(), 10.0, |v| v.true_rttf(10.0));
+        let s = shares_of(BalancerStrategy::EqualShare, &refs, |v| v.true_rttf(10.0));
         assert_eq!(s, vec![1.0 / 3.0; 3]);
     }
 
@@ -115,7 +117,7 @@ mod tests {
             BalancerStrategy::HealthWeighted,
             BalancerStrategy::CapacityWeighted,
         ] {
-            let s = strat.shares(&refs, t0(), 10.0, |v| v.true_rttf(10.0));
+            let s = shares_of(strat, &refs, |v| v.true_rttf(10.0));
             let total: f64 = s.iter().sum();
             assert!((total - 1.0).abs() < 1e-12, "{strat:?} sums to {total}");
             assert!(s.iter().all(|x| *x >= 0.0));
@@ -130,7 +132,9 @@ mod tests {
             vms[0].process_era(SimTime::from_secs(era * 30), Duration::from_secs(30), 25.0);
         }
         let refs: Vec<&Vm> = vms.iter().collect();
-        let s = BalancerStrategy::HealthWeighted.shares(&refs, t0(), 10.0, |v| v.true_rttf(10.0));
+        let s = shares_of(BalancerStrategy::HealthWeighted, &refs, |v| {
+            v.true_rttf(10.0)
+        });
         assert!(s[1] > s[0], "fresh VM should get more: {s:?}");
     }
 
@@ -145,7 +149,9 @@ mod tests {
             }
         }
         let refs: Vec<&Vm> = vms.iter().collect();
-        let s = BalancerStrategy::CapacityWeighted.shares(&refs, t0(), 10.0, |v| v.true_rttf(10.0));
+        let s = shares_of(BalancerStrategy::CapacityWeighted, &refs, |v| {
+            v.true_rttf(10.0)
+        });
         assert!(s[1] >= s[0], "degraded VM should get no more: {s:?}");
     }
 
@@ -168,7 +174,7 @@ mod tests {
     #[test]
     fn empty_vm_list_gives_empty_shares() {
         let refs: Vec<&Vm> = Vec::new();
-        let s = BalancerStrategy::EqualShare.shares(&refs, t0(), 10.0, |_| 1.0);
+        let s = shares_of(BalancerStrategy::EqualShare, &refs, |_| 1.0);
         assert!(s.is_empty());
     }
 
@@ -177,7 +183,9 @@ mod tests {
         // A VM with zero load has infinite RTTF; shares must stay finite.
         let vms = [mk_vm(0, 1), mk_vm(1, 2)];
         let refs: Vec<&Vm> = vms.iter().collect();
-        let s = BalancerStrategy::HealthWeighted.shares(&refs, t0(), 0.0, |v| v.true_rttf(0.0));
+        let s = shares_of(BalancerStrategy::HealthWeighted, &refs, |v| {
+            v.true_rttf(0.0)
+        });
         assert!(s.iter().all(|x| x.is_finite()));
         let total: f64 = s.iter().sum();
         assert!((total - 1.0).abs() < 1e-12);

@@ -39,7 +39,7 @@
 use crate::online::OnlineLabeler;
 use crate::vmc::RttfSource;
 use acm_ml::model::ModelKind;
-use acm_ml::toolchain::{F2pmToolchain, RttfPredictor};
+use acm_ml::toolchain::{F2pmToolchain, FitBuffers, RttfPredictor};
 use acm_sim::rng::SimRng;
 use acm_sim::time::SimTime;
 use acm_vm::{FeatureVec, VmId};
@@ -286,6 +286,10 @@ pub struct ModelLifecycle {
     last_refit_era: Option<u64>,
     /// Dedicated RNG stream; each refit trains on its own split.
     rng: SimRng,
+    /// The one-family REP-Tree toolchain every refit runs, and the buffers
+    /// it fits in, kept from refit to refit.
+    toolchain: F2pmToolchain,
+    fit: FitBuffers,
 }
 
 impl ModelLifecycle {
@@ -301,6 +305,11 @@ impl ModelLifecycle {
             watch: None,
             last_refit_era: None,
             rng,
+            toolchain: F2pmToolchain {
+                models: vec![ModelKind::RepTree],
+                ..Default::default()
+            },
+            fit: FitBuffers::default(),
         }
     }
 
@@ -345,7 +354,7 @@ impl ModelLifecycle {
     /// labelled rows for whatever is shadowing / under regression watch.
     pub fn on_failure(&mut self, vm: VmId, at: SimTime, incumbent: Option<&RttfPredictor>) {
         let rows = self.labeler.on_failure(vm, at);
-        for (features, rttf) in &rows {
+        for (features, rttf) in rows {
             let f = features.as_slice();
             if let Phase::Shadowing(s) = &mut self.phase {
                 s.cand.score_failure(s.predictor.predict(f), *rttf);
@@ -363,7 +372,7 @@ impl ModelLifecycle {
     /// censored lower bounds and score censored-aware.
     pub fn on_rejuvenation(&mut self, vm: VmId, at: SimTime, incumbent: Option<&RttfPredictor>) {
         let rows = self.labeler.on_rejuvenation(vm, at);
-        for (features, bound) in &rows {
+        for (features, bound) in rows {
             let f = features.as_slice();
             if let Phase::Shadowing(s) = &mut self.phase {
                 s.cand.score_censored(s.predictor.predict(f), *bound);
@@ -513,10 +522,6 @@ impl ModelLifecycle {
             let mut job_rng = self.rng.split();
             let version = self.next_version;
             self.next_version += 1;
-            let toolchain = F2pmToolchain {
-                models: vec![ModelKind::RepTree],
-                ..Default::default()
-            };
             let shuffled;
             let db = if self.cfg.poison_refits {
                 shuffled = crate::training::shuffle_targets(self.labeler.database(), &mut job_rng);
@@ -524,8 +529,10 @@ impl ModelLifecycle {
             } else {
                 self.labeler.database()
             };
+            let selected = serving.selected_features();
             let (predictor, report) =
-                toolchain.fit_on(db, serving.selected_features(), &mut job_rng);
+                self.toolchain
+                    .fit_on(db, selected, &mut job_rng, &mut self.fit);
             let holdout_r2 = report.outcomes[0].metrics.r2;
             self.phase = Phase::Loading(PendingRefit {
                 version,

@@ -23,7 +23,11 @@ use std::collections::BTreeMap;
 /// Retroactive labeller for the F2PM feature stream.
 #[derive(Debug, Clone)]
 pub struct OnlineLabeler {
+    /// Each VM's snapshots awaiting an outcome. An outcome empties its
+    /// VM's list and keeps it: the VM's next life fills the same buffer.
     pending: BTreeMap<VmId, Vec<(SimTime, FeatureVec)>>,
+    /// The rows the latest outcome produced.
+    outcome: Vec<(FeatureVec, f64)>,
     db: Dataset,
     dropped_out_of_order: u64,
     dropped_non_finite: u64,
@@ -40,6 +44,7 @@ impl OnlineLabeler {
     pub fn new() -> Self {
         OnlineLabeler {
             pending: BTreeMap::new(),
+            outcome: Vec::new(),
             db: Dataset::new(FEATURE_NAMES),
             dropped_out_of_order: 0,
             dropped_non_finite: 0,
@@ -51,39 +56,12 @@ impl OnlineLabeler {
         self.pending.entry(vm).or_default().push((now, features));
     }
 
-    /// Filters one pending snapshot against the outcome instant `at`,
-    /// counting (instead of silently discarding) snapshots a buggy feature
-    /// pipeline produced: out-of-order timestamps and non-finite features.
-    fn admit(&mut self, t: SimTime, features: &FeatureVec, at: SimTime) -> bool {
-        if t > at {
-            self.dropped_out_of_order += 1;
-            return false;
-        }
-        if !features.is_finite() {
-            self.dropped_non_finite += 1;
-            return false;
-        }
-        true
-    }
-
     /// The VM reached its failure point at `at`: every pending snapshot
     /// becomes a labelled row with `RTTF = at − t_snapshot`. Returns the
     /// freshly labelled `(features, rttf)` rows, so shadow evaluation can
     /// score live models on exactly the rows this failure produced.
-    pub fn on_failure(&mut self, vm: VmId, at: SimTime) -> Vec<(FeatureVec, f64)> {
-        let Some(snapshots) = self.pending.remove(&vm) else {
-            return Vec::new();
-        };
-        let mut rows = Vec::new();
-        for (t, features) in snapshots {
-            if !self.admit(t, &features, at) {
-                continue;
-            }
-            let rttf = at.since(t).as_secs_f64();
-            self.db.push(features.as_slice(), rttf);
-            rows.push((features, rttf));
-        }
-        rows
+    pub fn on_failure(&mut self, vm: VmId, at: SimTime) -> &[(FeatureVec, f64)] {
+        self.outcome(vm, at, true)
     }
 
     /// The VM was proactively rejuvenated at `at`: its pending snapshots
@@ -91,18 +69,42 @@ impl OnlineLabeler {
     /// provably survived `at − t_snapshot`. Returns one censored
     /// lower-bound row `(features, survived_at_least_s)` per admitted
     /// snapshot; nothing is stored.
-    pub fn on_rejuvenation(&mut self, vm: VmId, at: SimTime) -> Vec<(FeatureVec, f64)> {
-        let Some(snapshots) = self.pending.remove(&vm) else {
-            return Vec::new();
+    pub fn on_rejuvenation(&mut self, vm: VmId, at: SimTime) -> &[(FeatureVec, f64)] {
+        self.outcome(vm, at, false)
+    }
+
+    /// Empties `vm`'s pending snapshots against the outcome instant `at`
+    /// into the outcome rows (and, when `label`, the database), counting
+    /// (instead of silently discarding) snapshots a buggy feature pipeline
+    /// produced: out-of-order timestamps and non-finite features.
+    fn outcome(&mut self, vm: VmId, at: SimTime, label: bool) -> &[(FeatureVec, f64)] {
+        let OnlineLabeler {
+            pending,
+            outcome,
+            db,
+            dropped_out_of_order,
+            dropped_non_finite,
+        } = self;
+        outcome.clear();
+        let Some(snapshots) = pending.get_mut(&vm) else {
+            return outcome;
         };
-        let mut rows = Vec::new();
-        for (t, features) in snapshots {
-            if !self.admit(t, &features, at) {
+        for (t, features) in snapshots.drain(..) {
+            if t > at {
+                *dropped_out_of_order += 1;
                 continue;
             }
-            rows.push((features, at.since(t).as_secs_f64()));
+            if !features.is_finite() {
+                *dropped_non_finite += 1;
+                continue;
+            }
+            let rttf = at.since(t).as_secs_f64();
+            if label {
+                db.push(features.as_slice(), rttf);
+            }
+            outcome.push((features, rttf));
         }
-        rows
+        outcome
     }
 
     /// The labelled database harvested so far.
@@ -250,7 +252,7 @@ impl DriftMonitor {
         reactive: bool,
         obs: &acm_obs::ObsHandle,
         t_us: u64,
-        region: &str,
+        region: &std::sync::Arc<str>,
     ) -> Option<acm_obs::TraceContext> {
         let was_drifted = self.drifted();
         self.record(reactive);
@@ -259,7 +261,7 @@ impl DriftMonitor {
                 t_us,
                 "drift.signal",
                 vec![
-                    ("region", acm_obs::Value::from(region.to_string())),
+                    ("region", acm_obs::Value::from(region)),
                     ("miss_rate", acm_obs::Value::from(self.miss_rate())),
                 ],
                 None,
@@ -315,7 +317,7 @@ mod tests {
         let mut labeler = OnlineLabeler::new();
         let vm = VmId(2);
         labeler.observe(vm, t(10), FeatureVec::new([1.0; acm_vm::FEATURE_COUNT]));
-        let rows = labeler.on_rejuvenation(vm, t(40));
+        let rows = labeler.on_rejuvenation(vm, t(40)).to_vec();
         assert_eq!(labeler.labelled_rows(), 0);
         // The snapshot comes back as a censored lower bound, not dropped:
         // the VM provably survived 30 s past the snapshot.

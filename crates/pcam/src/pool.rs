@@ -225,13 +225,9 @@ impl VmPool {
         c
     }
 
-    /// Ids of currently ACTIVE VMs (ascending).
-    pub fn active_ids(&self) -> Vec<VmId> {
-        self.vms
-            .iter()
-            .filter(|v| v.is_active())
-            .map(|v| v.id())
-            .collect()
+    /// The currently ACTIVE VMs, in pool order.
+    pub fn active(&self) -> impl Iterator<Item = &Vm> + Clone + '_ {
+        self.vms.iter().filter(|v| v.is_active())
     }
 
     /// Promotes standbys until the active count reaches the target or the
@@ -264,6 +260,10 @@ impl VmPool {
     /// is demoted so the serving set keeps the damaged VMs visible to the
     /// rejuvenation logic. Returns how many were demoted.
     pub fn demote_excess_active(&mut self, now: SimTime) -> usize {
+        let excess = self.active().count().saturating_sub(self.target_active);
+        if excess == 0 {
+            return 0;
+        }
         // Freshest = fewest requests since refresh; stable sort keeps the
         // original first-on-tie order (pool position).
         let mut active: Vec<(u64, usize)> = self
@@ -273,10 +273,6 @@ impl VmPool {
             .filter(|(_, v)| v.is_active())
             .map(|(slot, v)| (v.anomaly().requests_since_refresh, slot))
             .collect();
-        if active.len() <= self.target_active {
-            return 0;
-        }
-        let excess = active.len() - self.target_active;
         active.sort_by_key(|&(requests, _)| requests);
         for &(_, slot) in active.iter().take(excess) {
             self.vms[slot].deactivate(now);
@@ -356,7 +352,7 @@ mod tests {
         assert_eq!(c.active, 4);
         assert_eq!(c.standby, 2);
         assert_eq!(c.total(), 6);
-        assert_eq!(p.active_ids().len(), 4);
+        assert_eq!(p.active().count(), 4);
     }
 
     #[test]
@@ -369,7 +365,7 @@ mod tests {
     fn replenish_promotes_standbys() {
         let mut p = pool(5, 3);
         // Rejuvenate one active: census drops to 2 active.
-        let id = p.active_ids()[0];
+        let id = p.active().next().unwrap().id();
         p.vm_mut(id)
             .unwrap()
             .start_rejuvenation(t(0), Duration::from_secs(60));
@@ -383,7 +379,7 @@ mod tests {
     #[test]
     fn replenish_stops_when_spares_exhausted() {
         let mut p = pool(3, 3); // no standbys at all
-        let id = p.active_ids()[0];
+        let id = p.active().next().unwrap().id();
         p.vm_mut(id)
             .unwrap()
             .start_rejuvenation(t(0), Duration::from_secs(60));
@@ -394,7 +390,7 @@ mod tests {
     #[test]
     fn poll_rejuvenations_returns_spares() {
         let mut p = pool(4, 2);
-        let id = p.active_ids()[0];
+        let id = p.active().next().unwrap().id();
         p.vm_mut(id)
             .unwrap()
             .start_rejuvenation(t(0), Duration::from_secs(30));
@@ -459,7 +455,7 @@ mod tests {
         let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
         let mut p = pool(4, 2);
         p.set_obs(&obs, "r");
-        let id = p.active_ids()[0];
+        let id = p.active().next().unwrap().id();
         p.vm_mut(id)
             .unwrap()
             .start_rejuvenation(t(0), Duration::from_secs(30));
@@ -485,7 +481,7 @@ mod tests {
         assert_eq!(obs.gauge("acm.pcam.pool.r.standby").value(), 2.0);
         // A transition followed by publish refreshes every gauge to the
         // live census.
-        let id = p.active_ids()[0];
+        let id = p.active().next().unwrap().id();
         p.vm_mut(id)
             .unwrap()
             .start_rejuvenation(t(0), Duration::from_secs(60));

@@ -15,7 +15,8 @@ use acm_obs::{Obs, ObsHandle, Timer, Value};
 use acm_sim::rng::SimRng;
 use acm_sim::stats::OnlineStats;
 use acm_sim::time::{Duration, SimTime};
-use acm_vm::{AnomalyConfig, FailureSpec, Vm, VmFlavor, VmState};
+use acm_vm::{AnomalyConfig, FailureSpec, Vm, VmFlavor, VmId, VmState};
+use std::sync::Arc;
 
 /// Where the VMC gets its RTTF estimates.
 #[derive(Debug, Clone)]
@@ -39,21 +40,26 @@ impl RttfSource {
 
     /// Batch variant of [`RttfSource::predict`] over `(vm, lambda)` pairs.
     /// Clears and refills `out` index-aligned with `pairs`. The model path
-    /// gathers the feature vectors into one packed buffer and runs a single
-    /// batched prediction instead of a per-VM model walk.
-    pub fn predict_many(&self, pairs: &[(&Vm, f64)], now: SimTime, out: &mut Vec<f64>) {
+    /// gathers the projected feature vectors into `packed` (the caller's
+    /// scratch) and runs a single batched prediction instead of a per-VM
+    /// model walk.
+    pub fn predict_many<'a>(
+        &self,
+        pairs: impl Iterator<Item = (&'a Vm, f64)>,
+        now: SimTime,
+        packed: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) {
         match self {
             RttfSource::Oracle => {
                 out.clear();
-                out.extend(pairs.iter().map(|(vm, lambda)| vm.true_rttf(*lambda)));
+                out.extend(pairs.map(|(vm, lambda)| vm.true_rttf(lambda)));
             }
-            RttfSource::Model(m) => {
-                let rows: Vec<acm_vm::FeatureVec> = pairs
-                    .iter()
-                    .map(|(vm, lambda)| vm.features(now, *lambda))
-                    .collect();
-                m.predict_batch_into(rows.iter().map(|f| f.as_slice()), out);
-            }
+            RttfSource::Model(m) => m.predict_packed(
+                pairs.map(|(vm, lambda)| vm.features(now, lambda)),
+                packed,
+                out,
+            ),
         }
     }
 }
@@ -147,12 +153,30 @@ impl StagedEvents {
     }
 }
 
+/// What [`Vmc::process_era`] refills every era, kept so an era allocates
+/// nothing once the buffers have grown to the pool.
+#[derive(Debug, Default)]
+struct EraBuffers {
+    /// One balancer share per ACTIVE VM, in pool order.
+    shares: Vec<f64>,
+    /// The era's serving set: each serving VM and its arrival rate.
+    served: Vec<(VmId, f64)>,
+    /// Those still ACTIVE at era end (the proactive scan's candidates).
+    scanned: Vec<(VmId, f64)>,
+    /// Predicted RTTFs, index-aligned with whatever was predicted last.
+    rttfs: Vec<f64>,
+    /// `(predicted RTTF, id)` of the VMs below the threshold.
+    candidates: Vec<(f64, VmId)>,
+    /// The model's packed feature rows.
+    packed: Vec<f64>,
+}
+
 /// Promotes standbys up to the ACTIVE target at `at` and stages any
 /// promotion as one `standby.activate` event carrying `reason`.
 fn activate_standbys(
     pool: &mut VmPool,
     staged: &mut StagedEvents,
-    region: &str,
+    region: &Arc<str>,
     at: SimTime,
     reason: &'static str,
 ) {
@@ -162,7 +186,7 @@ fn activate_standbys(
             vec![
                 ("region", Value::from(region)),
                 ("count", Value::from(activated)),
-                ("reason", Value::from(reason)),
+                ("reason", Value::Static(reason)),
             ]
         });
     }
@@ -172,6 +196,8 @@ fn activate_standbys(
 #[derive(Debug)]
 pub struct Vmc {
     config: RegionConfig,
+    /// The region's name, shared with the decision events that carry it.
+    name: Arc<str>,
     pool: VmPool,
     rttf_source: RttfSource,
     /// Versioned model registry (None unless enabled on a Model source).
@@ -185,6 +211,7 @@ pub struct Vmc {
     staged: StagedEvents,
     balancer_timer: Timer,
     rejuv_scan_timer: Timer,
+    buf: EraBuffers,
 }
 
 impl Vmc {
@@ -199,6 +226,7 @@ impl Vmc {
             rng,
         );
         Vmc {
+            name: Arc::from(config.name.as_str()),
             config,
             pool,
             rttf_source,
@@ -211,6 +239,7 @@ impl Vmc {
             },
             balancer_timer: Timer::default(),
             rejuv_scan_timer: Timer::default(),
+            buf: EraBuffers::default(),
         }
     }
 
@@ -268,7 +297,7 @@ impl Vmc {
     pub fn set_obs(&mut self, obs: ObsHandle) {
         self.balancer_timer = obs.timer("acm.pcam.balancer.shares_ns");
         self.rejuv_scan_timer = obs.timer("acm.pcam.vmc.rejuvenation_scan_ns");
-        self.pool.set_obs(&obs, &self.config.name);
+        self.pool.set_obs(&obs, &self.name);
         self.staged.obs = obs;
     }
 
@@ -287,7 +316,13 @@ impl Vmc {
 
     /// Region name.
     pub fn name(&self) -> &str {
-        &self.config.name
+        &self.name
+    }
+
+    /// Region name, as the decision events share it
+    /// ([`acm_obs::Value::Shared`]).
+    pub fn shared_name(&self) -> &Arc<str> {
+        &self.name
     }
 
     /// The configuration in force.
@@ -323,19 +358,18 @@ impl Vmc {
     /// The region's current RMTTF estimate: the average MTTF estimate over
     /// ACTIVE VMs ("calculated as the average MTTF of all active VMs in the
     /// region", paper Sec. IV). Returns 0 when nothing is active.
-    fn region_mttf(&self, now: SimTime, region_lambda: f64) -> f64 {
-        let pairs: Vec<(&Vm, f64)> = {
-            let active: Vec<&Vm> = self.pool.vms().iter().filter(|v| v.is_active()).collect();
-            if active.is_empty() {
-                return 0.0;
-            }
-            let per_vm = region_lambda / active.len() as f64;
-            active.into_iter().map(|vm| (vm, per_vm)).collect()
-        };
-        let mut rttfs = Vec::new();
-        self.rttf_source.predict_many(&pairs, now, &mut rttfs);
+    fn region_mttf(&mut self, now: SimTime, region_lambda: f64) -> f64 {
+        let active = self.pool.active();
+        let n = active.clone().count();
+        if n == 0 {
+            return 0.0;
+        }
+        let per_vm = region_lambda / n as f64;
+        let EraBuffers { packed, rttfs, .. } = &mut self.buf;
+        let pairs = active.clone().map(|vm| (vm, per_vm));
+        self.rttf_source.predict_many(pairs, now, packed, rttfs);
         let mut s = OnlineStats::new();
-        for ((vm, _), rttf) in pairs.iter().zip(&rttfs) {
+        for (vm, rttf) in active.zip(rttfs.iter()) {
             let m = rttf + vm.age(now).as_secs_f64();
             s.push(m.min(1e7)); // clamp "never fails" to a large finite value
         }
@@ -367,47 +401,43 @@ impl Vmc {
         activate_standbys(
             &mut self.pool,
             &mut self.staged,
-            &self.config.name,
+            &self.name,
             now,
             "housekeeping",
         );
         self.pool.demote_excess_active(now);
 
         // (2) balance.
-        let active_ids = self.pool.active_ids();
-        let shares = {
+        let buf = &mut self.buf;
+        {
             let _span = self.balancer_timer.start();
-            let active: Vec<&Vm> = active_ids
-                .iter()
-                .map(|id| self.pool.vm(*id).expect("active id"))
-                .collect();
-            let per_vm_hint = if active.is_empty() {
+            let active = self.pool.active().count();
+            let per_vm_hint = if active == 0 {
                 0.0
             } else {
-                region_lambda / active.len() as f64
+                region_lambda / active as f64
             };
             let src = &self.rttf_source;
+            let rttf_of = |vm: &Vm| src.predict(vm, now, per_vm_hint);
             self.config
                 .balancer
-                .shares(&active, now, per_vm_hint, |vm| {
-                    src.predict(vm, now, per_vm_hint)
-                })
-        };
+                .shares(self.pool.active(), rttf_of, &mut buf.shares);
+        }
 
         // (3) serve.
         let mut offered = 0;
         let mut completed = 0;
         let mut response_num = 0.0;
         let mut util = OnlineStats::new();
-        let mut vm_lambdas: Vec<(acm_vm::VmId, f64)> = Vec::with_capacity(active_ids.len());
-        for (id, share) in active_ids.iter().zip(&shares) {
-            let lambda_vm = region_lambda * share;
-            vm_lambdas.push((*id, lambda_vm));
-            let vm = self.pool.vm_mut(*id).expect("active id");
+        buf.served.clear();
+        let serving = self.pool.vms_mut().iter_mut().filter(|v| v.is_active());
+        for (vm, share) in serving.zip(&buf.shares) {
+            let (id, lambda_vm) = (vm.id(), region_lambda * share);
+            buf.served.push((id, lambda_vm));
             // Lifecycle snapshot: the feature vector as it was when the
             // era's serving began, labelled retroactively on outcome.
             if let Some(lc) = &mut self.lifecycle {
-                lc.observe(*id, now, vm.features(now, lambda_vm));
+                lc.observe(id, now, vm.features(now, lambda_vm));
             }
             let out = vm.process_era(now, era, lambda_vm);
             offered += out.offered;
@@ -428,7 +458,7 @@ impl Vmc {
 
         // (4) reactive recovery.
         let mut reactive = 0;
-        let region_name = self.config.name.as_str();
+        let region_name = &self.name;
         let incumbent = match &self.rttf_source {
             RttfSource::Model(m) => Some(m),
             RttfSource::Oracle => None,
@@ -458,42 +488,39 @@ impl Vmc {
         );
 
         // (5) proactive rejuvenation. Candidates come only from this era's
-        // serving set (`vm_lambdas`) and their predictions are fixed at
-        // `end`, so one scored pass in ascending-RTTF order is equivalent
-        // to the old rejuvenate-worst-then-rescan loop — without the O(n²)
+        // serving set (`served`) and their predictions are fixed at `end`,
+        // so one scored pass in ascending-RTTF order is equivalent to the
+        // old rejuvenate-worst-then-rescan loop — without the O(n²)
         // rescans.
         let threshold = self.config.rttf_threshold.as_secs_f64();
         let mut proactive = 0;
         let mut spares = self.pool.counts().standby;
         if spares > 0 {
             let _span = self.rejuv_scan_timer.start();
-            let mut candidates: Vec<(f64, acm_vm::VmId)> = Vec::with_capacity(vm_lambdas.len());
-            {
-                let mut pairs: Vec<(&Vm, f64)> = Vec::with_capacity(vm_lambdas.len());
-                let mut ids: Vec<acm_vm::VmId> = Vec::with_capacity(vm_lambdas.len());
-                for (id, lambda_vm) in &vm_lambdas {
-                    let Some(vm) = self.pool.vm(*id) else {
-                        continue;
-                    };
-                    if !vm.is_active() {
-                        continue;
-                    }
-                    pairs.push((vm, *lambda_vm));
-                    ids.push(*id);
-                }
-                let mut rttfs = Vec::new();
-                self.rttf_source.predict_many(&pairs, end, &mut rttfs);
-                candidates.extend(
-                    ids.iter()
-                        .zip(&rttfs)
-                        .filter(|(_, rttf)| **rttf < threshold)
-                        .map(|(id, rttf)| (*rttf, *id)),
-                );
-            }
+            let pool = &self.pool;
+            let buf = &mut self.buf;
+            let still_active = |&&(id, _): &&(VmId, f64)| pool.vm(id).is_some_and(Vm::is_active);
+            buf.scanned.clear();
+            buf.scanned.extend(buf.served.iter().filter(still_active));
+            let pairs = buf
+                .scanned
+                .iter()
+                .map(|&(id, lambda_vm)| (pool.vm(id).expect("scanned id"), lambda_vm));
+            self.rttf_source
+                .predict_many(pairs, end, &mut buf.packed, &mut buf.rttfs);
+            buf.candidates.clear();
+            buf.candidates.extend(
+                buf.scanned
+                    .iter()
+                    .zip(&buf.rttfs)
+                    .filter(|(_, rttf)| **rttf < threshold)
+                    .map(|(&(id, _), &rttf)| (rttf, id)),
+            );
             // Stable sort: equal RTTFs keep serving order, matching the old
             // first-on-tie rescan.
-            candidates.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite RTTF"));
-            for (rttf, id) in candidates {
+            buf.candidates
+                .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite RTTF"));
+            for &(rttf, id) in &buf.candidates {
                 if spares == 0 {
                     break; // no spare to take over: keep serving
                 }
@@ -701,12 +728,11 @@ mod tests {
 
     #[test]
     fn mttf_estimate_adds_age_to_rttf() {
-        let vmc = mk_vmc(2, 1, RttfSource::Oracle);
+        let mut vmc = mk_vmc(2, 1, RttfSource::Oracle);
         // One ACTIVE VM: the region's estimate is that VM's MTTF.
-        let vm = vmc.pool().vms().iter().find(|v| v.is_active()).unwrap();
+        let rttf = vmc.pool().active().next().unwrap().true_rttf(10.0);
         let now = SimTime::from_secs(100);
         let est = vmc.region_mttf(now, 10.0);
-        let rttf = vm.true_rttf(10.0);
         assert!((est - (rttf + 100.0)).abs() < 1e-9);
     }
 }

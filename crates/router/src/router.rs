@@ -23,7 +23,7 @@ use acm_sim::weights::WeightTable;
 /// Plain (non-atomic) routing statistics, kept off the obs registry so
 /// the hot loop never touches shared state; publish deltas via
 /// [`RequestRouter::publish`] at era grain.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct RouterStats {
     /// Requests routed.
     pub decisions: u64,
@@ -35,6 +35,32 @@ pub struct RouterStats {
     pub replans: u64,
     /// Requests routed to each region.
     pub routed: Vec<u64>,
+}
+
+impl Clone for RouterStats {
+    fn clone(&self) -> Self {
+        RouterStats {
+            routed: self.routed.clone(),
+            ..*self
+        }
+    }
+
+    /// Field by field, into `routed`'s own buffer: the era's publish
+    /// snapshot allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        let RouterStats {
+            decisions,
+            distinct_pairs,
+            latency_overrides,
+            replans,
+            ref routed,
+        } = *source;
+        self.decisions = decisions;
+        self.distinct_pairs = distinct_pairs;
+        self.latency_overrides = latency_overrides;
+        self.replans = replans;
+        self.routed.clone_from(routed);
+    }
 }
 
 impl RouterStats {
@@ -255,7 +281,7 @@ impl RequestRouter {
         for i in 0..self.regions {
             obs.routed[i].add(s.routed[i] - p.routed[i]);
         }
-        *p = s.clone();
+        p.clone_from(s);
     }
 
     /// Splits per-shard router lenses in shard-index order (the same

@@ -8,8 +8,11 @@
 //! weighted sampling with *exact* exclusion of zero-weight entries — an
 //! index whose weight is zero can never be returned, no matter what the
 //! RNG draws, because it is simply absent from the compacted slots. The
-//! table is rebuilt in place ([`WeightTable::rebuild`]) so a router that
-//! swaps plans era after era allocates nothing after warm-up.
+//! table is rebuilt in place ([`WeightTable::rebuild`]): the alias pass
+//! runs in the table's own `prob` slots and two stacks it keeps empty
+//! between rebuilds, so a rebuild over no more indices than the table has
+//! held allocates nothing (`tests/retention.rs` counts the loop's calls
+//! per era, router installs included).
 
 use crate::rng::SimRng;
 
@@ -35,6 +38,10 @@ pub struct WeightTable {
     prob: Vec<f64>,
     /// Index (not slot) to fall through to when the acceptance roll fails.
     alias: Vec<u32>,
+    /// Vose's two work stacks, empty outside [`WeightTable::rebuild`]
+    /// (kept for their capacity).
+    small: Vec<usize>,
+    large: Vec<usize>,
 }
 
 impl WeightTable {
@@ -46,6 +53,8 @@ impl WeightTable {
             slot_index: Vec::new(),
             prob: Vec::new(),
             alias: Vec::new(),
+            small: Vec::new(),
+            large: Vec::new(),
         };
         t.rebuild(weights);
         t
@@ -69,22 +78,22 @@ impl WeightTable {
                 .map(|i| i as u32),
         );
         let m = self.slot_index.len();
-        self.prob.clear();
-        self.prob.resize(m, 0.0);
         self.alias.clear();
         self.alias.resize(m, 0);
 
-        // Vose's alias construction over the compact slots. `scaled[k]` is
-        // the slot's share times the slot count; slots below 1 are topped
-        // up by slots above 1.
-        let mut scaled: Vec<f64> = self
-            .slot_index
-            .iter()
-            .map(|&i| self.shares[i as usize] * m as f64)
-            .collect();
-        let mut small: Vec<usize> = Vec::with_capacity(m);
-        let mut large: Vec<usize> = Vec::with_capacity(m);
-        for (k, &s) in scaled.iter().enumerate() {
+        // Vose's alias construction over the compact slots. `prob[k]`
+        // starts as the slot's share times the slot count; slots below 1
+        // are topped up by slots above 1. A slot's value is final once it
+        // leaves the small stack, so the scaled values live in `prob`.
+        let prob = &mut self.prob;
+        prob.clear();
+        prob.extend(
+            self.slot_index
+                .iter()
+                .map(|&i| self.shares[i as usize] * m as f64),
+        );
+        let (small, large) = (&mut self.small, &mut self.large);
+        for (k, &s) in prob.iter().enumerate() {
             if s < 1.0 {
                 small.push(k);
             } else {
@@ -96,18 +105,17 @@ impl WeightTable {
         while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
             small.pop();
             large.pop();
-            self.prob[s] = scaled[s];
             self.alias[s] = self.slot_index[l];
-            scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-            if scaled[l] < 1.0 {
+            prob[l] = (prob[l] + prob[s]) - 1.0;
+            if prob[l] < 1.0 {
                 small.push(l);
             } else {
                 large.push(l);
             }
         }
         // Leftovers (floating-point slack) accept with certainty.
-        for k in large.into_iter().chain(small) {
-            self.prob[k] = 1.0;
+        for k in large.drain(..).chain(small.drain(..)) {
+            prob[k] = 1.0;
             self.alias[k] = self.slot_index[k];
         }
     }
@@ -144,13 +152,15 @@ impl WeightTable {
         }
     }
 
-    /// Normalises raw non-negative weights into shares summing to 1 — the
-    /// balancer-facing half of the primitive (no table construction).
-    /// Same panics as [`WeightTable::build`].
-    pub fn normalize(raw: &[f64]) -> Vec<f64> {
-        let total = checked_total(raw);
+    /// Normalises raw non-negative weights, in place, into shares summing
+    /// to 1 — the balancer-facing half of the primitive (no table
+    /// construction). Same panics as [`WeightTable::build`].
+    pub fn normalize(weights: &mut [f64]) {
+        let total = checked_total(weights);
         assert!(total > 0.0, "at least one weight must be positive");
-        raw.iter().map(|w| w / total).collect()
+        for w in weights {
+            *w /= total;
+        }
     }
 }
 
@@ -237,8 +247,9 @@ mod tests {
 
     #[test]
     fn normalize_matches_manual_division() {
-        let s = WeightTable::normalize(&[2.0, 6.0]);
-        assert_eq!(s, vec![0.25, 0.75]);
+        let mut s = [2.0, 6.0];
+        WeightTable::normalize(&mut s);
+        assert_eq!(s, [0.25, 0.75]);
     }
 
     #[test]

@@ -60,6 +60,12 @@ impl FeatureVec {
     }
 }
 
+impl AsRef<[f64]> for FeatureVec {
+    fn as_ref(&self) -> &[f64] {
+        &self.values
+    }
+}
+
 impl std::ops::Index<usize> for FeatureVec {
     type Output = f64;
     fn index(&self, i: usize) -> &f64 {

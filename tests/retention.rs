@@ -9,7 +9,13 @@
 //! compactly left the three exports byte for byte where they were. It also
 //! counts the allocation calls one model fit makes, with and without the
 //! selection Lasso: the lifecycle refits on every drift signal, so a refit
-//! that allocates per training row is a per-row cost of serving.
+//! that allocates per training row is a per-row cost of serving. And it
+//! counts the calls a steady-state era makes in three small worlds: an era
+//! allocates only what it keeps — the telemetry row, the installed plan,
+//! the event records, labelled rows and a refit's model — and everything
+//! it only works in is a buffer its VMC, loop or lifecycle reuses.
+
+mod common;
 
 use acm::core::config::{ExperimentConfig, PredictorChoice, RegionSpec};
 use acm::core::control_loop::ControlLoop;
@@ -19,7 +25,7 @@ use acm::core::telemetry::ExperimentTelemetry;
 use acm::core::DegradationConfig;
 use acm::ml::dataset::Dataset;
 use acm::ml::model::ModelKind;
-use acm::ml::toolchain::F2pmToolchain;
+use acm::ml::toolchain::{F2pmToolchain, FitBuffers};
 use acm::obs::json::{self, JsonObject};
 use acm::obs::{Obs, ObsConfig, Value};
 use acm::overlay::FaultPlan;
@@ -231,33 +237,121 @@ fn calls_of<T>(mut train: impl FnMut(u64) -> T) -> u64 {
 
 /// A full toolchain fit — `F2pmToolchain { models: [RepTree] }.run`,
 /// Lasso selection then a REP-Tree on the projected split, what figure
-/// training runs — on `refit_db`, counted in allocation calls. Reads 62
+/// training runs — on `refit_db`, counted in allocation calls. Reads 47
 /// calls. Before the training rows were one flat buffer — `project`,
 /// `split` and the tree's grow / prune split copying a `Vec` per row, the
 /// prune two `Vec`s per node — the same fit made 476, and one row copy
-/// coming back anywhere on the path costs ~100 calls, so 80 fails if any
-/// of them returns.
+/// coming back anywhere on the path costs ~100 calls; it read 62 while
+/// every projection and report copied its feature names (`String`s, not
+/// shared `Arc<str>`s) and the fit timer's name was formatted per fit, so
+/// 50 fails if any of them returns.
 #[test]
 fn a_refit_allocates_per_table_not_per_row() {
     let (db, toolchain) = refit_db();
     let calls = calls_of(|seed| toolchain.run(&db, &mut SimRng::new(seed)));
-    assert!(calls <= 80, "one refit made {calls} allocation calls");
+    assert!(calls <= 50, "one refit made {calls} allocation calls");
 }
 
 /// The refit the model lifecycle submits: `fit_on` the serving model's
-/// selection, no Lasso. Reads 46 calls on `refit_db` with the selection
-/// `run` makes there; the lifecycle's refit was `run` itself (62 calls,
-/// the 16 between them the selection Lasso's) until it stopped
-/// re-selecting.
+/// selection, no Lasso, in the buffers the lifecycle keeps from refit to
+/// refit. Reads 11 calls on `refit_db` with the selection `run` makes
+/// there: the tree's four arrays and the predictor's selection (what the
+/// lifecycle keeps), the report's three vectors, the menu map's job and
+/// result vectors and the holdout predictions. It read 46 while every
+/// refit split, projected and grew its tree in fresh buffers and copied
+/// its feature names, and the lifecycle's refit was `run` itself (62
+/// calls) until it stopped re-selecting; a buffer that stops being reused
+/// adds at least one call, so 11 fails if one does.
 #[test]
 fn a_lifecycle_refit_allocates_only_for_its_fit() {
     let (db, toolchain) = refit_db();
     let selected = toolchain.run(&db, &mut SimRng::new(5)).1.selected_features;
-    let calls = calls_of(|seed| toolchain.fit_on(&db, &selected, &mut SimRng::new(seed)));
+    let mut buf = FitBuffers::default();
+    let calls = calls_of(|seed| toolchain.fit_on(&db, &selected, &mut SimRng::new(seed), &mut buf));
     assert!(
-        calls <= 46,
+        calls <= 11,
         "one lifecycle refit made {calls} allocation calls"
     );
+}
+
+/// Allocation calls `cl`'s eras `warm..warm + eras` make on this thread,
+/// and the events they record, at pool width 1 (the pool's threads count
+/// their own calls; these worlds run every map on the caller anyway).
+fn era_calls(cl: &mut ControlLoop, warm: usize, eras: usize) -> (u64, usize) {
+    let width = acm::exec::current_threads();
+    acm::exec::configure_threads(1);
+    cl.run(warm);
+    let recorded = |cl: &ControlLoop| cl.obs().events_len() + cl.obs().events_dropped() as usize;
+    let (events, calls) = (recorded(cl), CALLS.with(Cell::get));
+    cl.run(eras);
+    let counted = (CALLS.with(Cell::get) - calls, recorded(cl) - events);
+    acm::exec::configure_threads(width);
+    counted
+}
+
+/// The paper's fig-4 world under Policy 2 (three regions).
+fn fig4_loop(predictor: PredictorChoice, obs: ObsConfig) -> ControlLoop {
+    let mut cfg = ExperimentConfig::three_region_fig4(PolicyKind::AvailableResources, 2016);
+    (cfg.predictor, cfg.obs) = (predictor, obs);
+    let mut rng = SimRng::new(cfg.seed);
+    let vmcs = build_vmcs(&cfg, &mut rng);
+    ControlLoop::new(&cfg, vmcs, rng)
+}
+
+/// An un-observed fig-4 era under the oracle keeps three allocations —
+/// the telemetry row's two boxes and the installed plan's `Arc<[f64]>` —
+/// and makes no other call but the telemetry's row and clock vectors
+/// doubling at eras 32 and 64. Reads 304 calls over eras 20-120; it read
+/// 71.1 an era while the MAPE phases, the VMCs, the policy, the forward
+/// plan, the router and the pool sample built their per-era `Vec`s, and
+/// any one of them coming back adds at least one call an era, so 304
+/// fails if one does.
+#[test]
+fn an_unobserved_era_allocates_only_its_row_and_plan() {
+    let _heap = HEAP.lock().unwrap_or_else(|e| e.into_inner());
+    let mut cl = fig4_loop(PredictorChoice::Oracle, ObsConfig::noop());
+    let (calls, events) = era_calls(&mut cl, 20, 100);
+    assert_eq!(events, 0);
+    assert!(calls <= 3 * 100 + 4, "eras 20-120 made {calls} calls");
+}
+
+/// With a trained REP-Tree and the default hub, an era adds one call per
+/// event it records (the record's field `Vec`; region names and reason
+/// tags are shared, not copied) to the unobserved era's three. Reads 1 041
+/// calls for 724 events over eras 20-120: the three per era, one per
+/// event, the telemetry's four doublings and 13 of the event stores
+/// doubling as they fill. It read 114.0 an era while the model path packed
+/// its features into a fresh buffer per batch and every event copied its
+/// region name or reason into a `String` (over three an era in this
+/// world), so the bound fails if either returns.
+#[test]
+fn an_observed_model_era_allocates_one_call_per_event() {
+    let _heap = HEAP.lock().unwrap_or_else(|e| e.into_inner());
+    let trained = PredictorChoice::Trained(ModelKind::RepTree);
+    let mut cl = fig4_loop(trained, ObsConfig::default());
+    let (calls, events) = era_calls(&mut cl, 20, 100);
+    assert!(events >= 300, "{events} events");
+    let bound = 3 * 100 + events as u64 + 17;
+    assert!(
+        calls <= bound,
+        "{calls} calls for {events} events > {bound}"
+    );
+}
+
+/// The drifted lifecycle world refits about one era in three: each refit
+/// fits in its lifecycle's kept buffers, and the labeller keeps every
+/// VM's snapshot list across its lives. Reads 19.1 calls an era over eras
+/// 10-60 (96.9 before): a refit that fitted in fresh buffers again would
+/// read 23.1, a labeller that dropped its lists 21.0 and events that copy
+/// their region names 20.4, so 20 fails if any of them returns.
+#[test]
+fn a_lifecycle_era_allocates_for_what_it_keeps() {
+    let _heap = HEAP.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = common::drifted_lifecycle_cfg();
+    let mut cl = common::lifecycle_loop(&cfg, &common::stale_models(&cfg));
+    let (calls, _) = era_calls(&mut cl, 10, 50);
+    let per_era = calls as f64 / 50.0;
+    assert!(per_era <= 20.0, "eras 10-60 made {per_era:.1} calls each");
 }
 
 /// End instant of era `e`: the clock the telemetry stores once per row.
