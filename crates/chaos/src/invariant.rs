@@ -9,8 +9,10 @@
 //!
 //! The catalogue (see DESIGN.md §11):
 //! - [`QuarantineZeroFlow`]: an installed plan never routes flow to a
-//!   quarantined region (freeze eras are exempt — the control plane
-//!   deliberately keeps stale fractions while the router masks them).
+//!   quarantined region. Freeze eras are exempt, and nothing masks them:
+//!   the leader keeps the previous fractions in force and the next era's
+//!   MONITOR forwards flow by them, so a region quarantined while the
+//!   plan is frozen keeps its frozen fraction until the next install.
 //! - [`FlowConservation`]: flow fractions sum to 1 within epsilon, every
 //!   era, no exceptions.
 //! - [`SingleReadmitPerOutage`]: each outage (a region's k-th
@@ -154,8 +156,10 @@ impl Invariant for FlowConservation {
 }
 
 /// An installed plan must pin every excluded region to zero flow.
-/// Freeze eras are exempt: the control plane deliberately retains the
-/// stale fractions and the data-plane router masks them instead.
+/// Freeze eras are exempt: the leader retains the previous fractions and
+/// the next era's MONITOR forwards flow by them, so an excluded region
+/// keeps whatever fraction the frozen plan gave it. This invariant does
+/// not check that flow.
 #[derive(Debug, Clone)]
 pub struct QuarantineZeroFlow {
     /// Tolerance on a quarantined region's fraction.

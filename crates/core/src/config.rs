@@ -21,7 +21,6 @@ use acm_ml::model::ModelKind;
 use acm_obs::ObsConfig;
 use acm_overlay::{FaultPlan, NodeId};
 use acm_pcam::{DriftConfig, LifecycleConfig, RegionConfig};
-use acm_router::LatencyAwareness;
 use acm_sim::time::Duration;
 use acm_vm::VmFlavor;
 use acm_workload::{ClientSchedule, RegionWorkload, TpcwMix};
@@ -97,9 +96,6 @@ pub struct ExperimentConfig {
     /// on-but-cheap; instruments never feed back into the simulation, so a
     /// run's telemetry is byte-identical with observability on or off.
     pub obs: ObsConfig,
-    /// Latency-aware scoring knobs of the request-routing data plane
-    /// (minimum-measurement eligibility, exclusion threshold, EWMA decay).
-    pub router: LatencyAwareness,
     /// Per-region predictor-drift detector parameters. The defaults are
     /// the historical hard-coded values, so existing seeds replay
     /// byte-identically.
@@ -177,7 +173,6 @@ impl ExperimentConfig {
             scenario: Scenario::none(),
             mix: TpcwMix::Shopping,
             obs: ObsConfig::default(),
-            router: LatencyAwareness::default(),
             drift: DriftConfig::default(),
             lifecycle: LifecycleConfig::default(),
         }
@@ -220,7 +215,6 @@ impl ExperimentConfig {
             scenario: Scenario::none(),
             mix: TpcwMix::Shopping,
             obs: ObsConfig::default(),
-            router: LatencyAwareness::default(),
             drift: DriftConfig::default(),
             lifecycle: LifecycleConfig::default(),
         }
@@ -265,7 +259,6 @@ impl ExperimentConfig {
         }
         self.scenario.validate(self.regions.len())?;
         self.obs.validate()?;
-        self.router.validate()?;
         self.drift.validate()?;
         self.lifecycle.validate()?;
         Ok(())

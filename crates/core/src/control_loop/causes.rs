@@ -24,7 +24,6 @@ pub(super) enum Link {
     Readmit(usize),
     PlanInstall,
     PlanFreeze,
-    RouterReplan,
     RefitStart(usize),
     RefitDone(usize),
     Promote(usize),
@@ -114,7 +113,7 @@ impl Causes {
 
     /// The chain as a table: each link's event kind and its causal parent,
     /// the first present winning. Quarantine ← suspicion ← loss ← fault;
-    /// probation / readmit ← their quarantine; install / freeze / replan ←
+    /// probation / readmit ← their quarantine; install / freeze ←
     /// the era's health transition; refit ← drift; promote / reject ←
     /// refit; rollback ← promote; slo ← fault; the era root is everyone's
     /// fallback.
@@ -135,7 +134,6 @@ impl Causes {
             Readmit(j) => ("region.readmit", self.quarantine[j].or(era)),
             PlanInstall => ("plan.install", self.plan_cause.or(era)),
             PlanFreeze => ("plan.freeze", self.plan_cause.or(era).or(fault)),
-            RouterReplan => ("router.replan", self.plan_cause.or(era)),
             RefitStart(j) => ("model.refit.start", self.drift[j].or(era)),
             RefitDone(j) => ("model.refit.done", self.refit[j].or(era)),
             Promote(j) => ("model.promote", self.refit[j].or(era)),

@@ -1,5 +1,5 @@
-//! EXECUTE (Alg. 3) and the era's close: install or freeze the plan, sync
-//! the router, autoscale — then everything that reads the finished era:
+//! EXECUTE (Alg. 3) and the era's close: install or freeze the plan,
+//! autoscale — then everything that reads the finished era:
 //! drift windows, lifecycle verdicts and refits, client-observed response,
 //! the telemetry row, SLO windows and the pool sample.
 
@@ -11,7 +11,6 @@ use crate::plan::ForwardPlan;
 use crate::telemetry::RegionEraRecord;
 use acm_obs::{SloTransition, Value};
 use acm_pcam::LifecycleEvent;
-use acm_sim::time::Duration;
 use std::sync::Arc;
 
 impl ControlLoop {
@@ -46,11 +45,9 @@ impl ControlLoop {
     /// reachable — a global forward plan installed on a strict subset of
     /// the load balancers would be inconsistent (fractions would no longer
     /// sum to one across the regions actually applying them), so the
-    /// leader freezes the previous plan until connectivity returns. Then
-    /// brings the data plane in step.
+    /// leader freezes the previous plan until connectivity returns.
     fn install(&mut self, seen: &Monitored, heard: &Heard, live_mask: &[bool], target: &[f64]) {
         let (t_end, n) = (seen.t_end, live_mask.len());
-        let degraded = self.degradation.enabled;
         // The mask is all-true without degradation. Short-circuits on the
         // first unreachable balancer, exactly like the pre-degradation
         // all-regions gate.
@@ -74,7 +71,7 @@ impl ControlLoop {
                 ]
             });
             self.leader.fractions = target;
-        } else if degraded {
+        } else if self.degradation.enabled {
             self.causes.emit(t_end, Link::PlanFreeze, || {
                 vec![
                     ("era", Value::from(era_index)),
@@ -83,33 +80,6 @@ impl ControlLoop {
                 ]
             });
         }
-
-        // Data-plane sync: rebuild the router's weight table, in place,
-        // from the fractions now in force — the freshly installed plan, or
-        // the frozen one with this era's quarantine mask applied — before
-        // any request can see it. Quarantined regions carry zero weight and
-        // become structurally unsampleable. The rebuild reuses the table's
-        // buffers: `tests/retention.rs` counts it inside an era's calls.
-        let router = &mut self.router;
-        if router.install(&self.leader.fractions, degraded.then_some(live_mask)) {
-            self.causes.emit(t_end, Link::RouterReplan, || {
-                let support = router.shares().iter().filter(|s| **s > 0.0).count();
-                vec![
-                    ("epoch", Value::from(router.epoch())),
-                    ("live", Value::from(live)),
-                    ("support", Value::from(support)),
-                ]
-            });
-        }
-        // Routed outcomes feed the latency scorer: each region's
-        // completion-weighted mean response this era is one decayed
-        // sample (regions that completed nothing contribute no signal).
-        for (j, r) in seen.reports.iter().enumerate() {
-            if r.completed > 0 && r.mean_response_s > 0.0 {
-                router.record_latency(j, Duration::from_secs_f64(r.mean_response_s));
-            }
-        }
-        router.publish();
     }
 
     /// Predictor-drift watch, then the lifecycle's verdicts. Every

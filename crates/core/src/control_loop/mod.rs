@@ -20,10 +20,10 @@
 //!   Eq. 1 EWMA per region, then the configured `POLICY()` computes the
 //!   next fractions `f_i^t`. Nothing else: `plan_ns` is decision latency.
 //! * **Execute** (`execute`, Alg. 3) — the new fractions are installed on
-//!   every reachable region's load balancer (or the plan freezes), the
-//!   router follows, autoscaling fires where the response-time / RMTTF
-//!   thresholds demand. The era's close lives here too, because it reads
-//!   what the install left behind: drift windows, lifecycle verdicts
+//!   every reachable region's load balancer (or the plan freezes), and
+//!   autoscaling fires where the response-time / RMTTF thresholds
+//!   demand. The era's close lives here too, because it reads what the
+//!   install left behind: drift windows, lifecycle verdicts
 //!   and refits, client-observed response, the telemetry row, SLO windows, the pool
 //!   sample.
 //!
@@ -51,7 +51,6 @@ use crate::telemetry::{ExperimentTelemetry, RegionEraRecord};
 use acm_obs::{BurnRateMonitor, Obs, ObsHandle, SloSpec, Value};
 use acm_overlay::{ElectionOutcome, NodeId};
 use acm_pcam::{DriftMonitor, RegionEraReport, Vmc};
-use acm_router::RequestRouter;
 use acm_sim::rng::SimRng;
 use acm_sim::time::{Duration, SimTime};
 use acm_workload::RegionWorkload;
@@ -129,10 +128,6 @@ pub struct ControlLoop {
     leader: LeaderState,
     /// Runtime reconfigurations still to come.
     scenario: Scenario,
-    /// Request-routing data plane kept in lock-step with the installed
-    /// plan: every install (fresh or frozen-with-quarantine) rebuilds the
-    /// router's weight table with quarantined regions masked to zero.
-    router: RequestRouter,
     /// Burn-rate monitors (availability, latency).
     slo: [BurnRateMonitor; 2],
     telemetry: ExperimentTelemetry,
@@ -168,16 +163,13 @@ impl ControlLoop {
             vmc.set_obs(obs.clone());
         }
 
-        // RNG split order is load-bearing: the leader's stream takes the
-        // first split, exactly as before the router existed, so pre-router
-        // runs replay byte-identically; the router's dedicated stream is
-        // the second split.
+        // RNG split order is load-bearing: the leader's stream is the
+        // first split and the second is discarded, so the model
+        // lifecycle's stream stays the THIRD split and `results/` and
+        // every lifecycle seed replay byte-identically. The third is
+        // taken only when the feature is on.
         let leader = LeaderState::new(cfg, &obs, rng.split());
-        let mut router = RequestRouter::new(n, cfg.router, rng.split());
-        router.set_obs(&obs);
-        // The model lifecycle's stream is the THIRD split, taken only when
-        // the feature is on: every pre-lifecycle seed (and every run with
-        // the feature off) replays byte-identically.
+        let _ = rng.split();
         if cfg.lifecycle.enabled {
             let mut lc_rng = rng.split();
             for vmc in &mut vmcs {
@@ -202,7 +194,6 @@ impl ControlLoop {
             degradation: cfg.degradation.clone(),
             leader,
             scenario: cfg.scenario.clone(),
-            router,
             causes: Causes::new(&obs, n, slo.len()),
             slo,
             telemetry: ExperimentTelemetry::new(
@@ -217,16 +208,6 @@ impl ControlLoop {
     /// The observability instance the loop records into.
     pub fn obs(&self) -> &ObsHandle {
         &self.obs
-    }
-
-    /// The request-routing data plane under the installed plan.
-    pub fn router(&self) -> &RequestRouter {
-        &self.router
-    }
-
-    /// Mutable router access (route requests, split per-shard lenses).
-    pub fn router_mut(&mut self) -> &mut RequestRouter {
-        &mut self.router
     }
 
     /// Current simulated time.

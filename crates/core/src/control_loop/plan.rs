@@ -60,9 +60,6 @@ impl ControlLoop {
                 HealthEvent::Readmitted => {
                     let est = &mut self.leader.estimators[j];
                     *est = RmttfEwma::new(est.beta());
-                    // Same hygiene for the data plane: the region rejoins
-                    // with no latency history, not its pre-outage one.
-                    self.router.reset_latency(j);
                     Link::Readmit(j)
                 }
             };

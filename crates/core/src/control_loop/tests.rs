@@ -638,59 +638,6 @@ fn partitioned_region_is_quarantined_and_gets_zero_flow() {
 }
 
 #[test]
-fn router_tracks_plan_installs_and_masks_quarantined_regions() {
-    let mut cfg = fig3_cfg(PolicyKind::AvailableResources);
-    cfg.degradation = crate::degrade::DegradationConfig::enabled();
-    cfg.fault_plan = Some(
-        acm_overlay::FaultPlan::scripted(5, Vec::new()).partition_window(
-            vec![NodeId(1)],
-            SimTime::from_secs(300),
-            SimTime::from_secs(100_000), // never heals inside the run
-        ),
-    );
-    let mut cl = oracle_loop(&cfg);
-    cl.run(30);
-    // The data plane mirrors the control plane's installed fractions:
-    // the quarantined region has zero weight and is unsampleable.
-    assert_eq!(cl.router().shares()[1], 0.0, "quarantined weight");
-    for _ in 0..10_000 {
-        assert_eq!(cl.router_mut().route(), 0, "routed to quarantined");
-    }
-    let events = cl.obs().events_tail(usize::MAX);
-    let replans = events.iter().filter(|e| e.kind == "router.replan").count();
-    assert_eq!(replans, 30, "one weight-table swap per era");
-    // Era-grain mean responses fed the scorer for the live region.
-    assert!(cl.router().scorer().count(0) > 0, "scorer got outcomes");
-    assert_eq!(
-        cl.obs().counter("acm.router.replans").value(),
-        30,
-        "published counters track the installs"
-    );
-}
-
-#[test]
-fn router_replan_events_carry_trace_context() {
-    let mut cfg = fig3_cfg(PolicyKind::AvailableResources);
-    cfg.obs = acm_obs::ObsConfig::traced(2026);
-    let mut cl = oracle_loop(&cfg);
-    cl.run(3);
-    let events = cl.obs().events_tail(usize::MAX);
-    let replans: Vec<_> = events
-        .iter()
-        .filter(|e| e.kind == "router.replan")
-        .collect();
-    assert_eq!(replans.len(), 3);
-    for e in replans {
-        assert!(e.field("trace").is_some(), "replan missing trace id");
-        // Each replan chains off the plan.install that triggered it.
-        match e.field("cause") {
-            Some(Value::U64(cause)) => assert_ne!(*cause, 0, "replan has no cause"),
-            other => panic!("unexpected cause field: {other:?}"),
-        }
-    }
-}
-
-#[test]
 fn one_suspicion_per_silence_and_none_on_a_delivering_era() {
     let mut cfg = fig3_cfg(PolicyKind::AvailableResources);
     cfg.obs = acm_obs::ObsConfig::traced(2026); // heartbeat.timeout is trace-only

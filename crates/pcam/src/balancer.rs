@@ -40,9 +40,8 @@ impl BalancerStrategy {
     /// `rttf_of` supplies the health signal for [`BalancerStrategy::HealthWeighted`]; it is a
     /// closure so callers can plug either the ground truth or the ML
     /// prediction without the balancer knowing which. Normalisation runs
-    /// through [`WeightTable::normalize`] — the same audited primitive the
-    /// request router samples from — so balancer shares and routed flow
-    /// agree on weight arithmetic.
+    /// through [`WeightTable::normalize`], the same primitive the routed
+    /// plane's request router samples from.
     pub fn shares<'a, I, F>(self, vms: I, rttf_of: F, out: &mut Vec<f64>)
     where
         I: IntoIterator<Item = &'a Vm>,

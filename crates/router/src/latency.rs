@@ -174,14 +174,6 @@ impl LatencyScorer {
     pub fn excluded(&self, region: usize) -> bool {
         self.key[region] >= EXCLUDED_PENALTY_US
     }
-
-    /// Drops all measurement state (used when a region rejoins after an
-    /// outage so stale latencies cannot linger).
-    pub fn reset_region(&mut self, region: usize) {
-        self.ewma_us[region] = 0.0;
-        self.count[region] = 0;
-        self.key[region] = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -242,18 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_region_clears_history() {
-        let mut s = LatencyScorer::new(2, cfg(1, 2.0));
-        for _ in 0..8 {
-            s.record_us(1, 5000.0);
-        }
-        s.reset_region(1);
-        assert_eq!(s.count(1), 0);
-        assert_eq!(s.ewma_us(1), 0.0);
-        assert!(!s.excluded(1));
-    }
-
-    #[test]
     fn validation_rejects_bad_knobs() {
         assert!(cfg(1, 0.5).validate().is_err());
         let c = LatencyAwareness {
@@ -267,5 +247,11 @@ mod tests {
         };
         assert!(c.validate().is_err());
         assert!(LatencyAwareness::default().validate().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid latency awareness")]
+    fn scorer_refuses_bad_knobs() {
+        LatencyScorer::new(2, cfg(1, 0.5));
     }
 }

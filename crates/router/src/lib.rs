@@ -2,9 +2,11 @@
 //!
 //! The control plane (the MAPE loop in `acm-core`) plans *fractions*: a
 //! share `f_i` of global client flow for every region, refreshed each
-//! era. This crate is the data plane underneath that plan — the
+//! era, and carries that flow at fluid grain; it holds no router. This
+//! crate is the request-grain data plane for such a plan — the
 //! per-request decision "which region serves *this* request", taken tens
-//! of millions of times per second:
+//! of millions of times per second — driven by its own harness,
+//! [`run_routed_plane`]:
 //!
 //! * [`router`] — [`RequestRouter`]: weighted power-of-two-choices over
 //!   the planned fractions. Two candidates drawn from a prebuilt

@@ -20,9 +20,8 @@ use acm_sim::rng::SimRng;
 use acm_sim::time::Duration;
 use acm_sim::weights::WeightTable;
 
-/// Plain (non-atomic) routing statistics, kept off the obs registry so
-/// the hot loop never touches shared state; publish deltas via
-/// [`RequestRouter::publish`] at era grain.
+/// Plain (non-atomic) routing statistics, kept off any shared registry
+/// so the hot loop never touches shared state.
 #[derive(Debug, PartialEq, Eq)]
 pub struct RouterStats {
     /// Requests routed.
@@ -35,32 +34,6 @@ pub struct RouterStats {
     pub replans: u64,
     /// Requests routed to each region.
     pub routed: Vec<u64>,
-}
-
-impl Clone for RouterStats {
-    fn clone(&self) -> Self {
-        RouterStats {
-            routed: self.routed.clone(),
-            ..*self
-        }
-    }
-
-    /// Field by field, into `routed`'s own buffer: the era's publish
-    /// snapshot allocates nothing.
-    fn clone_from(&mut self, source: &Self) {
-        let RouterStats {
-            decisions,
-            distinct_pairs,
-            latency_overrides,
-            replans,
-            ref routed,
-        } = *source;
-        self.decisions = decisions;
-        self.distinct_pairs = distinct_pairs;
-        self.latency_overrides = latency_overrides;
-        self.replans = replans;
-        self.routed.clone_from(routed);
-    }
 }
 
 impl RouterStats {
@@ -87,19 +60,6 @@ impl RouterStats {
     }
 }
 
-/// Obs handles the router publishes era-grain deltas into; absent on
-/// per-shard lenses and whenever obs is disabled.
-struct RouterObs {
-    decisions: acm_obs::Counter,
-    distinct_pairs: acm_obs::Counter,
-    latency_overrides: acm_obs::Counter,
-    replans: acm_obs::Counter,
-    routed: Vec<acm_obs::Counter>,
-    latency_us: Vec<acm_obs::Hist>,
-    /// Stats already published, so `publish` adds only deltas.
-    published: RouterStats,
-}
-
 /// Weighted-P2C request router with latency-aware candidate scoring.
 pub struct RequestRouter {
     regions: usize,
@@ -108,11 +68,7 @@ pub struct RequestRouter {
     scratch: Vec<f64>,
     scorer: LatencyScorer,
     rng: SimRng,
-    /// Bumped on every successful install; lets observers cheaply detect
-    /// plan swaps.
-    epoch: u64,
     stats: RouterStats,
-    obs: Option<RouterObs>,
 }
 
 impl RequestRouter {
@@ -128,20 +84,8 @@ impl RequestRouter {
             scratch: Vec::with_capacity(regions),
             scorer: LatencyScorer::new(regions, awareness),
             rng,
-            epoch: 0,
             stats: RouterStats::new(regions),
-            obs: None,
         }
-    }
-
-    /// Number of regions routed over.
-    pub fn regions(&self) -> usize {
-        self.regions
-    }
-
-    /// Install count: bumps once per applied [`RequestRouter::install`].
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The live weight table's normalised shares (zeros preserved).
@@ -197,7 +141,6 @@ impl RequestRouter {
             }
         }
         self.table.rebuild(&self.scratch);
-        self.epoch += 1;
         self.stats.replans += 1;
         // Plan swaps change which regions matter; recompute the exclusion
         // cutoff so stale keys don't linger into the new plan.
@@ -229,59 +172,10 @@ impl RequestRouter {
         pick
     }
 
-    /// Feeds one completed-request latency back into the scorer (and the
-    /// per-region obs histogram when attached).
+    /// Feeds one completed-request latency back into the scorer.
     #[inline]
     pub fn record_latency(&mut self, region: usize, latency: Duration) {
-        let us = latency.as_micros();
-        self.scorer.record_us(region, us as f64);
-        if let Some(obs) = &self.obs {
-            obs.latency_us[region].record(us);
-        }
-    }
-
-    /// Clears a region's latency history (readmission after quarantine).
-    pub fn reset_latency(&mut self, region: usize) {
-        self.scorer.reset_region(region);
-    }
-
-    /// Attaches obs handles (`acm.router.*` counters plus per-region
-    /// latency histograms). Call once at wiring time, off the hot path.
-    pub fn set_obs(&mut self, obs: &acm_obs::ObsHandle) {
-        if !obs.enabled() {
-            self.obs = None;
-            return;
-        }
-        self.obs = Some(RouterObs {
-            decisions: obs.counter("acm.router.decisions"),
-            distinct_pairs: obs.counter("acm.router.distinct_pairs"),
-            latency_overrides: obs.counter("acm.router.latency_overrides"),
-            replans: obs.counter("acm.router.replans"),
-            routed: (0..self.regions)
-                .map(|i| obs.counter(&format!("acm.router.routed.region{i}")))
-                .collect(),
-            latency_us: (0..self.regions)
-                .map(|i| obs.histogram(&format!("acm.router.latency_us.region{i}")))
-                .collect(),
-            published: RouterStats::new(self.regions),
-        });
-    }
-
-    /// Publishes the delta since the last publish into the attached obs
-    /// counters (no-op when none attached). Era-grain, off the hot path.
-    pub fn publish(&mut self) {
-        let Some(obs) = &mut self.obs else { return };
-        let s = &self.stats;
-        let p = &mut obs.published;
-        obs.decisions.add(s.decisions - p.decisions);
-        obs.distinct_pairs.add(s.distinct_pairs - p.distinct_pairs);
-        obs.latency_overrides
-            .add(s.latency_overrides - p.latency_overrides);
-        obs.replans.add(s.replans - p.replans);
-        for i in 0..self.regions {
-            obs.routed[i].add(s.routed[i] - p.routed[i]);
-        }
-        p.clone_from(s);
+        self.scorer.record_us(region, latency.as_micros() as f64);
     }
 
     /// Splits per-shard router lenses in shard-index order (the same
@@ -297,9 +191,7 @@ impl RequestRouter {
                 scratch: Vec::with_capacity(self.regions),
                 scorer: self.scorer.clone(),
                 rng: self.rng.split(),
-                epoch: self.epoch,
                 stats: RouterStats::new(self.regions),
-                obs: None,
             })
             .collect()
     }
@@ -384,9 +276,9 @@ mod tests {
     fn install_with_nothing_live_keeps_previous_table() {
         let mut r = mk(2, 5);
         assert!(r.install(&[0.9, 0.1], None));
-        let epoch = r.epoch();
+        let replans = r.stats().replans;
         assert!(!r.install(&[0.5, 0.5], Some(&[false, false])));
-        assert_eq!(r.epoch(), epoch);
+        assert_eq!(r.stats().replans, replans);
         assert!((r.shares()[0] - 0.9).abs() < 1e-12, "previous plan kept");
     }
 
@@ -419,42 +311,5 @@ mod tests {
         let mut a = mk_lenses();
         let mut b = mk_lenses();
         assert_eq!(picks(&mut a), picks(&mut b));
-    }
-
-    #[test]
-    fn publish_pushes_deltas_to_obs_counters() {
-        let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
-        let mut r = mk(2, 1);
-        r.set_obs(&obs);
-        r.install(&[0.5, 0.5], None);
-        for _ in 0..100 {
-            r.route();
-        }
-        r.publish();
-        assert_eq!(obs.counter("acm.router.decisions").value(), 100);
-        assert_eq!(obs.counter("acm.router.replans").value(), 1);
-        for _ in 0..50 {
-            r.route();
-        }
-        r.publish();
-        assert_eq!(
-            obs.counter("acm.router.decisions").value(),
-            150,
-            "publish adds deltas, not totals"
-        );
-        let routed: u64 = (0..2)
-            .map(|i| obs.counter(&format!("acm.router.routed.region{i}")).value())
-            .sum();
-        assert_eq!(routed, 150);
-    }
-
-    #[test]
-    fn record_latency_feeds_histogram() {
-        let obs = acm_obs::Obs::new(acm_obs::ObsConfig::default());
-        let mut r = mk(2, 1);
-        r.set_obs(&obs);
-        r.record_latency(0, Duration::from_micros(250));
-        let snap = obs.histogram("acm.router.latency_us.region0").snapshot();
-        assert_eq!(snap.count, 1);
     }
 }

@@ -11,8 +11,7 @@
 //! table is rebuilt in place ([`WeightTable::rebuild`]): the alias pass
 //! runs in the table's own `prob` slots and two stacks it keeps empty
 //! between rebuilds, so a rebuild over no more indices than the table has
-//! held allocates nothing (`tests/retention.rs` counts the loop's calls
-//! per era, router installs included).
+//! held allocates nothing.
 
 use crate::rng::SimRng;
 
