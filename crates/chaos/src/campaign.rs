@@ -4,10 +4,10 @@
 //! function of `(campaign seed, index)`: a deployment config (fig-3 or
 //! fig-4 shape, degradation enabled in the tolerant TTL regime) plus a
 //! [`FaultPlan`] mixing flap storms, partitions, crash windows, leader
-//! kills, and per-message chaos under [`Intensity`] knobs. Cases run on
-//! the exec pool via one panic-isolating deterministic collect over every
-//! plan index ([`acm_exec::try_map_collect`]; the pool width bounds how
-//! many run at once), so one crashing run is a *finding*, not the end of
+//! kills, and per-message chaos at fixed per-family probabilities. Cases
+//! run on the exec pool via one panic-isolating deterministic collect over
+//! every plan index ([`acm_exec::try_map_collect`]; the pool width bounds
+//! how many run at once), so one crashing run is a *finding*, not the end of
 //! the sweep, and verdict order is always index order — the campaign
 //! fingerprint is byte-identical at every `ACM_THREADS` width.
 //!
@@ -31,32 +31,6 @@ use acm_overlay::{FaultPlan, NodeId};
 use acm_sim::rng::SimRng;
 use acm_sim::time::{Duration, SimTime};
 
-/// Probability knobs scaling how much of each fault family a generated
-/// plan carries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Intensity {
-    /// Per-link flap and per-node crash-window probability scale
-    /// (forwarded to [`FaultPlan::randomized`]).
-    pub fault: f64,
-    /// Probability the plan carries one single-region partition window.
-    pub partition: f64,
-    /// Probability the plan kills the leader once.
-    pub kill: f64,
-    /// Probability the plan adds per-message drop/delay chaos.
-    pub message: f64,
-}
-
-impl Default for Intensity {
-    fn default() -> Self {
-        Intensity {
-            fault: 0.7,
-            partition: 0.5,
-            kill: 0.25,
-            message: 0.4,
-        }
-    }
-}
-
 /// A whole campaign: how many plans, from which seed, at what shape.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
@@ -67,8 +41,6 @@ pub struct CampaignConfig {
     /// Eras per run (40 keeps a case in the low milliseconds while
     /// leaving room for quarantine + readmit + convergence).
     pub eras: usize,
-    /// Fault-family intensity knobs.
-    pub intensity: Intensity,
     /// Test-only trace perturbation (always [`Injection::None`] in
     /// production sweeps).
     pub injection: Injection,
@@ -80,7 +52,6 @@ impl Default for CampaignConfig {
             seed: 0xC4A0_5EED,
             plans: 200,
             eras: 40,
-            intensity: Intensity::default(),
             injection: Injection::None,
         }
     }
@@ -254,10 +225,20 @@ pub fn case_from_parts(
     }
 }
 
+/// Per-link flap and per-node crash-window probability scale (forwarded
+/// to [`FaultPlan::randomized`]).
+const FAULT_INTENSITY: f64 = 0.7;
+/// Probability a plan carries one single-region partition window.
+const PARTITION_PROBABILITY: f64 = 0.5;
+/// Probability a plan kills the leader once.
+const KILL_PROBABILITY: f64 = 0.25;
+/// Probability a plan adds per-message drop/delay chaos.
+const MESSAGE_CHAOS_PROBABILITY: f64 = 0.4;
+
 /// Seed-randomized plan: flaps + crash windows from the stock generator,
-/// then (by intensity) one partition window, one leader kill, and
-/// per-message chaos. All scheduled activity lands in the first ~60% of
-/// the horizon so heals leave room for readmission and convergence.
+/// then (each with its fixed probability) one partition window, one leader
+/// kill, and per-message chaos. All scheduled activity lands in the first
+/// ~60% of the horizon so heals leave room for readmission and convergence.
 fn build_plan(cc: &CampaignConfig, case_seed: u64, regions: usize, era: Duration) -> FaultPlan {
     let era_us = era.as_micros();
     let nodes: Vec<NodeId> = (0..regions as u32).map(NodeId).collect();
@@ -269,9 +250,9 @@ fn build_plan(cc: &CampaignConfig, case_seed: u64, regions: usize, era: Duration
     }
     let active_eras = (cc.eras * 3 / 5).max(4);
     let horizon = SimTime::from_micros(era_us * active_eras as u64);
-    let mut plan = FaultPlan::randomized(case_seed, &nodes, &links, horizon, cc.intensity.fault);
+    let mut plan = FaultPlan::randomized(case_seed, &nodes, &links, horizon, FAULT_INTENSITY);
     let mut rng = SimRng::new(acm_obs::trace::mix(case_seed, 0x91A6_0000_0001));
-    if rng.bernoulli(cc.intensity.partition) && regions > 1 {
+    if rng.bernoulli(PARTITION_PROBABILITY) && regions > 1 {
         // Partition a non-leader region (the leader-cut case is a
         // different scenario family, exercised by tests/tracing.rs).
         let victim = nodes[1 + rng.index(regions - 1)];
@@ -281,11 +262,11 @@ fn build_plan(cc: &CampaignConfig, case_seed: u64, regions: usize, era: Duration
         let heal = SimTime::from_micros((at_era + len_eras) as u64 * era_us + era_us / 3);
         plan = plan.partition_window(vec![victim], at, heal);
     }
-    if rng.bernoulli(cc.intensity.kill) {
+    if rng.bernoulli(KILL_PROBABILITY) {
         let at_era = 2 + rng.index(active_eras / 2);
         plan = plan.kill_leader_at(SimTime::from_micros(at_era as u64 * era_us + era_us / 2));
     }
-    if rng.bernoulli(cc.intensity.message) {
+    if rng.bernoulli(MESSAGE_CHAOS_PROBABILITY) {
         let drop = rng.uniform(0.02, 0.12);
         let delay = Duration::from_millis(rng.index(1200) as u64);
         plan = plan.with_message_chaos(drop, delay);

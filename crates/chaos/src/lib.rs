@@ -24,7 +24,7 @@ pub mod shrink;
 
 pub use campaign::{
     build_case, case_from_parts, run_campaign, run_case, CampaignConfig, CampaignReport, ChaosCase,
-    Injection, Intensity, RunTrace, Verdict,
+    Injection, RunTrace, Verdict,
 };
 pub use corpus::CorpusEntry;
 pub use invariant::{

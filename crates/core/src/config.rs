@@ -101,7 +101,7 @@ pub struct ExperimentConfig {
     /// byte-identically.
     pub drift: DriftConfig,
     /// Versioned model lifecycle (drift-triggered refits deployed
-    /// `refit_eras` eras later, shadow evaluation, promote/rollback).
+    /// two eras later, shadow evaluation, promote/rollback).
     /// Disabled by default — when off, the loop's RNG stream layout is
     /// unchanged from before the lifecycle existed.
     pub lifecycle: LifecycleConfig,

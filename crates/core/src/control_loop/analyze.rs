@@ -8,7 +8,14 @@ use super::{ControlLoop, Heard, Monitored};
 use crate::config::ExperimentConfig;
 use acm_obs::Value;
 use acm_overlay::NodeId;
-use acm_sim::time::SimTime;
+use acm_sim::time::{Duration, SimTime};
+
+/// Extra send attempts for a slave report within one era.
+const REPORT_RETRIES: u32 = 2;
+
+/// Base backoff between retries; doubles per attempt, capped so the whole
+/// retry budget stays inside one era.
+const RETRY_BACKOFF: Duration = Duration::from_secs(2);
 
 impl ControlLoop {
     pub(super) fn analyze(&mut self, seen: &Monitored, heard: &mut Heard) {
@@ -77,12 +84,10 @@ impl ControlLoop {
         if !self.degradation.enabled {
             return outcome;
         }
-        let mut backoff = self.degradation.retry_backoff;
+        let mut backoff = RETRY_BACKOFF;
         let mut budget = self.era;
         let mut attempt = 0u32;
-        while outcome == SendOutcome::ChaosDropped
-            && attempt < self.degradation.report_retries
-            && backoff <= budget
+        while outcome == SendOutcome::ChaosDropped && attempt < REPORT_RETRIES && backoff <= budget
         {
             budget = budget.saturating_sub(backoff);
             backoff = backoff + backoff;

@@ -140,8 +140,8 @@ pub struct ControlLoop {
 impl ControlLoop {
     /// Wires the loop from pre-built VMCs (the framework module handles
     /// predictor training and hands the VMCs in). Observability follows
-    /// `cfg.obs`; use [`ControlLoop::new_with_obs`] to share an existing
-    /// [`Obs`] instance instead.
+    /// `cfg.obs`; [`run_experiment_with_obs`](crate::run_experiment_with_obs)
+    /// runs a loop against an existing [`Obs`] instance instead.
     pub fn new(cfg: &ExperimentConfig, vmcs: Vec<Vmc>, rng: SimRng) -> Self {
         let obs = Obs::new(cfg.obs);
         Self::new_with_obs(cfg, vmcs, rng, obs)
@@ -150,7 +150,7 @@ impl ControlLoop {
     /// Like [`ControlLoop::new`] but instruments the loop (and every VMC,
     /// the elector and the policy) against the caller's [`Obs`] instance,
     /// so one registry aggregates the whole run.
-    pub fn new_with_obs(
+    pub(crate) fn new_with_obs(
         cfg: &ExperimentConfig,
         mut vmcs: Vec<Vmc>,
         mut rng: SimRng,

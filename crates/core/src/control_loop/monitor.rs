@@ -36,8 +36,8 @@ impl ControlLoop {
         self.causes
             .emit(t_start, Link::Era, || vec![("era", Value::from(era_index))]);
         self.apply_due();
-        // Candidates whose `refit_eras` have passed start shadowing here,
-        // at a fixed era boundary, before the regions serve.
+        // Candidates whose two-era deployment delay has passed start
+        // shadowing here, at a fixed era boundary, before the regions serve.
         if self.lifecycle_on {
             for (j, vmc) in self.vmcs.iter_mut().enumerate() {
                 let events = vmc.lifecycle_begin_era(era_index as u64);

@@ -83,7 +83,6 @@ fn region_models(cfg: &ExperimentConfig, stale: bool) -> Vec<acm_ml::toolchain::
             );
             F2pmToolchain {
                 models: vec![ModelKind::RepTree],
-                ..Default::default()
             }
             .run(&db, &mut train_rng)
             .0

@@ -28,11 +28,6 @@ pub struct DegradationConfig {
     /// Consecutive fresh-report eras a quarantined region must deliver
     /// before it is re-admitted into the plan.
     pub readmit_hysteresis_eras: u32,
-    /// Extra send attempts for a slave report within one era.
-    pub report_retries: u32,
-    /// Base backoff between retries; doubles per attempt, capped so the
-    /// whole retry budget stays inside one era.
-    pub retry_backoff: Duration,
     /// Silence after which the leader suspects a region's VMC. Silence is
     /// report age times the era length, so a timeout below one era
     /// suspects a region on its first missed report.
@@ -45,8 +40,6 @@ impl Default for DegradationConfig {
             enabled: false,
             staleness_ttl_eras: 2,
             readmit_hysteresis_eras: 3,
-            report_retries: 2,
-            retry_backoff: Duration::from_secs(2),
             suspicion_timeout: Duration::from_secs(16),
         }
     }

@@ -62,7 +62,6 @@ pub fn train_predictors(
         );
         let toolchain = F2pmToolchain {
             models: vec![family],
-            ..Default::default()
         };
         let (predictor, _report) = toolchain.run_with_obs(&db, rng, obs);
         predictors.insert(flavor.name.clone(), predictor);
@@ -77,7 +76,7 @@ pub fn build_vmcs(cfg: &ExperimentConfig, rng: &mut SimRng) -> Vec<Vmc> {
 
 /// [`build_vmcs`] with the run's observability hub threaded into predictor
 /// training.
-pub fn build_vmcs_with_obs(cfg: &ExperimentConfig, rng: &mut SimRng, obs: &Obs) -> Vec<Vmc> {
+pub(crate) fn build_vmcs_with_obs(cfg: &ExperimentConfig, rng: &mut SimRng, obs: &Obs) -> Vec<Vmc> {
     let trained = match cfg.predictor {
         PredictorChoice::Oracle => None,
         PredictorChoice::Trained(family) => Some(train_predictors(cfg, family, rng, obs)),
@@ -111,10 +110,9 @@ pub fn build_vmcs_with_obs(cfg: &ExperimentConfig, rng: &mut SimRng, obs: &Obs) 
 /// - `acm.exec.worker_busy_ns` — histogram with one sample per worker
 ///   (that worker's busy nanoseconds since the baseline).
 ///
-/// Bench binaries snapshot [`acm_exec::global_stats`] before a workload and
-/// call this after it; [`run_experiment_with_obs`] does the same around the
-/// whole experiment.
-pub fn publish_exec_stats(obs: &Obs, baseline: &PoolStatsSnapshot) {
+/// [`run_experiment_with_obs`] snapshots [`acm_exec::global_stats`] before
+/// the experiment and calls this after it.
+pub(crate) fn publish_exec_stats(obs: &Obs, baseline: &PoolStatsSnapshot) {
     if !obs.enabled() {
         return;
     }
@@ -150,8 +148,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentTelemetry {
 /// into the caller's [`acm_obs::Obs`] instance, which outlives the run.
 /// The hub also receives the ML training timers (predictor training runs
 /// through [`train_predictors`]) and, on exit, the `acm.exec.*`
-/// execution-pool counters covering the whole experiment
-/// ([`publish_exec_stats`]).
+/// execution-pool counters covering the whole experiment.
 pub fn run_experiment_with_obs(
     cfg: &ExperimentConfig,
     obs: acm_obs::ObsHandle,

@@ -11,36 +11,21 @@
 //!
 //! where `K` is the RBF Gram matrix. The system is indefinite, so we use the
 //! partial-pivot LU solver. Training cost is cubic in the number of support
-//! points, so datasets larger than [`LsSvmConfig::max_support`] are
-//! subsampled (documented, deterministic) — standard practice for fixed-size
-//! LS-SVM.
+//! points, so datasets larger than `MAX_SUPPORT` (400) rows are subsampled
+//! (documented, deterministic) — standard practice for fixed-size LS-SVM.
+//! The regularisation γ is fixed (`GAMMA`, 50) and the RBF bandwidth σ is
+//! the median pairwise-distance heuristic.
 
 use crate::dataset::Dataset;
 use crate::linalg::Matrix;
 use crate::scaler::{StandardScaler, TargetScaler};
 use acm_sim::rng::SimRng;
 
-/// LS-SVM hyper-parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LsSvmConfig {
-    /// Regularisation γ (larger = less regularisation).
-    pub gamma: f64,
-    /// RBF bandwidth σ; `None` uses the median pairwise-distance heuristic.
-    pub sigma: Option<f64>,
-    /// Maximum number of support points (larger training sets are
-    /// subsampled deterministically).
-    pub max_support: usize,
-}
-
-impl Default for LsSvmConfig {
-    fn default() -> Self {
-        LsSvmConfig {
-            gamma: 50.0,
-            sigma: None,
-            max_support: 400,
-        }
-    }
-}
+/// Regularisation γ (larger = less regularisation).
+const GAMMA: f64 = 50.0;
+/// Maximum number of support points (larger training sets are subsampled
+/// deterministically).
+const MAX_SUPPORT: usize = 400;
 
 /// A trained LS-SVM regressor.
 #[derive(Debug, Clone)]
@@ -55,17 +40,15 @@ pub struct LsSvm {
 
 impl LsSvm {
     /// Fits the model. `rng` only matters when subsampling kicks in.
-    pub fn fit(ds: &Dataset, cfg: &LsSvmConfig, rng: &mut SimRng) -> Self {
+    pub fn fit(ds: &Dataset, rng: &mut SimRng) -> Self {
         assert!(!ds.is_empty(), "cannot fit on empty dataset");
-        assert!(cfg.gamma > 0.0, "gamma must be positive");
-        assert!(cfg.max_support >= 2, "need at least two support points");
 
         // Deterministic subsample when the dataset is too large.
         let ds_owned;
-        let ds = if ds.len() > cfg.max_support {
+        let ds = if ds.len() > MAX_SUPPORT {
             let mut idx: Vec<usize> = (0..ds.len()).collect();
             rng.shuffle(&mut idx);
-            idx.truncate(cfg.max_support);
+            idx.truncate(MAX_SUPPORT);
             ds_owned = ds.subset(&idx);
             &ds_owned
         } else {
@@ -81,7 +64,7 @@ impl LsSvm {
             .map(|&y| y_scaler.transform(y))
             .collect();
 
-        let sigma = cfg.sigma.unwrap_or_else(|| median_distance(&xs, rng));
+        let sigma = median_distance(&xs, rng);
         let n = xs.len();
 
         // Assemble the (n+1) saddle system.
@@ -96,7 +79,7 @@ impl LsSvm {
                 a[(i + 1, j + 1)] = k;
                 a[(j + 1, i + 1)] = k;
             }
-            a[(i + 1, i + 1)] += 1.0 / cfg.gamma;
+            a[(i + 1, i + 1)] += 1.0 / GAMMA;
         }
         let sol = a
             .solve_lu(&rhs)
@@ -122,11 +105,6 @@ impl LsSvm {
             .sum::<f64>()
             + self.bias;
         self.y_scaler.inverse(f)
-    }
-
-    /// RBF bandwidth actually used.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
     }
 }
 
@@ -190,7 +168,7 @@ mod tests {
             let x = rng.uniform(-3.0, 3.0);
             ds.push(vec![x], x.sin());
         }
-        let m = LsSvm::fit(&ds, &LsSvmConfig::default(), &mut SimRng::new(2));
+        let m = LsSvm::fit(&ds, &mut SimRng::new(2));
         for x in [-2.0, -1.0, 0.0, 1.0, 2.0] {
             let p = m.predict_one(&[x]);
             assert!((p - x.sin()).abs() < 0.1, "f({x}) = {p}, want {}", x.sin());
@@ -205,65 +183,8 @@ mod tests {
             let x = rng.uniform(0.0, 1.0);
             ds.push(vec![x], 2.0 * x);
         }
-        let cfg = LsSvmConfig {
-            max_support: 100,
-            ..Default::default()
-        };
-        let m = LsSvm::fit(&ds, &cfg, &mut SimRng::new(4));
-        assert_eq!(m.support.len(), 100);
+        let m = LsSvm::fit(&ds, &mut SimRng::new(4));
+        assert_eq!(m.support.len(), MAX_SUPPORT);
         assert!((m.predict_one(&[0.5]) - 1.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn explicit_sigma_is_honoured() {
-        let mut ds = Dataset::new(["x"]);
-        for i in 0..50 {
-            ds.push(vec![i as f64], i as f64);
-        }
-        let cfg = LsSvmConfig {
-            sigma: Some(2.5),
-            ..Default::default()
-        };
-        let m = LsSvm::fit(&ds, &cfg, &mut SimRng::new(5));
-        assert_eq!(m.sigma(), 2.5);
-    }
-
-    #[test]
-    fn heavy_regularisation_flattens_prediction() {
-        let mut ds = Dataset::new(["x"]);
-        let mut rng = SimRng::new(6);
-        for _ in 0..200 {
-            let x = rng.uniform(-1.0, 1.0);
-            ds.push(vec![x], 5.0 * x);
-        }
-        let tight = LsSvm::fit(
-            &ds,
-            &LsSvmConfig {
-                gamma: 1e-4,
-                ..Default::default()
-            },
-            &mut SimRng::new(7),
-        );
-        // γ→0 forces α→0: prediction collapses toward the bias ≈ mean.
-        let p = tight.predict_one(&[1.0]);
-        assert!(p.abs() < 1.5, "{p}");
-    }
-
-    #[test]
-    fn interpolates_small_exact_datasets() {
-        let mut ds = Dataset::new(["x"]);
-        for (x, y) in [(0.0, 1.0), (1.0, 3.0), (2.0, 2.0), (3.0, 5.0)] {
-            ds.push(vec![x], y);
-        }
-        let cfg = LsSvmConfig {
-            gamma: 1e6,
-            sigma: Some(0.5),
-            ..Default::default()
-        };
-        let m = LsSvm::fit(&ds, &cfg, &mut SimRng::new(8));
-        for (x, y) in [(0.0, 1.0), (1.0, 3.0), (2.0, 2.0), (3.0, 5.0)] {
-            let p = m.predict_one(&[x]);
-            assert!((p - y).abs() < 0.05, "f({x}) = {p}, want {y}");
-        }
     }
 }

@@ -10,33 +10,17 @@
 use crate::dataset::Dataset;
 use crate::ridge::RidgeRegression;
 
-/// Hyper-parameters for M5P.
-#[derive(Debug, Clone, PartialEq)]
-pub struct M5Config {
-    /// Maximum tree depth.
-    pub max_depth: usize,
-    /// Minimum samples to consider a split (M5 default is 4; we keep more
-    /// because leaf models need support).
-    pub min_samples_split: usize,
-    /// Minimum samples per child.
-    pub min_samples_leaf: usize,
-    /// Smoothing constant `k` in Quinlan's `(n·p_child + k·p_node)/(n + k)`.
-    pub smoothing_k: f64,
-    /// Ridge strength of the per-node linear models.
-    pub leaf_lambda: f64,
-}
-
-impl Default for M5Config {
-    fn default() -> Self {
-        M5Config {
-            max_depth: 8,
-            min_samples_split: 16,
-            min_samples_leaf: 8,
-            smoothing_k: 15.0,
-            leaf_lambda: 1e-3,
-        }
-    }
-}
+/// Maximum tree depth.
+const MAX_DEPTH: usize = 8;
+/// Minimum samples to consider a split (M5 default is 4; we keep more
+/// because leaf models need support).
+const MIN_SAMPLES_SPLIT: usize = 16;
+/// Minimum samples per child.
+const MIN_SAMPLES_LEAF: usize = 8;
+/// Smoothing constant `k` in Quinlan's `(n·p_child + k·p_node)/(n + k)`.
+const SMOOTHING_K: f64 = 15.0;
+/// Ridge strength of the per-node linear models.
+const LEAF_LAMBDA: f64 = 1e-3;
 
 #[derive(Debug, Clone)]
 struct M5Node {
@@ -53,16 +37,14 @@ struct M5Node {
 pub struct M5Prime {
     nodes: Vec<M5Node>,
     root: usize,
-    smoothing_k: f64,
 }
 
 impl M5Prime {
     /// Fits an M5P tree.
-    pub fn fit(ds: &Dataset, cfg: &M5Config) -> Self {
+    pub fn fit(ds: &Dataset) -> Self {
         assert!(!ds.is_empty(), "cannot fit on empty dataset");
         let mut builder = M5Builder {
             nodes: Vec::new(),
-            cfg,
             ds,
         };
         let indices: Vec<usize> = (0..ds.len()).collect();
@@ -70,7 +52,6 @@ impl M5Prime {
         let mut tree = M5Prime {
             nodes: builder.nodes,
             root,
-            smoothing_k: cfg.smoothing_k,
         };
         tree.prune(tree.root, &indices, ds);
         tree
@@ -91,7 +72,7 @@ impl M5Prime {
                 let child_n = self.nodes[child].n as f64;
                 // Quinlan smoothing toward this node's own model.
                 let node_pred = node.model.predict_one(x);
-                (child_n * child_pred + self.smoothing_k * node_pred) / (child_n + self.smoothing_k)
+                (child_n * child_pred + SMOOTHING_K * node_pred) / (child_n + SMOOTHING_K)
             }
         }
     }
@@ -156,14 +137,13 @@ impl M5Prime {
 
 struct M5Builder<'a> {
     nodes: Vec<M5Node>,
-    cfg: &'a M5Config,
     ds: &'a Dataset,
 }
 
 impl M5Builder<'_> {
     fn build(&mut self, indices: &[usize], depth: usize) -> usize {
-        let model = RidgeRegression::fit(&self.ds.subset(indices), self.cfg.leaf_lambda);
-        let split = if depth < self.cfg.max_depth && indices.len() >= self.cfg.min_samples_split {
+        let model = RidgeRegression::fit(&self.ds.subset(indices), LEAF_LAMBDA);
+        let split = if depth < MAX_DEPTH && indices.len() >= MIN_SAMPLES_SPLIT {
             self.best_split(indices)
         } else {
             None
@@ -222,9 +202,7 @@ impl M5Builder<'_> {
                 let y = self.ds.target(i);
                 left_sum += y;
                 left_sq += y * y;
-                if (k + 1) < self.cfg.min_samples_leaf
-                    || (order.len() - k - 1) < self.cfg.min_samples_leaf
-                {
+                if (k + 1) < MIN_SAMPLES_LEAF || (order.len() - k - 1) < MIN_SAMPLES_LEAF {
                     continue;
                 }
                 let x_here = self.ds.row(i)[feature];
@@ -274,7 +252,7 @@ mod tests {
     #[test]
     fn beats_a_global_line_on_piecewise_data() {
         let ds = piecewise_ds(800, 1);
-        let m5 = M5Prime::fit(&ds, &M5Config::default());
+        let m5 = M5Prime::fit(&ds);
         let line = crate::linear::LinearRegression::fit(&ds);
         let mut m5_err = 0.0;
         let mut line_err = 0.0;
@@ -303,7 +281,7 @@ mod tests {
             // degenerates to bit-level ridge-bias differences.
             ds.push(vec![a, b], 2.0 * a - b + 0.5 + rng.normal(0.0, 0.05));
         }
-        let m5 = M5Prime::fit(&ds, &M5Config::default());
+        let m5 = M5Prime::fit(&ds);
         assert!(m5.leaf_count() <= 2, "leaves {}", m5.leaf_count());
         assert!((m5.predict_one(&[0.5, 0.5]) - 1.0).abs() < 0.05);
     }
@@ -312,20 +290,28 @@ mod tests {
     fn extrapolates_within_leaf_regime() {
         // Unlike a plain tree, leaf linear models extrapolate linearly.
         let ds = piecewise_ds(800, 3);
-        let m5 = M5Prime::fit(&ds, &M5Config::default());
+        let m5 = M5Prime::fit(&ds);
         let p = m5.predict_one(&[0.5]);
         assert!((p - 1.5).abs() < 0.3, "{p}");
     }
 
     #[test]
     fn respects_depth_limit() {
-        let ds = piecewise_ds(500, 4);
-        let cfg = M5Config {
-            max_depth: 0,
-            ..Default::default()
+        // Every root-to-leaf path of the grown (unpruned) tree stops at
+        // MAX_DEPTH, which a 2000-row piecewise target reaches.
+        fn depth(nodes: &[M5Node], idx: usize) -> usize {
+            match nodes[idx].split {
+                None => 0,
+                Some((_, _, l, r)) => 1 + depth(nodes, l).max(depth(nodes, r)),
+            }
+        }
+        let ds = piecewise_ds(2000, 4);
+        let mut builder = M5Builder {
+            nodes: Vec::new(),
+            ds: &ds,
         };
-        let m5 = M5Prime::fit(&ds, &cfg);
-        assert_eq!(m5.leaf_count(), 1);
+        let root = builder.build(&(0..ds.len()).collect::<Vec<_>>(), 0);
+        assert_eq!(depth(&builder.nodes, root), MAX_DEPTH);
     }
 
     #[test]
@@ -334,7 +320,7 @@ mod tests {
         // parent model, so the jump across the boundary is smaller than the
         // raw leaf difference.
         let ds = piecewise_ds(800, 5);
-        let smooth = M5Prime::fit(&ds, &M5Config::default());
+        let smooth = M5Prime::fit(&ds);
         let jump = (smooth.predict_one(&[0.999]) - smooth.predict_one(&[1.001])).abs();
         assert!(jump < 1.0, "smoothed jump {jump}");
     }
@@ -345,7 +331,7 @@ mod tests {
         for i in 0..6 {
             ds.push(vec![i as f64], 2.0 * i as f64);
         }
-        let m5 = M5Prime::fit(&ds, &M5Config::default());
+        let m5 = M5Prime::fit(&ds);
         assert_eq!(m5.leaf_count(), 1);
         assert!((m5.predict_one(&[3.0]) - 6.0).abs() < 0.05);
     }

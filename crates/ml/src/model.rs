@@ -58,7 +58,7 @@ impl ModelKind {
         }
     }
 
-    /// Trains this family on `ds` with default hyper-parameters. `rng`
+    /// Trains this family on `ds` with its fixed hyper-parameters. `rng`
     /// drives internal splits (pruning holdouts, SGD shuffling) so training
     /// is deterministic per seed.
     pub fn fit(self, ds: &Dataset, rng: &mut SimRng) -> AnyModel {
@@ -66,10 +66,10 @@ impl ModelKind {
             ModelKind::Linear => AnyModel::Linear(LinearRegression::fit(ds)),
             ModelKind::Ridge => AnyModel::Ridge(RidgeRegression::fit(ds, 0.01)),
             ModelKind::LassoPredictor => AnyModel::Lasso(LassoRegression::fit_default(ds)),
-            ModelKind::RepTree => AnyModel::RepTree(RepTree::fit(ds, &Default::default(), rng)),
-            ModelKind::M5P => AnyModel::M5P(M5Prime::fit(ds, &Default::default())),
-            ModelKind::Svr => AnyModel::Svr(LinearSvr::fit(ds, &Default::default(), rng)),
-            ModelKind::LsSvm => AnyModel::LsSvm(LsSvm::fit(ds, &Default::default(), rng)),
+            ModelKind::RepTree => AnyModel::RepTree(RepTree::fit(ds, rng)),
+            ModelKind::M5P => AnyModel::M5P(M5Prime::fit(ds)),
+            ModelKind::Svr => AnyModel::Svr(LinearSvr::fit(ds, rng)),
+            ModelKind::LsSvm => AnyModel::LsSvm(LsSvm::fit(ds, rng)),
         }
     }
 }

@@ -2,38 +2,24 @@
 //! pruning — the model the paper selected for MTTF prediction ("Based on
 //! our previous results in \[26\], we selected REP Tree", Sec. VI-A).
 //!
-//! Growing: greedy binary splits minimising the sum of squared errors, with
-//! depth / support limits. Pruning: the classic *reduced-error* scheme —
-//! hold out a fraction of the training data, then collapse any internal
-//! node whose subtree does not beat its own leaf-mean on the holdout.
+//! Growing: greedy binary splits minimising the sum of squared errors, no
+//! deeper than `MAX_DEPTH` (14) and no finer than `MIN_SAMPLES_SPLIT` (8) /
+//! `MIN_SAMPLES_LEAF` (4) rows. Pruning: the classic *reduced-error* scheme
+//! — hold out `PRUNE_FRACTION` (25 %) of the training data, then collapse
+//! any internal node whose subtree does not beat its own leaf-mean on the
+//! holdout.
 
 use crate::dataset::{split_order, Dataset};
 use acm_sim::rng::SimRng;
 
-/// Growth and pruning hyper-parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RepTreeConfig {
-    /// Maximum tree depth (root = depth 0).
-    pub max_depth: usize,
-    /// Minimum samples a node needs to be considered for splitting.
-    pub min_samples_split: usize,
-    /// Minimum samples each child of a split must retain.
-    pub min_samples_leaf: usize,
-    /// Fraction of the training data held out for reduced-error pruning
-    /// (0 disables pruning).
-    pub prune_fraction: f64,
-}
-
-impl Default for RepTreeConfig {
-    fn default() -> Self {
-        RepTreeConfig {
-            max_depth: 14,
-            min_samples_split: 8,
-            min_samples_leaf: 4,
-            prune_fraction: 0.25,
-        }
-    }
-}
+/// Maximum tree depth (root = depth 0).
+const MAX_DEPTH: usize = 14;
+/// Minimum samples a node needs to be considered for splitting.
+const MIN_SAMPLES_SPLIT: usize = 8;
+/// Minimum samples each child of a split must retain.
+const MIN_SAMPLES_LEAF: usize = 4;
+/// Fraction of the training data held out for reduced-error pruning.
+const PRUNE_FRACTION: f64 = 0.25;
 
 /// Arena node.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,38 +83,25 @@ pub struct TreeBuffers {
 impl RepTree {
     /// Fits a tree. `rng` draws the grow/prune split, so training is
     /// deterministic per seed.
-    pub fn fit(ds: &Dataset, cfg: &RepTreeConfig, rng: &mut SimRng) -> Self {
-        Self::fit_with(ds, cfg, rng, &mut TreeBuffers::default())
+    pub fn fit(ds: &Dataset, rng: &mut SimRng) -> Self {
+        Self::fit_with(ds, rng, &mut TreeBuffers::default())
     }
 
     /// [`RepTree::fit`] in `buf`'s buffers.
-    pub fn fit_with(
-        ds: &Dataset,
-        cfg: &RepTreeConfig,
-        rng: &mut SimRng,
-        buf: &mut TreeBuffers,
-    ) -> Self {
+    pub fn fit_with(ds: &Dataset, rng: &mut SimRng, buf: &mut TreeBuffers) -> Self {
         assert!(!ds.is_empty(), "cannot fit on empty dataset");
-        assert!(
-            (0.0..1.0).contains(&cfg.prune_fraction),
-            "prune fraction must be in [0,1)"
-        );
         let mut order = std::mem::take(&mut buf.order);
-        let mut cut = if cfg.prune_fraction > 0.0 && ds.len() >= 8 {
-            split_order(ds.len(), 1.0 - cfg.prune_fraction, rng, &mut order)
+        let cut = if ds.len() >= 8 {
+            split_order(ds.len(), 1.0 - PRUNE_FRACTION, rng, &mut order)
         } else {
-            0
-        };
-        if cut == 0 {
-            // No reduced-error-pruning holdout: pruning is off, or the
-            // dataset is too small to spare one. The tree grows on every
-            // row in dataset order.
+            // Too small to spare a reduced-error-pruning holdout: the tree
+            // grows on every row in dataset order.
             order.clear();
             order.extend(0..ds.len());
-            cut = ds.len();
-        }
+            ds.len()
+        };
         let (grow, prune) = order.split_at_mut(cut);
-        let root = Builder::grow(ds, grow, cfg, buf);
+        let root = Builder::grow(ds, grow, buf);
         let mut tree = RepTree {
             nodes: std::mem::take(&mut buf.nodes),
             root,
@@ -447,9 +420,8 @@ impl RepTree {
 /// exactly what a stable per-node sort of the ascending row ids yields. The
 /// scan therefore adds up the same targets in the same order as a per-node
 /// sort would, and the grown tree is the same down to the last bit.
-struct Builder<'a> {
+struct Builder {
     nodes: Vec<Node>,
-    cfg: &'a RepTreeConfig,
     n: usize,
     width: usize,
     /// Column-major copy of the grow set: `cols[f * n + i]`, row id `i`
@@ -465,11 +437,11 @@ struct Builder<'a> {
     scratch: Vec<u32>,
 }
 
-impl<'a> Builder<'a> {
+impl Builder {
     /// Grows the unpruned arena on the rows `grow` of `ds` (in that order)
     /// into `buf.nodes`, in `buf`'s buffers; returns its root index.
-    fn grow(ds: &Dataset, grow: &[usize], cfg: &'a RepTreeConfig, buf: &mut TreeBuffers) -> usize {
-        let mut builder = Builder::new(ds, grow, cfg, buf);
+    fn grow(ds: &Dataset, grow: &[usize], buf: &mut TreeBuffers) -> usize {
+        let mut builder = Builder::new(ds, grow, buf);
         let root = builder.build(0, grow.len(), 0);
         let Builder {
             nodes,
@@ -485,7 +457,7 @@ impl<'a> Builder<'a> {
         root
     }
 
-    fn new(ds: &Dataset, grow: &[usize], cfg: &'a RepTreeConfig, buf: &mut TreeBuffers) -> Self {
+    fn new(ds: &Dataset, grow: &[usize], buf: &mut TreeBuffers) -> Self {
         let (n, width) = (grow.len(), ds.width());
         let ids = 0..u32::try_from(n).expect("grow set has fewer than 2^32 rows");
         let mut cols = refilled(&mut buf.cols, width * n, 0.0);
@@ -510,7 +482,6 @@ impl<'a> Builder<'a> {
         nodes.clear();
         Builder {
             nodes,
-            cfg,
             n,
             width,
             cols,
@@ -531,19 +502,14 @@ impl<'a> Builder<'a> {
         let ids = self.order(self.width, lo, hi);
         let total_sum: f64 = ids.iter().map(|&i| self.y[i as usize]).sum();
         let mean = total_sum / ids.len() as f64;
-        if depth >= self.cfg.max_depth
-            || ids.len() < self.cfg.min_samples_split
-            || self.is_pure(ids)
-        {
+        if depth >= MAX_DEPTH || ids.len() < MIN_SAMPLES_SPLIT || self.is_pure(ids) {
             return self.push(Node::Leaf { value: mean });
         }
         match self.best_split(lo, hi, total_sum) {
             None => self.push(Node::Leaf { value: mean }),
             Some((feature, threshold, gain)) => {
                 let mid = self.partition(lo, hi, feature, threshold);
-                debug_assert!(
-                    mid - lo >= self.cfg.min_samples_leaf && hi - mid >= self.cfg.min_samples_leaf
-                );
+                debug_assert!(mid - lo >= MIN_SAMPLES_LEAF && hi - mid >= MIN_SAMPLES_LEAF);
                 let left = self.build(lo, mid, depth + 1);
                 let right = self.build(mid, hi, depth + 1);
                 self.push(Node::Split {
@@ -616,8 +582,7 @@ impl<'a> Builder<'a> {
                 left_sq += y * y;
                 let nl = (k + 1) as f64;
                 let nr = n - nl;
-                if (k + 1) < self.cfg.min_samples_leaf || (len - k - 1) < self.cfg.min_samples_leaf
-                {
+                if (k + 1) < MIN_SAMPLES_LEAF || (len - k - 1) < MIN_SAMPLES_LEAF {
                     continue;
                 }
                 let x_here = col[pair[0] as usize];
@@ -711,7 +676,6 @@ mod tests {
     /// as the model the presorted builder is checked against.
     struct SortingBuilder<'a> {
         nodes: Vec<Node>,
-        cfg: &'a RepTreeConfig,
         ds: &'a Dataset,
     }
 
@@ -720,8 +684,8 @@ mod tests {
             let ys = || indices.iter().map(|&i| self.ds.target(i));
             let mean = ys().sum::<f64>() / indices.len() as f64;
             let first = self.ds.target(indices[0]);
-            let leaf = depth >= self.cfg.max_depth
-                || indices.len() < self.cfg.min_samples_split
+            let leaf = depth >= MAX_DEPTH
+                || indices.len() < MIN_SAMPLES_SPLIT
                 || ys().all(|y| (y - first).abs() < 1e-12);
             let split = if leaf { None } else { self.best_split(indices) };
             let node = match split {
@@ -770,9 +734,7 @@ mod tests {
                     left_sq += y * y;
                     let nl = (k + 1) as f64;
                     let nr = n - nl;
-                    if (k + 1) < self.cfg.min_samples_leaf
-                        || (order.len() - k - 1) < self.cfg.min_samples_leaf
-                    {
+                    if (k + 1) < MIN_SAMPLES_LEAF || (order.len() - k - 1) < MIN_SAMPLES_LEAF {
                         continue;
                     }
                     let x_here = self.ds.row(i)[feature];
@@ -843,19 +805,13 @@ mod tests {
     /// the presort and the in-place prune: the grow and prune sets copied
     /// out by [`Dataset::split`], every node re-sorted, every prune node
     /// partitioned into fresh lists.
-    fn fit_by_sorting(ds: &Dataset, cfg: &RepTreeConfig, rng: &mut SimRng) -> RepTree {
-        let (grow, prune) = match cfg.prune_fraction > 0.0 && ds.len() >= 8 {
-            true => ds.split(1.0 - cfg.prune_fraction, rng),
-            false => (Dataset::default(), Dataset::default()),
-        };
-        let (grow, prune) = if grow.is_empty() {
-            (ds.clone(), Dataset::default())
-        } else {
-            (grow, prune)
+    fn fit_by_sorting(ds: &Dataset, rng: &mut SimRng) -> RepTree {
+        let (grow, prune) = match ds.len() >= 8 {
+            true => ds.split(1.0 - PRUNE_FRACTION, rng),
+            false => (ds.clone(), Dataset::default()),
         };
         let mut builder = SortingBuilder {
             nodes: Vec::new(),
-            cfg,
             ds: &grow,
         };
         let root = builder.build(&(0..grow.len()).collect::<Vec<_>>(), 0);
@@ -872,6 +828,40 @@ mod tests {
         }
         tree.compact();
         tree
+    }
+
+    /// The tree [`RepTree::fit`] grows from `rng`'s grow rows, before it
+    /// prunes.
+    fn grown(ds: &Dataset, rng: &mut SimRng) -> RepTree {
+        let mut order = Vec::new();
+        let cut = split_order(ds.len(), 1.0 - PRUNE_FRACTION, rng, &mut order);
+        let mut buf = TreeBuffers::default();
+        let root = Builder::grow(ds, &order[..cut], &mut buf);
+        RepTree {
+            nodes: buf.nodes,
+            root,
+            flat_feature: Vec::new(),
+            flat_threshold: Vec::new(),
+            flat_right: Vec::new(),
+        }
+    }
+
+    impl RepTree {
+        /// The arena slot of the leaf `x` reaches.
+        fn leaf_of(&self, x: &[f64]) -> usize {
+            let mut idx = self.root;
+            while let Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+                ..
+            } = self.nodes[idx]
+            {
+                idx = if x[feature] <= threshold { left } else { right };
+            }
+            idx
+        }
     }
 
     /// A dataset built to stress tie handling: features drawn from a few
@@ -915,31 +905,17 @@ mod tests {
         ) {
             let mut rng = SimRng::new(seed);
             let ds = tied_ds(&mut rng, n, width, levels);
-            // Leaf sizes around the edges: 1, exactly half, one past half
-            // (no admissible split), and the defaults.
-            let cases: Vec<(RepTreeConfig, u64)> = [1, n / 2, n / 2 + 1, 4]
-                .into_iter()
-                .flat_map(|leaf| {
-                    [0.0, 0.25].map(|prune_fraction| {
-                        let cfg = RepTreeConfig {
-                            min_samples_leaf: leaf.max(1),
-                            min_samples_split: rng.index(9),
-                            max_depth: 1 + rng.index(14),
-                            prune_fraction,
-                        };
-                        (cfg, rng.next_u64())
-                    })
-                })
-                .collect();
-            let expect: Vec<RepTree> = cases
+            // `n` straddles the size limits (2 · MIN_SAMPLES_LEAF =
+            // MIN_SAMPLES_SPLIT = 8, also the smallest set with a pruning
+            // holdout); four grow/prune draws per dataset.
+            let seeds: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+            let expect: Vec<RepTree> = seeds
                 .iter()
-                .map(|(cfg, s)| fit_by_sorting(&ds, cfg, &mut SimRng::new(*s)))
+                .map(|&s| fit_by_sorting(&ds, &mut SimRng::new(s)))
                 .collect();
             for threads in [1, 4] {
                 let pool = acm_exec::ThreadPool::new(threads);
-                let got = pool.map_collect(cases.clone(), |(cfg, s)| {
-                    RepTree::fit(&ds, &cfg, &mut SimRng::new(s))
-                });
+                let got = pool.map_collect(seeds.clone(), |s| RepTree::fit(&ds, &mut SimRng::new(s)));
                 prop_assert_eq!(&got, &expect, "threads={}", threads);
             }
         }
@@ -1017,7 +993,7 @@ mod tests {
     fn learns_a_step_function() {
         let ds = step_ds(500, 1);
         let mut rng = SimRng::new(2);
-        let tree = RepTree::fit(&ds, &RepTreeConfig::default(), &mut rng);
+        let tree = RepTree::fit(&ds, &mut rng);
         assert!((tree.predict_one(&[0.2]) - 10.0).abs() < 0.5);
         assert!((tree.predict_one(&[0.8]) - 20.0).abs() < 0.5);
     }
@@ -1033,15 +1009,8 @@ mod tests {
                 rng.normal(0.0, 1.0),
             );
         }
-        let unpruned = RepTree::fit(
-            &ds,
-            &RepTreeConfig {
-                prune_fraction: 0.0,
-                ..Default::default()
-            },
-            &mut SimRng::new(4),
-        );
-        let pruned = RepTree::fit(&ds, &RepTreeConfig::default(), &mut SimRng::new(4));
+        let pruned = RepTree::fit(&ds, &mut SimRng::new(4));
+        let unpruned = grown(&ds, &mut SimRng::new(4));
         assert!(
             pruned.leaf_count() * 4 < unpruned.leaf_count(),
             "pruned {} vs unpruned {}",
@@ -1052,15 +1021,15 @@ mod tests {
 
     #[test]
     fn respects_max_depth() {
-        let ds = step_ds(500, 5);
-        let cfg = RepTreeConfig {
-            max_depth: 2,
-            prune_fraction: 0.0,
-            ..Default::default()
-        };
-        let tree = RepTree::fit(&ds, &cfg, &mut SimRng::new(6));
-        assert!(tree.depth() <= 2);
-        assert!(tree.leaf_count() <= 4);
+        // Geometric targets: each split peels the few largest rows off, so
+        // growth would go far deeper than MAX_DEPTH without the limit.
+        let mut ds = Dataset::new(["x"]);
+        for i in 0..200 {
+            ds.push(vec![i as f64], 1.5f64.powi(i));
+        }
+        let mut rng = SimRng::new(6);
+        assert_eq!(grown(&ds, &mut rng.clone()).depth(), MAX_DEPTH);
+        assert!(RepTree::fit(&ds, &mut rng).depth() <= MAX_DEPTH);
     }
 
     #[test]
@@ -1069,23 +1038,39 @@ mod tests {
         for i in 0..100 {
             ds.push(vec![i as f64], 7.0);
         }
-        let tree = RepTree::fit(&ds, &RepTreeConfig::default(), &mut SimRng::new(7));
+        let tree = RepTree::fit(&ds, &mut SimRng::new(7));
         assert_eq!(tree.leaf_count(), 1);
         assert_eq!(tree.predict_one(&[55.0]), 7.0);
     }
 
     #[test]
     fn min_samples_leaf_is_respected() {
-        let ds = step_ds(40, 8);
-        let cfg = RepTreeConfig {
-            min_samples_leaf: 15,
-            min_samples_split: 30,
-            prune_fraction: 0.0,
-            ..Default::default()
-        };
-        let tree = RepTree::fit(&ds, &cfg, &mut SimRng::new(9));
-        // With 40 rows and 15-per-leaf, at most 2 leaves are possible.
-        assert!(tree.leaf_count() <= 2);
+        // y = |x| keeps many leaves after pruning; each must hold at least
+        // MIN_SAMPLES_LEAF of the rows the tree grew on.
+        let mut ds = Dataset::new(["x"]);
+        let mut rng = SimRng::new(8);
+        for _ in 0..200 {
+            let x = rng.uniform(-2.0, 2.0);
+            ds.push(vec![x], x.abs());
+        }
+        let tree = RepTree::fit(&ds, &mut SimRng::new(9));
+        let mut order = Vec::new();
+        let cut = split_order(
+            ds.len(),
+            1.0 - PRUNE_FRACTION,
+            &mut SimRng::new(9),
+            &mut order,
+        );
+        let mut rows_per_leaf = std::collections::BTreeMap::new();
+        for &i in &order[..cut] {
+            *rows_per_leaf.entry(tree.leaf_of(ds.row(i))).or_insert(0) += 1;
+        }
+        assert!(tree.leaf_count() > 8, "{} leaves", tree.leaf_count());
+        assert_eq!(rows_per_leaf.len(), tree.leaf_count());
+        assert!(
+            rows_per_leaf.values().all(|&n| n >= MIN_SAMPLES_LEAF),
+            "{rows_per_leaf:?}"
+        );
     }
 
     #[test]
@@ -1097,7 +1082,7 @@ mod tests {
             let x = rng.uniform(-2.0, 2.0);
             ds.push(vec![x], x.abs());
         }
-        let tree = RepTree::fit(&ds, &RepTreeConfig::default(), &mut SimRng::new(11));
+        let tree = RepTree::fit(&ds, &mut SimRng::new(11));
         for x in [-1.5, -0.5, 0.5, 1.5] {
             let p = tree.predict_one(&[x]);
             assert!((p - x.abs()).abs() < 0.25, "pred at {x} was {p}");
@@ -1114,7 +1099,7 @@ mod tests {
             let n = rng.uniform(0.0, 1.0);
             ds.push(vec![s, n], if s < 0.3 { 1.0 } else { 5.0 });
         }
-        let tree = RepTree::fit(&ds, &RepTreeConfig::default(), &mut SimRng::new(13));
+        let tree = RepTree::fit(&ds, &mut SimRng::new(13));
         // Prediction must be driven by feature 0 regardless of feature 1.
         for noise in [0.1, 0.9] {
             assert!((tree.predict_one(&[0.1, noise]) - 1.0).abs() < 0.3);
@@ -1131,7 +1116,7 @@ mod tests {
             let n = rng.uniform(0.0, 1.0);
             ds.push(vec![s, n], if s < 0.4 { 2.0 } else { 9.0 });
         }
-        let tree = RepTree::fit(&ds, &RepTreeConfig::default(), &mut SimRng::new(22));
+        let tree = RepTree::fit(&ds, &mut SimRng::new(22));
         let imp = tree.feature_importance(2);
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(imp[0] > 0.9, "signal importance {imp:?}");
@@ -1143,7 +1128,7 @@ mod tests {
         for i in 0..50 {
             ds.push(vec![i as f64], 1.0);
         }
-        let tree = RepTree::fit(&ds, &RepTreeConfig::default(), &mut SimRng::new(23));
+        let tree = RepTree::fit(&ds, &mut SimRng::new(23));
         assert_eq!(tree.feature_importance(1), vec![0.0]);
     }
 
@@ -1159,14 +1144,14 @@ mod tests {
                 rng.normal(0.0, 1.0),
             );
         }
-        let tree = RepTree::fit(&ds, &RepTreeConfig::default(), &mut SimRng::new(32));
+        let tree = RepTree::fit(&ds, &mut SimRng::new(32));
         assert_eq!(tree.node_count(), 2 * tree.leaf_count() - 1);
     }
 
     #[test]
     fn batch_predictions_match_scalar_walks() {
         let ds = step_ds(500, 41);
-        let tree = RepTree::fit(&ds, &RepTreeConfig::default(), &mut SimRng::new(42));
+        let tree = RepTree::fit(&ds, &mut SimRng::new(42));
         let mut rng = SimRng::new(43);
         let rows: Vec<Vec<f64>> = (0..257).map(|_| vec![rng.uniform(-0.5, 1.5)]).collect();
         // The entry point clears and refills its output.
@@ -1181,8 +1166,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let ds = step_ds(300, 14);
-        let t1 = RepTree::fit(&ds, &RepTreeConfig::default(), &mut SimRng::new(15));
-        let t2 = RepTree::fit(&ds, &RepTreeConfig::default(), &mut SimRng::new(15));
+        let t1 = RepTree::fit(&ds, &mut SimRng::new(15));
+        let t2 = RepTree::fit(&ds, &mut SimRng::new(15));
         assert_eq!(t1, t2);
     }
 
@@ -1191,7 +1176,7 @@ mod tests {
         let mut ds = Dataset::new(["x"]);
         ds.push(vec![1.0], 2.0);
         ds.push(vec![2.0], 4.0);
-        let tree = RepTree::fit(&ds, &RepTreeConfig::default(), &mut SimRng::new(16));
+        let tree = RepTree::fit(&ds, &mut SimRng::new(16));
         assert_eq!(tree.leaf_count(), 1);
         assert!((tree.predict_one(&[1.5]) - 3.0).abs() < 1e-12);
     }

@@ -11,26 +11,12 @@ use crate::linalg::dot;
 use crate::scaler::{StandardScaler, TargetScaler};
 use acm_sim::rng::SimRng;
 
-/// SVR hyper-parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SvrConfig {
-    /// Width of the ε-insensitive tube (standardised target units).
-    pub epsilon: f64,
-    /// Regularisation strength λ.
-    pub lambda: f64,
-    /// Passes over the training data.
-    pub epochs: usize,
-}
-
-impl Default for SvrConfig {
-    fn default() -> Self {
-        SvrConfig {
-            epsilon: 0.05,
-            lambda: 1e-4,
-            epochs: 60,
-        }
-    }
-}
+/// Width of the ε-insensitive tube (standardised target units).
+const EPSILON: f64 = 0.05;
+/// Regularisation strength λ.
+const LAMBDA: f64 = 1e-4;
+/// Passes over the training data.
+const EPOCHS: usize = 60;
 
 /// A trained linear SVR.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,12 +30,8 @@ pub struct LinearSvr {
 
 impl LinearSvr {
     /// Fits by averaged SGD. `rng` shuffles the sample order each epoch.
-    pub fn fit(ds: &Dataset, cfg: &SvrConfig, rng: &mut SimRng) -> Self {
+    pub fn fit(ds: &Dataset, rng: &mut SimRng) -> Self {
         assert!(!ds.is_empty(), "cannot fit on empty dataset");
-        assert!(
-            cfg.epsilon >= 0.0 && cfg.lambda > 0.0 && cfg.epochs > 0,
-            "bad SVR config"
-        );
         let x_scaler = StandardScaler::fit(ds.rows());
         let y_scaler = TargetScaler::fit(ds.targets());
         let xs = x_scaler.transform(ds.rows());
@@ -66,22 +48,22 @@ impl LinearSvr {
         let mut w_avg = vec![0.0; p];
         let mut b_avg = 0.0;
         let mut avg_count = 0u64;
-        let avg_start = cfg.epochs / 2; // average the second half
+        let avg_start = EPOCHS / 2; // average the second half
 
         let mut order: Vec<usize> = (0..n).collect();
         let mut t = 0u64;
-        for epoch in 0..cfg.epochs {
+        for epoch in 0..EPOCHS {
             rng.shuffle(&mut order);
             for &i in &order {
                 t += 1;
-                let eta = 1.0 / (cfg.lambda * t as f64);
+                let eta = 1.0 / (LAMBDA * t as f64);
                 let err = ys[i] - (dot(&w, &xs[i]) + b);
                 // Shrink (the subgradient of the L2 term).
-                let shrink = 1.0 - eta * cfg.lambda;
+                let shrink = 1.0 - eta * LAMBDA;
                 for wj in &mut w {
                     *wj *= shrink;
                 }
-                if err.abs() > cfg.epsilon {
+                if err.abs() > EPSILON {
                     let g = err.signum();
                     // Normalise the data-term step by n so λ and the loss
                     // stay on the objective's scale.
@@ -100,15 +82,12 @@ impl LinearSvr {
                 }
             }
         }
-        if avg_count > 0 {
-            for a in &mut w_avg {
-                *a /= avg_count as f64;
-            }
-            b_avg /= avg_count as f64;
-        } else {
-            w_avg = w;
-            b_avg = b;
+        // Never zero: the averaged second half of the epochs visits every
+        // row, and there is at least one.
+        for a in &mut w_avg {
+            *a /= avg_count as f64;
         }
+        b_avg /= avg_count as f64;
         LinearSvr {
             w: w_avg,
             b: b_avg,
@@ -147,7 +126,7 @@ mod tests {
     #[test]
     fn fits_a_clean_linear_target() {
         let ds = linear_ds(500, 0.0, 1);
-        let m = LinearSvr::fit(&ds, &SvrConfig::default(), &mut SimRng::new(2));
+        let m = LinearSvr::fit(&ds, &mut SimRng::new(2));
         for (x, want) in [([1.0, 0.0], 5.0), ([0.0, 1.0], 1.0), ([1.0, 1.0], 4.0)] {
             let p = m.predict_one(&x);
             assert!((p - want).abs() < 0.3, "f({x:?}) = {p}, want {want}");
@@ -169,7 +148,7 @@ mod tests {
             contaminated.push(ds.row(i), y);
         }
         ds = contaminated;
-        let svr = LinearSvr::fit(&ds, &SvrConfig::default(), &mut SimRng::new(5));
+        let svr = LinearSvr::fit(&ds, &mut SimRng::new(5));
         let ols = crate::linear::LinearRegression::fit(&ds);
         let truth = |a: f64, b: f64| 3.0 * a - b + 2.0;
         let mut svr_err = 0.0;
@@ -184,33 +163,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let ds = linear_ds(200, 0.1, 6);
-        let a = LinearSvr::fit(&ds, &SvrConfig::default(), &mut SimRng::new(7));
-        let b = LinearSvr::fit(&ds, &SvrConfig::default(), &mut SimRng::new(7));
+        let a = LinearSvr::fit(&ds, &mut SimRng::new(7));
+        let b = LinearSvr::fit(&ds, &mut SimRng::new(7));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn wide_tube_predicts_coarsely() {
-        // With ε larger than the target spread nothing is penalised, so the
-        // model stays near zero (i.e. predicts the mean after unscaling).
-        let ds = linear_ds(300, 0.1, 8);
-        let cfg = SvrConfig {
-            epsilon: 10.0,
-            ..Default::default()
-        };
-        let m = LinearSvr::fit(&ds, &cfg, &mut SimRng::new(9));
-        let p = m.predict_one(&[0.0, 0.0]);
-        assert!((p - ds.target_mean()).abs() < 1.0, "{p}");
-    }
-
-    #[test]
-    #[should_panic(expected = "bad SVR config")]
-    fn zero_epochs_panics() {
-        let ds = linear_ds(10, 0.0, 10);
-        let cfg = SvrConfig {
-            epochs: 0,
-            ..Default::default()
-        };
-        let _ = LinearSvr::fit(&ds, &cfg, &mut SimRng::new(11));
     }
 }

@@ -6,10 +6,12 @@
 //! Lasso regularization) what are the most relevant system features"
 //! (paper Sec. III). [`F2pmToolchain::run`] does exactly that:
 //!
-//! 1. fit a Lasso on the full feature set and keep the features whose
-//!    standardised weight passes a threshold,
-//! 2. train every family in the menu on the projected training split
-//!    (in parallel on the exec pool — the families are independent),
+//! 1. fit a Lasso (data-driven strength) on the full feature set and keep
+//!    the features whose standardised weight passes `SELECTION_THRESHOLD`
+//!    (2 %) of the largest,
+//! 2. train every family in the menu on the projected training split,
+//!    `TRAIN_FRAC` (75 %) of the rows (in parallel on the exec pool — the
+//!    families are independent),
 //! 3. score each on the holdout and rank by RMSE,
 //! 4. return the winner wrapped as an [`RttfPredictor`] that accepts the
 //!    *full* feature vector at runtime and projects internally.
@@ -28,16 +30,16 @@ use acm_obs::{Obs, Timer};
 use acm_sim::rng::SimRng;
 use std::sync::Arc;
 
-/// Toolchain configuration.
+/// Fraction of the database used for training (rest is holdout).
+const TRAIN_FRAC: f64 = 0.75;
+
+/// Keep features whose standardised |weight| exceeds this *fraction of the
+/// largest* standardised weight (scale-invariant).
+const SELECTION_THRESHOLD: f64 = 0.02;
+
+/// Toolchain configuration: the model menu.
 #[derive(Debug, Clone, PartialEq)]
 pub struct F2pmToolchain {
-    /// Fraction of the database used for training (rest is holdout).
-    pub train_frac: f64,
-    /// Lasso strength for feature selection; `None` = data-driven default.
-    pub lasso_alpha: Option<f64>,
-    /// Keep features whose standardised |weight| exceeds this *fraction of
-    /// the largest* standardised weight (scale-invariant).
-    pub selection_threshold: f64,
     /// Which families to train.
     pub models: Vec<ModelKind>,
 }
@@ -45,9 +47,6 @@ pub struct F2pmToolchain {
 impl Default for F2pmToolchain {
     fn default() -> Self {
         F2pmToolchain {
-            train_frac: 0.75,
-            lasso_alpha: None,
-            selection_threshold: 0.02,
             models: ModelKind::ALL.to_vec(),
         }
     }
@@ -251,33 +250,8 @@ impl F2pmToolchain {
         obs: &Obs,
     ) -> (RttfPredictor, F2pmReport) {
         assert_trainable(db);
-        let selected = self.select(db, obs);
+        let selected = select(db, obs);
         self.fit_with_obs(db, &selected, rng, obs, &mut FitBuffers::default())
-    }
-
-    /// Step 1: Lasso feature selection on the full database.
-    fn select(&self, db: &Dataset, obs: &Obs) -> Vec<usize> {
-        let lasso_span = obs.timer("acm.ml.toolchain.lasso_ns").start();
-        let lasso = match self.lasso_alpha {
-            Some(alpha) => LassoRegression::fit(db, alpha),
-            None => LassoRegression::fit_default(db),
-        };
-        let max_w = lasso
-            .std_weights()
-            .iter()
-            .fold(0.0_f64, |m, w| m.max(w.abs()));
-        let mut selected = lasso.selected_features(self.selection_threshold * max_w);
-        if selected.is_empty() {
-            // Degenerate target: fall back to all features so the menu can
-            // still train (they will all predict ~the mean).
-            selected = (0..db.width()).collect();
-        }
-        drop(lasso_span);
-        obs.histogram("acm.ml.toolchain.lasso_sweeps")
-            .record(lasso.sweeps() as u64);
-        obs.counter("acm.ml.toolchain.lasso_unconverged")
-            .add(u64::from(!lasso.converged()));
-        selected
     }
 
     /// Steps 2–4 on a feature selection made earlier: split, train the
@@ -316,7 +290,7 @@ impl F2pmToolchain {
             holdout,
             tree,
         } = buf;
-        let cut = split_order(db.len(), self.train_frac, rng, order);
+        let cut = split_order(db.len(), TRAIN_FRAC, rng, order);
         db.select_into(&order[..cut], selected, train);
         db.select_into(&order[cut..], selected, holdout);
         let (train, holdout) = (&*train, &*holdout);
@@ -340,12 +314,9 @@ impl F2pmToolchain {
                 let model = {
                     let _fit = fit_timer.start();
                     match kind {
-                        ModelKind::RepTree => AnyModel::RepTree(RepTree::fit_with(
-                            train,
-                            &Default::default(),
-                            &mut model_rng,
-                            &mut tree,
-                        )),
+                        ModelKind::RepTree => {
+                            AnyModel::RepTree(RepTree::fit_with(train, &mut model_rng, &mut tree))
+                        }
                         _ => kind.fit(train, &mut model_rng),
                     }
                 };
@@ -373,6 +344,28 @@ impl F2pmToolchain {
         let best_model = results.swap_remove(0).0;
         (RttfPredictor::new(best_model, selected.to_vec()), report)
     }
+}
+
+/// Step 1: Lasso feature selection on the full database.
+fn select(db: &Dataset, obs: &Obs) -> Vec<usize> {
+    let lasso_span = obs.timer("acm.ml.toolchain.lasso_ns").start();
+    let lasso = LassoRegression::fit_default(db);
+    let max_w = lasso
+        .std_weights()
+        .iter()
+        .fold(0.0_f64, |m, w| m.max(w.abs()));
+    let mut selected = lasso.selected_features(SELECTION_THRESHOLD * max_w);
+    if selected.is_empty() {
+        // Degenerate target: fall back to all features so the menu can
+        // still train (they will all predict ~the mean).
+        selected = (0..db.width()).collect();
+    }
+    drop(lasso_span);
+    obs.histogram("acm.ml.toolchain.lasso_sweeps")
+        .record(lasso.sweeps() as u64);
+    obs.counter("acm.ml.toolchain.lasso_unconverged")
+        .add(u64::from(!lasso.converged()));
+    selected
 }
 
 /// The toolchain's floor: a database of fewer than 20 rows is refused
@@ -454,7 +447,6 @@ mod tests {
         // batch walk is the path under test.
         let tc = F2pmToolchain {
             models: vec![ModelKind::RepTree],
-            ..Default::default()
         };
         let (predictor, _) = tc.run(&db, &mut SimRng::new(16));
         assert_eq!(predictor.kind(), ModelKind::RepTree);
@@ -537,7 +529,6 @@ mod tests {
         let db = rttf_db(200, 9);
         let tc = F2pmToolchain {
             models: vec![ModelKind::RepTree, ModelKind::Linear],
-            ..Default::default()
         };
         let (_, report) = tc.run(&db, &mut SimRng::new(10));
         assert_eq!(report.outcomes.len(), 2);

@@ -17,7 +17,7 @@
 //! * [`online`] — retroactive feature labelling and predictor-drift
 //!   detection (the retraining loop a live deployment needs).
 //! * [`lifecycle`] — the versioned model registry: drift-triggered
-//!   refits deployed `refit_eras` eras later, shadow evaluation with
+//!   refits deployed two eras later, shadow evaluation with
 //!   censored-aware error, and promote/rollback of the serving predictor.
 
 #![warn(missing_docs)]

@@ -8,9 +8,9 @@
 //!
 //! * **Background refits** — background in *simulated* time: when drift
 //!   fires, the candidate is trained on the labelled dataset as it stands
-//!   and then held for `refit_eras` eras, through which the loop keeps
+//!   and then held for `REFIT_ERAS` (2) eras, through which the loop keeps
 //!   planning on the incumbent; it is handed over at the fixed era
-//!   boundary `submitted_era + refit_eras`. A refit is one REP-Tree fit
+//!   boundary `submitted_era + REFIT_ERAS`. A refit is one REP-Tree fit
 //!   on the serving model's feature selection
 //!   ([`F2pmToolchain::fit_on`]): the paper selects features once,
 //!   offline, and the lifecycle never re-runs the Lasso. On the host
@@ -31,10 +31,11 @@
 //!   holdout split (R² > 0: it beats predicting the mean out of sample)
 //!   and its shadow error beats the incumbent's over at least
 //!   `shadow_min_samples` rows for *both* models; the displaced version
-//!   is retained, and a post-promotion regression (live error exceeding
-//!   the displaced model's shadow error by `rollback_factor`) rolls the
-//!   registry back to it. An era that swaps the serving model submits no
-//!   refit, and the control loop clears the region's drift window.
+//!   is retained, and a post-promotion regression (live error over
+//!   `ROLLBACK_WINDOW` (8) rows exceeding the displaced model's shadow
+//!   error by `ROLLBACK_FACTOR`, 1.5×) rolls the registry back to it. An
+//!   era that swaps the serving model submits no refit, and the control
+//!   loop clears the region's drift window.
 
 use crate::online::OnlineLabeler;
 use crate::vmc::RttfSource;
@@ -49,6 +50,17 @@ use acm_vm::{FeatureVec, VmId};
 /// `min_labelled_rows` is configured.
 pub const MIN_REFIT_ROWS: usize = 20;
 
+/// Simulated deployment delay of a candidate: eras between the refit's
+/// submission and the era whose prologue starts shadowing it.
+const REFIT_ERAS: u64 = 2;
+
+/// Post-promotion samples scored before the regression verdict.
+const ROLLBACK_WINDOW: usize = 8;
+
+/// Roll back when the promoted model's live error exceeds the displaced
+/// model's shadow error by this factor.
+const ROLLBACK_FACTOR: f64 = 1.5;
+
 /// Tuning of the versioned model lifecycle. Disabled by default: a
 /// config that never mentions the lifecycle replays byte-identically to
 /// runs recorded before it existed.
@@ -59,17 +71,9 @@ pub struct LifecycleConfig {
     pub enabled: bool,
     /// Labelled rows required before a drift signal may trigger a refit.
     pub min_labelled_rows: usize,
-    /// Simulated deployment delay of a candidate: eras between the
-    /// refit's submission and the era whose prologue starts shadowing it.
-    pub refit_eras: u64,
     /// Minimum shadow samples (for BOTH candidate and incumbent) before
     /// the promotion verdict is evaluated.
     pub shadow_min_samples: usize,
-    /// Post-promotion samples scored before the regression verdict.
-    pub rollback_window: usize,
-    /// Roll back when the promoted model's live error exceeds the
-    /// displaced model's shadow error by this factor.
-    pub rollback_factor: f64,
     /// Minimum eras between consecutive refit submissions.
     pub cooldown_eras: u64,
     /// Test hook: train refit candidates on label-shuffled data, making
@@ -86,10 +90,7 @@ impl Default for LifecycleConfig {
         LifecycleConfig {
             enabled: false,
             min_labelled_rows: 60,
-            refit_eras: 2,
             shadow_min_samples: 12,
-            rollback_window: 8,
-            rollback_factor: 1.5,
             cooldown_eras: 8,
             poison_refits: false,
             force_promote: false,
@@ -103,20 +104,8 @@ impl LifecycleConfig {
         if self.min_labelled_rows == 0 {
             return Err("lifecycle min_labelled_rows must be > 0".into());
         }
-        if self.refit_eras == 0 {
-            return Err("lifecycle refit_eras must be > 0".into());
-        }
         if self.shadow_min_samples == 0 {
             return Err("lifecycle shadow_min_samples must be > 0".into());
-        }
-        if self.rollback_window == 0 {
-            return Err("lifecycle rollback_window must be > 0".into());
-        }
-        if !(self.rollback_factor.is_finite() && self.rollback_factor >= 1.0) {
-            return Err(format!(
-                "lifecycle rollback_factor must be finite and >= 1: {}",
-                self.rollback_factor
-            ));
         }
         Ok(())
     }
@@ -160,7 +149,7 @@ impl ShadowScore {
     }
 }
 
-/// A trained candidate waiting out its `refit_eras` deployment delay.
+/// A trained candidate waiting out its `REFIT_ERAS` deployment delay.
 #[derive(Debug)]
 struct PendingRefit {
     version: u64,
@@ -307,7 +296,6 @@ impl ModelLifecycle {
             rng,
             toolchain: F2pmToolchain {
                 models: vec![ModelKind::RepTree],
-                ..Default::default()
             },
             fit: FitBuffers::default(),
         }
@@ -387,12 +375,12 @@ impl ModelLifecycle {
     }
 
     /// Era prologue: hand a due candidate to `Shadowing`, at the fixed
-    /// era boundary `submitted_era + refit_eras`.
+    /// era boundary `submitted_era + REFIT_ERAS`.
     pub fn begin_era(&mut self, era_index: u64) -> Vec<LifecycleEvent> {
         let mut events = Vec::new();
         let due = matches!(
             &self.phase,
-            Phase::Loading(p) if era_index >= p.submitted_era + self.cfg.refit_eras
+            Phase::Loading(p) if era_index >= p.submitted_era + REFIT_ERAS
         );
         if due {
             let Phase::Loading(p) = std::mem::replace(&mut self.phase, Phase::Idle) else {
@@ -425,13 +413,13 @@ impl ModelLifecycle {
         let mut events = Vec::new();
 
         // (1) Post-promotion regression watch: one verdict per promotion,
-        // delivered once `rollback_window` live rows have been scored.
+        // delivered once `ROLLBACK_WINDOW` live rows have been scored.
         if let Some(w) = &self.watch {
-            if w.score.samples() >= self.cfg.rollback_window {
+            if w.score.samples() >= ROLLBACK_WINDOW {
                 let err = w.score.mean().expect("samples > 0");
                 let baseline = w.baseline_err;
                 self.watch = None;
-                if err > baseline * self.cfg.rollback_factor {
+                if err > baseline * ROLLBACK_FACTOR {
                     if let Some((prior_version, prior_model)) = self.prior.take() {
                         let from = self.version;
                         *source = RttfSource::Model(prior_model);
@@ -504,7 +492,7 @@ impl ModelLifecycle {
         // cooldown, no swap this era. The candidate is trained here, on
         // the rows labelled so far and the serving model's feature
         // selection (the lifecycle never re-selects); `begin_era` deploys
-        // it `refit_eras` eras later.
+        // it `REFIT_ERAS` eras later.
         let cooled = self
             .last_refit_era
             .is_none_or(|e| era_index.saturating_sub(e) >= self.cfg.cooldown_eras);
@@ -578,7 +566,6 @@ mod tests {
         );
         F2pmToolchain {
             models: vec![ModelKind::RepTree],
-            ..Default::default()
         }
         .run(&db, &mut rng)
         .0
@@ -606,19 +593,7 @@ mod tests {
                 ..Default::default()
             },
             LifecycleConfig {
-                refit_eras: 0,
-                ..Default::default()
-            },
-            LifecycleConfig {
                 shadow_min_samples: 0,
-                ..Default::default()
-            },
-            LifecycleConfig {
-                rollback_window: 0,
-                ..Default::default()
-            },
-            LifecycleConfig {
-                rollback_factor: 0.5,
                 ..Default::default()
             },
         ] {
@@ -656,7 +631,6 @@ mod tests {
         let cfg = LifecycleConfig {
             enabled: true,
             min_labelled_rows: 1,
-            refit_eras: 2,
             ..Default::default()
         };
         let mut lc = ModelLifecycle::new(cfg, SimRng::new(1));
@@ -679,7 +653,7 @@ mod tests {
         );
         assert!(matches!(lc.phase, Phase::Loading(_)));
 
-        // Not due yet at era 6; due at era 7 = 5 + refit_eras.
+        // Not due yet at era 6; due at era 7 = 5 + REFIT_ERAS.
         assert!(lc.begin_era(6).is_empty());
         assert!(matches!(lc.phase, Phase::Loading(_)));
         let ev = lc.begin_era(7);
@@ -712,7 +686,6 @@ mod tests {
         let cfg = LifecycleConfig {
             enabled: true,
             min_labelled_rows: 20,
-            refit_eras: 1,
             shadow_min_samples: 4,
             cooldown_eras: 0,
             poison_refits: true,
@@ -724,7 +697,7 @@ mod tests {
 
         feed_rows(&mut lc, 24, 100);
         assert!(!lc.end_era(0, true, &mut source).is_empty());
-        lc.begin_era(1);
+        lc.begin_era(REFIT_ERAS);
         assert!(matches!(lc.phase, Phase::Shadowing(_)));
 
         for i in 0..4u64 {
@@ -760,10 +733,7 @@ mod tests {
         let cfg = LifecycleConfig {
             enabled: true,
             min_labelled_rows: 1,
-            refit_eras: 1,
             shadow_min_samples: 1,
-            rollback_window: 2,
-            rollback_factor: 1.5,
             cooldown_eras: 100, // one refit only
             poison_refits: true,
             force_promote: true,
@@ -775,7 +745,7 @@ mod tests {
         // Enough rows for the poisoned refit to train on.
         feed_rows(&mut lc, 24, 10);
         assert!(!lc.end_era(0, true, &mut source).is_empty());
-        lc.begin_era(1);
+        lc.begin_era(REFIT_ERAS);
 
         // One scored failure row for both models, then force-promotion.
         // actual ≈ the incumbent's own prediction, so the regression
@@ -812,7 +782,7 @@ mod tests {
             RttfSource::Model(m) => m.clone(),
             RttfSource::Oracle => unreachable!(),
         };
-        for i in 0..2u32 {
+        for i in 0..ROLLBACK_WINDOW as u32 {
             let fi = feature_vec(u64::from(i) + 60);
             let actual = original.predict(fi.as_slice()).max(1.0);
             lc.observe(VmId(200 + i), t(1_000), fi);
@@ -892,7 +862,6 @@ mod tests {
         let cfg = LifecycleConfig {
             enabled: true,
             min_labelled_rows: 20,
-            refit_eras: 1,
             shadow_min_samples: 6,
             cooldown_eras: 100,
             force_promote,
@@ -902,7 +871,7 @@ mod tests {
         let mut source = RttfSource::Model(quick_predictor(7));
         feed_rows(&mut lc, 40, 800);
         assert!(!lc.end_era(0, true, &mut source).is_empty());
-        lc.begin_era(1);
+        lc.begin_era(REFIT_ERAS);
         let Phase::Shadowing(s) = &mut lc.phase else {
             panic!("no candidate shadowing");
         };
@@ -988,17 +957,18 @@ mod tests {
         // Rollback: the promoted model regresses live.
         let (mut lc, mut source) = shadowing_with_r2(0.3, false);
         lc.cfg.cooldown_eras = 0;
-        lc.cfg.rollback_window = 1;
         assert!(lc.end_era(2, false, &mut source)[0].swaps_model());
         let promoted = serving(&source).clone();
-        let f = feature_vec(77);
-        let shortfall = promoted.predict(f.as_slice()) + 10_000.0;
-        lc.observe(VmId(77), t(5_000), f);
-        lc.on_failure(
-            VmId(77),
-            t(5_000) + Duration::from_secs(shortfall as u64),
-            Some(&promoted),
-        );
+        for i in 0..ROLLBACK_WINDOW as u32 {
+            let f = feature_vec(u64::from(i) + 77);
+            let shortfall = promoted.predict(f.as_slice()) + 10_000.0;
+            lc.observe(VmId(77 + i), t(5_000), f);
+            lc.on_failure(
+                VmId(77 + i),
+                t(5_000) + Duration::from_secs(shortfall as u64),
+                Some(&promoted),
+            );
+        }
         let ev = lc.end_era(3, true, &mut source);
         assert!(
             matches!(
@@ -1025,7 +995,6 @@ mod tests {
             let cfg = LifecycleConfig {
                 enabled: true,
                 min_labelled_rows: 20,
-                refit_eras: 2,
                 shadow_min_samples: 1,
                 force_promote: true,
                 cooldown_eras: 100,

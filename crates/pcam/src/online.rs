@@ -463,7 +463,6 @@ mod tests {
         );
         let toolchain = F2pmToolchain {
             models: vec![ModelKind::RepTree],
-            ..Default::default()
         };
         let (stale, _) = toolchain.run(&old_db, &mut rng);
 

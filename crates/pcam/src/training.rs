@@ -26,9 +26,10 @@ pub struct CollectionConfig {
     pub lambdas: Vec<f64>,
     /// Instrumented runs-to-failure per rate.
     pub runs_per_lambda: usize,
-    /// Safety cap on eras per run.
-    pub max_eras_per_run: usize,
 }
+
+/// Safety cap on eras per run.
+const MAX_ERAS_PER_RUN: usize = 400;
 
 impl Default for CollectionConfig {
     fn default() -> Self {
@@ -40,7 +41,6 @@ impl Default for CollectionConfig {
             // extrapolate badly outside the training envelope.
             lambdas: vec![2.0, 4.0, 8.0, 12.0, 16.0, 24.0],
             runs_per_lambda: 3,
-            max_eras_per_run: 400,
         }
     }
 }
@@ -112,7 +112,7 @@ fn collect_run(
     );
     let mut rows = Dataset::new(FEATURE_NAMES);
     let mut now = SimTime::ZERO;
-    for _ in 0..cfg.max_eras_per_run {
+    for _ in 0..MAX_ERAS_PER_RUN {
         let features: FeatureVec = vm.features(now, lambda);
         // The era's own ground-truth solve labels the snapshot taken at its
         // start.

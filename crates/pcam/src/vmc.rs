@@ -269,7 +269,8 @@ impl Vmc {
     }
 
     /// Era prologue for the model lifecycle: a candidate whose
-    /// `refit_eras` have passed starts shadowing. No-op without a registry.
+    /// two-era deployment delay has passed starts shadowing. No-op without
+    /// a registry.
     pub fn lifecycle_begin_era(&mut self, era_index: u64) -> Vec<LifecycleEvent> {
         match &mut self.lifecycle {
             Some(lc) => lc.begin_era(era_index),

@@ -48,22 +48,19 @@ impl std::fmt::Display for FailureCause {
     }
 }
 
-/// Failure-point definition.
+/// Failure-point definition: out of memory, a full thread table, or the
+/// SLA bound broken.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailureSpec {
     /// SLA bound on the mean response time, seconds. The paper keeps client
     /// response times under a 1-second threshold (Sec. VI-B).
     pub sla_response_s: f64,
-    /// Whether the SLA predicate participates in the failure point (the OOM
-    /// and thread predicates always do).
-    pub enforce_sla: bool,
 }
 
 impl Default for FailureSpec {
     fn default() -> Self {
         FailureSpec {
             sla_response_s: 1.0,
-            enforce_sla: true,
         }
     }
 }
@@ -143,6 +140,37 @@ impl<'a> Fluid<'a> {
     }
 }
 
+/// Seconds until the resident set fills RAM + swap and until the thread
+/// table fills, in the fluid limit at arrival rate `lambda` (infinite when
+/// nothing accumulates): the hard failures, which the SLA crossing is
+/// searched up to.
+fn exhaustion_times(
+    flavor: &VmFlavor,
+    cfg: &AnomalyConfig,
+    st: &AnomalyState,
+    lambda: f64,
+) -> (f64, f64) {
+    // Expected accumulation rates (fluid limit).
+    let leak_mb_per_s = lambda * cfg.mean_leak_mb_per_request();
+    let threads_per_s = lambda * cfg.mean_threads_per_request();
+    let resident_mb_per_s = leak_mb_per_s + threads_per_s * cfg.thread_stack_mb;
+
+    let resident0 = service::resident_mb(flavor, cfg, st);
+    let threads0 = flavor.baseline_threads as f64 + st.stuck_threads as f64;
+
+    let t_oom = if resident_mb_per_s > 0.0 {
+        (flavor.ram_mb + flavor.swap_mb - resident0) / resident_mb_per_s
+    } else {
+        f64::INFINITY
+    };
+    let t_threads = if threads_per_s > 0.0 {
+        (flavor.max_threads as f64 - threads0) / threads_per_s
+    } else {
+        f64::INFINITY
+    };
+    (t_oom, t_threads)
+}
+
 /// Relative half-widths of the brackets tried around a hint, narrowest
 /// first. Along runs to failure the closed form lands within `2⁻⁴⁹` of the
 /// crossing almost always, and from there ~4 halvings reach adjacent
@@ -217,11 +245,11 @@ fn first_crossing(hi_cap: f64, hint: f64, mut above: impl FnMut(f64) -> bool) ->
 }
 
 impl FailureSpec {
-    /// Validates parameter ranges: an enforced SLA bound must be a positive
-    /// finite number of seconds (a bound `<= 0` or NaN fails every healthy
-    /// VM at `t = 0`).
+    /// Validates parameter ranges: the SLA bound must be a positive finite
+    /// number of seconds (a bound `<= 0` or NaN fails every healthy VM at
+    /// `t = 0`).
     pub fn validate(&self) -> Result<(), String> {
-        if self.enforce_sla && !(self.sla_response_s > 0.0 && self.sla_response_s.is_finite()) {
+        if !(self.sla_response_s > 0.0 && self.sla_response_s.is_finite()) {
             return Err(format!(
                 "sla_response_s must be positive and finite, got {}",
                 self.sla_response_s
@@ -247,7 +275,7 @@ impl FailureSpec {
         if flavor.baseline_threads + st.stuck_threads >= flavor.max_threads {
             return Some(FailureCause::ThreadExhaustion);
         }
-        if self.enforce_sla && lambda > 0.0 {
+        if lambda > 0.0 {
             let mu = service::effective_service_rate(flavor, cfg, st);
             match service::mm1_response(mu, lambda) {
                 Some(r) if r <= self.sla_response_s => {}
@@ -272,26 +300,8 @@ impl FailureSpec {
             return (0.0, Some(cause));
         }
 
-        // Expected accumulation rates (fluid limit).
-        let leak_mb_per_s = lambda * cfg.mean_leak_mb_per_request();
-        let threads_per_s = lambda * cfg.mean_threads_per_request();
-        let resident_mb_per_s = leak_mb_per_s + threads_per_s * cfg.thread_stack_mb;
-
-        let resident0 = service::resident_mb(flavor, cfg, st);
-        let threads0 = flavor.baseline_threads as f64 + st.stuck_threads as f64;
-
-        let t_oom = if resident_mb_per_s > 0.0 {
-            (flavor.ram_mb + flavor.swap_mb - resident0) / resident_mb_per_s
-        } else {
-            f64::INFINITY
-        };
-        let t_threads = if threads_per_s > 0.0 {
-            (flavor.max_threads as f64 - threads0) / threads_per_s
-        } else {
-            f64::INFINITY
-        };
-
-        let t_sla = if self.enforce_sla && lambda > 0.0 {
+        let (t_oom, t_threads) = exhaustion_times(flavor, cfg, st, lambda);
+        let t_sla = if lambda > 0.0 {
             self.sla_crossing_time(flavor, cfg, st, lambda, t_oom.min(t_threads))
         } else {
             f64::INFINITY
@@ -412,15 +422,14 @@ mod tests {
 
     #[test]
     fn sla_predicate_respects_bound() {
-        let (f, cfg, mut spec) = setup();
+        let (f, cfg, spec) = setup();
         // μ = 50; at λ = 49.5, R = 2 s > 1 s bound → violation.
         assert_eq!(
             spec.check(&f, &cfg, &AnomalyState::fresh(), 49.5),
             Some(FailureCause::SlaViolation)
         );
-        // With SLA disabled nothing fires.
-        spec.enforce_sla = false;
-        assert_eq!(spec.check(&f, &cfg, &AnomalyState::fresh(), 49.5), None);
+        // With no arrivals there is no queue, and nothing fires.
+        assert_eq!(spec.check(&f, &cfg, &AnomalyState::fresh(), 0.0), None);
     }
 
     #[test]
@@ -512,21 +521,13 @@ mod tests {
     }
 
     #[test]
-    fn disabled_sla_extends_rttf_to_hard_failure() {
-        let (f, cfg, _) = setup();
-        let spec_sla = FailureSpec::default();
-        let spec_hard = FailureSpec {
-            enforce_sla: false,
-            ..Default::default()
-        };
+    fn sla_cuts_rttf_short_of_exhaustion() {
+        let (f, cfg, spec) = setup();
         let fresh = AnomalyState::fresh();
-        let (t_sla, _) = spec_sla.true_rttf(&f, &cfg, &fresh, 15.0);
-        let (t_hard, cause) = spec_hard.true_rttf(&f, &cfg, &fresh, 15.0);
-        assert!(t_hard > t_sla);
-        assert!(matches!(
-            cause,
-            Some(FailureCause::OutOfMemory) | Some(FailureCause::ThreadExhaustion)
-        ));
+        let (t_sla, cause) = spec.true_rttf(&f, &cfg, &fresh, 15.0);
+        let (t_oom, t_threads) = exhaustion_times(&f, &cfg, &fresh, 15.0);
+        assert_eq!(cause, Some(FailureCause::SlaViolation));
+        assert!(t_oom.min(t_threads) > t_sla);
     }
 
     #[test]
@@ -535,15 +536,8 @@ mod tests {
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let spec = FailureSpec {
                 sla_response_s: bad,
-                enforce_sla: true,
             };
             assert!(spec.validate().is_err(), "accepted {bad}");
-            // The bound is not read when the SLA does not participate.
-            let unenforced = FailureSpec {
-                enforce_sla: false,
-                ..spec
-            };
-            assert!(unenforced.validate().is_ok());
         }
     }
 
@@ -561,10 +555,6 @@ mod tests {
     fn crossing_costs_at_most_24_evaluations_along_runs_to_failure() {
         use acm_sim::rng::SimRng;
         let (cfg, spec) = (AnomalyConfig::default(), FailureSpec::default());
-        let hard_only = FailureSpec {
-            enforce_sla: false,
-            ..FailureSpec::default()
-        };
         let (mut crossings, mut worst_finite) = (0, 0);
         for flavor in [
             VmFlavor::m3_medium(),
@@ -577,7 +567,8 @@ mod tests {
                 while spec.check(&flavor, &cfg, &st, lambda).is_none() {
                     // The horizon `true_rttf` searches up to: the earlier
                     // hard failure.
-                    let (horizon, _) = hard_only.true_rttf(&flavor, &cfg, &st, lambda);
+                    let (t_oom, t_threads) = exhaustion_times(&flavor, &cfg, &st, lambda);
+                    let horizon = t_oom.min(t_threads);
                     let fluid = Fluid::new(&flavor, &cfg, &st, lambda);
                     let mu_needed = lambda + 1.0 / spec.sla_response_s;
                     let hint = fluid.time_at_rate(mu_needed);

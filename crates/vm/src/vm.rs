@@ -429,7 +429,6 @@ mod tests {
     fn a_non_positive_sla_bound_is_rejected() {
         let spec = FailureSpec {
             sla_response_s: 0.0,
-            enforce_sla: true,
         };
         Vm::new(
             VmId(1),

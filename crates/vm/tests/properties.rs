@@ -81,7 +81,7 @@ fn true_rttf_by_fixed_bisection(
         }
         hi
     };
-    let t_sla = if spec.enforce_sla && lambda > 0.0 {
+    let t_sla = if lambda > 0.0 {
         sla_crossing()
     } else {
         f64::INFINITY
@@ -134,7 +134,6 @@ proptest! {
             }
             let spec = FailureSpec {
                 sla_response_s: rng.uniform(0.02, 3.0),
-                enforce_sla: true,
             };
             // States up to a full thread table and 105 % of RAM + swap, and
             // rates up to 1.1 x the fresh service rate. `check` answers most

@@ -53,7 +53,6 @@ pub fn stale_models(cfg: &ExperimentConfig) -> Vec<RttfPredictor> {
             );
             let toolchain = F2pmToolchain {
                 models: vec![ModelKind::RepTree],
-                ..Default::default()
             };
             toolchain.run(&db, &mut train_rng).0
         })

@@ -6,7 +6,7 @@ use acm::core::config::{ExperimentConfig, PredictorChoice};
 use acm::core::framework::{run_experiment, train_predictors};
 use acm::core::policy::PolicyKind;
 use acm::ml::model::ModelKind;
-use acm::ml::toolchain::F2pmToolchain;
+use acm::ml::toolchain::{F2pmToolchain, FitBuffers};
 use acm::obs::Obs;
 use acm::pcam::training::{collect_database, CollectionConfig};
 use acm::sim::{SimRng, SimTime};
@@ -32,7 +32,6 @@ fn rep_tree_predictions_track_ground_truth_through_a_vm_lifetime() {
     );
     let toolchain = F2pmToolchain {
         models: vec![ModelKind::RepTree],
-        ..Default::default()
     };
     let (predictor, report) = toolchain.run(&db, &mut rng);
     assert_eq!(predictor.kind(), ModelKind::RepTree);
@@ -138,5 +137,64 @@ fn oracle_and_trained_predictor_agree_on_the_equilibrium() {
     assert!(
         (fo - ft).abs() < 0.1,
         "equilibria diverge: oracle {fo}, trained {ft}"
+    );
+}
+
+fn fnv64(bytes: impl IntoIterator<Item = u64>) -> u64 {
+    bytes
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The whole F2PM menu, pinned: the Lasso selection, every family's
+/// holdout metrics and every family's predictions on a fixed probe set,
+/// as FNV-1a-64 of their `to_bits`. The database is the quick collection
+/// the shared test worlds train their stale predictors on. A mismatch
+/// means a family's arithmetic or draw order moved; the message prints
+/// the three hashes.
+#[test]
+fn f2pm_menu_is_pinned() {
+    let quick = CollectionConfig {
+        lambdas: vec![4.0, 8.0, 16.0],
+        runs_per_lambda: 3,
+        ..Default::default()
+    };
+    let mut rng = SimRng::new(7);
+    let db = collect_database(
+        &VmFlavor::m3_medium(),
+        &AnomalyConfig::default(),
+        &FailureSpec::default(),
+        &quick,
+        &mut rng,
+    );
+    let (_, report) = F2pmToolchain::default().run(&db, &mut rng);
+    let selection = fnv64(report.selected_features.iter().map(|&j| j as u64));
+    let metrics = fnv64(report.outcomes.iter().flat_map(|o| {
+        let m = &o.metrics;
+        std::iter::once(o.kind as u64).chain([m.mae, m.rmse, m.r2, m.mape].map(f64::to_bits))
+    }));
+    let probes: Vec<&[f64]> = (0..db.len()).step_by(5).map(|i| db.row(i)).collect();
+    let mut buf = FitBuffers::default();
+    let predictions = fnv64(ModelKind::ALL.into_iter().flat_map(|kind| {
+        let menu = F2pmToolchain { models: vec![kind] };
+        let (predictor, _) = menu.fit_on(
+            &db,
+            &report.selected_features,
+            &mut SimRng::new(8),
+            &mut buf,
+        );
+        assert_eq!(predictor.kind(), kind);
+        probes
+            .iter()
+            .map(|row| predictor.predict(row).to_bits())
+            .collect::<Vec<_>>()
+    }));
+    assert_eq!(
+        [selection, metrics, predictions],
+        [0xf562_a8ec_9f84_eb64, 0x23a5_61c9_de62_af16, 0xe431_ccf7_06f8_e6cb],
+        "[selection, metrics, predictions] = [{selection:#018x}, {metrics:#018x}, {predictions:#018x}]"
     );
 }

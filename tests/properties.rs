@@ -7,7 +7,7 @@ use acm::core::policy::{LoadBalancingPolicy, PolicyKind};
 use acm::ml::dataset::Dataset;
 use acm::ml::lasso::LassoRegression;
 use acm::ml::linear::LinearRegression;
-use acm::ml::rep_tree::{RepTree, RepTreeConfig};
+use acm::ml::rep_tree::RepTree;
 use acm::sim::event::EventQueue;
 use acm::sim::{Duration, SimRng, SimTime};
 use acm::vm::anomaly::sample_binomial;
@@ -123,7 +123,7 @@ proptest! {
         }
         let lo = rows.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
         let hi = rows.iter().map(|r| r.1).fold(0.0f64, f64::max);
-        let tree = RepTree::fit(&ds, &RepTreeConfig::default(), &mut SimRng::new(seed));
+        let tree = RepTree::fit(&ds, &mut SimRng::new(seed));
         for probe in [-10.0, 0.0, 50.0, 100.0, 1000.0] {
             let p = tree.predict_one(&[probe]);
             prop_assert!(p >= lo - 1e-9 && p <= hi + 1e-9, "prediction {p} outside [{lo},{hi}]");

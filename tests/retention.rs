@@ -218,7 +218,6 @@ fn refit_db() -> (Dataset, F2pmToolchain) {
     }
     let toolchain = F2pmToolchain {
         models: vec![ModelKind::RepTree],
-        ..Default::default()
     };
     (db, toolchain)
 }
